@@ -13,21 +13,8 @@ import time
 from pathlib import Path
 
 from qnnwitness.hamiltonian import refine_schedule, save_schedule
-from qnnwitness.trainer import (
-    TrainerConfig,
-    bootstrap,
-    bootstrap_summary_csv,
-    random_schedule,
-    train,
-)
+from qnnwitness.trainer import TrainerConfig, bootstrap, bootstrap_chain, bootstrap_summary_csv, train
 from qnnwitness.witness import build_training_set
-
-
-def run_chain(first_result, n_max, config):
-    results = {2: first_result}
-    for n in range(3, n_max + 1):
-        results[n] = bootstrap(results[n - 1], n, config)
-    return results
 
 
 def main() -> None:
@@ -41,16 +28,16 @@ def main() -> None:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    ts2 = build_training_set(2)
 
     start = time.perf_counter()
     config4 = TrainerConfig(target_rms=args.target_rms, max_epochs=args.epochs, seed=args.seed, chunk_count=4)
-    base4 = train(random_schedule(2, 4, seed=args.seed), ts2, config4)
-    chains = {"4chunk": run_chain(base4, args.n_max, config4)}
+    chains = {"4chunk": bootstrap_chain(args.n_max, config4)}
 
     config8 = TrainerConfig(target_rms=args.target_rms, max_epochs=args.epochs, seed=args.seed, chunk_count=8)
-    base8 = train(refine_schedule(base4.schedule, 2), ts2, config8)
-    chains["8chunk"] = run_chain(base8, args.n_max, config8)
+    chain8 = {2: train(refine_schedule(chains["4chunk"][2].schedule, 2), build_training_set(2), config8)}
+    for n in range(3, args.n_max + 1):
+        chain8[n] = bootstrap(chain8[n - 1], n, config8)
+    chains["8chunk"] = chain8
 
     for label, results in chains.items():
         (out / f"summary_{label}.csv").write_text(bootstrap_summary_csv(results))

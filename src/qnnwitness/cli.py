@@ -25,7 +25,7 @@ from .sampler import ShotConfig, sweep, sweep_csv
 from .trainer import (
     TrainerConfig,
     TrainingDiverged,
-    bootstrap,
+    bootstrap_chain,
     bootstrap_summary_csv,
     random_schedule,
     rms_history_csv,
@@ -272,12 +272,8 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
         raise _fail(EXIT_INPUT, "--n-max must be at least 2")
     config = _trainer_config(args, args.chunks)
     out = _out_dir(args)
-    results = {}
     try:
-        init = random_schedule(2, args.chunks, args.seed)
-        results[2] = train(init, build_training_set(2), config)
-        for n in range(3, args.n_max + 1):
-            results[n] = bootstrap(results[n - 1], n, config)
+        results = bootstrap_chain(args.n_max, config)
     except TrainingDiverged as exc:
         save_schedule(exc.last_good, out / "last_good_schedule.json")
         print(f"diverged: {exc}", file=sys.stderr)

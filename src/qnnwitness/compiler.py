@@ -36,7 +36,7 @@ from .core import (
     frobenius_distance,
     qubit_pairs,
 )
-from .hamiltonian import Schedule, chunk_propagators
+from .hamiltonian import Schedule, evolve_states
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
@@ -127,12 +127,10 @@ def verify_equivalence(schedule: Schedule, max_qubits: int = 10) -> dict:
     if n > max_qubits:
         raise ValueError(f"refusing dense verification for {n} > {max_qubits} qubits")
     u_gates = circuit_unitary(compile_schedule(schedule), max_qubits=max_qubits)
-    u_chunked = np.eye(2**n, dtype=complex)
-    u_exact = np.eye(2**n, dtype=complex)
-    for u in chunk_propagators(schedule, "chunked"):
-        u_chunked = u @ u_chunked
-    for u in chunk_propagators(schedule, "exact"):
-        u_exact = u @ u_exact
+    # evolve_states maps each basis row e_k to U e_k, so the stack comes back as U^T
+    identity = np.eye(2**n, dtype=complex)
+    u_chunked = evolve_states(identity, schedule, "chunked").T
+    u_exact = evolve_states(identity, schedule, "exact").T
 
     report: dict = {
         "n_qubits": n,

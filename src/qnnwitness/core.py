@@ -164,9 +164,12 @@ def n_qubits_of(state: np.ndarray) -> int:
 
 
 def _apply_1q(tensor: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    # tensor has one axis per qubit first, then any batch axes
-    out = np.tensordot(u, tensor, axes=([1], [q]))
-    return np.moveaxis(out, 0, q)
+    """Apply the 2x2 ``u`` to qubit ``q``: the one-qubit update of gates and
+    of chunked evolution. ``tensor`` holds the amplitudes first, as ``[2]*n``
+    axes or one ``2**n`` axis, then any batch axes."""
+    # qubit 0 is the most significant bit: qubits 0..q-1 fold into the
+    # leading axis, the later qubits and the batch into the trailing one
+    return np.matmul(u, tensor.reshape(2**q, 2, -1)).reshape(tensor.shape)
 
 
 def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -222,7 +225,10 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = DEFAULT_UNITARY_CAP) -> 
 
 
 def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
-    """<Z_i Z_j> of a state vector or density matrix; always in [-1, 1]."""
+    """<Z_i Z_j> of a state vector or density matrix; always in [-1, 1].
+
+    Round-off just outside the range is clamped; a non-finite value raises.
+    """
     if i == j:
         raise ValueError("expectation_zz needs two distinct qubits")
     arr = np.asarray(state)
@@ -238,6 +244,8 @@ def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
     value = float(np.sum(probs * z_diagonal(n, i) * z_diagonal(n, j)))
+    if not math.isfinite(value):
+        raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
     return min(1.0, max(-1.0, value))
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IDENTITY_2, PAULI_X, is_hermitian, qubit_pairs, z_diagonal
+from .core import IDENTITY_2, PAULI_X, _apply_1q, is_hermitian, qubit_pairs, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -84,8 +84,8 @@ class Schedule:
         object.__setattr__(self, "chunks", tuple(self.chunks))
         if not self.chunks:
             raise ValueError("schedule needs at least one chunk")
-        if self.total_time <= 0:
-            raise ValueError("total_time must be positive")
+        if not math.isfinite(self.total_time) or self.total_time <= 0:
+            raise ValueError("total_time must be positive and finite")
         for ck in self.chunks:
             if ck.n_qubits != self.n_qubits:
                 raise ValueError(f"chunk is sized for {ck.n_qubits} qubits, schedule for {self.n_qubits}")
@@ -159,15 +159,22 @@ def _pair_phase_diagonal(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     return np.exp(-1j * dt * zz)
 
 
+def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int, dt: float) -> np.ndarray:
+    """Stream the split-operator evolution over a (2**n, batch) column array."""
+    for ck in chunks:
+        columns = columns * _pair_phase_diagonal(ck, n, dt)[:, np.newaxis]
+        for q in range(n):
+            columns = _apply_1q(columns, _single_qubit_factor(ck.tunneling[q], ck.bias[q], dt), q)
+    return columns
+
+
 def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """Split-operator propagator: pair exponentials first, then single-qubit ones."""
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     if dt <= 0:
         raise ValueError("dt must be positive")
-    singles = [_single_qubit_factor(params.tunneling[q], params.bias[q], dt) for q in range(n)]
-    u_single = reduce(np.kron, singles)
-    return u_single * _pair_phase_diagonal(params, n, dt)[np.newaxis, :]
+    return _evolve_chunked(np.eye(2**n, dtype=complex), (params,), n, dt)
 
 
 def chunk_propagators(schedule: Schedule, method: str = "exact") -> list[np.ndarray]:
@@ -177,22 +184,6 @@ def chunk_propagators(schedule: Schedule, method: str = "exact") -> list[np.ndar
     if method == "chunked":
         return [chunked_chunk_propagator(ck, schedule.n_qubits, schedule.dt) for ck in schedule.chunks]
     raise ValueError(f"unknown propagation method {method!r}")
-
-
-def _evolve_tensor_chunked(tensor: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """Stream the chunked evolution over a [2]*n (+ batch axes) tensor."""
-    n = schedule.n_qubits
-    dt = schedule.dt
-    dim = 2**n
-    flat = tensor.reshape(dim, -1)
-    for ck in schedule.chunks:
-        flat = flat * _pair_phase_diagonal(ck, n, dt)[:, np.newaxis]
-        t = flat.reshape([2] * n + [flat.shape[1]])
-        for q in range(n):
-            u = _single_qubit_factor(ck.tunneling[q], ck.bias[q], dt)
-            t = np.moveaxis(np.tensordot(u, t, axes=([1], [q])), 0, q)
-        flat = t.reshape(dim, -1)
-    return flat.reshape(tensor.shape)
 
 
 def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
@@ -208,8 +199,7 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     if batch.shape[1] != 2**n:
         raise ValueError(f"state dimension {batch.shape[1]} does not match {n} qubits")
     if method == "chunked":
-        tensor = batch.T.reshape([2] * n + [batch.shape[0]])
-        out = _evolve_tensor_chunked(tensor, schedule).reshape(2**n, -1).T
+        out = _evolve_chunked(batch.T, schedule.chunks, n, schedule.dt).T
     elif method == "exact":
         out = batch.T
         for u in chunk_propagators(schedule, "exact"):
@@ -226,10 +216,9 @@ def propagate(initial: np.ndarray, schedule: Schedule, method: str = "exact") ->
     if arr.ndim == 1:
         return evolve_states(arr, schedule, method)
     if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        rho = arr
-        for u in chunk_propagators(schedule, method):
-            rho = u @ rho @ u.conj().T
-        return rho
+        # evolve_states maps the rows r of its input to U r, i.e. X -> X U^T
+        left = evolve_states(arr.T, schedule, method).T  # U rho
+        return evolve_states(left.conj(), schedule, method).conj()  # U rho U^dagger
     raise ValueError("expected a state vector or a square density matrix")
 
 
@@ -273,6 +262,13 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _json_number(value, what: str) -> float:
+    # bool is an int subclass, and float() would also accept numeric strings
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScheduleFormatError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def schedule_from_json(text: str) -> Schedule:
     try:
         doc = json.loads(text)
@@ -287,8 +283,11 @@ def schedule_from_json(text: str) -> Schedule:
     if missing:
         raise ScheduleFormatError(f"missing key {sorted(missing)[0]!r} in schedule document")
     n = doc["n_qubits"]
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ScheduleFormatError("'n_qubits' must be a positive integer")
+    if not isinstance(doc["chunks"], list):
+        raise ScheduleFormatError("'chunks' must be a list of chunk objects")
+    total_time = _json_number(doc["total_time"], "'total_time'")
     pairs = qubit_pairs(n)
     chunks = []
     for pos, raw in enumerate(doc["chunks"]):
@@ -317,7 +316,7 @@ def schedule_from_json(text: str) -> Schedule:
             missing_pair = sorted(set(pairs) - seen)[0]
             raise ScheduleFormatError(f"zeta is missing pair '{missing_pair[0]},{missing_pair[1]}' in chunk {pos}")
         for i, j in pairs:
-            coupling.append(float(zeta[f"{i},{j}"]))
+            coupling.append(_json_number(zeta[f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}"))
         try:
             chunk = ChunkParams(tuple(raw["K"]), tuple(raw["eps"]), tuple(coupling))
         except (TypeError, ValueError) as exc:
@@ -328,7 +327,7 @@ def schedule_from_json(text: str) -> Schedule:
     try:
         return Schedule(
             n_qubits=n,
-            total_time=float(doc["total_time"]),
+            total_time=total_time,
             chunks=tuple(chunks),
             symmetric=bool(doc.get("symmetric", False)),
         )

@@ -1,33 +1,17 @@
-"""Deterministic worker mapping capped by the QNN_THREADS env var.
+"""Ordered map over the trainer's partial derivatives and the sampler's shot counts.
 
-Results always come back in input order, so reductions are reproducible
-regardless of thread count. The default of one worker keeps everything
-sequential.
+Results come back in input order, so every reduction over them is
+reproducible.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def worker_count() -> int:
-    raw = os.environ.get("QNN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    """map() preserving input order, threaded when QNN_THREADS > 1."""
-    items = list(items)
-    workers = worker_count()
-    if workers == 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
+    """map() preserving input order, as a list."""
+    return [fn(item) for item in items]

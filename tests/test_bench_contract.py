@@ -1,0 +1,105 @@
+"""The benchmark in ``perfbench/`` calls into the package by name.
+
+``perfbench/spans.py`` patches module attributes to trace each layer, and
+``perfbench/workloads.py`` imports the functions it times. Both files are
+read here as source, never imported or changed, and every name they use
+must still resolve, so a refactor that renames or drops one fails here
+rather than in a benchmark run.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+from qnnwitness.hamiltonian import exact_chunk_propagator
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module_tree(name: str) -> ast.Module:
+    return ast.parse((BENCH / name).read_text())
+
+
+def _assigned(tree: ast.Module, target: str) -> ast.expr:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == target for t in node.targets
+        ):
+            return node.value
+    raise AssertionError(f"perfbench/spans.py assigns no {target}")
+
+
+def _spans_patches() -> list[tuple[str, str, str | None]]:
+    """(module, attribute, attrs function name or None) of every patch."""
+    tree = _module_tree("spans.py")
+    out = []
+    for entry in _assigned(tree, "PATCHES").elts:
+        module, attr, _span, attrs = entry.elts
+        out.append((module.value, attr.value, attrs.id if isinstance(attrs, ast.Name) else None))
+    module, attr, _span = _assigned(tree, "EXACT_PROPAGATOR").elts
+    out.append((module.value, attr.value, None))
+    return out
+
+
+def _attrs_parameters() -> dict[str, list[str]]:
+    """Parameter names of each attrs function ``spans.py`` defines at top level."""
+    return {
+        node.name: [arg.arg for arg in node.args.args]
+        for node in _module_tree("spans.py").body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+
+def _workload_imports() -> list[tuple[str, str]]:
+    return [
+        (node.module, alias.name)
+        for node in ast.walk(_module_tree("workloads.py"))
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "qnnwitness"
+        for alias in node.names
+    ]
+
+
+def _lookup(module_name: str, attr: str):
+    """The object ``module_name.attr`` names, or None when it no longer exists."""
+    module = importlib.import_module(module_name)
+    if not hasattr(module, attr):
+        try:  # a submodule, as in ``from qnnwitness import cli``
+            importlib.import_module(f"{module_name}.{attr}")
+        except ImportError:
+            return None
+    return getattr(module, attr, None)
+
+
+def test_patched_attributes_resolve():
+    patches = _spans_patches()
+    assert ("qnnwitness.hamiltonian", "chunked_chunk_propagator", "_chunk_attrs") in patches
+    attrs_parameters = _attrs_parameters()
+    problems = []
+    for module_name, attr, attrs in patches:
+        target = _lookup(module_name, attr)
+        if not callable(target):
+            problems.append(f"{module_name}.{attr} is not a function")
+        elif attrs in attrs_parameters:
+            # the tracer calls attrs(*args, **kwargs) with the target's own arguments
+            wanted = attrs_parameters[attrs]
+            got = list(inspect.signature(target).parameters)[: len(wanted)]
+            if got != wanted:
+                problems.append(f"{module_name}.{attr}{tuple(got)} no longer fits {attrs}{tuple(wanted)}")
+    assert problems == []
+
+
+def test_workload_imports_resolve():
+    imports = _workload_imports()
+    assert ("qnnwitness.trainer", "bootstrap_chain") in imports
+    assert [f"{module}.{attr}" for module, attr in imports if _lookup(module, attr) is None] == []
+
+
+def test_exact_propagator_keeps_its_cache_interface():
+    # the tracer mirrors the cache from cache_parameters()/cache_info(), and
+    # each timed pass starts from cache_clear()
+    for name in ("cache_clear", "cache_info", "cache_parameters"):
+        assert callable(getattr(exact_chunk_propagator, name))
+    assert exact_chunk_propagator.cache_parameters()["maxsize"] is not None

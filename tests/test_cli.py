@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 
 from qnnwitness import cli
 from qnnwitness.hamiltonian import load_schedule
@@ -46,6 +47,25 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", "--schedule", str(bad))
         assert code == 2
         assert "bogus_key" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ('{"n_qubits": 2, "total_time": NaN, "chunks": [CHUNK]}', "total_time"),
+            ('{"n_qubits": 2, "total_time": 1.0, "chunks": 5}', "chunks"),
+            ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": [1, 1], "eps": [0, 0], "zeta": {"0,1": [1]}}]}',
+             "zeta"),
+            ('{"n_qubits": true, "total_time": 1.0, "chunks": [CHUNK]}', "n_qubits"),
+        ],
+        ids=["nan_total_time", "chunks_not_a_list", "zeta_not_a_number", "bool_n_qubits"],
+    )
+    def test_malformed_schedule_is_refused(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(doc.replace("CHUNK", '{"K": [1, 1], "eps": [0, 0], "zeta": {"0,1": 0.5}}'))
+        code, out, err = run_cli(capsys, "witness", "--schedule", str(bad), "--state", "Flat")
+        assert code == 2
+        assert message in err
+        assert out == ""
 
     def test_missing_schedule_file(self, capsys):
         code, _, err = run_cli(capsys, "witness", "--schedule", "nope.json")

@@ -216,6 +216,14 @@ class TestExpectationZZ:
         with pytest.raises(ValueError):
             expectation_zz(basis_state(2), 1, 1)
 
+    def test_non_finite_rejected(self):
+        # clamping would turn NaN into -1, a plausible-looking <ZZ>
+        state = np.full(4, np.nan, dtype=complex)
+        with pytest.raises(ValueError, match="not finite"):
+            expectation_zz(state, 0, 1)
+        with pytest.raises(ValueError, match="not finite"):
+            expectation_zz(density_matrix(state), 0, 1)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=50)
     def test_bounded(self, seed):

@@ -53,6 +53,11 @@ class TestSchedule:
         with pytest.raises(ValueError):
             Schedule(2, 0.0, (TABLE2_INTERVAL_1,))
 
+    @pytest.mark.parametrize("total_time", [math.nan, math.inf])
+    def test_nonfinite_time_rejected(self, total_time):
+        with pytest.raises(ValueError, match="finite"):
+            Schedule(2, total_time, (TABLE2_INTERVAL_1,))
+
     def test_symmetric_flag_checked(self):
         chunk = ChunkParams((1.0, 2.0), (0.0, 0.0), (0.0,))
         with pytest.raises(ValueError):
@@ -116,18 +121,31 @@ class TestExactPropagator:
             exact_chunk_propagator(ChunkParams((float("inf"), 0.0), (0.0, 0.0), (0.0,)), 2, 1.0)
 
 
+def _assert_split_is_exact(params):
+    # With commuting terms the split is exact, so both chunked kernels (the
+    # dense chunk unitary and the streamed batch on the identity) must match
+    # the eigendecomposition. Distinct per-qubit values expose an update on
+    # the wrong axis.
+    n = params.n_qubits
+    exact = exact_chunk_propagator(params, n, DT)
+    chunked = chunked_chunk_propagator(params, n, DT)
+    assert frobenius_distance(exact, chunked) < 1e-12, f"n={n}"
+    streamed = evolve_states(np.eye(2**n), Schedule(n, DT, (params,)), "chunked").T
+    assert frobenius_distance(exact, streamed) < 1e-12, f"n={n}"
+
+
 class TestChunkedPropagator:
     def test_no_coupling_matches_exact(self):
-        params = ChunkParams.uniform(2, 1.3, -0.4, 0.0)
-        exact = exact_chunk_propagator(params, 2, DT)
-        chunked = chunked_chunk_propagator(params, 2, DT)
-        assert frobenius_distance(exact, chunked) < 1e-12
+        for n in (2, 3, 7):
+            ks = tuple(1.3 - 0.2 * q for q in range(n))
+            eps = tuple(-0.4 + 0.15 * q for q in range(n))
+            _assert_split_is_exact(ChunkParams(ks, eps, (0.0,) * (n * (n - 1) // 2)))
 
     def test_no_tunneling_matches_exact(self):
-        params = ChunkParams.uniform(2, 0.0, 0.7, 0.9)
-        exact = exact_chunk_propagator(params, 2, DT)
-        chunked = chunked_chunk_propagator(params, 2, DT)
-        assert frobenius_distance(exact, chunked) < 1e-12
+        for n in (2, 3, 7):
+            eps = tuple(0.7 - 0.25 * q for q in range(n))
+            zetas = tuple(0.9 - 0.07 * k for k in range(n * (n - 1) // 2))
+            _assert_split_is_exact(ChunkParams((0.0,) * n, eps, zetas))
 
     def test_table2_split_error_is_small_but_nonzero(self):
         exact = exact_chunk_propagator(TABLE2_INTERVAL_1, 2, DT)

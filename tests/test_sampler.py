@@ -165,13 +165,6 @@ class TestSweep:
         b = sweep(table2, PairStateKind.C, (0, 1), config)
         assert a == b
 
-    def test_thread_count_does_not_change_results(self, table2, monkeypatch):
-        config = ShotConfig(shot_counts=(50, 100, 150, 200), iterations=10, seed=3)
-        base = sweep(table2, PairStateKind.BELL, (0, 1), config)
-        monkeypatch.setenv("QNN_THREADS", "4")
-        threaded = sweep(table2, PairStateKind.BELL, (0, 1), config)
-        assert base == threaded
-
     def test_csv_layout(self, table2):
         config = ShotConfig(shot_counts=(50, 100), iterations=5, seed=0)
         stats = sweep(table2, PairStateKind.BELL, (0, 1), config)

@@ -94,12 +94,6 @@ class TestGradient:
         grad = gradient(settled.schedule, ts2, TrainerConfig())
         assert np.linalg.norm(grad) < 1e-4
 
-    def test_thread_count_does_not_change_gradient(self, table2, ts2, monkeypatch):
-        base = gradient(table2, ts2, TrainerConfig())
-        monkeypatch.setenv("QNN_THREADS", "4")
-        threaded = gradient(table2, ts2, TrainerConfig())
-        assert np.array_equal(base, threaded)
-
 
 class TestTrain:
     def test_table2_converges_immediately(self, table2, ts2):
