@@ -273,7 +273,7 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
 
 def assert_normalized(state: np.ndarray, tol: float = 1e-10) -> None:
     norm_sq = float(np.sum(np.abs(state) ** 2))
-    if abs(norm_sq - 1.0) > tol:
+    if not abs(norm_sq - 1.0) <= tol:  # also refuses NaN
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from pathlib import Path
@@ -263,10 +264,17 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def _json_number(value, what: str) -> float:
-    # bool is an int subclass, and float() would also accept numeric strings
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScheduleFormatError(f"{what} must be a number, got {value!r}")
+    # bool is an int subclass and float() would also accept numeric strings;
+    # the bound refuses json.loads' NaN/Infinity and ints float() cannot hold
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ScheduleFormatError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _json_numbers(value, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ScheduleFormatError(f"{what} must be a list of numbers, got {value!r}")
+    return tuple(_json_number(item, f"{what} entry {idx}") for idx, item in enumerate(value))
 
 
 def schedule_from_json(text: str) -> Schedule:
@@ -302,7 +310,6 @@ def schedule_from_json(text: str) -> Schedule:
         zeta = raw["zeta"]
         if not isinstance(zeta, dict):
             raise ScheduleFormatError(f"'zeta' in chunk {pos} must be an object keyed by 'i,j'")
-        coupling = []
         seen = set()
         for key, value in zeta.items():
             try:
@@ -315,22 +322,19 @@ def schedule_from_json(text: str) -> Schedule:
         if seen != set(pairs):
             missing_pair = sorted(set(pairs) - seen)[0]
             raise ScheduleFormatError(f"zeta is missing pair '{missing_pair[0]},{missing_pair[1]}' in chunk {pos}")
-        for i, j in pairs:
-            coupling.append(_json_number(zeta[f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}"))
+        coupling = tuple(_json_number(zeta[f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}") for i, j in pairs)
+        tunneling = _json_numbers(raw["K"], f"'K' in chunk {pos}")
+        bias = _json_numbers(raw["eps"], f"'eps' in chunk {pos}")
         try:
-            chunk = ChunkParams(tuple(raw["K"]), tuple(raw["eps"]), tuple(coupling))
+            # C(n, 2) couplings pin the chunk to the document's n qubits
+            chunks.append(ChunkParams(tunneling, bias, coupling))
         except (TypeError, ValueError) as exc:
             raise ScheduleFormatError(f"bad chunk {pos}: {exc}") from exc
-        if chunk.n_qubits != n:
-            raise ScheduleFormatError(f"chunk {pos} is sized for {chunk.n_qubits} qubits, document says {n}")
-        chunks.append(chunk)
+    symmetric = doc.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ScheduleFormatError(f"'symmetric' must be true or false, got {symmetric!r}")
     try:
-        return Schedule(
-            n_qubits=n,
-            total_time=total_time,
-            chunks=tuple(chunks),
-            symmetric=bool(doc.get("symmetric", False)),
-        )
+        return Schedule(n_qubits=n, total_time=total_time, chunks=tuple(chunks), symmetric=symmetric)
     except (TypeError, ValueError) as exc:
         raise ScheduleFormatError(str(exc)) from exc
 

@@ -1,9 +1,9 @@
 """Finite-shot simulation of the witness measurement.
 
-A shot draws one computational basis state from the final state's
-probabilities (inverse-CDF per shot) and contributes the pair parity
-eigenvalue +-1; the witness estimate for a run of n shots is the squared
-mean of those eigenvalues. Squaring makes the estimator biased upward by
+A shot yields the pair parity +1 with probability ``p = (1 + <ZZ>)/2``,
+so a run of n shots is one binomial count ``k ~ Binomial(n, p)`` with
+mean parity ``(2k - n)/n``; the witness estimate for the run is the
+squared mean. Squaring makes the estimator biased upward by
 ``(1 - <ZZ>^2)/n``, which the statistics here expose rather than hide:
 sweeps record the unsquared estimator's mean and variance alongside the
 witness estimates.
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import assert_normalized, n_qubits_of, z_diagonal
+from .core import assert_normalized, expectation_zz
 from .hamiltonian import Schedule
 from .parallel import map_ordered
 from .witness import PairStateKind, make_pair_state
@@ -105,17 +105,12 @@ def sample_zz_witness(
 def sample_zz_mean(
     final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
 ) -> float:
-    """Unsquared estimator: mean parity over n_shots basis-state samples."""
+    """Unsquared estimator: mean parity of n_shots, from one binomial count."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
     assert_normalized(final_state)
-    n = n_qubits_of(final_state)
-    probs = np.abs(final_state) ** 2
-    parity = z_diagonal(n, pair[0]) * z_diagonal(n, pair[1])
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0  # guard the top edge against rounding
-    draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
-    return float(np.mean(parity[draws]))
+    k = rng.binomial(n_shots, (1.0 + expectation_zz(final_state, *pair)) / 2.0)
+    return (2 * int(k) - n_shots) / n_shots
 
 
 def confidence_interval(samples: list[float] | np.ndarray, level: float = 0.95) -> tuple[float, float]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,9 +77,7 @@ def rms_error(schedule: Schedule, training_set: TrainingSet, method: str = "chun
     """Root mean squared witness error over the training set."""
     if len(training_set.items) == 0:
         raise ValueError("training set is empty")
-    values = witness_values(training_set, schedule, method)
-    targets = np.array([item.target for item in training_set.items])
-    return float(np.sqrt(np.mean((values - targets) ** 2)))
+    return math.sqrt(training_loss(schedule, training_set, method) / len(training_set.items))
 
 
 def training_loss(schedule: Schedule, training_set: TrainingSet, method: str = "chunked") -> float:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
-the package's closed forms, and gate embeddings are built as dense
-Kronecker products rather than stride updates.
+the package's closed forms, gate embeddings are built as dense
+Kronecker products rather than stride updates, and a run of shots draws
+one basis state per shot rather than one binomial count.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from functools import reduce
 
 import numpy as np
 
-from qnnwitness.core import GateKind, GateOp, rotation_matrix
+from qnnwitness.core import GateKind, GateOp, assert_normalized, n_qubits_of, rotation_matrix, z_diagonal
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -70,6 +71,22 @@ def circuit_unitary_dense(ops, n: int) -> np.ndarray:
     for op in ops:
         u = embed_gate_dense(op, n) @ u
     return u
+
+
+def sample_zz_mean_per_shot(
+    final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
+) -> float:
+    """Unsquared estimator: mean parity over n_shots basis-state samples (inverse CDF)."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    assert_normalized(final_state)
+    n = n_qubits_of(final_state)
+    probs = np.abs(final_state) ** 2
+    parity = z_diagonal(n, pair[0]) * z_diagonal(n, pair[1])
+    cdf = np.cumsum(probs)
+    cdf[-1] = 1.0  # guard the top edge against rounding
+    draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
+    return float(np.mean(parity[draws]))
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

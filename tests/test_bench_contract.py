@@ -14,7 +14,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+from qnnwitness import sampler
+from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
+from qnnwitness.witness import PairStateKind
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -103,3 +106,20 @@ def test_exact_propagator_keeps_its_cache_interface():
     for name in ("cache_clear", "cache_info", "cache_parameters"):
         assert callable(getattr(exact_chunk_propagator, name))
     assert exact_chunk_propagator.cache_parameters()["maxsize"] is not None
+
+
+def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
+    # the tracer's sampler.* metrics count calls through these module globals;
+    # a sweep that stopped calling them would leave those metrics reading 0
+    calls = {"rng_stream": 0, "sample_zz_mean": 0}
+    for name in calls:
+        original = getattr(sampler, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, name, counted)
+    config = sampler.ShotConfig(shot_counts=(100,), iterations=7)
+    sampler.sweep(fixture_schedule("table2"), PairStateKind.BELL, (0, 1), config)
+    assert calls == {"rng_stream": 7, "sample_zz_mean": 7}

@@ -56,8 +56,13 @@ class TestWitnessCommand:
             ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": [1, 1], "eps": [0, 0], "zeta": {"0,1": [1]}}]}',
              "zeta"),
             ('{"n_qubits": true, "total_time": 1.0, "chunks": [CHUNK]}', "n_qubits"),
+            ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": "22", "eps": [0, 0], "zeta": {"0,1": 0.5}}]}', "K"),
+            ('{"n_qubits": 2, "total_time": 1.0, "symmetric": "no", "chunks": [CHUNK]}', "symmetric"),
+            ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": [NaN, NaN], "eps": [0, 0], "zeta": {"0,1": 0.5}}]}',
+             "K"),
         ],
-        ids=["nan_total_time", "chunks_not_a_list", "zeta_not_a_number", "bool_n_qubits"],
+        ids=["nan_total_time", "chunks_not_a_list", "zeta_not_a_number", "bool_n_qubits", "k_string",
+             "symmetric_string", "nan_K"],
     )
     def test_malformed_schedule_is_refused(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.json"

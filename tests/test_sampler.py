@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qnnwitness.core import basis_state
+from qnnwitness.compiler import compile_schedule
+from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
 from qnnwitness.sampler import (
     ShotConfig,
     confidence_interval,
@@ -12,7 +13,9 @@ from qnnwitness.sampler import (
     sweep_csv,
     z_score,
 )
-from qnnwitness.witness import PairStateKind
+from qnnwitness.witness import PairStateKind, make_pair_state
+
+from helpers import sample_zz_mean_per_shot
 
 
 class TestShotConfig:
@@ -64,6 +67,14 @@ class TestSampleZZWitness:
         with pytest.raises(ValueError):
             sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
 
+    def test_nan_state_rejected(self):
+        # abs(nan - 1) > tol is false, so a plain tolerance test lets NaN through
+        state = np.full(4, np.nan, dtype=complex)
+        with pytest.raises(ValueError):
+            assert_normalized(state)
+        with pytest.raises(ValueError):
+            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
+
     def test_estimator_bias_matches_binomial_model(self):
         # E[zbar^2] = <ZZ>^2 + (1 - <ZZ>^2)/n; flat state has <ZZ> = 0
         flat = np.full(4, 0.5, dtype=complex)
@@ -73,6 +84,33 @@ class TestSampleZZWitness:
         ]
         bias = float(np.mean(estimates))
         assert abs(bias - 1.0 / n_shots) < 0.2 / n_shots
+
+
+class TestBinomialMatchesPerShot:
+    """The one-draw sampler against the per-shot inverse-CDF oracle."""
+
+    RUNS = 2000
+    SHOTS = 400
+
+    @pytest.mark.parametrize(
+        "schedule_name, kind, check_variance",
+        [("table2", PairStateKind.P, True), ("table2", PairStateKind.C, True), ("table3", PairStateKind.BELL, False)],
+        ids=["P_table2", "C_table2", "Bell_table3"],
+    )
+    def test_same_mean_and_variance(self, request, schedule_name, kind, check_variance):
+        schedule = request.getfixturevalue(schedule_name)
+        pair = (0, 1)
+        final = apply_circuit(make_pair_state(kind, pair, schedule.n_qubits), compile_schedule(schedule))
+        exact = expectation_zz(final, *pair)
+        run_variance = (1.0 - exact**2) / self.SHOTS
+        stderr = (run_variance / self.RUNS) ** 0.5
+        for sampler in (sample_zz_mean, sample_zz_mean_per_shot):
+            zbars = np.array(
+                [sampler(final, pair, self.SHOTS, rng_stream(0, self.SHOTS, it)) for it in range(self.RUNS)]
+            )
+            assert abs(float(np.mean(zbars)) - exact) <= 4 * stderr, sampler.__name__
+            if check_variance:
+                assert float(np.var(zbars, ddof=1)) == pytest.approx(run_variance, rel=0.15), sampler.__name__
 
 
 class TestRngStreams:
