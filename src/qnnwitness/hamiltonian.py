@@ -21,12 +21,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .core import IDENTITY_2, PAULI_X, _apply_1q, is_hermitian, qubit_pairs, z_diagonal
+from .core import _apply_1q, is_hermitian, qubit_pairs, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -103,41 +103,40 @@ class Schedule:
 
 
 def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
-    """Dense 2^n x 2^n Hamiltonian for one chunk's parameters."""
+    """Dense 2^n x 2^n Hamiltonian for one chunk's parameters.
+
+    Every term is real in the computational basis, so the matrix is real
+    symmetric: ``X_q`` flips bit ``q`` of the row index, ``Z`` and ``ZZ``
+    terms fill the diagonal.
+    """
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     if not all(map(math.isfinite, params.tunneling + params.bias + params.coupling)):
         raise ValueError("Hamiltonian parameters must be finite")
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    diag = np.zeros(dim)
+    rows = np.arange(2**n)
+    h = np.zeros((2**n, 2**n))
+    diag = np.asarray(params.coupling) @ _pair_parities(n)
     for q in range(n):
-        h += params.tunneling[q] * _embedded_x(n, q)
+        h[rows, rows ^ (1 << (n - 1 - q))] = params.tunneling[q]
         diag += params.bias[q] * z_diagonal(n, q)
-    for idx, (i, j) in enumerate(qubit_pairs(n)):
-        diag += params.coupling[idx] * z_diagonal(n, i) * z_diagonal(n, j)
-    h[np.diag_indices(dim)] += diag
+    h[rows, rows] = diag
     return h
 
 
-@lru_cache(maxsize=None)
-def _embedded_x(n: int, q: int) -> np.ndarray:
-    mats = [IDENTITY_2] * n
-    mats[q] = PAULI_X
-    out = reduce(np.kron, mats)
-    out.flags.writeable = False
-    return out
-
-
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=64)
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
-    """``exp(-i H dt)`` by eigendecomposition of the Hermitian chunk Hamiltonian."""
+    """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
+
+    The cache keeps the 64 most recent propagators (about 17 MB at n=7):
+    training perturbs every parameter in turn, so most keys are used once.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     h = build_hamiltonian(params, n)
     assert is_hermitian(h, tol=1e-12)
     eigvals, eigvecs = np.linalg.eigh(h)
-    u = (eigvecs * np.exp(-1j * eigvals * dt)) @ eigvecs.conj().T
+    # V exp(-i lambda dt) V^T as two real products
+    u = (eigvecs * np.cos(eigvals * dt)) @ eigvecs.T - 1j * ((eigvecs * np.sin(eigvals * dt)) @ eigvecs.T)
     u.flags.writeable = False
     return u
 
@@ -145,27 +144,33 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
 def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
     """``exp(-i dt (K X + eps Z))`` in closed form."""
     magnitude = math.hypot(tunneling, bias)
-    if magnitude == 0.0:
-        return IDENTITY_2
-    alpha = dt * magnitude
-    generator = (tunneling * PAULI_X + bias * np.diag([1.0, -1.0])) / magnitude
-    return math.cos(alpha) * IDENTITY_2 - 1j * math.sin(alpha) * generator
+    c = math.cos(dt * magnitude)
+    s = math.sin(dt * magnitude) / magnitude if magnitude else dt
+    off = complex(0.0, -s * tunneling)
+    return np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])
+
+
+@lru_cache(maxsize=None)
+def _pair_parities(n: int) -> np.ndarray:
+    """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
+    out = np.array([z_diagonal(n, i) * z_diagonal(n, j) for i, j in qubit_pairs(n)]).reshape(-1, 2**n)
+    out.flags.writeable = False
+    return out
 
 
 def _pair_phase_diagonal(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """Diagonal of the product of all ``exp(-i dt zeta_ij Z_i Z_j)`` factors."""
-    zz = np.zeros(2**n)
-    for idx, (i, j) in enumerate(qubit_pairs(n)):
-        zz += params.coupling[idx] * z_diagonal(n, i) * z_diagonal(n, j)
-    return np.exp(-1j * dt * zz)
+    return np.exp(-1j * dt * (np.asarray(params.coupling) @ _pair_parities(n)))
 
 
 def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int, dt: float) -> np.ndarray:
     """Stream the split-operator evolution over a (2**n, batch) column array."""
     for ck in chunks:
         columns = columns * _pair_phase_diagonal(ck, n, dt)[:, np.newaxis]
-        for q in range(n):
-            columns = _apply_1q(columns, _single_qubit_factor(ck.tunneling[q], ck.bias[q], dt), q)
+        # a symmetric chunk has one distinct (K, eps), so one factor
+        factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
+        for q, key in enumerate(zip(ck.tunneling, ck.bias)):
+            columns = _apply_1q(columns, factors[key], q)
     return columns
 
 

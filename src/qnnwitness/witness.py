@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -80,6 +81,31 @@ class TrainingSet:
     def __len__(self) -> int:
         return len(self.items)
 
+    @cached_property
+    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each item's state with its pair moved to qubits (0, 1), deduplicated.
+
+        Returns the distinct moved states as a ``(orbits, 2**n)`` stack and
+        each item's row in it. A qubit permutation commutes with a symmetric
+        schedule's propagator, so ``<Z_i Z_j>`` of an evolved item is
+        ``<Z_0 Z_1>`` of its evolved row.
+        """
+        n = self.n_qubits
+        row_of: dict[bytes, int] = {}
+        distinct, index = [], []
+        for item in self.items:
+            i, j = item.pair
+            axes = [i, j, *(q for q in range(n) if q not in (i, j))]
+            moved = np.ascontiguousarray(np.reshape(item.state, [2] * n).transpose(axes)).reshape(-1)
+            key = moved.tobytes()
+            if key not in row_of:
+                row_of[key] = len(distinct)
+                distinct.append(moved)
+            index.append(row_of[key])
+        states, rows = np.stack(distinct), np.array(index)
+        states.flags.writeable = rows.flags.writeable = False
+        return states, rows
+
 
 def build_training_set(n: int) -> TrainingSet:
     if n < 2:
@@ -124,12 +150,22 @@ def witness_value(
 
 
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
-    """Witness of every training item, evaluated as one batch."""
-    if training_set.n_qubits != schedule.n_qubits:
-        raise ValueError(
-            f"training set is for {training_set.n_qubits} qubits, schedule for {schedule.n_qubits}"
-        )
-    states = np.stack([item.state for item in training_set.items])
+    """Witness of every training item, evaluated as one batch.
+
+    A symmetric schedule evolves only the training set's orbit states and
+    reads ``Z_0 Z_1`` of each; any other schedule evolves every item and
+    reads the item's own pair.
+    """
+    n = schedule.n_qubits
+    if training_set.n_qubits != n:
+        raise ValueError(f"training set is for {training_set.n_qubits} qubits, schedule for {n}")
+    if schedule.symmetric:
+        states, rows = training_set.orbits
+        parities = (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :]
+    else:
+        states, rows = np.stack([item.state for item in training_set.items]), None
+        pairs = [item.pair for item in training_set.items]
+        parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in pairs])
     if method == "gates":
         from .compiler import compile_schedule
 
@@ -137,10 +173,6 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         finals = np.stack([apply_circuit(s, circuit) for s in states])
     else:
         finals = evolve_states(states, schedule, method)
-    probs = np.abs(finals) ** 2
-    values = np.empty(len(training_set.items))
-    for idx, item in enumerate(training_set.items):
-        i, j = item.pair
-        zz = float(np.sum(probs[idx] * z_diagonal(schedule.n_qubits, i) * z_diagonal(schedule.n_qubits, j)))
-        values[idx] = zz * zz
-    return values
+    zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
+    values = zz * zz
+    return values if rows is None else values[rows]

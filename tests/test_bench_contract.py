@@ -14,10 +14,10 @@ import importlib
 import inspect
 from pathlib import Path
 
-from qnnwitness import sampler
+from qnnwitness import sampler, trainer
 from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
-from qnnwitness.witness import PairStateKind
+from qnnwitness.witness import PairStateKind, build_training_set
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -123,3 +123,21 @@ def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
     config = sampler.ShotConfig(shot_counts=(100,), iterations=7)
     sampler.sweep(fixture_schedule("table2"), PairStateKind.BELL, (0, 1), config)
     assert calls == {"rng_stream": 7, "sample_zz_mean": 7}
+
+
+def test_gradient_calls_the_traced_witness_values(monkeypatch):
+    # the tracer's trainer.loss_evals_per_epoch counts witness_values spans
+    # inside each gradient span: two per parameter, 12 parameters for the
+    # symmetric 4-chunk default. A gradient that stopped going through
+    # trainer.witness_values would leave that metric reading 0
+    calls = 0
+    original = trainer.witness_values
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "witness_values", counted)
+    trainer.gradient(fixture_schedule("table3"), build_training_set(7), trainer.TrainerConfig())
+    assert calls == 24

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qnnwitness.hamiltonian import (
     build_hamiltonian,
     chunk_propagators,
     chunked_chunk_propagator,
+    _single_qubit_factor,
     evolve_states,
     exact_chunk_propagator,
     load_schedule,
@@ -21,10 +23,24 @@ from qnnwitness.hamiltonian import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import PAULI_X, expm_taylor, random_state
+from helpers import IDENTITY_2, PAULI_X, PAULI_Z, expm_eigh, expm_taylor, random_state
 
 TABLE2_INTERVAL_1 = ChunkParams.uniform(2, 2.49, 0.0930, 0.0382)
 DT = 1.58 / 4
+# distinct per-qubit and per-pair values, so a term on the wrong qubit shows
+DISTINCT_3 = ChunkParams((1.3, -0.6, 0.2), (0.45, -0.8, 0.0), (0.9, -0.35, 0.15))
+
+
+def _kron_hamiltonian(params: ChunkParams) -> np.ndarray:
+    """Reference H built from dense Kronecker products of Paulis."""
+    n = params.n_qubits
+
+    def embed(ops: dict) -> np.ndarray:
+        return reduce(np.kron, [ops.get(q, IDENTITY_2) for q in range(n)])
+
+    h = sum(params.tunneling[q] * embed({q: PAULI_X}) + params.bias[q] * embed({q: PAULI_Z}) for q in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return h + sum(params.coupling[k] * embed({i: PAULI_Z, j: PAULI_Z}) for k, (i, j) in enumerate(pairs))
 
 
 class TestChunkParams:
@@ -93,6 +109,11 @@ class TestBuildHamiltonian:
         with pytest.raises(ValueError):
             build_hamiltonian(TABLE2_INTERVAL_1, 3)
 
+    def test_real_and_matches_kron_reference(self):
+        h = build_hamiltonian(DISTINCT_3, 3)
+        assert h.dtype == np.float64
+        assert np.max(np.abs(h - _kron_hamiltonian(DISTINCT_3))) <= 1e-14
+
 
 class TestExactPropagator:
     def test_zero_parameters_give_identity(self):
@@ -111,6 +132,10 @@ class TestExactPropagator:
         assert is_unitary(u, tol=1e-12)
         oracle = expm_taylor(build_hamiltonian(TABLE2_INTERVAL_1, 2), DT)
         assert frobenius_distance(u, oracle) < 1e-10
+
+    def test_matches_eigh_oracle_on_three_qubits(self):
+        u = exact_chunk_propagator(DISTINCT_3, 3, DT)
+        assert np.max(np.abs(u - expm_eigh(_kron_hamiltonian(DISTINCT_3), DT))) <= 1e-12
 
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
@@ -135,6 +160,13 @@ def _assert_split_is_exact(params):
 
 
 class TestChunkedPropagator:
+    @pytest.mark.parametrize(
+        "tunneling,bias", [(2.49, 0.0930), (0.0, 0.7), (0.0, -1.1), (-1.3, -0.4), (0.8, -2.1), (0.0, 0.0)]
+    )
+    def test_single_qubit_factor_matches_exponential(self, tunneling, bias):
+        expected = expm_eigh(tunneling * PAULI_X + bias * PAULI_Z, DT)
+        assert np.max(np.abs(_single_qubit_factor(tunneling, bias, DT) - expected)) <= 1e-14
+
     def test_no_coupling_matches_exact(self):
         for n in (2, 3, 7):
             ks = tuple(1.3 - 0.2 * q for q in range(n))

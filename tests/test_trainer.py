@@ -179,7 +179,11 @@ class TestBootstrap:
 
     def test_bootstrapping_beats_random_init(self, ts2):
         # mean epochs to rms <= 2e-3 over 5 seeds, bootstrap vs fresh random
-        # init; random runs that miss the cap count as the cap itself
+        # init; random runs that miss the cap count as the cap itself. The
+        # random baselines at k=4 and k=5 never converge and wander
+        # chaotically, so round-off decides whether one stops at the cap or
+        # trips the divergence guard first; either way it missed the cap.
+        # The bootstrap side must not diverge, so it is left uncaught.
         cap = 200
         config = TrainerConfig(target_rms=2e-3, max_epochs=cap)
         boot_epochs = {3: [], 4: [], 5: []}
@@ -189,10 +193,13 @@ class TestBootstrap:
             for k in (3, 4, 5):
                 prev = bootstrap(prev, k, config)
                 boot_epochs[k].append(prev.epochs_used)
-                fresh = train(
-                    random_schedule(k, 4, seed=seed + 100), build_training_set(k), config
-                )
-                random_epochs[k].append(fresh.epochs_used)
+                try:
+                    fresh = train(
+                        random_schedule(k, 4, seed=seed + 100), build_training_set(k), config
+                    )
+                    random_epochs[k].append(fresh.epochs_used)
+                except TrainingDiverged:
+                    random_epochs[k].append(cap)
         for k in (3, 4, 5):
             assert np.mean(boot_epochs[k]) < np.mean(random_epochs[k]), (
                 f"k={k}: bootstrap {boot_epochs[k]} vs random {random_epochs[k]}"

@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 
 from qnnwitness.core import density_matrix
+from qnnwitness.hamiltonian import ChunkParams, Schedule
 from qnnwitness.witness import (
     PairStateKind,
     WITNESS_TARGETS,
+    TrainingItem,
+    TrainingSet,
     build_training_set,
     make_pair_state,
     witness_value,
     witness_values,
 )
+
+from helpers import random_state
 
 
 class TestMakePairState:
@@ -142,7 +147,41 @@ class TestWitnessValues:
             by_kind.setdefault(item.kind, []).append(values[idx])
         for kind, vals in by_kind.items():
             assert np.ptp(vals) < 1e-10, f"{kind} witness varies across pairs"
+        # the batch evolves one state per orbit; each item still matches its
+        # own full evolution
+        _assert_matches_items(ts, table3)
+
+    def test_symmetric_schedule_on_arbitrary_states(self):
+        # the orbit reduction holds for any states, not only the reference ones
+        rng = np.random.default_rng(7)
+        chunks = tuple(ChunkParams.uniform(4, 2.4 - 0.3 * k, 0.2 * k - 0.3, 0.15 - 0.1 * k) for k in range(3))
+        schedule = Schedule(4, 1.2, chunks, symmetric=True)
+        items = tuple(
+            TrainingItem(PairStateKind.P, random_state(4, rng), pair, 0.5)
+            for pair in ((0, 1), (1, 3), (0, 2), (2, 3))
+        )
+        _assert_matches_items(TrainingSet(4, items), schedule)
+
+    def test_non_symmetric_schedule(self):
+        chunks = tuple(
+            ChunkParams((1.1 + k, 0.7, -0.4), (0.3, -0.2 * k, 0.5), (0.25, -0.6, 0.1 * k)) for k in range(2)
+        )
+        _assert_matches_items(build_training_set(3), Schedule(3, 1.0, chunks))
+
+    def test_reference_set_has_four_orbits(self):
+        for n in range(2, 8):
+            states, rows = build_training_set(n).orbits
+            assert states.shape == (4, 2**n)
+            assert sorted(set(rows.tolist())) == [0, 1, 2, 3]
 
     def test_size_mismatch(self, table2):
         with pytest.raises(ValueError):
             witness_values(build_training_set(3), table2)
+
+
+def _assert_matches_items(training_set, schedule):
+    # batched values against one full evolution per item, bound 1e-12
+    for method in ("exact", "chunked", "gates"):
+        batch = witness_values(training_set, schedule, method)
+        single = [witness_value(item.state, item.pair, schedule, method) for item in training_set.items]
+        assert np.max(np.abs(batch - single)) <= 1e-12, method
