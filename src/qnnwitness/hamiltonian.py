@@ -21,12 +21,12 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import _apply_1q, is_hermitian, qubit_pairs, z_diagonal
+from .core import PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
     The cache keeps the 64 most recent propagators (about 17 MB at n=7):
-    training perturbs every parameter in turn, so most keys are used once.
+    training evaluates each new schedule once, so most keys are used once.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -148,6 +148,29 @@ def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray
     s = math.sin(dt * magnitude) / magnitude if magnitude else dt
     off = complex(0.0, -s * tunneling)
     return np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])
+
+
+def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives of :func:`_single_qubit_factor` by ``tunneling`` and by ``bias``.
+
+    The factor is ``c I - i s (K X + eps Z)`` with ``m = hypot(K, eps)``,
+    ``c = cos(dt m)`` and ``s = sin(dt m)/m``. Since ``dc/dK = -dt K s`` and
+    ``ds/dK = K f`` with ``f = (dt c - s)/m^2``, the K derivative is
+    ``-dt K s I - i (K f (K X + eps Z) + s X)``, and likewise for eps with Z.
+    ``f`` is summed from its series where ``dt c - s`` cancels.
+    """
+    magnitude = math.hypot(tunneling, bias)
+    x = dt * magnitude
+    s = dt * (math.sin(x) / x if x else 1.0)
+    if x < 0.05:
+        x2 = x * x
+        f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
+    else:
+        f = (dt * math.cos(x) - s) / magnitude**2
+    generator = np.array([[bias, tunneling], [tunneling, -bias]])
+    d_tunneling = -dt * tunneling * s * np.eye(2) - 1j * (tunneling * f * generator + s * PAULI_X)
+    d_bias = -dt * bias * s * np.eye(2) - 1j * (bias * f * generator + s * PAULI_Z)
+    return d_tunneling, d_bias
 
 
 @lru_cache(maxsize=None)
@@ -172,6 +195,107 @@ def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int
         for q, key in enumerate(zip(ck.tunneling, ck.bias)):
             columns = _apply_1q(columns, factors[key], q)
     return columns
+
+
+# --- adjoint gradients --------------------------------------------------
+#
+# A backward step takes the columns [states | co-states] just after one
+# chunk, returns them just before it, and reads each parameter's partial
+# 2 Re <lam| dU U^dagger |psi> on the way. Partials come in the full
+# layout: n tunnelings, n biases, C(n,2) couplings.
+
+
+def _chunked_backward_step(
+    both: np.ndarray, params: ChunkParams, n: int, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undo one split-operator chunk: the single-qubit factors in descending
+    qubit order, each contracted on its qubit's 2x2 reduced matrix of
+    ``(lam, psi)``, then the diagonal pair phases."""
+    batch = both.shape[1] // 2
+    keys = list(zip(params.tunneling, params.bias))
+    factors = {}
+    for key in set(keys):
+        inverse = _single_qubit_factor(*key, dt).conj().T
+        factors[key] = (inverse, *(d @ inverse for d in _single_qubit_factor_partials(*key, dt)))
+    partials = np.empty(2 * n + len(params.coupling))
+    for q in reversed(range(n)):
+        inverse, d_tunneling, d_bias = factors[keys[q]]
+        split = both.reshape(2**q, 2, -1, 2, batch)  # (.., qubit q, .., psi | lam, batch)
+        reduced = np.einsum("iajk,ibjk->ab", split[..., 1, :].conj(), split[..., 0, :])
+        partials[q] = 2 * np.sum(d_tunneling * reduced).real
+        partials[n + q] = 2 * np.sum(d_bias * reduced).real
+        both = _apply_1q(both, inverse, q)
+    # d/dzeta of exp(-i dt zeta Z_i Z_j) is -i dt Z_i Z_j times the factor
+    overlap = np.sum(both[:, batch:].conj() * both[:, :batch], axis=1)
+    partials[2 * n :] = 2 * dt * (_pair_parities(n) @ overlap.imag)
+    return both * _pair_phase_diagonal(params, n, dt).conj()[:, np.newaxis], partials
+
+
+def _exact_backward_step(
+    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, n: int, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undo one ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``.
+
+    By the Daleckii-Krein formula ``dU = V (Phi o V^T dH V) V^T`` with
+    ``Phi_jk = -i dt exp(-i dt (l_j + l_k)/2) sinc(dt (l_j - l_k)/2)`` and
+    ``sinc x = sin x / x``, which needs no branch for degenerate
+    eigenvalues. So every partial is ``2 sum_xy dH_xy Re M_xy`` with
+    ``M = V (Phi o S) V^T`` and ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``.
+    """
+    batch = both.shape[1] // 2
+    backward = np.exp(1j * dt * eigvals)[:, np.newaxis]
+    coords = eigvecs.T @ both
+    coords[:, :batch] *= backward  # states before the chunk
+    phases = dt * eigvals
+    # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2)
+    half_phase = np.exp(-0.5j * phases)[:, np.newaxis]
+    overlap = (coords[:, batch:].conj() * half_phase) @ (coords[:, :batch] * half_phase).T
+    weights = dt * np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)) * overlap.imag
+    # V is real, so Re M = V Re(Phi o S) V^T; keep its left half and contract rows
+    half = eigvecs @ weights
+    diagonal = np.sum(half * eigvecs, axis=1)
+    rows = np.arange(2**n)
+    partials = np.concatenate((
+        [2 * np.sum(half * eigvecs[rows ^ (1 << (n - 1 - q))]) for q in range(n)],  # X_q flips bit q
+        [2 * z_diagonal(n, q) @ diagonal for q in range(n)],
+        2 * _pair_parities(n) @ diagonal,
+    ))
+    coords[:, batch:] *= backward
+    return eigvecs @ coords, partials
+
+
+def adjoint_partials(states: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
+    """Every chunk parameter's derivative of a real function F of the evolved states.
+
+    ``states`` is a ``(batch, 2**n)`` stack. ``costate(finals)`` receives
+    the evolved stack and returns the co-states ``lam`` (same shape) with
+    ``dF = 2 Re sum_b <lam_b | d final_b>``. One forward sweep evolves the
+    states; one backward sweep un-evolves states and co-states together,
+    chunk by chunk (every factor is unitary, so no intermediate state is
+    kept). Returns ``(n_chunks, 2n + C(n,2))`` partials: per chunk, the n
+    tunnelings, the n biases and the couplings in ``qubit_pairs`` order.
+    The cost does not depend on the number of parameters.
+    """
+    n, dt = schedule.n_qubits, schedule.dt
+    columns = np.asarray(states, dtype=complex).T
+    if method == "chunked":
+        finals = _evolve_chunked(columns, schedule.chunks, n, dt)
+        steps = [partial(_chunked_backward_step, params=ck, n=n, dt=dt) for ck in schedule.chunks]
+    elif method == "exact":
+        # one eigendecomposition per chunk serves both sweeps
+        eighs = [np.linalg.eigh(build_hamiltonian(ck, n)) for ck in schedule.chunks]
+        finals = columns
+        for eigvals, eigvecs in eighs:
+            finals = eigvecs @ (np.exp(-1j * dt * eigvals)[:, np.newaxis] * (eigvecs.T @ finals))
+        steps = [partial(_exact_backward_step, eigvals=w, eigvecs=v, n=n, dt=dt) for w, v in eighs]
+    else:
+        raise ValueError(f"unknown propagation method {method!r}")
+    both = np.concatenate((finals, np.asarray(costate(finals.T), dtype=complex).T), axis=1)
+    out = []
+    for step in reversed(steps):
+        both, partials = step(both)
+        out.append(partials)
+    return np.array(out[::-1])
 
 
 def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Gradient-descent training of schedules and bootstrapping across sizes.
 
-The loss is the summed squared witness error over a training set, with
-gradients by central finite differences, one coordinate at a time. With
-the symmetric constraint (the default) each chunk contributes three free
-parameters: shared tunneling, shared bias, shared coupling. Updates act
-on those shared parameters directly, so symmetry is preserved exactly.
+The loss is the summed squared witness error over a training set. Its
+gradient is exact and costs one forward and one backward sweep whatever
+the number of parameters: the backward sweep carries the co-state back
+through the chunks and reads every partial on the way (the adjoint
+method). With the symmetric constraint (the default) each chunk
+contributes three free parameters: shared tunneling, shared bias, shared
+coupling. Updates act on those shared parameters directly, so symmetry
+is preserved exactly.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
 solution; with all-to-all coupling the required correction shrinks as n
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChunkParams, Schedule
-from .parallel import map_ordered
-from .witness import TrainingSet, build_training_set, witness_values
+from .hamiltonian import ChunkParams, Schedule, adjoint_partials
+from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
+from .witness import TrainingSet, build_training_set, witness_inputs, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 
@@ -33,23 +36,24 @@ class TrainerConfig:
     momentum: float = 0.9
     max_epochs: int = 2000
     target_rms: float = 1e-3
-    gradient_step: float = 1e-5
     symmetric: bool = True
     chunk_count: int = 4
     seed: int = 0
     method: str = "chunked"
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate!r}")
+        if not 0 <= self.target_rms < math.inf:
+            raise ValueError(f"target_rms must be non-negative and finite, got {self.target_rms!r}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if self.gradient_step <= 0:
-            raise ValueError("gradient_step must be positive")
         if self.chunk_count < 1:
             raise ValueError("chunk_count must be positive")
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
+        if self.method not in ("chunked", "exact"):
+            raise ValueError(f"method must be 'chunked' or 'exact', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -136,21 +140,33 @@ def schedule_with_parameters(
 
 
 def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfig) -> np.ndarray:
-    """Central-difference gradient of the summed squared error."""
-    base = schedule_parameters(schedule, config.symmetric)
-    h = config.gradient_step
+    """Exact gradient of the summed squared error, in the layout ``config.symmetric`` picks.
 
-    def partial(index: int) -> float:
-        plus, minus = base.copy(), base.copy()
-        plus[index] += h
-        minus[index] -= h
-        loss_plus = training_loss(schedule_with_parameters(schedule, plus, config.symmetric), training_set, config.method)
-        loss_minus = training_loss(schedule_with_parameters(schedule, minus, config.symmetric), training_set, config.method)
-        return (loss_plus - loss_minus) / (2.0 * h)
+    With ``zz`` the ``<Z_i Z_j>`` of an evolved row and ``t`` an item's
+    target, each item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``,
+    and the co-state of a row is ``c Z_i Z_j psi_final``. The shared
+    parameters of the symmetric layout get the sum of their per-qubit or
+    per-pair partials.
+    """
+    if config.symmetric and not all(ck.is_symmetric for ck in schedule.chunks):
+        raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
+    # per-qubit partials need every item on its own pair; their sums do not
+    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, config.symmetric)
+    targets = np.array([item.target for item in training_set.items])
 
-    grad = np.array(map_ordered(partial, range(len(base))))
+    def costate(finals: np.ndarray) -> np.ndarray:
+        zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
+        item_zz = zz[rows]
+        weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
+        return weights[:, np.newaxis] * parities * finals
+
+    partials = adjoint_partials(states, schedule, config.method, costate)
+    if config.symmetric:
+        n = schedule.n_qubits
+        partials = np.stack([partials[:, :n].sum(1), partials[:, n : 2 * n].sum(1), partials[:, 2 * n :].sum(1)], 1)
+    grad = partials.ravel()
     if not np.all(np.isfinite(grad)):
-        raise ValueError("non-finite loss encountered during gradient evaluation")
+        raise ValueError("non-finite value encountered during gradient evaluation")
     return grad
 
 

@@ -149,6 +149,29 @@ def witness_value(
     return expectation_zz(final, pair[0], pair[1]) ** 2
 
 
+def witness_inputs(
+    training_set: TrainingSet, n_qubits: int, by_orbit: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What to evolve for a training set's witnesses, and how to read it out.
+
+    Returns ``(states, rows, parities)``: the ``(batch, 2**n)`` states to
+    evolve, each item's row among them, and the ``Z_i Z_j`` diagonal of
+    each row (one shared row when ``by_orbit``). ``by_orbit`` evolves only
+    the orbit states and reads ``Z_0 Z_1``, which is exact for any schedule
+    whose chunks are uniform; otherwise every item is evolved and read on
+    its own pair.
+    """
+    n = training_set.n_qubits
+    if n != n_qubits:
+        raise ValueError(f"training set is for {n} qubits, schedule for {n_qubits}")
+    if by_orbit:
+        states, rows = training_set.orbits
+        return states, rows, (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :]
+    states = np.stack([item.state for item in training_set.items])
+    parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in training_set.items)])
+    return states, np.arange(len(training_set.items)), parities
+
+
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
     """Witness of every training item, evaluated as one batch.
 
@@ -156,16 +179,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     reads ``Z_0 Z_1`` of each; any other schedule evolves every item and
     reads the item's own pair.
     """
-    n = schedule.n_qubits
-    if training_set.n_qubits != n:
-        raise ValueError(f"training set is for {training_set.n_qubits} qubits, schedule for {n}")
-    if schedule.symmetric:
-        states, rows = training_set.orbits
-        parities = (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :]
-    else:
-        states, rows = np.stack([item.state for item in training_set.items]), None
-        pairs = [item.pair for item in training_set.items]
-        parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in pairs])
+    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, schedule.symmetric)
     if method == "gates":
         from .compiler import compile_schedule
 
@@ -174,5 +188,4 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     else:
         finals = evolve_states(states, schedule, method)
     zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
-    values = zz * zz
-    return values if rows is None else values[rows]
+    return (zz * zz)[rows]

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
-Kronecker products rather than stride updates, and a run of shots draws
-one basis state per shot rather than one binomial count.
+Kronecker products rather than stride updates, a run of shots draws
+one basis state per shot rather than one binomial count, and gradients
+come from finite differences of the loss rather than an adjoint sweep.
 """
 
 from __future__ import annotations
@@ -87,6 +88,24 @@ def sample_zz_mean_per_shot(
     cdf[-1] = 1.0  # guard the top edge against rounding
     draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
     return float(np.mean(parity[draws]))
+
+
+def central_difference_gradient(loss, params: np.ndarray, indices=None, h: float = 1e-4) -> np.ndarray:
+    """Fourth-order central differences of ``loss`` at ``params``:
+    ``(f(x-2h) - 8 f(x-h) + 8 f(x+h) - f(x+2h)) / 12h`` per coordinate.
+
+    Truncation error is O(h^4), so at h = 1e-4 round-off (about 1e-12 of
+    the loss) dominates. ``indices`` limits the coordinates evaluated.
+    """
+    out = []
+    for index in range(len(params)) if indices is None else indices:
+        values = []
+        for step in (-2, -1, 1, 2):
+            shifted = np.array(params, dtype=float)
+            shifted[index] += step * h
+            values.append(loss(shifted))
+        out.append((values[0] - 8 * values[1] + 8 * values[2] - values[3]) / (12 * h))
+    return np.array(out)
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,7 @@ import importlib
 import inspect
 from pathlib import Path
 
-from qnnwitness import sampler, trainer
+from qnnwitness import hamiltonian, sampler, trainer
 from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
 from qnnwitness.witness import PairStateKind, build_training_set
@@ -125,19 +125,28 @@ def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
     assert calls == {"rng_stream": 7, "sample_zz_mean": 7}
 
 
-def test_gradient_calls_the_traced_witness_values(monkeypatch):
-    # the tracer's trainer.loss_evals_per_epoch counts witness_values spans
-    # inside each gradient span: two per parameter, 12 parameters for the
-    # symmetric 4-chunk default. A gradient that stopped going through
-    # trainer.witness_values would leave that metric reading 0
-    calls = 0
-    original = trainer.witness_values
+def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
+    # trainer.gradient is timed by that name and must cost one forward and one
+    # backward sweep whatever the number of parameters: the 12-parameter
+    # symmetric and the 140-parameter full-layout table3 gradients make the
+    # same one-qubit updates (chunked) and Hamiltonian builds (exact), and no
+    # loss evaluation. A per-parameter loss loop would scale with P. It also
+    # means the tracer's trainer.loss_evals_per_epoch, which counts
+    # witness_values spans inside gradient spans, reads 0.
+    calls = {"_apply_1q": 0, "build_hamiltonian": 0, "witness_values": 0}
+    for module, name in ((hamiltonian, "_apply_1q"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values")):
+        original = getattr(module, name)
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
 
-    monkeypatch.setattr(trainer, "witness_values", counted)
-    trainer.gradient(fixture_schedule("table3"), build_training_set(7), trainer.TrainerConfig())
-    assert calls == 24
+        monkeypatch.setattr(module, name, counted)
+    schedule, training_set = fixture_schedule("table3"), build_training_set(7)
+    sweeps = 2 * schedule.n_qubits * schedule.n_chunks
+    for method, expected in (("chunked", {"_apply_1q": sweeps}), ("exact", {"build_hamiltonian": schedule.n_chunks})):
+        for symmetric, n_params in ((True, 12), (False, 140)):
+            calls.update(dict.fromkeys(calls, 0))
+            grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(symmetric=symmetric, method=method))
+            assert len(grad) == n_params
+            assert calls == {**dict.fromkeys(calls, 0), **expected}, (method, symmetric)

@@ -183,6 +183,25 @@ class TestTrainCommand:
         assert "diverged" in err
 
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["train", "--target-rms", "nan"], "target_rms"),
+            (["bootstrap", "--n-max", "3", "--target-rms", "nan"], "target_rms"),
+            (["train", "--learning-rate", "inf"], "learning_rate"),
+            (["train", "--learning-rate", "nan"], "learning_rate"),
+        ],
+        ids=["train_nan_target", "bootstrap_nan_target", "train_inf_rate", "train_nan_rate"],
+    )
+    def test_non_finite_settings_refused(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out-dir", str(out))
+        assert code == 2
+        assert field in err
+        assert stdout == ""
+        assert not out.exists()
+
+
 class TestBootstrapCommand:
     def test_small_chain(self, tmp_path, capsys):
         code, out, _ = run_cli(

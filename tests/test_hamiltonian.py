@@ -13,6 +13,7 @@ from qnnwitness.hamiltonian import (
     chunk_propagators,
     chunked_chunk_propagator,
     _single_qubit_factor,
+    _single_qubit_factor_partials,
     evolve_states,
     exact_chunk_propagator,
     load_schedule,
@@ -166,6 +167,23 @@ class TestChunkedPropagator:
     def test_single_qubit_factor_matches_exponential(self, tunneling, bias):
         expected = expm_eigh(tunneling * PAULI_X + bias * PAULI_Z, DT)
         assert np.max(np.abs(_single_qubit_factor(tunneling, bias, DT) - expected)) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "tunneling,bias",
+        # dt * hypot(K, eps) = 0.047 and 0.056 sit either side of the series switch at 0.05
+        [(2.49, 0.0930), (0.0, -1.1), (-1.3, -0.4), (0.12, 0.0), (0.1, -0.1), (1e-3, 2e-3), (0.0, 0.0), (5e-324, 0.0)],
+    )
+    def test_single_qubit_factor_partials_match_differences(self, tunneling, bias):
+        def factor(k, e):
+            return expm_eigh(k * PAULI_X + e * PAULI_Z, DT)
+
+        h = 1e-4
+        for got, (dk, de) in zip(_single_qubit_factor_partials(tunneling, bias, DT), ((h, 0.0), (0.0, h))):
+            expected = (
+                factor(tunneling - 2 * dk, bias - 2 * de) - 8 * factor(tunneling - dk, bias - de)
+                + 8 * factor(tunneling + dk, bias + de) - factor(tunneling + 2 * dk, bias + 2 * de)
+            ) / (12 * h)
+            assert np.max(np.abs(got - expected)) <= 1e-10
 
     def test_no_coupling_matches_exact(self):
         for n in (2, 3, 7):

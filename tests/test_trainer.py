@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnnwitness.hamiltonian import ChunkParams, Schedule, refine_schedule
 from qnnwitness.trainer import (
@@ -17,6 +19,8 @@ from qnnwitness.trainer import (
     training_loss,
 )
 from qnnwitness.witness import TrainingItem, TrainingSet, build_training_set, witness_values
+
+from helpers import central_difference_gradient
 
 
 @pytest.fixture(scope="module")
@@ -67,27 +71,79 @@ class TestParameterVector:
             schedule_with_parameters(table2, np.zeros(7), symmetric=True)
 
 
-class TestGradient:
-    def test_matches_manual_central_difference(self, table2, ts2):
-        config = TrainerConfig()
-        grad = gradient(table2, ts2, config)
-        h = config.gradient_step
-        vec = schedule_parameters(table2, True)
-        for index in (0, 5, 11):
-            plus, minus = vec.copy(), vec.copy()
-            plus[index] += h
-            minus[index] -= h
-            expected = (
-                training_loss(schedule_with_parameters(table2, plus, True), ts2)
-                - training_loss(schedule_with_parameters(table2, minus, True), ts2)
-            ) / (2 * h)
-            assert grad[index] == pytest.approx(expected, abs=1e-15)
+def random_schedule_with_idle_chunk(n: int = 3) -> Schedule:
+    """Non-symmetric schedule with distinct per-qubit values and one K = eps = 0 chunk."""
+    rng = np.random.default_rng(7)
+    n_pairs = n * (n - 1) // 2
+    chunks = [
+        ChunkParams(tuple(rng.uniform(-3, 3, n)), tuple(rng.uniform(-1, 1, n)), tuple(rng.uniform(-1, 1, n_pairs)))
+        for _ in range(2)
+    ]
+    chunks.insert(1, ChunkParams((0.0,) * n, (0.0,) * n, tuple(rng.uniform(-1, 1, n_pairs))))
+    return Schedule(n, 1.58, tuple(chunks))
 
-    def test_richardson_consistency(self, ts2):
-        schedule = random_schedule(2, 4, seed=5)
-        g_coarse = gradient(schedule, ts2, TrainerConfig(gradient_step=1e-5))
-        g_fine = gradient(schedule, ts2, TrainerConfig(gradient_step=1e-6))
-        assert np.linalg.norm(g_coarse - g_fine) <= 1e-2 * np.linalg.norm(g_fine)
+
+def assert_matches_oracle(schedule, symmetric, method, indices=None, floor=0.0):
+    training_set = build_training_set(schedule.n_qubits)
+    grad = gradient(schedule, training_set, TrainerConfig(symmetric=symmetric, method=method))
+    params = schedule_parameters(schedule, symmetric)
+    assert grad.shape == params.shape
+
+    def loss(vector):
+        return training_loss(schedule_with_parameters(schedule, vector, symmetric), training_set, method)
+
+    picked = np.arange(len(params)) if indices is None else np.asarray(indices)
+    oracle = central_difference_gradient(loss, params, picked)
+    assert np.max(np.abs(grad[picked] - oracle)) <= 1e-8 * np.linalg.norm(grad) + floor
+
+
+# (schedule, layout, parameter indices to check; None checks every one).
+# table3's full layout has 140 parameters, so every seventh is checked:
+# that still covers K, eps and zeta of every chunk.
+ORACLE_CASES = {
+    "table2-symmetric": ("table2", True, None),
+    "table2-full": ("table2", False, None),
+    "table3-symmetric": ("table3", True, None),
+    "table3-full": ("table3", False, range(0, 140, 7)),
+    "random3-full": ("random3", False, None),
+}
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(2, 3))
+    n_chunks = draw(st.integers(1, 3))
+    symmetric = draw(st.booleans())
+    value = st.floats(-3, 3)
+    chunks = []
+    for _ in range(n_chunks):
+        if symmetric:
+            chunks.append(ChunkParams.uniform(n, draw(value), draw(value), draw(value)))
+        else:
+            size = n * (n - 1) // 2
+            chunks.append(ChunkParams(*(tuple(draw(value) for _ in range(k)) for k in (n, n, size))))
+    return Schedule(n, draw(st.floats(0.2, 2.0)), tuple(chunks), symmetric)
+
+
+class TestGradient:
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_matches_fourth_order_oracle(self, case, method, table2, table3):
+        name, symmetric, indices = ORACLE_CASES[case]
+        schedule = {"table2": table2, "table3": table3, "random3": random_schedule_with_idle_chunk()}[name]
+        assert_matches_oracle(schedule, symmetric, method, indices)
+
+    @given(schedules(), st.sampled_from(["chunked", "exact"]))
+    @settings(deadline=None, max_examples=40)
+    def test_matches_oracle_on_drawn_schedules(self, schedule, method):
+        # a drawn schedule can sit on a stationary point (all zeros does), where
+        # the oracle's own round-off, about 1e-13 here, is all that is left
+        for symmetric in {False, schedule.symmetric}:
+            assert_matches_oracle(schedule, symmetric, method, floor=1e-10)
+
+    def test_symmetric_layout_refuses_non_uniform_chunks(self):
+        with pytest.raises(ValueError, match="non-symmetric chunk"):
+            gradient(random_schedule_with_idle_chunk(), build_training_set(3), TrainerConfig())
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
@@ -211,9 +267,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             TrainerConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
-            TrainerConfig(gradient_step=-1e-5)
-        with pytest.raises(ValueError):
             TrainerConfig(momentum=1.0)
+        with pytest.raises(ValueError):
+            TrainerConfig(target_rms=-1e-3)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "target_rms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_settings_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainerConfig(**{field: value})
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="method"):
+            TrainerConfig(method="gates")
 
 
 class TestArtifacts:
