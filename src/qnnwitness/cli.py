@@ -8,7 +8,8 @@ sweep. ``--list-repro`` prints the command that regenerates each
 published table or figure.
 
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
-error, 3 dimension error, 4 training divergence.
+error, 3 dimension error (a pair outside the register, or a register too
+large for the dense arrays a command needs), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import sys
 from pathlib import Path
 
 from .compiler import compile_schedule, export_qasm, gate_counts, verify_equivalence
+from .core import DimensionError
 from .fixtures import FIXTURE_NAMES, fixture_path
 from .hamiltonian import Schedule, ScheduleFormatError, load_schedule, save_schedule
 from .sampler import ShotConfig, sweep, sweep_csv
@@ -31,7 +33,14 @@ from .trainer import (
     rms_history_csv,
     train,
 )
-from .witness import METHODS, PairStateKind, build_training_set, make_pair_state, witness_value
+from .witness import (
+    METHODS,
+    PairStateKind,
+    build_training_set,
+    check_training_set_size,
+    make_pair_state,
+    witness_value,
+)
 
 EXIT_OK = 0
 EXIT_THRESHOLD = 1
@@ -95,10 +104,11 @@ def _parse_state(name: str) -> PairStateKind:
                 f"{[k.value for k in PairStateKind]} or 'all'")
 
 
-def _apply_config_file(args: argparse.Namespace, provided: set[str]) -> None:
-    """Overlay values from --config; explicit flags win, unknown keys fail."""
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file's entries as ``--flag=value`` tokens; unknown keys
+    and values that no flag could spell fail."""
     if not getattr(args, "config", None):
-        return
+        return []
     path = Path(args.config)
     if not path.exists():
         raise _fail(EXIT_INPUT, f"config file not found: {args.config}")
@@ -108,11 +118,20 @@ def _apply_config_file(args: argparse.Namespace, provided: set[str]) -> None:
         raise _fail(EXIT_INPUT, f"bad config file: {exc}") from exc
     if not isinstance(doc, dict):
         raise _fail(EXIT_INPUT, "config file must hold a JSON object")
+    flags = []
     for key, value in doc.items():
         if key == "config" or not hasattr(args, key):
             raise _fail(EXIT_INPUT, f"unknown key {key!r} in config file")
-        if key not in provided:
-            setattr(args, key, value)
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):  # a switch such as --no-elide
+            if not isinstance(value, bool):
+                raise _fail(EXIT_INPUT, f"config key {key!r} must be true or false, got {value!r}")
+            flags += [flag] if value else []
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            raise _fail(EXIT_INPUT, f"config key {key!r} must be a string or a number, got {value!r}")
+    return flags
 
 
 def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -250,6 +269,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         if not init.symmetric:
             raise _fail(EXIT_INPUT, "training currently expects a symmetric initial schedule")
     else:
+        check_training_set_size(args.n_qubits)
         init = random_schedule(args.n_qubits, args.chunks, args.seed)
     config = _trainer_config(args, init.n_chunks)
     training_set = build_training_set(init.n_qubits)
@@ -270,6 +290,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     if args.n_max < 2:
         raise _fail(EXIT_INPUT, "--n-max must be at least 2")
+    check_training_set_size(args.n_max)
     config = _trainer_config(args, args.chunks)
     out = _out_dir(args)
     try:
@@ -326,17 +347,20 @@ def main(argv: list[str] | None = None) -> int:
     if not args.command:
         parser.print_help()
         return EXIT_INPUT
-    provided = {name.lstrip("-").replace("-", "_").split("=")[0] for name in argv if name.startswith("--")}
     try:
-        _apply_config_file(args, provided)
+        flags = _config_flags(args)
+        if flags:
+            # parsed before the explicit flags, which therefore win
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + flags + argv[at:])
         return _COMMANDS[args.command](args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ScheduleFormatError as exc:
+    except DimensionError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+        return EXIT_DIMENSION
+    except (ValueError, OSError) as exc:  # ScheduleFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

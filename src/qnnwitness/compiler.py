@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     Circuit,
+    DimensionError,
     GateKind,
     GateOp,
     circuit_unitary,
@@ -125,7 +126,9 @@ def verify_equivalence(schedule: Schedule, max_qubits: int = 10) -> dict:
 
     n = schedule.n_qubits
     if n > max_qubits:
-        raise ValueError(f"refusing dense verification for {n} > {max_qubits} qubits")
+        raise DimensionError(f"refusing dense verification for {n} > {max_qubits} qubits")
+    if n < 2:
+        raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
     u_gates = circuit_unitary(compile_schedule(schedule), max_qubits=max_qubits)
     # evolve_states maps each basis row e_k to U e_k, so the stack comes back as U^T
     identity = np.eye(2**n, dtype=complex)

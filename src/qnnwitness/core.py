@@ -35,6 +35,22 @@ _PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 DEFAULT_UNITARY_CAP = 10  # circuit_unitary refuses larger registers
 
+# Largest dense allocation accepted, in bytes: 128 MiB holds the 4 C(14, 2)
+# training states of 14 qubits (95 MB) but not those of 15 (220 MB).
+DENSE_BYTES_BUDGET = 2**27
+
+
+class DimensionError(ValueError):
+    """The register is too large for the dense arrays a computation needs."""
+
+
+def require_dense(n: int, count: int = 1, itemsize: int = 16) -> None:
+    """Refuse ``count`` arrays of ``2**n`` items before any is allocated."""
+    size = count * itemsize * 2**n
+    if size > DENSE_BYTES_BUDGET:
+        raise DimensionError(f"refusing {size} bytes of dense arrays for {n} qubits "
+                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
+
 
 def rotation_matrix(axis: str, theta: float) -> np.ndarray:
     """2x2 rotation ``exp(-i (theta/2) sigma_axis)`` for axis in {x, y, z}."""
@@ -215,7 +231,7 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = DEFAULT_UNITARY_CAP) -> 
     """Dense 2^N x 2^N unitary of the circuit (first op rightmost in the product)."""
     n = circuit.n_qubits
     if n > max_qubits:
-        raise ValueError(f"refusing dense unitary for {n} > {max_qubits} qubits")
+        raise DimensionError(f"refusing dense unitary for {n} > {max_qubits} qubits")
     dim = 2**n
     # evolve all basis columns at once; batch axis trails the qubit axes
     tensor = np.eye(dim, dtype=complex).reshape([2] * n + [dim])

@@ -13,6 +13,11 @@ couplings. Within a chunk the pair factors act first, then the single-qubit
 factors in ascending qubit order; chunks apply in chronological order.
 The gate compiler reproduces exactly this ordering, so ``chunked`` and
 compiled circuits agree to round-off.
+
+States are dense ``2**n`` vectors, except under a schedule of uniform
+chunks: there a state whose qubits 2..n-1 are permutation symmetric stays
+in the ``4(n-1)``-dimensional pair (x) Dicke space, where both methods and
+their adjoint gradients run on real operators built once per n.
 """
 
 from __future__ import annotations
@@ -23,10 +28,11 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, z_diagonal
+from .core import PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, require_dense, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,13 @@ class Schedule:
         return self.total_time / len(self.chunks)
 
 
+def _check_finite(params: ChunkParams) -> None:
+    """Refuse parameters whose Hamiltonian would hold a non-finite entry: a
+    diagonal entry is at most the sum of every |bias| and |coupling|."""
+    if not (all(map(math.isfinite, params.tunneling)) and math.isfinite(sum(map(abs, params.bias + params.coupling)))):
+        raise ValueError("Hamiltonian parameters must be finite, and so must the sum of their magnitudes")
+
+
 def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """Dense 2^n x 2^n Hamiltonian for one chunk's parameters.
 
@@ -111,8 +124,8 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
-    if not all(map(math.isfinite, params.tunneling + params.bias + params.coupling)):
-        raise ValueError("Hamiltonian parameters must be finite")
+    _check_finite(params)
+    require_dense(n, 2**n)  # the matrix, and the complex propagator made from it
     rows = np.arange(2**n)
     h = np.zeros((2**n, 2**n))
     diag = np.asarray(params.coupling) @ _pair_parities(n)
@@ -127,8 +140,10 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
-    The cache keeps the 64 most recent propagators (about 17 MB at n=7):
-    training evaluates each new schedule once, so most keys are used once.
+    The cache keeps the 64 most recent propagators (about 17 MB at n=7)
+    for dense evolution: single states, verification, and schedules or
+    training sets outside the pair (x) Dicke space. Training a symmetric
+    schedule on the reference states never calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -176,6 +191,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
 @lru_cache(maxsize=None)
 def _pair_parities(n: int) -> np.ndarray:
     """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
+    require_dense(n, n * (n - 1) // 2, itemsize=8)
     out = np.array([z_diagonal(n, i) * z_diagonal(n, j) for i, j in qubit_pairs(n)]).reshape(-1, 2**n)
     out.flags.writeable = False
     return out
@@ -197,19 +213,145 @@ def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int
     return columns
 
 
+# --- pair (x) Dicke space -----------------------------------------------
+#
+# A uniform chunk commutes with every permutation of the spectators (qubits
+# 2..n-1), so a state that is symmetric in them stays so. Such a state has
+# coordinates on |p> (x) |D_w>, with p = 2 b_0 + b_1 the bits of qubits 0
+# and 1 and |D_w> the normalized sum of the C(m, w) spectator strings with w
+# ones, m = n - 2: 4(n-1) coordinates, p-major, so qubits 0 and 1 stay the
+# two leading bits of the index. There the spectators' X and Z sums are the
+# collective S_x (tridiagonal, <D_{w+1}|S_x|D_w> = sqrt((w+1)(m-w))) and
+# S_z = diag(m - 2w), and their ZZ sum is (S_z^2 - m)/2: the
+# permutation-symmetric reduction of PIQS (Shammah et al., arXiv:1805.05129).
+
+
+class PairDicke(NamedTuple):
+    """Real operators of the pair (x) Dicke space of n qubits, m = n - 2."""
+
+    transverse: np.ndarray  # X_0 + X_1 + S_x, 4(n-1) square
+    bias: np.ndarray  # diagonal of Z_0 + Z_1 + S_z
+    coupling: np.ndarray  # diagonal of sum_{i<j} Z_i Z_j = Z_0 Z_1 + (Z_0 + Z_1) S_z + (S_z^2 - m)/2
+    readout: np.ndarray  # diagonal of Z_0 Z_1
+    spin_x: np.ndarray  # S_x on the (m+1)-dimensional Dicke block
+    spin_z: np.ndarray  # diagonal of S_z on the Dicke block
+
+
+@lru_cache(maxsize=32)
+def pair_dicke_operators(n: int) -> PairDicke:
+    """The operators of the pair (x) Dicke space, built once per n."""
+    if n < 2:
+        raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
+    m = n - 2
+    w = np.arange(m + 1.0)
+    steps = np.sqrt(w[1:] * (m - w[:-1]))
+    spin_x = np.diag(steps, -1) + np.diag(steps, 1)
+    spin_z = m - 2 * w
+    z0, z1 = np.repeat([1.0, 1.0, -1.0, -1.0], m + 1), np.repeat([1.0, -1.0, 1.0, -1.0], m + 1)
+    sz = np.tile(spin_z, 4)
+    pair_x = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=float)
+    ops = PairDicke(
+        transverse=np.kron(pair_x, np.eye(m + 1)) + np.kron(np.eye(4), spin_x),
+        bias=z0 + z1 + sz,
+        coupling=z0 * z1 + (z0 + z1) * sz + (sz * sz - m) / 2,
+        readout=z0 * z1,
+        spin_x=spin_x,
+        spin_z=spin_z,
+    )
+    for array in ops:
+        array.flags.writeable = False
+    return ops
+
+
+def _shared(params: ChunkParams) -> tuple[float, float, float]:
+    """A uniform chunk's (tunneling, bias, coupling)."""
+    if not params.is_symmetric:
+        raise ValueError("the pair (x) Dicke space needs uniform chunk parameters")
+    return params.tunneling[0], params.bias[0], params.coupling[0] if params.coupling else 0.0
+
+
+def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
+    """A uniform chunk's Hamiltonian on the pair (x) Dicke space: real symmetric, 4(n-1) square."""
+    if params.n_qubits != n:
+        raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
+    tunneling, bias, coupling = _shared(params)
+    _check_finite(params)
+    ops = pair_dicke_operators(n)
+    h = tunneling * ops.transverse
+    h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
+    return h
+
+
+def pair_dicke_coordinates(states: np.ndarray, n: int) -> np.ndarray | None:
+    """Pair (x) Dicke coordinates of a ``(batch, 2**n)`` stack, or None when
+    some state's spectators are not permutation symmetric.
+
+    A state lies in the space when, for each pair basis state, its
+    amplitudes are equal on all spectator strings of the same weight w; its
+    coordinate on ``|p> (x) |D_w>`` is then ``sqrt(C(m, w))`` times that
+    amplitude. The test is exact, so round-off never admits a state.
+    """
+    if n < 2:
+        raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
+    m = n - 2
+    blocks = np.asarray(states, dtype=complex).reshape(-1, 4, 2**m)
+    index, weight = np.arange(2**m), np.zeros(2**m, dtype=int)
+    for bit in range(m):
+        weight += (index >> bit) & 1
+    first = (1 << np.arange(m + 1)) - 1  # the lowest string of each weight
+    amplitudes = blocks[..., first]
+    if not np.array_equal(blocks, amplitudes[..., weight]):
+        return None
+    return (amplitudes * np.sqrt([math.comb(m, w) for w in range(m + 1)])).reshape(len(blocks), -1)
+
+
+def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):
+    """One chunk's split-operator factors in the pair (x) Dicke space: the
+    ZZ phase diagonal, the shared 2x2 factor and its m-fold symmetric power
+    on the Dicke block (None when m = 0, where the block is a scalar)."""
+    tunneling, bias, coupling = _shared(params)
+    phases = np.exp(-1j * dt * coupling * ops.coupling)
+    factor = _single_qubit_factor(tunneling, bias, dt)
+    if len(ops.spin_z) == 1:
+        return phases, factor, None
+    # the factor's power on symmetric spectators is exp(-i dt (K S_x + eps S_z));
+    # an eigh of that real tridiagonal generator keeps full precision at any
+    # m, where expanding the power binomially cancels terms of size 2^(m/2)
+    eigvals, eigvecs = np.linalg.eigh(tunneling * ops.spin_x + np.diag(bias * ops.spin_z))
+    return phases, factor, (eigvecs * np.exp(-1j * dt * eigvals)) @ eigvecs.T
+
+
+def _pair_dicke_chunk(columns: np.ndarray, factors) -> np.ndarray:
+    """Evolve ``(4(n-1), batch)`` pair (x) Dicke columns through one split-operator chunk."""
+    phases, factor, power = factors
+    columns = _apply_1q(_apply_1q(columns * phases[:, np.newaxis], factor, 0), factor, 1)
+    if power is None:
+        return columns
+    return np.matmul(power, columns.reshape(4, len(power), -1)).reshape(columns.shape)
+
+
 # --- adjoint gradients --------------------------------------------------
 #
 # A backward step takes the columns [states | co-states] just after one
 # chunk, returns them just before it, and reads each parameter's partial
-# 2 Re <lam| dU U^dagger |psi> on the way. Partials come in the full
-# layout: n tunnelings, n biases, C(n,2) couplings.
+# 2 Re <lam| dU U^dagger |psi> on the way. Dense partials come in the full
+# layout: n tunnelings, n biases, C(n,2) couplings; pair (x) Dicke partials
+# in the symmetric layout: the shared tunneling, bias and coupling.
+
+
+def _qubit_overlap(both: np.ndarray, q: int) -> np.ndarray:
+    """2x2 ``R[a, b] = sum conj(lam) psi`` over the entries where qubit ``q``
+    is ``a`` in ``lam`` and ``b`` in ``psi``, so ``sum(G * R) = <lam| G_q |psi>``."""
+    batch = both.shape[1] // 2
+    split = both.reshape(2**q, 2, -1, 2, batch)  # (.., qubit q, .., psi | lam, batch)
+    return np.einsum("iajk,ibjk->ab", split[..., 1, :].conj(), split[..., 0, :])
 
 
 def _chunked_backward_step(
     both: np.ndarray, params: ChunkParams, n: int, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Undo one split-operator chunk: the single-qubit factors in descending
-    qubit order, each contracted on its qubit's 2x2 reduced matrix of
+    qubit order, each contracted on its qubit's 2x2 overlap of
     ``(lam, psi)``, then the diagonal pair phases."""
     batch = both.shape[1] // 2
     keys = list(zip(params.tunneling, params.bias))
@@ -220,8 +362,7 @@ def _chunked_backward_step(
     partials = np.empty(2 * n + len(params.coupling))
     for q in reversed(range(n)):
         inverse, d_tunneling, d_bias = factors[keys[q]]
-        split = both.reshape(2**q, 2, -1, 2, batch)  # (.., qubit q, .., psi | lam, batch)
-        reduced = np.einsum("iajk,ibjk->ab", split[..., 1, :].conj(), split[..., 0, :])
+        reduced = _qubit_overlap(both, q)
         partials[q] = 2 * np.sum(d_tunneling * reduced).real
         partials[n + q] = 2 * np.sum(d_bias * reduced).real
         both = _apply_1q(both, inverse, q)
@@ -231,8 +372,52 @@ def _chunked_backward_step(
     return both * _pair_phase_diagonal(params, n, dt).conj()[:, np.newaxis], partials
 
 
+def _pair_dicke_backward_step(
+    both: np.ndarray, params: ChunkParams, factors, ops: PairDicke, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undo one split-operator chunk in the pair (x) Dicke space.
+
+    The factors of a chunk's single-qubit layer commute, so the shared K
+    (or eps) partial is ``2 Re <lam| sum_q (dU U^dagger)_q |psi>`` read at
+    the chunk's end: ``sum(G * R)`` with ``R`` the 2x2 overlaps of qubits 0
+    and 1 plus the spectators' collective one. On the Dicke block
+    ``sum_q |a><b|_q`` is ``N_0 = (m + S_z)/2`` or ``N_1 = (m - S_z)/2`` on
+    the diagonal and the half of ``S_x`` that raises or lowers w off it.
+    """
+    batch = both.shape[1] // 2
+    phases, factor, power = factors
+    tunneling, bias, _ = _shared(params)
+    inverse = factor.conj().T
+    reduced = _qubit_overlap(both, 0) + _qubit_overlap(both, 1)
+    if power is not None:
+        blocks = both.reshape(4, len(power), 2, batch)
+        lam, psi = blocks[:, :, 1].conj(), blocks[:, :, 0]
+        along = np.sum(lam * psi, axis=(0, 2))
+        steps = np.diagonal(ops.spin_x, -1)  # <D_{w+1}|S_x|D_w>
+        m = len(power) - 1
+        reduced = reduced + np.array([
+            [(m + ops.spin_z) / 2 @ along, steps @ np.sum(lam[:, :-1] * psi[:, 1:], axis=(0, 2))],
+            [steps @ np.sum(lam[:, 1:] * psi[:, :-1], axis=(0, 2)), (m - ops.spin_z) / 2 @ along],
+        ])
+        both = np.matmul(power.conj().T, both.reshape(4, len(power), -1)).reshape(both.shape)
+    d_tunneling, d_bias = (d @ inverse for d in _single_qubit_factor_partials(tunneling, bias, dt))
+    both = _apply_1q(_apply_1q(both, inverse, 1), inverse, 0)
+    overlap = np.sum(both[:, batch:].conj() * both[:, :batch], axis=1)
+    partials = np.array([
+        2 * np.sum(d_tunneling * reduced).real,
+        2 * np.sum(d_bias * reduced).real,
+        2 * dt * (ops.coupling @ overlap.imag),
+    ])
+    return both * phases.conj()[:, np.newaxis], partials
+
+
+def _exact_chunk(columns: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float) -> np.ndarray:
+    """Evolve columns by ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``."""
+    return eigvecs @ (np.exp(-1j * dt * eigvals)[:, np.newaxis] * (eigvecs.T @ columns))
+
+
 def _exact_backward_step(
-    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, n: int, dt: float
+    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float, contract
 ) -> tuple[np.ndarray, np.ndarray]:
     """Undo one ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``.
 
@@ -241,6 +426,8 @@ def _exact_backward_step(
     ``sinc x = sin x / x``, which needs no branch for degenerate
     eigenvalues. So every partial is ``2 sum_xy dH_xy Re M_xy`` with
     ``M = V (Phi o S) V^T`` and ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``.
+    ``contract(half, eigvecs, diagonal)`` reads the partials of the
+    Hamiltonian's generators from ``Re M = half V^T`` and its diagonal.
     """
     batch = both.shape[1] // 2
     backward = np.exp(1j * dt * eigvals)[:, np.newaxis]
@@ -253,18 +440,79 @@ def _exact_backward_step(
     weights = dt * np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)) * overlap.imag
     # V is real, so Re M = V Re(Phi o S) V^T; keep its left half and contract rows
     half = eigvecs @ weights
-    diagonal = np.sum(half * eigvecs, axis=1)
-    rows = np.arange(2**n)
-    partials = np.concatenate((
-        [2 * np.sum(half * eigvecs[rows ^ (1 << (n - 1 - q))]) for q in range(n)],  # X_q flips bit q
-        [2 * z_diagonal(n, q) @ diagonal for q in range(n)],
-        2 * _pair_parities(n) @ diagonal,
-    ))
+    partials = contract(half, eigvecs, np.sum(half * eigvecs, axis=1))
     coords[:, batch:] *= backward
     return eigvecs @ coords, partials
 
 
-def adjoint_partials(states: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
+def _dense_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagonal: np.ndarray, n: int) -> np.ndarray:
+    """Full-layout partials: ``sum_xy (G V)_xy half_xy`` for ``G = X_q``, which
+    flips bit q of the row, and a dot with the diagonal for Z and ZZ terms."""
+    rows = np.arange(2**n)
+    return np.concatenate((
+        [2 * np.sum(half * eigvecs[rows ^ (1 << (n - 1 - q))]) for q in range(n)],
+        [2 * z_diagonal(n, q) @ diagonal for q in range(n)],
+        2 * _pair_parities(n) @ diagonal,
+    ))
+
+
+def _pair_dicke_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagonal: np.ndarray, ops: PairDicke) -> np.ndarray:
+    """Symmetric-layout partials from the three generators of the pair (x) Dicke Hamiltonian."""
+    return np.array([
+        2 * np.sum(half * (ops.transverse @ eigvecs)),
+        2 * ops.bias @ diagonal,
+        2 * ops.coupling @ diagonal,
+    ])
+
+
+def _chunk_sweeps(schedule: Schedule, method: str, pair_dicke: bool) -> list[tuple]:
+    """Per chunk, in chronological order, its forward map of columns and its
+    backward step. An exact chunk's one eigendecomposition serves both."""
+    n, dt = schedule.n_qubits, schedule.dt
+    if method == "chunked" and pair_dicke:
+        ops = pair_dicke_operators(n)
+        sweeps = []
+        for ck in schedule.chunks:
+            factors = _pair_dicke_factors(ck, ops, dt)
+            sweeps.append((
+                partial(_pair_dicke_chunk, factors=factors),
+                partial(_pair_dicke_backward_step, params=ck, factors=factors, ops=ops, dt=dt),
+            ))
+        return sweeps
+    if method == "chunked":
+        return [
+            (partial(_evolve_chunked, chunks=(ck,), n=n, dt=dt), partial(_chunked_backward_step, params=ck, n=n, dt=dt))
+            for ck in schedule.chunks
+        ]
+    if method == "exact":
+        if pair_dicke:
+            build, contract = pair_dicke_hamiltonian, partial(_pair_dicke_generator_partials, ops=pair_dicke_operators(n))
+        else:
+            build, contract = build_hamiltonian, partial(_dense_generator_partials, n=n)
+        sweeps = []
+        for ck in schedule.chunks:
+            eigvals, eigvecs = np.linalg.eigh(build(ck, n))
+            sweeps.append((
+                partial(_exact_chunk, eigvals=eigvals, eigvecs=eigvecs, dt=dt),
+                partial(_exact_backward_step, eigvals=eigvals, eigvecs=eigvecs, dt=dt, contract=contract),
+            ))
+        return sweeps
+    raise ValueError(f"unknown propagation method {method!r}")
+
+
+def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
+    """Evolve a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
+    through a schedule of uniform chunks; the result matches the dense
+    :func:`evolve_states` of the embedded states to round-off."""
+    columns = np.asarray(coords, dtype=complex).T
+    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
+        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
+    for forward, _ in _chunk_sweeps(schedule, method, pair_dicke=True):
+        columns = forward(columns)
+    return columns.T
+
+
+def adjoint_partials(states: np.ndarray, schedule: Schedule, method: str, costate, pair_dicke: bool = False) -> np.ndarray:
     """Every chunk parameter's derivative of a real function F of the evolved states.
 
     ``states`` is a ``(batch, 2**n)`` stack. ``costate(finals)`` receives
@@ -275,25 +523,19 @@ def adjoint_partials(states: np.ndarray, schedule: Schedule, method: str, costat
     kept). Returns ``(n_chunks, 2n + C(n,2))`` partials: per chunk, the n
     tunnelings, the n biases and the couplings in ``qubit_pairs`` order.
     The cost does not depend on the number of parameters.
+
+    With ``pair_dicke`` the states are ``(batch, 4(n-1))`` pair (x) Dicke
+    coordinates, every chunk must be uniform, and the partials come in the
+    symmetric layout ``(n_chunks, 3)``: shared tunneling, bias, coupling.
     """
-    n, dt = schedule.n_qubits, schedule.dt
-    columns = np.asarray(states, dtype=complex).T
-    if method == "chunked":
-        finals = _evolve_chunked(columns, schedule.chunks, n, dt)
-        steps = [partial(_chunked_backward_step, params=ck, n=n, dt=dt) for ck in schedule.chunks]
-    elif method == "exact":
-        # one eigendecomposition per chunk serves both sweeps
-        eighs = [np.linalg.eigh(build_hamiltonian(ck, n)) for ck in schedule.chunks]
-        finals = columns
-        for eigvals, eigvecs in eighs:
-            finals = eigvecs @ (np.exp(-1j * dt * eigvals)[:, np.newaxis] * (eigvecs.T @ finals))
-        steps = [partial(_exact_backward_step, eigvals=w, eigvecs=v, n=n, dt=dt) for w, v in eighs]
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
+    sweeps = _chunk_sweeps(schedule, method, pair_dicke)
+    finals = np.asarray(states, dtype=complex).T
+    for forward, _ in sweeps:
+        finals = forward(finals)
     both = np.concatenate((finals, np.asarray(costate(finals.T), dtype=complex).T), axis=1)
     out = []
-    for step in reversed(steps):
-        both, partials = step(both)
+    for _, backward in reversed(sweeps):
+        both, partials = backward(both)
         out.append(partials)
     return np.array(out[::-1])
 

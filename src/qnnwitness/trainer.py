@@ -7,7 +7,10 @@ through the chunks and reads every partial on the way (the adjoint
 method). With the symmetric constraint (the default) each chunk
 contributes three free parameters: shared tunneling, shared bias, shared
 coupling. Updates act on those shared parameters directly, so symmetry
-is preserved exactly.
+is preserved exactly, and both sweeps run on the four orbit states in the
+4(n-1)-dimensional pair (x) Dicke space, which returns the three shared
+partials per chunk directly. The full layout (every per-qubit and
+per-pair parameter) evolves every training item as a 2^n vector.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
 solution; with all-to-all coupling the required correction shrinks as n
@@ -25,7 +28,7 @@ import numpy as np
 
 from .hamiltonian import ChunkParams, Schedule, adjoint_partials
 from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
-from .witness import TrainingSet, build_training_set, witness_inputs, witness_values
+from .witness import TrainingSet, build_training_set, check_training_set_size, witness_inputs, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 
@@ -150,8 +153,11 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     """
     if config.symmetric and not all(ck.is_symmetric for ck in schedule.chunks):
         raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
-    # per-qubit partials need every item on its own pair; their sums do not
-    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, config.symmetric)
+    # per-qubit partials need every item on its own pair; their sums do not,
+    # and the pair (x) Dicke backend returns the sums directly
+    states, rows, parities, pair_dicke = witness_inputs(
+        training_set, schedule.n_qubits, config.symmetric, reducible=True
+    )
     targets = np.array([item.target for item in training_set.items])
 
     def costate(finals: np.ndarray) -> np.ndarray:
@@ -160,8 +166,8 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
         weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
         return weights[:, np.newaxis] * parities * finals
 
-    partials = adjoint_partials(states, schedule, config.method, costate)
-    if config.symmetric:
+    partials = adjoint_partials(states, schedule, config.method, costate, pair_dicke)
+    if config.symmetric and not pair_dicke:
         n = schedule.n_qubits
         partials = np.stack([partials[:, :n].sum(1), partials[:, n : 2 * n].sum(1), partials[:, 2 * n :].sum(1)], 1)
     grad = partials.ravel()
@@ -270,6 +276,7 @@ def bootstrap_chain(n_max: int, config: TrainerConfig) -> dict[int, TrainResult]
     """Random-init train at n=2, then bootstrap one qubit at a time to n_max."""
     if n_max < 2:
         raise ValueError("chain needs n_max >= 2")
+    check_training_set_size(n_max)  # refuse before the first size trains
     results: dict[int, TrainResult] = {}
     init = random_schedule(2, config.chunk_count, config.seed, symmetric=config.symmetric)
     results[2] = train(init, build_training_set(2), config)

@@ -7,6 +7,11 @@ states (target 0, one of them classically correlated), and a partially
 entangled state whose optimized target is 0.443. For registers larger
 than the pair, the pair state is embedded with every spectator qubit
 in |0>.
+
+A symmetric schedule evaluates a training set once per symmetry orbit,
+and, when the orbit states' spectators are permutation symmetric (as
+those of the reference states are), in the 4(n-1)-dimensional pair (x)
+Dicke space rather than in the 2^n-dimensional register.
 """
 
 from __future__ import annotations
@@ -18,8 +23,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import apply_circuit, circuit_unitary, expectation_zz, qubit_pairs, z_diagonal
-from .hamiltonian import Schedule, evolve_states, propagate
+from .core import apply_circuit, circuit_unitary, expectation_zz, qubit_pairs, require_dense, z_diagonal
+from .hamiltonian import (
+    Schedule,
+    evolve_pair_dicke,
+    evolve_states,
+    pair_dicke_coordinates,
+    pair_dicke_operators,
+    propagate,
+)
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -56,6 +68,7 @@ def make_pair_state(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.nd
     i, j = pair
     if not 0 <= i < j < n:
         raise ValueError(f"pair {pair} must satisfy 0 <= i < j < {n}")
+    require_dense(n)
     state = np.zeros(2**n, dtype=complex)
     for bits, amplitude in _PAIR_AMPLITUDES[kind].items():
         index = ((bits >> 1) & 1) << (n - 1 - i) | (bits & 1) << (n - 1 - j)
@@ -106,10 +119,25 @@ class TrainingSet:
         states.flags.writeable = rows.flags.writeable = False
         return states, rows
 
+    @cached_property
+    def pair_dicke_orbits(self) -> np.ndarray | None:
+        """The orbit states as ``(orbits, 4(n-1))`` pair (x) Dicke coordinates,
+        or None when some orbit state's spectators are not permutation symmetric."""
+        coords = pair_dicke_coordinates(self.orbits[0], self.n_qubits)
+        if coords is not None:
+            coords.flags.writeable = False
+        return coords
 
-def build_training_set(n: int) -> TrainingSet:
+
+def check_training_set_size(n: int) -> None:
+    """Refuse, before anything is allocated, a training set that cannot be built."""
     if n < 2:
         raise ValueError("a pairwise training set needs at least 2 qubits")
+    require_dense(n, 4 * (n * (n - 1) // 2))
+
+
+def build_training_set(n: int) -> TrainingSet:
+    check_training_set_size(n)
     items = tuple(
         TrainingItem(kind, make_pair_state(kind, (i, j), n), (i, j), WITNESS_TARGETS[kind])
         for i, j in qubit_pairs(n)
@@ -150,37 +178,46 @@ def witness_value(
 
 
 def witness_inputs(
-    training_set: TrainingSet, n_qubits: int, by_orbit: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    training_set: TrainingSet, n_qubits: int, by_orbit: bool, reducible: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     """What to evolve for a training set's witnesses, and how to read it out.
 
-    Returns ``(states, rows, parities)``: the ``(batch, 2**n)`` states to
-    evolve, each item's row among them, and the ``Z_i Z_j`` diagonal of
-    each row (one shared row when ``by_orbit``). ``by_orbit`` evolves only
-    the orbit states and reads ``Z_0 Z_1``, which is exact for any schedule
-    whose chunks are uniform; otherwise every item is evolved and read on
-    its own pair.
+    Returns ``(states, rows, parities, pair_dicke)``: the states to evolve,
+    each item's row among them, the ``Z_i Z_j`` diagonal of each row (one
+    shared row when ``by_orbit``), and whether the states are pair (x)
+    Dicke coordinates. ``by_orbit`` evolves only the orbit states and reads
+    ``Z_0 Z_1``, which is exact for any schedule whose chunks are uniform;
+    with ``reducible`` too, and when every orbit state lies in the pair (x)
+    Dicke space, it returns their ``(orbits, 4(n-1))`` coordinates there.
+    Otherwise every item is evolved as a ``2**n`` vector and read on its
+    own pair.
     """
     n = training_set.n_qubits
     if n != n_qubits:
         raise ValueError(f"training set is for {n} qubits, schedule for {n_qubits}")
     if by_orbit:
         states, rows = training_set.orbits
-        return states, rows, (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :]
+        if reducible and training_set.pair_dicke_orbits is not None:
+            return training_set.pair_dicke_orbits, rows, pair_dicke_operators(n).readout[np.newaxis, :], True
+        return states, rows, (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :], False
     states = np.stack([item.state for item in training_set.items])
     parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in training_set.items)])
-    return states, np.arange(len(training_set.items)), parities
+    return states, np.arange(len(training_set.items)), parities, False
 
 
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
     """Witness of every training item, evaluated as one batch.
 
     A symmetric schedule evolves only the training set's orbit states and
-    reads ``Z_0 Z_1`` of each; any other schedule evolves every item and
-    reads the item's own pair.
+    reads ``Z_0 Z_1`` of each, in the pair (x) Dicke space for ``exact``
+    and ``chunked`` when the orbit states lie in it; any other schedule
+    evolves every item and reads the item's own pair.
     """
-    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, schedule.symmetric)
-    if method == "gates":
+    reducible = method in ("exact", "chunked")
+    states, rows, parities, pair_dicke = witness_inputs(training_set, schedule.n_qubits, schedule.symmetric, reducible)
+    if pair_dicke:
+        finals = evolve_pair_dicke(states, schedule, method)
+    elif method == "gates":
         from .compiler import compile_schedule
 
         circuit = compile_schedule(schedule)

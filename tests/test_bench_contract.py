@@ -125,16 +125,11 @@ def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
     assert calls == {"rng_stream": 7, "sample_zz_mean": 7}
 
 
-def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
-    # trainer.gradient is timed by that name and must cost one forward and one
-    # backward sweep whatever the number of parameters: the 12-parameter
-    # symmetric and the 140-parameter full-layout table3 gradients make the
-    # same one-qubit updates (chunked) and Hamiltonian builds (exact), and no
-    # loss evaluation. A per-parameter loss loop would scale with P. It also
-    # means the tracer's trainer.loss_evals_per_epoch, which counts
-    # witness_values spans inside gradient spans, reads 0.
-    calls = {"_apply_1q": 0, "build_hamiltonian": 0, "witness_values": 0}
-    for module, name in ((hamiltonian, "_apply_1q"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values")):
+def _counted(monkeypatch, targets) -> dict[str, int]:
+    """Count the calls made through each ``(module, name)`` global."""
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
         original = getattr(module, name)
 
         def counted(*args, _original=original, _name=name, **kwargs):
@@ -142,10 +137,38 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
+    # trainer.gradient is timed by that name and must cost one forward and one
+    # backward sweep whatever the number of parameters, and no loss
+    # evaluation; a per-parameter loss loop would scale with P. It also means
+    # the tracer's trainer.loss_evals_per_epoch, which counts witness_values
+    # spans inside gradient spans, reads 0.
     schedule, training_set = fixture_schedule("table3"), build_training_set(7)
+    chunks = schedule.n_chunks
+    # the 12-parameter symmetric gradient runs in the pair (x) Dicke space:
+    # one forward and one backward step per chunk, no dense Hamiltonian
+    calls = _counted(monkeypatch, [
+        (hamiltonian, "_pair_dicke_chunk"), (hamiltonian, "_pair_dicke_backward_step"),
+        (hamiltonian, "_exact_chunk"), (hamiltonian, "_exact_backward_step"),
+        (hamiltonian, "pair_dicke_hamiltonian"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
+    ])
+    for method, expected in (
+        ("chunked", {"_pair_dicke_chunk": chunks, "_pair_dicke_backward_step": chunks}),
+        ("exact", {"_exact_chunk": chunks, "_exact_backward_step": chunks, "pair_dicke_hamiltonian": chunks}),
+    ):
+        grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(symmetric=True, method=method))
+        assert len(grad) == 12
+        assert calls == {**dict.fromkeys(calls, 0), **expected}, method
+        calls.update(dict.fromkeys(calls, 0))
+    # the 140-parameter full-layout gradient evolves dense states: per chunk,
+    # 2n one-qubit updates (chunked) or one Hamiltonian build (exact)
+    calls = _counted(monkeypatch, [(hamiltonian, "_apply_1q"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values")])
     sweeps = 2 * schedule.n_qubits * schedule.n_chunks
     for method, expected in (("chunked", {"_apply_1q": sweeps}), ("exact", {"build_hamiltonian": schedule.n_chunks})):
-        for symmetric, n_params in ((True, 12), (False, 140)):
+        for symmetric, n_params in ((False, 140),):
             calls.update(dict.fromkeys(calls, 0))
             grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(symmetric=symmetric, method=method))
             assert len(grad) == n_params

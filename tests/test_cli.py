@@ -1,11 +1,20 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
+import time
+import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qnnwitness import cli
-from qnnwitness.hamiltonian import load_schedule
+from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
 
 
 def run_cli(capsys, *argv):
@@ -299,3 +308,158 @@ class TestTopLevel:
         )
         assert proc.returncode == 0
         assert "Table 1" in proc.stdout
+
+
+class TestDimensionRefusals:
+    def test_verify_refuses_eleven_qubits_with_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "s11.json"
+        save_schedule(Schedule(11, 1.58, (ChunkParams.uniform(11, 2.5, 0.1, 0.05),) * 4, symmetric=True), path)
+        code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
+        assert code == 3
+        assert "refusing dense verification for 11 > 10 qubits" in err
+        assert out == ""
+
+    def test_verify_of_one_qubit_exits_3_like_witness(self, tmp_path, capsys):
+        path = tmp_path / "s1.json"
+        save_schedule(Schedule(1, 1.58, (ChunkParams((2.5,), (0.1,), ()),), symmetric=True), path)
+        for argv in (["verify"], ["witness", "--pair", "0,1"]):
+            code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
+            assert (code, out) == (3, ""), argv
+            assert "(0, 1)" in err or "'0,1'" in err
+
+    @pytest.mark.parametrize("argv", [["train", "--n-qubits", "40"], ["bootstrap", "--n-max", "40"]], ids=["train", "bootstrap"])
+    def test_register_too_large_for_training_exits_3_without_allocating(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, stdout, err = run_cli(capsys, *argv, "--out-dir", str(out))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert "40 qubits" in err and stdout == ""
+        assert elapsed < 0.5 and peak < 2**20
+        assert not out.exists()
+
+    def test_witness_refuses_a_forty_qubit_schedule(self, tmp_path, capsys):
+        path = tmp_path / "s40.json"
+        save_schedule(Schedule(40, 1.58, (ChunkParams.uniform(40, 2.5, 0.1, 0.05),), symmetric=True), path)
+        code, _, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell")
+        assert code == 3
+        assert "40 qubits" in err
+
+
+# --- fuzzing ------------------------------------------------------------
+
+_ODD_NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 3), st.sampled_from([0.0, 1e308, -1e308, 5e-324])
+)
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(0, 2), max_size=2), st.just({}))
+
+
+@st.composite
+def _schedule_texts(draw):
+    """Schedule files near the schema: mostly well formed, with one field in
+    about twenty of the wrong size, type or value, and now and then no JSON."""
+
+    def rare() -> bool:
+        return draw(st.integers(0, 19)) == 0
+
+    if rare():
+        return draw(st.text(max_size=20))
+    n = draw(st.integers(1, 4))
+
+    def near(value):
+        return draw(_JUNK) if rare() else value
+
+    def number():
+        return draw(_ODD_NUMBERS) if rare() else draw(st.floats(-5, 5))
+
+    def numbers(count):
+        return near([number() for _ in range(count + (draw(st.sampled_from([-1, 1])) if rare() else 0))])
+
+    shared = draw(st.booleans())
+    chunks = []
+    for _ in range(0 if rare() else draw(st.integers(1, 3))):
+        pairs = [f"{i},{j}" for i in range(n) for j in range(i + 1, n)]
+        if pairs and rare():
+            pairs[draw(st.integers(0, len(pairs) - 1))] = draw(st.sampled_from(["0,0", "1,0", "0,9", "a", "0,1,2"]))
+        k, eps, zeta = number(), number(), number()
+        chunks.append(near({
+            "K": near([k] * n) if shared else numbers(n),
+            "eps": near([eps] * n) if shared else numbers(n),
+            "zeta": near({key: zeta if shared else number() for key in pairs}),
+        }))
+    doc = {
+        "n_qubits": near(n),
+        "total_time": number() if rare() else draw(st.floats(0.1, 3)),
+        "symmetric": near(shared if not rare() else not shared),
+        "chunks": near(chunks),
+    }
+    if rare():
+        key = draw(st.sampled_from(["n_qubits", "total_time", "symmetric", "chunks", "extra"]))
+        doc.pop(key) if key in doc else doc.setdefault(key, 1)
+    return json.dumps(doc)
+
+
+_WITNESS_FLAGS = st.lists(st.one_of(
+    st.tuples(st.just("--pair"), st.sampled_from(["0,1", "1,2", "0,3", "2,1", "0,9", "-1,1", "a,b", "0,1,2", ""])),
+    st.tuples(st.just("--state"), st.sampled_from(["Bell", "Flat", "C", "P", "all", "bell", ""])),
+    st.tuples(st.just("--method"), st.sampled_from(["exact", "chunked", "gates", "all", "dense"])),
+), max_size=3)
+_COMPILE_FLAGS = st.lists(st.sampled_from([("--no-elide",), ("--out", "OUT"), ("--out", "DIR")]), max_size=2)
+_CONFIG_VALUES = st.one_of(st.text(max_size=4), st.integers(-2, 12), st.booleans(), st.none(), st.floats(), st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["witness", "verify", "compile"]))
+    flags = {"witness": _WITNESS_FLAGS, "verify": st.just([]), "compile": _COMPILE_FLAGS}[command]
+    argv = [command, *(token for flag in draw(flags) for token in flag)]
+    schedule = draw(st.sampled_from(["FILE"] * 12 + ["table2", "DIR", "missing.json", None]))
+    if schedule is not None:
+        argv += ["--schedule", schedule]
+    config = None
+    if draw(st.integers(0, 9)) == 0:
+        keys = {"witness": ["pair", "state", "method", "schedule"], "verify": ["schedule"],
+                "compile": ["out", "no_elide", "schedule"]}[command] + ["bogus"]
+        config = draw(st.dictionaries(st.sampled_from(keys), _CONFIG_VALUES, max_size=2))
+        argv += ["--config", "CONFIG"]
+    return argv, config
+
+
+_OVERFLOWING = json.dumps({"n_qubits": 2, "total_time": 1.0, "symmetric": True,
+                          "chunks": [{"K": [1, 1], "eps": [1e308, 1e308], "zeta": {"0,1": 1e308}}]})
+
+
+class TestFuzz:
+    # each example ended in a traceback before it was fixed: an exact
+    # Hamiltonian whose diagonal overflows (AssertionError), a directory as
+    # the schedule or the output (IsADirectoryError), and a config value of
+    # the wrong JSON type (AttributeError)
+    @example(text=_OVERFLOWING, argv_config=(["witness", "--method", "exact", "--schedule", "FILE"], None))
+    @example(text="", argv_config=(["verify", "--schedule", "DIR"], None))
+    @example(text="", argv_config=(["compile", "--schedule", "table2", "--out", "DIR"], None))
+    @example(text="", argv_config=(["witness", "--schedule", "table2", "--config", "CONFIG"], {"pair": 5}))
+    @settings(max_examples=110, deadline=None)
+    @given(text=_schedule_texts(), argv_config=_argvs())
+    def test_every_input_ends_in_a_documented_exit_code(self, text, argv_config):
+        argv, config = argv_config
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            (tmp / "schedule.json").write_text(text)
+            (tmp / "config.json").write_text(json.dumps(config))
+            places = {"FILE": tmp / "schedule.json", "DIR": tmp, "OUT": tmp / "out.qasm", "CONFIG": tmp / "config.json"}
+            argv = [str(places.get(token, token)) for token in argv]
+            cwd = os.getcwd()
+            os.chdir(tmp)  # a relative --out from a config value lands here
+            try:
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    code = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+            finally:
+                os.chdir(cwd)
+        assert code in range(5)

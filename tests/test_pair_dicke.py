@@ -1,0 +1,185 @@
+"""The pair (x) Dicke backend against the dense 2^n register.
+
+A symmetric schedule's witness values and symmetric-layout gradients are
+evaluated in the 4(n-1)-dimensional pair (x) Dicke space. The references
+here evolve the same orbit states as dense 2^n vectors, and the operator
+checks build the subspace's basis vectors from spectator bit strings.
+Pinned tolerances: witness values to 1e-12, gradients to
+1e-12 * max(1, |g|).
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qnnwitness import trainer
+from qnnwitness.core import z_diagonal
+from qnnwitness.hamiltonian import (
+    ChunkParams,
+    Schedule,
+    adjoint_partials,
+    build_hamiltonian,
+    evolve_pair_dicke,
+    pair_dicke_coordinates,
+    pair_dicke_hamiltonian,
+    pair_dicke_operators,
+)
+from qnnwitness.witness import TrainingItem, TrainingSet, build_training_set, witness_values
+
+VALUE_TOL = 1e-12
+GRADIENT_TOL = 1e-12
+
+_SETS: dict[int, TrainingSet] = {}
+
+
+def training_set(n: int) -> TrainingSet:
+    if n not in _SETS:
+        _SETS[n] = build_training_set(n)
+    return _SETS[n]
+
+
+def dicke_basis(n: int) -> np.ndarray:
+    """``(2**n, 4(n-1))`` columns |p> (x) |D_w>, each an equal superposition
+    of the spectator strings with w ones."""
+    m = n - 2
+    weights = np.array([bin(s).count("1") for s in range(2**m)])
+    basis = np.zeros((2**n, 4 * (m + 1)))
+    for p in range(4):
+        for w in range(m + 1):
+            basis[(p << m) + np.flatnonzero(weights == w), p * (m + 1) + w] = 1 / np.sqrt(comb(m, w))
+    return basis
+
+
+def lifted(schedule: Schedule, n: int) -> Schedule:
+    """The schedule's shared parameters on n qubits."""
+    chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in schedule.chunks)
+    return Schedule(n, schedule.total_time, chunks, symmetric=True)
+
+
+def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.ndarray]:
+    """Witness values and symmetric-layout gradient from the orbit states
+    evolved as 2^n vectors, in one dense adjoint sweep."""
+    n = schedule.n_qubits
+    states, rows = training_set(n).orbits
+    targets = np.array([item.target for item in training_set(n).items])
+    parity = z_diagonal(n, 0) * z_diagonal(n, 1)
+    seen = {}
+
+    def costate(finals):
+        seen["zz"] = zz = np.abs(finals) ** 2 @ parity
+        item_zz = zz[rows]
+        weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
+        return weights[:, np.newaxis] * parity * finals
+
+    partials = adjoint_partials(states, schedule, method, costate)
+    summed = np.stack([partials[:, :n].sum(1), partials[:, n : 2 * n].sum(1), partials[:, 2 * n :].sum(1)], 1)
+    return (seen["zz"] ** 2)[rows], summed.ravel()
+
+
+def assert_backends_agree(schedule: Schedule, method: str) -> None:
+    n = schedule.n_qubits
+    assert training_set(n).pair_dicke_orbits is not None
+    values, grad = dense_reference(schedule, method)
+    assert np.max(np.abs(witness_values(training_set(n), schedule, method) - values)) <= VALUE_TOL
+    reduced = trainer.gradient(schedule, training_set(n), trainer.TrainerConfig(method=method))
+    assert np.max(np.abs(reduced - grad)) <= GRADIENT_TOL * max(1.0, np.linalg.norm(grad))
+
+
+class TestOperators:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_hamiltonian_is_the_dense_one_restricted(self, n):
+        # the subspace is invariant (H E = E H_reduced), which pins every
+        # coefficient: collective X and Z, the pair-spectator couplings
+        # (Z_0 + Z_1) S_z and the spectator ZZ sum (S_z^2 - m)/2
+        params = ChunkParams.uniform(n, 1.3, -0.7, 0.45)
+        basis = dicke_basis(n)
+        dense, reduced = build_hamiltonian(params, n), pair_dicke_hamiltonian(params, n)
+        assert np.max(np.abs(dense @ basis - basis @ reduced)) <= 1e-12
+        assert np.max(np.abs(basis.T @ basis - np.eye(4 * (n - 1)))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_generators_and_readout(self, n):
+        basis = dicke_basis(n)
+        ops = pair_dicke_operators(n)
+        for tunneling, bias, coupling, expected in ((1, 0, 0, ops.transverse), (0, 1, 0, np.diag(ops.bias)),
+                                                    (0, 0, 1, np.diag(ops.coupling))):
+            dense = build_hamiltonian(ChunkParams.uniform(n, tunneling, bias, coupling), n)
+            assert np.max(np.abs(basis.T @ dense @ basis - expected)) <= 1e-12
+        parity = z_diagonal(n, 0) * z_diagonal(n, 1)
+        assert np.max(np.abs(basis.T @ (parity[:, np.newaxis] * basis) - np.diag(ops.readout))) <= 1e-12
+
+    def test_operators_are_cached_read_only(self):
+        ops = pair_dicke_operators(7)
+        assert pair_dicke_operators(7) is ops
+        assert ops.transverse.shape == (24, 24) and not ops.transverse.flags.writeable
+        assert pair_dicke_operators.cache_parameters()["maxsize"] is not None
+
+    def test_non_uniform_chunk_is_refused(self):
+        with pytest.raises(ValueError, match="uniform"):
+            pair_dicke_hamiltonian(ChunkParams((1.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3), 3)
+
+
+class TestCoordinates:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_basis_vectors_map_to_unit_coordinates(self, n):
+        basis = dicke_basis(n)
+        assert np.max(np.abs(pair_dicke_coordinates(basis.T, n) - np.eye(4 * (n - 1)))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_reference_orbits_lie_in_the_space(self, n):
+        coords = training_set(n).pair_dicke_orbits
+        assert coords.shape == (4, 4 * (n - 1))
+        assert np.max(np.abs(dicke_basis(n) @ coords.T - training_set(n).orbits[0].T)) <= 1e-15
+
+    def test_asymmetric_spectators_are_detected(self):
+        # a Bell pair with one spectator excited is outside the space: its
+        # amplitude differs between the two weight-1 strings of qubits 2, 3
+        state = np.zeros(16, dtype=complex)
+        state[0b0010] = state[0b1110] = 1 / np.sqrt(2)
+        assert pair_dicke_coordinates(state[np.newaxis, :], 4) is None
+        assert pair_dicke_coordinates(np.full((1, 16), 0.25), 4) is not None
+
+    def test_arbitrary_states_fall_back_to_the_dense_path(self, table3):
+        # the same items, with one state outside the space: witness values
+        # still come out, from the dense orbit evolution
+        schedule = lifted(table3, 4)
+        items = list(training_set(4).items)
+        shifted = np.roll(items[0].state, 1)
+        items[0] = TrainingItem(items[0].kind, shifted, items[0].pair, items[0].target)
+        mixed = TrainingSet(4, tuple(items))
+        assert mixed.pair_dicke_orbits is None
+        values = witness_values(mixed, schedule, "exact")
+        assert np.max(np.abs(values[1:] - witness_values(training_set(4), schedule, "exact")[1:])) <= VALUE_TOL
+
+
+class TestAgreement:
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_table3_lifted(self, table3, n, method):
+        assert_backends_agree(lifted(table3, n), method)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        params=st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3), st.floats(-2, 2)), min_size=1, max_size=4),
+        total_time=st.floats(0.1, 3.0),
+    )
+    def test_drawn_symmetric_schedules(self, n, params, total_time):
+        schedule = Schedule(n, total_time, tuple(ChunkParams.uniform(n, *p) for p in params), symmetric=True)
+        for method in ("chunked", "exact"):
+            assert_backends_agree(schedule, method)
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    def test_mesoscopic_register_stays_normalized(self, table3, method):
+        # 40 qubits have no dense reference; the Dicke block's symmetric
+        # power at m = 38 must still be unitary to round-off
+        coords = np.zeros((4, 4 * 39), dtype=complex)
+        coords[np.arange(4), 39 * np.arange(4)] = 1.0  # |p> (x) |D_0>
+        finals = evolve_pair_dicke(coords, lifted(table3, 40), method)
+        assert np.max(np.abs(np.linalg.norm(finals, axis=1) - 1)) <= 1e-12
+        assert np.max(np.abs(finals.conj() @ finals.T - np.eye(4))) <= 1e-12
