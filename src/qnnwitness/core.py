@@ -45,10 +45,13 @@ class DimensionError(ValueError):
 
 
 def require_dense(n: int, count: int = 1, itemsize: int = 16) -> None:
-    """Refuse ``count`` arrays of ``2**n`` items before any is allocated."""
-    size = count * itemsize * 2**n
-    if size > DENSE_BYTES_BUDGET:
-        raise DimensionError(f"refusing {size} bytes of dense arrays for {n} qubits "
+    """Refuse ``count`` arrays of ``2**n`` items before any is allocated.
+
+    ``count * itemsize * 2**n > budget`` is tested as ``count * itemsize >
+    budget >> n``, which is exact for integers and never builds ``2**n``.
+    """
+    if count * itemsize > DENSE_BYTES_BUDGET >> n:
+        raise DimensionError(f"refusing {count} dense arrays of 2**{n} items for {n} qubits "
                              f"(budget {DENSE_BYTES_BUDGET} bytes)")
 
 

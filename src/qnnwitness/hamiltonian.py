@@ -14,10 +14,11 @@ factors in ascending qubit order; chunks apply in chronological order.
 The gate compiler reproduces exactly this ordering, so ``chunked`` and
 compiled circuits agree to round-off.
 
-States are dense ``2**n`` vectors, except under a schedule of uniform
-chunks: there a state whose qubits 2..n-1 are permutation symmetric stays
-in the ``4(n-1)``-dimensional pair (x) Dicke space, where both methods and
-their adjoint gradients run on real operators built once per n.
+States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
+coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
+whose qubits 2..n-1 are permutation symmetric stays there, and both
+methods and their adjoint gradients run on real operators built once per
+n. Callers supply those coordinates directly.
 """
 
 from __future__ import annotations
@@ -141,9 +142,9 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
     The cache keeps the 64 most recent propagators (about 17 MB at n=7)
-    for dense evolution: single states, verification, and schedules or
-    training sets outside the pair (x) Dicke space. Training a symmetric
-    schedule on the reference states never calls it.
+    for dense evolution: single states, verification, non-symmetric
+    schedules and full-layout training. Training a symmetric schedule on
+    the reference states never calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -280,29 +281,6 @@ def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     h = tunneling * ops.transverse
     h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
     return h
-
-
-def pair_dicke_coordinates(states: np.ndarray, n: int) -> np.ndarray | None:
-    """Pair (x) Dicke coordinates of a ``(batch, 2**n)`` stack, or None when
-    some state's spectators are not permutation symmetric.
-
-    A state lies in the space when, for each pair basis state, its
-    amplitudes are equal on all spectator strings of the same weight w; its
-    coordinate on ``|p> (x) |D_w>`` is then ``sqrt(C(m, w))`` times that
-    amplitude. The test is exact, so round-off never admits a state.
-    """
-    if n < 2:
-        raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
-    m = n - 2
-    blocks = np.asarray(states, dtype=complex).reshape(-1, 4, 2**m)
-    index, weight = np.arange(2**m), np.zeros(2**m, dtype=int)
-    for bit in range(m):
-        weight += (index >> bit) & 1
-    first = (1 << np.arange(m + 1)) - 1  # the lowest string of each weight
-    amplitudes = blocks[..., first]
-    if not np.array_equal(blocks, amplitudes[..., weight]):
-        return None
-    return (amplitudes * np.sqrt([math.comb(m, w) for w in range(m + 1)])).reshape(len(blocks), -1)
 
 
 def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):

@@ -33,6 +33,7 @@ from .parallel import map_ordered
 from .witness import PairStateKind, make_pair_state
 
 _MASK64 = (1 << 64) - 1
+_MAX_SHOTS = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -48,6 +49,8 @@ class ShotConfig:
             raise ValueError("shot_counts must be nonempty")
         if any(c < 1 for c in self.shot_counts):
             raise ValueError("shot counts must be positive")
+        if any(c > _MAX_SHOTS for c in self.shot_counts):
+            raise ValueError(f"shot counts must not exceed {_MAX_SHOTS}, the largest binomial draw")
         if any(b <= a for a, b in zip(self.shot_counts, self.shot_counts[1:])):
             raise ValueError("shot_counts must be strictly increasing")
         if self.iterations < 1:

@@ -9,8 +9,9 @@ contributes three free parameters: shared tunneling, shared bias, shared
 coupling. Updates act on those shared parameters directly, so symmetry
 is preserved exactly, and both sweeps run on the four orbit states in the
 4(n-1)-dimensional pair (x) Dicke space, which returns the three shared
-partials per chunk directly. The full layout (every per-qubit and
-per-pair parameter) evolves every training item as a 2^n vector.
+partials per chunk directly; no 2^n vector is built. The full layout
+(every per-qubit and per-pair parameter) builds and evolves every
+training item as a 2^n vector.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
 solution; with all-to-all coupling the required correction shrinks as n
@@ -147,17 +148,14 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
 
     With ``zz`` the ``<Z_i Z_j>`` of an evolved row and ``t`` an item's
     target, each item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``,
-    and the co-state of a row is ``c Z_i Z_j psi_final``. The shared
-    parameters of the symmetric layout get the sum of their per-qubit or
-    per-pair partials.
+    and the co-state of a row is ``c Z_i Z_j psi_final``. The symmetric
+    layout runs on the orbit states in the pair (x) Dicke space, which
+    returns the shared parameters' partials directly; the full layout
+    evolves every item as a ``2**n`` vector.
     """
     if config.symmetric and not all(ck.is_symmetric for ck in schedule.chunks):
         raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
-    # per-qubit partials need every item on its own pair; their sums do not,
-    # and the pair (x) Dicke backend returns the sums directly
-    states, rows, parities, pair_dicke = witness_inputs(
-        training_set, schedule.n_qubits, config.symmetric, reducible=True
-    )
+    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, config.symmetric)
     targets = np.array([item.target for item in training_set.items])
 
     def costate(finals: np.ndarray) -> np.ndarray:
@@ -166,10 +164,7 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
         weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
         return weights[:, np.newaxis] * parities * finals
 
-    partials = adjoint_partials(states, schedule, config.method, costate, pair_dicke)
-    if config.symmetric and not pair_dicke:
-        n = schedule.n_qubits
-        partials = np.stack([partials[:, :n].sum(1), partials[:, n : 2 * n].sum(1), partials[:, 2 * n :].sum(1)], 1)
+    partials = adjoint_partials(states, schedule, config.method, costate, config.symmetric)
     grad = partials.ravel()
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite value encountered during gradient evaluation")

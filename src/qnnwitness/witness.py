@@ -8,10 +8,11 @@ entangled state whose optimized target is 0.443. For registers larger
 than the pair, the pair state is embedded with every spectator qubit
 in |0>.
 
-A symmetric schedule evaluates a training set once per symmetry orbit,
-and, when the orbit states' spectators are permutation symmetric (as
-those of the reference states are), in the 4(n-1)-dimensional pair (x)
-Dicke space rather than in the 2^n-dimensional register.
+A training item names its reference state (kind and pair) rather than
+storing it. Every reference state has its spectators in |0...0>, so under
+a symmetric schedule a training set is evaluated as its four orbit states
+(the pair moved to qubits 0, 1) in the 4(n-1)-dimensional pair (x) Dicke
+space; every other evaluation evolves each item as a 2^n vector.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .hamiltonian import (
     Schedule,
     evolve_pair_dicke,
     evolve_states,
-    pair_dicke_coordinates,
     pair_dicke_operators,
     propagate,
 )
@@ -79,7 +79,6 @@ def make_pair_state(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.nd
 @dataclass(frozen=True)
 class TrainingItem:
     kind: PairStateKind
-    state: np.ndarray
     pair: tuple[int, int]
     target: float
 
@@ -95,42 +94,27 @@ class TrainingSet:
         return len(self.items)
 
     @cached_property
-    def orbits(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each item's state with its pair moved to qubits (0, 1), deduplicated.
+    def pair_dicke_orbits(self) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit state of each kind as ``(4, 4(n-1))`` pair (x) Dicke
+        coordinates, and each item's row among them.
 
-        Returns the distinct moved states as a ``(orbits, 2**n)`` stack and
-        each item's row in it. A qubit permutation commutes with a symmetric
-        schedule's propagator, so ``<Z_i Z_j>`` of an evolved item is
-        ``<Z_0 Z_1>`` of its evolved row.
+        A qubit permutation commutes with a symmetric schedule's propagator,
+        so ``<Z_i Z_j>`` of an evolved item is ``<Z_0 Z_1>`` of its kind's
+        state on the pair (0, 1). With every spectator in |0>, that state's
+        only coordinates are on ``|p> (x) |D_0>``: the pair amplitudes.
         """
-        n = self.n_qubits
-        row_of: dict[bytes, int] = {}
-        distinct, index = [], []
-        for item in self.items:
-            i, j = item.pair
-            axes = [i, j, *(q for q in range(n) if q not in (i, j))]
-            moved = np.ascontiguousarray(np.reshape(item.state, [2] * n).transpose(axes)).reshape(-1)
-            key = moved.tobytes()
-            if key not in row_of:
-                row_of[key] = len(distinct)
-                distinct.append(moved)
-            index.append(row_of[key])
-        states, rows = np.stack(distinct), np.array(index)
-        states.flags.writeable = rows.flags.writeable = False
-        return states, rows
-
-    @cached_property
-    def pair_dicke_orbits(self) -> np.ndarray | None:
-        """The orbit states as ``(orbits, 4(n-1))`` pair (x) Dicke coordinates,
-        or None when some orbit state's spectators are not permutation symmetric."""
-        coords = pair_dicke_coordinates(self.orbits[0], self.n_qubits)
-        if coords is not None:
-            coords.flags.writeable = False
-        return coords
+        n, kinds = self.n_qubits, list(PairStateKind)
+        coords = np.zeros((len(kinds), 4 * (n - 1)), dtype=complex)
+        for row, kind in enumerate(kinds):
+            for bits, amplitude in _PAIR_AMPLITUDES[kind].items():
+                coords[row, bits * (n - 1)] = amplitude
+        rows = np.array([kinds.index(item.kind) for item in self.items])
+        coords.flags.writeable = rows.flags.writeable = False
+        return coords, rows
 
 
 def check_training_set_size(n: int) -> None:
-    """Refuse, before anything is allocated, a training set that cannot be built."""
+    """Refuse a training set whose dense per-item stack would not fit the dense budget."""
     if n < 2:
         raise ValueError("a pairwise training set needs at least 2 qubits")
     require_dense(n, 4 * (n * (n - 1) // 2))
@@ -139,25 +123,31 @@ def check_training_set_size(n: int) -> None:
 def build_training_set(n: int) -> TrainingSet:
     check_training_set_size(n)
     items = tuple(
-        TrainingItem(kind, make_pair_state(kind, (i, j), n), (i, j), WITNESS_TARGETS[kind])
+        TrainingItem(kind, (i, j), WITNESS_TARGETS[kind])
         for i, j in qubit_pairs(n)
         for kind in PairStateKind
     )
     return TrainingSet(n, items)
 
 
-def _final_state(initial: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
+def _evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
+    """Evolve a ``(batch, 2**n)`` stack of state vectors by ``method``."""
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
         circuit = compile_schedule(schedule)
-        if initial.ndim == 1:
-            return apply_circuit(initial, circuit)
-        u = circuit_unitary(circuit)
-        return u @ initial @ u.conj().T
-    if method in ("exact", "chunked"):
-        return propagate(initial, schedule, method)
-    raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+        return np.stack([apply_circuit(s, circuit) for s in states])
+    return evolve_states(states, schedule, method)
+
+
+def _final_state(rho: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
+    """Evolve a density matrix by ``method``."""
+    if method == "gates":
+        from .compiler import compile_schedule
+
+        u = circuit_unitary(compile_schedule(schedule))
+        return u @ rho @ u.conj().T
+    return propagate(rho, schedule, method)
 
 
 def witness_value(
@@ -167,62 +157,57 @@ def witness_value(
 
     ``initial`` may be a state vector or a density matrix. ``gates``
     routes through the compiled circuit, ``chunked`` through the
-    split-operator propagator, ``exact`` through the full exponential.
+    split-operator propagator, ``exact`` through the full exponential. A
+    state vector takes the dense path of :func:`witness_values` as a batch
+    of one.
     """
     initial = np.asarray(initial, dtype=complex)
     dim = 2**schedule.n_qubits
     if initial.shape[0] != dim:
         raise ValueError(f"state dimension {initial.shape[0]} does not match schedule ({dim})")
-    final = _final_state(initial, schedule, method)
+    if initial.ndim == 1:
+        final = _evolve_dense(initial[np.newaxis, :], schedule, method)[0]
+    else:
+        final = _final_state(initial, schedule, method)
     return expectation_zz(final, pair[0], pair[1]) ** 2
 
 
 def witness_inputs(
-    training_set: TrainingSet, n_qubits: int, by_orbit: bool, reducible: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    training_set: TrainingSet, n_qubits: int, pair_dicke: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What to evolve for a training set's witnesses, and how to read it out.
 
-    Returns ``(states, rows, parities, pair_dicke)``: the states to evolve,
-    each item's row among them, the ``Z_i Z_j`` diagonal of each row (one
-    shared row when ``by_orbit``), and whether the states are pair (x)
-    Dicke coordinates. ``by_orbit`` evolves only the orbit states and reads
-    ``Z_0 Z_1``, which is exact for any schedule whose chunks are uniform;
-    with ``reducible`` too, and when every orbit state lies in the pair (x)
-    Dicke space, it returns their ``(orbits, 4(n-1))`` coordinates there.
-    Otherwise every item is evolved as a ``2**n`` vector and read on its
-    own pair.
+    Returns ``(states, rows, parities)``: the states to evolve, each item's
+    row among them, and the ``Z_i Z_j`` diagonal of each row (one shared
+    row with ``pair_dicke``). With ``pair_dicke`` the states are the four
+    orbit states' pair (x) Dicke coordinates, read on ``Z_0 Z_1``, which is
+    exact under any schedule whose chunks are uniform. Otherwise every item
+    is built as a ``2**n`` vector and read on its own pair.
     """
     n = training_set.n_qubits
     if n != n_qubits:
         raise ValueError(f"training set is for {n} qubits, schedule for {n_qubits}")
-    if by_orbit:
-        states, rows = training_set.orbits
-        if reducible and training_set.pair_dicke_orbits is not None:
-            return training_set.pair_dicke_orbits, rows, pair_dicke_operators(n).readout[np.newaxis, :], True
-        return states, rows, (z_diagonal(n, 0) * z_diagonal(n, 1))[np.newaxis, :], False
-    states = np.stack([item.state for item in training_set.items])
-    parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in training_set.items)])
-    return states, np.arange(len(training_set.items)), parities, False
+    if pair_dicke:
+        coords, rows = training_set.pair_dicke_orbits
+        return coords, rows, pair_dicke_operators(n).readout[np.newaxis, :]
+    items = training_set.items
+    states = np.stack([make_pair_state(item.kind, item.pair, n) for item in items])
+    parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
+    return states, np.arange(len(items)), parities
 
 
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
     """Witness of every training item, evaluated as one batch.
 
-    A symmetric schedule evolves only the training set's orbit states and
-    reads ``Z_0 Z_1`` of each, in the pair (x) Dicke space for ``exact``
-    and ``chunked`` when the orbit states lie in it; any other schedule
-    evolves every item and reads the item's own pair.
+    ``exact`` and ``chunked`` under a symmetric schedule evolve the four
+    orbit states in the pair (x) Dicke space; every other evaluation
+    evolves each item as a ``2**n`` vector and reads the item's own pair.
     """
-    reducible = method in ("exact", "chunked")
-    states, rows, parities, pair_dicke = witness_inputs(training_set, schedule.n_qubits, schedule.symmetric, reducible)
+    pair_dicke = schedule.symmetric and method in ("exact", "chunked")
+    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, pair_dicke)
     if pair_dicke:
         finals = evolve_pair_dicke(states, schedule, method)
-    elif method == "gates":
-        from .compiler import compile_schedule
-
-        circuit = compile_schedule(schedule)
-        finals = np.stack([apply_circuit(s, circuit) for s in states])
     else:
-        finals = evolve_states(states, schedule, method)
+        finals = _evolve_dense(states, schedule, method)
     zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
     return (zz * zz)[rows]

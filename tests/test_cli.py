@@ -266,6 +266,14 @@ class TestSampleCommand:
         assert code == 0
         assert out.splitlines()[0].startswith("shot_count,mean,variance")
 
+    def test_shot_count_beyond_int64_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--schedule", "table2", "--shots", str(10**20), "--iterations", "1")
+        assert (code, out) == (2, "")
+        assert "shot counts must not exceed" in err
+        # the largest count a binomial draw takes still runs
+        code, out, _ = run_cli(capsys, "sample", "--schedule", "table2", "--shots", str(2**63 - 1), "--iterations", "1")
+        assert code == 0 and out.startswith("shot_count,")
+
 
 class TestConfigFile:
     def test_values_from_config(self, tmp_path, capsys):
@@ -327,8 +335,14 @@ class TestDimensionRefusals:
             assert (code, out) == (3, ""), argv
             assert "(0, 1)" in err or "'0,1'" in err
 
-    @pytest.mark.parametrize("argv", [["train", "--n-qubits", "40"], ["bootstrap", "--n-max", "40"]], ids=["train", "bootstrap"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--n-qubits", "40"], ["bootstrap", "--n-max", "40"],
+         ["train", "--n-qubits", "10000000"], ["bootstrap", "--n-max", "10000000"]],
+        ids=["train", "bootstrap", "train_1e7", "bootstrap_1e7"],
+    )
     def test_register_too_large_for_training_exits_3_without_allocating(self, tmp_path, capsys, argv):
+        # at 10^7 qubits, 2**n alone would be a 1.25 MB integer with 3 million digits
         out = tmp_path / "out"
         tracemalloc.start()
         start = time.perf_counter()
@@ -339,7 +353,7 @@ class TestDimensionRefusals:
         finally:
             tracemalloc.stop()
         assert code == 3
-        assert "40 qubits" in err and stdout == ""
+        assert f"{argv[-1]} qubits" in err and stdout == ""
         assert elapsed < 0.5 and peak < 2**20
         assert not out.exists()
 
@@ -430,6 +444,53 @@ def _argvs(draw):
     return argv, config
 
 
+_MALFORMED = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e3", "0.5", "1e999", "--"])
+_ANY_REAL = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def _value(draw, valid, odd):
+    """A flag value: drawn from ``valid`` two times in three, else an ``odd``
+    number or a malformed token."""
+    pick = draw(st.integers(0, 5))
+    return draw(_MALFORMED) if pick == 0 else str(draw(odd if pick == 1 else valid))
+
+
+_SEEDS = _value(st.integers(0, 2**70), st.just(-1))
+_TRAINING_FLAGS = {
+    "--chunks": _value(st.integers(1, 4), st.integers(-1, 0)),
+    "--learning-rate": _value(st.floats(1e-3, 0.5), _ANY_REAL),
+    "--momentum": _value(st.floats(0, 0.99), _ANY_REAL),
+    "--target-rms": _value(st.floats(0, 0.1), _ANY_REAL),
+    "--method": st.sampled_from(["chunked", "exact", "gates"]),
+    "--seed": _SEEDS,
+}
+# sizes stay at 4 qubits or below, or at 15 and above, where they are refused
+_SIZES = _value(st.one_of(st.integers(2, 4), st.integers(15, 10**12)), st.sampled_from([-1, 0, 1, 10**30]))
+_EPOCHS = _value(st.integers(0, 3), st.just(-1))
+# flags every draw passes, so that a valid draw stays cheap, and the others
+_RUN_FLAGS = {
+    "train": ({"--n-qubits": _SIZES, "--epochs": _EPOCHS},
+              {**_TRAINING_FLAGS, "--schedule": st.sampled_from(["table2", "missing.json"])}),
+    "bootstrap": ({"--n-max": _SIZES, "--epochs": _EPOCHS}, _TRAINING_FLAGS),
+    "sample": ({"--schedule": st.sampled_from(["table2", "table3"]),
+                "--iterations": _value(st.integers(1, 3), st.integers(-1, 0)),
+                "--shots": _value(st.integers(1, 10**6), st.sampled_from([-1, 0, 2**63 - 1, 2**63, 10**20]))},
+               {"--state": st.sampled_from(["Bell", "Flat", "C", "P", "all"]),
+                "--pair": st.sampled_from(["0,1", "1,6", "0,9", "1,0"]),
+                "--seed": _SEEDS}),
+}
+
+
+@st.composite
+def _run_argvs(draw):
+    command = draw(st.sampled_from(sorted(_RUN_FLAGS)))
+    required, optional = _RUN_FLAGS[command]
+    chosen = [*required, *draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True))]
+    flags = {**required, **optional}
+    return [command, *(token for flag in chosen for token in (flag, draw(flags[flag])))]
+
+
 _OVERFLOWING = json.dumps({"n_qubits": 2, "total_time": 1.0, "symmetric": True,
                           "chunks": [{"K": [1, 1], "eps": [1e308, 1e308], "zeta": {"0,1": 1e308}}]})
 
@@ -462,4 +523,21 @@ class TestFuzz:
                 code = exc.code
             finally:
                 os.chdir(cwd)
+        assert code in range(5)
+
+    # the first two built 2**n for the refusal message and exited 2 (Python's
+    # limit on integer-to-string conversion); the third overflowed the
+    # binomial draw and ended in a traceback
+    @example(argv=["train", "--n-qubits", "10000000", "--epochs", "3"])
+    @example(argv=["bootstrap", "--n-max", "10000000", "--epochs", "3"])
+    @example(argv=["sample", "--schedule", "table2", "--iterations", "3", "--shots", str(10**20)])
+    @settings(max_examples=80, deadline=None)
+    @given(argv=_run_argvs())
+    def test_training_and_sampling_argv_end_in_a_documented_exit_code(self, tmp_path_factory, argv):
+        out = tmp_path_factory.mktemp("fuzz")
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                code = cli.main([*argv, "--out-dir", str(out)])
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
         assert code in range(5)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnnwitness.core import (
+    DENSE_BYTES_BUDGET,
     Circuit,
+    DimensionError,
     GateKind,
     GateOp,
     apply_circuit,
@@ -18,6 +20,7 @@ from qnnwitness.core import (
     frobenius_distance,
     is_unitary,
     pauli_exponential,
+    require_dense,
     rotation_matrix,
 )
 
@@ -232,6 +235,17 @@ class TestExpectationZZ:
         state = random_state(n, rng)
         i, j = sorted(rng.choice(n, size=2, replace=False))
         assert -1.0 <= expectation_zz(state, int(i), int(j)) <= 1.0
+
+
+class TestRequireDense:
+    def test_budget_boundary_is_exact(self):
+        assert DENSE_BYTES_BUDGET == 2**27
+        require_dense(27, 1, itemsize=1)  # exactly the budget
+        require_dense(20, 2**7, itemsize=1)
+        require_dense(1, 0)
+        for n, count, itemsize in ((27, 1, 2), (26, 3, 1), (20, 2**7 + 1, 1), (24, 1, 16)):
+            with pytest.raises(DimensionError):
+                require_dense(n, count, itemsize)
 
 
 class TestFrobeniusDistance:

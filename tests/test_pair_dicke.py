@@ -25,11 +25,10 @@ from qnnwitness.hamiltonian import (
     adjoint_partials,
     build_hamiltonian,
     evolve_pair_dicke,
-    pair_dicke_coordinates,
     pair_dicke_hamiltonian,
     pair_dicke_operators,
 )
-from qnnwitness.witness import TrainingItem, TrainingSet, build_training_set, witness_values
+from qnnwitness.witness import PairStateKind, TrainingSet, build_training_set, make_pair_state, witness_values
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -65,7 +64,9 @@ def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.nda
     """Witness values and symmetric-layout gradient from the orbit states
     evolved as 2^n vectors, in one dense adjoint sweep."""
     n = schedule.n_qubits
-    states, rows = training_set(n).orbits
+    kinds = list(PairStateKind)
+    states = np.stack([make_pair_state(kind, (0, 1), n) for kind in kinds])
+    rows = np.array([kinds.index(item.kind) for item in training_set(n).items])
     targets = np.array([item.target for item in training_set(n).items])
     parity = z_diagonal(n, 0) * z_diagonal(n, 1)
     seen = {}
@@ -83,7 +84,6 @@ def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.nda
 
 def assert_backends_agree(schedule: Schedule, method: str) -> None:
     n = schedule.n_qubits
-    assert training_set(n).pair_dicke_orbits is not None
     values, grad = dense_reference(schedule, method)
     assert np.max(np.abs(witness_values(training_set(n), schedule, method) - values)) <= VALUE_TOL
     reduced = trainer.gradient(schedule, training_set(n), trainer.TrainerConfig(method=method))
@@ -125,36 +125,13 @@ class TestOperators:
 
 
 class TestCoordinates:
-    @pytest.mark.parametrize("n", [2, 4, 6])
-    def test_basis_vectors_map_to_unit_coordinates(self, n):
-        basis = dicke_basis(n)
-        assert np.max(np.abs(pair_dicke_coordinates(basis.T, n) - np.eye(4 * (n - 1)))) <= 1e-15
-
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_reference_orbits_lie_in_the_space(self, n):
-        coords = training_set(n).pair_dicke_orbits
+        # each orbit state embeds as its kind's reference state on the pair (0, 1)
+        coords, _ = training_set(n).pair_dicke_orbits
+        dense = np.stack([make_pair_state(kind, (0, 1), n) for kind in PairStateKind])
         assert coords.shape == (4, 4 * (n - 1))
-        assert np.max(np.abs(dicke_basis(n) @ coords.T - training_set(n).orbits[0].T)) <= 1e-15
-
-    def test_asymmetric_spectators_are_detected(self):
-        # a Bell pair with one spectator excited is outside the space: its
-        # amplitude differs between the two weight-1 strings of qubits 2, 3
-        state = np.zeros(16, dtype=complex)
-        state[0b0010] = state[0b1110] = 1 / np.sqrt(2)
-        assert pair_dicke_coordinates(state[np.newaxis, :], 4) is None
-        assert pair_dicke_coordinates(np.full((1, 16), 0.25), 4) is not None
-
-    def test_arbitrary_states_fall_back_to_the_dense_path(self, table3):
-        # the same items, with one state outside the space: witness values
-        # still come out, from the dense orbit evolution
-        schedule = lifted(table3, 4)
-        items = list(training_set(4).items)
-        shifted = np.roll(items[0].state, 1)
-        items[0] = TrainingItem(items[0].kind, shifted, items[0].pair, items[0].target)
-        mixed = TrainingSet(4, tuple(items))
-        assert mixed.pair_dicke_orbits is None
-        values = witness_values(mixed, schedule, "exact")
-        assert np.max(np.abs(values[1:] - witness_values(training_set(4), schedule, "exact")[1:])) <= VALUE_TOL
+        assert np.max(np.abs(dicke_basis(n) @ coords.T - dense.T)) <= 1e-15
 
 
 class TestAgreement:

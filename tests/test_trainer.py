@@ -36,7 +36,7 @@ class TestRmsError:
         # replace targets with the schedule's own outputs
         values = witness_values(ts2, table2, "chunked")
         items = tuple(
-            TrainingItem(item.kind, item.state, item.pair, float(values[idx]))
+            TrainingItem(item.kind, item.pair, float(values[idx]))
             for idx, item in enumerate(ts2.items)
         )
         assert rms_error(table2, TrainingSet(2, items), "chunked") == 0.0

@@ -8,15 +8,11 @@ from qnnwitness.hamiltonian import ChunkParams, Schedule
 from qnnwitness.witness import (
     PairStateKind,
     WITNESS_TARGETS,
-    TrainingItem,
-    TrainingSet,
     build_training_set,
     make_pair_state,
     witness_value,
     witness_values,
 )
-
-from helpers import random_state
 
 
 class TestMakePairState:
@@ -129,7 +125,7 @@ class TestWitnessValues:
         ts = build_training_set(2)
         batch = witness_values(ts, table2, "chunked")
         for idx, item in enumerate(ts.items):
-            single = witness_value(item.state, item.pair, table2, "chunked")
+            single = witness_value(make_pair_state(item.kind, item.pair, 2), item.pair, table2, "chunked")
             assert batch[idx] == pytest.approx(single, abs=1e-12)
 
     def test_gates_method(self, table2):
@@ -151,17 +147,6 @@ class TestWitnessValues:
         # own full evolution
         _assert_matches_items(ts, table3)
 
-    def test_symmetric_schedule_on_arbitrary_states(self):
-        # the orbit reduction holds for any states, not only the reference ones
-        rng = np.random.default_rng(7)
-        chunks = tuple(ChunkParams.uniform(4, 2.4 - 0.3 * k, 0.2 * k - 0.3, 0.15 - 0.1 * k) for k in range(3))
-        schedule = Schedule(4, 1.2, chunks, symmetric=True)
-        items = tuple(
-            TrainingItem(PairStateKind.P, random_state(4, rng), pair, 0.5)
-            for pair in ((0, 1), (1, 3), (0, 2), (2, 3))
-        )
-        _assert_matches_items(TrainingSet(4, items), schedule)
-
     def test_non_symmetric_schedule(self):
         chunks = tuple(
             ChunkParams((1.1 + k, 0.7, -0.4), (0.3, -0.2 * k, 0.5), (0.25, -0.6, 0.1 * k)) for k in range(2)
@@ -169,10 +154,14 @@ class TestWitnessValues:
         _assert_matches_items(build_training_set(3), Schedule(3, 1.0, chunks))
 
     def test_reference_set_has_four_orbits(self):
+        # one orbit state per kind, each item on its kind's row
+        kinds = list(PairStateKind)
         for n in range(2, 8):
-            states, rows = build_training_set(n).orbits
-            assert states.shape == (4, 2**n)
-            assert sorted(set(rows.tolist())) == [0, 1, 2, 3]
+            ts = build_training_set(n)
+            coords, rows = ts.pair_dicke_orbits
+            assert coords.shape == (4, 4 * (n - 1))
+            assert rows.tolist() == [kinds.index(item.kind) for item in ts.items]
+            assert not coords.flags.writeable and not rows.flags.writeable
 
     def test_size_mismatch(self, table2):
         with pytest.raises(ValueError):
@@ -183,5 +172,9 @@ def _assert_matches_items(training_set, schedule):
     # batched values against one full evolution per item, bound 1e-12
     for method in ("exact", "chunked", "gates"):
         batch = witness_values(training_set, schedule, method)
-        single = [witness_value(item.state, item.pair, schedule, method) for item in training_set.items]
+        n = training_set.n_qubits
+        single = [
+            witness_value(make_pair_state(item.kind, item.pair, n), item.pair, schedule, method)
+            for item in training_set.items
+        ]
         assert np.max(np.abs(batch - single)) <= 1e-12, method
