@@ -25,10 +25,20 @@ from qnnwitness.hamiltonian import (
     adjoint_partials,
     build_hamiltonian,
     evolve_pair_dicke,
+    evolve_states,
     pair_dicke_hamiltonian,
     pair_dicke_operators,
 )
-from qnnwitness.witness import PairStateKind, TrainingSet, build_training_set, make_pair_state, witness_values
+from qnnwitness.witness import (
+    PairStateKind,
+    TrainingSet,
+    build_training_set,
+    make_pair_state,
+    witness_value,
+    witness_values,
+)
+
+from helpers import expm_eigh
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -125,6 +135,18 @@ class TestOperators:
 
 
 class TestCoordinates:
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_basis_vectors_map_to_unit_coordinates(self, table3, n):
+        # |p> (x) |D_w> is the unit coordinate vector at p(n-1) + w: evolving
+        # the unit vectors in the space gives the coordinates of the densely
+        # evolved basis vectors, every column of the reduced propagator
+        basis = dicke_basis(n)
+        schedule = lifted(table3, n)
+        for method in ("chunked", "exact"):
+            reduced = evolve_pair_dicke(np.eye(4 * (n - 1)), schedule, method)
+            dense = evolve_states(basis.T.astype(complex), schedule, method)
+            assert np.max(np.abs(dense - reduced @ basis.T)) <= VALUE_TOL, method
+
     @pytest.mark.parametrize("n", [2, 3, 7])
     def test_reference_orbits_lie_in_the_space(self, n):
         # each orbit state embeds as its kind's reference state on the pair (0, 1)
@@ -132,6 +154,27 @@ class TestCoordinates:
         dense = np.stack([make_pair_state(kind, (0, 1), n) for kind in PairStateKind])
         assert coords.shape == (4, 4 * (n - 1))
         assert np.max(np.abs(dicke_basis(n) @ coords.T - dense.T)) <= 1e-15
+
+    def test_arbitrary_states_fall_back_to_the_dense_path(self, table3):
+        # a Bell pair with one spectator excited is outside the space: its
+        # amplitude differs between the two weight-1 strings of qubits 2, 3.
+        # witness_value evolves it as a 2^n vector, and the reference states
+        # give the same values there as the pair (x) Dicke batch
+        schedule = lifted(table3, 4)
+        state = np.zeros(16, dtype=complex)
+        state[0b0010] = state[0b1110] = 1 / np.sqrt(2)
+        assert np.linalg.norm(dicke_basis(4).T @ state) ** 2 == pytest.approx(0.5)
+        final = state
+        for chunk in schedule.chunks:
+            final = expm_eigh(build_hamiltonian(chunk, 4), schedule.dt) @ final
+        parity = z_diagonal(4, 0) * z_diagonal(4, 1)
+        expected = (np.abs(final) ** 2 @ parity) ** 2
+        assert abs(witness_value(state, (0, 1), schedule, "exact") - expected) <= VALUE_TOL
+        for method in ("chunked", "exact"):
+            values = witness_values(training_set(4), schedule, method)
+            for value, item in zip(values, training_set(4).items):
+                dense = witness_value(make_pair_state(item.kind, item.pair, 4), item.pair, schedule, method)
+                assert abs(value - dense) <= VALUE_TOL, (method, item)
 
 
 class TestAgreement:

@@ -14,6 +14,8 @@ from qnnwitness.witness import (
     witness_values,
 )
 
+from helpers import random_state
+
 
 class TestMakePairState:
     def test_bell_on_two_qubits(self):
@@ -146,6 +148,21 @@ class TestWitnessValues:
         # the batch evolves one state per orbit; each item still matches its
         # own full evolution
         _assert_matches_items(ts, table3)
+
+    def test_symmetric_schedule_on_arbitrary_states(self):
+        # the orbit reduction rests on qubit permutations commuting with a
+        # symmetric schedule's propagator; that holds for any states, not
+        # only the reference ones
+        rng = np.random.default_rng(7)
+        chunks = tuple(ChunkParams.uniform(4, 2.4 - 0.3 * k, 0.2 * k - 0.3, 0.15 - 0.1 * k) for k in range(3))
+        schedule = Schedule(4, 1.2, chunks, symmetric=True)
+        for pair in ((0, 1), (1, 3), (0, 2), (2, 3)):
+            state = random_state(4, rng)
+            others = [q for q in range(4) if q not in pair]
+            moved = np.transpose(state.reshape((2,) * 4), [*pair, *others]).reshape(-1)  # pair -> (0, 1)
+            for method in ("exact", "chunked", "gates"):
+                value = witness_value(state, pair, schedule, method)
+                assert value == pytest.approx(witness_value(moved, (0, 1), schedule, method), abs=1e-12), method
 
     def test_non_symmetric_schedule(self):
         chunks = tuple(
