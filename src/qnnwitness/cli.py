@@ -250,7 +250,6 @@ def _trainer_config(args: argparse.Namespace, chunks: int) -> TrainerConfig:
         momentum=args.momentum,
         max_epochs=args.epochs,
         target_rms=args.target_rms,
-        symmetric=True,
         chunk_count=chunks,
         seed=args.seed,
         method=args.method,

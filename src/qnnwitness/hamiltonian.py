@@ -17,8 +17,10 @@ compiled circuits agree to round-off.
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there, and both
-methods and their adjoint gradients run on real operators built once per
-n. Callers supply those coordinates directly.
+methods run on real operators built once per n. Callers supply those
+coordinates directly. Adjoint gradients run only there and return each
+chunk's shared (tunneling, bias, coupling) partials; dense states are
+evolved but never differentiated.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,9 +53,9 @@ class ChunkParams:
     coupling: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tunneling", tuple(float(x) for x in self.tunneling))
-        object.__setattr__(self, "bias", tuple(float(x) for x in self.bias))
-        object.__setattr__(self, "coupling", tuple(float(x) for x in self.coupling))
+        object.__setattr__(self, "tunneling", tuple(map(float, self.tunneling)))
+        object.__setattr__(self, "bias", tuple(map(float, self.bias)))
+        object.__setattr__(self, "coupling", tuple(map(float, self.coupling)))
         n = len(self.tunneling)
         if n < 1:
             raise ValueError("need at least one qubit")
@@ -60,6 +63,9 @@ class ChunkParams:
             raise ValueError("tunneling and bias arrays must have equal length")
         if len(self.coupling) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} couplings for {n} qubits, got {len(self.coupling)}")
+        # a Hamiltonian diagonal entry is at most the sum of every |bias| and |coupling|
+        if not (all(map(math.isfinite, self.tunneling)) and math.isfinite(sum(map(abs, self.bias + self.coupling)))):
+            raise ValueError("Hamiltonian parameters must be finite, and so must the sum of their magnitudes")
 
     @property
     def n_qubits(self) -> int:
@@ -109,13 +115,6 @@ class Schedule:
         return self.total_time / len(self.chunks)
 
 
-def _check_finite(params: ChunkParams) -> None:
-    """Refuse parameters whose Hamiltonian would hold a non-finite entry: a
-    diagonal entry is at most the sum of every |bias| and |coupling|."""
-    if not (all(map(math.isfinite, params.tunneling)) and math.isfinite(sum(map(abs, params.bias + params.coupling)))):
-        raise ValueError("Hamiltonian parameters must be finite, and so must the sum of their magnitudes")
-
-
 def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """Dense 2^n x 2^n Hamiltonian for one chunk's parameters.
 
@@ -125,7 +124,6 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
-    _check_finite(params)
     require_dense(n, 2**n)  # the matrix, and the complex propagator made from it
     rows = np.arange(2**n)
     h = np.zeros((2**n, 2**n))
@@ -142,9 +140,8 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
     The cache keeps the 64 most recent propagators (about 17 MB at n=7)
-    for dense evolution: single states, verification, non-symmetric
-    schedules and full-layout training. Training a symmetric schedule on
-    the reference states never calls it.
+    for dense evolution: single states, verification and non-symmetric
+    schedules. Training runs in the pair (x) Dicke space and never calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -182,7 +179,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
         x2 = x * x
         f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
     else:
-        f = (dt * math.cos(x) - s) / magnitude**2
+        f = (dt * math.cos(x) - s) / (magnitude * magnitude)  # where magnitude**2 would raise OverflowError
     generator = np.array([[bias, tunneling], [tunneling, -bias]])
     d_tunneling = -dt * tunneling * s * np.eye(2) - 1j * (tunneling * f * generator + s * PAULI_X)
     d_bias = -dt * bias * s * np.eye(2) - 1j * (bias * f * generator + s * PAULI_Z)
@@ -276,7 +273,6 @@ def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     tunneling, bias, coupling = _shared(params)
-    _check_finite(params)
     ops = pair_dicke_operators(n)
     h = tunneling * ops.transverse
     h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
@@ -310,11 +306,10 @@ def _pair_dicke_chunk(columns: np.ndarray, factors) -> np.ndarray:
 
 # --- adjoint gradients --------------------------------------------------
 #
-# A backward step takes the columns [states | co-states] just after one
-# chunk, returns them just before it, and reads each parameter's partial
-# 2 Re <lam| dU U^dagger |psi> on the way. Dense partials come in the full
-# layout: n tunnelings, n biases, C(n,2) couplings; pair (x) Dicke partials
-# in the symmetric layout: the shared tunneling, bias and coupling.
+# A backward step takes the pair (x) Dicke columns [states | co-states] just
+# after one chunk, returns them just before it, and reads the partials
+# 2 Re <lam| dU U^dagger |psi> of the chunk's shared tunneling, bias and
+# coupling on the way.
 
 
 def _qubit_overlap(both: np.ndarray, q: int) -> np.ndarray:
@@ -323,31 +318,6 @@ def _qubit_overlap(both: np.ndarray, q: int) -> np.ndarray:
     batch = both.shape[1] // 2
     split = both.reshape(2**q, 2, -1, 2, batch)  # (.., qubit q, .., psi | lam, batch)
     return np.einsum("iajk,ibjk->ab", split[..., 1, :].conj(), split[..., 0, :])
-
-
-def _chunked_backward_step(
-    both: np.ndarray, params: ChunkParams, n: int, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one split-operator chunk: the single-qubit factors in descending
-    qubit order, each contracted on its qubit's 2x2 overlap of
-    ``(lam, psi)``, then the diagonal pair phases."""
-    batch = both.shape[1] // 2
-    keys = list(zip(params.tunneling, params.bias))
-    factors = {}
-    for key in set(keys):
-        inverse = _single_qubit_factor(*key, dt).conj().T
-        factors[key] = (inverse, *(d @ inverse for d in _single_qubit_factor_partials(*key, dt)))
-    partials = np.empty(2 * n + len(params.coupling))
-    for q in reversed(range(n)):
-        inverse, d_tunneling, d_bias = factors[keys[q]]
-        reduced = _qubit_overlap(both, q)
-        partials[q] = 2 * np.sum(d_tunneling * reduced).real
-        partials[n + q] = 2 * np.sum(d_bias * reduced).real
-        both = _apply_1q(both, inverse, q)
-    # d/dzeta of exp(-i dt zeta Z_i Z_j) is -i dt Z_i Z_j times the factor
-    overlap = np.sum(both[:, batch:].conj() * both[:, :batch], axis=1)
-    partials[2 * n :] = 2 * dt * (_pair_parities(n) @ overlap.imag)
-    return both * _pair_phase_diagonal(params, n, dt).conj()[:, np.newaxis], partials
 
 
 def _pair_dicke_backward_step(
@@ -395,7 +365,7 @@ def _exact_chunk(columns: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, 
 
 
 def _exact_backward_step(
-    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float, contract
+    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float, ops: PairDicke
 ) -> tuple[np.ndarray, np.ndarray]:
     """Undo one ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``.
 
@@ -404,8 +374,6 @@ def _exact_backward_step(
     ``sinc x = sin x / x``, which needs no branch for degenerate
     eigenvalues. So every partial is ``2 sum_xy dH_xy Re M_xy`` with
     ``M = V (Phi o S) V^T`` and ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``.
-    ``contract(half, eigvecs, diagonal)`` reads the partials of the
-    Hamiltonian's generators from ``Re M = half V^T`` and its diagonal.
     """
     batch = both.shape[1] // 2
     backward = np.exp(1j * dt * eigvals)[:, np.newaxis]
@@ -418,24 +386,15 @@ def _exact_backward_step(
     weights = dt * np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)) * overlap.imag
     # V is real, so Re M = V Re(Phi o S) V^T; keep its left half and contract rows
     half = eigvecs @ weights
-    partials = contract(half, eigvecs, np.sum(half * eigvecs, axis=1))
+    partials = _pair_dicke_generator_partials(half, eigvecs, np.sum(half * eigvecs, axis=1), ops)
     coords[:, batch:] *= backward
     return eigvecs @ coords, partials
 
 
-def _dense_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagonal: np.ndarray, n: int) -> np.ndarray:
-    """Full-layout partials: ``sum_xy (G V)_xy half_xy`` for ``G = X_q``, which
-    flips bit q of the row, and a dot with the diagonal for Z and ZZ terms."""
-    rows = np.arange(2**n)
-    return np.concatenate((
-        [2 * np.sum(half * eigvecs[rows ^ (1 << (n - 1 - q))]) for q in range(n)],
-        [2 * z_diagonal(n, q) @ diagonal for q in range(n)],
-        2 * _pair_parities(n) @ diagonal,
-    ))
-
-
 def _pair_dicke_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagonal: np.ndarray, ops: PairDicke) -> np.ndarray:
-    """Symmetric-layout partials from the three generators of the pair (x) Dicke Hamiltonian."""
+    """The shared parameters' partials, ``sum_xy G_xy Re M_xy`` for the three
+    generators of the pair (x) Dicke Hamiltonian, from ``Re M = half V^T``
+    and its diagonal."""
     return np.array([
         2 * np.sum(half * (ops.transverse @ eigvecs)),
         2 * ops.bias @ diagonal,
@@ -443,39 +402,29 @@ def _pair_dicke_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagon
     ])
 
 
-def _chunk_sweeps(schedule: Schedule, method: str, pair_dicke: bool) -> list[tuple]:
-    """Per chunk, in chronological order, its forward map of columns and its
-    backward step. An exact chunk's one eigendecomposition serves both."""
+def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
+    """Per chunk, in chronological order, its forward map of pair (x) Dicke
+    columns and its backward step. An exact chunk's one eigendecomposition
+    serves both."""
     n, dt = schedule.n_qubits, schedule.dt
-    if method == "chunked" and pair_dicke:
-        ops = pair_dicke_operators(n)
-        sweeps = []
-        for ck in schedule.chunks:
+    ops = pair_dicke_operators(n)
+    sweeps = []
+    for ck in schedule.chunks:
+        if method == "chunked":
             factors = _pair_dicke_factors(ck, ops, dt)
             sweeps.append((
                 partial(_pair_dicke_chunk, factors=factors),
                 partial(_pair_dicke_backward_step, params=ck, factors=factors, ops=ops, dt=dt),
             ))
-        return sweeps
-    if method == "chunked":
-        return [
-            (partial(_evolve_chunked, chunks=(ck,), n=n, dt=dt), partial(_chunked_backward_step, params=ck, n=n, dt=dt))
-            for ck in schedule.chunks
-        ]
-    if method == "exact":
-        if pair_dicke:
-            build, contract = pair_dicke_hamiltonian, partial(_pair_dicke_generator_partials, ops=pair_dicke_operators(n))
-        else:
-            build, contract = build_hamiltonian, partial(_dense_generator_partials, n=n)
-        sweeps = []
-        for ck in schedule.chunks:
-            eigvals, eigvecs = np.linalg.eigh(build(ck, n))
+        elif method == "exact":
+            eigvals, eigvecs = np.linalg.eigh(pair_dicke_hamiltonian(ck, n))
             sweeps.append((
                 partial(_exact_chunk, eigvals=eigvals, eigvecs=eigvecs, dt=dt),
-                partial(_exact_backward_step, eigvals=eigvals, eigvecs=eigvecs, dt=dt, contract=contract),
+                partial(_exact_backward_step, eigvals=eigvals, eigvecs=eigvecs, dt=dt, ops=ops),
             ))
-        return sweeps
-    raise ValueError(f"unknown propagation method {method!r}")
+        else:
+            raise ValueError(f"unknown propagation method {method!r}")
+    return sweeps
 
 
 def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
@@ -485,29 +434,25 @@ def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exa
     columns = np.asarray(coords, dtype=complex).T
     if columns.shape[0] != 4 * (schedule.n_qubits - 1):
         raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
-    for forward, _ in _chunk_sweeps(schedule, method, pair_dicke=True):
+    for forward, _ in _chunk_sweeps(schedule, method):
         columns = forward(columns)
     return columns.T
 
 
-def adjoint_partials(states: np.ndarray, schedule: Schedule, method: str, costate, pair_dicke: bool = False) -> np.ndarray:
-    """Every chunk parameter's derivative of a real function F of the evolved states.
+def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
+    """Every chunk's shared-parameter derivatives of a real function F of the evolved states.
 
-    ``states`` is a ``(batch, 2**n)`` stack. ``costate(finals)`` receives
-    the evolved stack and returns the co-states ``lam`` (same shape) with
+    ``coords`` is a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
+    and every chunk must be uniform. ``costate(finals)`` receives the
+    evolved stack and returns the co-states ``lam`` (same shape) with
     ``dF = 2 Re sum_b <lam_b | d final_b>``. One forward sweep evolves the
     states; one backward sweep un-evolves states and co-states together,
     chunk by chunk (every factor is unitary, so no intermediate state is
-    kept). Returns ``(n_chunks, 2n + C(n,2))`` partials: per chunk, the n
-    tunnelings, the n biases and the couplings in ``qubit_pairs`` order.
-    The cost does not depend on the number of parameters.
-
-    With ``pair_dicke`` the states are ``(batch, 4(n-1))`` pair (x) Dicke
-    coordinates, every chunk must be uniform, and the partials come in the
-    symmetric layout ``(n_chunks, 3)``: shared tunneling, bias, coupling.
+    kept). Returns ``(n_chunks, 3)`` partials: per chunk, the shared
+    tunneling, bias and coupling.
     """
-    sweeps = _chunk_sweeps(schedule, method, pair_dicke)
-    finals = np.asarray(states, dtype=complex).T
+    sweeps = _chunk_sweeps(schedule, method)
+    finals = np.asarray(coords, dtype=complex).T
     for forward, _ in sweeps:
         finals = forward(finals)
     both = np.concatenate((finals, np.asarray(costate(finals.T), dtype=complex).T), axis=1)
@@ -645,8 +590,10 @@ def schedule_from_json(text: str) -> Schedule:
     if not isinstance(doc["chunks"], list):
         raise ScheduleFormatError("'chunks' must be a list of chunk objects")
     total_time = _json_number(doc["total_time"], "'total_time'")
-    pairs = qubit_pairs(n)
-    chunks = []
+    if not doc["chunks"]:
+        raise ScheduleFormatError("schedule needs at least one chunk")
+    # every size is checked against n before the C(n, 2) pairs are built, so
+    # that refusing a document takes time in proportion to its length
     for pos, raw in enumerate(doc["chunks"]):
         if not isinstance(raw, dict):
             raise ScheduleFormatError(f"chunk {pos} must be a JSON object")
@@ -660,22 +607,30 @@ def schedule_from_json(text: str) -> Schedule:
         if not isinstance(zeta, dict):
             raise ScheduleFormatError(f"'zeta' in chunk {pos} must be an object keyed by 'i,j'")
         seen = set()
-        for key, value in zeta.items():
+        for key in zeta:
             try:
                 i, j = (int(part) for part in key.split(","))
             except ValueError as exc:
                 raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}") from exc
+            if key != f"{i},{j}":
+                raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}, expected 'i,j'")
             if not (0 <= i < j < n):
                 raise ScheduleFormatError(f"zeta pair {key!r} out of range in chunk {pos}")
             seen.add((i, j))
-        if seen != set(pairs):
-            missing_pair = sorted(set(pairs) - seen)[0]
-            raise ScheduleFormatError(f"zeta is missing pair '{missing_pair[0]},{missing_pair[1]}' in chunk {pos}")
-        coupling = tuple(_json_number(zeta[f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}") for i, j in pairs)
+        if len(seen) != n * (n - 1) // 2:
+            # every pair before the first missing one is in seen
+            i, j = next(pair for pair in combinations(range(n), 2) if pair not in seen)
+            raise ScheduleFormatError(f"zeta is missing pair '{i},{j}' in chunk {pos}")
+        for key in ("K", "eps"):
+            if isinstance(raw[key], list) and len(raw[key]) != n:
+                raise ScheduleFormatError(f"'{key}' in chunk {pos} has {len(raw[key])} entries for {n} qubits")
+    pairs = qubit_pairs(n)
+    chunks = []
+    for pos, raw in enumerate(doc["chunks"]):
+        coupling = tuple(_json_number(raw["zeta"][f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}") for i, j in pairs)
         tunneling = _json_numbers(raw["K"], f"'K' in chunk {pos}")
         bias = _json_numbers(raw["eps"], f"'eps' in chunk {pos}")
-        try:
-            # C(n, 2) couplings pin the chunk to the document's n qubits
+        try:  # finite entries can still sum past the largest float
             chunks.append(ChunkParams(tunneling, bias, coupling))
         except (TypeError, ValueError) as exc:
             raise ScheduleFormatError(f"bad chunk {pos}: {exc}") from exc

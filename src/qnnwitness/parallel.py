@@ -1,7 +1,9 @@
-"""Ordered map over the trainer's partial derivatives and the sampler's shot counts.
+"""Ordered map over the sampler's shot counts.
 
 Results come back in input order, so every reduction over them is
-reproducible.
+reproducible. The module stays only because the benchmark tracer in
+``perfbench/spans.py`` patches ``sampler.map_ordered`` and
+``trainer.map_ordered`` by name; the trainer no longer maps anything.
 """
 
 from __future__ import annotations

@@ -1,17 +1,14 @@
 """Gradient-descent training of schedules and bootstrapping across sizes.
 
-The loss is the summed squared witness error over a training set. Its
-gradient is exact and costs one forward and one backward sweep whatever
-the number of parameters: the backward sweep carries the co-state back
-through the chunks and reads every partial on the way (the adjoint
-method). With the symmetric constraint (the default) each chunk
-contributes three free parameters: shared tunneling, shared bias, shared
-coupling. Updates act on those shared parameters directly, so symmetry
-is preserved exactly, and both sweeps run on the four orbit states in the
+The loss is the summed squared witness error over a training set. Each
+chunk has three free parameters, shared by every qubit and pair:
+tunneling, bias and coupling. Updates act on those shared parameters
+directly, so symmetry is preserved exactly. The gradient is exact and
+costs one forward and one backward sweep: the backward sweep carries the
+co-state back through the chunks and reads every partial on the way (the
+adjoint method). Both sweeps run on the four orbit states in the
 4(n-1)-dimensional pair (x) Dicke space, which returns the three shared
-partials per chunk directly; no 2^n vector is built. The full layout
-(every per-qubit and per-pair parameter) builds and evolves every
-training item as a 2^n vector.
+partials per chunk directly; no 2^n vector is built.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
 solution; with all-to-all coupling the required correction shrinks as n
@@ -27,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChunkParams, Schedule, adjoint_partials
+from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators
 from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
-from .witness import TrainingSet, build_training_set, check_training_set_size, witness_inputs, witness_values
+from .witness import TrainingSet, build_training_set, check_training_set_size, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 
@@ -40,7 +37,6 @@ class TrainerConfig:
     momentum: float = 0.9
     max_epochs: int = 2000
     target_rms: float = 1e-3
-    symmetric: bool = True
     chunk_count: int = 4
     seed: int = 0
     method: str = "chunked"
@@ -97,75 +93,50 @@ def training_loss(schedule: Schedule, training_set: TrainingSet, method: str = "
 
 # --- flat parameter vector <-> schedule ---------------------------------
 #
-# Symmetric layout: (tunneling, bias, coupling) per chunk, chunk-major.
-# Full layout: per chunk, n tunnelings, n biases, C(n,2) couplings.
+# (tunneling, bias, coupling) per chunk, chunk-major.
 
 
-def schedule_parameters(schedule: Schedule, symmetric: bool | None = None) -> np.ndarray:
-    if symmetric is None:
-        symmetric = schedule.symmetric
+def schedule_parameters(schedule: Schedule) -> np.ndarray:
     out: list[float] = []
     for ck in schedule.chunks:
-        if symmetric:
-            if not ck.is_symmetric:
-                raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
-            out.extend((ck.tunneling[0], ck.bias[0], ck.coupling[0] if ck.coupling else 0.0))
-        else:
-            out.extend(ck.tunneling)
-            out.extend(ck.bias)
-            out.extend(ck.coupling)
+        if not ck.is_symmetric:
+            raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
+        out.extend((ck.tunneling[0], ck.bias[0], ck.coupling[0] if ck.coupling else 0.0))
     return np.array(out)
 
 
-def schedule_with_parameters(
-    template: Schedule, params: np.ndarray, symmetric: bool | None = None
-) -> Schedule:
-    if symmetric is None:
-        symmetric = template.symmetric
+def schedule_with_parameters(template: Schedule, params: np.ndarray) -> Schedule:
     n = template.n_qubits
-    n_pairs = n * (n - 1) // 2
-    per_chunk = 3 if symmetric else 2 * n + n_pairs
-    if len(params) != per_chunk * template.n_chunks:
-        raise ValueError(f"expected {per_chunk * template.n_chunks} parameters, got {len(params)}")
-    chunks = []
-    pos = 0
-    for _ in range(template.n_chunks):
-        if symmetric:
-            k, e, z = params[pos : pos + 3]
-            chunks.append(ChunkParams.uniform(n, float(k), float(e), float(z)))
-            pos += 3
-        else:
-            k = tuple(float(x) for x in params[pos : pos + n])
-            e = tuple(float(x) for x in params[pos + n : pos + 2 * n])
-            z = tuple(float(x) for x in params[pos + 2 * n : pos + 2 * n + n_pairs])
-            chunks.append(ChunkParams(k, e, z))
-            pos += per_chunk
-    return Schedule(n, template.total_time, tuple(chunks), symmetric)
+    if len(params) != 3 * template.n_chunks:
+        raise ValueError(f"expected {3 * template.n_chunks} parameters, got {len(params)}")
+    chunks = tuple(ChunkParams.uniform(n, float(k), float(e), float(z)) for k, e, z in np.reshape(params, (-1, 3)))
+    return Schedule(n, template.total_time, chunks, symmetric=True)
 
 
 def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfig) -> np.ndarray:
-    """Exact gradient of the summed squared error, in the layout ``config.symmetric`` picks.
+    """Exact gradient of the summed squared error in the shared parameters.
 
-    With ``zz`` the ``<Z_i Z_j>`` of an evolved row and ``t`` an item's
-    target, each item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``,
-    and the co-state of a row is ``c Z_i Z_j psi_final``. The symmetric
-    layout runs on the orbit states in the pair (x) Dicke space, which
-    returns the shared parameters' partials directly; the full layout
-    evolves every item as a ``2**n`` vector.
+    Both sweeps run on the four orbit states in the pair (x) Dicke space.
+    With ``zz`` the ``<Z_0 Z_1>`` of an evolved orbit state and ``t`` an
+    item's target, each item adds ``4 zz (zz^2 - t)`` to its row's weight
+    ``c``, and the co-state of a row is ``c Z_0 Z_1 psi_final``.
     """
-    if config.symmetric and not all(ck.is_symmetric for ck in schedule.chunks):
+    if not all(ck.is_symmetric for ck in schedule.chunks):
         raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
-    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, config.symmetric)
+    n = training_set.n_qubits
+    if n != schedule.n_qubits:
+        raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
+    coords, rows = training_set.pair_dicke_orbits
+    readout = pair_dicke_operators(n).readout
     targets = np.array([item.target for item in training_set.items])
 
     def costate(finals: np.ndarray) -> np.ndarray:
-        zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
+        zz = np.sum(np.abs(finals) ** 2 * readout, axis=1)
         item_zz = zz[rows]
         weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
-        return weights[:, np.newaxis] * parities * finals
+        return weights[:, np.newaxis] * readout * finals
 
-    partials = adjoint_partials(states, schedule, config.method, costate, config.symmetric)
-    grad = partials.ravel()
+    grad = adjoint_partials(coords, schedule, config.method, costate).ravel()
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite value encountered during gradient evaluation")
     return grad
@@ -181,9 +152,9 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     Deterministic for fixed inputs. Raises :class:`TrainingDiverged` when
     the rms exceeds 10x its initial value for 50 consecutive epochs.
     """
-    params = schedule_parameters(init, config.symmetric)
+    params = schedule_parameters(init)
     velocity = np.zeros_like(params)
-    schedule = schedule_with_parameters(init, params, config.symmetric)
+    schedule = schedule_with_parameters(init, params)
     rms = rms_error(schedule, training_set, config.method)
     history = [rms]
     best_schedule, best_rms = schedule, rms
@@ -196,7 +167,7 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
         grad = gradient(schedule, training_set, config)
         velocity = config.momentum * velocity - config.learning_rate * grad
         params = params + velocity
-        schedule = schedule_with_parameters(init, params, config.symmetric)
+        schedule = schedule_with_parameters(init, params)
         rms = rms_error(schedule, training_set, config.method)
         history.append(rms)
         epochs += 1
@@ -218,38 +189,15 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     return TrainResult(schedule, tuple(history), epochs, False)
 
 
-def random_schedule(
-    n: int,
-    chunk_count: int,
-    seed: int,
-    total_time: float = DEFAULT_TOTAL_TIME,
-    symmetric: bool = True,
-) -> Schedule:
-    """Documented random initialization: tunneling ~ U(2.4, 2.6), bias and
-    coupling ~ U(-0.1, 0.1), drawn per chunk (shared across qubits when
-    symmetric)."""
+def random_schedule(n: int, chunk_count: int, seed: int, total_time: float = DEFAULT_TOTAL_TIME) -> Schedule:
+    """Documented random initialization, drawn per chunk and shared across
+    qubits: tunneling ~ U(2.4, 2.6), bias and coupling ~ U(-0.1, 0.1)."""
     rng = np.random.default_rng(seed)
-    chunks = []
-    n_pairs = n * (n - 1) // 2
-    for _ in range(chunk_count):
-        if symmetric:
-            chunks.append(
-                ChunkParams.uniform(
-                    n,
-                    2.5 + rng.uniform(-0.1, 0.1),
-                    rng.uniform(-0.1, 0.1),
-                    rng.uniform(-0.1, 0.1),
-                )
-            )
-        else:
-            chunks.append(
-                ChunkParams(
-                    tuple(2.5 + rng.uniform(-0.1, 0.1) for _ in range(n)),
-                    tuple(rng.uniform(-0.1, 0.1) for _ in range(n)),
-                    tuple(rng.uniform(-0.1, 0.1) for _ in range(n_pairs)),
-                )
-            )
-    return Schedule(n, total_time, tuple(chunks), symmetric)
+    chunks = tuple(
+        ChunkParams.uniform(n, 2.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
+        for _ in range(chunk_count)
+    )
+    return Schedule(n, total_time, chunks, symmetric=True)
 
 
 def bootstrap(prev: TrainResult, n: int, config: TrainerConfig) -> TrainResult:
@@ -273,7 +221,7 @@ def bootstrap_chain(n_max: int, config: TrainerConfig) -> dict[int, TrainResult]
         raise ValueError("chain needs n_max >= 2")
     check_training_set_size(n_max)  # refuse before the first size trains
     results: dict[int, TrainResult] = {}
-    init = random_schedule(2, config.chunk_count, config.seed, symmetric=config.symmetric)
+    init = random_schedule(2, config.chunk_count, config.seed)
     results[2] = train(init, build_training_set(2), config)
     for n in range(3, n_max + 1):
         results[n] = bootstrap(results[n - 1], n, config)

@@ -172,42 +172,25 @@ def witness_value(
     return expectation_zz(final, pair[0], pair[1]) ** 2
 
 
-def witness_inputs(
-    training_set: TrainingSet, n_qubits: int, pair_dicke: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What to evolve for a training set's witnesses, and how to read it out.
-
-    Returns ``(states, rows, parities)``: the states to evolve, each item's
-    row among them, and the ``Z_i Z_j`` diagonal of each row (one shared
-    row with ``pair_dicke``). With ``pair_dicke`` the states are the four
-    orbit states' pair (x) Dicke coordinates, read on ``Z_0 Z_1``, which is
-    exact under any schedule whose chunks are uniform. Otherwise every item
-    is built as a ``2**n`` vector and read on its own pair.
-    """
-    n = training_set.n_qubits
-    if n != n_qubits:
-        raise ValueError(f"training set is for {n} qubits, schedule for {n_qubits}")
-    if pair_dicke:
-        coords, rows = training_set.pair_dicke_orbits
-        return coords, rows, pair_dicke_operators(n).readout[np.newaxis, :]
-    items = training_set.items
-    states = np.stack([make_pair_state(item.kind, item.pair, n) for item in items])
-    parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
-    return states, np.arange(len(items)), parities
-
-
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
     """Witness of every training item, evaluated as one batch.
 
     ``exact`` and ``chunked`` under a symmetric schedule evolve the four
-    orbit states in the pair (x) Dicke space; every other evaluation
-    evolves each item as a ``2**n`` vector and reads the item's own pair.
+    orbit states in the pair (x) Dicke space and read each on ``Z_0 Z_1``;
+    every other evaluation evolves each item as a ``2**n`` vector and reads
+    the item's own pair.
     """
-    pair_dicke = schedule.symmetric and method in ("exact", "chunked")
-    states, rows, parities = witness_inputs(training_set, schedule.n_qubits, pair_dicke)
-    if pair_dicke:
-        finals = evolve_pair_dicke(states, schedule, method)
+    n = training_set.n_qubits
+    if n != schedule.n_qubits:
+        raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
+    if schedule.symmetric and method in ("exact", "chunked"):
+        coords, rows = training_set.pair_dicke_orbits
+        finals = evolve_pair_dicke(coords, schedule, method)
+        parities = pair_dicke_operators(n).readout[np.newaxis, :]
     else:
-        finals = _evolve_dense(states, schedule, method)
+        items = training_set.items
+        rows = np.arange(len(items))
+        finals = _evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
+        parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
     zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
     return (zz * zz)[rows]

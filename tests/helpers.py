@@ -5,7 +5,8 @@ come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
 Kronecker products rather than stride updates, a run of shots draws
 one basis state per shot rather than one binomial count, and gradients
-come from finite differences of the loss rather than an adjoint sweep.
+come from finite differences of the loss, or from tangents carried
+forward through dense 2^n states, rather than an adjoint sweep.
 """
 
 from __future__ import annotations
@@ -106,6 +107,102 @@ def central_difference_gradient(loss, params: np.ndarray, indices=None, h: float
             values.append(loss(shifted))
         out.append((values[0] - 8 * values[1] + 8 * values[2] - values[3]) / (12 * h))
     return np.array(out)
+
+
+def _shared_generators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense sum_q X_q, and the diagonals of sum_q Z_q and sum_{i<j} Z_i Z_j."""
+    index = np.arange(2**n)
+    z = 1 - 2 * ((index[:, np.newaxis] >> (n - 1 - np.arange(n))) & 1)
+    transverse = np.zeros((2**n, 2**n))
+    for q in range(n):
+        transverse[index, index ^ (1 << (n - 1 - q))] += 1
+    z_sum = z.sum(axis=1).astype(float)
+    return transverse, z_sum, (z_sum**2 - n) / 2
+
+
+def _on_qubit(u: np.ndarray, states: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Apply the 2x2 ``u`` to qubit ``q`` of every ``2**n`` row of ``states``."""
+    split = states.reshape(*states.shape[:-1], 2**q, 2, 2 ** (n - 1 - q))
+    return np.einsum("ab,...ibj->...iaj", u, split).reshape(states.shape)
+
+
+def _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt):
+    """One ``exp(-i H dt)`` on ``psi`` and on every tangent, plus the first-order
+    change of ``V exp(-i L dt) V^T`` along each generator applied to ``psi``.
+
+    That change is ``V (D o V^T G V) V^T`` with the divided differences
+    ``D_jk = (exp(-i l_j dt) - exp(-i l_k dt)) / (l_j - l_k)``. Where the
+    eigenvalues nearly coincide, ``|x| < 1e-3`` with ``x = dt (l_j - l_k)``,
+    the quotient cancels, and ``D_jk`` is summed from the series
+    ``dt exp(-i l_k dt) (-i - x/2 + i x^2/6 + x^3/24)`` instead.
+    """
+    eigvals, eigvecs = np.linalg.eigh(hamiltonian)
+    phases = np.exp(-1j * dt * eigvals)
+    gaps = np.subtract.outer(eigvals, eigvals)
+    near = np.abs(dt * gaps) < 1e-3
+    divided = np.subtract.outer(phases, phases) / np.where(near, 1.0, gaps)
+    j, k = np.nonzero(near)
+    x = dt * gaps[j, k]
+    divided[j, k] = dt * phases[k] * (-1j - x / 2 + 1j * x**2 / 6 + x**3 / 24)
+    # a generator is a matrix or the diagonal of one
+    rotated = (eigvecs.T @ (g @ eigvecs if g.ndim == 2 else g[:, np.newaxis] * eigvecs) for g in generators)
+    basis = eigvecs.astype(complex)  # cast once for the complex products below
+    coords = basis.T @ psi.T  # columns V^T psi
+    changes = [(basis @ ((divided * g) @ coords)).T for g in rotated]
+    return (basis @ (phases[:, np.newaxis] * coords)).T, (tangents @ basis * phases) @ basis.T, changes
+
+
+def _chunked_tangent_chunk(psi, tangents, shared, coupling_diagonal, n, dt):
+    """One split-operator chunk on ``psi`` and on every tangent: the ZZ phases,
+    then the 2x2 factor on each qubit in ascending order, plus the chunk's
+    own first-order changes. A factor and its derivatives come from
+    ``exp(-i dt [[h, g], [0, h]])``, whose upper-right block is the
+    derivative of ``exp(-i dt h)`` along ``g``."""
+    tunneling, bias, coupling = shared
+    phases = np.exp(-1j * dt * coupling * coupling_diagonal)
+    changes = [np.zeros_like(psi), np.zeros_like(psi), -1j * dt * coupling_diagonal * phases * psi]
+    psi, tangents = phases * psi, phases * tangents
+    h = tunneling * PAULI_X + bias * PAULI_Z
+    blocks = [expm_taylor(np.block([[h, g], [np.zeros((2, 2)), h]]), dt) for g in (PAULI_X, PAULI_Z)]
+    factor = blocks[0][:2, :2]
+    for q in range(n):
+        changes = [_on_qubit(factor, change, q, n) for change in changes]
+        for k, block in enumerate(blocks):
+            changes[k] += _on_qubit(block[:2, 2:], psi, q, n)
+        psi, tangents = _on_qubit(factor, psi, q, n), _on_qubit(factor, tangents, q, n)
+    return psi, tangents, changes
+
+
+def tangent_loss_gradient(states, parity, rows, targets, schedule, method):
+    """Witness values and shared-parameter gradient of the summed squared
+    witness error, by forward-mode differentiation of dense ``2**n`` states.
+
+    ``states`` are the evolved rows, ``parity`` the read-out diagonal, and
+    item ``k`` reads row ``rows[k]`` against ``targets[k]``. Every chunk must
+    be uniform; the gradient is chunk-major (tunneling, bias, coupling), as
+    the trainer lays it out. A tangent per parameter rides along with the
+    states, so no adjoint sweep is involved.
+    """
+    n, dt = schedule.n_qubits, schedule.dt
+    transverse, bias_diagonal, coupling_diagonal = _shared_generators(n)
+    psi = np.asarray(states, dtype=complex)
+    tangents = np.zeros((schedule.n_chunks, 3, *psi.shape), dtype=complex)
+    for c, chunk in enumerate(schedule.chunks):
+        assert chunk.is_symmetric
+        shared = (chunk.tunneling[0], chunk.bias[0], chunk.coupling[0] if chunk.coupling else 0.0)
+        if method == "exact":
+            hamiltonian = shared[0] * transverse + np.diag(shared[1] * bias_diagonal + shared[2] * coupling_diagonal)
+            generators = (transverse, bias_diagonal, coupling_diagonal)
+            psi_after, tangents, changes = _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt)
+        else:
+            psi_after, tangents, changes = _chunked_tangent_chunk(psi, tangents, shared, coupling_diagonal, n, dt)
+        tangents[c] += np.stack(changes)
+        psi = psi_after
+    zz = np.abs(psi) ** 2 @ parity
+    d_zz = 2 * np.real(np.sum(psi.conj() * parity * tangents, axis=-1))  # (chunks, 3, rows)
+    item_zz = zz[rows]
+    grad = np.sum(2 * (item_zz**2 - targets) * 2 * item_zz * d_zz[..., rows], axis=-1)
+    return (zz**2)[rows], grad.ravel()
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

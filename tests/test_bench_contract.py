@@ -159,17 +159,7 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
         ("chunked", {"_pair_dicke_chunk": chunks, "_pair_dicke_backward_step": chunks}),
         ("exact", {"_exact_chunk": chunks, "_exact_backward_step": chunks, "pair_dicke_hamiltonian": chunks}),
     ):
-        grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(symmetric=True, method=method))
+        grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
         assert calls == {**dict.fromkeys(calls, 0), **expected}, method
         calls.update(dict.fromkeys(calls, 0))
-    # the 140-parameter full-layout gradient evolves dense states: per chunk,
-    # 2n one-qubit updates (chunked) or one Hamiltonian build (exact)
-    calls = _counted(monkeypatch, [(hamiltonian, "_apply_1q"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values")])
-    sweeps = 2 * schedule.n_qubits * schedule.n_chunks
-    for method, expected in (("chunked", {"_apply_1q": sweeps}), ("exact", {"build_hamiltonian": schedule.n_chunks})):
-        for symmetric, n_params in ((False, 140),):
-            calls.update(dict.fromkeys(calls, 0))
-            grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(symmetric=symmetric, method=method))
-            assert len(grad) == n_params
-            assert calls == {**dict.fromkeys(calls, 0), **expected}, (method, symmetric)

@@ -69,9 +69,12 @@ class TestWitnessCommand:
             ('{"n_qubits": 2, "total_time": 1.0, "symmetric": "no", "chunks": [CHUNK]}', "symmetric"),
             ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": [NaN, NaN], "eps": [0, 0], "zeta": {"0,1": 0.5}}]}',
              "K"),
+            # parsed as the pair (0, 1), then looked up as "0,1": a KeyError traceback
+            ('{"n_qubits": 2, "total_time": 1.0, "chunks": [{"K": [1, 1], "eps": [0, 0], "zeta": {"0, 1": 0.5}}]}',
+             "'0, 1'"),
         ],
         ids=["nan_total_time", "chunks_not_a_list", "zeta_not_a_number", "bool_n_qubits", "k_string",
-             "symmetric_string", "nan_K"],
+             "symmetric_string", "nan_K", "zeta_key_with_space"],
     )
     def test_malformed_schedule_is_refused(self, tmp_path, capsys, doc, message):
         bad = tmp_path / "bad.json"
@@ -363,6 +366,55 @@ class TestDimensionRefusals:
         code, _, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell")
         assert code == 3
         assert "40 qubits" in err
+
+
+def _uniform_document(n: int, tunneling: float, bias: float, coupling: float = 0.1) -> str:
+    pairs = {f"{i},{j}": coupling for i in range(n) for j in range(i + 1, n)}
+    chunk = {"K": [tunneling] * n, "eps": [bias] * n, "zeta": pairs}
+    return json.dumps({"n_qubits": n, "total_time": 1.58, "symmetric": True, "chunks": [chunk] * 4})
+
+
+class TestExtremeSchedules:
+    @pytest.mark.parametrize(
+        "doc",
+        [{"n_qubits": 9000, "total_time": 1.0, "chunks": []},
+         {"n_qubits": 9000, "total_time": 1.0, "chunks": [{"K": [1.0], "eps": [1.0], "zeta": {}}]}],
+        ids=["no_chunks", "chunk_sized_for_one_qubit"],
+    )
+    def test_short_document_is_refused_without_building_its_pairs(self, tmp_path, capsys, doc):
+        # the C(9000, 2) = 40 million pairs of the claimed register would take gigabytes
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code, out, err = run_cli(capsys, "witness", "--schedule", str(path))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "chunk" in err
+        assert elapsed < 0.5 and peak < 2**20
+
+    @pytest.mark.parametrize("field", ["K", "eps"])
+    def test_huge_finite_parameters_train_without_a_traceback(self, tmp_path, capsys, field):
+        # the squared magnitude of the 2x2 factor's generator overflowed a float
+        path = tmp_path / "s.json"
+        path.write_text(_uniform_document(3, 1e155, 0.1) if field == "K" else _uniform_document(3, 2.5, 1e200))
+        code, _, _ = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path))
+        assert code in (0, 2)
+
+    def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(_uniform_document(2, 1.7e308, 1.7e308))
+        errors = set()
+        for method in ("exact", "chunked", "gates"):
+            code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--method", method)
+            assert (code, out) == (2, ""), method
+            errors.add(err)
+        assert len(errors) == 1
+        assert "Hamiltonian parameters must be finite" in errors.pop()
 
 
 # --- fuzzing ------------------------------------------------------------

@@ -1,11 +1,11 @@
 """The pair (x) Dicke backend against the dense 2^n register.
 
-A symmetric schedule's witness values and symmetric-layout gradients are
+A symmetric schedule's witness values and training gradients are
 evaluated in the 4(n-1)-dimensional pair (x) Dicke space. The references
-here evolve the same orbit states as dense 2^n vectors, and the operator
-checks build the subspace's basis vectors from spectator bit strings.
-Pinned tolerances: witness values to 1e-12, gradients to
-1e-12 * max(1, |g|).
+here evolve the same orbit states as dense 2^n vectors, differentiated in
+forward mode, and the operator checks build the subspace's basis vectors
+from spectator bit strings. Pinned tolerances: witness values to 1e-12,
+gradients to 1e-12 * max(1, |g|).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from qnnwitness.core import z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
-    adjoint_partials,
     build_hamiltonian,
     evolve_pair_dicke,
     evolve_states,
@@ -38,7 +37,7 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import expm_eigh
+from helpers import expm_eigh, tangent_loss_gradient
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -71,25 +70,15 @@ def lifted(schedule: Schedule, n: int) -> Schedule:
 
 
 def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.ndarray]:
-    """Witness values and symmetric-layout gradient from the orbit states
-    evolved as 2^n vectors, in one dense adjoint sweep."""
+    """Witness values and shared-parameter gradient from the orbit states
+    evolved as 2^n vectors, with a forward-mode tangent per parameter."""
     n = schedule.n_qubits
     kinds = list(PairStateKind)
     states = np.stack([make_pair_state(kind, (0, 1), n) for kind in kinds])
     rows = np.array([kinds.index(item.kind) for item in training_set(n).items])
     targets = np.array([item.target for item in training_set(n).items])
     parity = z_diagonal(n, 0) * z_diagonal(n, 1)
-    seen = {}
-
-    def costate(finals):
-        seen["zz"] = zz = np.abs(finals) ** 2 @ parity
-        item_zz = zz[rows]
-        weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
-        return weights[:, np.newaxis] * parity * finals
-
-    partials = adjoint_partials(states, schedule, method, costate)
-    summed = np.stack([partials[:, :n].sum(1), partials[:, n : 2 * n].sum(1), partials[:, 2 * n :].sum(1)], 1)
-    return (seen["zz"] ** 2)[rows], summed.ravel()
+    return tangent_loss_gradient(states, parity, rows, targets, schedule, method)
 
 
 def assert_backends_agree(schedule: Schedule, method: str) -> None:
