@@ -265,8 +265,6 @@ def _out_dir(args: argparse.Namespace) -> Path:
 def _cmd_train(args: argparse.Namespace) -> int:
     if getattr(args, "schedule", None):
         init = _resolve_schedule(args.schedule)
-        if not init.symmetric:
-            raise _fail(EXIT_INPUT, "training currently expects a symmetric initial schedule")
     else:
         check_training_set_size(args.n_qubits)
         init = random_schedule(args.n_qubits, args.chunks, args.seed)

@@ -135,8 +135,7 @@ def _evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.nda
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
-        circuit = compile_schedule(schedule)
-        return np.stack([apply_circuit(s, circuit) for s in states])
+        return apply_circuit(states.T, compile_schedule(schedule)).T
     return evolve_states(states, schedule, method)
 
 

@@ -126,17 +126,15 @@ def _on_qubit(u: np.ndarray, states: np.ndarray, q: int, n: int) -> np.ndarray:
     return np.einsum("ab,...ibj->...iaj", u, split).reshape(states.shape)
 
 
-def _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt):
-    """One ``exp(-i H dt)`` on ``psi`` and on every tangent, plus the first-order
-    change of ``V exp(-i L dt) V^T`` along each generator applied to ``psi``.
-
-    That change is ``V (D o V^T G V) V^T`` with the divided differences
-    ``D_jk = (exp(-i l_j dt) - exp(-i l_k dt)) / (l_j - l_k)``. Where the
-    eigenvalues nearly coincide, ``|x| < 1e-3`` with ``x = dt (l_j - l_k)``,
-    the quotient cancels, and ``D_jk`` is summed from the series
+def _divided_differences(eigvals: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phases ``exp(-i l dt)`` and the divided differences
+    ``D_jk = (exp(-i l_j dt) - exp(-i l_k dt)) / (l_j - l_k)``: the
+    first-order change of ``V exp(-i L dt) V^T`` along ``G`` is
+    ``V (D o V^T G V) V^T``. Where the eigenvalues nearly coincide,
+    ``|x| < 1e-3`` with ``x = dt (l_j - l_k)``, the quotient cancels, and
+    ``D_jk`` is summed from the series
     ``dt exp(-i l_k dt) (-i - x/2 + i x^2/6 + x^3/24)`` instead.
     """
-    eigvals, eigvecs = np.linalg.eigh(hamiltonian)
     phases = np.exp(-1j * dt * eigvals)
     gaps = np.subtract.outer(eigvals, eigvals)
     near = np.abs(dt * gaps) < 1e-3
@@ -144,6 +142,14 @@ def _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt):
     j, k = np.nonzero(near)
     x = dt * gaps[j, k]
     divided[j, k] = dt * phases[k] * (-1j - x / 2 + 1j * x**2 / 6 + x**3 / 24)
+    return phases, divided
+
+
+def _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt):
+    """One ``exp(-i H dt)`` on ``psi`` and on every tangent, plus the first-order
+    change of ``exp(-i H dt)`` along each generator applied to ``psi``."""
+    eigvals, eigvecs = np.linalg.eigh(hamiltonian)
+    phases, divided = _divided_differences(eigvals, dt)
     # a generator is a matrix or the diagonal of one
     rotated = (eigvecs.T @ (g @ eigvecs if g.ndim == 2 else g[:, np.newaxis] * eigvecs) for g in generators)
     basis = eigvecs.astype(complex)  # cast once for the complex products below
@@ -155,20 +161,22 @@ def _exact_tangent_chunk(psi, tangents, hamiltonian, generators, dt):
 def _chunked_tangent_chunk(psi, tangents, shared, coupling_diagonal, n, dt):
     """One split-operator chunk on ``psi`` and on every tangent: the ZZ phases,
     then the 2x2 factor on each qubit in ascending order, plus the chunk's
-    own first-order changes. A factor and its derivatives come from
-    ``exp(-i dt [[h, g], [0, h]])``, whose upper-right block is the
-    derivative of ``exp(-i dt h)`` along ``g``."""
+    own first-order changes. A factor and its derivatives come from the
+    eigendecomposition of its 2x2 generator ``h``, as in the exact chunk;
+    scaling and squaring the non-normal block ``[[h, g], [0, h]]`` instead
+    put an n=5 gradient 1.6e-12 off at ``dt = 2.375``."""
     tunneling, bias, coupling = shared
     phases = np.exp(-1j * dt * coupling * coupling_diagonal)
     changes = [np.zeros_like(psi), np.zeros_like(psi), -1j * dt * coupling_diagonal * phases * psi]
     psi, tangents = phases * psi, phases * tangents
-    h = tunneling * PAULI_X + bias * PAULI_Z
-    blocks = [expm_taylor(np.block([[h, g], [np.zeros((2, 2)), h]]), dt) for g in (PAULI_X, PAULI_Z)]
-    factor = blocks[0][:2, :2]
+    eigvals, eigvecs = np.linalg.eigh(tunneling * PAULI_X + bias * PAULI_Z)
+    factor_phases, divided = _divided_differences(eigvals, dt)
+    factor = (eigvecs * factor_phases) @ eigvecs.conj().T
+    partials = [eigvecs @ (divided * (eigvecs.conj().T @ g @ eigvecs)) @ eigvecs.conj().T for g in (PAULI_X, PAULI_Z)]
     for q in range(n):
         changes = [_on_qubit(factor, change, q, n) for change in changes]
-        for k, block in enumerate(blocks):
-            changes[k] += _on_qubit(block[:2, 2:], psi, q, n)
+        for k, partial in enumerate(partials):
+            changes[k] += _on_qubit(partial, psi, q, n)
         psi, tangents = _on_qubit(factor, psi, q, n), _on_qubit(factor, tangents, q, n)
     return psi, tangents, changes
 

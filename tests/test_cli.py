@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import cli
+from qnnwitness.fixtures import fixture_path
 from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
 
 
@@ -193,6 +194,29 @@ class TestTrainCommand:
         assert code == 4
         assert (tmp_path / "last_good_schedule.json").exists()
         assert "diverged" in err
+
+    @pytest.mark.parametrize("flag", [False, None], ids=["symmetric_false", "symmetric_missing"])
+    def test_uniform_chunks_train_whatever_the_symmetric_flag(self, tmp_path, capsys, flag):
+        # the trainer needs uniform chunks, not the flag that asserts them
+        doc = json.loads(fixture_path("table2").read_text())
+        if flag is None:
+            del doc["symmetric"]
+        else:
+            doc["symmetric"] = flag
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(capsys, "train", "--schedule", str(path), "--epochs", "0", "--out-dir", str(tmp_path))
+        assert code == 0
+        assert load_schedule(tmp_path / "trained_schedule.json").symmetric
+
+    def test_non_uniform_chunks_are_refused(self, tmp_path, capsys):
+        chunk = {"K": [2.49, 2.0], "eps": [0.093, 0.093], "zeta": {"0,1": 0.0382}}
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"n_qubits": 2, "total_time": 1.58, "symmetric": False, "chunks": [chunk] * 4}))
+        code, out, err = run_cli(capsys, "train", "--schedule", str(path), "--epochs", "0", "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert "cannot extract shared parameters" in err
+        assert not (tmp_path / "trained_schedule.json").exists()
 
 
     @pytest.mark.parametrize(

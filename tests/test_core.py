@@ -23,6 +23,8 @@ from qnnwitness.core import (
     require_dense,
     rotation_matrix,
 )
+from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
+from qnnwitness.hamiltonian import ChunkParams, Schedule
 
 from helpers import (
     CNOT_MATRIX,
@@ -194,6 +196,87 @@ class TestCircuitUnitary:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             circuit_unitary(Circuit(11))
+
+
+def pattern_circuit(n: int, blocks: int, rng: np.random.Generator) -> list[GateOp]:
+    """Random circuit made of the shapes the gate kernel rewrites and their near
+    misses, which ``random_circuit`` rarely draws. Needs three qubits."""
+
+    def rot(q, kind=GateKind.ROT_Z):
+        return GateOp(kind, q, angle=float(rng.uniform(-np.pi, np.pi)))
+
+    def cnot(c, t):
+        return GateOp(GateKind.CNOT, t, control=c)
+
+    ops = []
+    for _ in range(blocks):
+        c, t, third = (int(q) for q in rng.permutation(n)[:3])  # either CNOT direction
+        shape = int(rng.integers(0, 8))
+        if shape == 0:  # Rz run
+            ops += [rot(t) for _ in range(rng.integers(1, 4))]
+        elif shape == 1:  # Z_c Z_t phase
+            ops += [cnot(c, t), *(rot(t) for _ in range(rng.integers(1, 3))), cnot(c, t)]
+        elif shape == 2:  # middle Rz on the control
+            ops += [cnot(c, t), rot(c), cnot(c, t)]
+        elif shape == 3:  # middle Rz on a third qubit
+            ops += [cnot(c, t), rot(third), cnot(c, t)]
+        elif shape == 4:  # lone CNOT between two diagonal runs
+            ops += [rot(c), rot(third), cnot(c, t), rot(t)]
+        elif shape == 5:  # closing CNOT reversed
+            ops += [cnot(c, t), rot(t), cnot(t, c)]
+        elif shape == 6:  # middle run not diagonal
+            ops += [cnot(c, t), rot(t), rot(t, GateKind.ROT_Y), cnot(c, t)]
+        else:  # mixed rotation run
+            kinds = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z)
+            ops += [rot(t, kinds[k]) for k in rng.integers(0, 3, 3)]
+    return ops + [rot(int(rng.integers(0, n)))]  # a diagonal left pending at the end
+
+
+def random_sparse_schedule(n: int, rng: np.random.Generator) -> Schedule:
+    """Non-uniform schedule with exact zeros, so that elision drops whole
+    blocks or the axis rotations around a bias-only Rz."""
+
+    def draw(size):
+        return tuple(float(v) for v in np.where(rng.random(size) < 0.3, 0.0, rng.uniform(-2, 2, size)))
+
+    chunks = tuple(ChunkParams(draw(n), draw(n), draw(n * (n - 1) // 2)) for _ in range(int(rng.integers(1, 4))))
+    return Schedule(n, float(rng.uniform(0.5, 2.0)), chunks)
+
+
+class TestGateKernel:
+    def test_rewrite_patterns_match_dense_oracle(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            n = int(rng.integers(3, 6))
+            ops = pattern_circuit(n, int(rng.integers(1, 10)), rng)
+            circuit, dense = Circuit(n, tuple(ops)), circuit_unitary_dense(ops, n)
+            state = random_state(n, rng)
+            kept = state.copy()
+            assert np.max(np.abs(apply_circuit(state, circuit) - dense @ state)) <= 1e-12
+            assert np.max(np.abs(circuit_unitary(circuit) - dense)) <= 1e-12
+            assert np.array_equal(state, kept)
+
+    def test_elided_compiled_schedules_and_qasm_round_trips(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            circuit = compile_schedule(random_sparse_schedule(n, rng))
+            dense = circuit_unitary_dense(circuit.ops, n)
+            assert np.max(np.abs(circuit_unitary(circuit) - dense)) <= 1e-12
+            parsed = parse_qasm(export_qasm(circuit))
+            assert np.max(np.abs(circuit_unitary(parsed) - dense)) <= 1e-12
+
+    def test_batch_columns_match_per_column_calls(self):
+        rng = np.random.default_rng(23)
+        n = 4
+        circuit = Circuit(n, tuple(pattern_circuit(n, 12, rng) + random_circuit(n, 12, rng)))
+        columns = np.stack([random_state(n, rng) for _ in range(5)], axis=1)
+        batch = apply_circuit(columns, circuit)
+        assert batch.shape == columns.shape
+        for k in range(columns.shape[1]):
+            assert np.max(np.abs(batch[:, k] - apply_circuit(columns[:, k], circuit))) <= 1e-15
+        with pytest.raises(ValueError, match="batch"):
+            apply_circuit(np.zeros((4, 2, 2), dtype=complex), Circuit(2))
 
 
 class TestExpectationZZ:
