@@ -13,8 +13,7 @@ import time
 from pathlib import Path
 
 from qnnwitness.hamiltonian import refine_schedule, save_schedule
-from qnnwitness.trainer import TrainerConfig, bootstrap, bootstrap_chain, bootstrap_summary_csv, train
-from qnnwitness.witness import build_training_set
+from qnnwitness.trainer import TrainerConfig, bootstrap_chain, bootstrap_summary_csv
 
 
 def main() -> None:
@@ -34,10 +33,7 @@ def main() -> None:
     chains = {"4chunk": bootstrap_chain(args.n_max, config4)}
 
     config8 = TrainerConfig(target_rms=args.target_rms, max_epochs=args.epochs, seed=args.seed, chunk_count=8)
-    chain8 = {2: train(refine_schedule(chains["4chunk"][2].schedule, 2), build_training_set(2), config8)}
-    for n in range(3, args.n_max + 1):
-        chain8[n] = bootstrap(chain8[n - 1], n, config8)
-    chains["8chunk"] = chain8
+    chains["8chunk"] = bootstrap_chain(args.n_max, config8, refine_schedule(chains["4chunk"][2].schedule, 2))
 
     for label, results in chains.items():
         (out / f"summary_{label}.csv").write_text(bootstrap_summary_csv(results))

@@ -179,7 +179,10 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
         x2 = x * x
         f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
     else:
-        f = (dt * math.cos(x) - s) / (magnitude * magnitude)  # where magnitude**2 would raise OverflowError
+        squared = magnitude * magnitude  # inf past ~1.3e154, where f = 0 would drop K f (K X + eps Z)
+        if math.isinf(squared):
+            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
+        f = (dt * math.cos(x) - s) / squared
     generator = np.array([[bias, tunneling], [tunneling, -bias]])
     d_tunneling = -dt * tunneling * s * np.eye(2) - 1j * (tunneling * f * generator + s * PAULI_X)
     d_bias = -dt * bias * s * np.eye(2) - 1j * (bias * f * generator + s * PAULI_Z)

@@ -215,13 +215,14 @@ def bootstrap(prev: TrainResult, n: int, config: TrainerConfig) -> TrainResult:
     return train(init, build_training_set(n), config)
 
 
-def bootstrap_chain(n_max: int, config: TrainerConfig) -> dict[int, TrainResult]:
-    """Random-init train at n=2, then bootstrap one qubit at a time to n_max."""
+def bootstrap_chain(n_max: int, config: TrainerConfig, start: Schedule | None = None) -> dict[int, TrainResult]:
+    """Train at n=2 from ``start`` (default: :func:`random_schedule` with the
+    config's chunk count and seed), then bootstrap one qubit at a time to n_max."""
     if n_max < 2:
         raise ValueError("chain needs n_max >= 2")
     check_training_set_size(n_max)  # refuse before the first size trains
     results: dict[int, TrainResult] = {}
-    init = random_schedule(2, config.chunk_count, config.seed)
+    init = random_schedule(2, config.chunk_count, config.seed) if start is None else start
     results[2] = train(init, build_training_set(2), config)
     for n in range(3, n_max + 1):
         results[n] = bootstrap(results[n - 1], n, config)

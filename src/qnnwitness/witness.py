@@ -24,14 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import apply_circuit, circuit_unitary, expectation_zz, qubit_pairs, require_dense, z_diagonal
-from .hamiltonian import (
-    Schedule,
-    evolve_pair_dicke,
-    evolve_states,
-    pair_dicke_operators,
-    propagate,
-)
+from .core import apply_circuit, expectation_zz, qubit_pairs, require_dense, z_diagonal
+from .core import circuit_unitary  # unused here; the benchmark tracer patches witness.circuit_unitary
+from .hamiltonian import Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -85,7 +80,8 @@ class TrainingItem:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """All four reference states on every qubit pair: 4 * C(n, 2) items."""
+    """Named reference states, each with its target, on an n-qubit register.
+    :func:`build_training_set` returns all four kinds on every pair."""
 
     n_qubits: int
     items: tuple[TrainingItem, ...]
@@ -139,35 +135,21 @@ def _evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.nda
     return evolve_states(states, schedule, method)
 
 
-def _final_state(rho: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
-    """Evolve a density matrix by ``method``."""
-    if method == "gates":
-        from .compiler import compile_schedule
-
-        u = circuit_unitary(compile_schedule(schedule))
-        return u @ rho @ u.conj().T
-    return propagate(rho, schedule, method)
-
-
 def witness_value(
     initial: np.ndarray, pair: tuple[int, int], schedule: Schedule, method: str = "chunked"
 ) -> float:
-    """``<Z_i Z_j>^2`` of the evolved state; always in [0, 1].
+    """``<Z_i Z_j>^2`` of one evolved state vector; always in [0, 1].
 
-    ``initial`` may be a state vector or a density matrix. ``gates``
-    routes through the compiled circuit, ``chunked`` through the
-    split-operator propagator, ``exact`` through the full exponential. A
-    state vector takes the dense path of :func:`witness_values` as a batch
-    of one.
+    The dense single-state reference that tests hold :func:`witness_values`
+    to: ``initial`` is evolved as a ``2**n`` vector whatever the schedule,
+    ``gates`` through the compiled circuit, ``chunked`` through the
+    split-operator propagator, ``exact`` through the full exponential.
     """
     initial = np.asarray(initial, dtype=complex)
     dim = 2**schedule.n_qubits
-    if initial.shape[0] != dim:
-        raise ValueError(f"state dimension {initial.shape[0]} does not match schedule ({dim})")
-    if initial.ndim == 1:
-        final = _evolve_dense(initial[np.newaxis, :], schedule, method)[0]
-    else:
-        final = _final_state(initial, schedule, method)
+    if initial.shape != (dim,):
+        raise ValueError(f"expected a state vector of dimension {dim}, got shape {initial.shape}")
+    final = _evolve_dense(initial[np.newaxis, :], schedule, method)[0]
     return expectation_zz(final, pair[0], pair[1]) ** 2
 
 
@@ -177,7 +159,8 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     ``exact`` and ``chunked`` under a symmetric schedule evolve the four
     orbit states in the pair (x) Dicke space and read each on ``Z_0 Z_1``;
     every other evaluation evolves each item as a ``2**n`` vector and reads
-    the item's own pair.
+    the item's own pair. Values are in [0, 1]: round-off just outside is
+    clamped and a non-finite ``<Z_i Z_j>`` raises, as in ``expectation_zz``.
     """
     n = training_set.n_qubits
     if n != schedule.n_qubits:
@@ -189,7 +172,11 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     else:
         items = training_set.items
         rows = np.arange(len(items))
+        require_dense(n, len(items))
         finals = _evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
         parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
     zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
+    if not np.all(np.isfinite(zz)):
+        raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
+    zz = np.clip(zz, -1.0, 1.0)
     return (zz * zz)[rows]

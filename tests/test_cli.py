@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from qnnwitness import cli
 from qnnwitness.fixtures import fixture_path
 from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
+from qnnwitness.witness import PairStateKind, make_pair_state, witness_value
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +35,12 @@ def witness_rows(out):
     return rows
 
 
+def _lifted(schedule: Schedule, n: int) -> Schedule:
+    """The symmetric schedule's shared parameters on n qubits."""
+    chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in schedule.chunks)
+    return Schedule(n, schedule.total_time, chunks, symmetric=True)
+
+
 class TestWitnessCommand:
     def test_bell_chunked(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--schedule", "table2", "--state", "Bell", "--method", "chunked")
@@ -50,6 +57,34 @@ class TestWitnessCommand:
         code, out, _ = run_cli(capsys, "witness", "--schedule", "table2", "--state", "all", "--method", "all")
         assert code == 0
         assert len(out.strip().splitlines()) == 13  # header + 4 states x 3 methods
+
+    @pytest.mark.parametrize("n", [7, 10])
+    def test_rows_match_the_dense_single_state_reference(self, tmp_path, capsys, table3, n):
+        # exact and chunked read the pair (x) Dicke orbit states, gates the
+        # compiled circuit on the whole batch; each row against one 2^n vector
+        path = tmp_path / "s.json"
+        schedule = _lifted(table3, n)
+        save_schedule(schedule, path)
+        for pair in ((0, 1), (n - 2, n - 1)):
+            code, out, _ = run_cli(capsys, "witness", "--schedule", str(path), "--pair", f"{pair[0]},{pair[1]}",
+                                   "--state", "all", "--method", "all")
+            assert code == 0
+            rows = witness_rows(out)
+            assert len(rows) == 12
+            for (state, method), value in rows.items():
+                dense = witness_value(make_pair_state(PairStateKind(state), pair, n), pair, schedule, method)
+                assert abs(value - dense) <= 1e-12, (pair, state, method)
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    def test_symmetric_schedule_at_sixty_four_qubits(self, tmp_path, capsys, table3, method):
+        # past the dense budget, which only gates would need
+        path = tmp_path / "s64.json"
+        save_schedule(_lifted(table3, 64), path)
+        code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--pair", "17,63", "--method", method)
+        assert code == 0, err
+        rows = witness_rows(out)
+        assert len(rows) == 4
+        assert all(0.0 <= value <= 1.0 for value in rows.values())
 
     def test_malformed_schedule_names_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -384,11 +419,14 @@ class TestDimensionRefusals:
         assert elapsed < 0.5 and peak < 2**20
         assert not out.exists()
 
-    def test_witness_refuses_a_forty_qubit_schedule(self, tmp_path, capsys):
+    @pytest.mark.parametrize("method", ["gates", "all"])
+    def test_witness_refuses_a_forty_qubit_schedule(self, tmp_path, capsys, method):
+        # the symmetric schedule's exact and chunked values need no 2^40
+        # vector, but the gate circuit does; no row is printed before it refuses
         path = tmp_path / "s40.json"
         save_schedule(Schedule(40, 1.58, (ChunkParams.uniform(40, 2.5, 0.1, 0.05),), symmetric=True), path)
-        code, _, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell")
-        assert code == 3
+        code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell", "--method", method)
+        assert (code, out) == (3, "")
         assert "40 qubits" in err
 
 
@@ -423,11 +461,13 @@ class TestExtremeSchedules:
 
     @pytest.mark.parametrize("field", ["K", "eps"])
     def test_huge_finite_parameters_train_without_a_traceback(self, tmp_path, capsys, field):
-        # the squared magnitude of the 2x2 factor's generator overflowed a float
+        # the squared magnitude of the 2x2 factor's generator overflows a
+        # float, which would drop a term of the gradient: refused, not trained
         path = tmp_path / "s.json"
         path.write_text(_uniform_document(3, 1e155, 0.1) if field == "K" else _uniform_document(3, 2.5, 1e200))
-        code, _, _ = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path))
-        assert code in (0, 2)
+        code, _, err = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "too large to differentiate" in err
 
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -592,14 +632,19 @@ class TestFuzz:
             argv = [str(places.get(token, token)) for token in argv]
             cwd = os.getcwd()
             os.chdir(tmp)  # a relative --out from a config value lands here
+            stdout = io.StringIO()
             try:
-                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                with redirect_stdout(stdout), redirect_stderr(io.StringIO()):
                     code = cli.main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
             finally:
                 os.chdir(cwd)
         assert code in range(5)
+        if argv[0] == "witness" and code == 0:
+            # a refused value exits 2; a printed one is a witness
+            values = [float(line.rsplit(",", 1)[1]) for line in stdout.getvalue().splitlines()[1:]]
+            assert values and all(0.0 <= value <= 1.0 for value in values), stdout.getvalue()
 
     # the first two built 2**n for the refusal message and exited 2 (Python's
     # limit on integer-to-string conversion); the third overflowed the

@@ -8,6 +8,7 @@ from qnnwitness.trainer import (
     TrainerConfig,
     TrainingDiverged,
     bootstrap,
+    bootstrap_chain,
     bootstrap_summary_csv,
     gradient,
     random_schedule,
@@ -119,14 +120,22 @@ class TestGradient:
         with pytest.raises(ValueError, match="non-symmetric chunk"):
             gradient(non_uniform_schedule(), build_training_set(3), TrainerConfig())
 
-    @pytest.mark.parametrize("method", ["chunked", "exact"])
-    def test_partials_stay_finite_at_huge_tunneling(self, method):
+    def test_huge_tunneling_partials_are_finite_or_refused(self):
         # dt * K is about 4e199 here; the squared magnitude of the 2x2
-        # factor's generator would overflow a float
+        # factor's generator overflows a float, which would drop the O(dt)
+        # term of chunked's closed-form partials, so chunked refuses
         schedule = Schedule(3, 1.58, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),), symmetric=True)
-        assert np.all(np.isfinite(gradient(schedule, build_training_set(3), TrainerConfig(method=method))))
-        for partial in _single_qubit_factor_partials(1e200, 0.3, 0.4):
-            assert np.all(np.isfinite(partial))
+        with pytest.raises(ValueError, match="too large to differentiate"):
+            gradient(schedule, build_training_set(3), TrainerConfig(method="chunked"))
+        assert np.all(np.isfinite(gradient(schedule, build_training_set(3), TrainerConfig(method="exact"))))
+
+    def test_factor_partials_keep_their_first_order_term_or_refuse(self):
+        # at K = 1e150 the K partial's off-diagonal is -i (K^2 f + s), about
+        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0
+        d_tunneling, _ = _single_qubit_factor_partials(1e150, 0.1, 0.4)
+        assert d_tunneling[0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
+        with pytest.raises(ValueError, match="too large to differentiate"):
+            _single_qubit_factor_partials(1e155, 0.1, 0.4)
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
@@ -215,6 +224,19 @@ class TestBootstrap:
 
         with pytest.raises(ValueError):
             bootstrap(TrainResult(asym, (1.0,), 0, False), 3, TrainerConfig())
+
+    def test_chain_from_a_given_start(self, ts2):
+        # the default start is the config's random schedule; a given one is
+        # trained as it is
+        config = TrainerConfig(target_rms=2e-3, max_epochs=50, seed=3)
+        default = bootstrap_chain(3, config)
+        given_start = bootstrap_chain(3, config, random_schedule(2, 4, seed=3))
+        assert [r.rms_history for r in default.values()] == [r.rms_history for r in given_start.values()]
+        refined = bootstrap_chain(3, TrainerConfig(target_rms=2e-3, max_epochs=50, chunk_count=8),
+                                  refine_schedule(default[2].schedule, 2))
+        assert sorted(refined) == [2, 3] and refined[3].schedule.n_chunks == 8
+        with pytest.raises(ValueError):  # the n=2 training set does not fit it
+            bootstrap_chain(3, config, random_schedule(3, 4, seed=3))
 
     def test_requires_larger_target(self, ts2):
         base = train(random_schedule(2, 4, seed=0), ts2, TrainerConfig(max_epochs=0, target_rms=1.0))

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qnnwitness.core import density_matrix
 from qnnwitness.hamiltonian import ChunkParams, Schedule
 from qnnwitness.witness import (
     PairStateKind,
+    TrainingItem,
+    TrainingSet,
     WITNESS_TARGETS,
     build_training_set,
     make_pair_state,
@@ -83,18 +84,15 @@ class TestWitnessValue:
             for method in ("exact", "chunked", "gates"):
                 assert 0.0 <= witness_value(state, (0, 1), table2, method) <= 1.0
 
-    def test_density_matrix_input(self, table2):
-        state = make_pair_state(PairStateKind.P, (0, 1), 2)
-        rho = density_matrix(state)
-        for method in ("exact", "chunked", "gates"):
-            assert witness_value(rho, (0, 1), table2, method) == pytest.approx(
-                witness_value(state, (0, 1), table2, method), abs=1e-10
-            )
-
     def test_dimension_mismatch(self, table2):
         state = make_pair_state(PairStateKind.BELL, (0, 1), 3)
         with pytest.raises(ValueError):
             witness_value(state, (0, 1), table2, "chunked")
+
+    def test_density_matrix_refused(self, table2):
+        state = make_pair_state(PairStateKind.P, (0, 1), 2)
+        with pytest.raises(ValueError, match="state vector"):
+            witness_value(np.outer(state, state.conj()), (0, 1), table2, "chunked")
 
     def test_unknown_method(self, table2):
         state = make_pair_state(PairStateKind.BELL, (0, 1), 2)
@@ -179,6 +177,22 @@ class TestWitnessValues:
             assert coords.shape == (4, 4 * (n - 1))
             assert rows.tolist() == [kinds.index(item.kind) for item in ts.items]
             assert not coords.flags.writeable and not rows.flags.writeable
+
+    @pytest.mark.parametrize("method", ["exact", "chunked", "gates"])
+    def test_requested_kinds_on_one_pair(self, table3, method):
+        # the witness command's set: some kinds on one pair, in any order
+        kinds = [PairStateKind.P, PairStateKind.BELL]
+        ts = TrainingSet(7, tuple(TrainingItem(kind, (2, 5), WITNESS_TARGETS[kind]) for kind in kinds))
+        single = [witness_value(make_pair_state(kind, (2, 5), 7), (2, 5), table3, method) for kind in kinds]
+        assert np.max(np.abs(witness_values(ts, table3, method) - single)) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
+    def test_non_finite_correlation_refused(self):
+        # the reduced spectator power overflows at |K| = 1e308; a clamped
+        # NaN would read as a plausible witness
+        schedule = Schedule(4, 1.0, (ChunkParams.uniform(4, 1e308, 0.1, 0.05),) * 2, symmetric=True)
+        with pytest.raises(ValueError, match="not finite"):
+            witness_values(build_training_set(4), schedule, "chunked")
 
     def test_size_mismatch(self, table2):
         with pytest.raises(ValueError):
