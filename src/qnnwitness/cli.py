@@ -8,8 +8,9 @@ sweep. ``--list-repro`` prints the command that regenerates each
 published table or figure.
 
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
-error, 3 dimension error (a pair outside the register, or a register too
-large for the dense arrays a command needs: ``witness`` under a symmetric
+error (also a ``--chunks`` or ``--iterations`` past its bound), 3
+dimension error (a pair outside the register, or a register too large
+for the dense arrays a command needs: ``witness`` under a symmetric
 schedule needs none for ``exact`` and ``chunked``, but ``gates`` and any
 non-symmetric schedule evolve 2^n vectors), 4 training divergence.
 """
@@ -25,8 +26,9 @@ from .compiler import compile_schedule, export_qasm, gate_counts, verify_equival
 from .core import DimensionError
 from .fixtures import FIXTURE_NAMES, fixture_path
 from .hamiltonian import Schedule, ScheduleFormatError, load_schedule, save_schedule
-from .sampler import ShotConfig, sweep, sweep_csv
+from .sampler import MAX_ITERATIONS, ShotConfig, sweep, sweep_csv
 from .trainer import (
+    MAX_CHUNKS,
     TrainerConfig,
     TrainingDiverged,
     bootstrap_chain,
@@ -168,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="gradient-descent training of a schedule")
     _add_common(p, "config", "schedule", "seed", "out_dir")
     p.add_argument("--n-qubits", dest="n_qubits", type=int, default=2)
-    p.add_argument("--chunks", type=int, default=4)
+    p.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
     p.add_argument("--epochs", type=int, default=2000, help="maximum training epochs")
     p.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
@@ -178,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bootstrap", help="train 2 qubits, then bootstrap up to --n-max")
     _add_common(p, "config", "seed", "out_dir")
     p.add_argument("--n-max", dest="n_max", type=int, default=7)
-    p.add_argument("--chunks", type=int, default=4)
+    p.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "config", "schedule", "pair", "seed", "out_dir")
     p.add_argument("--state", default="Bell")
     p.add_argument("--shots", type=int, help="single shot count (default: grid 50..20000 step 50)")
-    p.add_argument("--iterations", type=int, default=100)
+    p.add_argument("--iterations", type=int, default=100, help=f"runs per shot count, at most {MAX_ITERATIONS}")
 
     return parser
 

@@ -29,7 +29,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from pathlib import Path
 from typing import NamedTuple
@@ -71,8 +71,10 @@ class ChunkParams:
     def n_qubits(self) -> int:
         return len(self.tunneling)
 
-    @property
+    @cached_property
     def is_symmetric(self) -> bool:
+        # computed once per chunk and kept outside the fields, so equality,
+        # hashing and the exact-propagator cache key still read fields only
         return (
             len(set(self.tunneling)) == 1
             and len(set(self.bias)) == 1

@@ -34,6 +34,7 @@ from .witness import PairStateKind, make_pair_state
 
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
+MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class ShotConfig:
             raise ValueError(f"shot counts must not exceed {_MAX_SHOTS}, the largest binomial draw")
         if any(b <= a for a, b in zip(self.shot_counts, self.shot_counts[1:])):
             raise ValueError("shot_counts must be strictly increasing")
-        if self.iterations < 1:
-            raise ValueError("iterations must be positive")
+        if not 1 <= self.iterations <= MAX_ITERATIONS:
+            raise ValueError(f"iterations must lie in 1..{MAX_ITERATIONS}, got {self.iterations}")
         if not 0 < self.confidence_level < 1:
             raise ValueError("confidence_level must lie in (0, 1)")
 

@@ -8,7 +8,11 @@ costs one forward and one backward sweep: the backward sweep carries the
 co-state back through the chunks and reads every partial on the way (the
 adjoint method). Both sweeps run on the four orbit states in the
 4(n-1)-dimensional pair (x) Dicke space, which returns the three shared
-partials per chunk directly; no 2^n vector is built.
+partials per chunk directly; no 2^n vector is built. The forward sweep
+also yields the loss at the current parameters, so an epoch costs one
+forward and one backward sweep, and the rms it reports is read from the
+gradient's own forward sweep; only a schedule that will take no further
+step is evaluated forward-only.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
 solution; with all-to-all coupling the required correction shrinks as n
@@ -26,9 +30,15 @@ import numpy as np
 
 from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators
 from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
-from .witness import TrainingSet, build_training_set, check_training_set_size, witness_values
+from .witness import TrainingSet, build_training_set, check_training_set_size, witness_readout, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
+MAX_CHUNKS = 1024  # per schedule; every sweep and every saved schedule grows with it
+
+
+def _check_chunk_count(chunk_count: int) -> None:
+    if not 1 <= chunk_count <= MAX_CHUNKS:
+        raise ValueError(f"chunk count must lie in 1..{MAX_CHUNKS}, got {chunk_count}")
 
 
 @dataclass(frozen=True)
@@ -48,8 +58,7 @@ class TrainerConfig:
             raise ValueError(f"target_rms must be non-negative and finite, got {self.target_rms!r}")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
-        if self.chunk_count < 1:
-            raise ValueError("chunk_count must be positive")
+        _check_chunk_count(self.chunk_count)
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.method not in ("chunked", "exact"):
@@ -113,25 +122,33 @@ def schedule_with_parameters(template: Schedule, params: np.ndarray) -> Schedule
     return Schedule(n, template.total_time, chunks, symmetric=True)
 
 
-def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfig) -> np.ndarray:
-    """Exact gradient of the summed squared error in the shared parameters.
+def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfig) -> tuple[float, np.ndarray]:
+    """The summed squared error and its exact gradient in the shared parameters.
 
     Both sweeps run on the four orbit states in the pair (x) Dicke space.
-    With ``zz`` the ``<Z_0 Z_1>`` of an evolved orbit state and ``t`` an
-    item's target, each item adds ``4 zz (zz^2 - t)`` to its row's weight
-    ``c``, and the co-state of a row is ``c Z_0 Z_1 psi_final``.
+    The loss is read from the states the forward sweep has evolved, through
+    the read-out :func:`witness_values` uses, so it equals
+    :func:`training_loss` bit for bit. With ``zz`` the unclamped
+    ``<Z_0 Z_1>`` of an evolved orbit state and ``t`` an item's target, each
+    item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``, and the
+    co-state of a row is ``c Z_0 Z_1 psi_final``.
     """
     if not all(ck.is_symmetric for ck in schedule.chunks):
         raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
     n = training_set.n_qubits
     if n != schedule.n_qubits:
         raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
+    if len(training_set.items) == 0:
+        raise ValueError("training set is empty")
     coords, rows = training_set.pair_dicke_orbits
     readout = pair_dicke_operators(n).readout
     targets = np.array([item.target for item in training_set.items])
+    loss = math.nan
 
     def costate(finals: np.ndarray) -> np.ndarray:
+        nonlocal loss
         zz = np.sum(np.abs(finals) ** 2 * readout, axis=1)
+        loss = float(np.sum((witness_readout(zz, rows) - targets) ** 2))
         item_zz = zz[rows]
         weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
         return weights[:, np.newaxis] * readout * finals
@@ -139,7 +156,7 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     grad = adjoint_partials(coords, schedule, config.method, costate).ravel()
     if not np.all(np.isfinite(grad)):
         raise ValueError("non-finite value encountered during gradient evaluation")
-    return grad
+    return loss, grad
 
 
 _DIVERGENCE_FACTOR = 10.0
@@ -149,28 +166,39 @@ _DIVERGENCE_PATIENCE = 50
 def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> TrainResult:
     """Plain gradient descent with momentum until target_rms or max_epochs.
 
+    Every schedule that will take a step is evaluated by :func:`gradient`,
+    whose forward sweep also gives its rms; only the last schedule of the
+    budget (the initial one at ``max_epochs = 0``) is evaluated forward-only
+    by :func:`rms_error`. So ``max_epochs = K`` costs K+1 forward and K
+    backward sweeps, and a train that meets its target early runs one
+    backward sweep more than the steps it took.
+
     Deterministic for fixed inputs. Raises :class:`TrainingDiverged` when
     the rms exceeds 10x its initial value for 50 consecutive epochs.
     """
+
+    def evaluate(schedule: Schedule, steps_left: int) -> tuple[float, np.ndarray | None]:
+        if steps_left == 0:
+            return rms_error(schedule, training_set, config.method), None
+        loss, grad = gradient(schedule, training_set, config)
+        return math.sqrt(loss / len(training_set.items)), grad
+
     params = schedule_parameters(init)
     velocity = np.zeros_like(params)
     schedule = schedule_with_parameters(init, params)
-    rms = rms_error(schedule, training_set, config.method)
+    rms, grad = evaluate(schedule, config.max_epochs)
     history = [rms]
     best_schedule, best_rms = schedule, rms
     if rms <= config.target_rms:
         return TrainResult(schedule, tuple(history), 0, True)
     initial_rms = rms
     bad_streak = 0
-    epochs = 0
-    for _ in range(config.max_epochs):
-        grad = gradient(schedule, training_set, config)
+    for epochs in range(1, config.max_epochs + 1):
         velocity = config.momentum * velocity - config.learning_rate * grad
         params = params + velocity
         schedule = schedule_with_parameters(init, params)
-        rms = rms_error(schedule, training_set, config.method)
+        rms, grad = evaluate(schedule, config.max_epochs - epochs)
         history.append(rms)
-        epochs += 1
         if rms < best_rms:
             best_schedule, best_rms = schedule, rms
         if rms > _DIVERGENCE_FACTOR * initial_rms:
@@ -186,12 +214,13 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
             bad_streak = 0
         if rms <= config.target_rms:
             return TrainResult(schedule, tuple(history), epochs, True)
-    return TrainResult(schedule, tuple(history), epochs, False)
+    return TrainResult(schedule, tuple(history), config.max_epochs, False)
 
 
 def random_schedule(n: int, chunk_count: int, seed: int, total_time: float = DEFAULT_TOTAL_TIME) -> Schedule:
     """Documented random initialization, drawn per chunk and shared across
     qubits: tunneling ~ U(2.4, 2.6), bias and coupling ~ U(-0.1, 0.1)."""
+    _check_chunk_count(chunk_count)
     rng = np.random.default_rng(seed)
     chunks = tuple(
         ChunkParams.uniform(n, 2.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))

@@ -175,7 +175,15 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         require_dense(n, len(items))
         finals = _evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
         parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
-    zz = np.sum(np.abs(finals) ** 2 * parities, axis=1)
+    return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
+
+
+def witness_readout(zz: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Each item's witness from the ``<Z_i Z_j>`` of its evolved row.
+
+    A non-finite ``zz`` raises, as in ``expectation_zz``; round-off just
+    outside [-1, 1] is clamped before squaring.
+    """
     if not np.all(np.isfinite(zz)):
         raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
     zz = np.clip(zz, -1.0, 1.0)

@@ -6,7 +6,8 @@ the package's closed forms, gate embeddings are built as dense
 Kronecker products rather than stride updates, a run of shots draws
 one basis state per shot rather than one binomial count, and gradients
 come from finite differences of the loss, or from tangents carried
-forward through dense 2^n states, rather than an adjoint sweep.
+forward through dense 2^n states, rather than an adjoint sweep. A call
+counter lets tests pin how often a kernel runs.
 """
 
 from __future__ import annotations
@@ -211,6 +212,21 @@ def tangent_loss_gradient(states, parity, rows, targets, schedule, method):
     item_zz = zz[rows]
     grad = np.sum(2 * (item_zz**2 - targets) * 2 * item_zz * d_zz[..., rows], axis=-1)
     return (zz**2)[rows], grad.ravel()
+
+
+def count_calls(monkeypatch, targets) -> dict[str, int]:
+    """Count the calls made through each ``(module, name)`` global."""
+    calls = {}
+    for module, name in targets:
+        calls[name] = 0
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def random_state(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -19,6 +19,8 @@ from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
 from qnnwitness.witness import PairStateKind, build_training_set
 
+from helpers import count_calls
+
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -125,21 +127,6 @@ def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
     assert calls == {"rng_stream": 7, "sample_zz_mean": 7}
 
 
-def _counted(monkeypatch, targets) -> dict[str, int]:
-    """Count the calls made through each ``(module, name)`` global."""
-    calls = {}
-    for module, name in targets:
-        calls[name] = 0
-        original = getattr(module, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     # trainer.gradient is timed by that name and must cost one forward and one
     # backward sweep whatever the number of parameters, and no loss
@@ -150,7 +137,7 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     chunks = schedule.n_chunks
     # the 12-parameter symmetric gradient runs in the pair (x) Dicke space:
     # one forward and one backward step per chunk, no dense Hamiltonian
-    calls = _counted(monkeypatch, [
+    calls = count_calls(monkeypatch, [
         (hamiltonian, "_pair_dicke_chunk"), (hamiltonian, "_pair_dicke_backward_step"),
         (hamiltonian, "_exact_chunk"), (hamiltonian, "_exact_backward_step"),
         (hamiltonian, "pair_dicke_hamiltonian"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
@@ -159,7 +146,7 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
         ("chunked", {"_pair_dicke_chunk": chunks, "_pair_dicke_backward_step": chunks}),
         ("exact", {"_exact_chunk": chunks, "_exact_backward_step": chunks, "pair_dicke_hamiltonian": chunks}),
     ):
-        grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
+        _, grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
         assert calls == {**dict.fromkeys(calls, 0), **expected}, method
         calls.update(dict.fromkeys(calls, 0))

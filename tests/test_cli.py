@@ -16,6 +16,8 @@ from hypothesis import strategies as st
 from qnnwitness import cli
 from qnnwitness.fixtures import fixture_path
 from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
+from qnnwitness.sampler import MAX_ITERATIONS
+from qnnwitness.trainer import MAX_CHUNKS
 from qnnwitness.witness import PairStateKind, make_pair_state, witness_value
 
 
@@ -23,6 +25,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_measured(capsys, *argv):
+    """``run_cli`` plus its wall time in seconds and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out, err, elapsed, peak
 
 
 def witness_rows(out):
@@ -406,14 +421,7 @@ class TestDimensionRefusals:
     def test_register_too_large_for_training_exits_3_without_allocating(self, tmp_path, capsys, argv):
         # at 10^7 qubits, 2**n alone would be a 1.25 MB integer with 3 million digits
         out = tmp_path / "out"
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code, stdout, err = run_cli(capsys, *argv, "--out-dir", str(out))
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, stdout, err, elapsed, peak = run_cli_measured(capsys, *argv, "--out-dir", str(out))
         assert code == 3
         assert f"{argv[-1]} qubits" in err and stdout == ""
         assert elapsed < 0.5 and peak < 2**20
@@ -428,6 +436,26 @@ class TestDimensionRefusals:
         code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell", "--method", method)
         assert (code, out) == (3, "")
         assert "40 qubits" in err
+
+
+class TestSizeRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [["train", "--chunks", str(MAX_CHUNKS + 1)], ["train", "--chunks", str(10**12)],
+         ["bootstrap", "--chunks", str(MAX_CHUNKS + 1)], ["bootstrap", "--chunks", str(10**12)],
+         ["sample", "--schedule", "table2", "--iterations", str(MAX_ITERATIONS + 1)],
+         ["sample", "--schedule", "table2", "--iterations", str(10**12)]],
+        ids=["train", "train_1e12", "bootstrap", "bootstrap_1e12", "sample", "sample_1e12"],
+    )
+    def test_size_past_its_bound_exits_2_without_running(self, tmp_path, capsys, argv):
+        # past the bound a run would take as long as its size asks, or never end
+        out = tmp_path / "out"
+        code, stdout, err, elapsed, peak = run_cli_measured(capsys, *argv, "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        bound = MAX_ITERATIONS if argv[0] == "sample" else MAX_CHUNKS
+        assert f"1..{bound}, got {argv[-1]}" in err
+        assert elapsed < 0.5 and peak < 2**20
+        assert not out.exists()
 
 
 def _uniform_document(n: int, tunneling: float, bias: float, coupling: float = 0.1) -> str:
@@ -447,14 +475,7 @@ class TestExtremeSchedules:
         # the C(9000, 2) = 40 million pairs of the claimed register would take gigabytes
         path = tmp_path / "s.json"
         path.write_text(json.dumps(doc))
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            code, out, err = run_cli(capsys, "witness", "--schedule", str(path))
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, out, err, elapsed, peak = run_cli_measured(capsys, "witness", "--schedule", str(path))
         assert (code, out) == (2, "")
         assert "chunk" in err
         assert elapsed < 0.5 and peak < 2**20

@@ -57,6 +57,18 @@ class TestChunkParams:
     def test_asymmetric_detected(self):
         assert not ChunkParams((1.0, 2.0), (0.0, 0.0), (0.0,)).is_symmetric
 
+    def test_symmetry_is_kept_outside_equality_and_hashing(self):
+        # is_symmetric is computed once per chunk; a chunk that has computed
+        # it still equals, hashes and keys the propagator cache like a fresh one
+        checked, fresh = ChunkParams.uniform(2, 1.1, 0.2, 0.3), ChunkParams.uniform(2, 1.1, 0.2, 0.3)
+        assert checked.is_symmetric and "is_symmetric" not in vars(fresh)
+        assert checked == fresh and hash(checked) == hash(fresh)
+        assert repr(checked) == repr(fresh)
+        exact_chunk_propagator(checked, 2, 0.3)
+        hits = exact_chunk_propagator.cache_info().hits
+        exact_chunk_propagator(fresh, 2, 0.3)
+        assert exact_chunk_propagator.cache_info().hits == hits + 1
+
 
 class TestSchedule:
     def test_dt(self, table2):

@@ -85,7 +85,7 @@ def assert_backends_agree(schedule: Schedule, method: str) -> None:
     n = schedule.n_qubits
     values, grad = dense_reference(schedule, method)
     assert np.max(np.abs(witness_values(training_set(n), schedule, method) - values)) <= VALUE_TOL
-    reduced = trainer.gradient(schedule, training_set(n), trainer.TrainerConfig(method=method))
+    _, reduced = trainer.gradient(schedule, training_set(n), trainer.TrainerConfig(method=method))
     assert np.max(np.abs(reduced - grad)) <= GRADIENT_TOL * max(1.0, np.linalg.norm(grad))
 
 

@@ -4,6 +4,7 @@ import pytest
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
 from qnnwitness.sampler import (
+    MAX_ITERATIONS,
     ShotConfig,
     confidence_interval,
     rng_stream,
@@ -34,6 +35,12 @@ class TestShotConfig:
     def test_positive_counts(self):
         with pytest.raises(ValueError):
             ShotConfig(shot_counts=(0, 10))
+
+    def test_iterations_are_bounded(self):
+        assert ShotConfig(iterations=MAX_ITERATIONS).iterations == MAX_ITERATIONS
+        for iterations in (0, MAX_ITERATIONS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"iterations must lie in 1..{MAX_ITERATIONS}"):
+                ShotConfig(iterations=iterations)
 
 
 class TestSampleZZWitness:

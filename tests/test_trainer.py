@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnnwitness import hamiltonian
 from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, refine_schedule
 from qnnwitness.trainer import (
+    MAX_CHUNKS,
     TrainerConfig,
     TrainingDiverged,
     bootstrap,
@@ -21,7 +23,7 @@ from qnnwitness.trainer import (
 )
 from qnnwitness.witness import TrainingItem, TrainingSet, build_training_set, witness_values
 
-from helpers import central_difference_gradient
+from helpers import central_difference_gradient, count_calls
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +50,9 @@ class TestRmsError:
     def test_empty_set_rejected(self, table2):
         with pytest.raises(ValueError):
             rms_error(table2, TrainingSet(2, ()), "chunked")
+        for epochs in (0, 1):  # train's forward-only and gradient evaluations
+            with pytest.raises(ValueError, match="training set is empty"):
+                train(table2, TrainingSet(2, ()), TrainerConfig(max_epochs=epochs))
 
 
 class TestParameterVector:
@@ -76,7 +81,7 @@ def non_uniform_schedule(n: int = 3) -> Schedule:
 
 def assert_matches_oracle(schedule, method, floor=0.0):
     training_set = build_training_set(schedule.n_qubits)
-    grad = gradient(schedule, training_set, TrainerConfig(method=method))
+    _, grad = gradient(schedule, training_set, TrainerConfig(method=method))
     params = schedule_parameters(schedule)
     assert grad.shape == params.shape
 
@@ -127,7 +132,7 @@ class TestGradient:
         schedule = Schedule(3, 1.58, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),), symmetric=True)
         with pytest.raises(ValueError, match="too large to differentiate"):
             gradient(schedule, build_training_set(3), TrainerConfig(method="chunked"))
-        assert np.all(np.isfinite(gradient(schedule, build_training_set(3), TrainerConfig(method="exact"))))
+        assert np.all(np.isfinite(gradient(schedule, build_training_set(3), TrainerConfig(method="exact"))[1]))
 
     def test_factor_partials_keep_their_first_order_term_or_refuse(self):
         # at K = 1e150 the K partial's off-diagonal is -i (K^2 f + s), about
@@ -139,7 +144,7 @@ class TestGradient:
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
-        grad = gradient(settled.schedule, ts2, TrainerConfig())
+        _, grad = gradient(settled.schedule, ts2, TrainerConfig())
         assert np.linalg.norm(grad) < 1e-4
 
 
@@ -179,7 +184,7 @@ class TestTrain:
         checked = 0
         for seed in range(40):
             schedule = random_schedule(2, 4, seed=1000 + seed)
-            grad = gradient(schedule, ts2, TrainerConfig())
+            _, grad = gradient(schedule, ts2, TrainerConfig())
             if np.linalg.norm(grad) < 1e-6:
                 continue
             vec = schedule_parameters(schedule) - 1e-3 * grad
@@ -207,6 +212,49 @@ class TestTrain:
         result = train(refined, ts2, TrainerConfig(target_rms=5e-3, max_epochs=50))
         assert result.schedule.n_chunks == 8
         assert result.final_rms <= 5e-3
+
+
+SWEEP_STEPS = {
+    "chunked": ("_pair_dicke_chunk", "_pair_dicke_backward_step", "_pair_dicke_factors"),
+    "exact": ("_exact_chunk", "_exact_backward_step", "pair_dicke_hamiltonian"),
+}
+
+
+class TestSweepsPerEpoch:
+    # train reads each stepped schedule's rms from gradient's forward sweep
+    # and evaluates forward-only only the schedule it stops at
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_reported_rms_is_the_rms_of_each_epochs_schedule(self, table2, table3, n, method):
+        init, training_set = {2: table2, 7: table3}[n], build_training_set(n)
+        history = train(init, training_set, TrainerConfig(max_epochs=5, target_rms=0.0, method=method)).rms_history
+        assert len(history) == 6
+        for k, reported in enumerate(history):
+            # a k-epoch train takes the same first k steps, so it ends at epoch k's schedule
+            schedule = train(init, training_set, TrainerConfig(max_epochs=k, target_rms=0.0, method=method)).schedule
+            assert abs(reported - rms_error(schedule, training_set, method)) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_k_epochs_cost_k_plus_one_forward_and_k_backward_sweeps(self, monkeypatch, table3, method, epochs):
+        forward, backward, build = SWEEP_STEPS[method]
+        calls = count_calls(monkeypatch, [(hamiltonian, name) for name in (forward, backward, build)])
+        result = train(table3, build_training_set(7), TrainerConfig(max_epochs=epochs, target_rms=0.0, method=method))
+        assert result.epochs_used == epochs
+        chunks = table3.n_chunks
+        # one chunk factor set (exact: one eigh) per forward sweep, shared by its backward sweep
+        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, build: (epochs + 1) * chunks}
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    def test_schedule_at_target_returns_after_at_most_one_backward_sweep(self, monkeypatch, table2, ts2, method):
+        target = rms_error(table2, ts2, method)
+        forward, backward, _ = SWEEP_STEPS[method]
+        calls = count_calls(monkeypatch, [(hamiltonian, forward), (hamiltonian, backward)])
+        result = train(table2, ts2, TrainerConfig(target_rms=target, method=method))
+        assert (result.epochs_used, result.converged) == (0, True)
+        assert calls[forward] == table2.n_chunks
+        assert calls[backward] <= table2.n_chunks
 
 
 class TestBootstrap:
@@ -290,6 +338,14 @@ class TestConfigValidation:
     def test_unknown_method_refused(self):
         with pytest.raises(ValueError, match="method"):
             TrainerConfig(method="gates")
+
+    def test_chunk_count_is_bounded(self):
+        assert TrainerConfig(chunk_count=MAX_CHUNKS).chunk_count == MAX_CHUNKS
+        for chunks in (0, MAX_CHUNKS + 1, 10**12):
+            with pytest.raises(ValueError, match=f"chunk count must lie in 1..{MAX_CHUNKS}"):
+                TrainerConfig(chunk_count=chunks)
+            with pytest.raises(ValueError, match=f"chunk count must lie in 1..{MAX_CHUNKS}"):
+                random_schedule(2, chunks, seed=0)
 
 
 class TestArtifacts:
