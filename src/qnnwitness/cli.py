@@ -8,11 +8,13 @@ sweep. ``--list-repro`` prints the command that regenerates each
 published table or figure.
 
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
-error (also a ``--chunks`` or ``--iterations`` past its bound), 3
-dimension error (a pair outside the register, or a register too large
-for the dense arrays a command needs: ``witness`` under a symmetric
-schedule needs none for ``exact`` and ``chunked``, but ``gates`` and any
-non-symmetric schedule evolve 2^n vectors), 4 training divergence.
+error (also a ``--chunks`` or ``--iterations`` past its bound, or a
+schedule file's optional ``"symmetric": true`` over non-uniform chunks),
+3 dimension error (a pair outside the register, or a register too large
+for the dense arrays a command needs: ``witness`` under uniform chunks,
+whatever the ``"symmetric"`` key says, needs none for ``exact`` and
+``chunked``, but ``gates`` and any other schedule evolve 2^n vectors),
+4 training divergence.
 """
 
 from __future__ import annotations
@@ -66,32 +68,28 @@ class _CliError(Exception):
         self.code = code
 
 
-def _fail(code: int, message: str) -> "_CliError":
-    return _CliError(code, message)
-
-
 def _resolve_schedule(spec: str) -> Schedule:
     if spec in FIXTURE_NAMES:
         path = fixture_path(spec)
     else:
         path = Path(spec)
         if not path.exists():
-            raise _fail(EXIT_INPUT, f"schedule file not found: {spec}")
+            raise _CliError(EXIT_INPUT, f"schedule file not found: {spec}")
     try:
         return load_schedule(path)
     except ScheduleFormatError as exc:
-        raise _fail(EXIT_INPUT, f"bad schedule {spec}: {exc}") from exc
+        raise _CliError(EXIT_INPUT, f"bad schedule {spec}: {exc}") from exc
 
 
 def _parse_pair(text: str, n_qubits: int) -> tuple[int, int]:
     try:
         i, j = (int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _fail(EXIT_INPUT, f"bad pair {text!r}, expected 'i,j'") from exc
+        raise _CliError(EXIT_INPUT, f"bad pair {text!r}, expected 'i,j'") from exc
     if i >= j:
-        raise _fail(EXIT_INPUT, f"pair {text!r} must satisfy i < j")
+        raise _CliError(EXIT_INPUT, f"pair {text!r} must satisfy i < j")
     if j >= n_qubits:
-        raise _fail(EXIT_DIMENSION, f"pair {text!r} out of range for {n_qubits} qubits")
+        raise _CliError(EXIT_DIMENSION, f"pair {text!r} out of range for {n_qubits} qubits")
     return i, j
 
 
@@ -99,8 +97,8 @@ def _parse_state(name: str) -> PairStateKind:
     for kind in PairStateKind:
         if kind.value == name:
             return kind
-    raise _fail(EXIT_INPUT, f"unknown state {name!r}, expected one of "
-                f"{[k.value for k in PairStateKind]} or 'all'")
+    raise _CliError(EXIT_INPUT, f"unknown state {name!r}, expected one of "
+                    f"{[k.value for k in PairStateKind]} or 'all'")
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -110,26 +108,26 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
         return []
     path = Path(args.config)
     if not path.exists():
-        raise _fail(EXIT_INPUT, f"config file not found: {args.config}")
+        raise _CliError(EXIT_INPUT, f"config file not found: {args.config}")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
-        raise _fail(EXIT_INPUT, f"bad config file: {exc}") from exc
+        raise _CliError(EXIT_INPUT, f"bad config file: {exc}") from exc
     if not isinstance(doc, dict):
-        raise _fail(EXIT_INPUT, "config file must hold a JSON object")
+        raise _CliError(EXIT_INPUT, "config file must hold a JSON object")
     flags = []
     for key, value in doc.items():
         if key == "config" or not hasattr(args, key):
-            raise _fail(EXIT_INPUT, f"unknown key {key!r} in config file")
+            raise _CliError(EXIT_INPUT, f"unknown key {key!r} in config file")
         flag = "--" + key.replace("_", "-")
         if isinstance(getattr(args, key), bool):  # a switch such as --no-elide
             if not isinstance(value, bool):
-                raise _fail(EXIT_INPUT, f"config key {key!r} must be true or false, got {value!r}")
+                raise _CliError(EXIT_INPUT, f"config key {key!r} must be true or false, got {value!r}")
             flags += [flag] if value else []
         elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
             flags.append(f"{flag}={value}")
         else:
-            raise _fail(EXIT_INPUT, f"config key {key!r} must be a string or a number, got {value!r}")
+            raise _CliError(EXIT_INPUT, f"config key {key!r} must be a string or a number, got {value!r}")
     return flags
 
 
@@ -144,6 +142,13 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--seed", type=int, default=0)
     if "out_dir" in names:
         parser.add_argument("--out-dir", dest="out_dir", help="directory for output artifacts")
+    if "training" in names:
+        parser.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
+        parser.add_argument("--epochs", type=int, default=2000, help="maximum training epochs")
+        parser.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
+        parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
+        parser.add_argument("--momentum", type=float, default=0.9)
+        parser.add_argument("--method", default="chunked", choices=("chunked", "exact"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,24 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep identity-angle gates (exact gate-count reproduction)")
 
     p = sub.add_parser("train", help="gradient-descent training of a schedule")
-    _add_common(p, "config", "schedule", "seed", "out_dir")
+    _add_common(p, "config", "schedule", "seed", "out_dir", "training")
     p.add_argument("--n-qubits", dest="n_qubits", type=int, default=2)
-    p.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
-    p.add_argument("--epochs", type=int, default=2000, help="maximum training epochs")
-    p.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--method", default="chunked", choices=("chunked", "exact"))
 
     p = sub.add_parser("bootstrap", help="train 2 qubits, then bootstrap up to --n-max")
-    _add_common(p, "config", "seed", "out_dir")
+    _add_common(p, "config", "seed", "out_dir", "training")
     p.add_argument("--n-max", dest="n_max", type=int, default=7)
-    p.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
-    p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--method", default="chunked", choices=("chunked", "exact"))
 
     p = sub.add_parser("sample", help="finite-shot sweep of the witness estimator")
     _add_common(p, "config", "schedule", "pair", "seed", "out_dir")
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _require_schedule(args: argparse.Namespace) -> Schedule:
     if not getattr(args, "schedule", None):
-        raise _fail(EXIT_INPUT, "--schedule is required")
+        raise _CliError(EXIT_INPUT, "--schedule is required")
     return _resolve_schedule(args.schedule)
 
 
@@ -209,7 +202,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     methods = list(METHODS) if args.method == "all" else [args.method]
     for method in methods:
         if method not in METHODS:
-            raise _fail(EXIT_INPUT, f"unknown method {method!r}, expected one of {METHODS} or 'all'")
+            raise _CliError(EXIT_INPUT, f"unknown method {method!r}, expected one of {METHODS} or 'all'")
     requested = TrainingSet(schedule.n_qubits, tuple(TrainingItem(kind, pair, WITNESS_TARGETS[kind]) for kind in kinds))
     # every method returns before any row is printed, so a refusal leaves stdout empty
     values = {method: witness_values(requested, schedule, method) for method in methods}
@@ -286,7 +279,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     if args.n_max < 2:
-        raise _fail(EXIT_INPUT, "--n-max must be at least 2")
+        raise _CliError(EXIT_INPUT, "--n-max must be at least 2")
     check_training_set_size(args.n_max)
     config = _trainer_config(args, args.chunks)
     out = _out_dir(args)

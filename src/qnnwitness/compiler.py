@@ -28,6 +28,7 @@ import re
 import numpy as np
 
 from .core import (
+    DEFAULT_UNITARY_CAP,
     Circuit,
     DimensionError,
     GateKind,
@@ -115,7 +116,7 @@ def gate_counts(circuit: Circuit) -> tuple[int, int]:
     return len(circuit.ops) - two, two
 
 
-def verify_equivalence(schedule: Schedule, max_qubits: int = 10) -> dict:
+def verify_equivalence(schedule: Schedule) -> dict:
     """Frobenius distances between the gate, chunked, and exact pictures.
 
     Compares full unitaries and, for the four reference pair states on
@@ -125,11 +126,11 @@ def verify_equivalence(schedule: Schedule, max_qubits: int = 10) -> dict:
     from .witness import PairStateKind, make_pair_state  # local import avoids a cycle
 
     n = schedule.n_qubits
-    if n > max_qubits:
-        raise DimensionError(f"refusing dense verification for {n} > {max_qubits} qubits")
+    if n > DEFAULT_UNITARY_CAP:
+        raise DimensionError(f"refusing dense verification for {n} > {DEFAULT_UNITARY_CAP} qubits")
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
-    u_gates = circuit_unitary(compile_schedule(schedule), max_qubits=max_qubits)
+    u_gates = circuit_unitary(compile_schedule(schedule))
     # evolve_states maps each basis row e_k to U e_k, so the stack comes back as U^T
     identity = np.eye(2**n, dtype=complex)
     u_chunked = evolve_states(identity, schedule, "chunked").T

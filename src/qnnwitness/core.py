@@ -40,7 +40,7 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 
 _PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
-DEFAULT_UNITARY_CAP = 10  # circuit_unitary refuses larger registers
+DEFAULT_UNITARY_CAP = 10  # circuit_unitary and verify_equivalence refuse larger registers
 
 # Largest dense allocation accepted, in bytes: 128 MiB holds the 4 C(14, 2)
 # training states of 14 qubits (95 MB) but not those of 15 (220 MB).
@@ -167,7 +167,7 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)  # every qubit of the largest register the dense budget admits (23)
 def z_diagonal(n: int, q: int) -> np.ndarray:
     """Diagonal of Z on qubit q as a length-2^n array of +-1."""
     if not 0 <= q < n:
@@ -310,11 +310,11 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     return _run_circuit(state.reshape(2**n, -1), circuit).reshape(state.shape)
 
 
-def circuit_unitary(circuit: Circuit, max_qubits: int = DEFAULT_UNITARY_CAP) -> np.ndarray:
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit (first op rightmost in the product)."""
     n = circuit.n_qubits
-    if n > max_qubits:
-        raise DimensionError(f"refusing dense unitary for {n} > {max_qubits} qubits")
+    if n > DEFAULT_UNITARY_CAP:
+        raise DimensionError(f"refusing dense unitary for {n} > {DEFAULT_UNITARY_CAP} qubits")
     # the basis columns, evolved at once
     return _run_circuit(np.eye(2**n, dtype=complex), circuit)
 

@@ -86,15 +86,27 @@ class ChunkParams:
         """Fully symmetric parameters: same values on every qubit and pair."""
         return cls((tunneling,) * n, (bias,) * n, (coupling,) * (n * (n - 1) // 2))
 
+    @property
+    def shared(self) -> tuple[float, float, float]:
+        """The (tunneling, bias, coupling) every qubit and pair of a uniform chunk shares."""
+        if not self.is_symmetric:
+            raise ValueError("cannot extract shared parameters from a non-symmetric chunk: "
+                             "its K, eps and zeta are not uniform")
+        return self.tunneling[0], self.bias[0], self.coupling[0] if self.coupling else 0.0
+
 
 @dataclass(frozen=True)
 class Schedule:
-    """Piecewise-constant parameter schedule over a fixed total time."""
+    """Piecewise-constant parameter schedule over a fixed total time.
+
+    ``symmetric`` (every chunk uniform) is derived, never stored. Reader and
+    writer keep the JSON schema: its optional ``"symmetric"`` key is checked
+    against the chunks on read and written as the derived value.
+    """
 
     n_qubits: int
     total_time: float
     chunks: tuple[ChunkParams, ...]
-    symmetric: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "chunks", tuple(self.chunks))
@@ -105,8 +117,10 @@ class Schedule:
         for ck in self.chunks:
             if ck.n_qubits != self.n_qubits:
                 raise ValueError(f"chunk is sized for {ck.n_qubits} qubits, schedule for {self.n_qubits}")
-        if self.symmetric and not all(ck.is_symmetric for ck in self.chunks):
-            raise ValueError("symmetric schedule contains non-uniform chunk parameters")
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return all(ck.is_symmetric for ck in self.chunks)
 
     @property
     def n_chunks(self) -> int:
@@ -191,7 +205,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
     return d_tunneling, d_bias
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # one entry per register size, each up to 128 MiB
 def _pair_parities(n: int) -> np.ndarray:
     """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
     require_dense(n, n * (n - 1) // 2, itemsize=8)
@@ -266,18 +280,11 @@ def pair_dicke_operators(n: int) -> PairDicke:
     return ops
 
 
-def _shared(params: ChunkParams) -> tuple[float, float, float]:
-    """A uniform chunk's (tunneling, bias, coupling)."""
-    if not params.is_symmetric:
-        raise ValueError("the pair (x) Dicke space needs uniform chunk parameters")
-    return params.tunneling[0], params.bias[0], params.coupling[0] if params.coupling else 0.0
-
-
 def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """A uniform chunk's Hamiltonian on the pair (x) Dicke space: real symmetric, 4(n-1) square."""
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
-    tunneling, bias, coupling = _shared(params)
+    tunneling, bias, coupling = params.shared
     ops = pair_dicke_operators(n)
     h = tunneling * ops.transverse
     h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
@@ -288,7 +295,7 @@ def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):
     """One chunk's split-operator factors in the pair (x) Dicke space: the
     ZZ phase diagonal, the shared 2x2 factor and its m-fold symmetric power
     on the Dicke block (None when m = 0, where the block is a scalar)."""
-    tunneling, bias, coupling = _shared(params)
+    tunneling, bias, coupling = params.shared
     phases = np.exp(-1j * dt * coupling * ops.coupling)
     factor = _single_qubit_factor(tunneling, bias, dt)
     if len(ops.spin_z) == 1:
@@ -339,7 +346,7 @@ def _pair_dicke_backward_step(
     """
     batch = both.shape[1] // 2
     phases, factor, power = factors
-    tunneling, bias, _ = _shared(params)
+    tunneling, bias, _ = params.shared
     inverse = factor.conj().T
     reduced = _qubit_overlap(both, 0) + _qubit_overlap(both, 1)
     if power is not None:
@@ -527,13 +534,13 @@ def refine_schedule(schedule: Schedule, factor: int) -> Schedule:
     if factor < 1:
         raise ValueError("refinement factor must be >= 1")
     chunks = tuple(ck for ck in schedule.chunks for _ in range(factor))
-    return Schedule(schedule.n_qubits, schedule.total_time, chunks, schedule.symmetric)
+    return Schedule(schedule.n_qubits, schedule.total_time, chunks)
 
 
 # --- JSON serialization -------------------------------------------------
 #
 # On-disk schema:
-#   {"n_qubits": int, "total_time": float, "symmetric": bool,
+#   {"n_qubits": int, "total_time": float, "symmetric": bool (optional),
 #    "chunks": [{"K": [...], "eps": [...], "zeta": {"i,j": value}}]}
 
 _SCHEDULE_KEYS = {"n_qubits", "total_time", "symmetric", "chunks"}
@@ -643,9 +650,12 @@ def schedule_from_json(text: str) -> Schedule:
     if not isinstance(symmetric, bool):
         raise ScheduleFormatError(f"'symmetric' must be true or false, got {symmetric!r}")
     try:
-        return Schedule(n_qubits=n, total_time=total_time, chunks=tuple(chunks), symmetric=symmetric)
+        schedule = Schedule(n_qubits=n, total_time=total_time, chunks=tuple(chunks))
     except (TypeError, ValueError) as exc:
         raise ScheduleFormatError(str(exc)) from exc
+    if symmetric and not schedule.symmetric:
+        raise ScheduleFormatError("'symmetric' is true but the chunk parameters are not uniform")
+    return schedule
 
 
 def load_schedule(path: str | Path) -> Schedule:

@@ -106,12 +106,7 @@ def training_loss(schedule: Schedule, training_set: TrainingSet, method: str = "
 
 
 def schedule_parameters(schedule: Schedule) -> np.ndarray:
-    out: list[float] = []
-    for ck in schedule.chunks:
-        if not ck.is_symmetric:
-            raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
-        out.extend((ck.tunneling[0], ck.bias[0], ck.coupling[0] if ck.coupling else 0.0))
-    return np.array(out)
+    return np.array([ck.shared for ck in schedule.chunks]).ravel()
 
 
 def schedule_with_parameters(template: Schedule, params: np.ndarray) -> Schedule:
@@ -119,7 +114,7 @@ def schedule_with_parameters(template: Schedule, params: np.ndarray) -> Schedule
     if len(params) != 3 * template.n_chunks:
         raise ValueError(f"expected {3 * template.n_chunks} parameters, got {len(params)}")
     chunks = tuple(ChunkParams.uniform(n, float(k), float(e), float(z)) for k, e, z in np.reshape(params, (-1, 3)))
-    return Schedule(n, template.total_time, chunks, symmetric=True)
+    return Schedule(n, template.total_time, chunks)
 
 
 def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfig) -> tuple[float, np.ndarray]:
@@ -131,10 +126,9 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     :func:`training_loss` bit for bit. With ``zz`` the unclamped
     ``<Z_0 Z_1>`` of an evolved orbit state and ``t`` an item's target, each
     item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``, and the
-    co-state of a row is ``c Z_0 Z_1 psi_final``.
+    co-state of a row is ``c Z_0 Z_1 psi_final``. A non-uniform chunk is
+    refused by :attr:`ChunkParams.shared` as the sweeps are built.
     """
-    if not all(ck.is_symmetric for ck in schedule.chunks):
-        raise ValueError("cannot extract shared parameters from a non-symmetric chunk")
     n = training_set.n_qubits
     if n != schedule.n_qubits:
         raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
@@ -226,22 +220,16 @@ def random_schedule(n: int, chunk_count: int, seed: int, total_time: float = DEF
         ChunkParams.uniform(n, 2.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         for _ in range(chunk_count)
     )
-    return Schedule(n, total_time, chunks, symmetric=True)
+    return Schedule(n, total_time, chunks)
 
 
 def bootstrap(prev: TrainResult, n: int, config: TrainerConfig) -> TrainResult:
     """Train the n-qubit witness starting from the (n-1)-qubit solution."""
     source = prev.schedule
-    if not source.symmetric:
-        raise ValueError("bootstrapping requires a symmetric source schedule")
     if n <= source.n_qubits:
         raise ValueError(f"bootstrap target {n} must exceed the source size {source.n_qubits}")
-    chunks = tuple(
-        ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] if ck.coupling else 0.0)
-        for ck in source.chunks
-    )
-    init = Schedule(n, source.total_time, chunks, symmetric=True)
-    return train(init, build_training_set(n), config)
+    chunks = tuple(ChunkParams.uniform(n, *ck.shared) for ck in source.chunks)
+    return train(Schedule(n, source.total_time, chunks), build_training_set(n), config)
 
 
 def bootstrap_chain(n_max: int, config: TrainerConfig, start: Schedule | None = None) -> dict[int, TrainResult]:
@@ -281,6 +269,6 @@ def bootstrap_summary_csv(results: dict[int, TrainResult]) -> str:
         res = results[n]
         row: list = [n, res.epochs_used, repr(res.final_rms)]
         for ck in res.schedule.chunks:
-            row += [repr(ck.tunneling[0]), repr(ck.bias[0]), repr(ck.coupling[0] if ck.coupling else 0.0)]
+            row += [repr(value) for value in ck.shared]
         writer.writerow(row)
     return buf.getvalue()

@@ -22,4 +22,4 @@ def table3():
 @pytest.fixture()
 def zero_schedule():
     chunk = ChunkParams.uniform(2, 0.0, 0.0, 0.0)
-    return Schedule(2, 1.58, (chunk,) * 4, symmetric=True)
+    return Schedule(2, 1.58, (chunk,) * 4)

@@ -53,7 +53,7 @@ def witness_rows(out):
 def _lifted(schedule: Schedule, n: int) -> Schedule:
     """The symmetric schedule's shared parameters on n qubits."""
     chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in schedule.chunks)
-    return Schedule(n, schedule.total_time, chunks, symmetric=True)
+    return Schedule(n, schedule.total_time, chunks)
 
 
 class TestWitnessCommand:
@@ -100,6 +100,31 @@ class TestWitnessCommand:
         rows = witness_rows(out)
         assert len(rows) == 4
         assert all(0.0 <= value <= 1.0 for value in rows.values())
+
+    @pytest.mark.parametrize("flag", [True, False, None], ids=["symmetric_true", "symmetric_false", "symmetric_missing"])
+    def test_uniform_chunks_are_symmetric_whatever_the_flag(self, tmp_path, capsys, table3, flag):
+        # uniformity is read from the chunks; the optional key only has to agree
+        def written(schedule, name):
+            path = tmp_path / name
+            save_schedule(schedule, path)
+            doc = json.loads(path.read_text())
+            if flag is None:
+                del doc["symmetric"]
+            else:
+                doc["symmetric"] = flag
+            path.write_text(json.dumps(doc))
+            return str(path)
+
+        every = ("--state", "all", "--method", "all")
+        _, expected, _ = run_cli(capsys, "witness", "--schedule", "table3", *every)
+        code, out, err = run_cli(capsys, "witness", "--schedule", written(table3, "t3.json"), *every)
+        assert (code, out) == (0, expected), err
+        forty = written(_lifted(table3, 40), "s40.json")
+        code, out, err = run_cli(capsys, "witness", "--schedule", forty, "--method", "chunked")
+        assert code == 0, err
+        assert len(witness_rows(out)) == 4
+        code, out, err = run_cli(capsys, "witness", "--schedule", forty, "--method", "gates")
+        assert (code, out) == (3, "")
 
     def test_malformed_schedule_names_key(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -398,7 +423,7 @@ class TestTopLevel:
 class TestDimensionRefusals:
     def test_verify_refuses_eleven_qubits_with_exit_3(self, tmp_path, capsys):
         path = tmp_path / "s11.json"
-        save_schedule(Schedule(11, 1.58, (ChunkParams.uniform(11, 2.5, 0.1, 0.05),) * 4, symmetric=True), path)
+        save_schedule(Schedule(11, 1.58, (ChunkParams.uniform(11, 2.5, 0.1, 0.05),) * 4), path)
         code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
         assert code == 3
         assert "refusing dense verification for 11 > 10 qubits" in err
@@ -406,7 +431,7 @@ class TestDimensionRefusals:
 
     def test_verify_of_one_qubit_exits_3_like_witness(self, tmp_path, capsys):
         path = tmp_path / "s1.json"
-        save_schedule(Schedule(1, 1.58, (ChunkParams((2.5,), (0.1,), ()),), symmetric=True), path)
+        save_schedule(Schedule(1, 1.58, (ChunkParams((2.5,), (0.1,), ()),)), path)
         for argv in (["verify"], ["witness", "--pair", "0,1"]):
             code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
             assert (code, out) == (3, ""), argv
@@ -432,7 +457,7 @@ class TestDimensionRefusals:
         # the symmetric schedule's exact and chunked values need no 2^40
         # vector, but the gate circuit does; no row is printed before it refuses
         path = tmp_path / "s40.json"
-        save_schedule(Schedule(40, 1.58, (ChunkParams.uniform(40, 2.5, 0.1, 0.05),), symmetric=True), path)
+        save_schedule(Schedule(40, 1.58, (ChunkParams.uniform(40, 2.5, 0.1, 0.05),)), path)
         code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--state", "Bell", "--method", method)
         assert (code, out) == (3, "")
         assert "40 qubits" in err

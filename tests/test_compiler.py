@@ -199,7 +199,7 @@ class TestVerifyEquivalence:
 
     def test_zero_coupling_schedule(self):
         chunk = ChunkParams.uniform(2, 2.49, 0.0930, 0.0)
-        schedule = Schedule(2, 1.58, (chunk,) * 4, symmetric=True)
+        schedule = Schedule(2, 1.58, (chunk,) * 4)
         report = verify_equivalence(schedule)
         assert report["frobenius_chunked_vs_exact"]["unitary"] < 1e-12
         assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12

@@ -22,6 +22,7 @@ from qnnwitness.core import (
     pauli_exponential,
     require_dense,
     rotation_matrix,
+    z_diagonal,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
 from qnnwitness.hamiltonian import ChunkParams, Schedule
@@ -329,6 +330,23 @@ class TestRequireDense:
         for n, count, itemsize in ((27, 1, 2), (26, 3, 1), (20, 2**7 + 1, 1), (24, 1, 16)):
             with pytest.raises(DimensionError):
                 require_dense(n, count, itemsize)
+
+    def test_z_diagonal_cache_is_bounded(self):
+        # every qubit of the largest single state the budget admits (n = 23)
+        # fits, so a gate list cycling through its qubits never misses twice
+        maxsize = z_diagonal.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= 23
+        require_dense(23)
+        with pytest.raises(DimensionError):
+            require_dense(24)
+        z_diagonal.cache_clear()
+        for n in (2, 7):
+            for q in range(n):
+                z_diagonal(n, q)
+        for n in (2, 7):
+            for q in range(n):
+                z_diagonal(n, q)
+        assert z_diagonal.cache_info().misses == 9
 
 
 class TestFrobeniusDistance:

@@ -1,9 +1,11 @@
+import json
 import math
 from functools import reduce
 
 import numpy as np
 import pytest
 
+from qnnwitness import cli
 from qnnwitness.core import basis_state, expectation_zz, frobenius_distance, is_unitary, purity
 from qnnwitness.hamiltonian import (
     ChunkParams,
@@ -12,6 +14,7 @@ from qnnwitness.hamiltonian import (
     build_hamiltonian,
     chunk_propagators,
     chunked_chunk_propagator,
+    _pair_parities,
     _single_qubit_factor,
     _single_qubit_factor_partials,
     evolve_states,
@@ -87,13 +90,31 @@ class TestSchedule:
         with pytest.raises(ValueError, match="finite"):
             Schedule(2, total_time, (TABLE2_INTERVAL_1,))
 
-    def test_symmetric_flag_checked(self):
-        chunk = ChunkParams((1.0, 2.0), (0.0, 0.0), (0.0,))
-        with pytest.raises(ValueError):
-            Schedule(2, 1.0, (chunk,), symmetric=True)
+    def test_symmetric_flag_checked(self, tmp_path, capsys):
+        # a Schedule derives its uniformity; the reader checks the file's key against it
+        doc = {"n_qubits": 2, "total_time": 1.0, "symmetric": True,
+               "chunks": [{"K": [1.0, 2.0], "eps": [0.0, 0.0], "zeta": {"0,1": 0.0}}]}
+        with pytest.raises(ScheduleFormatError, match="not uniform"):
+            schedule_from_json(json.dumps(doc))
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["witness", "--schedule", str(path)]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_symmetric_is_derived_from_the_chunks(self):
+        assert Schedule(2, 1.0, (TABLE2_INTERVAL_1,)).symmetric
+        assert not Schedule(2, 1.0, (TABLE2_INTERVAL_1, ChunkParams((1.0, 2.0), (0.0, 0.0), (0.0,)))).symmetric
 
 
 class TestBuildHamiltonian:
+    def test_pair_parity_cache_is_bounded(self):
+        maxsize = _pair_parities.cache_parameters()["maxsize"]
+        assert maxsize is not None and maxsize >= 2  # n = 2 and n = 7 stay cached together
+        _pair_parities.cache_clear()
+        for n in (2, 7, 2, 7):
+            _pair_parities(n)
+        assert _pair_parities.cache_info().misses == 2
+
     def test_pure_zz(self):
         h = build_hamiltonian(ChunkParams.uniform(2, 0.0, 0.0, 1.0), 2)
         assert np.allclose(h, np.diag([1.0, -1.0, -1.0, 1.0]))
@@ -333,6 +354,18 @@ class TestScheduleJson:
     def test_bad_json(self):
         with pytest.raises(ScheduleFormatError):
             schedule_from_json("{not json")
+
+    @pytest.mark.parametrize("flag", [True, False, None], ids=["true", "false", "missing"])
+    def test_symmetric_key_is_optional_and_written_derived(self, table2, flag):
+        doc = json.loads(schedule_to_json(table2))
+        assert doc["symmetric"] is True
+        if flag is None:
+            del doc["symmetric"]
+        else:
+            doc["symmetric"] = flag
+        schedule = schedule_from_json(json.dumps(doc))
+        assert schedule == table2 and schedule.symmetric
+        assert json.loads(schedule_to_json(Schedule(3, 1.0, (DISTINCT_3,))))["symmetric"] is False
 
     def test_load(self, tmp_path, table2):
         path = tmp_path / "s.json"

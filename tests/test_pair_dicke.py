@@ -66,7 +66,7 @@ def dicke_basis(n: int) -> np.ndarray:
 def lifted(schedule: Schedule, n: int) -> Schedule:
     """The schedule's shared parameters on n qubits."""
     chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in schedule.chunks)
-    return Schedule(n, schedule.total_time, chunks, symmetric=True)
+    return Schedule(n, schedule.total_time, chunks)
 
 
 def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.ndarray]:
@@ -183,7 +183,7 @@ class TestAgreement:
     @example(n=5, params=[(1.0, 0.0, 0.0)], total_time=2.375)
     @example(n=5, params=[(1.0, 0.0, 0.0)], total_time=2.0)
     def test_drawn_symmetric_schedules(self, n, params, total_time):
-        schedule = Schedule(n, total_time, tuple(ChunkParams.uniform(n, *p) for p in params), symmetric=True)
+        schedule = Schedule(n, total_time, tuple(ChunkParams.uniform(n, *p) for p in params))
         for method in ("chunked", "exact"):
             assert_backends_agree(schedule, method)
 

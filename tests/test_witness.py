@@ -153,7 +153,7 @@ class TestWitnessValues:
         # only the reference ones
         rng = np.random.default_rng(7)
         chunks = tuple(ChunkParams.uniform(4, 2.4 - 0.3 * k, 0.2 * k - 0.3, 0.15 - 0.1 * k) for k in range(3))
-        schedule = Schedule(4, 1.2, chunks, symmetric=True)
+        schedule = Schedule(4, 1.2, chunks)
         for pair in ((0, 1), (1, 3), (0, 2), (2, 3)):
             state = random_state(4, rng)
             others = [q for q in range(4) if q not in pair]
@@ -190,7 +190,7 @@ class TestWitnessValues:
     def test_non_finite_correlation_refused(self):
         # the reduced spectator power overflows at |K| = 1e308; a clamped
         # NaN would read as a plausible witness
-        schedule = Schedule(4, 1.0, (ChunkParams.uniform(4, 1e308, 0.1, 0.05),) * 2, symmetric=True)
+        schedule = Schedule(4, 1.0, (ChunkParams.uniform(4, 1e308, 0.1, 0.05),) * 2)
         with pytest.raises(ValueError, match="not finite"):
             witness_values(build_training_set(4), schedule, "chunked")
 
