@@ -25,11 +25,13 @@ All functions are pure: inputs are never mutated.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,71 @@ DEFAULT_UNITARY_CAP = 10  # circuit_unitary and verify_equivalence refuse larger
 # Largest dense allocation accepted, in bytes: 128 MiB holds the 4 C(14, 2)
 # training states of 14 qubits (95 MB) but not those of 15 (220 MB).
 DENSE_BYTES_BUDGET = 2**27
+
+
+class CacheInfo(NamedTuple):
+    """Hits and misses of one function in an ``ArrayCache``, and the entries and bytes it holds there."""
+
+    hits: int
+    misses: int
+    currsize: int
+    nbytes: int
+
+
+class ArrayCache:
+    """LRU store of read-only arrays from several functions, bounded by their total bytes.
+
+    Decorating a function memoises it here. A new array evicts the least
+    recently used ones, whichever function made them, and an array larger
+    than ``max_bytes`` is returned but not kept. Each decorated function
+    gets ``cache_info()`` and ``cache_clear()`` over its own entries.
+    """
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self._entries: OrderedDict = OrderedDict()  # (function, args) -> array, least recent first
+
+    @property
+    def nbytes(self) -> int:
+        return sum(value.nbytes for value in self._entries.values())
+
+    def __call__(self, fn):
+        entries = self._entries
+        counts = {"hits": 0, "misses": 0}
+
+        @wraps(fn)
+        def cached(*args):
+            key = (fn, args)
+            if key in entries:
+                counts["hits"] += 1
+                entries.move_to_end(key)
+                return entries[key]
+            counts["misses"] += 1
+            value = fn(*args)
+            if value.nbytes <= self.max_bytes:
+                entries[key] = value
+                total = self.nbytes
+                while total > self.max_bytes:
+                    total -= entries.popitem(last=False)[1].nbytes
+            return value
+
+        def cache_info() -> CacheInfo:
+            own = [value for (owner, _), value in entries.items() if owner is fn]
+            return CacheInfo(counts["hits"], counts["misses"], len(own), sum(value.nbytes for value in own))
+
+        def cache_clear() -> None:
+            for key in [key for key in entries if key[0] is fn]:
+                del entries[key]
+            counts.update(hits=0, misses=0)
+
+        cached.cache_info = cache_info
+        cached.cache_clear = cache_clear
+        return cached
+
+
+# ``z_diagonal`` and ``hamiltonian._pair_parities`` keep at most one dense
+# budget of parity diagonals between them.
+PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 
 class DimensionError(ValueError):
@@ -167,7 +234,7 @@ def basis_state(n: int, index: int = 0) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=32)  # every qubit of the largest register the dense budget admits (23)
+@PARITY_CACHE
 def z_diagonal(n: int, q: int) -> np.ndarray:
     """Diagonal of Z on qubit q as a length-2^n array of +-1."""
     if not 0 <= q < n:

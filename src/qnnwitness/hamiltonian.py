@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, require_dense, z_diagonal
+from .core import PARITY_CACHE, PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, require_dense, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
     return d_tunneling, d_bias
 
 
-@lru_cache(maxsize=4)  # one entry per register size, each up to 128 MiB
+@PARITY_CACHE  # each entry up to 128 MiB
 def _pair_parities(n: int) -> np.ndarray:
     """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
     require_dense(n, n * (n - 1) // 2, itemsize=8)

@@ -8,8 +8,11 @@ squared mean. Squaring makes the estimator biased upward by
 sweeps record the unsquared estimator's mean and variance alongside the
 witness estimates.
 
-Per-run randomness comes from Philox (counter-based) streams keyed on
-(seed, shot_count, iteration), so any subset of the sweep grid can be
+A sweep computes the final state and ``p`` once, then draws every
+iteration of a shot count at once, as ``binomial(count, p,
+size=iterations)`` from one Philox (counter-based) stream keyed on
+(seed, shot_count). A count's row therefore depends on neither the other
+counts in the grid nor their order: any subset of the grid can be
 evaluated in any order, or in parallel, with identical results.
 
 Confidence intervals cover the spread of single-experiment outcomes
@@ -34,7 +37,7 @@ from .witness import PairStateKind, make_pair_state
 
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
-MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
+MAX_ITERATIONS = 100_000  # per shot count; bounds the array of each count's one binomial draw
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,25 @@ def z_score(level: float) -> float:
     return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-def rng_stream(seed: int, shot_count: int, iteration: int) -> np.random.Generator:
-    """Independent Philox stream for one (seed, shot_count, iteration) cell."""
-    key = np.random.SeedSequence([seed & _MASK64, shot_count & _MASK64, iteration & _MASK64])
+def rng_stream(seed: int, shot_count: int) -> np.random.Generator:
+    """Independent Philox stream for the iterations of one (seed, shot_count) row."""
+    key = np.random.SeedSequence([seed & _MASK64, shot_count & _MASK64])
     return np.random.Generator(np.random.Philox(key))
+
+
+def _parity_probability(final_state: np.ndarray, pair: tuple[int, int]) -> float:
+    """``p = (1 + <Z_i Z_j>)/2`` of a normalized state; refuses unnormalized and NaN states."""
+    assert_normalized(final_state)
+    return (1.0 + expectation_zz(final_state, *pair)) / 2.0
+
+
+def _mean_parity(k, n_shots: int):
+    """``(2k - n)/n`` for binomial counts ``k`` of n shots.
+
+    Written ``(k - (n - k))/n``: every intermediate lies in ``[-n, n]``, so
+    it stays inside int64 for n up to 2**63 - 1 where ``2k`` would not.
+    """
+    return (k - (n_shots - k)) / n_shots
 
 
 def sample_zz_witness(
@@ -112,9 +130,7 @@ def sample_zz_mean(
     """Unsquared estimator: mean parity of n_shots, from one binomial count."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    assert_normalized(final_state)
-    k = rng.binomial(n_shots, (1.0 + expectation_zz(final_state, *pair)) / 2.0)
-    return (2 * int(k) - n_shots) / n_shots
+    return float(_mean_parity(rng.binomial(n_shots, _parity_probability(final_state, pair)), n_shots))
 
 
 def confidence_interval(samples: list[float] | np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -138,16 +154,11 @@ def sweep(
     from .core import apply_circuit
 
     initial = make_pair_state(state_kind, pair, schedule.n_qubits)
-    final = apply_circuit(initial, compile_schedule(schedule))
+    p = _parity_probability(apply_circuit(initial, compile_schedule(schedule)), pair)
     z = z_score(config.confidence_level)
 
     def stats_for(count: int) -> tuple[float, ...]:
-        zbars = np.array(
-            [
-                sample_zz_mean(final, pair, count, rng_stream(config.seed, count, it))
-                for it in range(config.iterations)
-            ]
-        )
+        zbars = _mean_parity(rng_stream(config.seed, count).binomial(count, p, size=config.iterations), count)
         estimates = zbars**2
         if config.iterations > 1:
             var = float(np.var(estimates, ddof=1))

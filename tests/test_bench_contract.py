@@ -111,20 +111,13 @@ def test_exact_propagator_keeps_its_cache_interface():
 
 
 def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
-    # the tracer's sampler.* metrics count calls through these module globals;
-    # a sweep that stopped calling them would leave those metrics reading 0
-    calls = {"rng_stream": 0, "sample_zz_mean": 0}
-    for name in calls:
-        original = getattr(sampler, name)
-
-        def counted(*args, _original=original, _name=name, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
-
-        monkeypatch.setattr(sampler, name, counted)
-    config = sampler.ShotConfig(shot_counts=(100,), iterations=7)
+    # the tracer's sampler.* metrics count calls through these module globals:
+    # a sweep builds one rng_stream per shot count and draws all of that
+    # count's iterations at once, never through the single-run sample_zz_mean
+    calls = count_calls(monkeypatch, [(sampler, "rng_stream"), (sampler, "sample_zz_mean")])
+    config = sampler.ShotConfig(shot_counts=(100, 200, 300), iterations=7)
     sampler.sweep(fixture_schedule("table2"), PairStateKind.BELL, (0, 1), config)
-    assert calls == {"rng_stream": 7, "sample_zz_mean": 7}
+    assert calls == {"rng_stream": 3, "sample_zz_mean": 0}
 
 
 def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qnnwitness.core import (
     DENSE_BYTES_BUDGET,
+    PARITY_CACHE,
     Circuit,
     DimensionError,
     GateKind,
@@ -25,7 +26,7 @@ from qnnwitness.core import (
     z_diagonal,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
-from qnnwitness.hamiltonian import ChunkParams, Schedule
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities
 
 from helpers import (
     CNOT_MATRIX,
@@ -332,13 +333,9 @@ class TestRequireDense:
                 require_dense(n, count, itemsize)
 
     def test_z_diagonal_cache_is_bounded(self):
-        # every qubit of the largest single state the budget admits (n = 23)
-        # fits, so a gate list cycling through its qubits never misses twice
-        maxsize = z_diagonal.cache_parameters()["maxsize"]
-        assert maxsize is not None and maxsize >= 23
-        require_dense(23)
-        with pytest.raises(DimensionError):
-            require_dense(24)
+        # the n = 2 and n = 7 diagonals take a few KiB of the byte bound, so
+        # a gate list cycling through their qubits never misses twice
+        assert PARITY_CACHE.max_bytes <= DENSE_BYTES_BUDGET
         z_diagonal.cache_clear()
         for n in (2, 7):
             for q in range(n):
@@ -347,6 +344,29 @@ class TestRequireDense:
             for q in range(n):
                 z_diagonal(n, q)
         assert z_diagonal.cache_info().misses == 9
+
+    def test_parity_caches_keep_at_most_the_byte_bound(self):
+        # every qubit of n = 20 is 20 diagonals of 8 MiB; the 16 most recent
+        # fill the 128 MiB bound, which the pair parities share
+        n, size = 20, 8 * 2**20
+        z_diagonal.cache_clear()
+        _pair_parities.cache_clear()
+        _pair_parities(7)
+        assert _pair_parities.cache_info().currsize == 1
+        try:
+            for q in range(n):
+                z_diagonal(n, q)
+            info = z_diagonal.cache_info()
+            assert PARITY_CACHE.nbytes <= PARITY_CACHE.max_bytes
+            assert (info.currsize, info.nbytes) == (16, 16 * size)
+            assert _pair_parities.cache_info().currsize == 0  # evicted first, as least recently used
+            misses = info.misses
+            z_diagonal(n, n - 1)
+            assert z_diagonal.cache_info().misses == misses
+            z_diagonal(n, 0)
+            assert z_diagonal.cache_info().misses == misses + 1
+        finally:
+            z_diagonal.cache_clear()
 
 
 class TestFrobeniusDistance:

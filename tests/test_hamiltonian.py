@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qnnwitness import cli
-from qnnwitness.core import basis_state, expectation_zz, frobenius_distance, is_unitary, purity
+from qnnwitness.core import PARITY_CACHE, basis_state, expectation_zz, frobenius_distance, is_unitary, purity
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -108,12 +108,12 @@ class TestSchedule:
 
 class TestBuildHamiltonian:
     def test_pair_parity_cache_is_bounded(self):
-        maxsize = _pair_parities.cache_parameters()["maxsize"]
-        assert maxsize is not None and maxsize >= 2  # n = 2 and n = 7 stay cached together
+        # n = 2 and n = 7 stay cached together under the byte bound shared with z_diagonal
         _pair_parities.cache_clear()
         for n in (2, 7, 2, 7):
             _pair_parities(n)
         assert _pair_parities.cache_info().misses == 2
+        assert PARITY_CACHE.nbytes <= PARITY_CACHE.max_bytes
 
     def test_pure_zz(self):
         h = build_hamiltonian(ChunkParams.uniform(2, 0.0, 0.0, 1.0), 2)

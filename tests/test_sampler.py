@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qnnwitness import core
+from qnnwitness import sampler as sampler_module
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
 from qnnwitness.sampler import (
@@ -16,7 +18,14 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import sample_zz_mean_per_shot
+from helpers import count_calls, sample_zz_mean_per_shot
+
+ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
+
+
+def _row_bits(stats, index: int) -> tuple[str, ...]:
+    """Every per-count statistic of row ``index``, as exact float hex."""
+    return tuple(float.hex(getattr(stats, name)[index]) for name in ROW_FIELDS)
 
 
 class TestShotConfig:
@@ -45,16 +54,15 @@ class TestShotConfig:
 
 class TestSampleZZWitness:
     def test_deterministic_state_always_one(self):
-        rng = rng_stream(0, 100, 0)
+        rng = rng_stream(0, 100)
         assert sample_zz_witness(basis_state(2, 0b00), (0, 1), 100, rng) == 1.0
 
     def test_flat_state_estimator_mean_is_one_over_n(self):
         # E[(mean of +-1 with p=1/2)^2] = 1/n
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
-        estimates = [
-            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(1, n_shots, it)) for it in range(1000)
-        ]
+        rng = rng_stream(1, n_shots)
+        estimates = [sample_zz_witness(flat, (0, 1), n_shots, rng) for _ in range(1000)]
         assert np.mean(estimates) == pytest.approx(1.0 / n_shots, rel=0.2)
 
     def test_bell_through_table2_circuit(self, table2):
@@ -65,14 +73,14 @@ class TestSampleZZWitness:
         bell = make_pair_state(PairStateKind.BELL, (0, 1), 2)
         final = apply_circuit(bell, compile_schedule(table2))
         exact = witness_value(bell, (0, 1), table2, "gates")
-        estimate = sample_zz_witness(final, (0, 1), 15000, rng_stream(2, 15000, 0))
+        estimate = sample_zz_witness(final, (0, 1), 15000, rng_stream(2, 15000))
         assert abs(estimate - exact) < 0.01
         assert abs(estimate - 0.999) < 0.01
 
     def test_unnormalized_rejected(self):
         state = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
+            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10))
 
     def test_nan_state_rejected(self):
         # abs(nan - 1) > tol is false, so a plain tolerance test lets NaN through
@@ -80,17 +88,23 @@ class TestSampleZZWitness:
         with pytest.raises(ValueError):
             assert_normalized(state)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
+            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10))
 
     def test_estimator_bias_matches_binomial_model(self):
         # E[zbar^2] = <ZZ>^2 + (1 - <ZZ>^2)/n; flat state has <ZZ> = 0
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
-        estimates = [
-            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(3, n_shots, it)) for it in range(1000)
-        ]
+        rng = rng_stream(3, n_shots)
+        estimates = [sample_zz_witness(flat, (0, 1), n_shots, rng) for _ in range(1000)]
         bias = float(np.mean(estimates))
         assert abs(bias - 1.0 / n_shots) < 0.2 / n_shots
+
+
+ORACLE_CASES = pytest.mark.parametrize(
+    "schedule_name, kind, check_variance",
+    [("table2", PairStateKind.P, True), ("table2", PairStateKind.C, True), ("table3", PairStateKind.BELL, False)],
+    ids=["P_table2", "C_table2", "Bell_table3"],
+)
 
 
 class TestBinomialMatchesPerShot:
@@ -99,41 +113,55 @@ class TestBinomialMatchesPerShot:
     RUNS = 2000
     SHOTS = 400
 
-    @pytest.mark.parametrize(
-        "schedule_name, kind, check_variance",
-        [("table2", PairStateKind.P, True), ("table2", PairStateKind.C, True), ("table3", PairStateKind.BELL, False)],
-        ids=["P_table2", "C_table2", "Bell_table3"],
-    )
-    def test_same_mean_and_variance(self, request, schedule_name, kind, check_variance):
-        schedule = request.getfixturevalue(schedule_name)
-        pair = (0, 1)
+    def _final_and_model(self, schedule, kind, pair):
+        """Final state, exact <ZZ>, one run's variance and the stderr of a RUNS-run mean."""
         final = apply_circuit(make_pair_state(kind, pair, schedule.n_qubits), compile_schedule(schedule))
         exact = expectation_zz(final, *pair)
         run_variance = (1.0 - exact**2) / self.SHOTS
-        stderr = (run_variance / self.RUNS) ** 0.5
+        return final, exact, run_variance, (run_variance / self.RUNS) ** 0.5
+
+    @ORACLE_CASES
+    def test_same_mean_and_variance(self, request, schedule_name, kind, check_variance):
+        schedule = request.getfixturevalue(schedule_name)
+        pair = (0, 1)
+        final, exact, run_variance, stderr = self._final_and_model(schedule, kind, pair)
         for sampler in (sample_zz_mean, sample_zz_mean_per_shot):
-            zbars = np.array(
-                [sampler(final, pair, self.SHOTS, rng_stream(0, self.SHOTS, it)) for it in range(self.RUNS)]
-            )
+            rng = rng_stream(0, self.SHOTS)
+            zbars = np.array([sampler(final, pair, self.SHOTS, rng) for _ in range(self.RUNS)])
             assert abs(float(np.mean(zbars)) - exact) <= 4 * stderr, sampler.__name__
             if check_variance:
                 assert float(np.var(zbars, ddof=1)) == pytest.approx(run_variance, rel=0.15), sampler.__name__
 
+    @ORACLE_CASES
+    def test_sweep_matches_the_oracle(self, request, schedule_name, kind, check_variance):
+        # the vectorised draw (one binomial array per count) against per-shot sampling
+        schedule = request.getfixturevalue(schedule_name)
+        pair = (0, 1)
+        final, exact, run_variance, stderr = self._final_and_model(schedule, kind, pair)
+        stats = sweep(schedule, kind, pair, ShotConfig(shot_counts=(self.SHOTS,), iterations=self.RUNS, seed=0))
+        rng = rng_stream(1, self.SHOTS)
+        oracle = np.array([sample_zz_mean_per_shot(final, pair, self.SHOTS, rng) for _ in range(self.RUNS)])
+        assert abs(stats.zz_mean[0] - exact) <= 4 * stderr
+        assert abs(stats.zz_mean[0] - float(np.mean(oracle))) <= 4 * stderr
+        if check_variance:
+            assert stats.zz_variance[0] == pytest.approx(run_variance, rel=0.15)
+            assert stats.zz_variance[0] == pytest.approx(float(np.var(oracle, ddof=1)), rel=0.15)
+
 
 class TestRngStreams:
     def test_same_key_same_stream(self):
-        a = rng_stream(7, 500, 3).random(5)
-        b = rng_stream(7, 500, 3).random(5)
+        a = rng_stream(7, 500).random(5)
+        b = rng_stream(7, 500).random(5)
         assert np.array_equal(a, b)
 
-    def test_different_iterations_differ(self):
-        a = rng_stream(7, 500, 3).random(5)
-        b = rng_stream(7, 500, 4).random(5)
+    def test_different_seeds_differ(self):
+        a = rng_stream(7, 500).random(5)
+        b = rng_stream(8, 500).random(5)
         assert not np.array_equal(a, b)
 
     def test_different_counts_differ(self):
-        a = rng_stream(7, 500, 3).random(5)
-        b = rng_stream(7, 550, 3).random(5)
+        a = rng_stream(7, 500).random(5)
+        b = rng_stream(7, 550).random(5)
         assert not np.array_equal(a, b)
 
 
@@ -203,6 +231,34 @@ class TestSweep:
         stats = sweep(table2, PairStateKind.P, (0, 1), config)
         stderr = np.sqrt(stats.zz_variance[0] / config.iterations)
         assert abs(stats.zz_mean[0] - exact) <= 3 * stderr
+
+    def test_each_row_equals_its_one_count_sweep(self, table2):
+        # a count's row is keyed on (seed, count) alone: neither the other
+        # counts in the grid nor the order they run in change its bits
+        counts = (50, 150, 400, 1000, 2500)
+        def run(shot_counts):
+            return sweep(table2, PairStateKind.C, (0, 1), ShotConfig(shot_counts=shot_counts, iterations=30, seed=4))
+
+        full = run(counts)
+        shuffled = [int(i) for i in np.random.default_rng(0).permutation(len(counts))]
+        for order in (range(len(counts)), shuffled):
+            for index in order:
+                assert _row_bits(run((counts[index],)), 0) == _row_bits(full, index)
+        subset = run(counts[1::2])
+        assert [_row_bits(subset, i) for i in range(2)] == [_row_bits(full, i) for i in (1, 3)]
+
+    def test_state_checked_once_per_sweep(self, monkeypatch, table2):
+        names = ("assert_normalized", "expectation_zz", "rng_stream")
+        calls = count_calls(monkeypatch, [(sampler_module, name) for name in names])
+        sweep(table2, PairStateKind.P, (0, 1), ShotConfig(shot_counts=(50, 100, 150), iterations=40))
+        assert calls == {"assert_normalized": 1, "expectation_zz": 1, "rng_stream": 3}
+
+    @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["unnormalized", "nan"])
+    def test_bad_final_state_refused(self, monkeypatch, table2, scale):
+        original = core.apply_circuit
+        monkeypatch.setattr(core, "apply_circuit", lambda state, circuit: scale * original(state, circuit))
+        with pytest.raises(ValueError, match="not normalized"):
+            sweep(table2, PairStateKind.BELL, (0, 1), ShotConfig(shot_counts=(50,), iterations=5))
 
     def test_reproducible(self, table2):
         config = ShotConfig(shot_counts=(50, 150), iterations=10, seed=9)
