@@ -405,7 +405,7 @@ def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
     for q in (i, j):
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    value = float(np.sum(probs * z_diagonal(n, i) * z_diagonal(n, j)))
+    value = float((probs * z_diagonal(n, i) * z_diagonal(n, j)).sum())
     if not math.isfinite(value):
         raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
     return min(1.0, max(-1.0, value))
@@ -434,7 +434,7 @@ def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
 
 
 def assert_normalized(state: np.ndarray, tol: float = 1e-10) -> None:
-    norm_sq = float(np.sum(np.abs(state) ** 2))
+    norm_sq = float(np.vdot(state, state).real)
     if not abs(norm_sq - 1.0) <= tol:  # also refuses NaN
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq}")
 

@@ -8,12 +8,11 @@ squared mean. Squaring makes the estimator biased upward by
 sweeps record the unsquared estimator's mean and variance alongside the
 witness estimates.
 
-A sweep computes the final state and ``p`` once, then draws every
-iteration of a shot count at once, as ``binomial(count, p,
-size=iterations)`` from one Philox (counter-based) stream keyed on
-(seed, shot_count). A count's row therefore depends on neither the other
-counts in the grid nor their order: any subset of the grid can be
-evaluated in any order, or in parallel, with identical results.
+Each run of a sweep is one ``sample_zz_mean`` call on its own Philox
+(counter-based) stream keyed on (seed, shot_count, iteration). A count's
+row therefore depends on neither the other counts in the grid nor their
+order: any subset of the grid can be evaluated in any order, or in
+parallel, with identical results.
 
 Confidence intervals cover the spread of single-experiment outcomes
 (``mean +- z * sample std``), not the standard error of the grand mean;
@@ -35,9 +34,10 @@ from .hamiltonian import Schedule
 from .parallel import map_ordered
 from .witness import PairStateKind, make_pair_state
 
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
-MAX_ITERATIONS = 100_000  # per shot count; bounds the array of each count's one binomial draw
+MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
 
 
 @dataclass(frozen=True)
@@ -95,25 +95,27 @@ def z_score(level: float) -> float:
     return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
-def rng_stream(seed: int, shot_count: int) -> np.random.Generator:
-    """Independent Philox stream for the iterations of one (seed, shot_count) row."""
-    key = np.random.SeedSequence([seed & _MASK64, shot_count & _MASK64])
-    return np.random.Generator(np.random.Philox(key))
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as ``SeedSequence`` reads one: 32-bit words, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
 
 
-def _parity_probability(final_state: np.ndarray, pair: tuple[int, int]) -> float:
-    """``p = (1 + <Z_i Z_j>)/2`` of a normalized state; refuses unnormalized and NaN states."""
-    assert_normalized(final_state)
-    return (1.0 + expectation_zz(final_state, *pair)) / 2.0
+def rng_stream(seed: int, shot_count: int, iteration: int) -> np.random.Generator:
+    """Independent Philox stream for one (seed, shot_count, iteration) cell.
 
-
-def _mean_parity(k, n_shots: int):
-    """``(2k - n)/n`` for binomial counts ``k`` of n shots.
-
-    Written ``(k - (n - k))/n``: every intermediate lies in ``[-n, n]``, so
-    it stays inside int64 for n up to 2**63 - 1 where ``2k`` would not.
+    Its key is ``SeedSequence([seed, shot_count, iteration])``, each taken
+    mod 2**64. The words are handed over as one uint32 array, the form
+    numpy would convert that list into, which skips its per-item
+    conversion: about a fifth of a stream's setup.
     """
-    return (k - (n_shots - k)) / n_shots
+    words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
+    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.Philox(key))
 
 
 def sample_zz_witness(
@@ -130,7 +132,9 @@ def sample_zz_mean(
     """Unsquared estimator: mean parity of n_shots, from one binomial count."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    return float(_mean_parity(rng.binomial(n_shots, _parity_probability(final_state, pair)), n_shots))
+    assert_normalized(final_state)
+    k = rng.binomial(n_shots, (1.0 + expectation_zz(final_state, *pair)) / 2.0)
+    return (2 * int(k) - n_shots) / n_shots
 
 
 def confidence_interval(samples: list[float] | np.ndarray, level: float = 0.95) -> tuple[float, float]:
@@ -154,11 +158,16 @@ def sweep(
     from .core import apply_circuit
 
     initial = make_pair_state(state_kind, pair, schedule.n_qubits)
-    p = _parity_probability(apply_circuit(initial, compile_schedule(schedule)), pair)
+    final = apply_circuit(initial, compile_schedule(schedule))
     z = z_score(config.confidence_level)
 
     def stats_for(count: int) -> tuple[float, ...]:
-        zbars = _mean_parity(rng_stream(config.seed, count).binomial(count, p, size=config.iterations), count)
+        zbars = np.array(
+            [
+                sample_zz_mean(final, pair, count, rng_stream(config.seed, count, it))
+                for it in range(config.iterations)
+            ]
+        )
         estimates = zbars**2
         if config.iterations > 1:
             var = float(np.var(estimates, ddof=1))

@@ -112,12 +112,12 @@ def test_exact_propagator_keeps_its_cache_interface():
 
 def test_sweep_calls_the_traced_sampler_functions(monkeypatch):
     # the tracer's sampler.* metrics count calls through these module globals:
-    # a sweep builds one rng_stream per shot count and draws all of that
-    # count's iterations at once, never through the single-run sample_zz_mean
+    # each run of a sweep is one sample_zz_mean on its own rng_stream; a sweep
+    # that stopped calling them would leave those metrics reading 0
     calls = count_calls(monkeypatch, [(sampler, "rng_stream"), (sampler, "sample_zz_mean")])
     config = sampler.ShotConfig(shot_counts=(100, 200, 300), iterations=7)
     sampler.sweep(fixture_schedule("table2"), PairStateKind.BELL, (0, 1), config)
-    assert calls == {"rng_stream": 3, "sample_zz_mean": 0}
+    assert calls == {"rng_stream": 21, "sample_zz_mean": 21}
 
 
 def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):

