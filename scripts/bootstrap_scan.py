@@ -21,8 +21,8 @@ def main() -> None:
     parser.add_argument("--out-dir", default="results/bootstrap")
     parser.add_argument("--n-max", type=int, default=7)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--target-rms", type=float, default=1e-3)
-    parser.add_argument("--epochs", type=int, default=2000)
+    parser.add_argument("--target-rms", type=float, default=TrainerConfig.target_rms)
+    parser.add_argument("--epochs", type=int, default=TrainerConfig.max_epochs)
     args = parser.parse_args()
 
     out = Path(args.out_dir)

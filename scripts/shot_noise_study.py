@@ -18,7 +18,7 @@ from qnnwitness.witness import PairStateKind
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results/shots")
-    parser.add_argument("--iterations", type=int, default=100)
+    parser.add_argument("--iterations", type=int, default=ShotConfig.iterations)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 

@@ -6,18 +6,17 @@ parameters against the four reference states, bootstrap from 2 up to 7
 qubits, and simulate finite-shot measurement statistics.
 """
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     Circuit,
     GateKind,
     GateOp,
     apply_circuit,
-    apply_gate,
     circuit_unitary,
     density_matrix,
     expectation_zz,
     frobenius_distance,
-    pauli_exponential,
-    rotation_matrix,
 )
 from .hamiltonian import (
     ChunkParams,
@@ -67,11 +66,9 @@ from .trainer import (
 from .sampler import (
     ShotConfig,
     ShotStatistics,
-    confidence_interval,
-    sample_zz_witness,
     sweep,
 )
 from .fixtures import fixture_path, fixture_schedule
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

@@ -143,12 +143,13 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
     if "out_dir" in names:
         parser.add_argument("--out-dir", dest="out_dir", help="directory for output artifacts")
     if "training" in names:
-        parser.add_argument("--chunks", type=int, default=4, help=f"chunks per schedule, at most {MAX_CHUNKS}")
-        parser.add_argument("--epochs", type=int, default=2000, help="maximum training epochs")
-        parser.add_argument("--target-rms", dest="target_rms", type=float, default=1e-3)
-        parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
-        parser.add_argument("--momentum", type=float, default=0.9)
-        parser.add_argument("--method", default="chunked", choices=("chunked", "exact"))
+        parser.add_argument("--chunks", type=int, default=TrainerConfig.chunk_count,
+                            help=f"chunks per schedule, at most {MAX_CHUNKS}")
+        parser.add_argument("--epochs", type=int, default=TrainerConfig.max_epochs, help="maximum training epochs")
+        parser.add_argument("--target-rms", dest="target_rms", type=float, default=TrainerConfig.target_rms)
+        parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=TrainerConfig.learning_rate)
+        parser.add_argument("--momentum", type=float, default=TrainerConfig.momentum)
+        parser.add_argument("--method", default=TrainerConfig.method, choices=("chunked", "exact"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "config", "schedule", "pair", "seed", "out_dir")
     p.add_argument("--state", default="Bell")
     p.add_argument("--shots", type=int, help="single shot count (default: grid 50..20000 step 50)")
-    p.add_argument("--iterations", type=int, default=100, help=f"runs per shot count, at most {MAX_ITERATIONS}")
+    p.add_argument("--iterations", type=int, default=ShotConfig.iterations,
+                   help=f"runs per shot count, at most {MAX_ITERATIONS}")
 
     return parser
 
@@ -302,7 +304,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     schedule = _require_schedule(args)
     pair = _parse_pair(args.pair, schedule.n_qubits)
     kind = _parse_state(args.state)
-    counts = (args.shots,) if args.shots is not None else tuple(range(50, 20001, 50))
+    counts = (args.shots,) if args.shots is not None else ShotConfig.shot_counts
     config = ShotConfig(shot_counts=counts, iterations=args.iterations, seed=args.seed)
     stats = sweep(schedule, kind, pair, config)
     text = sweep_csv(stats)

@@ -7,12 +7,11 @@ Conventions used throughout the package:
   read as binary. A state vector holds ``2**n`` complex amplitudes in
   that order; a density matrix is the matching ``2**n x 2**n`` array.
 * Rotation gates use the half-angle convention,
-  ``R_a(theta) = exp(-i (theta/2) sigma_a)``; ``pauli_exponential`` uses
-  the full-angle form ``exp(-i alpha n.sigma)``. Callers convert between
-  the two (the gate compiler centralizes the factor of 2).
+  ``R_a(theta) = exp(-i (theta/2) sigma_a)``; the gate compiler
+  centralizes the factor of 2.
 * Everything is double-precision dense numpy; at <= 7 qubits (dim 128)
   sparsity buys nothing.
-* One kernel applies every gate list (``apply_circuit``, ``apply_gate``,
+* One kernel applies every gate list (``apply_circuit``,
   ``circuit_unitary``). It folds each run of rotations on one qubit into
   one 2x2, and collects Rz runs and ``CNOT, Rz, CNOT`` blocks, which are
   ``Z`` and ``Z Z`` phases, into one diagonal. The rewrites are exact
@@ -36,11 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-IDENTITY_2 = np.eye(2, dtype=complex)
-
-_PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
 
 DEFAULT_UNITARY_CAP = 10  # circuit_unitary and verify_equivalence refuse larger registers
 
@@ -127,37 +122,6 @@ def require_dense(n: int, count: int = 1, itemsize: int = 16) -> None:
     if count * itemsize > DENSE_BYTES_BUDGET >> n:
         raise DimensionError(f"refusing {count} dense arrays of 2**{n} items for {n} qubits "
                              f"(budget {DENSE_BYTES_BUDGET} bytes)")
-
-
-def rotation_matrix(axis: str, theta: float) -> np.ndarray:
-    """2x2 rotation ``exp(-i (theta/2) sigma_axis)`` for axis in {x, y, z}."""
-    if axis not in _PAULIS:
-        raise ValueError(f"unknown rotation axis {axis!r}, expected 'x', 'y' or 'z'")
-    if not math.isfinite(theta):
-        raise ValueError("rotation angle must be finite")
-    half = 0.5 * theta
-    c, s = math.cos(half), math.sin(half)
-    if axis == "x":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if axis == "y":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-
-
-def pauli_exponential(axis_vector: np.ndarray, alpha: float) -> np.ndarray:
-    """``exp(-i alpha n.sigma) = I cos(alpha) - i (n.sigma) sin(alpha)``.
-
-    ``axis_vector`` is a real 3-vector (x, y, z components) of unit norm.
-    Note the full-angle convention: this rotates by ``2*alpha`` on the
-    Bloch sphere, unlike the half-angle ``rotation_matrix``.
-    """
-    n = np.asarray(axis_vector, dtype=float)
-    if n.shape != (3,):
-        raise ValueError("axis vector must have exactly 3 components")
-    if abs(np.linalg.norm(n) - 1.0) > 1e-10:
-        raise ValueError("axis vector must have unit norm")
-    n_dot_sigma = n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
-    return math.cos(alpha) * IDENTITY_2 - 1j * math.sin(alpha) * n_dot_sigma
 
 
 class GateKind(Enum):
@@ -288,9 +252,11 @@ def _rotation_run_end(ops: tuple[GateOp, ...], start: int, q: int, kinds: tuple[
 
 def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
     """The 2x2 product of a run of rotations on one qubit, first gate
-    rightmost. The entries are ``rotation_matrix``'s, multiplied out as
-    Python scalars: for 2x2 factors that is several times faster than
-    building and multiplying arrays."""
+    rightmost. With ``c, s = cos(theta/2), sin(theta/2)`` the factors are
+    ``Rx = [[c, -is], [-is, c]]``, ``Ry = [[c, -s], [s, c]]`` and
+    ``Rz = diag(c - is, c + is)``, multiplied out as Python scalars: for
+    2x2 factors that is several times faster than building and
+    multiplying arrays."""
     u00, u01, u10, u11 = 1.0, 0.0, 0.0, 1.0
     for g in run:
         c, s = math.cos(0.5 * g.angle), math.sin(0.5 * g.angle)
@@ -356,11 +322,6 @@ def _run_circuit(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
     return columns
 
 
-def apply_gate(state: np.ndarray, gate: GateOp) -> np.ndarray:
-    """Apply one gate to a state vector: a circuit of one gate."""
-    return apply_circuit(state, Circuit(n_qubits_of(state), (gate,)))
-
-
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply circuit.ops in order to a state vector, or to each column of a
     ``(2**n, batch)`` array, by stride updates (no 2^N matrix).
@@ -387,21 +348,17 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
-    """<Z_i Z_j> of a state vector or density matrix; always in [-1, 1].
+    """<Z_i Z_j> of a state vector; always in [-1, 1].
 
     Round-off just outside the range is clamped; a non-finite value raises.
     """
     if i == j:
         raise ValueError("expectation_zz needs two distinct qubits")
     arr = np.asarray(state)
-    if arr.ndim == 1:
-        n = n_qubits_of(arr)
-        probs = np.abs(arr) ** 2
-    elif arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-        n = n_qubits_of(arr[:, 0])
-        probs = np.real(np.diag(arr))
-    else:
-        raise ValueError("expected a state vector or a square density matrix")
+    if arr.ndim != 1:
+        raise ValueError("expected a state vector")
+    n = n_qubits_of(arr)
+    probs = np.abs(arr) ** 2
     for q in (i, j):
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
@@ -443,8 +400,3 @@ def density_matrix(state: np.ndarray) -> np.ndarray:
     """Pure-state density matrix |psi><psi|."""
     state = np.asarray(state, dtype=complex)
     return np.outer(state, state.conj())
-
-
-def purity(rho: np.ndarray) -> float:
-    """Tr[rho^2]; 1 for pure states."""
-    return float(np.real(np.trace(rho @ rho)))

@@ -14,10 +14,10 @@ row therefore depends on neither the other counts in the grid nor their
 order: any subset of the grid can be evaluated in any order, or in
 parallel, with identical results.
 
-Confidence intervals cover the spread of single-experiment outcomes
-(``mean +- z * sample std``), not the standard error of the grand mean;
-the CSV carries both the std and the std/sqrt(iterations) so either
-reading can be checked.
+Confidence intervals are at the fixed 95% level (``CONFIDENCE_LEVEL``)
+and cover the spread of single-experiment outcomes (``mean +- z * sample
+std``), not the standard error of the grand mean; the CSV carries both
+the std and the std/sqrt(iterations) so either reading can be checked.
 """
 
 from __future__ import annotations
@@ -38,13 +38,14 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
+CONFIDENCE_LEVEL = 0.95
+Z_SCORE = statistics.NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided: 1.959964
 
 
 @dataclass(frozen=True)
 class ShotConfig:
     shot_counts: tuple[int, ...] = tuple(range(50, 20001, 50))
     iterations: int = 100
-    confidence_level: float = 0.95
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +60,6 @@ class ShotConfig:
             raise ValueError("shot_counts must be strictly increasing")
         if not 1 <= self.iterations <= MAX_ITERATIONS:
             raise ValueError(f"iterations must lie in 1..{MAX_ITERATIONS}, got {self.iterations}")
-        if not 0 < self.confidence_level < 1:
-            raise ValueError("confidence_level must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -70,13 +69,12 @@ class ShotStatistics:
     shot_counts: tuple[int, ...]
     mean: tuple[float, ...]            # mean witness estimate
     variance: tuple[float, ...]        # sample variance of witness estimates
-    ci_half_width: tuple[float, ...]   # z * sample std of witness estimates
+    ci_half_width: tuple[float, ...]   # Z_SCORE * sample std of witness estimates
     std: tuple[float, ...]
     stderr: tuple[float, ...]          # std / sqrt(iterations)
     zz_mean: tuple[float, ...]         # mean of the unsquared estimator
     zz_variance: tuple[float, ...]
     iterations: int
-    confidence_level: float
     seed: int
 
     @property
@@ -86,13 +84,6 @@ class ShotStatistics:
     @property
     def ci_high(self) -> tuple[float, ...]:
         return tuple(m + h for m, h in zip(self.mean, self.ci_half_width))
-
-
-def z_score(level: float) -> float:
-    """Two-sided normal quantile; z(0.95) = 1.959964."""
-    if not 0 < level < 1:
-        raise ValueError("confidence level must lie in (0, 1)")
-    return statistics.NormalDist().inv_cdf(0.5 + level / 2.0)
 
 
 def _uint32_words(value: int) -> list[int]:
@@ -118,14 +109,6 @@ def rng_stream(seed: int, shot_count: int, iteration: int) -> np.random.Generato
     return np.random.Generator(np.random.Philox(key))
 
 
-def sample_zz_witness(
-    final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
-) -> float:
-    """Squared mean of n_shots sampled pair-parity eigenvalues."""
-    zbar = sample_zz_mean(final_state, pair, n_shots, rng)
-    return zbar * zbar
-
-
 def sample_zz_mean(
     final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
 ) -> float:
@@ -135,16 +118,6 @@ def sample_zz_mean(
     assert_normalized(final_state)
     k = rng.binomial(n_shots, (1.0 + expectation_zz(final_state, *pair)) / 2.0)
     return (2 * int(k) - n_shots) / n_shots
-
-
-def confidence_interval(samples: list[float] | np.ndarray, level: float = 0.95) -> tuple[float, float]:
-    """``mean +- z(level) * sample std`` over single-experiment outcomes."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.size < 2:
-        raise ValueError("confidence interval needs at least 2 samples")
-    mean = float(np.mean(samples))
-    half = z_score(level) * float(np.std(samples, ddof=1))
-    return mean - half, mean + half
 
 
 def sweep(
@@ -159,7 +132,6 @@ def sweep(
 
     initial = make_pair_state(state_kind, pair, schedule.n_qubits)
     final = apply_circuit(initial, compile_schedule(schedule))
-    z = z_score(config.confidence_level)
 
     def stats_for(count: int) -> tuple[float, ...]:
         zbars = np.array(
@@ -178,7 +150,7 @@ def sweep(
         return (
             float(np.mean(estimates)),
             var,
-            z * std,
+            Z_SCORE * std,
             std,
             std / config.iterations**0.5,
             float(np.mean(zbars)),
@@ -197,7 +169,6 @@ def sweep(
         zz_mean=cols[5],
         zz_variance=cols[6],
         iterations=config.iterations,
-        confidence_level=config.confidence_level,
         seed=config.seed,
     )
 

@@ -211,7 +211,7 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     return TrainResult(schedule, tuple(history), config.max_epochs, False)
 
 
-def random_schedule(n: int, chunk_count: int, seed: int, total_time: float = DEFAULT_TOTAL_TIME) -> Schedule:
+def random_schedule(n: int, chunk_count: int, seed: int) -> Schedule:
     """Documented random initialization, drawn per chunk and shared across
     qubits: tunneling ~ U(2.4, 2.6), bias and coupling ~ U(-0.1, 0.1)."""
     _check_chunk_count(chunk_count)
@@ -220,7 +220,7 @@ def random_schedule(n: int, chunk_count: int, seed: int, total_time: float = DEF
         ChunkParams.uniform(n, 2.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))
         for _ in range(chunk_count)
     )
-    return Schedule(n, total_time, chunks)
+    return Schedule(n, DEFAULT_TOTAL_TIME, chunks)
 
 
 def bootstrap(prev: TrainResult, n: int, config: TrainerConfig) -> TrainResult:

@@ -16,7 +16,7 @@ from functools import reduce
 
 import numpy as np
 
-from qnnwitness.core import GateKind, GateOp, assert_normalized, n_qubits_of, rotation_matrix, z_diagonal
+from qnnwitness.core import GateKind, GateOp, assert_normalized, n_qubits_of, z_diagonal
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -62,9 +62,9 @@ def embed_gate_dense(op: GateOp, n: int) -> np.ndarray:
             out = basis ^ (c_bit << (n - 1 - op.target))
             m[out, basis] = 1.0
         return m
-    axis = {GateKind.ROT_X: "x", GateKind.ROT_Y: "y", GateKind.ROT_Z: "z"}[op.kind]
+    pauli = {GateKind.ROT_X: PAULI_X, GateKind.ROT_Y: PAULI_Y, GateKind.ROT_Z: PAULI_Z}[op.kind]
     mats = [IDENTITY_2] * n
-    mats[op.target] = rotation_matrix(axis, op.angle)
+    mats[op.target] = expm_eigh(pauli, op.angle / 2)
     return reduce(np.kron, mats)
 
 

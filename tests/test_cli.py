@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from qnnwitness import cli
 from qnnwitness.fixtures import fixture_path
 from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
-from qnnwitness.sampler import MAX_ITERATIONS
-from qnnwitness.trainer import MAX_CHUNKS
+from qnnwitness.sampler import MAX_ITERATIONS, ShotConfig
+from qnnwitness.trainer import MAX_CHUNKS, TrainerConfig
 from qnnwitness.witness import PairStateKind, make_pair_state, witness_value
 
 
@@ -347,10 +347,11 @@ class TestSampleCommand:
         code, _, _ = run_cli(
             capsys,
             "sample", "--schedule", "table2", "--state", "Bell",
-            "--iterations", "2", "--seed", "0", "--out-dir", str(tmp_path),
+            "--iterations", "1", "--seed", "0", "--out-dir", str(tmp_path),
         )
         assert code == 0
-        assert len((tmp_path / "sweep_Bell.csv").read_text().splitlines()) == 401
+        rows = (tmp_path / "sweep_Bell.csv").read_text().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == list(range(50, 20001, 50))
 
     def test_seed_reproducibility(self, tmp_path, capsys):
         args = ("sample", "--schedule", "table2", "--state", "P", "--shots", "300",
@@ -406,6 +407,14 @@ class TestTopLevel:
         code, out, _ = run_cli(capsys, "--list-repro")
         assert code == 0
         assert "Table 1" in out and "Figs 1-2" in out and "bootstrap" in out
+
+    def test_parsed_defaults_are_the_config_defaults(self):
+        parser = cli.build_parser()
+        for command in ("train", "bootstrap"):
+            args = parser.parse_args([command])
+            assert cli._trainer_config(args, args.chunks) == TrainerConfig()
+        args = parser.parse_args(["sample"])
+        assert (args.shots, args.iterations, args.seed) == (None, ShotConfig().iterations, ShotConfig().seed)
 
     def test_no_command_shows_help(self, capsys):
         code, out, _ = run_cli(capsys)

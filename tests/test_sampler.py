@@ -6,14 +6,12 @@ from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
 from qnnwitness.sampler import (
     MAX_ITERATIONS,
+    Z_SCORE,
     ShotConfig,
-    confidence_interval,
     rng_stream,
     sample_zz_mean,
-    sample_zz_witness,
     sweep,
     sweep_csv,
-    z_score,
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
@@ -54,14 +52,14 @@ class TestShotConfig:
 class TestSampleZZWitness:
     def test_deterministic_state_always_one(self):
         rng = rng_stream(0, 100, 0)
-        assert sample_zz_witness(basis_state(2, 0b00), (0, 1), 100, rng) == 1.0
+        assert sample_zz_mean(basis_state(2, 0b00), (0, 1), 100, rng) ** 2 == 1.0
 
     def test_flat_state_estimator_mean_is_one_over_n(self):
         # E[(mean of +-1 with p=1/2)^2] = 1/n
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
         estimates = [
-            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(1, n_shots, it)) for it in range(1000)
+            sample_zz_mean(flat, (0, 1), n_shots, rng_stream(1, n_shots, it)) ** 2 for it in range(1000)
         ]
         assert np.mean(estimates) == pytest.approx(1.0 / n_shots, rel=0.2)
 
@@ -73,14 +71,14 @@ class TestSampleZZWitness:
         bell = make_pair_state(PairStateKind.BELL, (0, 1), 2)
         final = apply_circuit(bell, compile_schedule(table2))
         exact = witness_value(bell, (0, 1), table2, "gates")
-        estimate = sample_zz_witness(final, (0, 1), 15000, rng_stream(2, 15000, 0))
+        estimate = sample_zz_mean(final, (0, 1), 15000, rng_stream(2, 15000, 0)) ** 2
         assert abs(estimate - exact) < 0.01
         assert abs(estimate - 0.999) < 0.01
 
     def test_unnormalized_rejected(self):
         state = np.array([1.0, 1.0, 0.0, 0.0], dtype=complex)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
+            sample_zz_mean(state, (0, 1), 10, rng_stream(0, 10, 0))
 
     def test_nan_state_rejected(self):
         # abs(nan - 1) > tol is false, so a plain tolerance test lets NaN through
@@ -88,14 +86,14 @@ class TestSampleZZWitness:
         with pytest.raises(ValueError):
             assert_normalized(state)
         with pytest.raises(ValueError):
-            sample_zz_witness(state, (0, 1), 10, rng_stream(0, 10, 0))
+            sample_zz_mean(state, (0, 1), 10, rng_stream(0, 10, 0))
 
     def test_estimator_bias_matches_binomial_model(self):
         # E[zbar^2] = <ZZ>^2 + (1 - <ZZ>^2)/n; flat state has <ZZ> = 0
         flat = np.full(4, 0.5, dtype=complex)
         n_shots = 1000
         estimates = [
-            sample_zz_witness(flat, (0, 1), n_shots, rng_stream(3, n_shots, it)) for it in range(1000)
+            sample_zz_mean(flat, (0, 1), n_shots, rng_stream(3, n_shots, it)) ** 2 for it in range(1000)
         ]
         bias = float(np.mean(estimates))
         assert abs(bias - 1.0 / n_shots) < 0.2 / n_shots
@@ -185,23 +183,18 @@ class TestRngStreams:
 
 
 class TestConfidenceInterval:
-    def test_constant_samples(self):
-        low, high = confidence_interval([0.4] * 10)
-        assert low == high == pytest.approx(0.4)
-
-    def test_binary_samples(self):
-        samples = [0.0, 1.0] * 50
-        low, high = confidence_interval(samples)
-        std = float(np.std(samples, ddof=1))
-        assert (low + high) / 2 == pytest.approx(0.5)
-        assert high - low == pytest.approx(2 * 1.959964 * std, rel=1e-6)
-
     def test_z_score_pinned(self):
-        assert z_score(0.95) == pytest.approx(1.959964, abs=1e-6)
+        assert Z_SCORE == pytest.approx(1.959964, abs=1e-6)
 
-    def test_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            confidence_interval([1.0])
+    def test_interval_is_mean_plus_minus_z_std(self, table2):
+        # the interval covers single-experiment outcomes: mean +- z * std(ddof=1)
+        count, iterations = 200, 30
+        final = apply_circuit(make_pair_state(PairStateKind.C, (0, 1), 2), compile_schedule(table2))
+        estimates = [sample_zz_mean(final, (0, 1), count, rng_stream(5, count, it)) ** 2 for it in range(iterations)]
+        stats = sweep(table2, PairStateKind.C, (0, 1), ShotConfig(shot_counts=(count,), iterations=iterations, seed=5))
+        half = 1.959964 * float(np.std(estimates, ddof=1))
+        assert stats.ci_low[0] == pytest.approx(float(np.mean(estimates)) - half, rel=1e-6)
+        assert stats.ci_high[0] == pytest.approx(float(np.mean(estimates)) + half, rel=1e-6)
 
 
 class TestSweep:
