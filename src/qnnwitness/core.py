@@ -150,6 +150,8 @@ class GateOp:
                 raise ValueError("CNOT takes a control qubit and no angle")
             if self.control == self.target:
                 raise ValueError("CNOT control and target must differ")
+        elif not isinstance(self.kind, GateKind):
+            raise ValueError(f"unknown gate kind {self.kind!r}")
         else:
             if self.control is not None:
                 raise ValueError("rotations take no control qubit")

@@ -25,11 +25,12 @@ from qnnwitness.core import (
     z_diagonal,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities, _single_qubit_factor
 
 from helpers import (
     CNOT_MATRIX,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     circuit_unitary_dense,
     expm_eigh,
@@ -44,6 +45,70 @@ def test_package_exports_functions_not_modules():
                "confidence_interval", "z_score"}
     assert not retired & set(qnnwitness.__all__)
     assert not [name for name in retired if hasattr(qnnwitness.core, name) or hasattr(qnnwitness.sampler, name)]
+
+angles = st.floats(-4 * math.pi, 4 * math.pi, allow_nan=False)
+rotation_kinds = st.sampled_from([GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z])
+
+
+def rotation(kind: GateKind, angle: float) -> np.ndarray:
+    """The 2x2 matrix the gate kernel applies for one rotation."""
+    return circuit_unitary(Circuit(1, (GateOp(kind, 0, angle=angle),)))
+
+
+class TestRotationMatrix:
+    def test_zero_rotation_is_identity(self):
+        assert np.allclose(rotation(GateKind.ROT_Z, 0.0), np.eye(2))
+
+    def test_z_pi(self):
+        assert np.allclose(rotation(GateKind.ROT_Z, math.pi), np.diag([-1j, 1j]))
+
+    def test_y_against_exponential_oracle(self):
+        theta = 0.7
+        expected = expm_eigh(PAULI_Y, theta / 2)
+        assert np.max(np.abs(rotation(GateKind.ROT_Y, theta) - expected)) < 1e-12
+
+    def test_bad_axis(self):
+        # a kind that is not a GateKind would match no rotation run and stall the kernel
+        with pytest.raises(ValueError, match="gate kind"):
+            GateOp("w", 0, angle=0.5)
+
+    @given(kind=rotation_kinds, a=angles, b=angles)
+    @settings(deadline=None)
+    def test_composition(self, kind, a, b):
+        # two gates on one qubit go through the kernel's run fusion
+        combined = circuit_unitary(Circuit(1, (GateOp(kind, 0, angle=b), GateOp(kind, 0, angle=a))))
+        assert np.max(np.abs(combined - rotation(kind, a + b))) < 1e-12
+
+    @given(kind=rotation_kinds, a=angles)
+    @settings(deadline=None)
+    def test_unitary(self, kind, a):
+        assert is_unitary(rotation(kind, a))
+
+
+class TestPauliExponential:
+    # exp(-i dt (K X + eps Z)) = cos(dt m) I - i sin(dt m) (K X + eps Z) / m, with m = hypot(K, eps)
+    def test_z_axis_is_diagonal(self):
+        alpha = 0.83
+        u = _single_qubit_factor(0.0, 1.0, alpha)
+        assert np.allclose(u, np.diag([np.exp(-1j * alpha), np.exp(1j * alpha)]))
+
+    def test_zero_angle(self):
+        assert np.allclose(_single_qubit_factor(1.0, 0.0, 0.0), np.eye(2))
+
+    def test_transverse_axis_against_oracle(self):
+        k, eps = 2.49, 0.0930
+        expected = expm_eigh(k * PAULI_X + eps * PAULI_Z, 1.0)
+        assert np.max(np.abs(_single_qubit_factor(k, eps, 1.0) - expected)) < 1e-12
+
+    def test_matches_eigendecomposition_for_1000_random_axes(self):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(1000):
+            k, eps = rng.normal(size=2)
+            dt = rng.uniform(-2 * math.pi, 2 * math.pi)
+            expected = expm_eigh(k * PAULI_X + eps * PAULI_Z, dt)
+            worst = max(worst, np.max(np.abs(_single_qubit_factor(k, eps, dt) - expected)))
+        assert worst < 1e-12
 
 
 class TestGateOpValidation:

@@ -183,6 +183,12 @@ class TestRngStreams:
 
 
 class TestConfidenceInterval:
+    def test_constant_samples(self, zero_schedule):
+        # every run of a deterministic state gives the same estimate, so the interval closes on it
+        config = ShotConfig(shot_counts=(50, 200), iterations=10, seed=0)
+        stats = sweep(zero_schedule, PairStateKind.BELL, (0, 1), config)
+        assert stats.ci_low == stats.ci_high == stats.mean == (1.0, 1.0)
+
     def test_z_score_pinned(self):
         assert Z_SCORE == pytest.approx(1.959964, abs=1e-6)
 
