@@ -18,17 +18,25 @@ Trotter split, not from the gate translation.
 
 ``atan2`` rather than the arcsin form keeps negative biases on the
 correct branch; the two agree for eps >= 0.
+
+:func:`compile_schedule` keeps its circuits in one LRU store,
+``CIRCUIT_CACHE``, keyed on the schedule's numbers bit for bit and on
+``elide``, and bounded by the bytes its circuits keep alive, their fused
+steps included (``Circuit.nbytes``).
 """
 
 from __future__ import annotations
 
 import math
 import re
+import struct
+from functools import partial
 
 import numpy as np
 
 from .core import (
     DEFAULT_UNITARY_CAP,
+    ArrayCache,
     Circuit,
     DimensionError,
     GateKind,
@@ -41,6 +49,12 @@ from .core import (
 from .hamiltonian import Schedule, evolve_states
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
+
+# Six compiled 7-qubit schedules of four chunks, each about 80 KB with its
+# fused steps. A circuit that alone needs more, such as four chunks on 13
+# qubits with a 128 KiB phase vector each, is compiled again on every call.
+# A 2 MiB store, held full, slowed the benchmark's other n=2 CLI calls by 4.7%.
+CIRCUIT_CACHE = ArrayCache(2**19)
 
 
 def extract_rotation_angles(tunneling: float, bias: float, dt: float) -> tuple[float, float]:
@@ -91,13 +105,25 @@ def compile_zz(coupling: float, dt: float, control: int, target: int, elide: boo
     ]
 
 
+def _schedule_key(schedule: Schedule, elide: bool = True) -> tuple:
+    """The schedule's numbers bit for bit, and ``elide``. Schedules compare
+    their floats with ``==``, which equates -0.0 and +0.0; those compile to
+    different gates (``atan2(-0.0, -1) = -pi``)."""
+    values = [schedule.total_time]
+    for ck in schedule.chunks:
+        values += (*ck.tunneling, *ck.bias, *ck.coupling)
+    return schedule.n_qubits, struct.pack(f"{len(values)}d", *values), bool(elide)
+
+
+@partial(CIRCUIT_CACHE, key=_schedule_key)
 def compile_schedule(schedule: Schedule, elide: bool = True) -> Circuit:
     """Full circuit for the schedule, matching the chunked propagator's ordering.
 
     Per chunk: pair blocks over lexicographic (i, j), then single-qubit
     blocks in ascending qubit order. Without elision the gate count is
     ``n_chunks * (3 * n_pairs + 3 * n_qubits)`` whenever no single-qubit
-    factor is exactly the identity.
+    factor is exactly the identity. Equal schedules share one circuit per
+    ``elide`` through ``CIRCUIT_CACHE``.
     """
     n = schedule.n_qubits
     dt = schedule.dt

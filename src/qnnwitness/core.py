@@ -12,12 +12,15 @@ Conventions used throughout the package:
 * Everything is double-precision dense numpy; at <= 7 qubits (dim 128)
   sparsity buys nothing.
 * One kernel applies every gate list (``apply_circuit``,
-  ``circuit_unitary``). It folds each run of rotations on one qubit into
-  one 2x2, and collects Rz runs and ``CNOT, Rz, CNOT`` blocks, which are
-  ``Z`` and ``Z Z`` phases, into one diagonal. The rewrites are exact
-  identities, so results match the gate-by-gate product to round-off,
-  and they read only the gate list, so the compiled circuit is still an
-  independent check of the schedule it came from.
+  ``circuit_unitary``), in two steps. The fuse step reads a circuit's
+  gate list once, the first time the circuit runs or is sized
+  (``Circuit.nbytes``), and keeps the result on it (``Circuit.steps``):
+  each run of rotations on one qubit becomes one 2x2, and each run of Rz
+  and ``CNOT, Rz, CNOT`` blocks, which are ``Z`` and ``Z Z`` phases,
+  becomes one phase vector. The run step applies those steps. The rewrites are exact identities, so results
+  match the gate-by-gate product to round-off, and they read only the
+  gate list, so the compiled circuit is still an independent check of
+  the schedule it came from.
 
 All functions are pure: inputs are never mutated.
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from functools import wraps
+from functools import cached_property, wraps
 from itertools import combinations
 import math
 from typing import NamedTuple
@@ -53,38 +56,45 @@ class CacheInfo(NamedTuple):
     nbytes: int
 
 
-class ArrayCache:
-    """LRU store of read-only arrays from several functions, bounded by their total bytes.
+def _positional(*args):
+    return args
 
-    Decorating a function memoises it here. A new array evicts the least
-    recently used ones, whichever function made them, and an array larger
-    than ``max_bytes`` is returned but not kept. Each decorated function
-    gets ``cache_info()`` and ``cache_clear()`` over its own entries.
+
+class ArrayCache:
+    """LRU store of read-only values from several functions, bounded by their total bytes.
+
+    Decorating a function memoises it here; each value reports the bytes
+    it keeps alive as ``nbytes``, as an array does. A new value evicts the
+    least recently used ones, whichever function made them, and a value
+    larger than ``max_bytes`` is returned but not kept. ``key`` maps a
+    call's arguments to its entry (default: the positional arguments
+    themselves). Each decorated function gets ``cache_info()`` and
+    ``cache_clear()`` over its own entries.
     """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
-        self._entries: OrderedDict = OrderedDict()  # (function, args) -> array, least recent first
+        self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
 
     @property
     def nbytes(self) -> int:
         return sum(value.nbytes for value in self._entries.values())
 
-    def __call__(self, fn):
+    def __call__(self, fn, key=_positional):
         entries = self._entries
         counts = {"hits": 0, "misses": 0}
 
         @wraps(fn)
-        def cached(*args):
-            key = (fn, args)
-            if key in entries:
+        def cached(*args, **kwargs):
+            entry = (fn, key(*args, **kwargs))
+            if entry in entries:
                 counts["hits"] += 1
-                entries.move_to_end(key)
-                return entries[key]
+                entries.move_to_end(entry)
+                return entries[entry]
             counts["misses"] += 1
-            value = fn(*args)
+            value = fn(*args, **kwargs)
             if value.nbytes <= self.max_bytes:
-                entries[key] = value
+                entries[entry] = value
                 total = self.nbytes
                 while total > self.max_bytes:
                     total -= entries.popitem(last=False)[1].nbytes
@@ -95,8 +105,8 @@ class ArrayCache:
             return CacheInfo(counts["hits"], counts["misses"], len(own), sum(value.nbytes for value in own))
 
         def cache_clear() -> None:
-            for key in [key for key in entries if key[0] is fn]:
-                del entries[key]
+            for entry in [entry for entry in entries if entry[0] is fn]:
+                del entries[entry]
             counts.update(hits=0, misses=0)
 
         cached.cache_info = cache_info
@@ -187,6 +197,19 @@ class Circuit:
     def __iter__(self):
         return iter(self.ops)
 
+    @cached_property
+    def steps(self) -> tuple:
+        """The gate list fused once (see :func:`_fuse`) and kept with the
+        circuit, outside the fields, as ``Schedule.symmetric`` is."""
+        return _fuse(self.n_qubits, self.ops)
+
+    @cached_property
+    def nbytes(self) -> int:
+        """The bytes the circuit keeps alive once it has run: its gates, its
+        fused steps and each phase vector, counted before it is built."""
+        phases = sum(isinstance(step, _PhaseRun) for step in self.steps)
+        return _GATE_BYTES * len(self.ops) + _STEP_BYTES * len(self.steps) + phases * 16 * 2**self.n_qubits
+
 
 def qubit_pairs(n: int) -> list[tuple[int, int]]:
     """All unordered qubit pairs (i, j) with i < j, in lexicographic order."""
@@ -270,57 +293,98 @@ def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
             r00, r01, r10, r11 = c - 1j * s, 0.0, 0.0, c + 1j * s
         u00, u01, u10, u11 = (r00 * u00 + r01 * u10, r00 * u01 + r01 * u11,
                               r10 * u00 + r11 * u10, r10 * u01 + r11 * u11)
-    return np.array([[u00, u01], [u10, u11]], dtype=complex)
+    u = np.array([[u00, u01], [u10, u11]], dtype=complex)
+    u.flags.writeable = False
+    return u
 
 
-def _run_circuit(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply ``circuit`` to the ``(2**n, batch)`` ``columns``: the one gate kernel.
+# Bytes of one GateOp with its angle and its share of a diagonal run's terms,
+# and of one fused step with its 2x2, rounded up from tracemalloc on CPython
+# 3.11; Circuit.nbytes adds the phase vectors
+_GATE_BYTES = 160
+_STEP_BYTES = 640
 
-    It reads only the gate list and makes three exact rewrites, so that a
-    compiled schedule touches the columns once per qubit and chunk rather
-    than once per gate:
 
-    * a run of rotations on one qubit is multiplied into one 2x2;
+class _PhaseRun:
+    """A run of diagonal gates: its ``(angle, qubits)`` terms in gate order,
+    each the phase ``exp(-i (angle/2) Z_q..)``, and their product's diagonal,
+    built on first use."""
+
+    def __init__(self, n: int, terms: tuple) -> None:
+        self.n, self.terms = n, terms
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        half = None  # summed half-angles; diagonal gates commute
+        for angle, qubits in self.terms:
+            diagonal = 0.5 * angle * z_diagonal(self.n, qubits[0])
+            if len(qubits) == 2:
+                diagonal = diagonal * z_diagonal(self.n, qubits[1])
+            half = diagonal if half is None else half + diagonal
+        vector = np.exp(-1j * half)
+        vector.flags.writeable = False
+        return vector
+
+
+def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
+    """Read a gate list once into steps, so that a compiled schedule touches
+    the state once per qubit and chunk rather than once per gate.
+
+    It makes three exact rewrites:
+
+    * a run of rotations on one qubit is multiplied into one 2x2, kept as
+      the step ``(qubit, 2x2)``;
     * a run of Rz on qubit q is the diagonal ``exp(-i (a/2) Z_q)``, with
       ``a`` the sum of its angles, and ``CNOT(c, t)``, an Rz run on t, then
       the same ``CNOT(c, t)`` is ``exp(-i (a/2) Z_c Z_t)``, because the CNOT
       maps ``Z_t`` to ``Z_c Z_t`` and is its own inverse. Diagonal gates
-      commute, so their half-angles add up in one real vector, applied as
-      one phase multiply before the next non-diagonal gate and at the end;
-    * every other CNOT permutes the amplitudes.
+      commute, so a run of them is one :class:`_PhaseRun` step, closed by
+      the next non-diagonal gate or the end;
+    * every other CNOT is its own step and permutes the amplitudes.
     """
-    n, ops = circuit.n_qubits, circuit.ops
-    half = None  # summed half-angles of the diagonal gates not yet applied
+    steps = []
+    terms = []  # the diagonal run not yet closed
     i = 0
     while i < len(ops):
         op = ops[i]
-        diagonal = None
+        term = None
         if op.kind is GateKind.CNOT:
             end = _rotation_run_end(ops, i + 1, op.target, _Z_ONLY)
             closing = ops[end] if end < len(ops) else None
             if closing is not None and closing.kind is GateKind.CNOT and closing.qubits == op.qubits:
-                angle = sum(g.angle for g in ops[i + 1 : end])
-                diagonal = 0.5 * angle * z_diagonal(n, op.control) * z_diagonal(n, op.target)
+                term = (sum(g.angle for g in ops[i + 1 : end]), (op.control, op.target))
                 end += 1
             else:
                 end = i + 1
         else:
             end = _rotation_run_end(ops, i, op.target, _ROTATIONS)
             if _rotation_run_end(ops, i, op.target, _Z_ONLY) == end:
-                diagonal = 0.5 * sum(g.angle for g in ops[i:end]) * z_diagonal(n, op.target)
-        if diagonal is not None:
-            half = diagonal if half is None else half + diagonal
+                term = (sum(g.angle for g in ops[i:end]), (op.target,))
+        if term is not None:
+            terms.append(term)
         else:
-            if half is not None:
-                columns, half = np.exp(-1j * half)[:, np.newaxis] * columns, None
-            if op.kind is GateKind.CNOT:
-                tensor = columns.reshape([2] * n + [-1])
-                columns = _apply_cnot(tensor, op.control, op.target).reshape(columns.shape)
-            else:
-                columns = _apply_1q(columns, _run_matrix(ops[i:end]), op.target)
+            if terms:
+                steps.append(_PhaseRun(n, tuple(terms)))
+                terms = []
+            steps.append(op if op.kind is GateKind.CNOT else (op.target, _run_matrix(ops[i:end])))
         i = end
-    if half is not None:
-        columns = np.exp(-1j * half)[:, np.newaxis] * columns
+    if terms:
+        steps.append(_PhaseRun(n, tuple(terms)))
+    return tuple(steps)
+
+
+def _run_steps(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
+    """Apply ``circuit``'s fused steps to the ``(2**n, batch)`` ``columns``: the one gate kernel."""
+    n = circuit.n_qubits
+    for step in circuit.steps:
+        if isinstance(step, _PhaseRun):
+            columns = step.vector[:, np.newaxis] * columns
+        elif isinstance(step, GateOp):
+            tensor = columns.reshape([2] * n + [-1])
+            columns = _apply_cnot(tensor, step.control, step.target).reshape(columns.shape)
+        else:
+            qubit, u = step
+            columns = _apply_1q(columns, u, qubit)
     return columns
 
 
@@ -328,16 +392,16 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply circuit.ops in order to a state vector, or to each column of a
     ``(2**n, batch)`` array, by stride updates (no 2^N matrix).
 
-    Rotation runs and diagonal gates are fused before they touch the state
-    (see :func:`_run_circuit`); the result equals the gate-by-gate product
-    to round-off.
+    Rotation runs and diagonal gates are fused once per circuit before they
+    touch the state (see :func:`_fuse`); the result equals the gate-by-gate
+    product to round-off.
     """
     n = n_qubits_of(state)
     if n != circuit.n_qubits:
         raise ValueError(f"state has {n} qubits but circuit expects {circuit.n_qubits}")
     if state.ndim not in (1, 2):
         raise ValueError("expected a state vector or a (2**n, batch) array of them")
-    return _run_circuit(state.reshape(2**n, -1), circuit).reshape(state.shape)
+    return _run_steps(state.reshape(2**n, -1), circuit).reshape(state.shape)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -346,7 +410,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     if n > DEFAULT_UNITARY_CAP:
         raise DimensionError(f"refusing dense unitary for {n} > {DEFAULT_UNITARY_CAP} qubits")
     # the basis columns, evolved at once
-    return _run_circuit(np.eye(2**n, dtype=complex), circuit)
+    return _run_steps(np.eye(2**n, dtype=complex), circuit)
 
 
 def expectation_zz(state: np.ndarray, i: int, j: int) -> float:

@@ -155,9 +155,12 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
-    The cache keeps the 64 most recent propagators (about 17 MB at n=7)
-    for dense evolution: single states, verification and non-symmetric
-    schedules. Training runs in the pair (x) Dicke space and never calls it.
+    The cache keeps the 64 most recent propagators for dense evolution:
+    single states, verification and non-symmetric schedules. That is about
+    17 MB at n=7, but it is bounded by count, not bytes: at n=11, the
+    largest ``build_hamiltonian`` admits, each propagator is 64 MiB and 64
+    of them hold 4 GiB. Training runs in the pair (x) Dicke space and never
+    calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -186,7 +189,9 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
     ``c = cos(dt m)`` and ``s = sin(dt m)/m``. Since ``dc/dK = -dt K s`` and
     ``ds/dK = K f`` with ``f = (dt c - s)/m^2``, the K derivative is
     ``-dt K s I - i (K f (K X + eps Z) + s X)``, and likewise for eps with Z.
-    ``f`` is summed from its series where ``dt c - s`` cancels.
+    ``f`` is summed from its series where ``dt c - s`` cancels. ``m^2`` must
+    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :func:`adjoint_partials`
+    refuses such a chunk before any sweep.
     """
     magnitude = math.hypot(tunneling, bias)
     x = dt * magnitude
@@ -195,10 +200,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
         x2 = x * x
         f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
     else:
-        squared = magnitude * magnitude  # inf past ~1.3e154, where f = 0 would drop K f (K X + eps Z)
-        if math.isinf(squared):
-            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
-        f = (dt * math.cos(x) - s) / squared
+        f = (dt * math.cos(x) - s) / (magnitude * magnitude)
     generator = np.array([[bias, tunneling], [tunneling, -bias]])
     d_tunneling = -dt * tunneling * s * np.eye(2) - 1j * (tunneling * f * generator + s * PAULI_X)
     d_bias = -dt * bias * s * np.eye(2) - 1j * (bias * f * generator + s * PAULI_Z)
@@ -462,7 +464,15 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     chunk by chunk (every factor is unitary, so no intermediate state is
     kept). Returns ``(n_chunks, 3)`` partials: per chunk, the shared
     tunneling, bias and coupling.
+
+    Either method refuses a chunk whose ``hypot(K, eps)**2`` overflows, past
+    about 1.3e154: there the chunked partials would lose a term, and a
+    schedule that one method cannot differentiate is not trained by the other.
     """
+    for ck in schedule.chunks:
+        magnitude = math.hypot(*ck.shared[:2])
+        if math.isinf(magnitude * magnitude):
+            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
     sweeps = _chunk_sweeps(schedule, method)
     finals = np.asarray(coords, dtype=complex).T
     for forward, _ in sweeps:

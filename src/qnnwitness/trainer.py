@@ -15,8 +15,11 @@ gradient's own forward sweep; only a schedule that will take no further
 step is evaluated forward-only.
 
 Bootstrapping seeds the n-qubit optimization with the (n-1)-qubit
-solution; with all-to-all coupling the required correction shrinks as n
-grows, which is what makes the chain 2 -> 7 cheap.
+solution, keeping each chunk's K, eps and zeta. That does not make the
+correction shrink as n grows: the loss sums over all C(n, 2) pairs, so a
+step at a fixed learning rate grows with n, and at the default settings
+chains from seeds 0-9 diverge somewhere from n = 5 to n = 11 (seed 4
+before n = 7).
 """
 
 from __future__ import annotations

@@ -7,7 +7,10 @@ Kronecker products rather than stride updates, a run of shots draws
 one basis state per shot rather than one binomial count, and gradients
 come from finite differences of the loss, or from tangents carried
 forward through dense 2^n states, rather than an adjoint sweep. A call
-counter lets tests pin how often a kernel runs.
+counter lets tests pin how often a kernel runs. One reference is not
+independent but pins arithmetic: :func:`run_circuit_unfused` regroups
+a gate list on every call, as the gate kernel did before it kept its
+fused steps on the circuit.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from functools import reduce
 
 import numpy as np
 
+from qnnwitness import core
 from qnnwitness.core import GateKind, GateOp, assert_normalized, n_qubits_of, z_diagonal
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -245,3 +249,44 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator):
             kind = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z)[roll % 3]
             ops.append(GateOp(kind, int(rng.integers(0, n)), angle=float(rng.uniform(-np.pi, np.pi))))
     return ops
+
+
+def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
+    """The gate kernel with its runs regrouped on every call: the same
+    rewrites, in the same order and with the same arithmetic, as the fused
+    steps that ``apply_circuit`` keeps on a circuit, so results match them
+    bit for bit."""
+    n, ops = circuit.n_qubits, circuit.ops
+    rotations, z_only = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z), (GateKind.ROT_Z,)
+    half = None
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        diagonal = None
+        if op.kind is GateKind.CNOT:
+            end = core._rotation_run_end(ops, i + 1, op.target, z_only)
+            closing = ops[end] if end < len(ops) else None
+            if closing is not None and closing.kind is GateKind.CNOT and closing.qubits == op.qubits:
+                angle = sum(g.angle for g in ops[i + 1 : end])
+                diagonal = 0.5 * angle * z_diagonal(n, op.control) * z_diagonal(n, op.target)
+                end += 1
+            else:
+                end = i + 1
+        else:
+            end = core._rotation_run_end(ops, i, op.target, rotations)
+            if core._rotation_run_end(ops, i, op.target, z_only) == end:
+                diagonal = 0.5 * sum(g.angle for g in ops[i:end]) * z_diagonal(n, op.target)
+        if diagonal is not None:
+            half = diagonal if half is None else half + diagonal
+        else:
+            if half is not None:
+                columns, half = np.exp(-1j * half)[:, np.newaxis] * columns, None
+            if op.kind is GateKind.CNOT:
+                tensor = columns.reshape([2] * n + [-1])
+                columns = core._apply_cnot(tensor, op.control, op.target).reshape(columns.shape)
+            else:
+                columns = core._apply_1q(columns, core._run_matrix(ops[i:end]), op.target)
+        i = end
+    if half is not None:
+        columns = np.exp(-1j * half)[:, np.newaxis] * columns
+    return columns

@@ -514,15 +514,27 @@ class TestExtremeSchedules:
         assert "chunk" in err
         assert elapsed < 0.5 and peak < 2**20
 
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
     @pytest.mark.parametrize("field", ["K", "eps"])
-    def test_huge_finite_parameters_train_without_a_traceback(self, tmp_path, capsys, field):
+    def test_huge_finite_parameters_train_without_a_traceback(self, tmp_path, capsys, field, method):
         # the squared magnitude of the 2x2 factor's generator overflows a
-        # float, which would drop a term of the gradient: refused, not trained
+        # float, which would drop a term of the chunked gradient: refused,
+        # not trained, by either method
         path = tmp_path / "s.json"
         path.write_text(_uniform_document(3, 1e155, 0.1) if field == "K" else _uniform_document(3, 2.5, 1e200))
-        code, _, err = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path))
+        code, _, err = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path),
+                               "--method", method)
         assert code == 2
         assert "too large to differentiate" in err
+
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    def test_a_step_to_huge_parameters_is_refused_at_the_next_gradient(self, tmp_path, capsys, method):
+        # the first step takes K to about -5.7e306; its gradient is refused
+        code, _, err = run_cli(capsys, "train", "--learning-rate", "1e308", "--out-dir", str(tmp_path),
+                               "--method", method)
+        assert code == 2
+        assert "too large to differentiate" in err
+        assert not (tmp_path / "trained_schedule.json").exists()
 
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qnnwitness import compiler
 from qnnwitness.compiler import (
+    CIRCUIT_CACHE,
     compile_schedule,
     compile_single_qubit,
     compile_zz,
@@ -19,10 +21,12 @@ from qnnwitness.core import (
     Circuit,
     GateKind,
     GateOp,
+    apply_circuit,
+    basis_state,
     circuit_unitary,
     frobenius_distance,
 )
-from qnnwitness.hamiltonian import ChunkParams, Schedule, chunk_propagators
+from qnnwitness.hamiltonian import ChunkParams, Schedule, chunk_propagators, load_schedule, save_schedule
 
 from helpers import PAULI_X, PAULI_Z, expm_eigh
 
@@ -184,6 +188,68 @@ class TestCompileSchedule:
         bad_ops[3] = GateOp(op.kind, op.target, angle=op.angle + 1e-3)
         u_bad = circuit_unitary(Circuit(2, tuple(bad_ops)))
         assert frobenius_distance(u_bad, chunked_unitary(table2)) > 1e-9
+
+
+class TestCircuitStore:
+    def test_bound_is_half_a_mib(self):
+        assert CIRCUIT_CACHE.max_bytes == 2**19
+
+    def test_signed_zeros_get_their_own_circuits(self):
+        # equal and hashed alike as schedules, yet atan2(+-0.0, -1) = +-pi
+        # and rz(+-0) differ: the store keys on the numbers bit for bit
+        plus, minus = (Schedule(2, 1.58, (ChunkParams.uniform(2, zero, -1.0, zero),) * 2) for zero in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        compile_schedule.cache_clear()
+        texts = [export_qasm(compile_schedule(schedule, elide=False)) for schedule in (plus, minus, plus, minus)]
+        assert texts[0] != texts[1] and texts[2:] == texts[:2]
+        assert "rz(-0) q[1];" in texts[1] and "rz(-0)" not in texts[0]
+        assert texts[:2] == [export_qasm(compile_schedule.__wrapped__(s, elide=False)) for s in (plus, minus)]
+        info = compile_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+    def test_equal_schedules_from_two_files_share_one_entry_per_elide(self, table3, tmp_path):
+        for name in ("a.json", "b.json"):
+            save_schedule(table3, tmp_path / name)
+        first, second = load_schedule(tmp_path / "a.json"), load_schedule(tmp_path / "b.json")
+        assert first is not second
+        compile_schedule.cache_clear()
+        for elide in (True, False):
+            assert compile_schedule(first, elide=elide) is compile_schedule(second, elide)
+        assert compile_schedule(first) is not compile_schedule(first, elide=False)
+        info = compile_schedule.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
+
+    def test_store_keeps_at_most_its_bound(self):
+        compile_schedule.cache_clear()
+        # four 128 KiB phase vectors: returned, not kept
+        big = Schedule(13, 1.58, tuple(ChunkParams.uniform(13, 2.5, 0.1 * k, 0.05) for k in range(4)))
+        circuit = compile_schedule(big)
+        assert len(circuit) == 4 * (3 * 78 + 3 * 13) and circuit.nbytes > CIRCUIT_CACHE.max_bytes
+        assert compile_schedule.cache_info().currsize == 0
+        # about 80 KB each: the first ones are evicted, least recent first
+        rng = np.random.default_rng(5)
+        schedules = [random_schedule_uniform(rng, 7, 4) for _ in range(10)]
+        for schedule in schedules:
+            apply_circuit(basis_state(7), compile_schedule(schedule))  # builds its phase vectors
+            info = compile_schedule.cache_info()
+            assert info.nbytes == CIRCUIT_CACHE.nbytes <= CIRCUIT_CACHE.max_bytes
+        assert info.currsize == 6
+        misses = info.misses
+        compile_schedule(schedules[-1])
+        compile_schedule(schedules[0])
+        assert compile_schedule.cache_info().misses == misses + 1
+        compile_schedule.cache_clear()
+
+    def test_the_benchmark_resets_the_store(self):
+        # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
+        # module attribute that has cache_clear and names that module as its own
+        compile_schedule(Schedule(2, 1.0, (ChunkParams.uniform(2, 1.0, 0.5, 0.25),)))
+        found = [value for value in vars(compiler).values()
+                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == compiler.__name__]
+        assert compile_schedule in found
+        for value in found:
+            value.cache_clear()
+        assert compile_schedule.cache_info() == (0, 0, 0, 0)
 
 
 class TestVerifyEquivalence:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import ModuleType
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qnnwitness
+from qnnwitness import core
 from qnnwitness.core import (
     DENSE_BYTES_BUDGET,
     PARITY_CACHE,
@@ -33,9 +35,11 @@ from helpers import (
     PAULI_Y,
     PAULI_Z,
     circuit_unitary_dense,
+    count_calls,
     expm_eigh,
     random_circuit,
     random_state,
+    run_circuit_unfused,
 )
 
 
@@ -291,6 +295,52 @@ class TestGateKernel:
             assert np.max(np.abs(batch[:, k] - apply_circuit(columns[:, k], circuit))) <= 1e-15
         with pytest.raises(ValueError, match="batch"):
             apply_circuit(np.zeros((4, 2, 2), dtype=complex), Circuit(2))
+
+
+class TestFusedSteps:
+    @pytest.mark.parametrize("elide", [True, False])
+    @pytest.mark.parametrize("name", ["table2", "table3"])
+    def test_kept_steps_equal_the_regrouped_kernel_bit_for_bit(self, request, name, elide):
+        schedule = request.getfixturevalue(name)
+        circuit = compile_schedule.__wrapped__(schedule, elide=elide)  # a new circuit, fused here
+        n = circuit.n_qubits
+        identity = np.eye(2**n, dtype=complex)
+        assert np.array_equal(circuit_unitary(circuit), run_circuit_unfused(identity, circuit))
+        states = random_state(n, np.random.default_rng(3)), np.eye(2**n, dtype=complex)[:, :5]
+        for state in states + states:  # the second pass runs on the kept steps
+            assert np.array_equal(apply_circuit(state, circuit),
+                                  run_circuit_unfused(state.reshape(2**n, -1), circuit).reshape(state.shape))
+
+    def test_steps_are_built_once_per_circuit(self, monkeypatch, table3):
+        calls = count_calls(monkeypatch, [(core, "_fuse")])
+        circuit = compile_schedule.__wrapped__(table3)
+        first = apply_circuit(basis_state(7), circuit)
+        assert np.array_equal(apply_circuit(basis_state(7), circuit), first)
+        circuit_unitary(circuit)
+        assert calls == {"_fuse": 1}
+        phases = [step for step in circuit.steps if isinstance(step, core._PhaseRun)]
+        assert len(phases) == 4 and all(not step.vector.flags.writeable for step in phases)
+        # an equal circuit keeps its own steps
+        assert Circuit(7, circuit.ops) == circuit
+        apply_circuit(basis_state(7), Circuit(7, circuit.ops))
+        assert calls == {"_fuse": 2}
+
+    @pytest.mark.parametrize("elide", [True, False])
+    @pytest.mark.parametrize("name", ["table2", "table3"])
+    def test_nbytes_covers_what_a_run_circuit_keeps(self, request, name, elide):
+        schedule = request.getfixturevalue(name)
+        n = schedule.n_qubits
+        state = basis_state(n)
+        for q in range(n):
+            z_diagonal(n, q)
+        tracemalloc.start()
+        try:
+            circuit = compile_schedule.__wrapped__(schedule, elide=elide)
+            apply_circuit(state, circuit)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept <= circuit.nbytes
 
 
 class TestExpectationZZ:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import hamiltonian
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, refine_schedule
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, adjoint_partials, refine_schedule
 from qnnwitness.trainer import (
     MAX_CHUNKS,
     TrainerConfig,
@@ -128,19 +128,21 @@ class TestGradient:
     def test_huge_tunneling_partials_are_finite_or_refused(self):
         # dt * K is about 4e199 here; the squared magnitude of the 2x2
         # factor's generator overflows a float, which would drop the O(dt)
-        # term of chunked's closed-form partials, so chunked refuses
+        # term of chunked's closed-form partials, so both methods refuse
         schedule = Schedule(3, 1.58, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
-        with pytest.raises(ValueError, match="too large to differentiate"):
-            gradient(schedule, build_training_set(3), TrainerConfig(method="chunked"))
-        assert np.all(np.isfinite(gradient(schedule, build_training_set(3), TrainerConfig(method="exact"))[1]))
+        for method in ("chunked", "exact"):
+            with pytest.raises(ValueError, match="too large to differentiate"):
+                gradient(schedule, build_training_set(3), TrainerConfig(method=method))
 
     def test_factor_partials_keep_their_first_order_term_or_refuse(self):
         # at K = 1e150 the K partial's off-diagonal is -i (K^2 f + s), about
-        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0
+        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0, so the
+        # sweep refuses the chunk before its partials are taken
         d_tunneling, _ = _single_qubit_factor_partials(1e150, 0.1, 0.4)
         assert d_tunneling[0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
+        schedule = Schedule(2, 1.0, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)
         with pytest.raises(ValueError, match="too large to differentiate"):
-            _single_qubit_factor_partials(1e155, 0.1, 0.4)
+            adjoint_partials(np.eye(2, 4), schedule, "chunked", lambda finals: finals)
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
