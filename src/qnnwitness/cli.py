@@ -10,11 +10,11 @@ published table or figure.
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
 error (also a ``--chunks`` or ``--iterations`` past its bound, or a
 schedule file's optional ``"symmetric": true`` over non-uniform chunks),
-3 dimension error (a pair outside the register, or a register too large
-for the dense arrays a command needs: ``witness`` under uniform chunks,
-whatever the ``"symmetric"`` key says, needs none for ``exact`` and
-``chunked``, but ``gates`` and any other schedule evolve 2^n vectors),
-4 training divergence.
+3 dimension error (a pair outside the register, ``verify`` above 10
+qubits, or arrays past the 128 MiB budget, refused before allocation:
+dense states, training sets and Hamiltonians, and from 995 qubits the
+pair (x) Dicke operators that ``witness`` under uniform chunks uses for
+``exact`` and ``chunked``), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .trainer import (
     train,
 )
 from .witness import METHODS, WITNESS_TARGETS, PairStateKind, TrainingItem, TrainingSet
-from .witness import build_training_set, check_training_set_size, witness_values
+from .witness import build_training_set, witness_values
 from .witness import witness_value  # unused here; the benchmark tracer patches cli.witness_value
 
 EXIT_OK = 0
@@ -257,11 +257,18 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _diverged(exc: TrainingDiverged, out: Path) -> int:
+    path = out / "last_good_schedule.json"
+    save_schedule(exc.last_good, path)
+    print(f"diverged: {exc}", file=sys.stderr)
+    print(f"last good schedule saved to {path}", file=sys.stderr)
+    return EXIT_DIVERGED
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     if getattr(args, "schedule", None):
         init = _resolve_schedule(args.schedule)
     else:
-        check_training_set_size(args.n_qubits)
         init = random_schedule(args.n_qubits, args.chunks, args.seed)
     config = _trainer_config(args, init.n_chunks)
     training_set = build_training_set(init.n_qubits)
@@ -269,10 +276,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     try:
         result = train(init, training_set, config)
     except TrainingDiverged as exc:
-        save_schedule(exc.last_good, out / "last_good_schedule.json")
-        print(f"diverged: {exc}", file=sys.stderr)
-        print(f"last good schedule saved to {out / 'last_good_schedule.json'}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _diverged(exc, out)
     save_schedule(result.schedule, out / "trained_schedule.json")
     (out / "rms_history.csv").write_text(rms_history_csv(result))
     print(f"n={init.n_qubits} epochs={result.epochs_used} rms={result.final_rms!r} converged={result.converged}")
@@ -280,17 +284,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
-    if args.n_max < 2:
-        raise _CliError(EXIT_INPUT, "--n-max must be at least 2")
-    check_training_set_size(args.n_max)
     config = _trainer_config(args, args.chunks)
-    out = _out_dir(args)
     try:
         results = bootstrap_chain(args.n_max, config)
     except TrainingDiverged as exc:
-        save_schedule(exc.last_good, out / "last_good_schedule.json")
-        print(f"diverged: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
+        return _diverged(exc, _out_dir(args))
+    out = _out_dir(args)
     for n, result in results.items():
         save_schedule(result.schedule, out / f"schedule_n{n}.json")
         (out / f"rms_history_n{n}.csv").write_text(rms_history_csv(result))
@@ -309,8 +308,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     stats = sweep(schedule, kind, pair, config)
     text = sweep_csv(stats)
     if args.out_dir:
-        out = _out_dir(args)
-        path = out / f"sweep_{kind.value}.csv"
+        path = _out_dir(args) / f"sweep_{kind.value}.csv"
         path.write_text(text)
         print(f"sweep written to {path}")
     else:

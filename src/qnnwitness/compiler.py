@@ -179,9 +179,6 @@ def verify_equivalence(schedule: Schedule) -> dict:
 
 # --- OpenQASM 2.0 -------------------------------------------------------
 
-_QASM_GATE_NAMES = {GateKind.ROT_X: "rx", GateKind.ROT_Y: "ry", GateKind.ROT_Z: "rz"}
-
-
 def export_qasm(circuit: Circuit) -> str:
     """OpenQASM 2.0 text, one line per gate, angles at 17 significant digits."""
     lines = [
@@ -194,15 +191,13 @@ def export_qasm(circuit: Circuit) -> str:
         if op.kind is GateKind.CNOT:
             lines.append(f"cx q[{op.control}],q[{op.target}];")
         else:
-            lines.append(f"{_QASM_GATE_NAMES[op.kind]}({op.angle:.17g}) q[{op.target}];")
+            lines.append(f"{op.kind.value}({op.angle:.17g}) q[{op.target}];")  # the kinds' values are QASM names
     return "\n".join(lines) + "\n"
 
 
 _QASM_ROTATION = re.compile(r"^(rx|ry|rz)\(([^)]+)\)\s+q\[(\d+)\];$")
 _QASM_CNOT = re.compile(r"^cx\s+q\[(\d+)\]\s*,\s*q\[(\d+)\];$")
 _QASM_QREG = re.compile(r"^qreg\s+q\[(\d+)\];$")
-
-_ROTATION_KINDS = {"rx": GateKind.ROT_X, "ry": GateKind.ROT_Y, "rz": GateKind.ROT_Z}
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -222,7 +217,7 @@ def parse_qasm(text: str) -> Circuit:
         m = _QASM_ROTATION.match(line)
         if m:
             name, angle, target = m.groups()
-            ops.append(GateOp(_ROTATION_KINDS[name], int(target), angle=float(angle)))
+            ops.append(GateOp(GateKind(name), int(target), angle=float(angle)))
             continue
         m = _QASM_CNOT.match(line)
         if m:

@@ -114,8 +114,8 @@ class ArrayCache:
         return cached
 
 
-# ``z_diagonal`` and ``hamiltonian._pair_parities`` keep at most one dense
-# budget of parity diagonals between them.
+# Every array derived from n alone: ``z_diagonal``, ``hamiltonian._pair_parities``
+# and ``hamiltonian.pair_dicke_operators`` keep at most one dense budget between them.
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 

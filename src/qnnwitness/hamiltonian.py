@@ -36,7 +36,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PARITY_CACHE, PAULI_X, PAULI_Z, _apply_1q, is_hermitian, qubit_pairs, require_dense, z_diagonal
+from .core import DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError, _apply_1q, is_hermitian
+from .core import qubit_pairs, require_dense, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
     ``ds/dK = K f`` with ``f = (dt c - s)/m^2``, the K derivative is
     ``-dt K s I - i (K f (K X + eps Z) + s X)``, and likewise for eps with Z.
     ``f`` is summed from its series where ``dt c - s`` cancels. ``m^2`` must
-    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :func:`adjoint_partials`
+    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :func:`require_differentiable`
     refuses such a chunk before any sweep.
     """
     magnitude = math.hypot(tunneling, bias)
@@ -255,12 +256,26 @@ class PairDicke(NamedTuple):
     spin_x: np.ndarray  # S_x on the (m+1)-dimensional Dicke block
     spin_z: np.ndarray  # diagonal of S_z on the Dicke block
 
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
 
-@lru_cache(maxsize=32)
+
+def pair_dicke_nbytes(n: int) -> int:
+    """The float64 bytes of ``pair_dicke_operators(n)``, counted without building them:
+    with ``k = n - 1``, ``(4k)^2 + 3 (4k)`` entries in the space and ``k^2 + k`` on its Dicke block."""
+    return 8 * (17 * (n - 1) ** 2 + 13 * (n - 1))
+
+
+@PARITY_CACHE
 def pair_dicke_operators(n: int) -> PairDicke:
-    """The operators of the pair (x) Dicke space, built once per n."""
+    """The operators of the pair (x) Dicke space, built once per n; refused from n = 995, past the dense budget."""
     if n < 2:
         raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
+    nbytes = pair_dicke_nbytes(n)
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise DimensionError(f"refusing {nbytes} bytes of pair (x) Dicke operators for {n} qubits "
+                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
     m = n - 2
     w = np.arange(m + 1.0)
     steps = np.sqrt(w[1:] * (m - w[:-1]))
@@ -453,6 +468,16 @@ def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exa
     return columns.T
 
 
+def require_differentiable(schedule: Schedule) -> None:
+    """Refuse a chunk whose ``hypot(K, eps)**2`` overflows, past about
+    1.3e154: there the chunked partials would lose a term, and a schedule
+    that one method cannot differentiate is not trained by the other."""
+    for ck in schedule.chunks:
+        magnitude = math.hypot(*ck.shared[:2])
+        if math.isinf(magnitude * magnitude):
+            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
+
+
 def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
     """Every chunk's shared-parameter derivatives of a real function F of the evolved states.
 
@@ -464,15 +489,8 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     chunk by chunk (every factor is unitary, so no intermediate state is
     kept). Returns ``(n_chunks, 3)`` partials: per chunk, the shared
     tunneling, bias and coupling.
-
-    Either method refuses a chunk whose ``hypot(K, eps)**2`` overflows, past
-    about 1.3e154: there the chunked partials would lose a term, and a
-    schedule that one method cannot differentiate is not trained by the other.
     """
-    for ck in schedule.chunks:
-        magnitude = math.hypot(*ck.shared[:2])
-        if math.isinf(magnitude * magnitude):
-            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
+    require_differentiable(schedule)
     sweeps = _chunk_sweeps(schedule, method)
     finals = np.asarray(coords, dtype=complex).T
     for forward, _ in sweeps:
@@ -515,16 +533,13 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     n = schedule.n_qubits
     if batch.shape[1] != 2**n:
         raise ValueError(f"state dimension {batch.shape[1]} does not match {n} qubits")
+    columns = batch.T
     if method == "chunked":
-        out = _evolve_chunked(batch.T, schedule.chunks, n, schedule.dt).T
-    elif method == "exact":
-        out = batch.T
-        for u in chunk_propagators(schedule, "exact"):
-            out = u @ out
-        out = out.T
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
-    return out[0] if single else out
+        columns = _evolve_chunked(columns, schedule.chunks, n, schedule.dt)
+    else:  # chunk_propagators refuses an unknown method
+        for u in chunk_propagators(schedule, method):
+            columns = u @ columns
+    return columns.T[0] if single else columns.T
 
 
 def propagate(initial: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:

@@ -178,18 +178,8 @@ def sweep_csv(stats: ShotStatistics) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["shot_count", "mean", "variance", "ci_low", "ci_high", "std", "stderr", "zz_mean", "zz_variance"])
+    columns = (stats.mean, stats.variance, stats.ci_low, stats.ci_high, stats.std, stats.stderr,
+               stats.zz_mean, stats.zz_variance)  # each property read once, not once per row
     for idx, count in enumerate(stats.shot_counts):
-        writer.writerow(
-            [
-                count,
-                repr(stats.mean[idx]),
-                repr(stats.variance[idx]),
-                repr(stats.ci_low[idx]),
-                repr(stats.ci_high[idx]),
-                repr(stats.std[idx]),
-                repr(stats.stderr[idx]),
-                repr(stats.zz_mean[idx]),
-                repr(stats.zz_variance[idx]),
-            ]
-        )
+        writer.writerow([count, *(repr(column[idx]) for column in columns)])
     return buf.getvalue()

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators
+from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators, require_differentiable
 from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
 from .witness import TrainingSet, build_training_set, check_training_set_size, witness_readout, witness_values
 
@@ -168,7 +168,8 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     budget (the initial one at ``max_epochs = 0``) is evaluated forward-only
     by :func:`rms_error`. So ``max_epochs = K`` costs K+1 forward and K
     backward sweeps, and a train that meets its target early runs one
-    backward sweep more than the steps it took.
+    backward sweep more than the steps it took. The last step is refused as
+    the next gradient would refuse it (:func:`require_differentiable`).
 
     Deterministic for fixed inputs. Raises :class:`TrainingDiverged` when
     the rms exceeds 10x its initial value for 50 consecutive epochs.
@@ -194,6 +195,8 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
         velocity = config.momentum * velocity - config.learning_rate * grad
         params = params + velocity
         schedule = schedule_with_parameters(init, params)
+        if epochs == config.max_epochs:  # the gradient refuses every earlier one
+            require_differentiable(schedule)
         rms, grad = evaluate(schedule, config.max_epochs - epochs)
         history.append(rms)
         if rms < best_rms:
@@ -217,6 +220,7 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
 def random_schedule(n: int, chunk_count: int, seed: int) -> Schedule:
     """Documented random initialization, drawn per chunk and shared across
     qubits: tunneling ~ U(2.4, 2.6), bias and coupling ~ U(-0.1, 0.1)."""
+    check_training_set_size(n)  # before the C(n, 2) couplings are built
     _check_chunk_count(chunk_count)
     rng = np.random.default_rng(seed)
     chunks = tuple(
@@ -238,9 +242,7 @@ def bootstrap(prev: TrainResult, n: int, config: TrainerConfig) -> TrainResult:
 def bootstrap_chain(n_max: int, config: TrainerConfig, start: Schedule | None = None) -> dict[int, TrainResult]:
     """Train at n=2 from ``start`` (default: :func:`random_schedule` with the
     config's chunk count and seed), then bootstrap one qubit at a time to n_max."""
-    if n_max < 2:
-        raise ValueError("chain needs n_max >= 2")
-    check_training_set_size(n_max)  # refuse before the first size trains
+    check_training_set_size(n_max)  # refuse before the first size trains, also n_max < 2
     results: dict[int, TrainResult] = {}
     init = random_schedule(2, config.chunk_count, config.seed) if start is None else start
     results[2] = train(init, build_training_set(2), config)

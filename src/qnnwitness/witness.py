@@ -166,9 +166,9 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     if n != schedule.n_qubits:
         raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
     if schedule.symmetric and method in ("exact", "chunked"):
+        parities = pair_dicke_operators(n).readout[np.newaxis, :]  # past the budget, refused before anything is built
         coords, rows = training_set.pair_dicke_orbits
         finals = evolve_pair_dicke(coords, schedule, method)
-        parities = pair_dicke_operators(n).readout[np.newaxis, :]
     else:
         items = training_set.items
         rows = np.arange(len(items))

@@ -328,6 +328,25 @@ class TestBootstrapCommand:
             rms = float(summary[n - 1].split(",")[2])
             assert rms <= 1e-3
 
+    def test_chain_shorter_than_two_qubits_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "bootstrap", "--n-max", "1", "--out-dir", str(out))
+        assert (code, stdout) == (2, "")
+        assert "a pairwise training set needs at least 2 qubits" in err
+        assert not out.exists()
+
+    def test_divergence_is_reported_as_train_reports_it(self, tmp_path, capsys):
+        settings = ["--learning-rate", "10.0", "--momentum", "0.0", "--epochs", "500", "--target-rms", "1e-9"]
+        errs = []
+        for argv in (["train", "--schedule", "table2"], ["bootstrap", "--n-max", "3"]):
+            out = tmp_path / argv[0]
+            code, stdout, err = run_cli(capsys, *argv, *settings, "--out-dir", str(out))
+            assert (code, stdout) == (4, "")
+            assert (out / "last_good_schedule.json").exists()
+            errs.append(err.replace(str(out), "OUT"))
+        assert [err.splitlines()[-1] for err in errs] == ["last good schedule saved to OUT/last_good_schedule.json"] * 2
+        assert all(err.startswith("diverged: rms ") for err in errs)
+
 
 class TestSampleCommand:
     def test_single_count_ci(self, tmp_path, capsys):
@@ -527,11 +546,16 @@ class TestExtremeSchedules:
         assert code == 2
         assert "too large to differentiate" in err
 
-    @pytest.mark.parametrize("method", ["chunked", "exact"])
-    def test_a_step_to_huge_parameters_is_refused_at_the_next_gradient(self, tmp_path, capsys, method):
-        # the first step takes K to about -5.7e306; its gradient is refused
+    @pytest.mark.parametrize(
+        "method, epochs",
+        [("chunked", []), ("exact", []), ("chunked", ["--epochs", "1"]), ("exact", ["--epochs", "1"])],
+        ids=["chunked", "exact", "chunked-one_epoch", "exact-one_epoch"],
+    )
+    def test_a_step_to_huge_parameters_is_refused_at_the_next_gradient(self, tmp_path, capsys, method, epochs):
+        # the first step takes K to about -5.7e306: refused as it lands, also
+        # when it is the last step and no gradient follows
         code, _, err = run_cli(capsys, "train", "--learning-rate", "1e308", "--out-dir", str(tmp_path),
-                               "--method", method)
+                               "--method", method, *epochs)
         assert code == 2
         assert "too large to differentiate" in err
         assert not (tmp_path / "trained_schedule.json").exists()

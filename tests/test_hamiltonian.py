@@ -300,6 +300,11 @@ class TestPropagate:
         with pytest.raises(ValueError):
             propagate(basis_state(2), table2, "magic")
 
+    def test_unknown_method_is_refused_by_the_propagators(self, table2):
+        for call in (lambda: evolve_states(basis_state(2), table2, "magic"), lambda: chunk_propagators(table2, "magic")):
+            with pytest.raises(ValueError, match="^unknown propagation method 'magic'$"):
+                call()
+
     def test_dimension_mismatch(self, table2):
         with pytest.raises(ValueError):
             propagate(basis_state(3), table2, "exact")

@@ -10,6 +10,8 @@ gradients to 1e-12 * max(1, |g|).
 
 from __future__ import annotations
 
+import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -17,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import trainer
-from qnnwitness.core import z_diagonal
+from qnnwitness import hamiltonian, trainer
+from qnnwitness.core import DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError, z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -26,10 +28,12 @@ from qnnwitness.hamiltonian import (
     evolve_pair_dicke,
     evolve_states,
     pair_dicke_hamiltonian,
+    pair_dicke_nbytes,
     pair_dicke_operators,
 )
 from qnnwitness.witness import (
     PairStateKind,
+    TrainingItem,
     TrainingSet,
     build_training_set,
     make_pair_state,
@@ -116,11 +120,70 @@ class TestOperators:
         ops = pair_dicke_operators(7)
         assert pair_dicke_operators(7) is ops
         assert ops.transverse.shape == (24, 24) and not ops.transverse.flags.writeable
-        assert pair_dicke_operators.cache_parameters()["maxsize"] is not None
+        assert ops.nbytes == pair_dicke_nbytes(7) <= pair_dicke_operators.cache_info().nbytes
 
     def test_non_uniform_chunk_is_refused(self):
         with pytest.raises(ValueError, match="uniform"):
             pair_dicke_hamiltonian(ChunkParams((1.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3), 3)
+
+
+def measured(call):
+    """The exception ``call()`` raises, its wall time in seconds and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(DimensionError) as refused:
+            call()
+        return refused.value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOperatorStore:
+    """The operators share ``core.PARITY_CACHE`` and its byte budget with every other array derived from n alone."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_predicted_bytes_are_the_built_bytes(self, n):
+        assert pair_dicke_operators(n).nbytes == pair_dicke_nbytes(n)
+
+    def test_the_budget_first_refuses_995_qubits(self):
+        # 994 qubits take 127.99 MiB; that set is not built here
+        assert pair_dicke_nbytes(994) <= DENSE_BYTES_BUDGET < pair_dicke_nbytes(995)
+
+    def test_a_set_past_the_budget_is_refused_before_it_is_built(self):
+        error, elapsed, peak = measured(lambda: pair_dicke_operators(995))
+        assert "995 qubits" in str(error)
+        assert elapsed < 0.5 and peak < 2**20
+
+    @pytest.mark.parametrize("method", ["exact", "chunked"])
+    def test_witness_values_past_the_budget_are_refused_before_allocating(self, method):
+        schedule = Schedule(995, 1.58, (ChunkParams.uniform(995, 2.5, 0.1, 0.05),))
+        bell = TrainingSet(995, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
+        error, elapsed, peak = measured(lambda: witness_values(bell, schedule, method))
+        assert "pair (x) Dicke operators for 995 qubits" in str(error)
+        assert elapsed < 0.5 and peak < 2**20
+
+    def test_store_keeps_at_most_the_budget(self):
+        # n = 2..200 take 345 MiB between them; the most recent stay, within the shared budget
+        try:
+            for n in range(2, 201):
+                pair_dicke_operators(n)
+                assert PARITY_CACHE.nbytes <= DENSE_BYTES_BUDGET
+            info = pair_dicke_operators.cache_info()
+            assert 0 < info.currsize < 199
+            assert info.nbytes == sum(map(pair_dicke_nbytes, range(201 - info.currsize, 201)))
+        finally:
+            pair_dicke_operators.cache_clear()
+
+    def test_the_benchmark_resets_the_store(self):
+        # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
+        # module attribute that has cache_clear and names that module as its own
+        pair_dicke_operators(3)
+        found = [value for value in vars(hamiltonian).values()
+                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == hamiltonian.__name__]
+        assert pair_dicke_operators in found
+        pair_dicke_operators.cache_clear()
+        assert pair_dicke_operators.cache_info() == (0, 0, 0, 0)
 
 
 class TestCoordinates:
