@@ -152,42 +152,24 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--method", default=TrainerConfig.method, choices=("chunked", "exact"))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand, or with ``command``'s alone.
+
+    A parser built for ``command`` prints the same text as the full tree
+    for any argv that starts with ``command``. Its usage line would list
+    only the subcommands it holds, so it spells all of them as the
+    metavar. The full tree sets none: a metavar also renames the argument
+    in the invalid-command error, which only the full tree can report.
+    """
     parser = argparse.ArgumentParser(prog="qnnwitness", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--list-repro", action="store_true",
                         help="print the command that regenerates each table/figure and exit")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("witness", help="evaluate the witness for a reference state")
-    _add_common(p, "config", "schedule", "pair")
-    p.add_argument("--state", default="all", help="Bell, Flat, C, P, or 'all'")
-    p.add_argument("--method", default="chunked", help="exact, chunked, gates, or 'all'")
-
-    p = sub.add_parser("verify", help="gate/chunked/exact equivalence report (JSON)")
-    _add_common(p, "config", "schedule")
-
-    p = sub.add_parser("compile", help="compile a schedule to OpenQASM 2.0")
-    _add_common(p, "config", "schedule")
-    p.add_argument("--out", help="output .qasm path (stdout when omitted)")
-    p.add_argument("--no-elide", dest="no_elide", action="store_true",
-                   help="keep identity-angle gates (exact gate-count reproduction)")
-
-    p = sub.add_parser("train", help="gradient-descent training of a schedule")
-    _add_common(p, "config", "schedule", "seed", "out_dir", "training")
-    p.add_argument("--n-qubits", dest="n_qubits", type=int, default=2)
-
-    p = sub.add_parser("bootstrap", help="train 2 qubits, then bootstrap up to --n-max")
-    _add_common(p, "config", "seed", "out_dir", "training")
-    p.add_argument("--n-max", dest="n_max", type=int, default=7)
-
-    p = sub.add_parser("sample", help="finite-shot sweep of the witness estimator")
-    _add_common(p, "config", "schedule", "pair", "seed", "out_dir")
-    p.add_argument("--state", default="Bell")
-    p.add_argument("--shots", type=int, help="single shot count (default: grid 50..20000 step 50)")
-    p.add_argument("--iterations", type=int, default=ShotConfig.iterations,
-                   help=f"runs per shot count, at most {MAX_ITERATIONS}")
-
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", metavar=metavar)
+    for name, (help_text, add_arguments, _run) in _COMMANDS.items():
+        if command in (None, name):
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -195,6 +177,12 @@ def _require_schedule(args: argparse.Namespace) -> Schedule:
     if not getattr(args, "schedule", None):
         raise _CliError(EXIT_INPUT, "--schedule is required")
     return _resolve_schedule(args.schedule)
+
+
+def _witness_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "schedule", "pair")
+    p.add_argument("--state", default="all", help="Bell, Flat, C, P, or 'all'")
+    p.add_argument("--method", default="chunked", help="exact, chunked, gates, or 'all'")
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
@@ -215,6 +203,10 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "schedule")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     schedule = _require_schedule(args)
     report = verify_equivalence(schedule)
@@ -223,6 +215,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print("FAIL: gate circuit deviates from the chunked propagator", file=sys.stderr)
         return EXIT_THRESHOLD
     return EXIT_OK
+
+
+def _compile_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "schedule")
+    p.add_argument("--out", help="output .qasm path (stdout when omitted)")
+    p.add_argument("--no-elide", dest="no_elide", action="store_true",
+                   help="keep identity-angle gates (exact gate-count reproduction)")
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
@@ -265,6 +264,11 @@ def _diverged(exc: TrainingDiverged, out: Path) -> int:
     return EXIT_DIVERGED
 
 
+def _train_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "schedule", "seed", "out_dir", "training")
+    p.add_argument("--n-qubits", dest="n_qubits", type=int, default=2)
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     if getattr(args, "schedule", None):
         init = _resolve_schedule(args.schedule)
@@ -283,6 +287,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bootstrap_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "seed", "out_dir", "training")
+    p.add_argument("--n-max", dest="n_max", type=int, default=7)
+
+
 def _cmd_bootstrap(args: argparse.Namespace) -> int:
     config = _trainer_config(args, args.chunks)
     try:
@@ -297,6 +306,14 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
     (out / "bootstrap_summary.csv").write_text(bootstrap_summary_csv(results))
     print(f"summary written to {out / 'bootstrap_summary.csv'}")
     return EXIT_OK
+
+
+def _sample_arguments(p: argparse.ArgumentParser) -> None:
+    _add_common(p, "config", "schedule", "pair", "seed", "out_dir")
+    p.add_argument("--state", default="Bell")
+    p.add_argument("--shots", type=int, help="single shot count (default: grid 50..20000 step 50)")
+    p.add_argument("--iterations", type=int, default=ShotConfig.iterations,
+                   help=f"runs per shot count, at most {MAX_ITERATIONS}")
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -316,19 +333,22 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# name: (help, add-arguments, run), in the order --help lists them
 _COMMANDS = {
-    "witness": _cmd_witness,
-    "verify": _cmd_verify,
-    "compile": _cmd_compile,
-    "train": _cmd_train,
-    "bootstrap": _cmd_bootstrap,
-    "sample": _cmd_sample,
+    "witness": ("evaluate the witness for a reference state", _witness_arguments, _cmd_witness),
+    "verify": ("gate/chunked/exact equivalence report (JSON)", _verify_arguments, _cmd_verify),
+    "compile": ("compile a schedule to OpenQASM 2.0", _compile_arguments, _cmd_compile),
+    "train": ("gradient-descent training of a schedule", _train_arguments, _cmd_train),
+    "bootstrap": ("train 2 qubits, then bootstrap up to --n-max", _bootstrap_arguments, _cmd_bootstrap),
+    "sample": ("finite-shot sweep of the witness estimator", _sample_arguments, _cmd_sample),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    # a call that names its subcommand first builds only that subcommand's
+    # parser; --help, or any flag before the subcommand, needs the full tree
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
     if args.list_repro:
         for line in _REPRO_LINES:
@@ -343,7 +363,8 @@ def main(argv: list[str] | None = None) -> int:
             # parsed before the explicit flags, which therefore win
             at = argv.index(args.command) + 1
             args = parser.parse_args(argv[:at] + flags + argv[at:])
-        return _COMMANDS[args.command](args)
+        _help, _add_arguments, run = _COMMANDS[args.command]
+        return run(args)
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -17,10 +17,11 @@ Conventions used throughout the package:
   (``Circuit.nbytes``), and keeps the result on it (``Circuit.steps``):
   each run of rotations on one qubit becomes one 2x2, and each run of Rz
   and ``CNOT, Rz, CNOT`` blocks, which are ``Z`` and ``Z Z`` phases,
-  becomes one phase vector. The run step applies those steps. The rewrites are exact identities, so results
-  match the gate-by-gate product to round-off, and they read only the
-  gate list, so the compiled circuit is still an independent check of
-  the schedule it came from.
+  becomes one phase vector, each built the first time it is applied.
+  The run step applies those steps. The rewrites are exact identities,
+  so results match the gate-by-gate product to round-off, and they read
+  only the gate list, so the compiled circuit is still an independent
+  check of the schedule it came from.
 
 All functions are pure: inputs are never mutated.
 """
@@ -206,7 +207,8 @@ class Circuit:
     @cached_property
     def nbytes(self) -> int:
         """The bytes the circuit keeps alive once it has run: its gates, its
-        fused steps and each phase vector, counted before it is built."""
+        fused steps with their 2x2s and each phase vector, counted before
+        any of them is built."""
         phases = sum(isinstance(step, _PhaseRun) for step in self.steps)
         return _GATE_BYTES * len(self.ops) + _STEP_BYTES * len(self.steps) + phases * 16 * 2**self.n_qubits
 
@@ -298,32 +300,54 @@ def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
     return u
 
 
-# Bytes of one GateOp with its angle and its share of a diagonal run's terms,
-# and of one fused step with its 2x2, rounded up from tracemalloc on CPython
-# 3.11; Circuit.nbytes adds the phase vectors
+# Bytes of one GateOp with its angle and its share of a run's gates or terms
+# (kept until the run's array is built), and of one fused step with its 2x2,
+# rounded up from tracemalloc on CPython 3.11; Circuit.nbytes adds the phase
+# vectors
 _GATE_BYTES = 160
 _STEP_BYTES = 640
 
 
+class _RotationRun:
+    """A run of rotations on one qubit: the qubit, and its gates in order
+    until their product's 2x2 (see :func:`_run_matrix`) is built on first
+    use."""
+
+    __slots__ = ("qubit", "_gates", "_matrix")
+
+    def __init__(self, qubit: int, gates: tuple[GateOp, ...]) -> None:
+        self.qubit, self._gates, self._matrix = qubit, gates, None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix, self._gates = _run_matrix(self._gates), None
+        return self._matrix
+
+
 class _PhaseRun:
     """A run of diagonal gates: its ``(angle, qubits)`` terms in gate order,
-    each the phase ``exp(-i (angle/2) Z_q..)``, and their product's diagonal,
-    built on first use."""
+    each the phase ``exp(-i (angle/2) Z_q..)``, until their product's
+    diagonal is built on first use."""
+
+    __slots__ = ("n", "_terms", "_vector")
 
     def __init__(self, n: int, terms: tuple) -> None:
-        self.n, self.terms = n, terms
+        self.n, self._terms, self._vector = n, terms, None
 
-    @cached_property
+    @property
     def vector(self) -> np.ndarray:
-        half = None  # summed half-angles; diagonal gates commute
-        for angle, qubits in self.terms:
-            diagonal = 0.5 * angle * z_diagonal(self.n, qubits[0])
-            if len(qubits) == 2:
-                diagonal = diagonal * z_diagonal(self.n, qubits[1])
-            half = diagonal if half is None else half + diagonal
-        vector = np.exp(-1j * half)
-        vector.flags.writeable = False
-        return vector
+        if self._vector is None:
+            half = None  # summed half-angles; diagonal gates commute
+            for angle, qubits in self._terms:
+                diagonal = 0.5 * angle * z_diagonal(self.n, qubits[0])
+                if len(qubits) == 2:
+                    diagonal = diagonal * z_diagonal(self.n, qubits[1])
+                half = diagonal if half is None else half + diagonal
+            vector = np.exp(-1j * half)
+            vector.flags.writeable = False
+            self._vector, self._terms = vector, None
+        return self._vector
 
 
 def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
@@ -332,8 +356,8 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
 
     It makes three exact rewrites:
 
-    * a run of rotations on one qubit is multiplied into one 2x2, kept as
-      the step ``(qubit, 2x2)``;
+    * a run of rotations on one qubit is one :class:`_RotationRun` step,
+      whose 2x2 is multiplied out on first use;
     * a run of Rz on qubit q is the diagonal ``exp(-i (a/2) Z_q)``, with
       ``a`` the sum of its angles, and ``CNOT(c, t)``, an Rz run on t, then
       the same ``CNOT(c, t)`` is ``exp(-i (a/2) Z_c Z_t)``, because the CNOT
@@ -366,7 +390,7 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
             if terms:
                 steps.append(_PhaseRun(n, tuple(terms)))
                 terms = []
-            steps.append(op if op.kind is GateKind.CNOT else (op.target, _run_matrix(ops[i:end])))
+            steps.append(op if op.kind is GateKind.CNOT else _RotationRun(op.target, ops[i:end]))
         i = end
     if terms:
         steps.append(_PhaseRun(n, tuple(terms)))
@@ -383,8 +407,7 @@ def _run_steps(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
             tensor = columns.reshape([2] * n + [-1])
             columns = _apply_cnot(tensor, step.control, step.target).reshape(columns.shape)
         else:
-            qubit, u = step
-            columns = _apply_1q(columns, u, qubit)
+            columns = _apply_1q(columns, step.matrix, step.qubit)
     return columns
 
 

@@ -33,7 +33,8 @@ import numpy as np
 
 from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators, require_differentiable
 from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
-from .witness import TrainingSet, build_training_set, check_training_set_size, witness_readout, witness_values
+from .witness import TrainingSet, build_training_set, check_training_set, check_training_set_size
+from .witness import witness_readout, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 MAX_CHUNKS = 1024  # per schedule; every sweep and every saved schedule grows with it
@@ -90,9 +91,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def rms_error(schedule: Schedule, training_set: TrainingSet, method: str = "chunked") -> float:
-    """Root mean squared witness error over the training set."""
-    if len(training_set.items) == 0:
-        raise ValueError("training set is empty")
+    """Root mean squared witness error over the training set; an empty set
+    is refused by :func:`witness_values` before the division."""
     return math.sqrt(training_loss(schedule, training_set, method) / len(training_set.items))
 
 
@@ -132,11 +132,8 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     co-state of a row is ``c Z_0 Z_1 psi_final``. A non-uniform chunk is
     refused by :attr:`ChunkParams.shared` as the sweeps are built.
     """
+    check_training_set(training_set, schedule)
     n = training_set.n_qubits
-    if n != schedule.n_qubits:
-        raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
-    if len(training_set.items) == 0:
-        raise ValueError("training set is empty")
     coords, rows = training_set.pair_dicke_orbits
     readout = pair_dicke_operators(n).readout
     targets = np.array([item.target for item in training_set.items])

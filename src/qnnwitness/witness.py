@@ -116,6 +116,15 @@ def check_training_set_size(n: int) -> None:
     require_dense(n, 4 * (n * (n - 1) // 2))
 
 
+def check_training_set(training_set: TrainingSet, schedule: Schedule) -> None:
+    """Refuse a training set for another register than ``schedule``'s, or an empty one."""
+    n = training_set.n_qubits
+    if n != schedule.n_qubits:
+        raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
+    if not training_set.items:
+        raise ValueError("training set is empty")
+
+
 def build_training_set(n: int) -> TrainingSet:
     check_training_set_size(n)
     items = tuple(
@@ -162,9 +171,8 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     the item's own pair. Values are in [0, 1]: round-off just outside is
     clamped and a non-finite ``<Z_i Z_j>`` raises, as in ``expectation_zz``.
     """
+    check_training_set(training_set, schedule)
     n = training_set.n_qubits
-    if n != schedule.n_qubits:
-        raise ValueError(f"training set is for {n} qubits, schedule for {schedule.n_qubits}")
     if schedule.symmetric and method in ("exact", "chunked"):
         parities = pair_dicke_operators(n).readout[np.newaxis, :]  # past the budget, refused before anything is built
         coords, rows = training_set.pair_dicke_orbits

@@ -297,7 +297,31 @@ class TestGateKernel:
             apply_circuit(np.zeros((4, 2, 2), dtype=complex), Circuit(2))
 
 
+@st.composite
+def gate_lists(draw) -> Circuit:
+    """A circuit of 1 to 3 qubits: few qubits, so runs of one kind and
+    ``CNOT, Rz, CNOT`` blocks are drawn often."""
+    n = draw(st.integers(1, 3))
+    qubits = st.integers(0, n - 1)
+    rotations = st.builds(lambda kind, q, angle: GateOp(kind, q, angle=angle), rotation_kinds, qubits, angles)
+    cnots = st.builds(lambda c, shift: GateOp(GateKind.CNOT, (c + shift) % n, control=c), qubits, st.integers(1, n - 1))
+    return Circuit(n, tuple(draw(st.lists(rotations if n == 1 else st.one_of(rotations, cnots), max_size=30))))
+
+
 class TestFusedSteps:
+    @settings(max_examples=100, deadline=None)
+    @given(circuit=gate_lists())
+    def test_nbytes_is_what_the_built_steps_keep(self, circuit):
+        sized = circuit.nbytes
+        rotations = [step for step in circuit.steps if isinstance(step, core._RotationRun)]
+        phases = [step for step in circuit.steps if isinstance(step, core._PhaseRun)]
+        # sizing fuses the gate list but multiplies out no run
+        assert all(step._matrix is None for step in rotations) and all(step._vector is None for step in phases)
+        circuit_unitary(circuit)
+        assert all(step._matrix.shape == (2, 2) for step in rotations)
+        assert sized == (core._GATE_BYTES * len(circuit.ops) + core._STEP_BYTES * len(circuit.steps)
+                         + sum(step._vector.nbytes for step in phases))
+
     @pytest.mark.parametrize("elide", [True, False])
     @pytest.mark.parametrize("name", ["table2", "table3"])
     def test_kept_steps_equal_the_regrouped_kernel_bit_for_bit(self, request, name, elide):

@@ -55,6 +55,27 @@ class TestRmsError:
                 train(table2, TrainingSet(2, ()), TrainerConfig(max_epochs=epochs))
 
 
+ENTRY_POINTS = {
+    "witness_values": lambda schedule, training_set, method: witness_values(training_set, schedule, method),
+    "rms_error": rms_error,
+    "gradient": lambda schedule, training_set, method: gradient(schedule, training_set, TrainerConfig(method=method)),
+}
+
+
+@pytest.mark.parametrize("entry, method", [
+    (entry, method) for entry in ENTRY_POINTS for method in ("chunked", "exact", "gates")
+    if (entry, method) != ("gradient", "gates")  # a gradient takes chunked or exact
+])
+@pytest.mark.parametrize("training_set, message", [
+    (TrainingSet(2, ()), "training set is empty"),
+    (build_training_set(3), "training set is for 3 qubits, schedule for 2"),
+    (TrainingSet(3, ()), "training set is for 3 qubits, schedule for 2"),  # the register is checked first
+], ids=["empty", "other_register", "empty_other_register"])
+def test_each_entry_point_refuses_a_set_that_does_not_fit(table2, entry, method, training_set, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ENTRY_POINTS[entry](table2, training_set, method)
+
+
 class TestParameterVector:
     def test_symmetric_round_trip(self, table2):
         vec = schedule_parameters(table2)
