@@ -10,11 +10,12 @@ published table or figure.
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
 error (also a ``--chunks`` or ``--iterations`` past its bound, or a
 schedule file's optional ``"symmetric": true`` over non-uniform chunks),
-3 dimension error (a pair outside the register, ``verify`` above 10
-qubits, or arrays past the 128 MiB budget, refused before allocation:
-dense states, training sets and Hamiltonians, and from 995 qubits the
-pair (x) Dicke operators that ``witness`` under uniform chunks uses for
-``exact`` and ``chunked``), 4 training divergence.
+3 dimension error (a pair outside the register; a dense square array
+above 10 qubits, built by ``verify`` and by ``exact`` on a schedule with
+a non-uniform chunk; or arrays past the 128 MiB budget: dense states,
+training sets, and from 995 qubits the pair (x) Dicke operators that
+``witness`` under uniform chunks uses for ``exact`` and ``chunked``;
+each refused before allocation), 4 training divergence.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .hamiltonian import Schedule, ScheduleFormatError, load_schedule, save_sche
 from .sampler import MAX_ITERATIONS, ShotConfig, sweep, sweep_csv
 from .trainer import (
     MAX_CHUNKS,
+    TRAINING_METHODS,
     TrainerConfig,
     TrainingDiverged,
     bootstrap_chain,
@@ -149,7 +151,7 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--target-rms", dest="target_rms", type=float, default=TrainerConfig.target_rms)
         parser.add_argument("--learning-rate", dest="learning_rate", type=float, default=TrainerConfig.learning_rate)
         parser.add_argument("--momentum", type=float, default=TrainerConfig.momentum)
-        parser.add_argument("--method", default=TrainerConfig.method, choices=("chunked", "exact"))
+        parser.add_argument("--method", default=TrainerConfig.method, choices=TRAINING_METHODS)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:

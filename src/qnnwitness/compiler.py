@@ -35,7 +35,6 @@ from functools import partial
 import numpy as np
 
 from .core import (
-    DEFAULT_UNITARY_CAP,
     ArrayCache,
     Circuit,
     DimensionError,
@@ -45,6 +44,7 @@ from .core import (
     density_matrix,
     frobenius_distance,
     qubit_pairs,
+    require_square,
 )
 from .hamiltonian import Schedule, evolve_states
 
@@ -152,8 +152,7 @@ def verify_equivalence(schedule: Schedule) -> dict:
     from .witness import PairStateKind, make_pair_state  # local import avoids a cycle
 
     n = schedule.n_qubits
-    if n > DEFAULT_UNITARY_CAP:
-        raise DimensionError(f"refusing dense verification for {n} > {DEFAULT_UNITARY_CAP} qubits")
+    require_square(n)
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
     u_gates = circuit_unitary(compile_schedule(schedule))

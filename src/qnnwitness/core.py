@@ -41,7 +41,10 @@ import numpy as np
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-DEFAULT_UNITARY_CAP = 10  # circuit_unitary and verify_equivalence refuse larger registers
+# The largest register any dense 2**n x 2**n array is built for (a unitary,
+# a Hamiltonian, a chunk propagator), through require_square: one complex
+# such array is 16 MiB at the cap.
+DEFAULT_UNITARY_CAP = 10
 
 # Largest dense allocation accepted, in bytes: 128 MiB holds the 4 C(14, 2)
 # training states of 14 qubits (95 MB) but not those of 15 (220 MB).
@@ -133,6 +136,12 @@ def require_dense(n: int, count: int = 1, itemsize: int = 16) -> None:
     if count * itemsize > DENSE_BYTES_BUDGET >> n:
         raise DimensionError(f"refusing {count} dense arrays of 2**{n} items for {n} qubits "
                              f"(budget {DENSE_BYTES_BUDGET} bytes)")
+
+
+def require_square(n: int) -> None:
+    """Refuse a dense ``2**n x 2**n`` array above ``DEFAULT_UNITARY_CAP`` qubits, before any is allocated."""
+    if n > DEFAULT_UNITARY_CAP:
+        raise DimensionError(f"refusing dense 2**{n} x 2**{n} arrays for {n} > {DEFAULT_UNITARY_CAP} qubits")
 
 
 class GateKind(Enum):
@@ -430,8 +439,7 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
     """Dense 2^N x 2^N unitary of the circuit (first op rightmost in the product)."""
     n = circuit.n_qubits
-    if n > DEFAULT_UNITARY_CAP:
-        raise DimensionError(f"refusing dense unitary for {n} > {DEFAULT_UNITARY_CAP} qubits")
+    require_square(n)
     # the basis columns, evolved at once
     return _run_steps(np.eye(2**n, dtype=complex), circuit)
 
@@ -470,13 +478,6 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         return False
     return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))) < tol
-
-
-def is_hermitian(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.linalg.norm(m - m.conj().T)) < tol
 
 
 def assert_normalized(state: np.ndarray, tol: float = 1e-10) -> None:

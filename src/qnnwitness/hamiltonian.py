@@ -32,12 +32,12 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from itertools import combinations
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError, _apply_1q, is_hermitian
-from .core import qubit_pairs, require_dense, z_diagonal
+from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError, _apply_1q
+from .core import qubit_pairs, require_dense, require_square, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,7 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     """
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
-    require_dense(n, 2**n)  # the matrix, and the complex propagator made from it
+    require_square(n)
     rows = np.arange(2**n)
     h = np.zeros((2**n, 2**n))
     diag = np.asarray(params.coupling) @ _pair_parities(n)
@@ -152,21 +152,20 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=DENSE_BYTES_BUDGET // (16 * 4**DEFAULT_UNITARY_CAP))
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
-    The cache keeps the 64 most recent propagators for dense evolution:
-    single states, verification and non-symmetric schedules. That is about
-    17 MB at n=7, but it is bounded by count, not bytes: at n=11, the
-    largest ``build_hamiltonian`` admits, each propagator is 64 MiB and 64
-    of them hold 4 GiB. Training runs in the pair (x) Dicke space and never
+    The cache keeps the 8 most recent propagators for dense evolution:
+    single states, verification and non-symmetric schedules. Its bound
+    follows from the 10-qubit cap that ``build_hamiltonian`` enforces: 8
+    propagators of 16 MiB fill the 128 MiB dense budget, and at n = 7
+    they take 2 MiB. Training runs in the pair (x) Dicke space and never
     calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     h = build_hamiltonian(params, n)
-    assert is_hermitian(h, tol=1e-12)
     eigvals, eigvecs = np.linalg.eigh(h)
     # V exp(-i lambda dt) V^T as two real products
     u = (eigvecs * np.cos(eigvals * dt)) @ eigvecs.T - 1j * ((eigvecs * np.sin(eigvals * dt)) @ eigvecs.T)
@@ -415,20 +414,15 @@ def _exact_backward_step(
     weights = dt * np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)) * overlap.imag
     # V is real, so Re M = V Re(Phi o S) V^T; keep its left half and contract rows
     half = eigvecs @ weights
-    partials = _pair_dicke_generator_partials(half, eigvecs, np.sum(half * eigvecs, axis=1), ops)
-    coords[:, batch:] *= backward
-    return eigvecs @ coords, partials
-
-
-def _pair_dicke_generator_partials(half: np.ndarray, eigvecs: np.ndarray, diagonal: np.ndarray, ops: PairDicke) -> np.ndarray:
-    """The shared parameters' partials, ``sum_xy G_xy Re M_xy`` for the three
-    generators of the pair (x) Dicke Hamiltonian, from ``Re M = half V^T``
-    and its diagonal."""
-    return np.array([
+    # sum_xy G_xy Re M_xy for the three generators, from Re M = half V^T and its diagonal
+    diagonal = np.sum(half * eigvecs, axis=1)
+    partials = np.array([
         2 * np.sum(half * (ops.transverse @ eigvecs)),
         2 * ops.bias @ diagonal,
         2 * ops.coupling @ diagonal,
     ])
+    coords[:, batch:] *= backward
+    return eigvecs @ coords, partials
 
 
 def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
@@ -509,16 +503,19 @@ def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarr
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    require_square(n)
     return _evolve_chunked(np.eye(2**n, dtype=complex), (params,), n, dt)
 
 
-def chunk_propagators(schedule: Schedule, method: str = "exact") -> list[np.ndarray]:
-    """Per-chunk dense unitaries in chronological order."""
-    if method == "exact":
-        return [exact_chunk_propagator(ck, schedule.n_qubits, schedule.dt) for ck in schedule.chunks]
-    if method == "chunked":
-        return [chunked_chunk_propagator(ck, schedule.n_qubits, schedule.dt) for ck in schedule.chunks]
-    raise ValueError(f"unknown propagation method {method!r}")
+def chunk_propagators(schedule: Schedule, method: str = "exact") -> Iterator[np.ndarray]:
+    """Per-chunk dense unitaries in chronological order, each built as it is read.
+
+    An unknown method is refused by the call, before anything is read.
+    """
+    build = {"exact": exact_chunk_propagator, "chunked": chunked_chunk_propagator}.get(method)
+    if build is None:
+        raise ValueError(f"unknown propagation method {method!r}")
+    return (build(ck, schedule.n_qubits, schedule.dt) for ck in schedule.chunks)
 
 
 def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:

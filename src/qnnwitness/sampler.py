@@ -31,7 +31,6 @@ import numpy as np
 
 from .core import assert_normalized, expectation_zz
 from .hamiltonian import Schedule
-from .parallel import map_ordered
 from .witness import PairStateKind, make_pair_state
 
 _MASK32 = (1 << 32) - 1
@@ -40,6 +39,12 @@ _MAX_SHOTS = int(np.iinfo(np.int64).max)
 MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
 CONFIDENCE_LEVEL = 0.95
 Z_SCORE = statistics.NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided: 1.959964
+
+
+def map_ordered(fn, items) -> list:
+    """map() preserving input order, as a list; a function of its own so
+    that the benchmark tracer can patch it by name."""
+    return [fn(item) for item in items]
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators, require_differentiable
-from .parallel import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
+from .sampler import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
 from .witness import TrainingSet, build_training_set, check_training_set, check_training_set_size
 from .witness import witness_readout, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 MAX_CHUNKS = 1024  # per schedule; every sweep and every saved schedule grows with it
+TRAINING_METHODS = ("chunked", "exact")  # the methods that can differentiate a schedule
 
 
 def _check_chunk_count(chunk_count: int) -> None:
@@ -65,8 +66,8 @@ class TrainerConfig:
         _check_chunk_count(self.chunk_count)
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.method not in ("chunked", "exact"):
-            raise ValueError(f"method must be 'chunked' or 'exact', got {self.method!r}")
+        if self.method not in TRAINING_METHODS:
+            raise ValueError(f"method must be {' or '.join(map(repr, TRAINING_METHODS))}, got {self.method!r}")
 
 
 @dataclass(frozen=True)

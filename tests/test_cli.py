@@ -454,8 +454,19 @@ class TestDimensionRefusals:
         save_schedule(Schedule(11, 1.58, (ChunkParams.uniform(11, 2.5, 0.1, 0.05),) * 4), path)
         code, out, err = run_cli(capsys, "verify", "--schedule", str(path))
         assert code == 3
-        assert "refusing dense verification for 11 > 10 qubits" in err
+        assert "refusing dense 2**11 x 2**11 arrays for 11 > 10 qubits" in err
         assert out == ""
+
+    @pytest.mark.parametrize("argv", [["verify"], ["witness", "--method", "exact"], ["witness", "--method", "all"]],
+                             ids=["verify", "witness_exact", "witness_all"])
+    def test_dense_exact_above_ten_qubits_exits_3(self, tmp_path, capsys, argv):
+        # a non-uniform chunk keeps exact on 2^n x 2^n propagators, capped at 10 qubits
+        path = tmp_path / "s11.json"
+        chunk = ChunkParams(tuple(2.5 + 0.01 * q for q in range(11)), (0.1,) * 11, (0.05,) * 55)
+        save_schedule(Schedule(11, 1.58, (chunk,) * 4), path)
+        code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
+        assert (code, out) == (3, "")
+        assert "refusing dense 2**11 x 2**11 arrays for 11 > 10 qubits" in err
 
     def test_verify_of_one_qubit_exits_3_like_witness(self, tmp_path, capsys):
         path = tmp_path / "s1.json"

@@ -1,12 +1,16 @@
 import json
 import math
+import tracemalloc
 from functools import reduce
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from qnnwitness import cli
-from qnnwitness.core import PARITY_CACHE, basis_state, expectation_zz, frobenius_distance, is_unitary
+from qnnwitness.compiler import verify_equivalence
+from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, Circuit, DimensionError
+from qnnwitness.core import basis_state, circuit_unitary, expectation_zz, frobenius_distance, is_unitary, require_square
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -178,6 +182,75 @@ class TestExactPropagator:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             exact_chunk_propagator(ChunkParams((float("inf"), 0.0), (0.0, 0.0), (0.0,)), 2, 1.0)
+
+
+def _non_uniform(n: int, shift: float = 0.0) -> ChunkParams:
+    """A chunk whose tunneling differs on every qubit, so no path may treat it as uniform."""
+    return ChunkParams(tuple(1.0 + shift + 0.1 * q for q in range(n)), (0.2,) * n, (0.05,) * (n * (n - 1) // 2))
+
+
+class TestDenseSquareCap:
+    """``core.require_square`` is the one size rule for 2^n x 2^n arrays: 10 qubits."""
+
+    def test_the_cap_is_ten_qubits(self):
+        require_square(DEFAULT_UNITARY_CAP)
+        with pytest.raises(DimensionError):
+            require_square(DEFAULT_UNITARY_CAP + 1)
+
+    @pytest.mark.parametrize("name", ["circuit_unitary", "verify_equivalence", "build_hamiltonian",
+                                      "exact_chunk_propagator", "chunked_chunk_propagator"])
+    def test_eleven_qubits_are_refused_before_allocating(self, name):
+        params = _non_uniform(11)
+        schedule, circuit = Schedule(11, 1.58, (params,) * 4), Circuit(11)
+        call = {
+            "circuit_unitary": lambda: circuit_unitary(circuit),
+            "verify_equivalence": lambda: verify_equivalence(schedule),
+            "build_hamiltonian": lambda: build_hamiltonian(params, 11),
+            "exact_chunk_propagator": lambda: exact_chunk_propagator(params, 11, DT),
+            "chunked_chunk_propagator": lambda: chunked_chunk_propagator(params, 11, DT),
+        }[name]
+        tracemalloc.start()
+        start = perf_counter()
+        try:
+            with pytest.raises(DimensionError, match=r"^refusing dense 2\*\*11 x 2\*\*11 arrays for 11 > 10 qubits$"):
+                call()
+            elapsed = perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2**20
+
+    def test_exact_propagator_cache_holds_one_dense_budget_at_the_cap(self):
+        maxsize = exact_chunk_propagator.cache_parameters()["maxsize"]
+        assert maxsize == DENSE_BYTES_BUDGET // (16 * 4**DEFAULT_UNITARY_CAP) == 8
+
+    def test_exact_evolution_keeps_no_propagator_past_the_cache(self):
+        # 80 distinct 8-qubit propagators of 1 MiB each: the cache keeps 8 of
+        # them and the evolution holds the one it is applying
+        schedule = Schedule(8, 1.58, tuple(_non_uniform(8, 0.01 * k) for k in range(80)))
+        exact_chunk_propagator.cache_clear()
+        tracemalloc.start()
+        try:
+            evolve_states(basis_state(8), schedule, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exact_chunk_propagator.cache_info().currsize <= 8
+        assert peak < 16 * 2**20
+
+    def test_a_second_verify_reads_every_exact_propagator_from_the_cache(self, table3):
+        rng = np.random.default_rng(19)
+
+        def jitter(values):
+            return tuple(value * (1 + 0.01 * rng.standard_normal()) for value in values)
+
+        schedule = Schedule(7, table3.total_time, tuple(
+            ChunkParams(jitter(ck.tunneling), jitter(ck.bias), jitter(ck.coupling)) for ck in table3.chunks))
+        verify_equivalence(schedule)
+        before = exact_chunk_propagator.cache_info()
+        verify_equivalence(schedule)
+        after = exact_chunk_propagator.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
 
 
 def _assert_split_is_exact(params):
