@@ -19,6 +19,9 @@ Trotter split, not from the gate translation.
 ``atan2`` rather than the arcsin form keeps negative biases on the
 correct branch; the two agree for eps >= 0.
 
+Nothing is elided unless asked: the ``gates`` witness, ``verify`` and
+``sample`` run the circuit ``compile --no-elide`` prints, and only the
+``compile`` command's default QASM drops identity-angle gates.
 :func:`compile_schedule` keeps its circuits in one LRU store,
 ``CIRCUIT_CACHE``, keyed on the schedule's numbers bit for bit and on
 ``elide``, and bounded by the bytes its circuits keep alive, their fused
@@ -50,9 +53,9 @@ from .hamiltonian import Schedule, evolve_states
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
-# Six compiled 7-qubit schedules of four chunks, each about 80 KB with its
-# fused steps. A circuit that alone needs more, such as four chunks on 13
-# qubits with a 128 KiB phase vector each, is compiled again on every call.
+# Six 7-qubit schedules of four chunks, one full circuit of about 80 KB each
+# with its fused steps. A circuit that alone needs more, such as four chunks
+# on 13 qubits with a 128 KiB phase vector each, is compiled on every call.
 # A 2 MiB store, held full, slowed the benchmark's other n=2 CLI calls by 4.7%.
 CIRCUIT_CACHE = ArrayCache(2**19)
 
@@ -73,13 +76,11 @@ def extract_rotation_angles(tunneling: float, bias: float, dt: float) -> tuple[f
 
 
 def compile_single_qubit(
-    tunneling: float, bias: float, dt: float, qubit: int, elide: bool = True
+    tunneling: float, bias: float, dt: float, qubit: int, elide: bool = False
 ) -> list[GateOp]:
     """Gates for ``exp(-i dt (K X_q + eps Z_q))``, first-applied first."""
     beta, alpha = extract_rotation_angles(tunneling, bias, dt)
-    if beta == 0.0 and alpha == 0.0:
-        return []
-    if elide and abs(alpha) < ELISION_THRESHOLD:
+    if (beta == 0.0 and alpha == 0.0) or (elide and abs(alpha) < ELISION_THRESHOLD):
         return []
     ops = [
         GateOp(GateKind.ROT_Y, qubit, angle=-beta),
@@ -91,7 +92,7 @@ def compile_single_qubit(
     return ops
 
 
-def compile_zz(coupling: float, dt: float, control: int, target: int, elide: bool = True) -> list[GateOp]:
+def compile_zz(coupling: float, dt: float, control: int, target: int, elide: bool = False) -> list[GateOp]:
     """Gates for ``exp(-i dt zeta Z_i Z_j)`` via CNOT conjugation."""
     if control == target:
         raise ValueError("pair factor needs two distinct qubits")
@@ -105,7 +106,7 @@ def compile_zz(coupling: float, dt: float, control: int, target: int, elide: boo
     ]
 
 
-def _schedule_key(schedule: Schedule, elide: bool = True) -> tuple:
+def _schedule_key(schedule: Schedule, elide: bool = False) -> tuple:
     """The schedule's numbers bit for bit, and ``elide``. Schedules compare
     their floats with ``==``, which equates -0.0 and +0.0; those compile to
     different gates (``atan2(-0.0, -1) = -pi``)."""
@@ -116,14 +117,14 @@ def _schedule_key(schedule: Schedule, elide: bool = True) -> tuple:
 
 
 @partial(CIRCUIT_CACHE, key=_schedule_key)
-def compile_schedule(schedule: Schedule, elide: bool = True) -> Circuit:
+def compile_schedule(schedule: Schedule, elide: bool = False) -> Circuit:
     """Full circuit for the schedule, matching the chunked propagator's ordering.
 
     Per chunk: pair blocks over lexicographic (i, j), then single-qubit
-    blocks in ascending qubit order. Without elision the gate count is
-    ``n_chunks * (3 * n_pairs + 3 * n_qubits)`` whenever no single-qubit
-    factor is exactly the identity. Equal schedules share one circuit per
-    ``elide`` through ``CIRCUIT_CACHE``.
+    blocks in ascending qubit order. Without elision (the default) the
+    gate count is ``n_chunks * (3 * n_pairs + 3 * n_qubits)`` whenever no
+    single-qubit factor is exactly the identity. Equal schedules share one
+    circuit per ``elide`` through ``CIRCUIT_CACHE``.
     """
     n = schedule.n_qubits
     dt = schedule.dt

@@ -15,9 +15,9 @@ Conventions used throughout the package:
   ``circuit_unitary``), in two steps. The fuse step reads a circuit's
   gate list once, the first time the circuit runs or is sized
   (``Circuit.nbytes``), and keeps the result on it (``Circuit.steps``):
-  each run of rotations on one qubit becomes one 2x2, and each run of Rz
+  each rotation run on one qubit becomes one 2x2 at once, and each run of Rz
   and ``CNOT, Rz, CNOT`` blocks, which are ``Z`` and ``Z Z`` phases,
-  becomes one phase vector, each built the first time it is applied.
+  becomes one phase vector, built the first time it is applied.
   The run step applies those steps. The rewrites are exact identities,
   so results match the gate-by-gate product to round-off, and they read
   only the gate list, so the compiled circuit is still an independent
@@ -217,7 +217,7 @@ class Circuit:
     def nbytes(self) -> int:
         """The bytes the circuit keeps alive once it has run: its gates, its
         fused steps with their 2x2s and each phase vector, counted before
-        any of them is built."""
+        any phase vector is built."""
         phases = sum(isinstance(step, _PhaseRun) for step in self.steps)
         return _GATE_BYTES * len(self.ops) + _STEP_BYTES * len(self.steps) + phases * 16 * 2**self.n_qubits
 
@@ -309,29 +309,12 @@ def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
     return u
 
 
-# Bytes of one GateOp with its angle and its share of a run's gates or terms
-# (kept until the run's array is built), and of one fused step with its 2x2,
+# Bytes of one GateOp with its angle and its share of a phase run's terms
+# (kept until the run's vector is built), and of one fused step with its 2x2,
 # rounded up from tracemalloc on CPython 3.11; Circuit.nbytes adds the phase
 # vectors
 _GATE_BYTES = 160
 _STEP_BYTES = 640
-
-
-class _RotationRun:
-    """A run of rotations on one qubit: the qubit, and its gates in order
-    until their product's 2x2 (see :func:`_run_matrix`) is built on first
-    use."""
-
-    __slots__ = ("qubit", "_gates", "_matrix")
-
-    def __init__(self, qubit: int, gates: tuple[GateOp, ...]) -> None:
-        self.qubit, self._gates, self._matrix = qubit, gates, None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            self._matrix, self._gates = _run_matrix(self._gates), None
-        return self._matrix
 
 
 class _PhaseRun:
@@ -365,8 +348,8 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
 
     It makes three exact rewrites:
 
-    * a run of rotations on one qubit is one :class:`_RotationRun` step,
-      whose 2x2 is multiplied out on first use;
+    * a run of rotations on one qubit is one ``(2x2, qubit)`` step, the
+      2x2 multiplied out here (:func:`_run_matrix`);
     * a run of Rz on qubit q is the diagonal ``exp(-i (a/2) Z_q)``, with
       ``a`` the sum of its angles, and ``CNOT(c, t)``, an Rz run on t, then
       the same ``CNOT(c, t)`` is ``exp(-i (a/2) Z_c Z_t)``, because the CNOT
@@ -399,7 +382,7 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
             if terms:
                 steps.append(_PhaseRun(n, tuple(terms)))
                 terms = []
-            steps.append(op if op.kind is GateKind.CNOT else _RotationRun(op.target, ops[i:end]))
+            steps.append(op if op.kind is GateKind.CNOT else (_run_matrix(ops[i:end]), op.target))
         i = end
     if terms:
         steps.append(_PhaseRun(n, tuple(terms)))
@@ -416,7 +399,7 @@ def _run_steps(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
             tensor = columns.reshape([2] * n + [-1])
             columns = _apply_cnot(tensor, step.control, step.target).reshape(columns.shape)
         else:
-            columns = _apply_1q(columns, step.matrix, step.qubit)
+            columns = _apply_1q(columns, *step)
     return columns
 
 

@@ -100,8 +100,7 @@ def rms_error(schedule: Schedule, training_set: TrainingSet, method: str = "chun
 def training_loss(schedule: Schedule, training_set: TrainingSet, method: str = "chunked") -> float:
     """Summed squared witness error (the quantity the gradient differentiates)."""
     values = witness_values(training_set, schedule, method)
-    targets = np.array([item.target for item in training_set.items])
-    return float(np.sum((values - targets) ** 2))
+    return float(np.sum((values - training_set.targets) ** 2))
 
 
 # --- flat parameter vector <-> schedule ---------------------------------
@@ -137,7 +136,7 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     n = training_set.n_qubits
     coords, rows = training_set.pair_dicke_orbits
     readout = pair_dicke_operators(n).readout
-    targets = np.array([item.target for item in training_set.items])
+    targets = training_set.targets
     loss = math.nan
 
     def costate(finals: np.ndarray) -> np.ndarray:
@@ -179,9 +178,9 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
         loss, grad = gradient(schedule, training_set, config)
         return math.sqrt(loss / len(training_set.items)), grad
 
-    params = schedule_parameters(init)
+    params = schedule_parameters(init)  # refuses a non-uniform chunk before any sweep
     velocity = np.zeros_like(params)
-    schedule = schedule_with_parameters(init, params)
+    schedule = init
     rms, grad = evaluate(schedule, config.max_epochs)
     history = [rms]
     best_schedule, best_rms = schedule, rms

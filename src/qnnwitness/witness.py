@@ -58,11 +58,16 @@ WITNESS_TARGETS: dict[PairStateKind, float] = {
 METHODS = ("exact", "chunked", "gates")
 
 
-def make_pair_state(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.ndarray:
-    """Reference pair state on qubits (i, j) of an n-qubit register."""
+def _checked_pair(pair: tuple[int, int], n: int) -> tuple[int, int]:
     i, j = pair
     if not 0 <= i < j < n:
         raise ValueError(f"pair {pair} must satisfy 0 <= i < j < {n}")
+    return i, j
+
+
+def make_pair_state(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.ndarray:
+    """Reference pair state on qubits (i, j) of an n-qubit register."""
+    i, j = _checked_pair(pair, n)
     require_dense(n)
     state = np.zeros(2**n, dtype=complex)
     for bits, amplitude in _PAIR_AMPLITUDES[kind].items():
@@ -80,14 +85,25 @@ class TrainingItem:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Named reference states, each with its target, on an n-qubit register.
-    :func:`build_training_set` returns all four kinds on every pair."""
+    """Named reference states, each with its target, on pairs checked as in
+    :func:`make_pair_state`. :func:`build_training_set` returns all four kinds on every pair."""
 
     n_qubits: int
     items: tuple[TrainingItem, ...]
 
+    def __post_init__(self) -> None:
+        for item in self.items:
+            _checked_pair(item.pair, self.n_qubits)
+
     def __len__(self) -> int:
         return len(self.items)
+
+    @cached_property
+    def targets(self) -> np.ndarray:
+        """Each item's target, in item order."""
+        targets = np.array([item.target for item in self.items])
+        targets.flags.writeable = False
+        return targets
 
     @cached_property
     def pair_dicke_orbits(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,7 +167,7 @@ def witness_value(
 
     The dense single-state reference that tests hold :func:`witness_values`
     to: ``initial`` is evolved as a ``2**n`` vector whatever the schedule,
-    ``gates`` through the compiled circuit, ``chunked`` through the
+    ``gates`` through the full compiled circuit, ``chunked`` through the
     split-operator propagator, ``exact`` through the full exponential.
     """
     initial = np.asarray(initial, dtype=complex)

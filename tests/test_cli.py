@@ -9,11 +9,13 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import cli
+from qnnwitness import cli, core
+from qnnwitness.compiler import compile_schedule
 from qnnwitness.fixtures import fixture_path
 from qnnwitness.hamiltonian import ChunkParams, Schedule, load_schedule, save_schedule
 from qnnwitness.sampler import MAX_ITERATIONS, ShotConfig
@@ -62,6 +64,13 @@ class TestWitnessCommand:
         assert code == 0
         rows = witness_rows(out)
         assert abs(rows[("Bell", "chunked")] - 0.999) <= 5e-3
+
+    @pytest.mark.parametrize("method", ["exact", "chunked", "gates", "all"])
+    def test_a_negative_pair_index_exits_2(self, capsys, method):
+        # exact and chunked under a symmetric schedule read no pair, yet print no row for this one
+        code, out, err = run_cli(capsys, "witness", "--schedule", "table3", "--pair=-1,2", "--method", method)
+        assert (code, out) == (2, "")
+        assert "pair (-1, 2) must satisfy 0 <= i < j < 7" in err
 
     def test_flat_gates_is_tiny(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--schedule", "table2", "--state", "Flat", "--method", "gates")
@@ -236,6 +245,39 @@ class TestCompileCommand:
         code, out, _ = run_cli(capsys, "compile", "--schedule", "table3", "--out", str(out_path), "--no-elide")
         assert code == 0
         assert out.strip() == "1q=168 2q=168"
+
+
+class TestOneCircuitPerSchedule:
+    def test_a_fresh_schedule_is_compiled_once_by_witness_verify_and_compile(self, tmp_path, capsys, table3):
+        # the gates witness and verify run the circuit that compile --no-elide prints
+        factors = np.random.default_rng(20).normal(1.0, 1e-3, size=(table3.n_chunks, 3))
+        chunks = tuple(ChunkParams.uniform(7, *np.multiply(ck.shared, f)) for ck, f in zip(table3.chunks, factors))
+        path = tmp_path / "jittered.json"
+        save_schedule(Schedule(7, table3.total_time, chunks), path)
+        misses = compile_schedule.cache_info().misses
+        for argv in (["witness", "--state", "all", "--method", "all"], ["verify"],
+                     ["compile", "--no-elide", "--out", str(tmp_path / "t3.qasm")]):
+            code, _, err = run_cli(capsys, *argv, "--schedule", str(path))
+            assert code == 0, (argv, err)
+        assert compile_schedule.cache_info().misses == misses + 1
+
+    def test_elided_compile_of_24_qubits_builds_no_phase_vector(self, tmp_path, capsys, monkeypatch):
+        # each of the four phase vectors would be 256 MiB; compile only sizes the circuit
+        path = tmp_path / "s24.json"
+        save_schedule(Schedule(24, 1.58, tuple(ChunkParams.uniform(24, 2.5, 0.1 * k, 0.05) for k in range(4))), path)
+        compiled = []
+
+        def kept_compile(*args, **kwargs):
+            compiled.append(compile_schedule(*args, **kwargs))
+            return compiled[-1]
+
+        monkeypatch.setattr(cli, "compile_schedule", kept_compile)
+        code, out, _, _, peak = run_cli_measured(capsys, "compile", "--schedule", str(path),
+                                                 "--out", str(tmp_path / "s24.qasm"))
+        assert (code, out.strip()) == (0, f"1q={4 * (276 + 3 * 24)} 2q={4 * 2 * 276}")
+        assert peak < 4 * 2**20
+        phases = [step for step in compiled[0].steps if isinstance(step, core._PhaseRun)]
+        assert len(phases) == 4 and all(step._vector is None for step in phases)
 
 
 class TestTrainCommand:

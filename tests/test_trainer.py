@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import hamiltonian
+from qnnwitness import hamiltonian, trainer
 from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, adjoint_partials, refine_schedule
 from qnnwitness.trainer import (
     MAX_CHUNKS,
@@ -21,7 +23,7 @@ from qnnwitness.trainer import (
     train,
     training_loss,
 )
-from qnnwitness.witness import TrainingItem, TrainingSet, build_training_set, witness_values
+from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, build_training_set, witness_values
 
 from helpers import central_difference_gradient, count_calls
 
@@ -74,6 +76,23 @@ ENTRY_POINTS = {
 def test_each_entry_point_refuses_a_set_that_does_not_fit(table2, entry, method, training_set, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         ENTRY_POINTS[entry](table2, training_set, method)
+
+
+@pytest.mark.parametrize("entry, method", [
+    (entry, method) for entry in ("witness_values", "rms_error", "train") for method in ("chunked", "exact", "gates")
+    if (entry, method) != ("train", "gates")  # training takes chunked or exact
+])
+@pytest.mark.parametrize("pair", [(5, 9), (3, 3), (4, 2), (-1, 2)])
+def test_no_entry_point_reads_a_pair_the_register_does_not_hold(table3, entry, method, pair):
+    # chunked and exact under a symmetric schedule read only each item's kind
+    evaluate = {
+        "witness_values": ENTRY_POINTS["witness_values"],
+        "rms_error": rms_error,
+        "train": lambda schedule, training_set, method: train(
+            schedule, training_set, TrainerConfig(max_epochs=1, method=method)),
+    }[entry]
+    with pytest.raises(ValueError, match=re.escape(f"pair {pair} must satisfy 0 <= i < j < 7")):
+        evaluate(table3, TrainingSet(7, (TrainingItem(PairStateKind.BELL, pair, 1.0),)), method)
 
 
 class TestParameterVector:
@@ -224,6 +243,14 @@ class TestTrain:
         exc = excinfo.value
         assert rms_error(exc.last_good, ts2) <= rms_error(table2, ts2) + 1e-12
         assert len(exc.rms_history) >= 50
+
+    def test_the_initial_schedule_is_evaluated_as_given(self, monkeypatch, table2, ts2):
+        calls = count_calls(monkeypatch, [(trainer, "schedule_with_parameters")])
+        for epochs in (0, 1):
+            result = train(table2, ts2, TrainerConfig(max_epochs=epochs, target_rms=0.0))
+            assert result.rms_history[0] == rms_error(table2, ts2)
+        assert result.schedule is not table2 and calls == {"schedule_with_parameters": 1}  # the one step
+        assert train(table2, ts2, TrainerConfig(target_rms=5e-3)).schedule is table2
 
     def test_non_uniform_initial_schedule_is_refused(self):
         # the trainer's only parameters are the ones every qubit shares

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from qnnwitness.compiler import compile_schedule
+from qnnwitness.core import apply_circuit, z_diagonal
 from qnnwitness.hamiltonian import ChunkParams, Schedule
 from qnnwitness.witness import (
     PairStateKind,
@@ -119,6 +121,12 @@ class TestTrainingSet:
         with pytest.raises(ValueError):
             build_training_set(1)
 
+    def test_targets_are_one_read_only_array(self):
+        training_set = build_training_set(3)
+        targets = training_set.targets
+        assert targets is training_set.targets and not targets.flags.writeable
+        assert targets.tolist() == [item.target for item in training_set.items]
+
 
 class TestWitnessValues:
     def test_matches_individual_evaluation(self, table2):
@@ -127,6 +135,18 @@ class TestWitnessValues:
         for idx, item in enumerate(ts.items):
             single = witness_value(make_pair_state(item.kind, item.pair, 2), item.pair, table2, "chunked")
             assert batch[idx] == pytest.approx(single, abs=1e-12)
+
+    def test_gates_values_are_the_full_circuits_bit_for_bit(self, table3):
+        # a first chunk with no tunneling and no coupling: the elided circuit drops gates
+        schedule = Schedule(7, table3.total_time, (ChunkParams.uniform(7, 0.0, 0.3, 0.0),) + table3.chunks[1:])
+        full = compile_schedule.__wrapped__(schedule)  # a new circuit, not the store's
+        assert len(compile_schedule.__wrapped__(schedule, elide=True)) < len(full)
+        training_set = build_training_set(7)
+        states = np.stack([make_pair_state(item.kind, item.pair, 7) for item in training_set.items])
+        finals = apply_circuit(states.T, full).T
+        parities = np.stack([z_diagonal(7, i) * z_diagonal(7, j) for i, j in (item.pair for item in training_set.items)])
+        zz = np.clip(np.sum(np.abs(finals) ** 2 * parities, axis=1), -1.0, 1.0)
+        assert np.array_equal(witness_values(training_set, schedule, "gates"), zz * zz)
 
     def test_gates_method(self, table2):
         ts = build_training_set(2)
