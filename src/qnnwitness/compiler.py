@@ -19,6 +19,10 @@ Trotter split, not from the gate translation.
 ``atan2`` rather than the arcsin form keeps negative biases on the
 correct branch; the two agree for eps >= 0.
 
+:func:`verify_equivalence` checks that claim through the witness's one
+dense dispatcher, :func:`~qnnwitness.witness.evolve_dense`, without
+building a unitary or a density matrix: at 10 qubits it fits 128 MiB.
+
 Nothing is elided unless asked: the ``gates`` witness, ``verify`` and
 ``sample`` run the circuit ``compile --no-elide`` prints, and only the
 ``compile`` command's default QASM drops identity-angle gates.
@@ -37,19 +41,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import (
-    ArrayCache,
-    Circuit,
-    DimensionError,
-    GateKind,
-    GateOp,
-    circuit_unitary,
-    density_matrix,
-    frobenius_distance,
-    qubit_pairs,
-    require_square,
-)
-from .hamiltonian import Schedule, evolve_states
+from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_pairs, require_square
+from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
+from .hamiltonian import Schedule
+from .witness import PairStateKind, evolve_dense, make_pair_state
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
@@ -58,6 +53,8 @@ ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to doubl
 # on 13 qubits with a 128 KiB phase vector each, is compiled on every call.
 # A 2 MiB store, held full, slowed the benchmark's other n=2 CLI calls by 4.7%.
 CIRCUIT_CACHE = ArrayCache(2**19)
+
+VERIFY_BLOCK_ROWS = 128  # basis rows per evolution in verify: all of them up to 7 qubits
 
 
 def extract_rotation_angles(tunneling: float, bias: float, dt: float) -> tuple[float, float]:
@@ -149,32 +146,44 @@ def verify_equivalence(schedule: Schedule) -> dict:
     Compares full unitaries and, for the four reference pair states on
     qubits (0, 1), the final density matrices. Gate-vs-chunked distances
     sit at round-off; chunked-vs-exact carries the whole Trotter error.
+    Each picture evolves the basis rows ``VERIFY_BLOCK_ROWS`` at a time, the
+    pair states with the first block, and a unitary distance sums the
+    blocks' squares.
     """
-    from .witness import PairStateKind, make_pair_state  # local import avoids a cycle
-
     n = schedule.n_qubits
     require_square(n)
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
-    u_gates = circuit_unitary(compile_schedule(schedule))
-    # evolve_states maps each basis row e_k to U e_k, so the stack comes back as U^T
-    identity = np.eye(2**n, dtype=complex)
-    u_chunked = evolve_states(identity, schedule, "chunked").T
-    u_exact = evolve_states(identity, schedule, "exact").T
-
-    report: dict = {
-        "n_qubits": n,
-        "frobenius_gate_vs_chunked": {"unitary": frobenius_distance(u_gates, u_chunked), "density_matrix": {}},
-        "frobenius_chunked_vs_exact": {"unitary": frobenius_distance(u_chunked, u_exact), "density_matrix": {}},
-    }
-    for kind in PairStateKind:
-        psi = make_pair_state(kind, (0, 1), n)
-        rho_g = density_matrix(u_gates @ psi)
-        rho_c = density_matrix(u_chunked @ psi)
-        rho_e = density_matrix(u_exact @ psi)
-        report["frobenius_gate_vs_chunked"]["density_matrix"][kind.value] = frobenius_distance(rho_g, rho_c)
-        report["frobenius_chunked_vs_exact"]["density_matrix"][kind.value] = frobenius_distance(rho_c, rho_e)
+    dim = 2**n
+    comparisons = {"frobenius_gate_vs_chunked": (0, 1), "frobenius_chunked_vs_exact": (1, 2)}
+    block_distances: dict = {name: [] for name in comparisons}
+    for start in range(0, dim, VERIFY_BLOCK_ROWS):
+        rows = min(VERIFY_BLOCK_ROWS, dim - start)
+        block = np.eye(rows, dim, start, dtype=complex)  # basis rows start .. start + rows - 1
+        if start == 0:
+            block = np.concatenate([block, [make_pair_state(kind, (0, 1), n) for kind in PairStateKind]])
+        evolved = [evolve_dense(block, schedule, method) for method in ("gates", "chunked", "exact")]
+        if start == 0:
+            finals = [states[rows:] for states in evolved]
+        for name, (i, j) in comparisons.items():
+            block_distances[name].append(np.linalg.norm(evolved[i][:rows] - evolved[j][:rows]))
+    report: dict = {"n_qubits": n}
+    for name, (i, j) in comparisons.items():
+        density = _density_distances(finals[i], finals[j])
+        report[name] = {"unitary": math.hypot(*block_distances[name]),
+                        "density_matrix": {kind.value: float(d) for kind, d in zip(PairStateKind, density)}}
     return report
+
+
+def _density_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``||a a^+ - b b^+||_F`` of each row pair. Every term is of second order
+    in ``d = b - a``, so none of order one cancel, as they would in
+    ``2 - 2 |<a|b>|^2``, which reads a 1e-16 distance as about 1e-8."""
+    d = b - a
+    alpha, delta = np.sum(np.abs(a) ** 2, axis=1), np.sum(np.abs(d) ** 2, axis=1)
+    gamma = np.sum(a.conj() * d, axis=1)  # <a|d>
+    squared = 2 * alpha * delta + 2 * gamma.real**2 - 2 * gamma.imag**2 + 4 * delta * gamma.real + delta**2
+    return np.sqrt(np.maximum(squared, 0.0))  # round-off below zero is clamped
 
 
 # --- OpenQASM 2.0 -------------------------------------------------------

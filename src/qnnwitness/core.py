@@ -227,13 +227,6 @@ def qubit_pairs(n: int) -> list[tuple[int, int]]:
     return list(combinations(range(n), 2))
 
 
-def basis_state(n: int, index: int = 0) -> np.ndarray:
-    """Computational basis state |index> of an n-qubit register."""
-    state = np.zeros(2**n, dtype=complex)
-    state[index] = 1.0
-    return state
-
-
 @PARITY_CACHE
 def z_diagonal(n: int, q: int) -> np.ndarray:
     """Diagonal of Z on qubit q as a length-2^n array of +-1."""
@@ -454,13 +447,6 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
     return float(np.linalg.norm(a - b))
-
-
-def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))) < tol
 
 
 def assert_normalized(state: np.ndarray, tol: float = 1e-10) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import assert_normalized, expectation_zz
 from .hamiltonian import Schedule
-from .witness import PairStateKind, make_pair_state
+from .witness import PairStateKind, evolve_dense, make_pair_state
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
@@ -132,11 +132,8 @@ def sweep(
     config: ShotConfig,
 ) -> ShotStatistics:
     """Shot-count sweep of the witness estimator through the compiled circuit."""
-    from .compiler import compile_schedule
-    from .core import apply_circuit
-
     initial = make_pair_state(state_kind, pair, schedule.n_qubits)
-    final = apply_circuit(initial, compile_schedule(schedule))
+    final = evolve_dense(initial[np.newaxis, :], schedule, "gates")[0]
 
     def stats_for(count: int) -> tuple[float, ...]:
         zbars = np.array(
@@ -152,7 +149,7 @@ def sweep(
         else:
             var = zz_var = 0.0
         std = var**0.5
-        return (
+        return (  # ShotStatistics's fields from mean to zz_variance, in order
             float(np.mean(estimates)),
             var,
             Z_SCORE * std,
@@ -163,19 +160,7 @@ def sweep(
         )
 
     rows = map_ordered(stats_for, config.shot_counts)
-    cols = tuple(zip(*rows))
-    return ShotStatistics(
-        shot_counts=config.shot_counts,
-        mean=cols[0],
-        variance=cols[1],
-        ci_half_width=cols[2],
-        std=cols[3],
-        stderr=cols[4],
-        zz_mean=cols[5],
-        zz_variance=cols[6],
-        iterations=config.iterations,
-        seed=config.seed,
-    )
+    return ShotStatistics(config.shot_counts, *zip(*rows), iterations=config.iterations, seed=config.seed)
 
 
 def sweep_csv(stats: ShotStatistics) -> str:

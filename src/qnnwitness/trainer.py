@@ -46,6 +46,12 @@ def _check_chunk_count(chunk_count: int) -> None:
         raise ValueError(f"chunk count must lie in 1..{MAX_CHUNKS}, got {chunk_count}")
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that ``np.random.default_rng`` would reject, naming the seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class TrainerConfig:
     learning_rate: float = 0.05
@@ -64,6 +70,7 @@ class TrainerConfig:
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be non-negative")
         _check_chunk_count(self.chunk_count)
+        _check_seed(self.seed)
         if not 0 <= self.momentum < 1:
             raise ValueError("momentum must lie in [0, 1)")
         if self.method not in TRAINING_METHODS:
@@ -219,6 +226,7 @@ def random_schedule(n: int, chunk_count: int, seed: int) -> Schedule:
     qubits: tunneling ~ U(2.4, 2.6), bias and coupling ~ U(-0.1, 0.1)."""
     check_training_set_size(n)  # before the C(n, 2) couplings are built
     _check_chunk_count(chunk_count)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     chunks = tuple(
         ChunkParams.uniform(n, 2.5 + rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))

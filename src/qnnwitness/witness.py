@@ -151,8 +151,12 @@ def build_training_set(n: int) -> TrainingSet:
     return TrainingSet(n, items)
 
 
-def _evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
-    """Evolve a ``(batch, 2**n)`` stack of state vectors by ``method``."""
+def evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
+    """Evolve a ``(batch, 2**n)`` stack of state vectors by ``method``: the
+    package's one dense dispatcher. ``gates`` runs the full compiled circuit,
+    ``chunked`` the split-operator propagator and ``exact`` the full
+    exponential, chunk by chunk; the witness, ``verify`` and ``sample`` all
+    evolve their ``2**n`` vectors here."""
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
@@ -174,7 +178,7 @@ def witness_value(
     dim = 2**schedule.n_qubits
     if initial.shape != (dim,):
         raise ValueError(f"expected a state vector of dimension {dim}, got shape {initial.shape}")
-    final = _evolve_dense(initial[np.newaxis, :], schedule, method)[0]
+    final = evolve_dense(initial[np.newaxis, :], schedule, method)[0]
     return expectation_zz(final, pair[0], pair[1]) ** 2
 
 
@@ -197,7 +201,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         items = training_set.items
         rows = np.arange(len(items))
         require_dense(n, len(items))
-        finals = _evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
+        finals = evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
         parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
     return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
 

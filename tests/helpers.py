@@ -4,11 +4,13 @@ These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
 Kronecker products rather than stride updates, a run of shots draws
-one basis state per shot rather than one binomial count, and gradients
+one basis state per shot rather than one binomial count, gradients
 come from finite differences of the loss, or from tangents carried
-forward through dense 2^n states, rather than an adjoint sweep. A call
-counter lets tests pin how often a kernel runs. One reference is not
-independent but pins arithmetic: :func:`run_circuit_unfused` regroups
+forward through dense 2^n states, rather than an adjoint sweep, and the
+verification report comes from full unitaries and density matrices
+rather than evolved blocks of basis rows. A call counter lets tests pin
+how often a kernel runs. One reference is not independent but pins
+arithmetic: :func:`run_circuit_unfused` regroups
 a gate list on every call, as the gate kernel did before it kept its
 fused steps on the circuit.
 """
@@ -20,7 +22,11 @@ from functools import reduce
 import numpy as np
 
 from qnnwitness import core
-from qnnwitness.core import GateKind, GateOp, assert_normalized, n_qubits_of, z_diagonal
+from qnnwitness.compiler import compile_schedule
+from qnnwitness.core import GateKind, GateOp, assert_normalized, circuit_unitary, density_matrix, frobenius_distance
+from qnnwitness.core import n_qubits_of, z_diagonal
+from qnnwitness.hamiltonian import evolve_states
+from qnnwitness.witness import PairStateKind, make_pair_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -30,6 +36,20 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 CNOT_MATRIX = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
+
+
+def basis_state(n: int, index: int = 0) -> np.ndarray:
+    """Computational basis state |index> of an n-qubit register."""
+    state = np.zeros(2**n, dtype=complex)
+    state[index] = 1.0
+    return state
+
+
+def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return False
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]))) < tol
 
 
 def expm_eigh(h: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -290,3 +310,25 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
     if half is not None:
         columns = np.exp(-1j * half)[:, np.newaxis] * columns
     return columns
+
+
+def verify_report_dense(schedule) -> dict:
+    """``verify_equivalence``'s report from the three full unitaries and the
+    twelve 2^n x 2^n density matrices that it never builds."""
+    n = schedule.n_qubits
+    u_gates = circuit_unitary(compile_schedule(schedule))
+    # evolve_states maps each basis row e_k to U e_k, so the stack comes back as U^T
+    identity = np.eye(2**n, dtype=complex)
+    u_chunked = evolve_states(identity, schedule, "chunked").T
+    u_exact = evolve_states(identity, schedule, "exact").T
+    report = {
+        "n_qubits": n,
+        "frobenius_gate_vs_chunked": {"unitary": frobenius_distance(u_gates, u_chunked), "density_matrix": {}},
+        "frobenius_chunked_vs_exact": {"unitary": frobenius_distance(u_chunked, u_exact), "density_matrix": {}},
+    }
+    for kind in PairStateKind:
+        psi = make_pair_state(kind, (0, 1), n)
+        rho_g, rho_c, rho_e = (density_matrix(u @ psi) for u in (u_gates, u_chunked, u_exact))
+        report["frobenius_gate_vs_chunked"]["density_matrix"][kind.value] = frobenius_distance(rho_g, rho_c)
+        report["frobenius_chunked_vs_exact"]["density_matrix"][kind.value] = frobenius_distance(rho_c, rho_e)
+    return report

@@ -463,6 +463,23 @@ class TestConfigFile:
         assert "shotz" in err
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("argv", [["train", "--seed", "-5"], ["train", "--schedule", "table2", "--seed", "-5"],
+                                      ["bootstrap", "--seed", "-5"]], ids=["train", "train_schedule", "bootstrap"])
+    def test_a_negative_seed_exits_2_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out-dir", str(out))
+        assert (code, stdout, err) == (2, "", "error: seed must be a non-negative integer, got -5\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "bootstrap"])
+    def test_a_negative_seed_in_a_config_file_exits_2_naming_it(self, tmp_path, capsys, command):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"seed": -3}))
+        code, stdout, err = run_cli(capsys, command, "--config", str(config), "--out-dir", str(tmp_path / "out"))
+        assert (code, stdout, err) == (2, "", "error: seed must be a non-negative integer, got -3\n")
+
+
 class TestTopLevel:
     def test_list_repro(self, capsys):
         code, out, _ = run_cli(capsys, "--list-repro")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,17 +19,28 @@ from qnnwitness.compiler import (
     verify_equivalence,
 )
 from qnnwitness.core import (
+    DENSE_BYTES_BUDGET,
     Circuit,
     GateKind,
     GateOp,
     apply_circuit,
-    basis_state,
     circuit_unitary,
+    density_matrix,
     frobenius_distance,
+    qubit_pairs,
+    z_diagonal,
 )
-from qnnwitness.hamiltonian import ChunkParams, Schedule, chunk_propagators, load_schedule, save_schedule
+from qnnwitness.hamiltonian import (
+    ChunkParams,
+    Schedule,
+    _pair_parities,
+    chunk_propagators,
+    exact_chunk_propagator,
+    load_schedule,
+    save_schedule,
+)
 
-from helpers import PAULI_X, PAULI_Z, expm_eigh
+from helpers import PAULI_X, PAULI_Z, basis_state, expm_eigh, random_state, verify_report_dense
 
 DT = 1.58 / 4
 
@@ -269,6 +281,66 @@ class TestVerifyEquivalence:
         report = verify_equivalence(schedule)
         assert report["frobenius_chunked_vs_exact"]["unitary"] < 1e-12
         assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
+
+    @pytest.mark.parametrize("name", ["table2", "table3", "non_uniform_3", "non_uniform_8"])
+    def test_report_matches_the_dense_oracle(self, name, table2, table3):
+        # 8 qubits take two blocks of basis rows; the others one
+        schedule = {"table2": table2, "table3": table3,
+                    "non_uniform_3": _non_uniform_schedule(3), "non_uniform_8": _non_uniform_schedule(8)}[name]
+        report, oracle = verify_equivalence(schedule), verify_report_dense(schedule)
+        assert report["n_qubits"] == oracle["n_qubits"] == schedule.n_qubits
+        for key in ("frobenius_gate_vs_chunked", "frobenius_chunked_vs_exact"):
+            assert report[key]["unitary"] == pytest.approx(oracle[key]["unitary"], rel=1e-12, abs=0.0)
+            assert report[key]["density_matrix"].keys() == oracle[key]["density_matrix"].keys() == {"Bell", "Flat", "C", "P"}
+        trotter, oracle_trotter = (r["frobenius_chunked_vs_exact"]["density_matrix"] for r in (report, oracle))
+        for kind, value in oracle_trotter.items():
+            assert value > 1e-3 and trotter[kind] == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert all(0.0 <= value < 1e-14 for value in report["frobenius_gate_vs_chunked"]["density_matrix"].values())
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e-8, 1e-15, 0.0])
+    def test_density_distances_match_the_dense_matrices(self, scale):
+        # from far apart down to round-off, where 2 - 2|<a|b>|^2 reads about 1e-8.
+        # The matrix b b^+ - a a^+ is built as a d^+ + d a^+ + d d^+ with d = b - a,
+        # so that it too holds no terms of order one that cancel
+        rng = np.random.default_rng(3)
+        a = np.stack([random_state(4, rng) for _ in range(5)])
+        b = a + scale * np.stack([random_state(4, rng) for _ in range(5)])
+        got = compiler._density_distances(a, b)
+        for row, value in enumerate(got):
+            x, d = a[row], b[row] - a[row]
+            want = np.linalg.norm(np.outer(x, d.conj()) + np.outer(d, x.conj()) + np.outer(d, d.conj()))
+            assert value >= 0.0
+            assert value == pytest.approx(want, rel=1e-12, abs=1e-300)
+            if scale == 1.0:
+                assert value == pytest.approx(frobenius_distance(density_matrix(a[row]), density_matrix(b[row])), rel=1e-12)
+
+    def test_ten_qubits_peak_under_the_dense_budget(self):
+        # four distinct non-uniform chunks from cold caches: the peak counts the
+        # four 16 MiB exact propagators the cache keeps; holding the whole
+        # evolved basis of each picture, or the three unitaries, does not fit
+        schedule = _non_uniform_schedule(10)
+        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, _pair_parities):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            exact_chunk_propagator.cache_clear()
+        assert peak < DENSE_BYTES_BUDGET
+        assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
+        assert all(value < 1e-14 for value in report["frobenius_gate_vs_chunked"]["density_matrix"].values())
+        assert report["frobenius_chunked_vs_exact"]["unitary"] > 1.0
+
+
+def _non_uniform_schedule(n: int) -> Schedule:
+    """Four distinct chunks whose tunneling, bias and coupling differ from qubit to qubit and pair to pair."""
+    pairs = len(qubit_pairs(n))
+    return Schedule(n, 1.58, tuple(
+        ChunkParams(tuple(2.5 + 0.01 * q + 0.03 * k for q in range(n)), tuple(0.1 - 0.02 * q for q in range(n)),
+                    tuple(0.05 + 0.001 * p for p in range(pairs)))
+        for k in range(4)))
 
 
 class TestQasm:

@@ -17,12 +17,10 @@ from qnnwitness.core import (
     GateKind,
     GateOp,
     apply_circuit,
-    basis_state,
     circuit_unitary,
     density_matrix,
     expectation_zz,
     frobenius_distance,
-    is_unitary,
     require_dense,
     z_diagonal,
 )
@@ -34,9 +32,11 @@ from helpers import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    basis_state,
     circuit_unitary_dense,
     count_calls,
     expm_eigh,
+    is_unitary,
     random_circuit,
     random_state,
     run_circuit_unfused,

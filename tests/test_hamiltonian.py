@@ -10,7 +10,7 @@ import pytest
 from qnnwitness import cli
 from qnnwitness.compiler import verify_equivalence
 from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, Circuit, DimensionError
-from qnnwitness.core import basis_state, circuit_unitary, expectation_zz, frobenius_distance, is_unitary, require_square
+from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, require_square
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -31,7 +31,7 @@ from qnnwitness.hamiltonian import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import IDENTITY_2, PAULI_X, PAULI_Z, expm_eigh, expm_taylor, random_state
+from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, expm_eigh, expm_taylor, is_unitary, random_state
 
 TABLE2_INTERVAL_1 = ChunkParams.uniform(2, 2.49, 0.0930, 0.0382)
 DT = 1.58 / 4

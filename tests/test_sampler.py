@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from qnnwitness import core
+from qnnwitness import witness
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit, assert_normalized, basis_state, expectation_zz
+from qnnwitness.core import apply_circuit, assert_normalized, expectation_zz
 from qnnwitness.sampler import (
     MAX_ITERATIONS,
     Z_SCORE,
@@ -15,7 +15,7 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import sample_zz_mean_per_shot
+from helpers import basis_state, sample_zz_mean_per_shot
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -267,8 +267,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("scale", [2.0, np.nan], ids=["unnormalized", "nan"])
     def test_bad_final_state_refused(self, monkeypatch, table2, scale):
-        original = core.apply_circuit
-        monkeypatch.setattr(core, "apply_circuit", lambda state, circuit: scale * original(state, circuit))
+        # the sweep's final state comes from the dense dispatcher's gate run
+        original = witness.apply_circuit
+        monkeypatch.setattr(witness, "apply_circuit", lambda state, circuit: scale * original(state, circuit))
         with pytest.raises(ValueError, match="not normalized"):
             sweep(table2, PairStateKind.BELL, (0, 1), ShotConfig(shot_counts=(50,), iterations=5))
 

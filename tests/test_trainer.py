@@ -397,6 +397,19 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match=f"chunk count must lie in 1..{MAX_CHUNKS}"):
                 random_schedule(2, chunks, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, "0", None, True, np.float64(2.0)])
+    def test_a_seed_that_is_not_a_non_negative_int_is_refused_by_name(self, seed):
+        message = re.escape(f"seed must be a non-negative integer, got {seed!r}")
+        with pytest.raises(ValueError, match=message):
+            TrainerConfig(seed=seed)
+        with pytest.raises(ValueError, match=message):
+            random_schedule(2, 4, seed)
+
+    def test_large_and_numpy_integer_seeds_are_accepted(self):
+        for seed in (0, 2**64, np.int64(7)):
+            assert TrainerConfig(seed=seed).seed == seed
+            assert random_schedule(2, 4, seed).n_qubits == 2
+
 
 class TestArtifacts:
     def test_rms_history_csv(self, table2, ts2):
