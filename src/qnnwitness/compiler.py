@@ -146,32 +146,38 @@ def verify_equivalence(schedule: Schedule) -> dict:
     Compares full unitaries and, for the four reference pair states on
     qubits (0, 1), the final density matrices. Gate-vs-chunked distances
     sit at round-off; chunked-vs-exact carries the whole Trotter error.
-    Each picture evolves the basis rows ``VERIFY_BLOCK_ROWS`` at a time, the
-    pair states with the first block, and a unitary distance sums the
-    blocks' squares.
+    Each picture evolves the basis states ``VERIFY_BLOCK_ROWS`` at a time,
+    the pair states with the first block, as C-ordered ``(2**n, batch)``
+    columns; a unitary distance sums the blocks' squares. Each picture is
+    compared with the one before it, so two are held at a time.
     """
     n = schedule.n_qubits
     require_square(n)
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
     dim = 2**n
-    comparisons = {"frobenius_gate_vs_chunked": (0, 1), "frobenius_chunked_vs_exact": (1, 2)}
-    block_distances: dict = {name: [] for name in comparisons}
+    methods = ("gates", "chunked", "exact")
+    names = {"chunked": "frobenius_gate_vs_chunked", "exact": "frobenius_chunked_vs_exact"}
+    block_distances: dict = {name: [] for name in names.values()}
+    finals = {}
     for start in range(0, dim, VERIFY_BLOCK_ROWS):
         rows = min(VERIFY_BLOCK_ROWS, dim - start)
-        block = np.eye(rows, dim, start, dtype=complex)  # basis rows start .. start + rows - 1
+        columns = np.eye(dim, rows, -start, dtype=complex)  # basis states start .. start + rows - 1
         if start == 0:
-            block = np.concatenate([block, [make_pair_state(kind, (0, 1), n) for kind in PairStateKind]])
-        evolved = [evolve_dense(block, schedule, method) for method in ("gates", "chunked", "exact")]
-        if start == 0:
-            finals = [states[rows:] for states in evolved]
-        for name, (i, j) in comparisons.items():
-            block_distances[name].append(np.linalg.norm(evolved[i][:rows] - evolved[j][:rows]))
+            columns = np.column_stack([columns, *(make_pair_state(kind, (0, 1), n) for kind in PairStateKind)])
+        previous = None
+        for method in methods:
+            evolved = evolve_dense(columns.T, schedule, method)
+            if start == 0:
+                finals[method] = evolved[rows:].copy()  # not a view, which would keep the whole block
+            if previous is not None:
+                block_distances[names[method]].append(np.linalg.norm(previous[:rows] - evolved[:rows]))
+            previous = evolved
     report: dict = {"n_qubits": n}
-    for name, (i, j) in comparisons.items():
-        density = _density_distances(finals[i], finals[j])
-        report[name] = {"unitary": math.hypot(*block_distances[name]),
-                        "density_matrix": {kind.value: float(d) for kind, d in zip(PairStateKind, density)}}
+    for before, method in zip(methods, methods[1:]):
+        density = _density_distances(finals[before], finals[method])
+        report[names[method]] = {"unitary": math.hypot(*block_distances[names[method]]),
+                                 "density_matrix": {kind.value: float(d) for kind, d in zip(PairStateKind, density)}}
     return report
 
 

@@ -118,8 +118,9 @@ class ArrayCache:
         return cached
 
 
-# Every array derived from n alone: ``z_diagonal``, ``hamiltonian._pair_parities``
-# and ``hamiltonian.pair_dicke_operators`` keep at most one dense budget between them.
+# Every array derived from n alone: ``z_diagonal``, ``hamiltonian._pair_parities``,
+# ``hamiltonian.pair_dicke_operators`` and ``hamiltonian.spin_sectors`` keep at
+# most one dense budget between them.
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 

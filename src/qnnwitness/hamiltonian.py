@@ -6,13 +6,15 @@ total evolution time into equal chunks, each with its own parameter set.
 All quantities are dimensionless with hbar = 1.
 
 Two propagation methods are provided. ``exact`` exponentiates the full
-Hamiltonian of each chunk; ``chunked`` splits each chunk into the product
-of its single-qubit and pair exponentials, which is a first-order
-approximation because the transverse terms do not commute with the
-couplings. Within a chunk the pair factors act first, then the single-qubit
-factors in ascending qubit order; chunks apply in chronological order.
-The gate compiler reproduces exactly this ordering, so ``chunked`` and
-compiled circuits agree to round-off.
+Hamiltonian of each chunk: under a schedule of uniform chunks in its
+total-spin sectors, whose blocks are at most n + 1 square, and otherwise
+as a dense 2^n x 2^n propagator per chunk. ``chunked`` splits each chunk
+into the product of its single-qubit and pair exponentials, which is a
+first-order approximation because the transverse terms do not commute
+with the couplings. Within a chunk the pair factors act first, then the
+single-qubit factors in ascending qubit order; chunks apply in
+chronological order. The gate compiler reproduces exactly this ordering,
+so ``chunked`` and compiled circuits agree to round-off.
 
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
@@ -156,12 +158,14 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
-    The cache keeps the 8 most recent propagators for dense evolution:
-    single states, verification and non-symmetric schedules. Its bound
-    follows from the 10-qubit cap that ``build_hamiltonian`` enforces: 8
-    propagators of 16 MiB fill the 128 MiB dense budget, and at n = 7
-    they take 2 MiB. Training runs in the pair (x) Dicke space and never
-    calls it.
+    The cache keeps the 8 most recent propagators for the exact evolution
+    of schedules with a non-uniform chunk, and for ``chunk_propagators``,
+    the dense reference of every exact path. Its bound follows from the
+    10-qubit cap that ``build_hamiltonian`` enforces: 8 propagators of
+    16 MiB fill the 128 MiB dense budget, and at n = 7 they take 2 MiB.
+    A schedule of uniform chunks evolves in its total-spin sectors (see
+    :func:`evolve_states`) and training in the pair (x) Dicke space;
+    neither calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -497,6 +501,150 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     return np.array(out[::-1])
 
 
+# --- total-spin sectors -------------------------------------------------
+#
+# With J = sum_q sigma_q / 2 the collective spin, a uniform chunk's
+# Hamiltonian is K 2J_x + eps 2J_z + zeta (4J_z^2 - n)/2: the
+# Lipkin-Meshkov-Glick model (Nucl. Phys. 62, 188 (1965)). It commutes with
+# every qubit permutation, so in the coupled basis |J, M, a> it is one
+# tridiagonal (2J+1)-square block per J, the same on each of the
+# C(n, k) - C(n, k-1) copies a of the sector J = n/2 - k. A computational
+# state of Hamming weight w has M = n/2 - w, so the change of basis is one
+# real orthogonal C(n, w)-square block per weight.
+
+
+class SpinSectors(NamedTuple):
+    """The coupled basis of n qubits, one entry per Hamming weight w = 0..n.
+
+    Column ``i`` of ``blocks[w]`` is a state |J, M = n/2 - w, a> over the
+    computational states ``indices[w]`` (ascending), with k = n/2 - J
+    ascending, then a; ``positions[w][i]`` is its row in the sector-major
+    order, where sector k = 0, 1, .. is a C-ordered ``(2J+1, copies)`` slab
+    with M from J down to -J.
+    """
+
+    indices: tuple[np.ndarray, ...]
+    positions: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for part in self for array in part)
+
+
+def _sector_copies(n: int, k: int) -> int:
+    """The number of copies of the sector J = n/2 - k, k <= n/2."""
+    return math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+
+
+@PARITY_CACHE
+def spin_sectors(n: int) -> SpinSectors:
+    """The coupled (total-spin) basis of n qubits, built once per n: C(2n, n)
+    floats, 1.5 MB at n = 10, the 10-qubit cap of the dense path it replaces.
+
+    The highest-weight states of J = n/2 - k are the null space of the
+    raising map J_+ from weight k to k - 1. J_- lowers each of them one
+    weight at a time, divided by ``sqrt((J+M)(J-M+1))`` at each step, so
+    that J_- has the positive entries :func:`spin_sector_hamiltonian`
+    puts beside the diagonal.
+    """
+    require_square(n)
+    index = np.arange(2**n)
+    weight = sum((index >> q) & 1 for q in range(n))
+    indices = [np.flatnonzero(weight == w) for w in range(n + 1)]
+    position = np.empty(2**n, dtype=np.intp)
+    for rows in indices:
+        position[rows] = np.arange(len(rows))
+    lowerings = []  # J_- from weight w to w + 1, C(n, w+1) x C(n, w)
+    for w in range(n):
+        lowering = np.zeros((len(indices[w + 1]), len(indices[w])))
+        for q in range(n):
+            source = indices[w][(indices[w] >> q) & 1 == 0]
+            lowering[position[source | 1 << q], position[source]] = 1.0
+        lowerings.append(lowering)
+    columns: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
+    positions: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
+    offset = 0
+    for k in range(n // 2 + 1):
+        copies = _sector_copies(n, k)
+        # J_+ maps weight k onto weight k - 1: the rows of vt past its C(n, k-1) singular values span its null space
+        states = np.linalg.svd(lowerings[k - 1].T)[2][-copies:].T if k else np.ones((1, 1))
+        for w in range(k, n - k + 1):
+            columns[w].append(states)
+            positions[w].append(offset + (w - k) * copies + np.arange(copies))
+            if w < n - k:
+                twice_j, twice_m = n - 2 * k, n - 2 * w
+                states = lowerings[w] @ states / (0.5 * math.sqrt((twice_j + twice_m) * (twice_j - twice_m + 2)))
+        offset += (n - 2 * k + 1) * copies
+    basis = SpinSectors(tuple(indices), tuple(map(np.concatenate, positions)), tuple(map(np.hstack, columns)))
+    for part in basis:
+        for array in part:
+            array.flags.writeable = False
+    return basis
+
+
+def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
+    """The Hamiltonian of a uniform n-qubit chunk on the total-spin sectors
+    ``spins``, block diagonal in their order, each block in the |J, M>
+    basis with M from J down to -J.
+
+    ``shared`` is the chunk's ``(K, eps, zeta)``, or a ``(..., 3)`` stack of
+    them for a stack of blocks. A block is real symmetric tridiagonal:
+    ``2 eps M + zeta (4 M^2 - n)/2`` on the diagonal and ``K
+    sqrt((J+M)(J-M+1))`` beside it. Each J must leave n/2 - J a whole
+    number from 0 to n/2.
+    """
+    twice = [2 * j for j in spins]
+    if any(t != round(t) or not 0 <= t <= n or (n - t) % 2 for t in twice):
+        raise ValueError(f"total spins {tuple(spins)} are not sectors of {n} qubits")
+    # per row |J, M>: the bias and coupling terms 2M and (4M^2 - n)/2, and <J, M|J_+|J, M-1>
+    # to the next row, which vanishes from M = -J into the next block
+    twice_m, quadratic, ladder = np.array([
+        (2 * m, (4 * m * m - n) / 2, math.sqrt((t / 2 + m) * (t / 2 - m + 1)))
+        for t in twice for m in (t / 2 - r for r in range(round(t) + 1))
+    ]).T
+    shared = np.asarray(shared, dtype=float)
+    tunneling, bias, coupling = shared[..., 0, np.newaxis], shared[..., 1, np.newaxis], shared[..., 2, np.newaxis]
+    size = len(ladder)
+    h = np.zeros(shared.shape[:-1] + (size * size,))  # row-major: (r, r) is entry r (size + 1)
+    h[..., :: size + 1] = bias * twice_m + coupling * quadratic
+    h[..., 1 :: size + 1] = h[..., size :: size + 1] = tunneling * ladder[:-1]  # (r, r + 1) and (r + 1, r)
+    return h.reshape(shared.shape[:-1] + (size, size))
+
+
+def _evolve_sectors(columns: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """``exp(-i H dt)`` chunk by chunk on C-ordered ``(2**n, batch)`` columns,
+    for a schedule of uniform chunks, in its total-spin sectors: one batched
+    eigendecomposition of the chunks' blocks, their product in that reduced
+    space, then one change of basis there and back."""
+    n = schedule.n_qubits
+    basis = spin_sectors(n)
+    spins = [n / 2 - k for k in range(n // 2 + 1)]
+    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian([ck.shared for ck in schedule.chunks], n, spins))
+    unitaries = (eigvecs * np.exp(-1j * schedule.dt * eigvals)[:, np.newaxis, :]) @ eigvecs.transpose(0, 2, 1)
+    product = unitaries[0]
+    for u in unitaries[1:]:
+        product = u @ product
+    # the basis is real: change it on the real and imaginary parts at once
+    real = columns.view(float)
+    coupled = np.empty_like(real)
+    for rows, at, block in zip(*basis):
+        coupled[at] = block.T @ real[rows]
+    coupled = coupled.view(complex)
+    start = low = 0  # the sector's first row in the coupled columns and in the product
+    for k in range(len(spins)):
+        dim = n - 2 * k + 1
+        stop = start + dim * _sector_copies(n, k)
+        sector = product[low : low + dim, low : low + dim]
+        coupled[start:stop] = (sector @ coupled[start:stop].reshape(dim, -1)).reshape(stop - start, -1)
+        start, low = stop, low + dim
+    real = coupled.view(float)
+    out = np.empty_like(real)
+    for rows, at, block in zip(*basis):
+        out[rows] = block @ real[at]
+    return out.view(complex)
+
+
 def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """Split-operator propagator: pair exponentials first, then single-qubit ones."""
     if params.n_qubits != n:
@@ -521,8 +669,14 @@ def chunk_propagators(schedule: Schedule, method: str = "exact") -> Iterator[np.
 def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
     """Evolve a (dim,) state or a (batch, dim) stack of states.
 
+    The stack is evolved as one C-ordered ``(2**n, batch)`` array.
     ``chunked`` streams diagonal phases and 2x2 updates without building
-    any 2^N matrix; ``exact`` multiplies by cached dense chunk propagators.
+    any 2^N matrix. ``exact`` on a schedule of uniform chunks (the
+    ``Schedule.symmetric`` test) works in the total-spin sectors: one
+    eigendecomposition of at most (n+1)-square blocks per chunk and a
+    change to the coupled basis (:func:`spin_sectors`) and back, with no
+    2^N matrix. On any other schedule it multiplies by cached dense chunk
+    propagators. Both exact paths refuse more than 10 qubits.
     """
     arr = np.asarray(states, dtype=complex)
     single = arr.ndim == 1
@@ -530,9 +684,11 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     n = schedule.n_qubits
     if batch.shape[1] != 2**n:
         raise ValueError(f"state dimension {batch.shape[1]} does not match {n} qubits")
-    columns = batch.T
+    columns = np.ascontiguousarray(batch.T)
     if method == "chunked":
         columns = _evolve_chunked(columns, schedule.chunks, n, schedule.dt)
+    elif method == "exact" and schedule.symmetric:
+        columns = _evolve_sectors(columns, schedule)
     else:  # chunk_propagators refuses an unknown method
         for u in chunk_propagators(schedule, method):
             columns = u @ columns

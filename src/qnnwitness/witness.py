@@ -155,12 +155,13 @@ def evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndar
     """Evolve a ``(batch, 2**n)`` stack of state vectors by ``method``: the
     package's one dense dispatcher. ``gates`` runs the full compiled circuit,
     ``chunked`` the split-operator propagator and ``exact`` the full
-    exponential, chunk by chunk; the witness, ``verify`` and ``sample`` all
-    evolve their ``2**n`` vectors here."""
+    exponential, chunk by chunk, each on one C-ordered ``(2**n, batch)``
+    array; the witness, ``verify`` and ``sample`` all evolve their ``2**n``
+    vectors here."""
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
-        return apply_circuit(states.T, compile_schedule(schedule)).T
+        return apply_circuit(np.ascontiguousarray(states.T), compile_schedule(schedule)).T
     return evolve_states(states, schedule, method)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import compiler
+from qnnwitness import compiler, hamiltonian
 from qnnwitness.compiler import (
     CIRCUIT_CACHE,
     compile_schedule,
@@ -38,9 +38,10 @@ from qnnwitness.hamiltonian import (
     exact_chunk_propagator,
     load_schedule,
     save_schedule,
+    spin_sectors,
 )
 
-from helpers import PAULI_X, PAULI_Z, basis_state, expm_eigh, random_state, verify_report_dense
+from helpers import PAULI_X, PAULI_Z, basis_state, count_calls, expm_eigh, random_state, verify_report_dense
 
 DT = 1.58 / 4
 
@@ -332,6 +333,31 @@ class TestVerifyEquivalence:
         assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
         assert all(value < 1e-14 for value in report["frobenius_gate_vs_chunked"]["density_matrix"].values())
         assert report["frobenius_chunked_vs_exact"]["unitary"] > 1.0
+
+
+    def test_exact_propagators_serve_only_non_uniform_chunks(self, monkeypatch, table3):
+        calls = count_calls(monkeypatch, [(hamiltonian, "exact_chunk_propagator")])
+        verify_equivalence(table3)
+        assert calls["exact_chunk_propagator"] == 0
+        verify_equivalence(_non_uniform_schedule(7))
+        assert calls["exact_chunk_propagator"] == 4
+
+    def test_uniform_ten_qubits_peak_under_the_dense_budget(self, table3):
+        # exact runs in the spin sectors, so no 16 MiB propagator is built or cached
+        schedule = Schedule(10, table3.total_time, tuple(
+            ChunkParams.uniform(10, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in table3.chunks))
+        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, _pair_parities, spin_sectors):
+            cache.cache_clear()
+        tracemalloc.start()
+        try:
+            report = verify_equivalence(schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_BYTES_BUDGET
+        assert exact_chunk_propagator.cache_info().currsize == 0
+        assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
+        assert report["frobenius_chunked_vs_exact"]["unitary"] > 1e-3
 
 
 def _non_uniform_schedule(n: int) -> Schedule:

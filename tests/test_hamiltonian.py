@@ -28,6 +28,8 @@ from qnnwitness.hamiltonian import (
     refine_schedule,
     schedule_from_json,
     schedule_to_json,
+    spin_sector_hamiltonian,
+    spin_sectors,
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
@@ -402,6 +404,92 @@ class TestTrotterConsistency:
         base = propagate(state, table2, "exact")
         refined = propagate(state, refine_schedule(table2, 2), "exact")
         assert np.max(np.abs(base - refined)) < 1e-12
+
+
+# uniform chunks that differ from chunk to chunk; the last three each have one of K, eps, zeta at 0
+VARIED_UNIFORM = ((2.49, 0.093, 0.0382), (0.0, -0.7, 0.45), (1.3, 0.0, -0.3), (-0.8, 0.6, 0.0))
+SECTOR_TOL = 1e-12  # per amplitude, absolute; measured at most 4e-15 on normalized states
+
+
+def _varied_uniform_schedule(n: int) -> Schedule:
+    return Schedule(n, 1.58, tuple(ChunkParams.uniform(n, *shared) for shared in VARIED_UNIFORM))
+
+
+def _dense_exact(states: np.ndarray, schedule: Schedule) -> np.ndarray:
+    """The dense reference: rows evolved by the product of the exact chunk propagators."""
+    columns = states.T
+    for u in chunk_propagators(schedule, "exact"):
+        columns = u @ columns
+    return columns.T
+
+
+class TestSpinSectors:
+    """Exact evolution of uniform chunks in total-spin sectors, held to the dense propagators."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_exact_evolution_matches_the_dense_propagators(self, n):
+        schedule = _varied_uniform_schedule(n)
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_state(n, rng) for _ in range(3)])
+        try:
+            want = _dense_exact(stack, schedule)
+        finally:
+            exact_chunk_propagator.cache_clear()  # up to 64 MiB at n = 10
+        assert np.max(np.abs(evolve_states(stack, schedule, "exact") - want)) <= SECTOR_TOL
+        assert np.max(np.abs(evolve_states(stack[1], schedule, "exact") - want[1])) <= SECTOR_TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_chunks_of_zeros_leave_states_unchanged(self, n):
+        schedule = Schedule(n, 1.58, (ChunkParams.uniform(n, 0.0, 0.0, 0.0),) * 3)
+        state = random_state(n, np.random.default_rng(9))
+        assert np.max(np.abs(evolve_states(state, schedule, "exact") - state)) <= SECTOR_TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
+    def test_the_basis_is_orthogonal_and_spans_each_weight(self, n):
+        basis = spin_sectors(n)
+        assert sum(block.size for block in basis.blocks) == math.comb(2 * n, n)
+        assert sorted(np.concatenate(basis.indices)) == list(range(2**n))
+        assert sorted(np.concatenate(basis.positions)) == list(range(2**n))
+        for w, (rows, block) in enumerate(zip(basis.indices, basis.blocks)):
+            assert all(bin(index).count("1") == w for index in rows)
+            assert np.max(np.abs(block.T @ block - np.eye(len(rows)))) <= 1e-13
+        assert all(not array.flags.writeable for part in basis for array in part)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_the_basis_turns_the_dense_hamiltonian_into_the_spin_blocks(self, n):
+        # sector k = n/2 - J holds C(n, k) - C(n, k-1) copies of one block,
+        # interleaved by copy within its (2J+1, copies) slab
+        shared = (1.3, -0.7, 0.45)
+        basis, dense = spin_sectors(n), build_hamiltonian(ChunkParams.uniform(n, *shared), n)
+        change = np.zeros((2**n, 2**n))
+        for rows, at, block in zip(*basis):
+            change[np.ix_(rows, at)] = block
+        sectors = []
+        for k in range(n // 2 + 1):
+            copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            sectors.append(np.kron(spin_sector_hamiltonian(shared, n, [n / 2 - k]), np.eye(copies)))
+        want = np.zeros((2**n, 2**n))
+        start = 0
+        for sector in sectors:
+            want[start : start + len(sector), start : start + len(sector)] = sector
+            start += len(sector)
+        assert np.max(np.abs(change.T @ dense @ change - want)) <= 1e-12
+
+    @pytest.mark.parametrize("spins", [[1.0], [2.0], [-0.5], [0.25]])
+    def test_spins_that_are_not_sectors_are_refused(self, spins):
+        with pytest.raises(ValueError, match="are not sectors of 3 qubits"):
+            spin_sector_hamiltonian((1.0, 0.0, 0.0), 3, spins)
+
+    def test_eleven_qubits_are_refused_as_by_the_dense_path(self):
+        schedule = Schedule(11, 1.58, (ChunkParams.uniform(11, 1.0, 0.5, 0.2),) * 4)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match=r"^refusing dense 2\*\*11 x 2\*\*11 arrays for 11 > 10 qubits$"):
+                evolve_states(np.zeros(2**11), schedule, "exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestScheduleJson:

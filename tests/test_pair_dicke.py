@@ -30,6 +30,7 @@ from qnnwitness.hamiltonian import (
     pair_dicke_hamiltonian,
     pair_dicke_nbytes,
     pair_dicke_operators,
+    spin_sector_hamiltonian,
 )
 from qnnwitness.witness import (
     PairStateKind,
@@ -45,6 +46,7 @@ from helpers import expm_eigh, tangent_loss_gradient
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
+SPECTRUM_TOL = 1e-13  # relative to the spectral norm; measured at most 4e-15
 
 _SETS: dict[int, TrainingSet] = {}
 
@@ -125,6 +127,17 @@ class TestOperators:
     def test_non_uniform_chunk_is_refused(self):
         with pytest.raises(ValueError, match="uniform"):
             pair_dicke_hamiltonian(ChunkParams((1.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3), 3)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 12, 64])
+    def test_spectrum_is_the_union_of_its_spin_blocks(self, n):
+        # the pair (spin 1 + spin 0) times the Dicke block (spin n/2 - 1) holds the
+        # sectors J = n/2, n/2 - 1 twice and n/2 - 2 (none at n = 3)
+        params = ChunkParams.uniform(n, 1.3, -0.7, 0.45)
+        spins = [j for j in (n / 2, n / 2 - 1, n / 2 - 1, n / 2 - 2) if j >= 0]
+        got = np.linalg.eigvalsh(pair_dicke_hamiltonian(params, n))
+        want = np.linalg.eigvalsh(spin_sector_hamiltonian(params.shared, n, spins))
+        assert got.shape == want.shape == (4 * (n - 1),)
+        assert np.max(np.abs(got - want)) <= SPECTRUM_TOL * np.max(np.abs(got))
 
 
 def measured(call):
