@@ -11,17 +11,24 @@ Conventions used throughout the package:
   centralizes the factor of 2.
 * Everything is double-precision dense numpy; at <= 7 qubits (dim 128)
   sparsity buys nothing.
-* One kernel applies every gate list (``apply_circuit``,
-  ``circuit_unitary``), in two steps. The fuse step reads a circuit's
-  gate list once, the first time the circuit runs or is sized
-  (``Circuit.nbytes``), and keeps the result on it (``Circuit.steps``):
-  each rotation run on one qubit becomes one 2x2 at once, and each run of Rz
-  and ``CNOT, Rz, CNOT`` blocks, which are ``Z`` and ``Z Z`` phases,
-  becomes one phase vector, built the first time it is applied.
-  The run step applies those steps. The rewrites are exact identities,
-  so results match the gate-by-gate product to round-off, and they read
-  only the gate list, so the compiled circuit is still an independent
-  check of the schedule it came from.
+* One runner (``_run_steps``) applies every dense evolution: gate lists
+  (``apply_circuit``, ``circuit_unitary``) and the chunked Hamiltonian
+  picture. Its steps are phase vectors, CNOT permutations and blocks: a
+  ``2**k``-square matrix on the k neighbouring qubits q..q+k-1, applied
+  in one ``matmul`` over the ``(2**q, 2**k, rest)`` view of the columns.
+  A chunk's single-qubit layer is ``ceil(n / BLOCK_QUBITS)`` such blocks
+  of near-equal size (``_blocks``), each the Kronecker product of its
+  qubits' 2x2s, so the state is read a few times per chunk, not once per
+  qubit.
+* A gate list is fused once, the first time the circuit runs or is sized
+  (``Circuit.nbytes``), and the result is kept on it (``Circuit.steps``):
+  each rotation run on one qubit becomes one 2x2, neighbouring 2x2s
+  become blocks, and each run of Rz and ``CNOT, Rz, CNOT`` blocks, which
+  are ``Z`` and ``Z Z`` phases, becomes one phase vector, built the first
+  time it is applied. The rewrites are exact identities, so results
+  match the gate-by-gate product to round-off, and they read only the
+  gate list, so the compiled circuit is still an independent check of
+  the schedule it came from.
 
 All functions are pure: inputs are never mutated.
 """
@@ -217,10 +224,10 @@ class Circuit:
     @cached_property
     def nbytes(self) -> int:
         """The bytes the circuit keeps alive once it has run: its gates, its
-        fused steps with their 2x2s and each phase vector, counted before
-        any phase vector is built."""
-        phases = sum(isinstance(step, _PhaseRun) for step in self.steps)
-        return _GATE_BYTES * len(self.ops) + _STEP_BYTES * len(self.steps) + phases * 16 * 2**self.n_qubits
+        fused steps with each block's matrix and each phase vector, counted
+        before any phase vector is built."""
+        return _GATE_BYTES * len(self.ops) + sum(_STEP_BYTES + _step_data_bytes(step, self.n_qubits)
+                                                 for step in self.steps)
 
 
 def qubit_pairs(n: int) -> list[tuple[int, int]]:
@@ -247,13 +254,40 @@ def n_qubits_of(state: np.ndarray) -> int:
     return n
 
 
-def _apply_1q(tensor: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    """Apply the 2x2 ``u`` to qubit ``q``: the one-qubit update of gates and
-    of chunked evolution. ``tensor`` holds the amplitudes first, as ``[2]*n``
+# The most qubits one block step spans. A block of k qubits costs a 4**k
+# matrix and a 2**k-deep product per amplitude, against k passes over the
+# state for k 2x2s; BENCH_kron_blocks.json holds the table of block sizes
+# this was chosen from.
+BLOCK_QUBITS = 4
+
+
+def _blocks(n: int) -> tuple[tuple[int, int], ...]:
+    """The ``(first qubit, size)`` blocks that cover n qubits: ``ceil(n / BLOCK_QUBITS)``
+    contiguous blocks of near-equal size, the larger first, so (4, 3) at n = 7."""
+    count = -(-n // BLOCK_QUBITS)
+    size, larger = divmod(n, count)
+    sizes = [size + 1] * larger + [size] * (count - larger)
+    return tuple((sum(sizes[:b]), k) for b, k in enumerate(sizes))
+
+
+def _kron(factors) -> np.ndarray:
+    """Kronecker product of square matrices, the first on the most significant
+    qubits. Broadcasting builds it in a few small multiplies; ``np.kron``
+    takes about 120 us for one 7-qubit layer."""
+    out = factors[0]
+    for factor in factors[1:]:
+        a, b = len(out), len(factor)
+        out = (out[:, np.newaxis, :, np.newaxis] * factor[np.newaxis, :, np.newaxis, :]).reshape(a * b, a * b)
+    return out
+
+
+def _apply_block(tensor: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """Apply the ``2**k``-square ``u`` to qubits q..q+k-1: the one matrix update
+    of the dense kernels. ``tensor`` holds the amplitudes first, as ``[2]*n``
     axes or one ``2**n`` axis, then any batch axes."""
     # qubit 0 is the most significant bit: qubits 0..q-1 fold into the
     # leading axis, the later qubits and the batch into the trailing one
-    return np.matmul(u, tensor.reshape(2**q, 2, -1)).reshape(tensor.shape)
+    return np.matmul(u, tensor.reshape(2**q, len(u), -1)).reshape(tensor.shape)
 
 
 def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
@@ -304,11 +338,12 @@ def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
 
 
 # Bytes of one GateOp with its angle and its share of a phase run's terms
-# (kept until the run's vector is built), and of one fused step with its 2x2,
-# rounded up from tracemalloc on CPython 3.11; Circuit.nbytes adds the phase
-# vectors
+# (kept until the run's vector is built), and of one fused step besides its
+# array data (a block step's tuple and array headers take 296), rounded up
+# from tracemalloc on CPython 3.11; Circuit.nbytes adds each block's matrix
+# and each phase vector (_step_data_bytes)
 _GATE_BYTES = 160
-_STEP_BYTES = 640
+_STEP_BYTES = 320
 
 
 class _PhaseRun:
@@ -336,14 +371,25 @@ class _PhaseRun:
         return self._vector
 
 
+def _step_data_bytes(step, n: int) -> int:
+    """The array bytes a fused step keeps: a block's matrix or a phase vector."""
+    if isinstance(step, _PhaseRun):
+        return 16 * 2**n
+    return step[0].nbytes if isinstance(step, tuple) else 0
+
+
 def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
     """Read a gate list once into steps, so that a compiled schedule touches
-    the state once per qubit and chunk rather than once per gate.
+    the state a few times per chunk rather than once per gate.
 
-    It makes three exact rewrites:
+    It makes four exact rewrites:
 
-    * a run of rotations on one qubit is one ``(2x2, qubit)`` step, the
-      2x2 multiplied out here (:func:`_run_matrix`);
+    * a run of rotations on one qubit is one 2x2, multiplied out here
+      (:func:`_run_matrix`);
+    * consecutive 2x2s on the ascending qubits of one of the :func:`_blocks`
+      of n are one ``(matrix, first qubit)`` block step, their Kronecker
+      product (:func:`_kron`), so a chunk's single-qubit layer is
+      ``ceil(n / BLOCK_QUBITS)`` steps;
     * a run of Rz on qubit q is the diagonal ``exp(-i (a/2) Z_q)``, with
       ``a`` the sum of its angles, and ``CNOT(c, t)``, an Rz run on t, then
       the same ``CNOT(c, t)`` is ``exp(-i (a/2) Z_c Z_t)``, because the CNOT
@@ -352,8 +398,16 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
       the next non-diagonal gate or the end;
     * every other CNOT is its own step and permutes the amplitudes.
     """
+    block_of = [b for b, (_, k) in enumerate(_blocks(n)) for _ in range(k)]
     steps = []
     terms = []  # the diagonal run not yet closed
+    layer = []  # the (2x2, qubit) run not yet closed, on ascending qubits of one block
+
+    def close_layer():
+        if layer:
+            steps.append((_kron([u for u, _ in layer]), layer[0][1]))
+            layer.clear()
+
     i = 0
     while i < len(ops):
         op = ops[i]
@@ -374,35 +428,48 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
             terms.append(term)
         else:
             if terms:
+                close_layer()
                 steps.append(_PhaseRun(n, tuple(terms)))
                 terms = []
-            steps.append(op if op.kind is GateKind.CNOT else (_run_matrix(ops[i:end]), op.target))
+            if op.kind is GateKind.CNOT:
+                close_layer()
+                steps.append(op)
+            else:
+                q = op.target
+                if layer and (q != layer[-1][1] + 1 or block_of[q] != block_of[layer[-1][1]]):
+                    close_layer()
+                layer.append((_run_matrix(ops[i:end]), q))
         i = end
+    close_layer()
     if terms:
         steps.append(_PhaseRun(n, tuple(terms)))
     return tuple(steps)
 
 
-def _run_steps(columns: np.ndarray, circuit: Circuit) -> np.ndarray:
-    """Apply ``circuit``'s fused steps to the ``(2**n, batch)`` ``columns``: the one gate kernel."""
-    n = circuit.n_qubits
-    for step in circuit.steps:
-        if isinstance(step, _PhaseRun):
-            columns = step.vector[:, np.newaxis] * columns
+def _run_steps(columns: np.ndarray, steps) -> np.ndarray:
+    """Apply ``steps`` in order to the ``(2**n, batch)`` ``columns``: the one
+    runner of the dense kernels. A step is a ``(matrix, first qubit)`` block,
+    a CNOT ``GateOp``, a phase vector, or a :class:`_PhaseRun` that builds
+    its vector on first use."""
+    for step in steps:
+        if isinstance(step, tuple):
+            columns = _apply_block(columns, *step)
         elif isinstance(step, GateOp):
-            tensor = columns.reshape([2] * n + [-1])
+            tensor = columns.reshape([2] * n_qubits_of(columns) + [-1])
             columns = _apply_cnot(tensor, step.control, step.target).reshape(columns.shape)
         else:
-            columns = _apply_1q(columns, *step)
+            vector = step.vector if isinstance(step, _PhaseRun) else step
+            columns = vector[:, np.newaxis] * columns
     return columns
 
 
 def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply circuit.ops in order to a state vector, or to each column of a
-    ``(2**n, batch)`` array, by stride updates (no 2^N matrix).
+    ``(2**n, batch)`` array, without building any 2^N matrix.
 
-    Rotation runs and diagonal gates are fused once per circuit before they
-    touch the state (see :func:`_fuse`); the result equals the gate-by-gate
+    The gates are fused once per circuit (see :func:`_fuse`): a chunk's
+    single-qubit layer touches the state as a few Kronecker blocks and its
+    diagonal gates as one phase vector. The result equals the gate-by-gate
     product to round-off.
     """
     n = n_qubits_of(state)
@@ -410,7 +477,7 @@ def apply_circuit(state: np.ndarray, circuit: Circuit) -> np.ndarray:
         raise ValueError(f"state has {n} qubits but circuit expects {circuit.n_qubits}")
     if state.ndim not in (1, 2):
         raise ValueError("expected a state vector or a (2**n, batch) array of them")
-    return _run_steps(state.reshape(2**n, -1), circuit).reshape(state.shape)
+    return _run_steps(state.reshape(2**n, -1), circuit.steps).reshape(state.shape)
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
@@ -418,7 +485,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     n = circuit.n_qubits
     require_square(n)
     # the basis columns, evolved at once
-    return _run_steps(np.eye(2**n, dtype=complex), circuit)
+    return _run_steps(np.eye(2**n, dtype=complex), circuit.steps)
 
 
 def expectation_zz(state: np.ndarray, i: int, j: int) -> float:

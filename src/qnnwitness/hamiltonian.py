@@ -38,8 +38,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError, _apply_1q
-from .core import qubit_pairs, require_dense, require_square, z_diagonal
+from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError
+from .core import _apply_block, _blocks, _kron, _run_steps, qubit_pairs, require_dense, require_square, z_diagonal
 
 
 @dataclass(frozen=True)
@@ -225,15 +225,24 @@ def _pair_phase_diagonal(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     return np.exp(-1j * dt * (np.asarray(params.coupling) @ _pair_parities(n)))
 
 
-def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int, dt: float) -> np.ndarray:
-    """Stream the split-operator evolution over a (2**n, batch) column array."""
+def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
+    """Each chunk's split-operator steps, built as they are read: its ZZ
+    phase vector, then its single-qubit layer as the Kronecker blocks of
+    :func:`qnnwitness.core._blocks`."""
+    blocks = _blocks(n)
     for ck in chunks:
-        columns = columns * _pair_phase_diagonal(ck, n, dt)[:, np.newaxis]
+        yield _pair_phase_diagonal(ck, n, dt)
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
-        for q, key in enumerate(zip(ck.tunneling, ck.bias)):
-            columns = _apply_1q(columns, factors[key], q)
-    return columns
+        layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
+        for q, k in blocks:
+            yield _kron(layer[q : q + k]), q
+
+
+def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int, dt: float) -> np.ndarray:
+    """Stream the split-operator evolution over a (2**n, batch) column array
+    through the gate kernel's runner."""
+    return _run_steps(columns, _chunked_steps(chunks, n, dt))
 
 
 # --- pair (x) Dicke space -----------------------------------------------
@@ -330,7 +339,7 @@ def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):
 def _pair_dicke_chunk(columns: np.ndarray, factors) -> np.ndarray:
     """Evolve ``(4(n-1), batch)`` pair (x) Dicke columns through one split-operator chunk."""
     phases, factor, power = factors
-    columns = _apply_1q(_apply_1q(columns * phases[:, np.newaxis], factor, 0), factor, 1)
+    columns = _apply_block(columns * phases[:, np.newaxis], _kron([factor, factor]), 0)
     if power is None:
         return columns
     return np.matmul(power, columns.reshape(4, len(power), -1)).reshape(columns.shape)
@@ -381,7 +390,7 @@ def _pair_dicke_backward_step(
         ])
         both = np.matmul(power.conj().T, both.reshape(4, len(power), -1)).reshape(both.shape)
     d_tunneling, d_bias = (d @ inverse for d in _single_qubit_factor_partials(tunneling, bias, dt))
-    both = _apply_1q(_apply_1q(both, inverse, 1), inverse, 0)
+    both = _apply_block(both, _kron([inverse, inverse]), 0)
     overlap = np.sum(both[:, batch:].conj() * both[:, :batch], axis=1)
     partials = np.array([
         2 * np.sum(d_tunneling * reduced).real,
@@ -670,8 +679,9 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     """Evolve a (dim,) state or a (batch, dim) stack of states.
 
     The stack is evolved as one C-ordered ``(2**n, batch)`` array.
-    ``chunked`` streams diagonal phases and 2x2 updates without building
-    any 2^N matrix. ``exact`` on a schedule of uniform chunks (the
+    ``chunked`` streams each chunk's phase vector and its single-qubit
+    layer as a few Kronecker blocks through the gate kernel's runner,
+    without building any 2^N matrix. ``exact`` on a schedule of uniform chunks (the
     ``Schedule.symmetric`` test) works in the total-spin sectors: one
     eigendecomposition of at most (n+1)-square blocks per chunk and a
     change to the coupled basis (:func:`spin_sectors`) and back, with no

@@ -3,16 +3,17 @@
 These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
-Kronecker products rather than stride updates, a run of shots draws
+2^n x 2^n Kronecker products rather than block updates, a run of shots draws
 one basis state per shot rather than one binomial count, gradients
 come from finite differences of the loss, or from tangents carried
 forward through dense 2^n states, rather than an adjoint sweep, and the
 verification report comes from full unitaries and density matrices
-rather than evolved blocks of basis rows. A call counter lets tests pin
-how often a kernel runs. One reference is not independent but pins
-arithmetic: :func:`run_circuit_unfused` regroups
-a gate list on every call, as the gate kernel did before it kept its
-fused steps on the circuit.
+rather than evolved blocks of basis rows, and the dense kernels' Kronecker
+blocks are checked against one 2x2 per gate or qubit. A call counter lets
+tests pin how often a kernel runs. One reference is not independent but
+pins arithmetic: :func:`run_circuit_unfused` regroups a gate list, its
+blocks included, on every call, where the gate kernel keeps its fused
+steps on the circuit.
 """
 
 from __future__ import annotations
@@ -278,7 +279,16 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
     bit for bit."""
     n, ops = circuit.n_qubits, circuit.ops
     rotations, z_only = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z), (GateKind.ROT_Z,)
+    block_of = [b for b, (_, k) in enumerate(core._blocks(n)) for _ in range(k)]
     half = None
+    layer = []  # (2x2, qubit) on ascending qubits of one block, not yet applied
+
+    def apply_layer(columns):
+        if layer:
+            columns = core._apply_block(columns, core._kron([u for u, _ in layer]), layer[0][1])
+            layer.clear()
+        return columns
+
     i = 0
     while i < len(ops):
         op = ops[i]
@@ -300,15 +310,52 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
             half = diagonal if half is None else half + diagonal
         else:
             if half is not None:
+                columns = apply_layer(columns)
                 columns, half = np.exp(-1j * half)[:, np.newaxis] * columns, None
             if op.kind is GateKind.CNOT:
+                columns = apply_layer(columns)
                 tensor = columns.reshape([2] * n + [-1])
                 columns = core._apply_cnot(tensor, op.control, op.target).reshape(columns.shape)
             else:
-                columns = core._apply_1q(columns, core._run_matrix(ops[i:end]), op.target)
+                q = op.target
+                if layer and (q != layer[-1][1] + 1 or block_of[q] != block_of[layer[-1][1]]):
+                    columns = apply_layer(columns)
+                layer.append((core._run_matrix(ops[i:end]), q))
         i = end
+    columns = apply_layer(columns)
     if half is not None:
         columns = np.exp(-1j * half)[:, np.newaxis] * columns
+    return columns
+
+
+def apply_gates_per_qubit(columns: np.ndarray, circuit) -> np.ndarray:
+    """Oracle for the gate kernel: every gate on its own, a rotation as its
+    2x2 on one qubit and a CNOT as a permutation of the rows, no fusing."""
+    n = circuit.n_qubits
+    index = np.arange(2**n)
+    pauli = {GateKind.ROT_X: PAULI_X, GateKind.ROT_Y: PAULI_Y, GateKind.ROT_Z: PAULI_Z}
+    for op in circuit.ops:
+        if op.kind is GateKind.CNOT:
+            control = (index >> (n - 1 - op.control)) & 1
+            columns = columns[index ^ (control << (n - 1 - op.target))]
+        else:
+            u = np.cos(op.angle / 2) * IDENTITY_2 - 1j * np.sin(op.angle / 2) * pauli[op.kind]
+            columns = _on_qubit(u, columns.T, op.target, n).T
+    return columns
+
+
+def evolve_chunked_per_qubit(columns: np.ndarray, schedule) -> np.ndarray:
+    """Oracle for the chunked kernel: per chunk the product of the ZZ phases,
+    then ``exp(-i dt (K X + eps Z))`` from an eigendecomposition, one 2x2 per
+    qubit in ascending order."""
+    n, dt = schedule.n_qubits, schedule.dt
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for ck in schedule.chunks:
+        generator = sum((zeta * z_diagonal(n, i) * z_diagonal(n, j) for zeta, (i, j) in zip(ck.coupling, pairs)),
+                        np.zeros(2**n))
+        columns = np.exp(-1j * dt * generator)[:, np.newaxis] * columns
+        for q, (tunneling, bias) in enumerate(zip(ck.tunneling, ck.bias)):
+            columns = _on_qubit(expm_eigh(tunneling * PAULI_X + bias * PAULI_Z, dt), columns.T, q, n).T
     return columns
 
 

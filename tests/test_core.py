@@ -25,16 +25,18 @@ from qnnwitness.core import (
     z_diagonal,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities, _single_qubit_factor
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities, _single_qubit_factor, evolve_states
 
 from helpers import (
     CNOT_MATRIX,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    apply_gates_per_qubit,
     basis_state,
     circuit_unitary_dense,
     count_calls,
+    evolve_chunked_per_qubit,
     expm_eigh,
     is_unitary,
     random_circuit,
@@ -317,8 +319,9 @@ class TestFusedSteps:
         # sizing fuses the gate list but builds no phase vector
         assert all(step._vector is None for step in phases)
         circuit_unitary(circuit)
+        blocks = [step[0] for step in circuit.steps if isinstance(step, tuple)]
         assert sized == (core._GATE_BYTES * len(circuit.ops) + core._STEP_BYTES * len(circuit.steps)
-                         + sum(step._vector.nbytes for step in phases))
+                         + sum(block.nbytes for block in blocks) + sum(step._vector.nbytes for step in phases))
 
     @pytest.mark.parametrize("elide", [True, False])
     @pytest.mark.parametrize("name", ["table2", "table3"])
@@ -369,6 +372,32 @@ class TestFusedSteps:
         finally:
             tracemalloc.stop()
         assert kept <= circuit.nbytes
+
+    def test_blocks_cover_the_register(self):
+        assert core._blocks(2) == ((0, 2),) and core._blocks(7) == ((0, 4), (4, 3))
+        for n in range(1, 15):
+            sizes = [k for _, k in core._blocks(n)]
+            assert len(sizes) == -(-n // core.BLOCK_QUBITS) and max(sizes) - min(sizes) <= 1
+            assert [q for q, _ in core._blocks(n)] == [sum(sizes[:b]) for b in range(len(sizes))]
+
+    def test_table3_fuses_to_four_phase_runs_and_eight_blocks(self, table3):
+        steps = compile_schedule.__wrapped__(table3).steps
+        shapes = [type(step) if not isinstance(step, tuple) else (step[0].shape, step[1]) for step in steps]
+        assert shapes == [core._PhaseRun, ((16, 16), 0), ((8, 8), 4)] * 4
+
+    @pytest.mark.parametrize("batch", [1, 4, 132])
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_blocks_match_one_2x2_per_qubit(self, n, batch):
+        rng = np.random.default_rng(100 * n + batch)
+        schedule = random_sparse_schedule(n, rng)
+        columns = rng.normal(size=(2**n, batch)) + 1j * rng.normal(size=(2**n, batch))
+        chunked = evolve_states(columns.T, schedule, "chunked").T
+        assert np.max(np.abs(chunked - evolve_chunked_per_qubit(columns, schedule))) <= 1e-13
+        # the elided circuit drops gates, so Rz-only qubits split its layers
+        for elide in (False, True):
+            circuit = compile_schedule.__wrapped__(schedule, elide=elide)
+            gates = apply_circuit(columns, circuit)
+            assert np.max(np.abs(gates - apply_gates_per_qubit(columns, circuit))) <= 1e-13
 
 
 class TestExpectationZZ:
