@@ -13,8 +13,8 @@ schedule file's optional ``"symmetric": true`` over non-uniform chunks),
 3 dimension error (a pair outside the register; a dense square array
 above 10 qubits, built by ``verify`` and by ``exact`` on a schedule with
 a non-uniform chunk; or arrays past the 128 MiB budget: dense states,
-training sets, and from 995 qubits the pair (x) Dicke operators that
-``witness`` under uniform chunks uses for ``exact`` and ``chunked``;
+training sets, and the pair (x) Dicke sweeps of ``witness`` under uniform
+chunks, with 4 chunks past 1130 qubits for ``chunked`` or 341 for ``exact``;
 each refused before allocation), 4 training divergence.
 """
 
@@ -52,6 +52,7 @@ EXIT_DIMENSION = 3
 EXIT_DIVERGED = 4
 
 GATE_EQUIVALENCE_THRESHOLD = 1e-9
+_STATES = {kind.value: kind for kind in PairStateKind}
 
 _REPRO_LINES = [
     "Table 1 (witness per state/method)    : qnnwitness witness --schedule table2 --pair 0,1 --state all --method all",
@@ -93,14 +94,6 @@ def _parse_pair(text: str, n_qubits: int) -> tuple[int, int]:
     if j >= n_qubits:
         raise _CliError(EXIT_DIMENSION, f"pair {text!r} out of range for {n_qubits} qubits")
     return i, j
-
-
-def _parse_state(name: str) -> PairStateKind:
-    for kind in PairStateKind:
-        if kind.value == name:
-            return kind
-    raise _CliError(EXIT_INPUT, f"unknown state {name!r}, expected one of "
-                    f"{[k.value for k in PairStateKind]} or 'all'")
 
 
 def _config_flags(args: argparse.Namespace) -> list[str]:
@@ -190,11 +183,12 @@ def _witness_arguments(p: argparse.ArgumentParser) -> None:
 def _cmd_witness(args: argparse.Namespace) -> int:
     schedule = _require_schedule(args)
     pair = _parse_pair(args.pair, schedule.n_qubits)
-    kinds = list(PairStateKind) if args.state == "all" else [_parse_state(args.state)]
+    if args.state != "all" and args.state not in _STATES:
+        raise _CliError(EXIT_INPUT, f"unknown state {args.state!r}, expected one of {list(_STATES)} or 'all'")
+    if args.method != "all" and args.method not in METHODS:
+        raise _CliError(EXIT_INPUT, f"unknown method {args.method!r}, expected one of {METHODS} or 'all'")
+    kinds = list(PairStateKind) if args.state == "all" else [_STATES[args.state]]
     methods = list(METHODS) if args.method == "all" else [args.method]
-    for method in methods:
-        if method not in METHODS:
-            raise _CliError(EXIT_INPUT, f"unknown method {method!r}, expected one of {METHODS} or 'all'")
     requested = TrainingSet(schedule.n_qubits, tuple(TrainingItem(kind, pair, WITNESS_TARGETS[kind]) for kind in kinds))
     # every method returns before any row is printed, so a refusal leaves stdout empty
     values = {method: witness_values(requested, schedule, method) for method in methods}
@@ -321,7 +315,9 @@ def _sample_arguments(p: argparse.ArgumentParser) -> None:
 def _cmd_sample(args: argparse.Namespace) -> int:
     schedule = _require_schedule(args)
     pair = _parse_pair(args.pair, schedule.n_qubits)
-    kind = _parse_state(args.state)
+    if args.state not in _STATES:  # witness alone also takes 'all'
+        raise _CliError(EXIT_INPUT, f"unknown state {args.state!r}, expected one of {list(_STATES)}")
+    kind = _STATES[args.state]
     counts = (args.shots,) if args.shots is not None else ShotConfig.shot_counts
     config = ShotConfig(shot_counts=counts, iterations=args.iterations, seed=args.seed)
     stats = sweep(schedule, kind, pair, config)

@@ -19,10 +19,10 @@ so ``chunked`` and compiled circuits agree to round-off.
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there, and both
-methods run on real operators built once per n. Callers supply those
-coordinates directly. Adjoint gradients run only there and return each
-chunk's shared (tunneling, bias, coupling) partials; dense states are
-evolved but never differentiated.
+methods run on O(n) real vectors built once per n (``exact`` adds one
+square operator). Callers supply those coordinates directly. Adjoint
+gradients run only there and return each chunk's shared (tunneling, bias,
+coupling) partials; dense states are evolved but never differentiated.
 """
 
 from __future__ import annotations
@@ -220,29 +220,18 @@ def _pair_parities(n: int) -> np.ndarray:
     return out
 
 
-def _pair_phase_diagonal(params: ChunkParams, n: int, dt: float) -> np.ndarray:
-    """Diagonal of the product of all ``exp(-i dt zeta_ij Z_i Z_j)`` factors."""
-    return np.exp(-1j * dt * (np.asarray(params.coupling) @ _pair_parities(n)))
-
-
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
     """Each chunk's split-operator steps, built as they are read: its ZZ
     phase vector, then its single-qubit layer as the Kronecker blocks of
     :func:`qnnwitness.core._blocks`."""
     blocks = _blocks(n)
     for ck in chunks:
-        yield _pair_phase_diagonal(ck, n, dt)
+        yield np.exp(-1j * dt * (np.asarray(ck.coupling) @ _pair_parities(n)))  # every exp(-i dt zeta_ij Z_i Z_j)
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
         layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
         for q, k in blocks:
             yield _kron(layer[q : q + k]), q
-
-
-def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int, dt: float) -> np.ndarray:
-    """Stream the split-operator evolution over a (2**n, batch) column array
-    through the gate kernel's runner."""
-    return _run_steps(columns, _chunked_steps(chunks, n, dt))
 
 
 # --- pair (x) Dicke space -----------------------------------------------
@@ -259,13 +248,12 @@ def _evolve_chunked(columns: np.ndarray, chunks: tuple[ChunkParams, ...], n: int
 
 
 class PairDicke(NamedTuple):
-    """Real operators of the pair (x) Dicke space of n qubits, m = n - 2."""
+    """Real operators of the pair (x) Dicke space of n qubits, m = n - 2: O(n) entries."""
 
-    transverse: np.ndarray  # X_0 + X_1 + S_x, 4(n-1) square
     bias: np.ndarray  # diagonal of Z_0 + Z_1 + S_z
     coupling: np.ndarray  # diagonal of sum_{i<j} Z_i Z_j = Z_0 Z_1 + (Z_0 + Z_1) S_z + (S_z^2 - m)/2
     readout: np.ndarray  # diagonal of Z_0 Z_1
-    spin_x: np.ndarray  # S_x on the (m+1)-dimensional Dicke block
+    spin_x: np.ndarray  # <D_{w+1}|S_x|D_w> = sqrt((w+1)(m-w)), the m entries beside the Dicke block's diagonal
     spin_z: np.ndarray  # diagonal of S_z on the Dicke block
 
     @property
@@ -273,40 +261,41 @@ class PairDicke(NamedTuple):
         return sum(array.nbytes for array in self)
 
 
-def pair_dicke_nbytes(n: int) -> int:
-    """The float64 bytes of ``pair_dicke_operators(n)``, counted without building them:
-    with ``k = n - 1``, ``(4k)^2 + 3 (4k)`` entries in the space and ``k^2 + k`` on its Dicke block."""
-    return 8 * (17 * (n - 1) ** 2 + 13 * (n - 1))
-
-
 @PARITY_CACHE
 def pair_dicke_operators(n: int) -> PairDicke:
-    """The operators of the pair (x) Dicke space, built once per n; refused from n = 995, past the dense budget."""
+    """The pair (x) Dicke space's diagonals and Dicke-block S_x, built once per n: 14 (n - 1) - 1 floats."""
     if n < 2:
         raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
-    nbytes = pair_dicke_nbytes(n)
-    if nbytes > DENSE_BYTES_BUDGET:
-        raise DimensionError(f"refusing {nbytes} bytes of pair (x) Dicke operators for {n} qubits "
-                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
     m = n - 2
     w = np.arange(m + 1.0)
-    steps = np.sqrt(w[1:] * (m - w[:-1]))
-    spin_x = np.diag(steps, -1) + np.diag(steps, 1)
     spin_z = m - 2 * w
     z0, z1 = np.repeat([1.0, 1.0, -1.0, -1.0], m + 1), np.repeat([1.0, -1.0, 1.0, -1.0], m + 1)
     sz = np.tile(spin_z, 4)
-    pair_x = np.array([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]], dtype=float)
     ops = PairDicke(
-        transverse=np.kron(pair_x, np.eye(m + 1)) + np.kron(np.eye(4), spin_x),
         bias=z0 + z1 + sz,
         coupling=z0 * z1 + (z0 + z1) * sz + (sz * sz - m) / 2,
         readout=z0 * z1,
-        spin_x=spin_x,
+        spin_x=np.sqrt(w[1:] * (m - w[:-1])),
         spin_z=spin_z,
     )
     for array in ops:
         array.flags.writeable = False
     return ops
+
+
+@PARITY_CACHE
+def pair_dicke_transverse(n: int) -> np.ndarray:
+    """``X_0 + X_1 + S_x``, 4(n-1) square, built once per n for ``exact`` alone:
+    X_0 and X_1 swap the blocks p and p ^ 2, p and p ^ 1; S_x is tridiagonal in each."""
+    steps, k = pair_dicke_operators(n).spin_x, n - 1
+    out = np.zeros((4, k, 4, k))
+    w = np.arange(k)
+    for p in range(4):
+        out[p, w, p ^ 1, w] = out[p, w, p ^ 2, w] = 1.0
+        out[p, w[1:], p, w[:-1]] = out[p, w[:-1], p, w[1:]] = steps
+    out = out.reshape(4 * k, 4 * k)
+    out.flags.writeable = False
+    return out
 
 
 def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
@@ -315,7 +304,7 @@ def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     tunneling, bias, coupling = params.shared
     ops = pair_dicke_operators(n)
-    h = tunneling * ops.transverse
+    h = tunneling * pair_dicke_transverse(n)
     h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
     return h
 
@@ -332,7 +321,10 @@ def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):
     # the factor's power on symmetric spectators is exp(-i dt (K S_x + eps S_z));
     # an eigh of that real tridiagonal generator keeps full precision at any
     # m, where expanding the power binomially cancels terms of size 2^(m/2)
-    eigvals, eigvecs = np.linalg.eigh(tunneling * ops.spin_x + np.diag(bias * ops.spin_z))
+    generator = np.diag(bias * ops.spin_z)  # eigh reads its lower triangle alone
+    generator.flat[len(generator) :: len(generator) + 1] = tunneling * ops.spin_x
+    eigvals, eigvecs = np.linalg.eigh(generator)
+    del generator  # not held through the power's complex products
     return phases, factor, (eigvecs * np.exp(-1j * dt * eigvals)) @ eigvecs.T
 
 
@@ -382,11 +374,10 @@ def _pair_dicke_backward_step(
         blocks = both.reshape(4, len(power), 2, batch)
         lam, psi = blocks[:, :, 1].conj(), blocks[:, :, 0]
         along = np.sum(lam * psi, axis=(0, 2))
-        steps = np.diagonal(ops.spin_x, -1)  # <D_{w+1}|S_x|D_w>
         m = len(power) - 1
         reduced = reduced + np.array([
-            [(m + ops.spin_z) / 2 @ along, steps @ np.sum(lam[:, :-1] * psi[:, 1:], axis=(0, 2))],
-            [steps @ np.sum(lam[:, 1:] * psi[:, :-1], axis=(0, 2)), (m - ops.spin_z) / 2 @ along],
+            [(m + ops.spin_z) / 2 @ along, ops.spin_x @ np.sum(lam[:, :-1] * psi[:, 1:], axis=(0, 2))],
+            [ops.spin_x @ np.sum(lam[:, 1:] * psi[:, :-1], axis=(0, 2)), (m - ops.spin_z) / 2 @ along],
         ])
         both = np.matmul(power.conj().T, both.reshape(4, len(power), -1)).reshape(both.shape)
     d_tunneling, d_bias = (d @ inverse for d in _single_qubit_factor_partials(tunneling, bias, dt))
@@ -430,7 +421,7 @@ def _exact_backward_step(
     # sum_xy G_xy Re M_xy for the three generators, from Re M = half V^T and its diagonal
     diagonal = np.sum(half * eigvecs, axis=1)
     partials = np.array([
-        2 * np.sum(half * (ops.transverse @ eigvecs)),
+        2 * np.sum(half * (pair_dicke_transverse(len(ops.spin_z) + 1) @ eigvecs)),  # spin_z has n - 1 entries
         2 * ops.bias @ diagonal,
         2 * ops.coupling @ diagonal,
     ])
@@ -441,8 +432,22 @@ def _exact_backward_step(
 def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
     """Per chunk, in chronological order, its forward map of pair (x) Dicke
     columns and its backward step. An exact chunk's one eigendecomposition
-    serves both."""
-    n, dt = schedule.n_qubits, schedule.dt
+    serves both. The one size rule of the pair (x) Dicke path refuses them,
+    before anything is built, if what each chunk holds and the working
+    arrays of building the last one would pass the dense budget."""
+    n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
+    k = n - 1
+    if method == "chunked":  # a complex k-square power and 4k phases; the power's eigenvectors and two complex copies
+        held, building = 16 * k * k + 64 * k, 40 * k * k
+    elif method == "exact":  # 4k-square eigenvectors; the transverse, chunk matrix, eigh's copy and 2 (4k)^2 workspace
+        held, building = 128 * k * k + 32 * k, 640 * k * k
+    else:
+        raise ValueError(f"unknown propagation method {method!r}")
+    # 2 KiB of Python objects per chunk; 1 KiB per k for the operators and the columns of 4 states and 4 co-states
+    nbytes = count * (held + 2048) + building + 1024 * k
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise DimensionError(f"refusing {nbytes} bytes of {method} sweeps for {n} qubits and {count} chunks "
+                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
     ops = pair_dicke_operators(n)
     sweeps = []
     for ck in schedule.chunks:
@@ -452,14 +457,12 @@ def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
                 partial(_pair_dicke_chunk, factors=factors),
                 partial(_pair_dicke_backward_step, params=ck, factors=factors, ops=ops, dt=dt),
             ))
-        elif method == "exact":
+        else:
             eigvals, eigvecs = np.linalg.eigh(pair_dicke_hamiltonian(ck, n))
             sweeps.append((
                 partial(_exact_chunk, eigvals=eigvals, eigvecs=eigvecs, dt=dt),
                 partial(_exact_backward_step, eigvals=eigvals, eigvecs=eigvecs, dt=dt, ops=ops),
             ))
-        else:
-            raise ValueError(f"unknown propagation method {method!r}")
     return sweeps
 
 
@@ -661,7 +664,7 @@ def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarr
     if dt <= 0:
         raise ValueError("dt must be positive")
     require_square(n)
-    return _evolve_chunked(np.eye(2**n, dtype=complex), (params,), n, dt)
+    return _run_steps(np.eye(2**n, dtype=complex), _chunked_steps((params,), n, dt))
 
 
 def chunk_propagators(schedule: Schedule, method: str = "exact") -> Iterator[np.ndarray]:
@@ -696,7 +699,7 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
         raise ValueError(f"state dimension {batch.shape[1]} does not match {n} qubits")
     columns = np.ascontiguousarray(batch.T)
     if method == "chunked":
-        columns = _evolve_chunked(columns, schedule.chunks, n, schedule.dt)
+        columns = _run_steps(columns, _chunked_steps(schedule.chunks, n, schedule.dt))
     elif method == "exact" and schedule.symmetric:
         columns = _evolve_sectors(columns, schedule)
     else:  # chunk_propagators refuses an unknown method

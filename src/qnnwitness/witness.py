@@ -195,7 +195,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     if schedule.symmetric and method in ("exact", "chunked"):
-        parities = pair_dicke_operators(n).readout[np.newaxis, :]  # past the budget, refused before anything is built
+        parities = pair_dicke_operators(n).readout[np.newaxis, :]  # O(n); past the budget the sweeps refuse first
         coords, rows = training_set.pair_dicke_orbits
         finals = evolve_pair_dicke(coords, schedule, method)
     else:

@@ -72,6 +72,11 @@ class TestWitnessCommand:
         assert (code, out) == (2, "")
         assert "pair (-1, 2) must satisfy 0 <= i < j < 7" in err
 
+    def test_an_unknown_state_exits_2_offering_all(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--schedule", "table2", "--state", "bell")
+        assert (code, out) == (2, "")
+        assert err == "error: unknown state 'bell', expected one of ['Bell', 'Flat', 'C', 'P'] or 'all'\n"
+
     def test_flat_gates_is_tiny(self, capsys):
         code, out, _ = run_cli(capsys, "witness", "--schedule", "table2", "--state", "Flat", "--method", "gates")
         assert code == 0
@@ -429,6 +434,13 @@ class TestSampleCommand:
         )
         assert code == 0
         assert out.splitlines()[0].startswith("shot_count,mean,variance")
+
+    @pytest.mark.parametrize("state", ["all", "bell"])
+    def test_an_unknown_state_exits_2_naming_only_what_sample_takes(self, capsys, state):
+        # witness takes 'all'; sample draws one state and must not offer it
+        code, out, err = run_cli(capsys, "sample", "--schedule", "table2", "--state", state, "--iterations", "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown state {state!r}, expected one of ['Bell', 'Flat', 'C', 'P']\n"
 
     def test_shot_count_beyond_int64_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--schedule", "table2", "--shots", str(10**20), "--iterations", "1")

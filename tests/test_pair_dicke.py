@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import hamiltonian, trainer
+from qnnwitness import cli, hamiltonian, trainer
 from qnnwitness.core import DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError, z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
@@ -28,8 +28,10 @@ from qnnwitness.hamiltonian import (
     evolve_pair_dicke,
     evolve_states,
     pair_dicke_hamiltonian,
-    pair_dicke_nbytes,
     pair_dicke_operators,
+    pair_dicke_transverse,
+    refine_schedule,
+    save_schedule,
     spin_sector_hamiltonian,
 )
 from qnnwitness.witness import (
@@ -111,18 +113,24 @@ class TestOperators:
     def test_generators_and_readout(self, n):
         basis = dicke_basis(n)
         ops = pair_dicke_operators(n)
-        for tunneling, bias, coupling, expected in ((1, 0, 0, ops.transverse), (0, 1, 0, np.diag(ops.bias)),
+        for tunneling, bias, coupling, expected in ((1, 0, 0, pair_dicke_transverse(n)), (0, 1, 0, np.diag(ops.bias)),
                                                     (0, 0, 1, np.diag(ops.coupling))):
             dense = build_hamiltonian(ChunkParams.uniform(n, tunneling, bias, coupling), n)
             assert np.max(np.abs(basis.T @ dense @ basis - expected)) <= 1e-12
         parity = z_diagonal(n, 0) * z_diagonal(n, 1)
         assert np.max(np.abs(basis.T @ (parity[:, np.newaxis] * basis) - np.diag(ops.readout))) <= 1e-12
+        # the m entries beside the Dicke block's diagonal are S_x on the spectators' block
+        spin_x = np.diag(ops.spin_x, -1) + np.diag(ops.spin_x, 1)
+        assert np.max(np.abs(pair_dicke_transverse(n)[: n - 1, : n - 1] - spin_x)) <= 1e-12
 
     def test_operators_are_cached_read_only(self):
-        ops = pair_dicke_operators(7)
-        assert pair_dicke_operators(7) is ops
-        assert ops.transverse.shape == (24, 24) and not ops.transverse.flags.writeable
-        assert ops.nbytes == pair_dicke_nbytes(7) <= pair_dicke_operators.cache_info().nbytes
+        ops, transverse = pair_dicke_operators(7), pair_dicke_transverse(7)
+        assert pair_dicke_operators(7) is ops and pair_dicke_transverse(7) is transverse
+        assert [array.shape for array in ops] == [(24,), (24,), (24,), (5,), (6,)]
+        assert transverse.shape == (24, 24)
+        assert not any(array.flags.writeable for array in (*ops, transverse))
+        assert ops.nbytes <= pair_dicke_operators.cache_info().nbytes
+        assert transverse.nbytes <= pair_dicke_transverse.cache_info().nbytes
 
     def test_non_uniform_chunk_is_refused(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -152,51 +160,94 @@ def measured(call):
         tracemalloc.stop()
 
 
+def traced_peak(call):
+    """What ``call()`` returns and its tracemalloc peak in bytes, with the
+    operator store emptied first, so that the peak includes building it."""
+    pair_dicke_operators.cache_clear()
+    pair_dicke_transverse.cache_clear()
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def bell_set(n: int) -> TrainingSet:
+    return TrainingSet(n, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
+
+
+# (method, chunks of table3 lifted and refined, the largest n the sweep rule admits)
+LARGEST_ADMITTED = [("chunked", 4, 1130), ("chunked", 1024, 88), ("exact", 4, 341)]
+
+
+def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
+    return refine_schedule(lifted(table3, n), chunks // table3.n_chunks)
+
+
 class TestOperatorStore:
     """The operators share ``core.PARITY_CACHE`` and its byte budget with every other array derived from n alone."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
-    def test_predicted_bytes_are_the_built_bytes(self, n):
-        assert pair_dicke_operators(n).nbytes == pair_dicke_nbytes(n)
-
-    def test_the_budget_first_refuses_995_qubits(self):
-        # 994 qubits take 127.99 MiB; that set is not built here
-        assert pair_dicke_nbytes(994) <= DENSE_BYTES_BUDGET < pair_dicke_nbytes(995)
-
-    def test_a_set_past_the_budget_is_refused_before_it_is_built(self):
-        error, elapsed, peak = measured(lambda: pair_dicke_operators(995))
-        assert "995 qubits" in str(error)
-        assert elapsed < 0.5 and peak < 2**20
-
-    @pytest.mark.parametrize("method", ["exact", "chunked"])
-    def test_witness_values_past_the_budget_are_refused_before_allocating(self, method):
-        schedule = Schedule(995, 1.58, (ChunkParams.uniform(995, 2.5, 0.1, 0.05),))
-        bell = TrainingSet(995, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
-        error, elapsed, peak = measured(lambda: witness_values(bell, schedule, method))
-        assert "pair (x) Dicke operators for 995 qubits" in str(error)
-        assert elapsed < 0.5 and peak < 2**20
+    def test_the_set_holds_14_floats_per_qubit(self, n):
+        # 4(n-1) entries in each of bias, coupling and readout, n-2 in spin_x and n-1 in spin_z
+        assert pair_dicke_operators(n).nbytes == 8 * (14 * (n - 1) - 1)
 
     def test_store_keeps_at_most_the_budget(self):
-        # n = 2..200 take 345 MiB between them; the most recent stay, within the shared budget
+        # the transverse operators of n = 2..200 take 323 MiB between them; the
+        # most recent stay, within the shared budget
         try:
             for n in range(2, 201):
-                pair_dicke_operators(n)
+                pair_dicke_transverse(n)
                 assert PARITY_CACHE.nbytes <= DENSE_BYTES_BUDGET
-            info = pair_dicke_operators.cache_info()
+            info = pair_dicke_transverse.cache_info()
             assert 0 < info.currsize < 199
-            assert info.nbytes == sum(map(pair_dicke_nbytes, range(201 - info.currsize, 201)))
+            assert info.nbytes == sum(8 * (4 * (n - 1)) ** 2 for n in range(201 - info.currsize, 201))
         finally:
+            pair_dicke_transverse.cache_clear()
             pair_dicke_operators.cache_clear()
 
     def test_the_benchmark_resets_the_store(self):
         # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
         # module attribute that has cache_clear and names that module as its own
-        pair_dicke_operators(3)
+        pair_dicke_transverse(3)
         found = [value for value in vars(hamiltonian).values()
                  if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == hamiltonian.__name__]
-        assert pair_dicke_operators in found
-        pair_dicke_operators.cache_clear()
-        assert pair_dicke_operators.cache_info() == (0, 0, 0, 0)
+        assert pair_dicke_operators in found and pair_dicke_transverse in found
+        for store in (pair_dicke_operators, pair_dicke_transverse):
+            store.cache_clear()
+            assert store.cache_info() == (0, 0, 0, 0)
+
+
+class TestSweepBudget:
+    """``_chunk_sweeps`` holds the one size rule of the pair (x) Dicke path."""
+
+    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    def test_the_largest_admitted_sweep_peaks_under_the_budget(self, table3, method, chunks, n):
+        schedule = lifted_chunks(table3, n, chunks)
+        values, peak = traced_peak(lambda: witness_values(bell_set(n), schedule, method))
+        assert 0 <= values[0] <= 1
+        assert peak < DENSE_BYTES_BUDGET
+
+    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    def test_witness_values_past_the_budget_are_refused_before_allocating(self, table3, method, chunks, n):
+        schedule = lifted_chunks(table3, n + 1, chunks)
+        error, elapsed, peak = measured(lambda: witness_values(bell_set(n + 1), schedule, method))
+        assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
+        assert elapsed < 0.5 and peak < 2**20
+
+    def test_gradients_past_the_budget_are_refused(self, table3):
+        schedule = lifted(table3, 342)
+        with pytest.raises(DimensionError, match="exact sweeps for 342 qubits"):
+            trainer.gradient(schedule, bell_set(342), trainer.TrainerConfig(method="exact"))
+
+    def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
+        # one exact chunk is admitted up to 418 qubits; a short file refuses the next size up
+        path = tmp_path / "s419.json"
+        save_schedule(Schedule(419, 1.58, (ChunkParams.uniform(419, 2.5, 0.1, 0.05),)), path)
+        code = cli.main(["witness", "--schedule", str(path), "--state", "Bell", "--method", "exact"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert "exact sweeps for 419 qubits and 1 chunks" in captured.err
 
 
 class TestCoordinates:
