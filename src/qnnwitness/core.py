@@ -126,8 +126,8 @@ class ArrayCache:
 
 
 # Every array derived from n alone: ``z_diagonal``, ``hamiltonian._pair_parities``,
-# ``hamiltonian.pair_dicke_operators``, ``hamiltonian.pair_dicke_transverse`` and
-# ``hamiltonian.spin_sectors`` keep at most one dense budget between them.
+# ``hamiltonian.pair_dicke_operators`` and ``hamiltonian.spin_sectors`` keep at
+# most one dense budget between them.
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 

@@ -19,8 +19,8 @@ so ``chunked`` and compiled circuits agree to round-off.
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there, and both
-methods run on O(n) real vectors built once per n (``exact`` adds one
-square operator). Callers supply those coordinates directly. Adjoint
+methods run on O(n) real arrays built once per n; nothing 4(n-1)-square
+is kept between calls. Callers supply those coordinates directly. Adjoint
 gradients run only there and return each chunk's shared (tunneling, bias,
 coupling) partials; dense states are evolved but never differentiated.
 """
@@ -215,7 +215,9 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
 def _pair_parities(n: int) -> np.ndarray:
     """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
     require_dense(n, n * (n - 1) // 2, itemsize=8)
-    out = np.array([z_diagonal(n, i) * z_diagonal(n, j) for i, j in qubit_pairs(n)]).reshape(-1, 2**n)
+    out = np.empty((n * (n - 1) // 2, 2**n))
+    for row, (i, j) in zip(out, qubit_pairs(n)):  # filled in place: no list of rows beside the table
+        np.multiply(z_diagonal(n, i), z_diagonal(n, j), out=row)
     out.flags.writeable = False
     return out
 
@@ -255,6 +257,8 @@ class PairDicke(NamedTuple):
     readout: np.ndarray  # diagonal of Z_0 Z_1
     spin_x: np.ndarray  # <D_{w+1}|S_x|D_w> = sqrt((w+1)(m-w)), the m entries beside the Dicke block's diagonal
     spin_z: np.ndarray  # diagonal of S_z on the Dicke block
+    transverse_at: np.ndarray  # flat positions of X_0 + X_1 + S_x's nonzero entries in the 4(n-1)-square matrix
+    transverse: np.ndarray  # the entries there: 1 for the block swaps, spin_x on the Dicke ladder
 
     @property
     def nbytes(self) -> int:
@@ -263,39 +267,32 @@ class PairDicke(NamedTuple):
 
 @PARITY_CACHE
 def pair_dicke_operators(n: int) -> PairDicke:
-    """The pair (x) Dicke space's diagonals and Dicke-block S_x, built once per n: 14 (n - 1) - 1 floats."""
+    """The pair (x) Dicke space's diagonals and its sparse X_0 + X_1 + S_x,
+    built once per n: 14 (n - 1) - 1 floats and 16 (n - 1) - 8 positions and values."""
     if n < 2:
         raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
     m = n - 2
     w = np.arange(m + 1.0)
     spin_z = m - 2 * w
+    spin_x = np.sqrt(w[1:] * (m - w[:-1]))
     z0, z1 = np.repeat([1.0, 1.0, -1.0, -1.0], m + 1), np.repeat([1.0, -1.0, 1.0, -1.0], m + 1)
     sz = np.tile(spin_z, 4)
+    # X_0 and X_1 swap the blocks p and p ^ 2, p and p ^ 1; S_x links w and w + 1 in each block
+    index, p = np.arange(4 * (m + 1)).reshape(4, m + 1), np.arange(4)
+    rows = np.concatenate([index, index, index[:, 1:], index[:, :-1]], axis=None)
+    cols = np.concatenate([index[p ^ 1], index[p ^ 2], index[:, :-1], index[:, 1:]], axis=None)
     ops = PairDicke(
         bias=z0 + z1 + sz,
         coupling=z0 * z1 + (z0 + z1) * sz + (sz * sz - m) / 2,
         readout=z0 * z1,
-        spin_x=np.sqrt(w[1:] * (m - w[:-1])),
+        spin_x=spin_x,
         spin_z=spin_z,
+        transverse_at=rows * (4 * (m + 1)) + cols,
+        transverse=np.concatenate([np.ones(8 * (m + 1)), np.tile(spin_x, 8)]),
     )
     for array in ops:
         array.flags.writeable = False
     return ops
-
-
-@PARITY_CACHE
-def pair_dicke_transverse(n: int) -> np.ndarray:
-    """``X_0 + X_1 + S_x``, 4(n-1) square, built once per n for ``exact`` alone:
-    X_0 and X_1 swap the blocks p and p ^ 2, p and p ^ 1; S_x is tridiagonal in each."""
-    steps, k = pair_dicke_operators(n).spin_x, n - 1
-    out = np.zeros((4, k, 4, k))
-    w = np.arange(k)
-    for p in range(4):
-        out[p, w, p ^ 1, w] = out[p, w, p ^ 2, w] = 1.0
-        out[p, w[1:], p, w[:-1]] = out[p, w[:-1], p, w[1:]] = steps
-    out = out.reshape(4 * k, 4 * k)
-    out.flags.writeable = False
-    return out
 
 
 def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
@@ -304,8 +301,9 @@ def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     tunneling, bias, coupling = params.shared
     ops = pair_dicke_operators(n)
-    h = tunneling * pair_dicke_transverse(n)
-    h.flat[:: len(h) + 1] += bias * ops.bias + coupling * ops.coupling
+    h = np.zeros((len(ops.bias),) * 2)
+    h.flat[ops.transverse_at] = tunneling * ops.transverse
+    h.flat[:: len(h) + 1] = bias * ops.bias + coupling * ops.coupling
     return h
 
 
@@ -412,21 +410,31 @@ def _exact_backward_step(
     coords = eigvecs.T @ both
     coords[:, :batch] *= backward  # states before the chunk
     phases = dt * eigvals
-    # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2)
     half_phase = np.exp(-0.5j * phases)[:, np.newaxis]
-    overlap = (coords[:, batch:].conj() * half_phase) @ (coords[:, :batch] * half_phase).T
-    weights = dt * np.sinc(np.subtract.outer(phases, phases) / (2 * np.pi)) * overlap.imag
-    # V is real, so Re M = V Re(Phi o S) V^T; keep its left half and contract rows
-    half = eigvecs @ weights
-    # sum_xy G_xy Re M_xy for the three generators, from Re M = half V^T and its diagonal
-    diagonal = np.sum(half * eigvecs, axis=1)
-    partials = np.array([
-        2 * np.sum(half * (pair_dicke_transverse(len(ops.spin_z) + 1) @ eigvecs)),  # spin_z has n - 1 entries
-        2 * ops.bias @ diagonal,
-        2 * ops.coupling @ diagonal,
-    ])
+    lam, psi = coords[:, batch:].conj() * half_phase, coords[:, :batch] * half_phase
     coords[:, batch:] *= backward
-    return eigvecs @ coords, partials
+    before = eigvecs @ coords  # evolved back before any square working array exists
+    # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2),
+    # and Im(a b^T) = Im a Re b^T + Re a Im b^T is one real product
+    x = np.subtract.outer(phases / 2, phases / 2)
+    zero = x == 0
+    x[zero] = 1.0
+    weights = np.sin(x)
+    weights /= x  # sin x / x before the product: the product divided by a subnormal x overflows
+    weights[zero] = 1.0  # the limit of sin x / x at 0
+    del x, zero
+    weights *= np.hstack((lam.imag, lam.real)) @ np.hstack((psi.real, psi.imag)).T
+    # V is real, so Re M = V Re(Phi o S) V^T; dt and 2 multiply the three partials
+    re_m = eigvecs @ weights
+    del weights
+    re_m = re_m @ eigvecs.T
+    diagonal = re_m.diagonal()
+    partials = 2 * dt * np.array([
+        ops.transverse @ re_m.flat[ops.transverse_at],
+        ops.bias @ diagonal,
+        ops.coupling @ diagonal,
+    ])
+    return before, partials
 
 
 def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
@@ -439,7 +447,8 @@ def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
     k = n - 1
     if method == "chunked":  # a complex k-square power and 4k phases; the power's eigenvectors and two complex copies
         held, building = 16 * k * k + 64 * k, 40 * k * k
-    elif method == "exact":  # 4k-square eigenvectors; the transverse, chunk matrix, eigh's copy and 2 (4k)^2 workspace
+    elif method == "exact":  # 4k-square eigenvectors; to build the last, the chunk matrix, eigh's copy and
+        # 2 (4k)^2 workspace, and one to spare: an evolve or backward step later holds at most 2.2 (4k)^2
         held, building = 128 * k * k + 32 * k, 640 * k * k
     else:
         raise ValueError(f"unknown propagation method {method!r}")

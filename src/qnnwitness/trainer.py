@@ -142,12 +142,12 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     coords, rows = training_set.pair_dicke_orbits
-    readout = pair_dicke_operators(n).readout
     targets = training_set.targets
     loss = math.nan
 
     def costate(finals: np.ndarray) -> np.ndarray:
         nonlocal loss
+        readout = pair_dicke_operators(n).readout  # read after the sweep rule has admitted n
         zz = np.sum(np.abs(finals) ** 2 * readout, axis=1)
         loss = float(np.sum((witness_readout(zz, rows) - targets) ** 2))
         item_zz = zz[rows]

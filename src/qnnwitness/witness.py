@@ -195,9 +195,9 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     if schedule.symmetric and method in ("exact", "chunked"):
-        parities = pair_dicke_operators(n).readout[np.newaxis, :]  # O(n); past the budget the sweeps refuse first
         coords, rows = training_set.pair_dicke_orbits
-        finals = evolve_pair_dicke(coords, schedule, method)
+        finals = evolve_pair_dicke(coords, schedule, method)  # past the budget the sweeps refuse first
+        parities = pair_dicke_operators(n).readout[np.newaxis, :]
     else:
         items = training_set.items
         rows = np.arange(len(items))

@@ -31,7 +31,7 @@ from qnnwitness.hamiltonian import (
     spin_sector_hamiltonian,
     spin_sectors,
 )
-from qnnwitness.witness import PairStateKind, make_pair_state
+from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, make_pair_state, witness_values
 
 from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, expm_eigh, expm_taylor, is_unitary, random_state
 
@@ -319,6 +319,24 @@ class TestChunkedPropagator:
                 tuple(rng.uniform(-3, 3, size=3)),
             )
             assert is_unitary(chunked_chunk_propagator(params, 3, 0.5), tol=1e-12)
+
+    def test_a_non_uniform_16_qubit_witness_peaks_under_the_budget(self, table3):
+        # the C(16, 2) x 2^16 pair parities are 60 MiB; the table is filled in
+        # place, so the chunked witness stays inside the budget that gates keeps
+        chunks = [ChunkParams.uniform(16, *ck.shared) for ck in table3.chunks]
+        first = chunks[0]
+        chunks[0] = ChunkParams((first.tunneling[0] + 0.01,) + first.tunneling[1:], first.bias, first.coupling)
+        schedule = Schedule(16, table3.total_time, tuple(chunks))
+        bell = TrainingSet(16, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
+        _pair_parities.cache_clear()
+        tracemalloc.start()
+        try:
+            value = witness_values(bell, schedule, "chunked")[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < DENSE_BYTES_BUDGET
+        assert abs(value - witness_values(bell, schedule, "gates")[0]) <= 1e-12
 
 
 class TestPropagate:

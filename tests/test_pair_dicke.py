@@ -29,7 +29,6 @@ from qnnwitness.hamiltonian import (
     evolve_states,
     pair_dicke_hamiltonian,
     pair_dicke_operators,
-    pair_dicke_transverse,
     refine_schedule,
     save_schedule,
     spin_sector_hamiltonian,
@@ -113,7 +112,8 @@ class TestOperators:
     def test_generators_and_readout(self, n):
         basis = dicke_basis(n)
         ops = pair_dicke_operators(n)
-        for tunneling, bias, coupling, expected in ((1, 0, 0, pair_dicke_transverse(n)), (0, 1, 0, np.diag(ops.bias)),
+        transverse = pair_dicke_hamiltonian(ChunkParams.uniform(n, 1.0, 0.0, 0.0), n)  # X_0 + X_1 + S_x
+        for tunneling, bias, coupling, expected in ((1, 0, 0, transverse), (0, 1, 0, np.diag(ops.bias)),
                                                     (0, 0, 1, np.diag(ops.coupling))):
             dense = build_hamiltonian(ChunkParams.uniform(n, tunneling, bias, coupling), n)
             assert np.max(np.abs(basis.T @ dense @ basis - expected)) <= 1e-12
@@ -121,16 +121,14 @@ class TestOperators:
         assert np.max(np.abs(basis.T @ (parity[:, np.newaxis] * basis) - np.diag(ops.readout))) <= 1e-12
         # the m entries beside the Dicke block's diagonal are S_x on the spectators' block
         spin_x = np.diag(ops.spin_x, -1) + np.diag(ops.spin_x, 1)
-        assert np.max(np.abs(pair_dicke_transverse(n)[: n - 1, : n - 1] - spin_x)) <= 1e-12
+        assert np.max(np.abs(transverse[: n - 1, : n - 1] - spin_x)) <= 1e-12
 
     def test_operators_are_cached_read_only(self):
-        ops, transverse = pair_dicke_operators(7), pair_dicke_transverse(7)
-        assert pair_dicke_operators(7) is ops and pair_dicke_transverse(7) is transverse
-        assert [array.shape for array in ops] == [(24,), (24,), (24,), (5,), (6,)]
-        assert transverse.shape == (24, 24)
-        assert not any(array.flags.writeable for array in (*ops, transverse))
+        ops = pair_dicke_operators(7)
+        assert pair_dicke_operators(7) is ops
+        assert [array.shape for array in ops] == [(24,), (24,), (24,), (5,), (6,), (88,), (88,)]
+        assert not any(array.flags.writeable for array in ops)
         assert ops.nbytes <= pair_dicke_operators.cache_info().nbytes
-        assert transverse.nbytes <= pair_dicke_transverse.cache_info().nbytes
 
     def test_non_uniform_chunk_is_refused(self):
         with pytest.raises(ValueError, match="uniform"):
@@ -164,7 +162,6 @@ def traced_peak(call):
     """What ``call()`` returns and its tracemalloc peak in bytes, with the
     operator store emptied first, so that the peak includes building it."""
     pair_dicke_operators.cache_clear()
-    pair_dicke_transverse.cache_clear()
     tracemalloc.start()
     try:
         return call(), tracemalloc.get_traced_memory()[1]
@@ -176,46 +173,52 @@ def bell_set(n: int) -> TrainingSet:
     return TrainingSet(n, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
 
 
-# (method, chunks of table3 lifted and refined, the largest n the sweep rule admits)
-LARGEST_ADMITTED = [("chunked", 4, 1130), ("chunked", 1024, 88), ("exact", 4, 341)]
+# (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits)
+LARGEST_ADMITTED = [("chunked", 4, 1130), ("chunked", 1024, 88), ("exact", 4, 341), ("exact", 1, 418)]
+EXACT_ADMITTED = [case for case in LARGEST_ADMITTED if case[0] == "exact"]
 
 
 def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
-    return refine_schedule(lifted(table3, n), chunks // table3.n_chunks)
+    schedule = lifted(table3, n)
+    if chunks < schedule.n_chunks:
+        return Schedule(n, schedule.total_time, schedule.chunks[:chunks])
+    return refine_schedule(schedule, chunks // schedule.n_chunks)
 
 
 class TestOperatorStore:
     """The operators share ``core.PARITY_CACHE`` and its byte budget with every other array derived from n alone."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
-    def test_the_set_holds_14_floats_per_qubit(self, n):
-        # 4(n-1) entries in each of bias, coupling and readout, n-2 in spin_x and n-1 in spin_z
-        assert pair_dicke_operators(n).nbytes == 8 * (14 * (n - 1) - 1)
+    def test_the_set_holds_46_words_per_qubit(self, n):
+        # 4(n-1) floats in each of bias, coupling and readout, n-2 in spin_x and
+        # n-1 in spin_z; 8(n-1) block swaps and 8(n-2) ladder entries of
+        # X_0 + X_1 + S_x, each a position and a value
+        assert pair_dicke_operators(n).nbytes == 8 * (14 * (n - 1) - 1) + 16 * (16 * (n - 1) - 8)
 
     def test_store_keeps_at_most_the_budget(self):
-        # the transverse operators of n = 2..200 take 323 MiB between them; the
-        # most recent stay, within the shared budget
+        # the qubit diagonals of n = 21 take 336 MiB between them: the 8 most
+        # recent fill the budget, and the operator sets built before them go first
         try:
             for n in range(2, 201):
-                pair_dicke_transverse(n)
+                pair_dicke_operators(n)
+            for q in range(21):
+                z_diagonal(21, q)
                 assert PARITY_CACHE.nbytes <= DENSE_BYTES_BUDGET
-            info = pair_dicke_transverse.cache_info()
-            assert 0 < info.currsize < 199
-            assert info.nbytes == sum(8 * (4 * (n - 1)) ** 2 for n in range(201 - info.currsize, 201))
+            assert z_diagonal.cache_info()[2:] == (8, DENSE_BYTES_BUDGET)
+            assert pair_dicke_operators.cache_info()[2:] == (0, 0)
         finally:
-            pair_dicke_transverse.cache_clear()
+            z_diagonal.cache_clear()
             pair_dicke_operators.cache_clear()
 
     def test_the_benchmark_resets_the_store(self):
         # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
         # module attribute that has cache_clear and names that module as its own
-        pair_dicke_transverse(3)
+        pair_dicke_operators(3)
         found = [value for value in vars(hamiltonian).values()
                  if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == hamiltonian.__name__]
-        assert pair_dicke_operators in found and pair_dicke_transverse in found
-        for store in (pair_dicke_operators, pair_dicke_transverse):
-            store.cache_clear()
-            assert store.cache_info() == (0, 0, 0, 0)
+        assert pair_dicke_operators in found
+        pair_dicke_operators.cache_clear()
+        assert pair_dicke_operators.cache_info() == (0, 0, 0, 0)
 
 
 class TestSweepBudget:
@@ -235,10 +238,21 @@ class TestSweepBudget:
         assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
         assert elapsed < 0.5 and peak < 2**20
 
-    def test_gradients_past_the_budget_are_refused(self, table3):
-        schedule = lifted(table3, 342)
-        with pytest.raises(DimensionError, match="exact sweeps for 342 qubits"):
-            trainer.gradient(schedule, bell_set(342), trainer.TrainerConfig(method="exact"))
+    @pytest.mark.parametrize("method, chunks, n", EXACT_ADMITTED)
+    def test_the_largest_admitted_gradient_peaks_under_the_budget(self, table3, method, chunks, n):
+        schedule = lifted_chunks(table3, n, chunks)
+        config = trainer.TrainerConfig(method=method)
+        (_, grad), peak = traced_peak(lambda: trainer.gradient(schedule, bell_set(n), config))
+        assert grad.shape == (3 * chunks,) and np.all(np.isfinite(grad))
+        assert peak < DENSE_BYTES_BUDGET
+
+    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    def test_gradients_past_the_budget_are_refused_before_allocating(self, table3, method, chunks, n):
+        schedule = lifted_chunks(table3, n + 1, chunks)
+        config = trainer.TrainerConfig(method=method)
+        error, elapsed, peak = measured(lambda: trainer.gradient(schedule, bell_set(n + 1), config))
+        assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
+        assert elapsed < 0.5 and peak < 2**20
 
     def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
         # one exact chunk is admitted up to 418 qubits; a short file refuses the next size up
@@ -309,6 +323,8 @@ class TestAgreement:
     # off, and the exact oracle 1.7e-12 (of |g| = 63)
     @example(n=5, params=[(1.0, 0.0, 0.0)], total_time=2.375)
     @example(n=5, params=[(1.0, 0.0, 0.0)], total_time=2.0)
+    # eigenvalue gaps of 2e-311: the exact adjoint must not divide by the subnormal half-gap
+    @example(n=2, params=[(0.0, 0.0, 1.0), (0.0, 0.0, 2.225073858507e-311)], total_time=1.0)
     def test_drawn_symmetric_schedules(self, n, params, total_time):
         schedule = Schedule(n, total_time, tuple(ChunkParams.uniform(n, *p) for p in params))
         for method in ("chunked", "exact"):
