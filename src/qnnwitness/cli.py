@@ -13,7 +13,8 @@ schedule file's optional ``"symmetric": true`` over non-uniform chunks),
 3 dimension error (a pair outside the register; a dense square array
 above 10 qubits, built by ``verify`` and by ``exact`` on a schedule with
 a non-uniform chunk; or arrays past the 128 MiB budget: dense states,
-training sets, and the pair (x) Dicke sweeps of ``witness`` under uniform
+refused at one size for ``gates`` and for ``chunked`` on a non-uniform
+schedule, training sets, and the pair (x) Dicke sweeps of ``witness`` under uniform
 chunks, with 4 chunks past 1130 qubits for ``chunked`` or 341 for ``exact``;
 each refused before allocation), 4 training divergence.
 """
@@ -28,7 +29,7 @@ from pathlib import Path
 from .compiler import compile_schedule, export_qasm, gate_counts, verify_equivalence
 from .core import DimensionError
 from .fixtures import FIXTURE_NAMES, fixture_path
-from .hamiltonian import Schedule, ScheduleFormatError, load_schedule, save_schedule
+from .hamiltonian import Schedule, ScheduleFormatError, save_schedule, schedule_from_json
 from .sampler import MAX_ITERATIONS, ShotConfig, sweep, sweep_csv
 from .trainer import (
     MAX_CHUNKS,
@@ -71,15 +72,18 @@ class _CliError(Exception):
         self.code = code
 
 
-def _resolve_schedule(spec: str) -> Schedule:
-    if spec in FIXTURE_NAMES:
-        path = fixture_path(spec)
-    else:
-        path = Path(spec)
-        if not path.exists():
-            raise _CliError(EXIT_INPUT, f"schedule file not found: {spec}")
+def _read(path: Path, what: str, spec: str) -> str:
+    """The file's text, read once: a file missing when it is read is reported as missing."""
     try:
-        return load_schedule(path)
+        return path.read_text()
+    except FileNotFoundError as exc:
+        raise _CliError(EXIT_INPUT, f"{what} file not found: {spec}") from exc
+
+
+def _resolve_schedule(spec: str) -> Schedule:
+    text = _read(fixture_path(spec) if spec in FIXTURE_NAMES else Path(spec), "schedule", spec)
+    try:
+        return schedule_from_json(text)
     except ScheduleFormatError as exc:
         raise _CliError(EXIT_INPUT, f"bad schedule {spec}: {exc}") from exc
 
@@ -101,11 +105,9 @@ def _config_flags(args: argparse.Namespace) -> list[str]:
     and values that no flag could spell fail."""
     if not getattr(args, "config", None):
         return []
-    path = Path(args.config)
-    if not path.exists():
-        raise _CliError(EXIT_INPUT, f"config file not found: {args.config}")
+    text = _read(Path(args.config), "config", args.config)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _CliError(EXIT_INPUT, f"bad config file: {exc}") from exc
     if not isinstance(doc, dict):

@@ -125,9 +125,10 @@ class ArrayCache:
         return cached
 
 
-# Every array derived from n alone: ``z_diagonal``, ``hamiltonian._pair_parities``,
-# ``hamiltonian.pair_dicke_operators`` and ``hamiltonian.spin_sectors`` keep at
-# most one dense budget between them.
+# Every array derived from n alone: ``z_diagonal`` (read by ``expectation_zz``
+# alone), ``hamiltonian.pair_dicke_operators`` and ``hamiltonian.spin_sectors``
+# keep at most one dense budget between them. The dense phases and read-outs
+# store nothing here: they read their signs from the index bits (``z_signs``).
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 
@@ -240,10 +241,42 @@ def z_diagonal(n: int, q: int) -> np.ndarray:
     """Diagonal of Z on qubit q as a length-2^n array of +-1."""
     if not 0 <= q < n:
         raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    bits = (np.arange(2**n) >> (n - 1 - q)) & 1
-    diag = 1.0 - 2.0 * bits
+    diag = z_signs(n, (q,), np.arange(2**n))[0]
     diag.flags.writeable = False
     return diag
+
+
+_Z_EIGENVALUES = np.array([1.0, -1.0])  # of a qubit's bit 0 and bit 1
+
+
+def z_signs(n: int, qubits, index: np.ndarray) -> np.ndarray:
+    """The +-1 of Z on each of ``qubits`` at each basis index in ``index``,
+    read from the index bits: a ``(len(qubits), len(index))`` float array."""
+    return _Z_EIGENVALUES[(index >> (n - 1 - np.asarray(qubits))[:, np.newaxis]) & 1]
+
+
+# Basis indices per block of ising_diagonal: the block's index bits, its
+# signs and their product with the couplings are a few n x 4096 arrays,
+# 2.6 MiB at n = 20, where the output is 8 MiB.
+_ISING_ROWS = 2**12
+
+
+def ising_diagonal(fields: np.ndarray, couplings: np.ndarray) -> np.ndarray:
+    """``sum_q a_q z_q + sum_{i<j} b_ij z_i z_j`` at each of the 2**n basis
+    states: the one ZZ-phase kernel. ``fields`` holds the n coefficients
+    ``a``; ``couplings`` is the n-square ``b``, zero on and below its
+    diagonal. It runs over blocks of the basis index with the block's
+    ``(n, rows)`` signs S, as ``((b @ S + a) * S).sum(0)``, so besides its
+    output it holds O(n) floats per row of one block."""
+    n = len(fields)
+    qubits, fields = np.arange(n), np.asarray(fields)[:, np.newaxis]
+    out = np.empty(2**n)
+    for start in range(0, 2**n, _ISING_ROWS):
+        signs = z_signs(n, qubits, np.arange(start, min(start + _ISING_ROWS, 2**n)))
+        terms = couplings @ signs + fields
+        terms *= signs
+        terms.sum(axis=0, out=out[start : start + signs.shape[1]])
+    return out
 
 
 def n_qubits_of(state: np.ndarray) -> int:
@@ -359,13 +392,14 @@ class _PhaseRun:
     @property
     def vector(self) -> np.ndarray:
         if self._vector is None:
-            half = None  # summed half-angles; diagonal gates commute
+            # diagonal gates commute: sum the half-angles per qubit and per pair
+            fields, couplings = np.zeros(self.n), np.zeros((self.n, self.n))
             for angle, qubits in self._terms:
-                diagonal = 0.5 * angle * z_diagonal(self.n, qubits[0])
-                if len(qubits) == 2:
-                    diagonal = diagonal * z_diagonal(self.n, qubits[1])
-                half = diagonal if half is None else half + diagonal
-            vector = np.exp(-1j * half)
+                if len(qubits) == 1:
+                    fields[qubits[0]] += 0.5 * angle
+                else:
+                    couplings[min(qubits), max(qubits)] += 0.5 * angle
+            vector = np.exp(-1j * ising_diagonal(fields, couplings))
             vector.flags.writeable = False
             self._vector, self._terms = vector, None
         return self._vector

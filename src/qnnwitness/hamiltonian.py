@@ -16,6 +16,14 @@ single-qubit factors in ascending qubit order; chunks apply in
 chronological order. The gate compiler reproduces exactly this ordering,
 so ``chunked`` and compiled circuits agree to round-off.
 
+Every dense ZZ phase and Hamiltonian diagonal comes from one kernel,
+:func:`qnnwitness.core.ising_diagonal`, which reads the +-1 of each Z from
+the bits of the basis index a block of rows at a time: no table of the
+C(n, 2) pair diagonals is built, so ``chunked`` runs wherever the compiled
+circuit does. A schedule document is checked in bulk, chunk by chunk
+(sizes, then its pair keys as one set, then its numbers in one pass), and
+walked value by value only to word a refusal.
+
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there, and both
@@ -32,14 +40,13 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from itertools import combinations
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError
-from .core import _apply_block, _blocks, _kron, _run_steps, qubit_pairs, require_dense, require_square, z_diagonal
+from .core import _apply_block, _blocks, _kron, _run_steps, ising_diagonal, qubit_pairs, require_square
 
 
 @dataclass(frozen=True)
@@ -146,12 +153,18 @@ def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
     require_square(n)
     rows = np.arange(2**n)
     h = np.zeros((2**n, 2**n))
-    diag = np.asarray(params.coupling) @ _pair_parities(n)
     for q in range(n):
         h[rows, rows ^ (1 << (n - 1 - q))] = params.tunneling[q]
-        diag += params.bias[q] * z_diagonal(n, q)
-    h[rows, rows] = diag
+    h[rows, rows] = ising_diagonal(np.array(params.bias), _coupling_matrix(params))
     return h
+
+
+def _coupling_matrix(params: ChunkParams) -> np.ndarray:
+    """The chunk's ``zeta_ij`` above the diagonal of an n-square matrix, zeros elsewhere."""
+    qubits = np.arange(params.n_qubits)
+    upper = np.zeros((len(qubits), len(qubits)))
+    upper[qubits[:, np.newaxis] < qubits] = params.coupling  # row-major (i, j > i): the order of qubit_pairs
+    return upper
 
 
 @lru_cache(maxsize=DENSE_BYTES_BUDGET // (16 * 4**DEFAULT_UNITARY_CAP))
@@ -211,24 +224,13 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
     return d_tunneling, d_bias
 
 
-@PARITY_CACHE  # each entry up to 128 MiB
-def _pair_parities(n: int) -> np.ndarray:
-    """``(C(n, 2), 2**n)`` array of the ``Z_i Z_j`` diagonals in ``qubit_pairs`` order."""
-    require_dense(n, n * (n - 1) // 2, itemsize=8)
-    out = np.empty((n * (n - 1) // 2, 2**n))
-    for row, (i, j) in zip(out, qubit_pairs(n)):  # filled in place: no list of rows beside the table
-        np.multiply(z_diagonal(n, i), z_diagonal(n, j), out=row)
-    out.flags.writeable = False
-    return out
-
-
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
     """Each chunk's split-operator steps, built as they are read: its ZZ
     phase vector, then its single-qubit layer as the Kronecker blocks of
     :func:`qnnwitness.core._blocks`."""
     blocks = _blocks(n)
     for ck in chunks:
-        yield np.exp(-1j * dt * (np.asarray(ck.coupling) @ _pair_parities(n)))  # every exp(-i dt zeta_ij Z_i Z_j)
+        yield np.exp(-1j * dt * ising_diagonal(np.zeros(n), _coupling_matrix(ck)))  # every exp(-i dt zeta_ij Z_i Z_j)
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
         layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
@@ -783,6 +785,48 @@ def _json_numbers(value, what: str) -> tuple[float, ...]:
     return tuple(_json_number(item, f"{what} entry {idx}") for idx, item in enumerate(value))
 
 
+def _refuse_pair_keys(zeta: dict, n: int, pos: int) -> None:
+    """Walk a chunk's zeta keys, only to word the first one that is not a pair
+    of n qubits, or else the first pair it lacks; return if it lacks none."""
+    seen = set()
+    for key in zeta:
+        try:
+            i, j = (int(part) for part in key.split(","))
+        except ValueError as exc:
+            raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}") from exc
+        if key != f"{i},{j}":
+            raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}, expected 'i,j'")
+        if not (0 <= i < j < n):
+            raise ScheduleFormatError(f"zeta pair {key!r} out of range in chunk {pos}")
+        seen.add((i, j))
+    if len(seen) != n * (n - 1) // 2:
+        # every pair before the first missing one is in seen, so this reads no more pairs than the document holds
+        i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in seen)
+        raise ScheduleFormatError(f"zeta is missing pair '{i},{j}' in chunk {pos}")
+
+
+def _chunk_from_json(raw: dict, keys: list[str], pos: int) -> ChunkParams:
+    """One chunk whose keys and sizes are checked. Its numbers are checked in
+    one pass; they are walked one by one only to word a refusal."""
+    tunneling, bias = raw["K"], raw["eps"]
+    coupling = list(map(raw["zeta"].__getitem__, keys))
+    # exact types: json.loads makes no subclass of int or float, and a bool is no number here
+    if type(tunneling) is list and type(bias) is list and {
+        *map(type, coupling), *map(type, tunneling), *map(type, bias)
+    } <= {int, float}:
+        try:
+            return ChunkParams(tunneling, bias, coupling)
+        except (ValueError, OverflowError):  # a non-finite value or sum, or an int that float() cannot hold
+            pass
+    coupling = tuple(_json_number(value, f"zeta pair '{key}' in chunk {pos}") for key, value in zip(keys, coupling))
+    tunneling = _json_numbers(tunneling, f"'K' in chunk {pos}")
+    bias = _json_numbers(bias, f"'eps' in chunk {pos}")
+    try:  # finite entries can still sum past the largest float
+        return ChunkParams(tunneling, bias, coupling)
+    except (TypeError, ValueError) as exc:
+        raise ScheduleFormatError(f"bad chunk {pos}: {exc}") from exc
+
+
 def schedule_from_json(text: str) -> Schedule:
     try:
         doc = json.loads(text)
@@ -804,8 +848,10 @@ def schedule_from_json(text: str) -> Schedule:
     total_time = _json_number(doc["total_time"], "'total_time'")
     if not doc["chunks"]:
         raise ScheduleFormatError("schedule needs at least one chunk")
-    # every size is checked against n before the C(n, 2) pairs are built, so
-    # that refusing a document takes time in proportion to its length
+    # each chunk's sizes are checked against n before the C(n, 2) pair keys
+    # are built, so that refusing a document takes time in proportion to its
+    # length; the keys are then built once, and each chunk's compared at once
+    keys = expected = None
     for pos, raw in enumerate(doc["chunks"]):
         if not isinstance(raw, dict):
             raise ScheduleFormatError(f"chunk {pos} must be a JSON object")
@@ -818,39 +864,22 @@ def schedule_from_json(text: str) -> Schedule:
         zeta = raw["zeta"]
         if not isinstance(zeta, dict):
             raise ScheduleFormatError(f"'zeta' in chunk {pos} must be an object keyed by 'i,j'")
-        seen = set()
-        for key in zeta:
-            try:
-                i, j = (int(part) for part in key.split(","))
-            except ValueError as exc:
-                raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}") from exc
-            if key != f"{i},{j}":
-                raise ScheduleFormatError(f"bad zeta pair key {key!r} in chunk {pos}, expected 'i,j'")
-            if not (0 <= i < j < n):
-                raise ScheduleFormatError(f"zeta pair {key!r} out of range in chunk {pos}")
-            seen.add((i, j))
-        if len(seen) != n * (n - 1) // 2:
-            # every pair before the first missing one is in seen
-            i, j = next(pair for pair in combinations(range(n), 2) if pair not in seen)
-            raise ScheduleFormatError(f"zeta is missing pair '{i},{j}' in chunk {pos}")
-        for key in ("K", "eps"):
-            if isinstance(raw[key], list) and len(raw[key]) != n:
-                raise ScheduleFormatError(f"'{key}' in chunk {pos} has {len(raw[key])} entries for {n} qubits")
-    pairs = qubit_pairs(n)
-    chunks = []
-    for pos, raw in enumerate(doc["chunks"]):
-        coupling = tuple(_json_number(raw["zeta"][f"{i},{j}"], f"zeta pair '{i},{j}' in chunk {pos}") for i, j in pairs)
-        tunneling = _json_numbers(raw["K"], f"'K' in chunk {pos}")
-        bias = _json_numbers(raw["eps"], f"'eps' in chunk {pos}")
-        try:  # finite entries can still sum past the largest float
-            chunks.append(ChunkParams(tunneling, bias, coupling))
-        except (TypeError, ValueError) as exc:
-            raise ScheduleFormatError(f"bad chunk {pos}: {exc}") from exc
+        wrong = [key for key in ("K", "eps") if isinstance(raw[key], list) and len(raw[key]) != n]
+        if len(zeta) == n * (n - 1) // 2 and not wrong:
+            if keys is None:
+                keys = [f"{i},{j}" for i, j in qubit_pairs(n)]
+                expected = set(keys)
+            if zeta.keys() == expected:
+                continue
+        _refuse_pair_keys(zeta, n, pos)  # a key's refusal comes before its chunk's sizes
+        key = wrong[0]
+        raise ScheduleFormatError(f"'{key}' in chunk {pos} has {len(raw[key])} entries for {n} qubits")
+    chunks = tuple(_chunk_from_json(raw, keys, pos) for pos, raw in enumerate(doc["chunks"]))
     symmetric = doc.get("symmetric", False)
     if not isinstance(symmetric, bool):
         raise ScheduleFormatError(f"'symmetric' must be true or false, got {symmetric!r}")
     try:
-        schedule = Schedule(n_qubits=n, total_time=total_time, chunks=tuple(chunks))
+        schedule = Schedule(n_qubits=n, total_time=total_time, chunks=chunks)
     except (TypeError, ValueError) as exc:
         raise ScheduleFormatError(str(exc)) from exc
     if symmetric and not schedule.symmetric:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import apply_circuit, expectation_zz, qubit_pairs, require_dense, z_diagonal
+from .core import apply_circuit, expectation_zz, qubit_pairs, require_dense, z_signs
 from .core import circuit_unitary  # unused here; the benchmark tracer patches witness.circuit_unitary
 from .hamiltonian import Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
 
@@ -203,7 +203,10 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         rows = np.arange(len(items))
         require_dense(n, len(items))
         finals = evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
-        parities = np.stack([z_diagonal(n, i) * z_diagonal(n, j) for i, j in (item.pair for item in items)])
+        # each pair's Z_i Z_j from its two index bits, not from cached diagonals
+        index = np.arange(2**n)
+        parity = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
+        parities = np.stack([parity[item.pair] for item in items])
     return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
 
 

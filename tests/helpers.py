@@ -276,11 +276,12 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
     """The gate kernel with its runs regrouped on every call: the same
     rewrites, in the same order and with the same arithmetic, as the fused
     steps that ``apply_circuit`` keeps on a circuit, so results match them
-    bit for bit."""
+    bit for bit. A diagonal run sums its half-angles per qubit and per pair
+    and forms its phases with ``core.ising_diagonal``, as a kept run does."""
     n, ops = circuit.n_qubits, circuit.ops
     rotations, z_only = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z), (GateKind.ROT_Z,)
     block_of = [b for b, (_, k) in enumerate(core._blocks(n)) for _ in range(k)]
-    half = None
+    half = None  # the diagonal run's (fields, couplings), not yet applied
     layer = []  # (2x2, qubit) on ascending qubits of one block, not yet applied
 
     def apply_layer(columns):
@@ -292,26 +293,31 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
     i = 0
     while i < len(ops):
         op = ops[i]
-        diagonal = None
+        term = None
         if op.kind is GateKind.CNOT:
             end = core._rotation_run_end(ops, i + 1, op.target, z_only)
             closing = ops[end] if end < len(ops) else None
             if closing is not None and closing.kind is GateKind.CNOT and closing.qubits == op.qubits:
-                angle = sum(g.angle for g in ops[i + 1 : end])
-                diagonal = 0.5 * angle * z_diagonal(n, op.control) * z_diagonal(n, op.target)
+                term = sum(g.angle for g in ops[i + 1 : end]), (op.control, op.target)
                 end += 1
             else:
                 end = i + 1
         else:
             end = core._rotation_run_end(ops, i, op.target, rotations)
             if core._rotation_run_end(ops, i, op.target, z_only) == end:
-                diagonal = 0.5 * sum(g.angle for g in ops[i:end]) * z_diagonal(n, op.target)
-        if diagonal is not None:
-            half = diagonal if half is None else half + diagonal
+                term = sum(g.angle for g in ops[i:end]), (op.target,)
+        if term is not None:
+            if half is None:
+                half = np.zeros(n), np.zeros((n, n))
+            angle, qubits = term
+            if len(qubits) == 1:
+                half[0][qubits[0]] += 0.5 * angle
+            else:
+                half[1][min(qubits), max(qubits)] += 0.5 * angle
         else:
             if half is not None:
                 columns = apply_layer(columns)
-                columns, half = np.exp(-1j * half)[:, np.newaxis] * columns, None
+                columns, half = np.exp(-1j * core.ising_diagonal(*half))[:, np.newaxis] * columns, None
             if op.kind is GateKind.CNOT:
                 columns = apply_layer(columns)
                 tensor = columns.reshape([2] * n + [-1])
@@ -324,7 +330,7 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
         i = end
     columns = apply_layer(columns)
     if half is not None:
-        columns = np.exp(-1j * half)[:, np.newaxis] * columns
+        columns = np.exp(-1j * core.ising_diagonal(*half))[:, np.newaxis] * columns
     return columns
 
 

@@ -475,6 +475,33 @@ class TestConfigFile:
         assert "shotz" in err
 
 
+class TestFilesRemovedWhileRead:
+    """A file that exists when the command starts but is gone when it is read
+    is reported as missing, as one that never existed is."""
+
+    @pytest.fixture
+    def vanishing(self, tmp_path, monkeypatch):
+        path = tmp_path / "gone.json"
+        path.write_text(json.dumps({"schedule": "table2"}))
+        read_text = Path.read_text
+
+        def read_after_removal(self, *args, **kwargs):
+            if self == path:
+                path.unlink()
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", read_after_removal)
+        return str(path)
+
+    def test_schedule_file(self, capsys, vanishing):
+        code, out, err = run_cli(capsys, "witness", "--schedule", vanishing)
+        assert (code, out, err) == (2, "", f"error: schedule file not found: {vanishing}\n")
+
+    def test_config_file(self, capsys, vanishing):
+        code, out, err = run_cli(capsys, "witness", "--config", vanishing)
+        assert (code, out, err) == (2, "", f"error: config file not found: {vanishing}\n")
+
+
 class TestNegativeSeed:
     @pytest.mark.parametrize("argv", [["train", "--seed", "-5"], ["train", "--schedule", "table2", "--seed", "-5"],
                                       ["bootstrap", "--seed", "-5"]], ids=["train", "train_schedule", "bootstrap"])

@@ -33,7 +33,6 @@ from qnnwitness.core import (
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
-    _pair_parities,
     chunk_propagators,
     exact_chunk_propagator,
     load_schedule,
@@ -320,7 +319,7 @@ class TestVerifyEquivalence:
         # four 16 MiB exact propagators the cache keeps; holding the whole
         # evolved basis of each picture, or the three unitaries, does not fit
         schedule = _non_uniform_schedule(10)
-        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, _pair_parities):
+        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal):
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -346,7 +345,7 @@ class TestVerifyEquivalence:
         # exact runs in the spin sectors, so no 16 MiB propagator is built or cached
         schedule = Schedule(10, table3.total_time, tuple(
             ChunkParams.uniform(10, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in table3.chunks))
-        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, _pair_parities, spin_sectors):
+        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, spin_sectors):
             cache.cache_clear()
         tracemalloc.start()
         try:

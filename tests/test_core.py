@@ -21,11 +21,12 @@ from qnnwitness.core import (
     density_matrix,
     expectation_zz,
     frobenius_distance,
+    ising_diagonal,
     require_dense,
     z_diagonal,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _pair_parities, _single_qubit_factor, evolve_states
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor, evolve_states, pair_dicke_operators
 
 from helpers import (
     CNOT_MATRIX,
@@ -463,19 +464,19 @@ class TestRequireDense:
 
     def test_parity_caches_keep_at_most_the_byte_bound(self):
         # every qubit of n = 20 is 20 diagonals of 8 MiB; the 16 most recent
-        # fill the 128 MiB bound, which the pair parities share
+        # fill the 128 MiB bound, which the pair (x) Dicke operators share
         n, size = 20, 8 * 2**20
         z_diagonal.cache_clear()
-        _pair_parities.cache_clear()
-        _pair_parities(7)
-        assert _pair_parities.cache_info().currsize == 1
+        pair_dicke_operators.cache_clear()
+        pair_dicke_operators(7)
+        assert pair_dicke_operators.cache_info().currsize == 1
         try:
             for q in range(n):
                 z_diagonal(n, q)
             info = z_diagonal.cache_info()
             assert PARITY_CACHE.nbytes <= PARITY_CACHE.max_bytes
             assert (info.currsize, info.nbytes) == (16, 16 * size)
-            assert _pair_parities.cache_info().currsize == 0  # evicted first, as least recently used
+            assert pair_dicke_operators.cache_info().currsize == 0  # evicted first, as least recently used
             misses = info.misses
             z_diagonal(n, n - 1)
             assert z_diagonal.cache_info().misses == misses
@@ -483,6 +484,27 @@ class TestRequireDense:
             assert z_diagonal.cache_info().misses == misses + 1
         finally:
             z_diagonal.cache_clear()
+
+
+class TestIsingDiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 7, 13])  # 13 qubits span two blocks of the index
+    def test_matches_the_sum_of_qubit_diagonals(self, n):
+        rng = np.random.default_rng(n)
+        fields, couplings = rng.normal(size=n), np.triu(rng.normal(size=(n, n)), 1)
+        want = sum(fields[q] * z_diagonal(n, q) for q in range(n))
+        want = want + sum(couplings[i, j] * z_diagonal(n, i) * z_diagonal(n, j) for i in range(n) for j in range(i + 1, n))
+        assert np.max(np.abs(ising_diagonal(fields, couplings) - want)) <= 1e-12
+
+    def test_holds_a_few_blocks_besides_its_output(self):
+        # the C(20, 2) pair diagonals of 20 qubits would take 1.5 GiB
+        n = 20
+        tracemalloc.start()
+        try:
+            ising_diagonal(np.ones(n), np.triu(np.ones((n, n)), 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**n + 4 * 2**20
 
 
 class TestFrobeniusDistance:

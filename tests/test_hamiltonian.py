@@ -9,8 +9,8 @@ import pytest
 
 from qnnwitness import cli
 from qnnwitness.compiler import verify_equivalence
-from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, Circuit, DimensionError
-from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, require_square
+from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError
+from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, require_square, z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -18,7 +18,6 @@ from qnnwitness.hamiltonian import (
     build_hamiltonian,
     chunk_propagators,
     chunked_chunk_propagator,
-    _pair_parities,
     _single_qubit_factor,
     _single_qubit_factor_partials,
     evolve_states,
@@ -113,13 +112,16 @@ class TestSchedule:
 
 
 class TestBuildHamiltonian:
-    def test_pair_parity_cache_is_bounded(self):
-        # n = 2 and n = 7 stay cached together under the byte bound shared with z_diagonal
-        _pair_parities.cache_clear()
-        for n in (2, 7, 2, 7):
-            _pair_parities(n)
-        assert _pair_parities.cache_info().misses == 2
-        assert PARITY_CACHE.nbytes <= PARITY_CACHE.max_bytes
+    def test_no_dense_path_stores_a_parity_diagonal(self):
+        # the Hamiltonian's diagonal, the chunked phases and the gates' phase
+        # runs read their signs from the index bits, not from z_diagonal
+        z_diagonal.cache_clear()
+        schedule = Schedule(3, 1.0, (DISTINCT_3, ChunkParams.uniform(3, 0.4, 0.2, 0.3)))
+        items = TrainingSet(3, (TrainingItem(PairStateKind.BELL, (0, 2), 1.0),))
+        build_hamiltonian(DISTINCT_3, 3)
+        for method in ("exact", "chunked", "gates"):
+            witness_values(items, schedule, method)
+        assert z_diagonal.cache_info().currsize == 0
 
     def test_pure_zz(self):
         h = build_hamiltonian(ChunkParams.uniform(2, 0.0, 0.0, 1.0), 2)
@@ -320,15 +322,15 @@ class TestChunkedPropagator:
             )
             assert is_unitary(chunked_chunk_propagator(params, 3, 0.5), tol=1e-12)
 
-    def test_a_non_uniform_16_qubit_witness_peaks_under_the_budget(self, table3):
-        # the C(16, 2) x 2^16 pair parities are 60 MiB; the table is filled in
-        # place, so the chunked witness stays inside the budget that gates keeps
-        chunks = [ChunkParams.uniform(16, *ck.shared) for ck in table3.chunks]
+    def test_a_non_uniform_17_qubit_witness_matches_gates_under_the_budget(self, table3):
+        # the C(17, 2) x 2^17 pair parities would take 136 MiB; the phases come
+        # from the index bits in blocks, so chunked runs where gates does
+        chunks = [ChunkParams.uniform(17, *ck.shared) for ck in table3.chunks]
         first = chunks[0]
         chunks[0] = ChunkParams((first.tunneling[0] + 0.01,) + first.tunneling[1:], first.bias, first.coupling)
-        schedule = Schedule(16, table3.total_time, tuple(chunks))
-        bell = TrainingSet(16, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
-        _pair_parities.cache_clear()
+        schedule = Schedule(17, table3.total_time, tuple(chunks))
+        bell = TrainingSet(17, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
+        z_diagonal.cache_clear()
         tracemalloc.start()
         try:
             value = witness_values(bell, schedule, "chunked")[0]
@@ -336,6 +338,7 @@ class TestChunkedPropagator:
         finally:
             tracemalloc.stop()
         assert peak < DENSE_BYTES_BUDGET
+        assert abs(value - 0.18510982629857214) <= 1e-12
         assert abs(value - witness_values(bell, schedule, "gates")[0]) <= 1e-12
 
 
@@ -510,6 +513,76 @@ class TestSpinSectors:
         assert peak < 2**20
 
 
+def _chunk(K=(1.0, 1.0), eps=(0.0, 0.0), zeta=None, **extra) -> dict:
+    return {"K": K, "eps": eps, "zeta": {"0,1": 0.5} if zeta is None else zeta, **extra}
+
+
+def _document(n=2, chunks=None, **extra) -> str:
+    return json.dumps({"n_qubits": n, "total_time": 1.0, "chunks": [_chunk()] if chunks is None else chunks, **extra})
+
+
+# (id, document, the full refusal) for each class of malformed schedule; where a
+# document breaks several rules, the message names the first in document order
+_REFUSALS = [
+    ("invalid_json", "{not json",
+     "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("not_an_object", "[]", "schedule document must be a JSON object"),
+    ("unknown_key", _document(bogus=1), "unknown key 'bogus' in schedule document"),
+    ("missing_key", '{"n_qubits": 2, "total_time": 1.0}', "missing key 'chunks' in schedule document"),
+    ("n_qubits_zero", _document(0), "'n_qubits' must be a positive integer"),
+    ("n_qubits_bool", _document(True), "'n_qubits' must be a positive integer"),
+    ("n_qubits_float", _document(2.0), "'n_qubits' must be a positive integer"),
+    ("chunks_not_a_list", _document(chunks={}), "'chunks' must be a list of chunk objects"),
+    ("no_chunks", _document(chunks=[]), "schedule needs at least one chunk"),
+    ("total_time_string", _document(total_time="1"), "'total_time' must be a finite number, got '1'"),
+    ("total_time_negative", _document(total_time=-1.0), "total_time must be positive and finite"),
+    ("chunk_not_an_object", _document(chunks=[_chunk(), [1]]), "chunk 1 must be a JSON object"),
+    ("unknown_chunk_key", _document(chunks=[_chunk(J=1)]), "unknown key 'J' in chunk 0"),
+    ("missing_chunk_key", _document(chunks=[{"K": [1, 1], "eps": [0, 0]}]), "missing key 'zeta' in chunk 0"),
+    ("zeta_not_an_object", _document(chunks=[_chunk(zeta=[0.5])]), "'zeta' in chunk 0 must be an object keyed by 'i,j'"),
+    ("pair_key_spaced", _document(chunks=[_chunk(zeta={"0, 1": 0.5})]),
+     "bad zeta pair key '0, 1' in chunk 0, expected 'i,j'"),
+    ("pair_key_padded", _document(chunks=[_chunk(zeta={"0,01": 0.5})]),
+     "bad zeta pair key '0,01' in chunk 0, expected 'i,j'"),
+    ("pair_key_unsplit", _document(chunks=[_chunk(zeta={"01": 0.5})]), "bad zeta pair key '01' in chunk 0"),
+    ("pair_key_letters", _document(chunks=[_chunk(zeta={"a,b": 0.5})]), "bad zeta pair key 'a,b' in chunk 0"),
+    ("pair_out_of_range", _document(chunks=[_chunk(zeta={"0,2": 0.5})]), "zeta pair '0,2' out of range in chunk 0"),
+    ("pair_reversed", _document(chunks=[_chunk(zeta={"1,0": 0.5})]), "zeta pair '1,0' out of range in chunk 0"),
+    ("pair_extra", _document(chunks=[_chunk(zeta={"0,1": 0.5, "0,2": 0.5})]), "zeta pair '0,2' out of range in chunk 0"),
+    ("pair_missing", _document(3, [_chunk(K=[1] * 3, eps=[0] * 3, zeta={"0,1": 0.5, "1,2": 0.5})]),
+     "zeta is missing pair '0,2' in chunk 0"),
+    ("pair_missing_in_chunk_1", _document(chunks=[_chunk(), _chunk(zeta={})]), "zeta is missing pair '0,1' in chunk 1"),
+    ("K_length", _document(chunks=[_chunk(K=[1.0])]), "'K' in chunk 0 has 1 entries for 2 qubits"),
+    ("eps_length", _document(chunks=[_chunk(eps=[0.0] * 3)]), "'eps' in chunk 0 has 3 entries for 2 qubits"),
+    ("bad_key_before_own_length", _document(chunks=[_chunk(K=[1.0], zeta={"0, 1": 0.5})]),
+     "bad zeta pair key '0, 1' in chunk 0, expected 'i,j'"),
+    ("bad_key_before_later_length", _document(chunks=[_chunk(zeta={"0, 1": 0.5}), _chunk(K=[1.0])]),
+     "bad zeta pair key '0, 1' in chunk 0, expected 'i,j'"),
+    ("bad_key_before_later_chunk", _document(chunks=[_chunk(zeta={"0, 1": 0.5}), 5]),
+     "bad zeta pair key '0, 1' in chunk 0, expected 'i,j'"),
+    ("length_before_earlier_value", _document(chunks=[_chunk(zeta={"0,1": "x"}), _chunk(K=[1.0])]),
+     "'K' in chunk 1 has 1 entries for 2 qubits"),
+    ("K_not_a_list", _document(chunks=[_chunk(K="11")]), "'K' in chunk 0 must be a list of numbers, got '11'"),
+    ("zeta_string", _document(chunks=[_chunk(zeta={"0,1": "0.5"})]),
+     "zeta pair '0,1' in chunk 0 must be a finite number, got '0.5'"),
+    ("zeta_null", _document(chunks=[_chunk(zeta={"0,1": None})]),
+     "zeta pair '0,1' in chunk 0 must be a finite number, got None"),
+    ("zeta_before_K", _document(chunks=[_chunk(K=[1.0, "x"], zeta={"0,1": True})]),
+     "zeta pair '0,1' in chunk 0 must be a finite number, got True"),
+    ("K_bool", _document(chunks=[_chunk(K=[1.0, True])]), "'K' in chunk 0 entry 1 must be a finite number, got True"),
+    ("eps_nan", _document(chunks=[_chunk(eps=[0.0, math.nan])]), "'eps' in chunk 0 entry 1 must be a finite number, got nan"),
+    ("zeta_infinity", _document(chunks=[_chunk(zeta={"0,1": -math.inf})]),
+     "zeta pair '0,1' in chunk 0 must be a finite number, got -inf"),
+    ("K_int_past_float", _document(chunks=[_chunk(K=[1.0, 10**309])]),
+     f"'K' in chunk 0 entry 1 must be a finite number, got {10**309}"),
+    ("sum_overflows", _document(chunks=[_chunk(eps=[1e308, 1e308], zeta={"0,1": 1e308})]),
+     "bad chunk 0: Hamiltonian parameters must be finite, and so must the sum of their magnitudes"),
+    ("symmetric_not_a_bool", _document(symmetric=1), "'symmetric' must be true or false, got 1"),
+    ("symmetric_over_non_uniform", _document(symmetric=True, chunks=[_chunk(K=[1.0, 2.0])]),
+     "'symmetric' is true but the chunk parameters are not uniform"),
+]
+
+
 class TestScheduleJson:
     def test_round_trip(self, table2):
         assert schedule_from_json(schedule_to_json(table2)) == table2
@@ -557,3 +630,30 @@ class TestScheduleJson:
         path = tmp_path / "s.json"
         path.write_text(schedule_to_json(table2))
         assert load_schedule(path) == table2
+
+    @pytest.mark.parametrize("text, message", [case[1:] for case in _REFUSALS], ids=[case[0] for case in _REFUSALS])
+    def test_each_refusal_keeps_its_text(self, text, message):
+        with pytest.raises(ScheduleFormatError) as refused:
+            schedule_from_json(text)
+        assert str(refused.value) == message
+
+    def test_a_short_document_for_a_huge_register_is_refused_at_once(self):
+        # C(10^7, 2) pairs would take terabytes: the sizes are checked before any pair is built
+        text = _document(10_000_000, [_chunk(K=[1.0] * 3, eps=[0.0] * 3)])
+        tracemalloc.start()
+        start = perf_counter()
+        try:
+            with pytest.raises(ScheduleFormatError) as refused:
+                schedule_from_json(text)
+            elapsed = perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(refused.value) == "zeta is missing pair '0,2' in chunk 0"
+        assert elapsed < 0.1 and peak < 2**20
+
+    def test_a_register_past_any_index_is_refused_as_malformed(self):
+        # an n past the platform's index size is read as a short document, not taken to a sequence's length
+        with pytest.raises(ScheduleFormatError, match="^zeta is missing pair '0,2' in chunk 0$"):
+            schedule_from_json(_document(10**400, [_chunk(K=[1.0], eps=[0.0])]))
+
