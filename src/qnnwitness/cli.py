@@ -15,7 +15,7 @@ above 10 qubits, built by ``verify`` and by ``exact`` on a schedule with
 a non-uniform chunk; or arrays past the 128 MiB budget: dense states,
 refused at one size for ``gates`` and for ``chunked`` on a non-uniform
 schedule, training sets, and the pair (x) Dicke sweeps of ``witness`` under uniform
-chunks, with 4 chunks past 1130 qubits for ``chunked`` or 341 for ``exact``;
+chunks, with 4 chunks past 725 qubits for ``chunked`` and ``exact`` alike;
 each refused before allocation), 4 training divergence.
 """
 

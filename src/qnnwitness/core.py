@@ -126,7 +126,7 @@ class ArrayCache:
 
 
 # Every array derived from n alone: ``z_diagonal`` (read by ``expectation_zz``
-# alone), ``hamiltonian.pair_dicke_operators`` and ``hamiltonian.spin_sectors``
+# alone), ``hamiltonian.pair_dicke_operators``, ``hamiltonian.sector_terms`` and ``hamiltonian.spin_sectors``
 # keep at most one dense budget between them. The dense phases and read-outs
 # store nothing here: they read their signs from the index bits (``z_signs``).
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)

@@ -26,11 +26,12 @@ walked value by value only to word a refusal.
 
 States are dense ``2**n`` vectors, or, under a schedule of uniform chunks,
 coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
-whose qubits 2..n-1 are permutation symmetric stays there, and both
-methods run on O(n) real arrays built once per n; nothing 4(n-1)-square
-is kept between calls. Callers supply those coordinates directly. Adjoint
-gradients run only there and return each chunk's shared (tunneling, bias,
-coupling) partials; dense states are evolved but never differentiated.
+whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
+those coordinates directly; both methods run on them in the space's
+total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
+nothing 4(n-1)-square is built. Adjoint gradients run only there and
+return each chunk's shared (tunneling, bias, coupling) partials; dense
+states are evolved but never differentiated.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, PAULI_X, PAULI_Z, DimensionError
-from .core import _apply_block, _blocks, _kron, _run_steps, ising_diagonal, qubit_pairs, require_square
+from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError
+from .core import _blocks, _kron, _run_steps, ising_diagonal, qubit_pairs, require_square
 
 
 @dataclass(frozen=True)
@@ -176,9 +177,9 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     the dense reference of every exact path. Its bound follows from the
     10-qubit cap that ``build_hamiltonian`` enforces: 8 propagators of
     16 MiB fill the 128 MiB dense budget, and at n = 7 they take 2 MiB.
-    A schedule of uniform chunks evolves in its total-spin sectors (see
-    :func:`evolve_states`) and training in the pair (x) Dicke space;
-    neither calls it.
+    A schedule of uniform chunks evolves in its total-spin sectors, as
+    ``2**n`` states (see :func:`evolve_states`) or as pair (x) Dicke
+    coordinates (:func:`evolve_pair_dicke`); neither calls it.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -199,8 +200,8 @@ def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray
     return np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])
 
 
-def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives of :func:`_single_qubit_factor` by ``tunneling`` and by ``bias``.
+def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> np.ndarray:
+    """Derivatives of :func:`_single_qubit_factor` by ``tunneling`` and by ``bias``, stacked.
 
     The factor is ``c I - i s (K X + eps Z)`` with ``m = hypot(K, eps)``,
     ``c = cos(dt m)`` and ``s = sin(dt m)/m``. Since ``dc/dK = -dt K s`` and
@@ -218,10 +219,10 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> t
         f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
     else:
         f = (dt * math.cos(x) - s) / (magnitude * magnitude)
-    generator = np.array([[bias, tunneling], [tunneling, -bias]])
-    d_tunneling = -dt * tunneling * s * np.eye(2) - 1j * (tunneling * f * generator + s * PAULI_X)
-    d_bias = -dt * bias * s * np.eye(2) - 1j * (bias * f * generator + s * PAULI_Z)
-    return d_tunneling, d_bias
+    # entry by entry, for v = K then eps: -dt v s I - i (v f (K X + eps Z) + s X, or s Z)
+    return np.array([[[complex(-dt * v * s, -(v * f * bias + z)), complex(0.0, -(v * f * tunneling + x))],
+                      [complex(0.0, -(v * f * tunneling + x)), complex(-dt * v * s, v * f * bias + z)]]
+                     for v, x, z in ((tunneling, s, 0.0), (bias, 0.0, s))])
 
 
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
@@ -238,302 +239,81 @@ def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
             yield _kron(layer[q : q + k]), q
 
 
-# --- pair (x) Dicke space -----------------------------------------------
-#
-# A uniform chunk commutes with every permutation of the spectators (qubits
-# 2..n-1), so a state that is symmetric in them stays so. Such a state has
-# coordinates on |p> (x) |D_w>, with p = 2 b_0 + b_1 the bits of qubits 0
-# and 1 and |D_w> the normalized sum of the C(m, w) spectator strings with w
-# ones, m = n - 2: 4(n-1) coordinates, p-major, so qubits 0 and 1 stay the
-# two leading bits of the index. There the spectators' X and Z sums are the
-# collective S_x (tridiagonal, <D_{w+1}|S_x|D_w> = sqrt((w+1)(m-w))) and
-# S_z = diag(m - 2w), and their ZZ sum is (S_z^2 - m)/2: the
-# permutation-symmetric reduction of PIQS (Shammah et al., arXiv:1805.05129).
-
-
-class PairDicke(NamedTuple):
-    """Real operators of the pair (x) Dicke space of n qubits, m = n - 2: O(n) entries."""
-
-    bias: np.ndarray  # diagonal of Z_0 + Z_1 + S_z
-    coupling: np.ndarray  # diagonal of sum_{i<j} Z_i Z_j = Z_0 Z_1 + (Z_0 + Z_1) S_z + (S_z^2 - m)/2
-    readout: np.ndarray  # diagonal of Z_0 Z_1
-    spin_x: np.ndarray  # <D_{w+1}|S_x|D_w> = sqrt((w+1)(m-w)), the m entries beside the Dicke block's diagonal
-    spin_z: np.ndarray  # diagonal of S_z on the Dicke block
-    transverse_at: np.ndarray  # flat positions of X_0 + X_1 + S_x's nonzero entries in the 4(n-1)-square matrix
-    transverse: np.ndarray  # the entries there: 1 for the block swaps, spin_x on the Dicke ladder
-
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self)
-
-
-@PARITY_CACHE
-def pair_dicke_operators(n: int) -> PairDicke:
-    """The pair (x) Dicke space's diagonals and its sparse X_0 + X_1 + S_x,
-    built once per n: 14 (n - 1) - 1 floats and 16 (n - 1) - 8 positions and values."""
-    if n < 2:
-        raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
-    m = n - 2
-    w = np.arange(m + 1.0)
-    spin_z = m - 2 * w
-    spin_x = np.sqrt(w[1:] * (m - w[:-1]))
-    z0, z1 = np.repeat([1.0, 1.0, -1.0, -1.0], m + 1), np.repeat([1.0, -1.0, 1.0, -1.0], m + 1)
-    sz = np.tile(spin_z, 4)
-    # X_0 and X_1 swap the blocks p and p ^ 2, p and p ^ 1; S_x links w and w + 1 in each block
-    index, p = np.arange(4 * (m + 1)).reshape(4, m + 1), np.arange(4)
-    rows = np.concatenate([index, index, index[:, 1:], index[:, :-1]], axis=None)
-    cols = np.concatenate([index[p ^ 1], index[p ^ 2], index[:, :-1], index[:, 1:]], axis=None)
-    ops = PairDicke(
-        bias=z0 + z1 + sz,
-        coupling=z0 * z1 + (z0 + z1) * sz + (sz * sz - m) / 2,
-        readout=z0 * z1,
-        spin_x=spin_x,
-        spin_z=spin_z,
-        transverse_at=rows * (4 * (m + 1)) + cols,
-        transverse=np.concatenate([np.ones(8 * (m + 1)), np.tile(spin_x, 8)]),
-    )
-    for array in ops:
-        array.flags.writeable = False
-    return ops
-
-
-def pair_dicke_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
-    """A uniform chunk's Hamiltonian on the pair (x) Dicke space: real symmetric, 4(n-1) square."""
-    if params.n_qubits != n:
-        raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
-    tunneling, bias, coupling = params.shared
-    ops = pair_dicke_operators(n)
-    h = np.zeros((len(ops.bias),) * 2)
-    h.flat[ops.transverse_at] = tunneling * ops.transverse
-    h.flat[:: len(h) + 1] = bias * ops.bias + coupling * ops.coupling
-    return h
-
-
-def _pair_dicke_factors(params: ChunkParams, ops: PairDicke, dt: float):
-    """One chunk's split-operator factors in the pair (x) Dicke space: the
-    ZZ phase diagonal, the shared 2x2 factor and its m-fold symmetric power
-    on the Dicke block (None when m = 0, where the block is a scalar)."""
-    tunneling, bias, coupling = params.shared
-    phases = np.exp(-1j * dt * coupling * ops.coupling)
-    factor = _single_qubit_factor(tunneling, bias, dt)
-    if len(ops.spin_z) == 1:
-        return phases, factor, None
-    # the factor's power on symmetric spectators is exp(-i dt (K S_x + eps S_z));
-    # an eigh of that real tridiagonal generator keeps full precision at any
-    # m, where expanding the power binomially cancels terms of size 2^(m/2)
-    generator = np.diag(bias * ops.spin_z)  # eigh reads its lower triangle alone
-    generator.flat[len(generator) :: len(generator) + 1] = tunneling * ops.spin_x
-    eigvals, eigvecs = np.linalg.eigh(generator)
-    del generator  # not held through the power's complex products
-    return phases, factor, (eigvecs * np.exp(-1j * dt * eigvals)) @ eigvecs.T
-
-
-def _pair_dicke_chunk(columns: np.ndarray, factors) -> np.ndarray:
-    """Evolve ``(4(n-1), batch)`` pair (x) Dicke columns through one split-operator chunk."""
-    phases, factor, power = factors
-    columns = _apply_block(columns * phases[:, np.newaxis], _kron([factor, factor]), 0)
-    if power is None:
-        return columns
-    return np.matmul(power, columns.reshape(4, len(power), -1)).reshape(columns.shape)
-
-
-# --- adjoint gradients --------------------------------------------------
-#
-# A backward step takes the pair (x) Dicke columns [states | co-states] just
-# after one chunk, returns them just before it, and reads the partials
-# 2 Re <lam| dU U^dagger |psi> of the chunk's shared tunneling, bias and
-# coupling on the way.
-
-
-def _qubit_overlap(both: np.ndarray, q: int) -> np.ndarray:
-    """2x2 ``R[a, b] = sum conj(lam) psi`` over the entries where qubit ``q``
-    is ``a`` in ``lam`` and ``b`` in ``psi``, so ``sum(G * R) = <lam| G_q |psi>``."""
-    batch = both.shape[1] // 2
-    split = both.reshape(2**q, 2, -1, 2, batch)  # (.., qubit q, .., psi | lam, batch)
-    return np.einsum("iajk,ibjk->ab", split[..., 1, :].conj(), split[..., 0, :])
-
-
-def _pair_dicke_backward_step(
-    both: np.ndarray, params: ChunkParams, factors, ops: PairDicke, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one split-operator chunk in the pair (x) Dicke space.
-
-    The factors of a chunk's single-qubit layer commute, so the shared K
-    (or eps) partial is ``2 Re <lam| sum_q (dU U^dagger)_q |psi>`` read at
-    the chunk's end: ``sum(G * R)`` with ``R`` the 2x2 overlaps of qubits 0
-    and 1 plus the spectators' collective one. On the Dicke block
-    ``sum_q |a><b|_q`` is ``N_0 = (m + S_z)/2`` or ``N_1 = (m - S_z)/2`` on
-    the diagonal and the half of ``S_x`` that raises or lowers w off it.
-    """
-    batch = both.shape[1] // 2
-    phases, factor, power = factors
-    tunneling, bias, _ = params.shared
-    inverse = factor.conj().T
-    reduced = _qubit_overlap(both, 0) + _qubit_overlap(both, 1)
-    if power is not None:
-        blocks = both.reshape(4, len(power), 2, batch)
-        lam, psi = blocks[:, :, 1].conj(), blocks[:, :, 0]
-        along = np.sum(lam * psi, axis=(0, 2))
-        m = len(power) - 1
-        reduced = reduced + np.array([
-            [(m + ops.spin_z) / 2 @ along, ops.spin_x @ np.sum(lam[:, :-1] * psi[:, 1:], axis=(0, 2))],
-            [ops.spin_x @ np.sum(lam[:, 1:] * psi[:, :-1], axis=(0, 2)), (m - ops.spin_z) / 2 @ along],
-        ])
-        both = np.matmul(power.conj().T, both.reshape(4, len(power), -1)).reshape(both.shape)
-    d_tunneling, d_bias = (d @ inverse for d in _single_qubit_factor_partials(tunneling, bias, dt))
-    both = _apply_block(both, _kron([inverse, inverse]), 0)
-    overlap = np.sum(both[:, batch:].conj() * both[:, :batch], axis=1)
-    partials = np.array([
-        2 * np.sum(d_tunneling * reduced).real,
-        2 * np.sum(d_bias * reduced).real,
-        2 * dt * (ops.coupling @ overlap.imag),
-    ])
-    return both * phases.conj()[:, np.newaxis], partials
-
-
-def _exact_chunk(columns: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float) -> np.ndarray:
-    """Evolve columns by ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``."""
-    return eigvecs @ (np.exp(-1j * dt * eigvals)[:, np.newaxis] * (eigvecs.T @ columns))
-
-
-def _exact_backward_step(
-    both: np.ndarray, eigvals: np.ndarray, eigvecs: np.ndarray, dt: float, ops: PairDicke
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one ``exp(-i H dt)`` given ``H = V diag(eigvals) V^T``.
-
-    By the Daleckii-Krein formula ``dU = V (Phi o V^T dH V) V^T`` with
-    ``Phi_jk = -i dt exp(-i dt (l_j + l_k)/2) sinc(dt (l_j - l_k)/2)`` and
-    ``sinc x = sin x / x``, which needs no branch for degenerate
-    eigenvalues. So every partial is ``2 sum_xy dH_xy Re M_xy`` with
-    ``M = V (Phi o S) V^T`` and ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``.
-    """
-    batch = both.shape[1] // 2
-    backward = np.exp(1j * dt * eigvals)[:, np.newaxis]
-    coords = eigvecs.T @ both
-    coords[:, :batch] *= backward  # states before the chunk
-    phases = dt * eigvals
-    half_phase = np.exp(-0.5j * phases)[:, np.newaxis]
-    lam, psi = coords[:, batch:].conj() * half_phase, coords[:, :batch] * half_phase
-    coords[:, batch:] *= backward
-    before = eigvecs @ coords  # evolved back before any square working array exists
-    # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2),
-    # and Im(a b^T) = Im a Re b^T + Re a Im b^T is one real product
-    x = np.subtract.outer(phases / 2, phases / 2)
-    zero = x == 0
-    x[zero] = 1.0
-    weights = np.sin(x)
-    weights /= x  # sin x / x before the product: the product divided by a subnormal x overflows
-    weights[zero] = 1.0  # the limit of sin x / x at 0
-    del x, zero
-    weights *= np.hstack((lam.imag, lam.real)) @ np.hstack((psi.real, psi.imag)).T
-    # V is real, so Re M = V Re(Phi o S) V^T; dt and 2 multiply the three partials
-    re_m = eigvecs @ weights
-    del weights
-    re_m = re_m @ eigvecs.T
-    diagonal = re_m.diagonal()
-    partials = 2 * dt * np.array([
-        ops.transverse @ re_m.flat[ops.transverse_at],
-        ops.bias @ diagonal,
-        ops.coupling @ diagonal,
-    ])
-    return before, partials
-
-
-def _chunk_sweeps(schedule: Schedule, method: str) -> list[tuple]:
-    """Per chunk, in chronological order, its forward map of pair (x) Dicke
-    columns and its backward step. An exact chunk's one eigendecomposition
-    serves both. The one size rule of the pair (x) Dicke path refuses them,
-    before anything is built, if what each chunk holds and the working
-    arrays of building the last one would pass the dense budget."""
-    n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
-    k = n - 1
-    if method == "chunked":  # a complex k-square power and 4k phases; the power's eigenvectors and two complex copies
-        held, building = 16 * k * k + 64 * k, 40 * k * k
-    elif method == "exact":  # 4k-square eigenvectors; to build the last, the chunk matrix, eigh's copy and
-        # 2 (4k)^2 workspace, and one to spare: an evolve or backward step later holds at most 2.2 (4k)^2
-        held, building = 128 * k * k + 32 * k, 640 * k * k
-    else:
-        raise ValueError(f"unknown propagation method {method!r}")
-    # 2 KiB of Python objects per chunk; 1 KiB per k for the operators and the columns of 4 states and 4 co-states
-    nbytes = count * (held + 2048) + building + 1024 * k
-    if nbytes > DENSE_BYTES_BUDGET:
-        raise DimensionError(f"refusing {nbytes} bytes of {method} sweeps for {n} qubits and {count} chunks "
-                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
-    ops = pair_dicke_operators(n)
-    sweeps = []
-    for ck in schedule.chunks:
-        if method == "chunked":
-            factors = _pair_dicke_factors(ck, ops, dt)
-            sweeps.append((
-                partial(_pair_dicke_chunk, factors=factors),
-                partial(_pair_dicke_backward_step, params=ck, factors=factors, ops=ops, dt=dt),
-            ))
-        else:
-            eigvals, eigvecs = np.linalg.eigh(pair_dicke_hamiltonian(ck, n))
-            sweeps.append((
-                partial(_exact_chunk, eigvals=eigvals, eigvecs=eigvecs, dt=dt),
-                partial(_exact_backward_step, eigvals=eigvals, eigvecs=eigvecs, dt=dt, ops=ops),
-            ))
-    return sweeps
-
-
-def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
-    """Evolve a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
-    through a schedule of uniform chunks; the result matches the dense
-    :func:`evolve_states` of the embedded states to round-off."""
-    columns = np.asarray(coords, dtype=complex).T
-    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
-        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
-    for forward, _ in _chunk_sweeps(schedule, method):
-        columns = forward(columns)
-    return columns.T
-
-
-def require_differentiable(schedule: Schedule) -> None:
-    """Refuse a chunk whose ``hypot(K, eps)**2`` overflows, past about
-    1.3e154: there the chunked partials would lose a term, and a schedule
-    that one method cannot differentiate is not trained by the other."""
-    for ck in schedule.chunks:
-        magnitude = math.hypot(*ck.shared[:2])
-        if math.isinf(magnitude * magnitude):
-            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
-
-
-def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
-    """Every chunk's shared-parameter derivatives of a real function F of the evolved states.
-
-    ``coords`` is a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
-    and every chunk must be uniform. ``costate(finals)`` receives the
-    evolved stack and returns the co-states ``lam`` (same shape) with
-    ``dF = 2 Re sum_b <lam_b | d final_b>``. One forward sweep evolves the
-    states; one backward sweep un-evolves states and co-states together,
-    chunk by chunk (every factor is unitary, so no intermediate state is
-    kept). Returns ``(n_chunks, 3)`` partials: per chunk, the shared
-    tunneling, bias and coupling.
-    """
-    require_differentiable(schedule)
-    sweeps = _chunk_sweeps(schedule, method)
-    finals = np.asarray(coords, dtype=complex).T
-    for forward, _ in sweeps:
-        finals = forward(finals)
-    both = np.concatenate((finals, np.asarray(costate(finals.T), dtype=complex).T), axis=1)
-    out = []
-    for _, backward in reversed(sweeps):
-        both, partials = backward(both)
-        out.append(partials)
-    return np.array(out[::-1])
-
-
 # --- total-spin sectors -------------------------------------------------
 #
 # With J = sum_q sigma_q / 2 the collective spin, a uniform chunk's
 # Hamiltonian is K 2J_x + eps 2J_z + zeta (4J_z^2 - n)/2: the
 # Lipkin-Meshkov-Glick model (Nucl. Phys. 62, 188 (1965)). It commutes with
 # every qubit permutation, so in the coupled basis |J, M, a> it is one
-# tridiagonal (2J+1)-square block per J, the same on each of the
-# C(n, k) - C(n, k-1) copies a of the sector J = n/2 - k. A computational
-# state of Hamming weight w has M = n/2 - w, so the change of basis is one
-# real orthogonal C(n, w)-square block per weight.
+# tridiagonal (2J+1)-square block per J, the same on each copy a of the
+# sector J = n/2 - k. A state of Hamming weight w has M = n/2 - w, so a
+# change to the coupled basis is one real orthogonal block per weight.
+# Every block here is laid out on the n + 1 weights, with zero rows where
+# |M| > J: the exponential of a zero row is the identity, so those rows
+# never mix with the sector's.
+
+
+@PARITY_CACHE
+def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
+    """Per sector J in ``spins`` and weight w = 0..n (M = n/2 - w), built
+    once per n and spins: the ladder ``<J, M|J_+|J, M-1> = sqrt((J+M)(J-M+1))``
+    to the next weight, ``2M`` and ``(4M^2 - n)/2``, stacked ``(3,
+    len(spins), n+1)`` and zero where the sector has no row. Each J must
+    leave n/2 - J a whole number from 0 to n/2."""
+    twice = [2 * j for j in spins]
+    if any(t != round(t) or not 0 <= t <= n or (n - t) % 2 for t in twice):
+        raise ValueError(f"total spins {tuple(spins)} are not sectors of {n} qubits")
+    twice = np.array(twice, dtype=float)[:, np.newaxis]
+    twice_m = n - 2 * np.arange(n + 1.0)
+    inside = np.abs(twice_m) <= twice
+    # the product vanishes at M = -J and at M = J + 1, and is negative past them
+    ladder = np.sqrt(np.maximum((twice + twice_m) * (twice - twice_m + 2), 0.0)) / 2
+    terms = np.stack([ladder, inside * twice_m, inside * (twice_m * twice_m - n) / 2])
+    terms.flags.writeable = False
+    return terms
+
+
+def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
+    """The Hamiltonian of a uniform n-qubit chunk on the total-spin sectors
+    ``spins``: real symmetric tridiagonal blocks on the |J, M> with M = n/2 - w,
+    w = 0..n, ``2 eps M + zeta (4 M^2 - n)/2`` on the diagonal and
+    ``K sqrt((J+M)(J-M+1))`` beside it, zero where |M| > J. ``shared`` is the
+    chunk's ``(K, eps, zeta)`` or a ``(..., 3)`` stack of them, for a
+    ``(..., len(spins), n+1, n+1)`` stack. Every uniform chunk's blocks come
+    from here: ``exact`` diagonalises them with the chunk's zeta, ``chunked``
+    with zeta = 0 and its ZZ phase applied apart."""
+    ladder, twice_m, quadratic = sector_terms(n, tuple(spins))
+    shared = np.asarray(shared, dtype=float)[..., np.newaxis, np.newaxis, :]
+    size = n + 1
+    h = np.zeros(shared.shape[:-3] + (len(spins), size * size))  # row-major: (r, r) is entry r (size + 1)
+    h[..., :: size + 1] = shared[..., 1] * twice_m + shared[..., 2] * quadratic
+    h[..., 1 :: size + 1] = h[..., size :: size + 1] = shared[..., 0] * ladder[:, :-1]  # (r, r + 1) and (r + 1, r)
+    return h.reshape(h.shape[:-1] + (size, size))
+
+
+def _lowered_sectors(lowerings: list[np.ndarray], n: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The coupled basis of a space of n spins 1/2 with J_- from weight w to
+    w + 1 ``lowerings[w]``: per sector k = n/2 - J it holds and weight
+    w = k..n-k, ``(k, w, states)``, the copies |J, M = n/2 - w, a> as
+    columns over the weight-w basis. The highest-weight states of J are the
+    null space of J_+ from weight k to k - 1; J_- lowers them one weight at
+    a time, divided by ``sqrt((J+M)(J-M+1))``, so that J_- has the positive
+    entries :func:`spin_sector_hamiltonian` puts beside the diagonal."""
+    for k in range(n // 2 + 1):
+        if k:
+            raising = lowerings[k - 1].T
+            copies = raising.shape[1] - raising.shape[0]
+            if not copies:
+                return
+            # the rows of vt past its singular values span the null space
+            states = np.linalg.svd(raising)[2][-copies:].T
+        else:
+            states = np.ones((1, 1))
+        for w in range(k, n - k + 1):
+            yield k, w, states
+            if w < n - k:
+                twice_j, twice_m = n - 2 * k, n - 2 * w
+                states = lowerings[w] @ states / (0.5 * math.sqrt((twice_j + twice_m) * (twice_j - twice_m + 2)))
 
 
 class SpinSectors(NamedTuple):
@@ -563,14 +343,7 @@ def _sector_copies(n: int, k: int) -> int:
 @PARITY_CACHE
 def spin_sectors(n: int) -> SpinSectors:
     """The coupled (total-spin) basis of n qubits, built once per n: C(2n, n)
-    floats, 1.5 MB at n = 10, the 10-qubit cap of the dense path it replaces.
-
-    The highest-weight states of J = n/2 - k are the null space of the
-    raising map J_+ from weight k to k - 1. J_- lowers each of them one
-    weight at a time, divided by ``sqrt((J+M)(J-M+1))`` at each step, so
-    that J_- has the positive entries :func:`spin_sector_hamiltonian`
-    puts beside the diagonal.
-    """
+    floats, 1.5 MB at n = 10, the 10-qubit cap of the dense path it replaces."""
     require_square(n)
     index = np.arange(2**n)
     weight = sum((index >> q) & 1 for q in range(n))
@@ -588,51 +361,17 @@ def spin_sectors(n: int) -> SpinSectors:
     columns: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
     positions: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
     offset = 0
-    for k in range(n // 2 + 1):
-        copies = _sector_copies(n, k)
-        # J_+ maps weight k onto weight k - 1: the rows of vt past its C(n, k-1) singular values span its null space
-        states = np.linalg.svd(lowerings[k - 1].T)[2][-copies:].T if k else np.ones((1, 1))
-        for w in range(k, n - k + 1):
-            columns[w].append(states)
-            positions[w].append(offset + (w - k) * copies + np.arange(copies))
-            if w < n - k:
-                twice_j, twice_m = n - 2 * k, n - 2 * w
-                states = lowerings[w] @ states / (0.5 * math.sqrt((twice_j + twice_m) * (twice_j - twice_m + 2)))
-        offset += (n - 2 * k + 1) * copies
+    for k, w, states in _lowered_sectors(lowerings, n):
+        copies = states.shape[1]
+        columns[w].append(states)
+        positions[w].append(offset + (w - k) * copies + np.arange(copies))
+        if w == n - k:
+            offset += (n - 2 * k + 1) * copies
     basis = SpinSectors(tuple(indices), tuple(map(np.concatenate, positions)), tuple(map(np.hstack, columns)))
     for part in basis:
         for array in part:
             array.flags.writeable = False
     return basis
-
-
-def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
-    """The Hamiltonian of a uniform n-qubit chunk on the total-spin sectors
-    ``spins``, block diagonal in their order, each block in the |J, M>
-    basis with M from J down to -J.
-
-    ``shared`` is the chunk's ``(K, eps, zeta)``, or a ``(..., 3)`` stack of
-    them for a stack of blocks. A block is real symmetric tridiagonal:
-    ``2 eps M + zeta (4 M^2 - n)/2`` on the diagonal and ``K
-    sqrt((J+M)(J-M+1))`` beside it. Each J must leave n/2 - J a whole
-    number from 0 to n/2.
-    """
-    twice = [2 * j for j in spins]
-    if any(t != round(t) or not 0 <= t <= n or (n - t) % 2 for t in twice):
-        raise ValueError(f"total spins {tuple(spins)} are not sectors of {n} qubits")
-    # per row |J, M>: the bias and coupling terms 2M and (4M^2 - n)/2, and <J, M|J_+|J, M-1>
-    # to the next row, which vanishes from M = -J into the next block
-    twice_m, quadratic, ladder = np.array([
-        (2 * m, (4 * m * m - n) / 2, math.sqrt((t / 2 + m) * (t / 2 - m + 1)))
-        for t in twice for m in (t / 2 - r for r in range(round(t) + 1))
-    ]).T
-    shared = np.asarray(shared, dtype=float)
-    tunneling, bias, coupling = shared[..., 0, np.newaxis], shared[..., 1, np.newaxis], shared[..., 2, np.newaxis]
-    size = len(ladder)
-    h = np.zeros(shared.shape[:-1] + (size * size,))  # row-major: (r, r) is entry r (size + 1)
-    h[..., :: size + 1] = bias * twice_m + coupling * quadratic
-    h[..., 1 :: size + 1] = h[..., size :: size + 1] = tunneling * ladder[:-1]  # (r, r + 1) and (r + 1, r)
-    return h.reshape(shared.shape[:-1] + (size, size))
 
 
 def _evolve_sectors(columns: np.ndarray, schedule: Schedule) -> np.ndarray:
@@ -644,7 +383,7 @@ def _evolve_sectors(columns: np.ndarray, schedule: Schedule) -> np.ndarray:
     basis = spin_sectors(n)
     spins = [n / 2 - k for k in range(n // 2 + 1)]
     eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian([ck.shared for ck in schedule.chunks], n, spins))
-    unitaries = (eigvecs * np.exp(-1j * schedule.dt * eigvals)[:, np.newaxis, :]) @ eigvecs.transpose(0, 2, 1)
+    unitaries = (eigvecs * np.exp(-1j * schedule.dt * eigvals)[..., np.newaxis, :]) @ eigvecs.swapaxes(-1, -2)
     product = unitaries[0]
     for u in unitaries[1:]:
         product = u @ product
@@ -654,18 +393,275 @@ def _evolve_sectors(columns: np.ndarray, schedule: Schedule) -> np.ndarray:
     for rows, at, block in zip(*basis):
         coupled[at] = block.T @ real[rows]
     coupled = coupled.view(complex)
-    start = low = 0  # the sector's first row in the coupled columns and in the product
+    start = 0  # the sector's first row in the coupled columns
     for k in range(len(spins)):
         dim = n - 2 * k + 1
         stop = start + dim * _sector_copies(n, k)
-        sector = product[low : low + dim, low : low + dim]
+        sector = product[k, k : k + dim, k : k + dim]
         coupled[start:stop] = (sector @ coupled[start:stop].reshape(dim, -1)).reshape(stop - start, -1)
-        start, low = stop, low + dim
+        start = stop
     real = coupled.view(float)
     out = np.empty_like(real)
     for rows, at, block in zip(*basis):
         out[rows] = block @ real[at]
     return out.view(complex)
+
+
+# --- pair (x) Dicke space -----------------------------------------------
+#
+# A uniform chunk commutes with every permutation of the spectators (qubits
+# 2..n-1), so a state that is symmetric in them stays so. Such a state has
+# coordinates on |p> (x) |D_w>, with p = 2 b_0 + b_1 the bits of qubits 0
+# and 1 and |D_w> the normalized sum of the C(m, w) spectator strings with w
+# ones, m = n - 2: 4(n-1) coordinates, p-major, so qubits 0 and 1 stay the
+# two leading bits of the index: the permutation-symmetric reduction of
+# PIQS (Shammah et al., arXiv:1805.05129). The pair's spin 1 (+) 0 times the
+# spectators' m/2 holds the sectors J = n/2, n/2 - 1 twice and n/2 - 2 (one
+# J = 0 at n = 2, no n/2 - 2 at n = 3). Both methods run there on coupled
+# columns ``(blocks, n+1, 2, batch)``: block k = n/2 - J, weight, copy (the
+# second one zero outside block 1), state.
+
+_PAIR_WEIGHTS = (0, 1, 1, 2)  # the ones among qubits 0 and 1 of p = 0..3
+
+
+class PairDicke(NamedTuple):
+    """Real operators of the pair (x) Dicke space of n qubits: O(n) entries."""
+
+    readout: np.ndarray  # diagonal of Z_0 Z_1
+    change: np.ndarray  # (n+1, 2 blocks, 4): per weight W, the coupled states over the |p> (x) |D_{W - bits(p)}>
+    at: np.ndarray  # the row 4 W + p of each |p> (x) |D_w> among the (n+1, 4) that the change reads
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+@PARITY_CACHE
+def pair_dicke_operators(n: int) -> PairDicke:
+    """The pair (x) Dicke space's Z_0 Z_1 read-out and its change to the
+    coupled basis, built once per n as :func:`spin_sectors` builds the full
+    one: a real orthogonal block of at most 4 x 4 per weight. J_- takes
+    |p> (x) |D_w> to the |p'> (x) |D_w> where qubit 0 or 1 went from 0 to 1,
+    and to ``sqrt((w+1)(m-w)) |p> (x) |D_{w+1}>``."""
+    if n < 2:
+        raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
+    m = n - 2
+    # J_- from weight W to W + 1 on all four p, then restricted to the |p> (x) |D_{W - bits(p)}> that exist
+    spectators = np.arange(n)[:, np.newaxis] - np.array(_PAIR_WEIGHTS)  # w at total weight W
+    lowering = np.zeros((n, 4, 4))
+    lowering[:, [2, 3, 1, 3], [0, 1, 0, 2]] = 1.0  # qubit 0 takes p to p | 2, qubit 1 takes p to p | 1
+    lowering[:, range(4), range(4)] = np.sqrt(np.maximum((spectators + 1) * (m - spectators), 0))
+    present = [[p for p in range(4) if 0 <= W - _PAIR_WEIGHTS[p] <= m] for W in range(n + 1)]
+    lowerings = [lowering[W][np.ix_(present[W + 1], present[W])] for W in range(n)]
+    change = np.zeros((n + 1, 2 * min(3, n // 2 + 1), 4))
+    for k, w, states in _lowered_sectors(lowerings, n):
+        change[w][2 * k : 2 * k + states.shape[1], present[w]] = states.T
+    at = 4 * np.add.outer(_PAIR_WEIGHTS, np.arange(m + 1)) + np.arange(4)[:, np.newaxis]
+    ops = PairDicke(readout=np.repeat([1.0, -1.0, -1.0, 1.0], m + 1), change=change, at=at.ravel())
+    for array in ops:
+        array.flags.writeable = False
+    return ops
+
+
+def _to_sectors(columns: np.ndarray, ops: PairDicke) -> np.ndarray:
+    """``(4(n-1), batch)`` pair (x) Dicke columns as the float view of coupled columns."""
+    rows, slots = ops.change.shape[:2]
+    by_weight = np.zeros((4 * rows, columns.shape[1]), dtype=complex)  # the rows past a p's weights stay zero
+    by_weight[ops.at] = columns
+    coupled = ops.change @ by_weight.view(float).reshape(rows, 4, -1)  # the change is real
+    return np.ascontiguousarray(coupled.reshape(rows, slots // 2, -1).transpose(1, 0, 2))
+
+
+def _from_sectors(coupled: np.ndarray, ops: PairDicke) -> np.ndarray:
+    """The float view of coupled columns as ``(4(n-1), batch)`` pair (x) Dicke columns."""
+    rows, slots = ops.change.shape[:2]
+    by_slot = coupled.reshape(slots // 2, rows, 2, -1).transpose(1, 0, 2, 3).reshape(rows, slots, -1)
+    return (ops.change.swapaxes(1, 2) @ by_slot).reshape(4 * rows, -1).view(complex)[ops.at]
+
+
+def _forward_step(columns: np.ndarray, eigvecs: np.ndarray, phases: np.ndarray, diagonal) -> np.ndarray:
+    """One chunk on the float view of coupled columns: its ZZ phase
+    ``diagonal`` where it is split off (``chunked``, else None), applied
+    in place, then ``V exp(-i lam dt) V^T`` per block. The eigenvectors are
+    real, so each product with them is a real product on the float view."""
+    if diagonal is not None:
+        columns.view(complex)[...] *= diagonal
+    rotated = eigvecs.swapaxes(1, 2) @ columns
+    rotated.view(complex)[...] *= phases
+    return eigvecs @ rotated
+
+
+# --- adjoint gradients --------------------------------------------------
+#
+# A backward step takes the coupled columns [states | co-states] just after
+# one chunk, returns them just before it, and reads the partials
+# 2 Re <lam| dU U^dagger |psi> of the chunk's shared tunneling, bias and
+# coupling on the way.
+
+
+def _states_and_costates(both: np.ndarray, batch: int) -> np.ndarray:
+    """The float view of coupled [states | co-states] columns as two
+    contiguous ``(blocks * (n+1), 2 batch)`` complex arrays, copies side by side."""
+    blocks, rows = both.shape[:2]
+    return both.view(complex).reshape(blocks * rows, 2, 2, batch).transpose(2, 0, 1, 3).reshape(2, blocks * rows, -1)
+
+
+def _backward_step(
+    both: np.ndarray, eigvecs: np.ndarray, eigvals: np.ndarray, phases: np.ndarray, diagonal, shared,
+    terms: np.ndarray, dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undo one chunk of :func:`_forward_step` and read its three partials.
+
+    ``exact`` reads them by the Daleckii-Krein formula on each block:
+    ``dU = V (Phi o V^T dH V) V^T`` with ``Phi_jk = -i dt exp(-i dt (l_j +
+    l_k)/2) sinc(dt (l_j - l_k)/2)``, which needs no branch for degenerate
+    eigenvalues, so a partial is ``2 sum_xy dH_xy Re M_xy`` with ``M = V
+    (Phi o S) V^T``, ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``
+    and dH the ladder, 2M or (4M^2 - n)/2. ``chunked`` reads its coupling
+    partial from the diagonal between the blocks and its ZZ phase. Its
+    single-qubit layer acts last and its factors commute, so the K (or
+    eps) partial is ``2 Re <lam| sum_q (dF F^dagger)_q |psi>`` at the
+    chunk's end: ``sum(G * R)`` with ``R`` the collective 2x2 overlaps,
+    ``n/2 + J_z`` and ``n/2 - J_z`` on the diagonal and J_+, J_- off it.
+    """
+    ladder, twice_m, quadratic = terms
+    blocks, rows = eigvals.shape
+    batch = both.shape[-1] // 8  # floats: copy, [states | co-states], real and imaginary part
+    if diagonal is not None:  # the blocks' rows end to end: a block's last row links to nothing
+        psi, lam = _states_and_costates(both, batch)
+        links, total = ladder.reshape(-1, 1)[:-1], np.vdot(lam, psi)
+        spin_z = np.vdot(lam, twice_m.reshape(-1, 1) * psi) / 2
+        reduced = np.array([[(rows - 1) / 2 * total + spin_z, np.vdot(lam[:-1], links * psi[1:])],
+                            [np.vdot(lam[1:], links * psi[:-1]), (rows - 1) / 2 * total - spin_z]])
+    coords = eigvecs.swapaxes(1, 2) @ both
+    split = coords.view(complex)
+    if diagonal is None:
+        half = np.exp(0.5j * dt * eigvals)[:, :, np.newaxis]
+        split *= half
+        psi, lam = _states_and_costates(coords, batch).reshape(2, blocks, rows, -1)
+        split *= half
+    else:
+        split /= phases
+    before = eigvecs @ coords
+    if diagonal is not None:
+        psi, lam = _states_and_costates(before, batch)
+        # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)), F symmetric; F(dt)^dagger = F(-dt)
+        overlaps = (reduced @ _single_qubit_factor(*shared[:2], -dt)).ravel()
+        tunneling, bias = (_single_qubit_factor_partials(*shared[:2], dt).reshape(2, 4) @ overlaps).real.tolist()
+        coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
+        before.view(complex)[...] /= diagonal
+        return before, np.array([2 * tunneling, 2 * bias, 2 * dt * coupling])
+    # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2);
+    # Im(conj(a) b) is the real product of the float views of a and -i b
+    x = dt * eigvals / 2
+    x = x[:, :, np.newaxis] - x[:, np.newaxis, :]
+    zero = x == 0
+    x[zero] = 1.0
+    weights = np.sin(x)
+    weights /= x  # sin x / x before the product: the product divided by a subnormal x overflows
+    weights[zero] = 1.0  # the limit of sin x / x at 0
+    del x, zero
+    weights *= lam.view(float) @ (-1j * psi).view(float).swapaxes(1, 2)
+    # V is real, so Re M = V Re(Phi o S) V^T: its diagonal and both off-diagonals are
+    # row products of V Re(Phi o S) with V; dt and 2 multiply the three partials
+    product = eigvecs @ weights
+    del weights
+    on = np.einsum("kij,kij->ki", product, eigvecs)
+    beside = np.einsum("kij,kij->ki", product[:, :-1], eigvecs[:, 1:]) + np.einsum(
+        "kij,kij->ki", product[:, 1:], eigvecs[:, :-1])
+    return before, 2 * dt * np.array([np.vdot(ladder[:, :-1], beside), np.vdot(twice_m, on), np.vdot(quadratic, on)])
+
+
+def _chunk_sweeps(schedule: Schedule, method: str) -> tuple[np.ndarray, list[tuple]]:
+    """The sector terms and, per chunk in chronological order, what its
+    steps read: eigenvectors, eigenvalues, ``exp(-i lam dt)``, ZZ phase (or
+    None) and shared parameters, from one batched ``eigh`` of every chunk's
+    blocks. ``exact`` diagonalises the chunk's Hamiltonian; ``chunked``
+    applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a diagonal, then
+    ``exp(-i dt (K 2J_x + eps 2J_z))``: the order the gate compiler
+    reproduces. The one size rule of the pair (x) Dicke path refuses them
+    before anything is built."""
+    if method not in ("exact", "chunked"):
+        raise ValueError(f"unknown propagation method {method!r}")
+    n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
+    blocks, size = min(3, n // 2 + 1), (n + 1) * (n + 1)
+    # per chunk: its real eigenvectors, its generator while they are built, 40 bytes a row (eigenvalues,
+    # phases, ZZ phase) and 2 KiB of Python objects; then an exact backward step's 2.5 blocks of working
+    # arrays, and 1 KiB a row for the columns of 4 states and 4 co-states
+    nbytes = count * (16 * blocks * size + 40 * blocks * (n + 1) + 2048) + 20 * blocks * size + 1024 * (n + 1)
+    if nbytes > DENSE_BYTES_BUDGET:
+        raise DimensionError(f"refusing {nbytes} bytes of {method} sweeps for {n} qubits and {count} chunks "
+                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
+    spins = tuple(n / 2 - k for k in range(blocks))
+    shared = [ck.shared for ck in schedule.chunks]
+    terms = sector_terms(n, spins)
+    generators = np.array(shared)
+    if method == "chunked":
+        diagonals = np.exp(-1j * dt * generators[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis]
+        generators[:, 2] = 0.0
+    else:
+        diagonals = [None] * count
+    try:
+        eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian(generators, n, spins))
+    except np.linalg.LinAlgError as error:  # an entry past the float range, where eigh does not converge
+        raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta "
+                         "overflows them") from error
+    phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
+    return terms, list(zip(eigvecs, eigvals, phases, diagonals, shared))
+
+
+def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
+    """Evolve a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
+    through a schedule of uniform chunks; the result matches the dense
+    :func:`evolve_states` of the embedded states to round-off."""
+    columns = np.asarray(coords, dtype=complex).T
+    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
+        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
+    _, chunks = _chunk_sweeps(schedule, method)
+    ops = pair_dicke_operators(schedule.n_qubits)
+    columns = _to_sectors(columns, ops)
+    for eigvecs, _, phases, diagonal, _ in chunks:
+        columns = _forward_step(columns, eigvecs, phases, diagonal)
+    return _from_sectors(columns, ops).T
+
+
+def require_differentiable(schedule: Schedule) -> None:
+    """Refuse a chunk whose ``hypot(K, eps)**2`` overflows, past about
+    1.3e154: there the chunked partials would lose a term, and a schedule
+    that one method cannot differentiate is not trained by the other."""
+    for ck in schedule.chunks:
+        magnitude = math.hypot(*ck.shared[:2])
+        if math.isinf(magnitude * magnitude):
+            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
+
+
+def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
+    """Every chunk's shared-parameter derivatives of a real function F of the evolved states.
+
+    ``coords`` is a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
+    and every chunk must be uniform. ``costate(finals)`` receives the
+    evolved stack and returns the co-states ``lam`` (same shape) with
+    ``dF = 2 Re sum_b <lam_b | d final_b>``. One forward sweep evolves the
+    states; one backward sweep un-evolves states and co-states together,
+    chunk by chunk (every factor is unitary, so no intermediate state is
+    kept). Both run in the total-spin sectors, which the finals leave and
+    the co-states enter once. Returns ``(n_chunks, 3)`` partials: per
+    chunk, the shared tunneling, bias and coupling.
+    """
+    require_differentiable(schedule)
+    terms, chunks = _chunk_sweeps(schedule, method)
+    ops = pair_dicke_operators(schedule.n_qubits)
+    finals = _to_sectors(np.asarray(coords, dtype=complex).T, ops)
+    for eigvecs, _, phases, diagonal, _ in chunks:
+        finals = _forward_step(finals, eigvecs, phases, diagonal)
+    costates = _to_sectors(np.asarray(costate(_from_sectors(finals, ops).T), dtype=complex).T, ops)
+    blocks, rows = finals.shape[:2]  # per copy: states, then co-states
+    both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)
+    out = []
+    for chunk in reversed(chunks):
+        both, partials = _backward_step(both, *chunk, terms, schedule.dt)
+        out.append(partials)
+    return np.array(out[::-1])
 
 
 def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:

@@ -128,17 +128,15 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     # spans inside gradient spans, reads 0.
     schedule, training_set = fixture_schedule("table3"), build_training_set(7)
     chunks = schedule.n_chunks
-    # the 12-parameter symmetric gradient runs in the pair (x) Dicke space:
-    # one forward and one backward step per chunk, no dense Hamiltonian
+    # the 12-parameter symmetric gradient runs in the total-spin sectors of the
+    # pair (x) Dicke space: one build of every chunk's sector blocks, one
+    # forward and one backward step per chunk, no dense Hamiltonian
     calls = count_calls(monkeypatch, [
-        (hamiltonian, "_pair_dicke_chunk"), (hamiltonian, "_pair_dicke_backward_step"),
-        (hamiltonian, "_exact_chunk"), (hamiltonian, "_exact_backward_step"),
-        (hamiltonian, "pair_dicke_hamiltonian"), (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
+        (hamiltonian, "_forward_step"), (hamiltonian, "_backward_step"), (hamiltonian, "spin_sector_hamiltonian"),
+        (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
     ])
-    for method, expected in (
-        ("chunked", {"_pair_dicke_chunk": chunks, "_pair_dicke_backward_step": chunks}),
-        ("exact", {"_exact_chunk": chunks, "_exact_backward_step": chunks, "pair_dicke_hamiltonian": chunks}),
-    ):
+    expected = {"_forward_step": chunks, "_backward_step": chunks, "spin_sector_hamiltonian": 1}
+    for method in ("chunked", "exact"):
         _, grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
         assert calls == {**dict.fromkeys(calls, 0), **expected}, method

@@ -488,7 +488,8 @@ class TestSpinSectors:
         sectors = []
         for k in range(n // 2 + 1):
             copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-            sectors.append(np.kron(spin_sector_hamiltonian(shared, n, [n / 2 - k]), np.eye(copies)))
+            block = spin_sector_hamiltonian(shared, n, [n / 2 - k])[0]  # on all n + 1 weights, zero past the sector's
+            sectors.append(np.kron(block[k : n - k + 1, k : n - k + 1], np.eye(copies)))
         want = np.zeros((2**n, 2**n))
         start = 0
         for sector in sectors:

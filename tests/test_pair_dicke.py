@@ -27,7 +27,6 @@ from qnnwitness.hamiltonian import (
     build_hamiltonian,
     evolve_pair_dicke,
     evolve_states,
-    pair_dicke_hamiltonian,
     pair_dicke_operators,
     refine_schedule,
     save_schedule,
@@ -47,7 +46,6 @@ from helpers import expm_eigh, tangent_loss_gradient
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
-SPECTRUM_TOL = 1e-13  # relative to the spectral norm; measured at most 4e-15
 
 _SETS: dict[int, TrainingSet] = {}
 
@@ -96,54 +94,65 @@ def assert_backends_agree(schedule: Schedule, method: str) -> None:
     assert np.max(np.abs(reduced - grad)) <= GRADIENT_TOL * max(1.0, np.linalg.norm(grad))
 
 
+def sector_change(n: int) -> np.ndarray:
+    """``(4(n-1), blocks * (n+1) * 2)`` columns |J, M, a> over |p> (x) |D_w>,
+    from the per-weight blocks of ``pair_dicke_operators(n).change``, in the
+    order of the coupled columns: block, weight, copy."""
+    change = pair_dicke_operators(n).change
+    columns = np.zeros((4, n - 1, change.shape[1] // 2, n + 1, 2))
+    for p, shift in enumerate((0, 1, 1, 2)):  # the ones among qubits 0 and 1
+        for w in range(n - 1):
+            columns[p, w, :, w + shift] = change[w + shift, :, p].reshape(-1, 2)
+    return columns.reshape(4 * (n - 1), -1)
+
+
 class TestOperators:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 64])
+    def test_the_change_of_basis_is_orthogonal(self, n):
+        # rows J = n/2 (n+1), n/2 - 1 (n-1, twice but once at n = 2) and n/2 - 2 (n-3)
+        change = sector_change(n)
+        used = np.sum(change * change, axis=0).reshape(-1, n + 1, 2).sum(axis=1)
+        want = [[n + 1, 0], [n - 1, n - 1 if n > 2 else 0], [n - 3, 0]][: len(used)]
+        assert np.max(np.abs(used - want)) <= 1e-13
+        assert np.max(np.abs(change @ change.T - np.eye(4 * (n - 1)))) <= 1e-13
+        assert np.max(np.abs(change.T @ change - np.diag(np.sum(change * change, axis=0)))) <= 1e-13
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_hamiltonian_is_the_dense_one_restricted(self, n):
-        # the subspace is invariant (H E = E H_reduced), which pins every
-        # coefficient: collective X and Z, the pair-spectator couplings
-        # (Z_0 + Z_1) S_z and the spectator ZZ sum (S_z^2 - m)/2
-        params = ChunkParams.uniform(n, 1.3, -0.7, 0.45)
-        basis = dicke_basis(n)
-        dense, reduced = build_hamiltonian(params, n), pair_dicke_hamiltonian(params, n)
-        assert np.max(np.abs(dense @ basis - basis @ reduced)) <= 1e-12
-        assert np.max(np.abs(basis.T @ basis - np.eye(4 * (n - 1)))) <= 1e-12
+    @pytest.mark.parametrize("coupling", [0.45, 0.0])
+    def test_the_change_carries_the_hamiltonian_onto_the_sector_blocks(self, n, coupling):
+        # the pair (x) Dicke space is invariant and the coupled basis block
+        # diagonalises it, which pins every coefficient: collective X and Z,
+        # the pair-spectator couplings and the spectator ZZ sum
+        shared = (1.3, -0.7, coupling)
+        coupled = dicke_basis(n) @ sector_change(n)
+        blocks = len(coupled[0]) // (2 * (n + 1))
+        sectors = spin_sector_hamiltonian(shared, n, [n / 2 - k for k in range(blocks)])
+        used = np.sum(coupled * coupled, axis=0).reshape(blocks, n + 1, 2).any(axis=1)
+        want = np.zeros((blocks, n + 1, 2, blocks, n + 1, 2))
+        for k, a in zip(*np.nonzero(used)):
+            want[k, :, a, k, :, a] = sectors[k]
+        dense = build_hamiltonian(ChunkParams.uniform(n, *shared), n)
+        assert np.max(np.abs(coupled.T @ dense @ coupled - want.reshape(len(coupled[0]), -1))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_generators_and_readout(self, n):
+    def test_readout(self, n):
         basis = dicke_basis(n)
-        ops = pair_dicke_operators(n)
-        transverse = pair_dicke_hamiltonian(ChunkParams.uniform(n, 1.0, 0.0, 0.0), n)  # X_0 + X_1 + S_x
-        for tunneling, bias, coupling, expected in ((1, 0, 0, transverse), (0, 1, 0, np.diag(ops.bias)),
-                                                    (0, 0, 1, np.diag(ops.coupling))):
-            dense = build_hamiltonian(ChunkParams.uniform(n, tunneling, bias, coupling), n)
-            assert np.max(np.abs(basis.T @ dense @ basis - expected)) <= 1e-12
         parity = z_diagonal(n, 0) * z_diagonal(n, 1)
-        assert np.max(np.abs(basis.T @ (parity[:, np.newaxis] * basis) - np.diag(ops.readout))) <= 1e-12
-        # the m entries beside the Dicke block's diagonal are S_x on the spectators' block
-        spin_x = np.diag(ops.spin_x, -1) + np.diag(ops.spin_x, 1)
-        assert np.max(np.abs(transverse[: n - 1, : n - 1] - spin_x)) <= 1e-12
+        want = np.diag(pair_dicke_operators(n).readout)
+        assert np.max(np.abs(basis.T @ (parity[:, np.newaxis] * basis) - want)) <= 1e-12
 
     def test_operators_are_cached_read_only(self):
         ops = pair_dicke_operators(7)
         assert pair_dicke_operators(7) is ops
-        assert [array.shape for array in ops] == [(24,), (24,), (24,), (5,), (6,), (88,), (88,)]
+        assert [array.shape for array in ops] == [(24,), (8, 6, 4), (24,)]
         assert not any(array.flags.writeable for array in ops)
         assert ops.nbytes <= pair_dicke_operators.cache_info().nbytes
 
     def test_non_uniform_chunk_is_refused(self):
-        with pytest.raises(ValueError, match="uniform"):
-            pair_dicke_hamiltonian(ChunkParams((1.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3), 3)
-
-    @pytest.mark.parametrize("n", [3, 4, 7, 12, 64])
-    def test_spectrum_is_the_union_of_its_spin_blocks(self, n):
-        # the pair (spin 1 + spin 0) times the Dicke block (spin n/2 - 1) holds the
-        # sectors J = n/2, n/2 - 1 twice and n/2 - 2 (none at n = 3)
-        params = ChunkParams.uniform(n, 1.3, -0.7, 0.45)
-        spins = [j for j in (n / 2, n / 2 - 1, n / 2 - 1, n / 2 - 2) if j >= 0]
-        got = np.linalg.eigvalsh(pair_dicke_hamiltonian(params, n))
-        want = np.linalg.eigvalsh(spin_sector_hamiltonian(params.shared, n, spins))
-        assert got.shape == want.shape == (4 * (n - 1),)
-        assert np.max(np.abs(got - want)) <= SPECTRUM_TOL * np.max(np.abs(got))
+        schedule = Schedule(3, 1.0, (ChunkParams((1.0, 1.0, 2.0), (0.0,) * 3, (0.0,) * 3),))
+        for method in ("exact", "chunked"):
+            with pytest.raises(ValueError, match="uniform"):
+                evolve_pair_dicke(np.eye(8), schedule, method)
 
 
 def measured(call):
@@ -174,7 +183,7 @@ def bell_set(n: int) -> TrainingSet:
 
 
 # (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits)
-LARGEST_ADMITTED = [("chunked", 4, 1130), ("chunked", 1024, 88), ("exact", 4, 341), ("exact", 1, 418)]
+LARGEST_ADMITTED = [("chunked", 4, 725), ("chunked", 1024, 49), ("exact", 4, 725), ("exact", 1, 1108)]
 EXACT_ADMITTED = [case for case in LARGEST_ADMITTED if case[0] == "exact"]
 
 
@@ -189,11 +198,10 @@ class TestOperatorStore:
     """The operators share ``core.PARITY_CACHE`` and its byte budget with every other array derived from n alone."""
 
     @pytest.mark.parametrize("n", [2, 3, 7, 40])
-    def test_the_set_holds_46_words_per_qubit(self, n):
-        # 4(n-1) floats in each of bias, coupling and readout, n-2 in spin_x and
-        # n-1 in spin_z; 8(n-1) block swaps and 8(n-2) ladder entries of
-        # X_0 + X_1 + S_x, each a position and a value
-        assert pair_dicke_operators(n).nbytes == 8 * (14 * (n - 1) - 1) + 16 * (16 * (n - 1) - 8)
+    def test_the_set_holds_32_words_per_qubit(self, n):
+        # 4(n-1) floats of read-out and 4(n-1) positions; per weight, a 4 x 4
+        # change to the three blocks' two copies (two blocks below n = 4)
+        assert pair_dicke_operators(n).nbytes == 8 * (8 * (n - 1) + 8 * (n + 1) * min(3, n // 2 + 1))
 
     def test_store_keeps_at_most_the_budget(self):
         # the qubit diagonals of n = 21 take 336 MiB between them: the 8 most
@@ -255,13 +263,13 @@ class TestSweepBudget:
         assert elapsed < 0.5 and peak < 2**20
 
     def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
-        # one exact chunk is admitted up to 418 qubits; a short file refuses the next size up
-        path = tmp_path / "s419.json"
-        save_schedule(Schedule(419, 1.58, (ChunkParams.uniform(419, 2.5, 0.1, 0.05),)), path)
+        # one exact chunk is admitted up to 1108 qubits; a short file refuses the next size up
+        path = tmp_path / "s1109.json"
+        save_schedule(Schedule(1109, 1.58, (ChunkParams.uniform(1109, 2.5, 0.1, 0.05),)), path)
         code = cli.main(["witness", "--schedule", str(path), "--state", "Bell", "--method", "exact"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert "exact sweeps for 419 qubits and 1 chunks" in captured.err
+        assert "exact sweeps for 1109 qubits and 1 chunks" in captured.err
 
 
 class TestCoordinates:
@@ -331,11 +339,12 @@ class TestAgreement:
             assert_backends_agree(schedule, method)
 
     @pytest.mark.parametrize("method", ["chunked", "exact"])
-    def test_mesoscopic_register_stays_normalized(self, table3, method):
-        # 40 qubits have no dense reference; the Dicke block's symmetric
-        # power at m = 38 must still be unitary to round-off
-        coords = np.zeros((4, 4 * 39), dtype=complex)
-        coords[np.arange(4), 39 * np.arange(4)] = 1.0  # |p> (x) |D_0>
-        finals = evolve_pair_dicke(coords, lifted(table3, 40), method)
+    @pytest.mark.parametrize("n", [40, 256])
+    def test_mesoscopic_register_stays_normalized(self, table3, n, method):
+        # these registers have no dense reference; the sector blocks and the
+        # change of basis must still be unitary to round-off
+        coords = np.zeros((4, 4 * (n - 1)), dtype=complex)
+        coords[np.arange(4), (n - 1) * np.arange(4)] = 1.0  # |p> (x) |D_0>
+        finals = evolve_pair_dicke(coords, lifted(table3, n), method)
         assert np.max(np.abs(np.linalg.norm(finals, axis=1) - 1)) <= 1e-12
         assert np.max(np.abs(finals.conj() @ finals.T - np.eye(4))) <= 1e-12

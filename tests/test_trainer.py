@@ -264,10 +264,8 @@ class TestTrain:
         assert result.final_rms <= 5e-3
 
 
-SWEEP_STEPS = {
-    "chunked": ("_pair_dicke_chunk", "_pair_dicke_backward_step", "_pair_dicke_factors"),
-    "exact": ("_exact_chunk", "_exact_backward_step", "pair_dicke_hamiltonian"),
-}
+# both methods: a chunk's forward step, its backward step, and the one build of every chunk's sector blocks
+SWEEP_STEPS = ("_forward_step", "_backward_step", "spin_sector_hamiltonian")
 
 
 class TestSweepsPerEpoch:
@@ -288,18 +286,18 @@ class TestSweepsPerEpoch:
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     def test_k_epochs_cost_k_plus_one_forward_and_k_backward_sweeps(self, monkeypatch, table3, method, epochs):
-        forward, backward, build = SWEEP_STEPS[method]
-        calls = count_calls(monkeypatch, [(hamiltonian, name) for name in (forward, backward, build)])
+        forward, backward, build = SWEEP_STEPS
+        calls = count_calls(monkeypatch, [(hamiltonian, name) for name in SWEEP_STEPS])
         result = train(table3, build_training_set(7), TrainerConfig(max_epochs=epochs, target_rms=0.0, method=method))
         assert result.epochs_used == epochs
         chunks = table3.n_chunks
-        # one chunk factor set (exact: one eigh) per forward sweep, shared by its backward sweep
-        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, build: (epochs + 1) * chunks}
+        # one batched eigendecomposition of every chunk's blocks per forward sweep, shared by its backward sweep
+        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, build: epochs + 1}
 
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     def test_schedule_at_target_returns_after_at_most_one_backward_sweep(self, monkeypatch, table2, ts2, method):
         target = rms_error(table2, ts2, method)
-        forward, backward, _ = SWEEP_STEPS[method]
+        forward, backward, _ = SWEEP_STEPS
         calls = count_calls(monkeypatch, [(hamiltonian, forward), (hamiltonian, backward)])
         result = train(table2, ts2, TrainerConfig(target_rms=target, method=method))
         assert (result.epochs_used, result.converged) == (0, True)

@@ -208,8 +208,8 @@ class TestWitnessValues:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
     def test_non_finite_correlation_refused(self):
-        # the reduced spectator power overflows at |K| = 1e308; a clamped
-        # NaN would read as a plausible witness
+        # the sector blocks overflow at |K| = 1e308; a clamped NaN would
+        # read as a plausible witness
         schedule = Schedule(4, 1.0, (ChunkParams.uniform(4, 1e308, 0.1, 0.05),) * 2)
         with pytest.raises(ValueError, match="not finite"):
             witness_values(build_training_set(4), schedule, "chunked")
