@@ -125,10 +125,11 @@ class ArrayCache:
         return cached
 
 
-# Every array derived from n alone: ``z_diagonal`` (read by ``expectation_zz``
-# alone), ``hamiltonian.pair_dicke_operators``, ``hamiltonian.sector_terms`` and ``hamiltonian.spin_sectors``
-# keep at most one dense budget between them. The dense phases and read-outs
-# store nothing here: they read their signs from the index bits (``z_signs``).
+# Every array derived from n alone: ``z_diagonal``, ``pair_parity`` (the one
+# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``,
+# ``hamiltonian.sector_terms`` and ``hamiltonian.spin_sectors`` keep at most one
+# dense budget between them. The dense phases and batched read-outs store
+# nothing here: they read their signs from the index bits (``z_signs``).
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 
@@ -244,6 +245,17 @@ def z_diagonal(n: int, q: int) -> np.ndarray:
     diag = z_signs(n, (q,), np.arange(2**n))[0]
     diag.flags.writeable = False
     return diag
+
+
+@PARITY_CACHE
+def pair_parity(n: int, i: int, j: int) -> np.ndarray:
+    """The +-1 of Z_i Z_j at each basis index, each written twice: the weights
+    of a state's squared real and imaginary parts side by side (``zz_terms``)."""
+    if not 0 <= i < j < n:
+        raise ValueError(f"pair ({i}, {j}) is not two ordered qubits of {n}")
+    parity = np.repeat(z_signs(n, (i, j), np.arange(2**n)).prod(axis=0), 2)
+    parity.flags.writeable = False
+    return parity
 
 
 _Z_EIGENVALUES = np.array([1.0, -1.0])  # of a qubit's bit 0 and bit 1
@@ -527,17 +539,34 @@ def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
 
     Round-off just outside the range is clamped; a non-finite value raises.
     """
+    squares, parity = zz_terms(state, i, j)
+    return bounded_zz(float(np.dot(squares, parity)))
+
+
+def zz_terms(state: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """A state vector's squared real and imaginary parts, side by side, and
+    the +-1 of Z_i Z_j that weights each (``pair_parity``).
+
+    The squares are one pass over the state: their sum is its norm and
+    their dot product with the weights is <Z_i Z_j>. Refuses what
+    ``expectation_zz`` refuses.
+    """
     if i == j:
         raise ValueError("expectation_zz needs two distinct qubits")
     arr = np.asarray(state)
     if arr.ndim != 1:
         raise ValueError("expected a state vector")
     n = n_qubits_of(arr)
-    probs = np.abs(arr) ** 2
     for q in (i, j):
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    value = float((probs * z_diagonal(n, i) * z_diagonal(n, j)).sum())
+    parts = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    return parts * parts, pair_parity(n, min(i, j), max(i, j))
+
+
+def bounded_zz(value: float) -> float:
+    """A read-out of <Z_i Z_j>, with round-off just outside [-1, 1] clamped;
+    a non-finite one raises."""
     if not math.isfinite(value):
         raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
     return min(1.0, max(-1.0, value))
@@ -551,8 +580,8 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def assert_normalized(state: np.ndarray, tol: float = 1e-10) -> None:
-    norm_sq = float(np.vdot(state, state).real)
+def check_norm(norm_sq: float, tol: float = 1e-10) -> None:
+    """Refuse a state whose sum of squared moduli ``norm_sq`` is not 1 to ``tol``."""
     if not abs(norm_sq - 1.0) <= tol:  # also refuses NaN
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq}")
 

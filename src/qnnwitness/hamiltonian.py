@@ -750,8 +750,13 @@ class ScheduleFormatError(ValueError):
 
 
 def schedule_to_json(schedule: Schedule) -> str:
+    return json.dumps(_schedule_document(schedule), indent=2) + "\n"
+
+
+def _schedule_document(schedule: Schedule) -> dict:
+    """The JSON object ``schedule_to_json`` lays out, as Python values."""
     pairs = qubit_pairs(schedule.n_qubits)
-    doc = {
+    return {
         "n_qubits": schedule.n_qubits,
         "total_time": schedule.total_time,
         "symmetric": schedule.symmetric,
@@ -764,7 +769,6 @@ def schedule_to_json(schedule: Schedule) -> str:
             for ck in schedule.chunks
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def _json_number(value, what: str) -> float:

@@ -9,7 +9,8 @@ sweeps record the unsquared estimator's mean and variance alongside the
 witness estimates.
 
 Each run of a sweep is one ``sample_zz_mean`` call on its own Philox
-(counter-based) stream keyed on (seed, shot_count, iteration). A count's
+(counter-based) stream keyed on (seed, shot_count, iteration); the call
+reads the final state once, for its norm and its <ZZ> together. A count's
 row therefore depends on neither the other counts in the grid nor their
 order: any subset of the grid can be evaluated in any order, or in
 parallel, with identical results.
@@ -24,18 +25,21 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import assert_normalized, expectation_zz
+from .core import bounded_zz, check_norm, zz_terms
 from .hamiltonian import Schedule
 from .witness import PairStateKind, evolve_dense, make_pair_state
 
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's 256-bit counter at 0; each stream copies it
+_ZERO_COUNTER.flags.writeable = False
 MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
 CONFIDENCE_LEVEL = 0.95
 Z_SCORE = statistics.NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided: 1.959964
@@ -47,6 +51,17 @@ def map_ordered(fn, items) -> list:
     return [fn(item) for item in items]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int if it is an integer (numpy's included), else a refusal:
+    a float, even a whole one, a bool or a numeric string is no count."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ShotConfig:
     shot_counts: tuple[int, ...] = tuple(range(50, 20001, 50))
@@ -54,7 +69,9 @@ class ShotConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shot_counts", tuple(int(c) for c in self.shot_counts))
+        object.__setattr__(self, "shot_counts", tuple(_integer(c, "each shot count") for c in self.shot_counts))
+        object.__setattr__(self, "iterations", _integer(self.iterations, "iterations"))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         if not self.shot_counts:
             raise ValueError("shot_counts must be nonempty")
         if any(c < 1 for c in self.shot_counts):
@@ -105,23 +122,34 @@ def rng_stream(seed: int, shot_count: int, iteration: int) -> np.random.Generato
     """Independent Philox stream for one (seed, shot_count, iteration) cell.
 
     Its key is ``SeedSequence([seed, shot_count, iteration])``, each taken
-    mod 2**64. The words are handed over as one uint32 array, the form
-    numpy would convert that list into, which skips its per-item
-    conversion: about a fifth of a stream's setup.
+    mod 2**64, and its counter starts at 0, Philox's default. Both are
+    handed to numpy as the uint32 and uint64 words it would convert them
+    into, which skips its per-item conversion. When each value fits in
+    one word, as every sweep's do, the three values are those words (the
+    or of three ints is negative if any is, and fits in a word when each
+    does).
     """
-    words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
+    if 0 <= seed | shot_count | iteration <= _MASK32:
+        words = (seed, shot_count, iteration)
+    else:
+        words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
     key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(key))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 def sample_zz_mean(
     final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
 ) -> float:
-    """Unsquared estimator: mean parity of n_shots, from one binomial count."""
+    """Unsquared estimator: mean parity of n_shots, from one binomial count.
+
+    The state is read once: its norm and <Z_i Z_j> both come from the one
+    pass of squared moduli that ``zz_terms`` makes.
+    """
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    assert_normalized(final_state)
-    k = rng.binomial(n_shots, (1.0 + expectation_zz(final_state, *pair)) / 2.0)
+    squares, parity = zz_terms(final_state, *pair)
+    check_norm(float(squares.sum()))
+    k = rng.binomial(n_shots, (1.0 + bounded_zz(float(np.dot(squares, parity)))) / 2.0)
     return (2 * int(k) - n_shots) / n_shots
 
 

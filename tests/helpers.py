@@ -24,7 +24,7 @@ import numpy as np
 
 from qnnwitness import core
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import GateKind, GateOp, assert_normalized, circuit_unitary, density_matrix, frobenius_distance
+from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
 from qnnwitness.core import n_qubits_of, z_diagonal
 from qnnwitness.hamiltonian import evolve_states
 from qnnwitness.witness import PairStateKind, make_pair_state
@@ -107,7 +107,7 @@ def sample_zz_mean_per_shot(
     """Unsquared estimator: mean parity over n_shots basis-state samples (inverse CDF)."""
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    assert_normalized(final_state)
+    check_norm(float(np.vdot(final_state, final_state).real))
     n = n_qubits_of(final_state)
     probs = np.abs(final_state) ** 2
     parity = z_diagonal(n, pair[0]) * z_diagonal(n, pair[1])

@@ -22,6 +22,7 @@ from qnnwitness.core import (
     expectation_zz,
     frobenius_distance,
     ising_diagonal,
+    pair_parity,
     require_dense,
     z_diagonal,
 )
@@ -428,6 +429,46 @@ class TestExpectationZZ:
         state = np.full(4, np.nan, dtype=complex)
         with pytest.raises(ValueError, match="not finite"):
             expectation_zz(state, 0, 1)
+
+    def test_refusals_keep_their_messages(self):
+        state = basis_state(2)
+        with pytest.raises(ValueError, match="^expectation_zz needs two distinct qubits$"):
+            expectation_zz(state, 0, 0)
+        for i, j, bad in ((0, 2, 2), (-1, 1, -1), (1, 5, 5)):
+            with pytest.raises(ValueError, match=f"^qubit index {bad} out of range for 2 qubits$"):
+                expectation_zz(state, i, j)
+        with pytest.raises(ValueError, match=r"^<Z_i Z_j> is not finite; the state holds non-finite amplitudes$"):
+            expectation_zz(np.array([np.inf, 0, 0, 0], dtype=complex), 0, 1)
+        with pytest.raises(ValueError, match="^expected a state vector$"):
+            expectation_zz(state[np.newaxis, :], 0, 1)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_equals_the_weighted_sum_of_probabilities(self, n):
+        # the one-pass read-out against |psi|^2 . Z_i . Z_j summed, for every
+        # pair in both orders and for a strided view of the same state
+        rng = np.random.default_rng(n)
+        for state in (random_state(n, rng), random_state(n, rng)):
+            probs = np.abs(state) ** 2
+            strided = np.stack([state, state], axis=1)[:, 0]
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        want = float((probs * z_diagonal(n, i) * z_diagonal(n, j)).sum())
+                        assert abs(expectation_zz(state, i, j) - want) <= 1e-15
+                        assert expectation_zz(strided, i, j) == expectation_zz(state, i, j)
+
+    def test_pair_parity_weights_both_parts_of_each_amplitude(self):
+        row = pair_parity(3, 0, 2)
+        assert np.array_equal(row, np.repeat(z_diagonal(3, 0) * z_diagonal(3, 2), 2))
+        assert not row.flags.writeable
+        for i, j in ((2, 0), (1, 1), (0, 3)):
+            with pytest.raises(ValueError, match="is not two ordered qubits of 3"):
+                pair_parity(3, i, j)
+
+    def test_real_input_reads_as_complex(self):
+        state = np.array([0.6, 0.0, 0.0, 0.8])
+        assert expectation_zz(state, 0, 1) == expectation_zz(state.astype(complex), 0, 1)
+        assert expectation_zz(state, 0, 1) == pytest.approx(1.0)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(deadline=None, max_examples=50)

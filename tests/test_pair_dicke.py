@@ -10,6 +10,7 @@ gradients to 1e-12 * max(1, |g|).
 
 from __future__ import annotations
 
+import json
 import time
 import tracemalloc
 from math import comb
@@ -29,7 +30,6 @@ from qnnwitness.hamiltonian import (
     evolve_states,
     pair_dicke_operators,
     refine_schedule,
-    save_schedule,
     spin_sector_hamiltonian,
 )
 from qnnwitness.witness import (
@@ -263,9 +263,13 @@ class TestSweepBudget:
         assert elapsed < 0.5 and peak < 2**20
 
     def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
-        # one exact chunk is admitted up to 1108 qubits; a short file refuses the next size up
+        # one exact chunk is admitted up to 1108 qubits; a short file refuses the
+        # next size up. The file holds save_schedule's document without its
+        # indentation: json's indenting encoder is pure Python, seconds at
+        # C(1109, 2) zeta keys, where the compact one is C code
         path = tmp_path / "s1109.json"
-        save_schedule(Schedule(1109, 1.58, (ChunkParams.uniform(1109, 2.5, 0.1, 0.05),)), path)
+        schedule = Schedule(1109, 1.58, (ChunkParams.uniform(1109, 2.5, 0.1, 0.05),))
+        path.write_text(json.dumps(hamiltonian._schedule_document(schedule)))
         code = cli.main(["witness", "--schedule", str(path), "--state", "Bell", "--method", "exact"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")

@@ -3,7 +3,7 @@ import pytest
 
 from qnnwitness import witness
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit, assert_normalized, expectation_zz
+from qnnwitness.core import apply_circuit, check_norm, expectation_zz, z_diagonal
 from qnnwitness.sampler import (
     MAX_ITERATIONS,
     Z_SCORE,
@@ -15,7 +15,7 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import basis_state, sample_zz_mean_per_shot
+from helpers import basis_state, random_state, sample_zz_mean_per_shot
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -47,6 +47,22 @@ class TestShotConfig:
         for iterations in (0, MAX_ITERATIONS + 1, 10**12):
             with pytest.raises(ValueError, match=f"iterations must lie in 1..{MAX_ITERATIONS}"):
                 ShotConfig(iterations=iterations)
+
+
+    @pytest.mark.parametrize("field, value", [
+        ("shot_counts", (50.7,)), ("shot_counts", (50.0,)), ("shot_counts", ("60",)), ("shot_counts", (True,)),
+        ("shot_counts", (np.bool_(True),)), ("iterations", 2.5), ("iterations", "100"), ("iterations", False),
+        ("seed", 1.5), ("seed", "0"), ("seed", True),
+    ])
+    def test_non_integers_refused(self, field, value):
+        # a float, even a whole one, is refused rather than truncated into a row labelled otherwise
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            ShotConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        config = ShotConfig(shot_counts=(np.int64(50), np.uint16(100)), iterations=np.int32(7), seed=np.uint64(3))
+        assert config == ShotConfig(shot_counts=(50, 100), iterations=7, seed=3)
+        assert all(type(value) is int for value in (*config.shot_counts, config.iterations, config.seed))
 
 
 class TestSampleZZWitness:
@@ -84,9 +100,31 @@ class TestSampleZZWitness:
         # abs(nan - 1) > tol is false, so a plain tolerance test lets NaN through
         state = np.full(4, np.nan, dtype=complex)
         with pytest.raises(ValueError):
-            assert_normalized(state)
+            check_norm(float(np.vdot(state, state).real))
         with pytest.raises(ValueError):
             sample_zz_mean(state, (0, 1), 10, rng_stream(0, 10, 0))
+
+    def test_normalization_tolerance_and_message(self):
+        # the norm comes from the same squared moduli as <ZZ>, refused to 1e-10 as before
+        flat = np.full(4, 0.5, dtype=complex)
+        sample_zz_mean(flat * np.sqrt(1 + 0.5e-10), (0, 1), 10, rng_stream(0, 10, 0))
+        with pytest.raises(ValueError, match=r"^state is not normalized: sum \|amp\|\^2 = 1\.0000000002"):
+            sample_zz_mean(flat * np.sqrt(1 + 2e-10), (0, 1), 10, rng_stream(0, 10, 0))
+
+    @pytest.mark.parametrize("n", [2, 7])
+    def test_one_binomial_draw_on_the_cell_stream(self, n):
+        # each run is (2k - n)/n for k the cell stream's one binomial draw at
+        # p = (1 + <ZZ>)/2, whatever numpy's binomial algorithm
+        rng = np.random.default_rng(n)
+        cells = zip(rng.integers(1, 20001, size=200), rng.integers(0, 100, size=200))
+        for index, (count, it) in enumerate(cells):
+            state = random_state(n, rng) if index % 20 == 0 else state
+            pair = (0, 1) if index % 2 else (n - 1, 0)
+            parity = z_diagonal(n, pair[0]) * z_diagonal(n, pair[1])
+            zz = min(1.0, max(-1.0, float((np.abs(state) ** 2 * parity).sum())))
+            count, it = int(count), int(it)
+            k = int(rng_stream(11, count, it).binomial(count, (1.0 + zz) / 2.0))
+            assert sample_zz_mean(state, pair, count, rng_stream(11, count, it)) == (2 * k - count) / count
 
     def test_estimator_bias_matches_binomial_model(self):
         # E[zbar^2] = <ZZ>^2 + (1 - <ZZ>^2)/n; flat state has <ZZ> = 0
