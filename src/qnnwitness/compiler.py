@@ -16,6 +16,12 @@ single-qubit blocks, chunk by chunk), so compiled circuits match it to
 round-off; any residual witness error comes from the non-commuting
 Trotter split, not from the gate translation.
 
+:func:`compile_schedule` builds each pair's ``CNOT(i, j)`` once per call
+and puts that one frozen gate object at both ends of the pair's block in
+every chunk; nothing is shared across calls. The circuit still holds
+only gates: :func:`qnnwitness.core.apply_circuit` fuses them in one pass
+over the gate list and never reads the schedule.
+
 ``atan2`` rather than the arcsin form keeps negative biases on the
 correct branch; the two agree for eps >= 0.
 
@@ -42,13 +48,14 @@ from functools import partial
 import numpy as np
 
 from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_pairs, require_square
+from .core import _CNOT, _ROT_Y, _ROT_Z
 from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
 from .hamiltonian import Schedule
 from .witness import PairStateKind, evolve_dense, make_pair_state
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
-# Six 7-qubit schedules of four chunks, one full circuit of about 80 KB each
+# Eight 7-qubit schedules of four chunks, one full circuit of about 64 KB each
 # with its fused steps. A circuit that alone needs more, such as four chunks
 # on 13 qubits with a 128 KiB phase vector each, is compiled on every call.
 # A 2 MiB store, held full, slowed the benchmark's other n=2 CLI calls by 4.7%.
@@ -80,9 +87,9 @@ def compile_single_qubit(
     if (beta == 0.0 and alpha == 0.0) or (elide and abs(alpha) < ELISION_THRESHOLD):
         return []
     ops = [
-        GateOp(GateKind.ROT_Y, qubit, angle=-beta),
-        GateOp(GateKind.ROT_Z, qubit, angle=alpha),
-        GateOp(GateKind.ROT_Y, qubit, angle=beta),
+        GateOp(_ROT_Y, qubit, angle=-beta),
+        GateOp(_ROT_Z, qubit, angle=alpha),
+        GateOp(_ROT_Y, qubit, angle=beta),
     ]
     if elide:
         ops = [op for op in ops if abs(op.angle) >= ELISION_THRESHOLD]
@@ -93,14 +100,16 @@ def compile_zz(coupling: float, dt: float, control: int, target: int, elide: boo
     """Gates for ``exp(-i dt zeta Z_i Z_j)`` via CNOT conjugation."""
     if control == target:
         raise ValueError("pair factor needs two distinct qubits")
+    return _zz_gates(GateOp(_CNOT, target, control=control), coupling, dt, elide)
+
+
+def _zz_gates(cnot: GateOp, coupling: float, dt: float, elide: bool) -> list[GateOp]:
+    """``cnot``, the Rz on its target, then the same ``cnot`` object again:
+    a frozen gate is safe to share, and one object per pair saves a build."""
     angle = 2.0 * coupling * dt
     if elide and abs(angle) < ELISION_THRESHOLD:
         return []
-    return [
-        GateOp(GateKind.CNOT, target, control=control),
-        GateOp(GateKind.ROT_Z, target, angle=angle),
-        GateOp(GateKind.CNOT, target, control=control),
-    ]
+    return [cnot, GateOp(_ROT_Z, cnot.target, angle=angle), cnot]
 
 
 def _schedule_key(schedule: Schedule, elide: bool = False) -> tuple:
@@ -125,18 +134,19 @@ def compile_schedule(schedule: Schedule, elide: bool = False) -> Circuit:
     """
     n = schedule.n_qubits
     dt = schedule.dt
+    cnots = [GateOp(_CNOT, j, control=i) for i, j in qubit_pairs(n)]  # each shared by every chunk
     ops: list[GateOp] = []
     for ck in schedule.chunks:
-        for idx, (i, j) in enumerate(qubit_pairs(n)):
-            ops.extend(compile_zz(ck.coupling[idx], dt, i, j, elide=elide))
+        for cnot, coupling in zip(cnots, ck.coupling):
+            ops += _zz_gates(cnot, coupling, dt, elide)
         for q in range(n):
-            ops.extend(compile_single_qubit(ck.tunneling[q], ck.bias[q], dt, q, elide=elide))
+            ops += compile_single_qubit(ck.tunneling[q], ck.bias[q], dt, q, elide=elide)
     return Circuit(n, tuple(ops))
 
 
 def gate_counts(circuit: Circuit) -> tuple[int, int]:
     """(single-qubit, two-qubit) gate counts."""
-    two = sum(1 for op in circuit.ops if op.kind is GateKind.CNOT)
+    two = sum(1 for op in circuit.ops if op.kind is _CNOT)
     return len(circuit.ops) - two, two
 
 
@@ -203,7 +213,7 @@ def export_qasm(circuit: Circuit) -> str:
         f"creg c[{circuit.n_qubits}];",
     ]
     for op in circuit.ops:
-        if op.kind is GateKind.CNOT:
+        if op.kind is _CNOT:
             lines.append(f"cx q[{op.control}],q[{op.target}];")
         else:
             lines.append(f"{op.kind.value}({op.angle:.17g}) q[{op.target}];")  # the kinds' values are QASM names
@@ -237,7 +247,7 @@ def parse_qasm(text: str) -> Circuit:
         m = _QASM_CNOT.match(line)
         if m:
             control, target = (int(g) for g in m.groups())
-            ops.append(GateOp(GateKind.CNOT, target, control=control))
+            ops.append(GateOp(_CNOT, target, control=control))
             continue
         raise ValueError(f"unsupported QASM on line {lineno}: {line!r}")
     if n_qubits is None:

@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError
-from .core import _blocks, _kron, _run_steps, ising_diagonal, qubit_pairs, require_square
+from .core import _blocks, _kron, _run_steps, ising_diagonal, require_square
 
 
 @dataclass(frozen=True)
@@ -753,9 +753,18 @@ def schedule_to_json(schedule: Schedule) -> str:
     return json.dumps(_schedule_document(schedule), indent=2) + "\n"
 
 
+def _pair_keys(n: int) -> list[str]:
+    """The C(n, 2) ``"i,j"`` zeta keys in the order of ``qubit_pairs``: each
+    row's ``"i,"`` prefix joined to the column strings after it, so that no
+    pair is formatted on its own."""
+    columns = [str(j) for j in range(n)]
+    rows = [column + "," for column in columns]
+    return [row + column for i, row in enumerate(rows) for column in columns[i + 1 :]]
+
+
 def _schedule_document(schedule: Schedule) -> dict:
     """The JSON object ``schedule_to_json`` lays out, as Python values."""
-    pairs = qubit_pairs(schedule.n_qubits)
+    keys = _pair_keys(schedule.n_qubits)
     return {
         "n_qubits": schedule.n_qubits,
         "total_time": schedule.total_time,
@@ -764,7 +773,7 @@ def _schedule_document(schedule: Schedule) -> dict:
             {
                 "K": list(ck.tunneling),
                 "eps": list(ck.bias),
-                "zeta": {f"{i},{j}": ck.coupling[idx] for idx, (i, j) in enumerate(pairs)},
+                "zeta": dict(zip(keys, ck.coupling)),
             }
             for ck in schedule.chunks
         ],
@@ -867,7 +876,7 @@ def schedule_from_json(text: str) -> Schedule:
         wrong = [key for key in ("K", "eps") if isinstance(raw[key], list) and len(raw[key]) != n]
         if len(zeta) == n * (n - 1) // 2 and not wrong:
             if keys is None:
-                keys = [f"{i},{j}" for i, j in qubit_pairs(n)]
+                keys = _pair_keys(n)
                 expected = set(keys)
             if zeta.keys() == expected:
                 continue

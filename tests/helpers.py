@@ -272,12 +272,22 @@ def random_circuit(n: int, depth: int, rng: np.random.Generator):
     return ops
 
 
+def rotation_run_end(ops, start: int, q: int, kinds) -> int:
+    """Index just past the run of ``kinds`` rotations on qubit ``q`` from ``start``."""
+    end = start
+    while end < len(ops) and ops[end].kind in kinds and ops[end].target == q:
+        end += 1
+    return end
+
+
 def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
     """The gate kernel with its runs regrouped on every call: the same
     rewrites, in the same order and with the same arithmetic, as the fused
     steps that ``apply_circuit`` keeps on a circuit, so results match them
     bit for bit. A diagonal run sums its half-angles per qubit and per pair
-    and forms its phases with ``core.ising_diagonal``, as a kept run does."""
+    and forms its phases with ``core.ising_diagonal``, as a kept run does.
+    Unlike ``core._fuse``, it finds each run's end by scanning it twice, for
+    all rotations and for Rz only (:func:`rotation_run_end`)."""
     n, ops = circuit.n_qubits, circuit.ops
     rotations, z_only = (GateKind.ROT_X, GateKind.ROT_Y, GateKind.ROT_Z), (GateKind.ROT_Z,)
     block_of = [b for b, (_, k) in enumerate(core._blocks(n)) for _ in range(k)]
@@ -295,7 +305,7 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
         op = ops[i]
         term = None
         if op.kind is GateKind.CNOT:
-            end = core._rotation_run_end(ops, i + 1, op.target, z_only)
+            end = rotation_run_end(ops, i + 1, op.target, z_only)
             closing = ops[end] if end < len(ops) else None
             if closing is not None and closing.kind is GateKind.CNOT and closing.qubits == op.qubits:
                 term = sum(g.angle for g in ops[i + 1 : end]), (op.control, op.target)
@@ -303,8 +313,8 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
             else:
                 end = i + 1
         else:
-            end = core._rotation_run_end(ops, i, op.target, rotations)
-            if core._rotation_run_end(ops, i, op.target, z_only) == end:
+            end = rotation_run_end(ops, i, op.target, rotations)
+            if rotation_run_end(ops, i, op.target, z_only) == end:
                 term = sum(g.angle for g in ops[i:end]), (op.target,)
         if term is not None:
             if half is None:

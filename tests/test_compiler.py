@@ -164,7 +164,41 @@ class TestCompileZZ:
         assert ops[1].target == 1  # rotation sits on the target qubit
 
 
+# signed zeros compile to different gates (atan2(-0.0, -1) = -pi, rz(-0));
+# +-1e-17 couplings and biases give angles under the elision threshold
+schedule_entries = st.one_of(st.sampled_from([0.0, -0.0, 1e-17, -1e-17]), st.floats(-3, 3, allow_nan=False))
+
+
+@st.composite
+def signed_zero_schedules(draw) -> Schedule:
+    n = draw(st.integers(1, 4))
+
+    def entries(size):
+        return draw(st.lists(schedule_entries, min_size=size, max_size=size))
+
+    n_chunks = draw(st.integers(1, 3))
+    chunks = tuple(ChunkParams(entries(n), entries(n), entries(n * (n - 1) // 2)) for _ in range(n_chunks))
+    return Schedule(n, draw(st.floats(0.1, 3.0)), chunks)
+
+
 class TestCompileSchedule:
+    @pytest.mark.parametrize("elide", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(schedule=signed_zero_schedules())
+    def test_ops_are_each_chunks_pair_and_qubit_gates(self, schedule, elide):
+        n, dt = schedule.n_qubits, schedule.dt
+        expected = []
+        for ck in schedule.chunks:
+            for coupling, (i, j) in zip(ck.coupling, qubit_pairs(n)):
+                expected += compile_zz(coupling, dt, i, j, elide=elide)
+            for q in range(n):
+                expected += compile_single_qubit(ck.tunneling[q], ck.bias[q], dt, q, elide=elide)
+        ops = compile_schedule.__wrapped__(schedule, elide=elide).ops
+        assert list(map(repr, ops)) == list(map(repr, expected))  # repr tells -0.0 from 0.0
+        # one CNOT object per pair, at both ends of its block in every chunk
+        cnots = [op for op in ops if op.kind is GateKind.CNOT]
+        assert len({id(op) for op in cnots}) == len({(op.control, op.target) for op in cnots})
+
     def test_table2_gate_count(self, table2):
         circuit = compile_schedule(table2, elide=False)
         assert len(circuit) == 36
@@ -238,14 +272,15 @@ class TestCircuitStore:
         circuit = compile_schedule(big)
         assert len(circuit) == 4 * (3 * 78 + 3 * 13) and circuit.nbytes > CIRCUIT_CACHE.max_bytes
         assert compile_schedule.cache_info().currsize == 0
-        # about 80 KB each: the first ones are evicted, least recent first
+        # about 64 KB each, a CNOT object per pair shared by the four chunks:
+        # the first ones are evicted, least recent first
         rng = np.random.default_rng(5)
         schedules = [random_schedule_uniform(rng, 7, 4) for _ in range(10)]
         for schedule in schedules:
             apply_circuit(basis_state(7), compile_schedule(schedule))  # builds its phase vectors
             info = compile_schedule.cache_info()
             assert info.nbytes == CIRCUIT_CACHE.nbytes <= CIRCUIT_CACHE.max_bytes
-        assert info.currsize == 6
+        assert info.currsize == 8
         misses = info.misses
         compile_schedule(schedules[-1])
         compile_schedule(schedules[0])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from types import ModuleType
@@ -140,6 +141,28 @@ class TestGateOpValidation:
     def test_circuit_bounds_check(self):
         with pytest.raises(ValueError):
             Circuit(2, (GateOp(GateKind.ROT_Z, 2, angle=0.1),))
+        with pytest.raises(ValueError, match="qubit index 3 out of range for 3 qubits"):
+            Circuit(3, (GateOp(GateKind.ROT_Z, 0, angle=0.1), GateOp(GateKind.CNOT, 4, control=3)))
+        with pytest.raises(ValueError, match="qubit index -1 out of range"):
+            Circuit(3, (GateOp(GateKind.CNOT, 1, control=-1),))
+
+    def test_messages_repr_equality_hash_and_immutability(self):
+        refusals = [((GateKind.CNOT, 1), {}, "CNOT takes a control qubit and no angle"),
+                    ((GateKind.CNOT, 1), {"control": 0, "angle": 0.5}, "CNOT takes a control qubit and no angle"),
+                    ((GateKind.CNOT, 1), {"control": 1}, "CNOT control and target must differ"),
+                    (("rz", 0), {"angle": 0.5}, "unknown gate kind 'rz'"),
+                    ((GateKind.ROT_Z, 0), {"control": 1, "angle": 0.5}, "rotations take no control qubit"),
+                    ((GateKind.ROT_Z, 0), {}, "rotation angle must be a finite number")]
+        for args, kwargs, message in refusals:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                GateOp(*args, **kwargs)
+        op = GateOp(GateKind.ROT_Z, 1, angle=-0.0)
+        assert repr(op) == "GateOp(kind=<GateKind.ROT_Z: 'rz'>, target=1, control=None, angle=-0.0)"
+        assert op == GateOp(GateKind.ROT_Z, 1, None, 0.0) and hash(op) == hash(GateOp(GateKind.ROT_Z, 1, angle=0.0))
+        assert GateOp(GateKind.CNOT, 1, control=0) != GateOp(GateKind.CNOT, 0, control=1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.angle = 1.0
+        assert dataclasses.replace(op, angle=0.25) == GateOp(GateKind.ROT_Z, 1, angle=0.25)
 
 
 class TestApplyGate:
@@ -303,13 +326,33 @@ class TestGateKernel:
 
 @st.composite
 def gate_lists(draw) -> Circuit:
-    """A circuit of 1 to 3 qubits: few qubits, so runs of one kind and
-    ``CNOT, Rz, CNOT`` blocks are drawn often."""
+    """A circuit of 1 to 3 qubits, few so that patterns recur, drawn as
+    segments: a single gate; a run on one qubit, mostly Rz, which an Rx or
+    Ry may break; or ``CNOT(c, t)``, an Rz run on t and a CNOT on t whose
+    control may differ, and which may be the opening gate object itself, as
+    in a compiled schedule."""
     n = draw(st.integers(1, 3))
     qubits = st.integers(0, n - 1)
     rotations = st.builds(lambda kind, q, angle: GateOp(kind, q, angle=angle), rotation_kinds, qubits, angles)
-    cnots = st.builds(lambda c, shift: GateOp(GateKind.CNOT, (c + shift) % n, control=c), qubits, st.integers(1, n - 1))
-    return Circuit(n, tuple(draw(st.lists(rotations if n == 1 else st.one_of(rotations, cnots), max_size=30))))
+    run_kinds = st.sampled_from([GateKind.ROT_Z, GateKind.ROT_Z, GateKind.ROT_X, GateKind.ROT_Y])
+    runs = st.builds(lambda q, run: [GateOp(kind, q, angle=angle) for kind, angle in run],
+                     qubits, st.lists(st.tuples(run_kinds, angles), min_size=1, max_size=4))
+    segments = [rotations.map(lambda op: [op]), runs]
+    if n > 1:
+        cnots = st.builds(lambda c, shift: GateOp(GateKind.CNOT, (c + shift) % n, control=c),
+                          qubits, st.integers(1, n - 1))
+
+        @st.composite
+        def blocks(draw):
+            opening = draw(cnots)
+            middle = [GateOp(GateKind.ROT_Z, opening.target, angle=a) for a in draw(st.lists(angles, max_size=3))]
+            control = draw(qubits.filter(lambda c: c != opening.target))
+            shared = control == opening.control and draw(st.booleans())
+            closing = opening if shared else GateOp(GateKind.CNOT, opening.target, control=control)
+            return [opening, *middle, closing]
+
+        segments += [cnots.map(lambda op: [op]), blocks()]
+    return Circuit(n, tuple(op for segment in draw(st.lists(st.one_of(segments), max_size=12)) for op in segment))
 
 
 class TestFusedSteps:
@@ -322,8 +365,17 @@ class TestFusedSteps:
         assert all(step._vector is None for step in phases)
         circuit_unitary(circuit)
         blocks = [step[0] for step in circuit.steps if isinstance(step, tuple)]
-        assert sized == (core._GATE_BYTES * len(circuit.ops) + core._STEP_BYTES * len(circuit.steps)
+        gates = core._GATE_BYTES * len({id(op) for op in circuit.ops}) + core._SLOT_BYTES * len(circuit.ops)
+        assert sized == (gates + core._STEP_BYTES * len(circuit.steps)
                          + sum(block.nbytes for block in blocks) + sum(step._vector.nbytes for step in phases))
+
+    def test_nbytes_charges_a_shared_gate_once(self, table3):
+        circuit = compile_schedule.__wrapped__(table3)
+        # 21 CNOTs at both ends of their pair's block in all 4 chunks, and 4 x (21 + 21) rotations
+        assert len(circuit.ops) == 336 and len({id(op) for op in circuit.ops}) == 21 + 168
+        unshared = Circuit(7, tuple(GateOp(op.kind, op.target, op.control, op.angle) for op in circuit.ops))
+        assert unshared.ops == circuit.ops
+        assert unshared.nbytes - circuit.nbytes == core._GATE_BYTES * (336 - 189)
 
     @pytest.mark.parametrize("elide", [True, False])
     @pytest.mark.parametrize("name", ["table2", "table3"])
@@ -337,6 +389,30 @@ class TestFusedSteps:
         for state in states + states:  # the second pass runs on the kept steps
             assert np.array_equal(apply_circuit(state, circuit),
                                   run_circuit_unfused(state.reshape(2**n, -1), circuit).reshape(state.shape))
+
+    @settings(max_examples=100, deadline=None)
+    @given(circuit=gate_lists(), seed=st.integers(0, 2**32 - 1))
+    def test_kept_steps_equal_the_regrouped_kernel_on_drawn_gate_lists(self, circuit, seed):
+        n = circuit.n_qubits
+        rng = np.random.default_rng(seed)
+        columns = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        assert np.array_equal(apply_circuit(columns, circuit), run_circuit_unfused(columns, circuit))
+
+    def test_patterns_fuse_to_their_steps(self):
+        cnot, other = GateOp(GateKind.CNOT, 1, control=0), GateOp(GateKind.CNOT, 1, control=2)
+        rz, rx = GateOp(GateKind.ROT_Z, 1, angle=0.3), GateOp(GateKind.ROT_X, 1, angle=0.2)
+
+        def kinds(*ops):
+            steps = Circuit(3, ops).steps
+            return [type(step).__name__ if not isinstance(step, tuple) else "block" for step in steps]
+
+        assert kinds(cnot, rz, cnot) == ["_PhaseRun"]
+        assert kinds(cnot) == ["GateOp"] and kinds(cnot, cnot) == ["_PhaseRun"]
+        # a closing CNOT with another control leaves two lone CNOTs around an Rz run
+        assert kinds(cnot, rz, other) == ["GateOp", "_PhaseRun", "GateOp"]
+        # an Rx breaks an Rz run into one 2x2
+        assert kinds(rz, rz) == ["_PhaseRun"] and kinds(rz, rx, rz) == ["block"]
+        assert kinds(cnot, rz, rx, cnot) == ["GateOp", "block", "GateOp"]
 
     def test_steps_are_built_once_per_circuit(self, monkeypatch, table3):
         calls = count_calls(monkeypatch, [(core, "_fuse")])

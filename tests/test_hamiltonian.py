@@ -7,10 +7,10 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from qnnwitness import cli
+from qnnwitness import cli, hamiltonian
 from qnnwitness.compiler import verify_equivalence
 from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError
-from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, require_square, z_diagonal
+from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, qubit_pairs, require_square, z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -587,6 +587,13 @@ _REFUSALS = [
 class TestScheduleJson:
     def test_round_trip(self, table2):
         assert schedule_from_json(schedule_to_json(table2)) == table2
+
+    def test_pair_keys_are_the_pairs_in_order(self):
+        for n in range(1, 40):
+            assert hamiltonian._pair_keys(n) == [f"{i},{j}" for i, j in qubit_pairs(n)]
+        schedule = Schedule(12, 1.0, (ChunkParams(range(12), range(12), [0.5 * k for k in range(66)]),))
+        zeta = json.loads(schedule_to_json(schedule))["chunks"][0]["zeta"]
+        assert list(zeta.items()) == [(f"{i},{j}", 0.5 * k) for k, (i, j) in enumerate(qubit_pairs(12))]
 
     def test_fixture_values(self, table2, table3):
         assert table2.chunks[0].tunneling == (2.49, 2.49)
