@@ -50,8 +50,8 @@ import numpy as np
 from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_pairs, require_square
 from .core import _CNOT, _ROT_Y, _ROT_Z
 from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
-from .hamiltonian import Schedule
-from .witness import PairStateKind, evolve_dense, make_pair_state
+from .hamiltonian import Schedule, sector_trotter_error
+from .witness import PairStateKind, evolve_dense, orbit_coordinates
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
@@ -156,25 +156,34 @@ def verify_equivalence(schedule: Schedule) -> dict:
     Compares full unitaries and, for the four reference pair states on
     qubits (0, 1), the final density matrices. Gate-vs-chunked distances
     sit at round-off; chunked-vs-exact carries the whole Trotter error.
-    Each picture evolves the basis states ``VERIFY_BLOCK_ROWS`` at a time,
-    the pair states with the first block, as C-ordered ``(2**n, batch)``
-    columns; a unitary distance sums the blocks' squares. Each picture is
-    compared with the one before it, so two are held at a time.
+    Each dense picture evolves the basis states ``VERIFY_BLOCK_ROWS`` at a
+    time, the pair states with the first block, as C-ordered ``(2**n,
+    batch)`` columns; a unitary distance sums the blocks' squares. Each
+    picture is compared with the one before it, so two are held at a time.
+    Under a schedule of uniform chunks, chunked-vs-exact comes from the
+    total-spin sectors instead (:func:`~qnnwitness.hamiltonian.sector_trotter_error`):
+    the pair states evolve there as pair (x) Dicke coordinates, an
+    isometric image of the ``2**n`` states, so their density distances
+    are the dense ones, and ``exact`` evolves no ``2**n`` state.
     """
     n = schedule.n_qubits
     require_square(n)
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
+    orbit = orbit_coordinates(n)  # the pair states, in PairStateKind order
+    if schedule.symmetric:  # refused, if at all, before any dense work
+        sectors = _distances(*sector_trotter_error(orbit, schedule))
     dim = 2**n
-    methods = ("gates", "chunked", "exact")
+    methods = ("gates", "chunked") if schedule.symmetric else ("gates", "chunked", "exact")
     names = {"chunked": "frobenius_gate_vs_chunked", "exact": "frobenius_chunked_vs_exact"}
     block_distances: dict = {name: [] for name in names.values()}
     finals = {}
     for start in range(0, dim, VERIFY_BLOCK_ROWS):
         rows = min(VERIFY_BLOCK_ROWS, dim - start)
-        columns = np.eye(dim, rows, -start, dtype=complex)  # basis states start .. start + rows - 1
-        if start == 0:
-            columns = np.column_stack([columns, *(make_pair_state(kind, (0, 1), n) for kind in PairStateKind)])
+        columns = np.zeros((dim, rows + 4 * (start == 0)), dtype=complex)
+        columns[start + np.arange(rows), np.arange(rows)] = 1.0  # basis states start .. start + rows - 1
+        if start == 0:  # the pair states, whose spectators are in |0>: |p> (x) |D_0> is the index p << (n - 2)
+            columns[np.arange(4) << (n - 2), rows:] = orbit[:, :: n - 1].T
         previous = None
         for method in methods:
             evolved = evolve_dense(columns.T, schedule, method)
@@ -185,10 +194,16 @@ def verify_equivalence(schedule: Schedule) -> dict:
             previous = evolved
     report: dict = {"n_qubits": n}
     for before, method in zip(methods, methods[1:]):
-        density = _density_distances(finals[before], finals[method])
-        report[names[method]] = {"unitary": math.hypot(*block_distances[names[method]]),
-                                 "density_matrix": {kind.value: float(d) for kind, d in zip(PairStateKind, density)}}
+        report[names[method]] = _distances(math.hypot(*block_distances[names[method]]), finals[before], finals[method])
+    if schedule.symmetric:
+        report[names["exact"]] = sectors
     return report
+
+
+def _distances(unitary: float, a: np.ndarray, b: np.ndarray) -> dict:
+    """One section of the report: a unitary distance, and the density distance of each kind's rows of a and b."""
+    density = _density_distances(a, b).tolist()
+    return {"unitary": unitary, "density_matrix": {kind.value: d for kind, d in zip(PairStateKind, density)}}
 
 
 def _density_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,8 +211,8 @@ def _density_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     in ``d = b - a``, so none of order one cancel, as they would in
     ``2 - 2 |<a|b>|^2``, which reads a 1e-16 distance as about 1e-8."""
     d = b - a
-    alpha, delta = np.sum(np.abs(a) ** 2, axis=1), np.sum(np.abs(d) ** 2, axis=1)
-    gamma = np.sum(a.conj() * d, axis=1)  # <a|d>
+    alpha, delta = (np.abs(a) ** 2).sum(axis=1), (np.abs(d) ** 2).sum(axis=1)
+    gamma = (a.conj() * d).sum(axis=1)  # <a|d>
     squared = 2 * alpha * delta + 2 * gamma.real**2 - 2 * gamma.imag**2 + 4 * delta * gamma.real + delta**2
     return np.sqrt(np.maximum(squared, 0.0))  # round-off below zero is clamped
 

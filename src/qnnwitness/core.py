@@ -127,10 +127,11 @@ class ArrayCache:
 
 
 # Every array derived from n alone: ``z_diagonal``, ``pair_parity`` (the one
-# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``,
-# ``hamiltonian.sector_terms`` and ``hamiltonian.spin_sectors`` keep at most one
-# dense budget between them. The dense phases and batched read-outs store
-# nothing here: they read their signs from the index bits (``z_signs``).
+# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``
+# and ``hamiltonian.sector_terms`` keep at most one dense budget between them.
+# No 2^n basis of the total-spin sectors is built. The dense phases and
+# batched read-outs store nothing here: they read their signs from the index
+# bits (``z_signs``).
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
 
 

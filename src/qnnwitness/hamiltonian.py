@@ -6,15 +6,16 @@ total evolution time into equal chunks, each with its own parameter set.
 All quantities are dimensionless with hbar = 1.
 
 Two propagation methods are provided. ``exact`` exponentiates the full
-Hamiltonian of each chunk: under a schedule of uniform chunks in its
-total-spin sectors, whose blocks are at most n + 1 square, and otherwise
-as a dense 2^n x 2^n propagator per chunk. ``chunked`` splits each chunk
-into the product of its single-qubit and pair exponentials, which is a
-first-order approximation because the transverse terms do not commute
-with the couplings. Within a chunk the pair factors act first, then the
-single-qubit factors in ascending qubit order; chunks apply in
-chronological order. The gate compiler reproduces exactly this ordering,
-so ``chunked`` and compiled circuits agree to round-off.
+Hamiltonian of each chunk: on ``2**n`` states as a dense 2^n x 2^n
+propagator per chunk, and under a schedule of uniform chunks in its
+total-spin sectors, whose blocks are at most n + 1 square. ``chunked``
+splits each chunk into the product of its single-qubit and pair
+exponentials, which is a first-order approximation because the
+transverse terms do not commute with the couplings. Within a chunk the
+pair factors act first, then the single-qubit factors in ascending qubit
+order; chunks apply in chronological order. The gate compiler reproduces
+exactly this ordering, so ``chunked`` and compiled circuits agree to
+round-off.
 
 Every dense ZZ phase and Hamiltonian diagonal comes from one kernel,
 :func:`qnnwitness.core.ising_diagonal`, which reads the +-1 of each Z from
@@ -29,9 +30,13 @@ coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
 those coordinates directly; both methods run on them in the space's
 total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
-nothing 4(n-1)-square is built. Adjoint gradients run only there and
-return each chunk's shared (tunneling, bias, coupling) partials; dense
-states are evolved but never differentiated.
+nothing 4(n-1)-square is built. The same kernel gives the whole
+schedule's unitary on every sector J = n/2 - k, k = 0..n/2
+(:func:`sector_trotter_error`), which is how ``verify`` measures the
+Trotter error of a uniform schedule without a 2^n basis. Adjoint gradients run
+only in the pair (x) Dicke space and return each chunk's shared
+(tunneling, bias, coupling) partials; dense states are evolved but never
+differentiated.
 """
 
 from __future__ import annotations
@@ -172,14 +177,14 @@ def _coupling_matrix(params: ChunkParams) -> np.ndarray:
 def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
-    The cache keeps the 8 most recent propagators for the exact evolution
-    of schedules with a non-uniform chunk, and for ``chunk_propagators``,
-    the dense reference of every exact path. Its bound follows from the
-    10-qubit cap that ``build_hamiltonian`` enforces: 8 propagators of
-    16 MiB fill the 128 MiB dense budget, and at n = 7 they take 2 MiB.
-    A schedule of uniform chunks evolves in its total-spin sectors, as
-    ``2**n`` states (see :func:`evolve_states`) or as pair (x) Dicke
-    coordinates (:func:`evolve_pair_dicke`); neither calls it.
+    The cache keeps the 8 most recent propagators for every dense exact
+    evolution (:func:`evolve_states`, uniform schedules included) and for
+    ``chunk_propagators``, the dense reference of every exact path. Its
+    bound follows from the 10-qubit cap that ``build_hamiltonian``
+    enforces: 8 propagators of 16 MiB fill the 128 MiB dense budget, and
+    at n = 7 they take 2 MiB. The CLI reaches it only on a schedule with a
+    non-uniform chunk: a uniform one runs in its total-spin sectors
+    (:func:`evolve_pair_dicke`, :func:`sector_trotter_error`).
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -316,97 +321,6 @@ def _lowered_sectors(lowerings: list[np.ndarray], n: int) -> Iterator[tuple[int,
                 states = lowerings[w] @ states / (0.5 * math.sqrt((twice_j + twice_m) * (twice_j - twice_m + 2)))
 
 
-class SpinSectors(NamedTuple):
-    """The coupled basis of n qubits, one entry per Hamming weight w = 0..n.
-
-    Column ``i`` of ``blocks[w]`` is a state |J, M = n/2 - w, a> over the
-    computational states ``indices[w]`` (ascending), with k = n/2 - J
-    ascending, then a; ``positions[w][i]`` is its row in the sector-major
-    order, where sector k = 0, 1, .. is a C-ordered ``(2J+1, copies)`` slab
-    with M from J down to -J.
-    """
-
-    indices: tuple[np.ndarray, ...]
-    positions: tuple[np.ndarray, ...]
-    blocks: tuple[np.ndarray, ...]
-
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for part in self for array in part)
-
-
-def _sector_copies(n: int, k: int) -> int:
-    """The number of copies of the sector J = n/2 - k, k <= n/2."""
-    return math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-
-
-@PARITY_CACHE
-def spin_sectors(n: int) -> SpinSectors:
-    """The coupled (total-spin) basis of n qubits, built once per n: C(2n, n)
-    floats, 1.5 MB at n = 10, the 10-qubit cap of the dense path it replaces."""
-    require_square(n)
-    index = np.arange(2**n)
-    weight = sum((index >> q) & 1 for q in range(n))
-    indices = [np.flatnonzero(weight == w) for w in range(n + 1)]
-    position = np.empty(2**n, dtype=np.intp)
-    for rows in indices:
-        position[rows] = np.arange(len(rows))
-    lowerings = []  # J_- from weight w to w + 1, C(n, w+1) x C(n, w)
-    for w in range(n):
-        lowering = np.zeros((len(indices[w + 1]), len(indices[w])))
-        for q in range(n):
-            source = indices[w][(indices[w] >> q) & 1 == 0]
-            lowering[position[source | 1 << q], position[source]] = 1.0
-        lowerings.append(lowering)
-    columns: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
-    positions: list[list[np.ndarray]] = [[] for _ in range(n + 1)]
-    offset = 0
-    for k, w, states in _lowered_sectors(lowerings, n):
-        copies = states.shape[1]
-        columns[w].append(states)
-        positions[w].append(offset + (w - k) * copies + np.arange(copies))
-        if w == n - k:
-            offset += (n - 2 * k + 1) * copies
-    basis = SpinSectors(tuple(indices), tuple(map(np.concatenate, positions)), tuple(map(np.hstack, columns)))
-    for part in basis:
-        for array in part:
-            array.flags.writeable = False
-    return basis
-
-
-def _evolve_sectors(columns: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """``exp(-i H dt)`` chunk by chunk on C-ordered ``(2**n, batch)`` columns,
-    for a schedule of uniform chunks, in its total-spin sectors: one batched
-    eigendecomposition of the chunks' blocks, their product in that reduced
-    space, then one change of basis there and back."""
-    n = schedule.n_qubits
-    basis = spin_sectors(n)
-    spins = [n / 2 - k for k in range(n // 2 + 1)]
-    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian([ck.shared for ck in schedule.chunks], n, spins))
-    unitaries = (eigvecs * np.exp(-1j * schedule.dt * eigvals)[..., np.newaxis, :]) @ eigvecs.swapaxes(-1, -2)
-    product = unitaries[0]
-    for u in unitaries[1:]:
-        product = u @ product
-    # the basis is real: change it on the real and imaginary parts at once
-    real = columns.view(float)
-    coupled = np.empty_like(real)
-    for rows, at, block in zip(*basis):
-        coupled[at] = block.T @ real[rows]
-    coupled = coupled.view(complex)
-    start = 0  # the sector's first row in the coupled columns
-    for k in range(len(spins)):
-        dim = n - 2 * k + 1
-        stop = start + dim * _sector_copies(n, k)
-        sector = product[k, k : k + dim, k : k + dim]
-        coupled[start:stop] = (sector @ coupled[start:stop].reshape(dim, -1)).reshape(stop - start, -1)
-        start = stop
-    real = coupled.view(float)
-    out = np.empty_like(real)
-    for rows, at, block in zip(*basis):
-        out[rows] = block @ real[at]
-    return out.view(complex)
-
-
 # --- pair (x) Dicke space -----------------------------------------------
 #
 # A uniform chunk commutes with every permutation of the spectators (qubits
@@ -439,10 +353,10 @@ class PairDicke(NamedTuple):
 @PARITY_CACHE
 def pair_dicke_operators(n: int) -> PairDicke:
     """The pair (x) Dicke space's Z_0 Z_1 read-out and its change to the
-    coupled basis, built once per n as :func:`spin_sectors` builds the full
-    one: a real orthogonal block of at most 4 x 4 per weight. J_- takes
-    |p> (x) |D_w> to the |p'> (x) |D_w> where qubit 0 or 1 went from 0 to 1,
-    and to ``sqrt((w+1)(m-w)) |p> (x) |D_{w+1}>``."""
+    coupled basis, built once per n: a real orthogonal block of at most
+    4 x 4 per weight. J_- takes |p> (x) |D_w> to the |p'> (x) |D_w> where
+    qubit 0 or 1 went from 0 to 1, and to ``sqrt((w+1)(m-w)) |p> (x)
+    |D_{w+1}>``."""
     if n < 2:
         raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
     m = n - 2
@@ -572,57 +486,113 @@ def _backward_step(
     return before, 2 * dt * np.array([np.vdot(ladder[:, :-1], beside), np.vdot(twice_m, on), np.vdot(quadratic, on)])
 
 
-def _chunk_sweeps(schedule: Schedule, method: str) -> tuple[np.ndarray, list[tuple]]:
-    """The sector terms and, per chunk in chronological order, what its
-    steps read: eigenvectors, eigenvalues, ``exp(-i lam dt)``, ZZ phase (or
-    None) and shared parameters, from one batched ``eigh`` of every chunk's
-    blocks. ``exact`` diagonalises the chunk's Hamiltonian; ``chunked``
-    applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a diagonal, then
-    ``exp(-i dt (K 2J_x + eps 2J_z))``: the order the gate compiler
-    reproduces. The one size rule of the pair (x) Dicke path refuses them
-    before anything is built."""
-    if method not in ("exact", "chunked"):
-        raise ValueError(f"unknown propagation method {method!r}")
+def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) -> tuple:
+    """What each chunk's steps read under each of ``methods``, from one
+    batched ``eigh`` of every chunk's blocks under every method: the sector
+    terms, then eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked
+    ``(method, chunk, ...)``, the ZZ phases per method (stacked by chunk for
+    ``chunked``, a None per chunk for ``exact``) and the chunks' shared
+    parameters. ``exact`` diagonalises the chunk's Hamiltonian;
+    ``chunked`` applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a
+    diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``: the order the gate
+    compiler reproduces. The sectors are J = n/2 - k for k < ``blocks``:
+    by default the pair (x) Dicke space's three, and all n//2 + 1 for
+    :func:`sector_trotter_error`. The one size rule of the sector kernel
+    refuses them before anything is built, and blocks that overflow the
+    float range are refused before they are diagonalised."""
+    for method in methods:
+        if method not in ("exact", "chunked"):
+            raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
-    blocks, size = min(3, n // 2 + 1), (n + 1) * (n + 1)
-    # per chunk: its real eigenvectors, its generator while they are built, 40 bytes a row (eigenvalues,
-    # phases, ZZ phase) and 2 KiB of Python objects; then an exact backward step's 2.5 blocks of working
-    # arrays, and 1 KiB a row for the columns of 4 states and 4 co-states
-    nbytes = count * (16 * blocks * size + 40 * blocks * (n + 1) + 2048) + 20 * blocks * size + 1024 * (n + 1)
+    blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
+    # per chunk and method: its real eigenvectors, its generator while they are built, 40 bytes a row
+    # (eigenvalues, phases, ZZ phase) and 2 KiB of Python objects; then an exact backward step's 2.5 blocks
+    # of working arrays, and 1 KiB a row for the columns of 4 states and 4 co-states
+    per_chunk = 16 * blocks * size + 40 * blocks * (n + 1) + 2048
+    nbytes = len(methods) * count * per_chunk + 20 * blocks * size + 1024 * (n + 1)
     if nbytes > DENSE_BYTES_BUDGET:
-        raise DimensionError(f"refusing {nbytes} bytes of {method} sweeps for {n} qubits and {count} chunks "
-                             f"(budget {DENSE_BYTES_BUDGET} bytes)")
+        raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
+                             f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
     spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
     terms = sector_terms(n, spins)
-    generators = np.array(shared)
-    if method == "chunked":
-        diagonals = np.exp(-1j * dt * generators[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis]
-        generators[:, 2] = 0.0
+    generators = np.array([shared] * len(methods))
+    diagonals = []
+    for method, generator in zip(methods, generators):
+        if method == "chunked":
+            diagonals.append(np.exp(-1j * dt * generator[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
+            generator[:, 2] = 0.0
+        else:
+            diagonals.append([None] * count)
+    # a chunk's bias and couplings sum to a finite float, so only K times the ladder, at most (n + 1)/2,
+    # can overflow: the blocks are built unchecked where it cannot, and checked before eigh where it might
+    if max(abs(ck[0]) for ck in shared) * (n + 1) < sys.float_info.max:
+        hamiltonians = spin_sector_hamiltonian(generators, n, spins)
     else:
-        diagonals = [None] * count
-    try:
-        eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian(generators, n, spins))
-    except np.linalg.LinAlgError as error:  # an entry past the float range, where eigh does not converge
-        raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta "
-                         "overflows them") from error
+        with np.errstate(over="ignore"):
+            hamiltonians = spin_sector_hamiltonian(generators, n, spins)
+        if not np.isfinite(hamiltonians).all():
+            raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta overflows them")
+    eigvals, eigvecs = np.linalg.eigh(hamiltonians)
     phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
-    return terms, list(zip(eigvecs, eigvals, phases, diagonals, shared))
+    return terms, eigvecs, eigvals, phases, diagonals, shared
+
+
+def _forward_sweep(coords: np.ndarray, schedule: Schedule, method: str):
+    """A ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates through
+    every chunk: the sector terms of :func:`_chunk_sweeps`, each chunk's
+    steps, the space's operators, and the float view of the final coupled
+    columns."""
+    columns = np.asarray(coords, dtype=complex).T
+    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
+        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
+    terms, eigvecs, eigvals, phases, diagonals, shared = _chunk_sweeps(schedule, method)
+    chunks = list(zip(eigvecs[0], eigvals[0], phases[0], diagonals[0], shared))  # the one method's
+    ops = pair_dicke_operators(schedule.n_qubits)
+    columns = _to_sectors(columns, ops)
+    for vectors, _, exponentials, diagonal, _ in chunks:
+        columns = _forward_step(columns, vectors, exponentials, diagonal)
+    return terms, chunks, ops, columns
 
 
 def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
     """Evolve a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
     through a schedule of uniform chunks; the result matches the dense
     :func:`evolve_states` of the embedded states to round-off."""
-    columns = np.asarray(coords, dtype=complex).T
-    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
-        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
-    _, chunks = _chunk_sweeps(schedule, method)
-    ops = pair_dicke_operators(schedule.n_qubits)
-    columns = _to_sectors(columns, ops)
-    for eigvecs, _, phases, diagonal, _ in chunks:
-        columns = _forward_step(columns, eigvecs, phases, diagonal)
-    return _from_sectors(columns, ops).T
+    _, _, ops, finals = _forward_sweep(coords, schedule, method)
+    return _from_sectors(finals, ops).T
+
+
+def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float, np.ndarray, np.ndarray]:
+    """``||U_chunked - U_exact||_F`` of a schedule of uniform chunks, from
+    its total-spin sectors, and ``coords``, a ``(batch, 4(n-1))`` stack of
+    pair (x) Dicke coordinates, evolved by each method.
+
+    One batched ``eigh`` gives every chunk's unitary on each sector
+    J = n/2 - k, k = 0..n/2, under both methods, and their product the
+    whole schedule's. Sector k occurs ``C(n, k) - C(n, k-1)`` times among
+    the ``2**n`` states, so ``||U_c - U_e||_F^2`` is the sum of the
+    sectors' squared distances times those counts; a block's rows outside
+    its sector are the identity under both methods, and add nothing. The
+    evolved states come back as rows of their coupled
+    coordinates in the first three sectors, ``(batch, 6(n+1))`` for
+    n >= 4: an isometric image of the states, so inner products, and
+    density distances, read as on ``2**n`` vectors.
+    """
+    n = schedule.n_qubits
+    ops = pair_dicke_operators(n)
+    coupled = _to_sectors(np.asarray(coords, dtype=complex).T, ops).view(complex)  # (3 blocks, n+1, copy x batch)
+    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=n // 2 + 1)
+    unitaries = (eigvecs * phases.swapaxes(-1, -2)) @ eigvecs.swapaxes(-1, -2)  # (method, chunk, block, n+1, n+1)
+    unitaries[0] *= diagonals[0].swapaxes(-1, -2)  # the chunked ZZ phase acts first
+    products = unitaries[:, 0]
+    for chunk in range(1, schedule.n_chunks):
+        products = unitaries[:, chunk] @ products
+    evolved = products[:, : len(coupled)] @ coupled  # (method, block, n+1, copy x batch)
+    batch = coupled.shape[-1] // 2
+    finals = evolved.reshape(*evolved.shape[:3], 2, batch).transpose(0, 4, 1, 2, 3).reshape(2, batch, -1)
+    copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
+    return math.sqrt(copies @ (np.abs(products[0] - products[1]) ** 2).sum(axis=(1, 2))), *finals
 
 
 def require_differentiable(schedule: Schedule) -> None:
@@ -649,11 +619,7 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     chunk, the shared tunneling, bias and coupling.
     """
     require_differentiable(schedule)
-    terms, chunks = _chunk_sweeps(schedule, method)
-    ops = pair_dicke_operators(schedule.n_qubits)
-    finals = _to_sectors(np.asarray(coords, dtype=complex).T, ops)
-    for eigvecs, _, phases, diagonal, _ in chunks:
-        finals = _forward_step(finals, eigvecs, phases, diagonal)
+    terms, chunks, ops, finals = _forward_sweep(coords, schedule, method)
     costates = _to_sectors(np.asarray(costate(_from_sectors(finals, ops).T), dtype=complex).T, ops)
     blocks, rows = finals.shape[:2]  # per copy: states, then co-states
     both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)
@@ -691,12 +657,10 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     The stack is evolved as one C-ordered ``(2**n, batch)`` array.
     ``chunked`` streams each chunk's phase vector and its single-qubit
     layer as a few Kronecker blocks through the gate kernel's runner,
-    without building any 2^N matrix. ``exact`` on a schedule of uniform chunks (the
-    ``Schedule.symmetric`` test) works in the total-spin sectors: one
-    eigendecomposition of at most (n+1)-square blocks per chunk and a
-    change to the coupled basis (:func:`spin_sectors`) and back, with no
-    2^N matrix. On any other schedule it multiplies by cached dense chunk
-    propagators. Both exact paths refuse more than 10 qubits.
+    without building any 2^N matrix. ``exact`` multiplies by the cached
+    dense chunk propagators, on every schedule, and so refuses more than
+    10 qubits; a schedule of uniform chunks evolves without them in its
+    total-spin sectors (:func:`evolve_pair_dicke`, :func:`sector_trotter_error`).
     """
     arr = np.asarray(states, dtype=complex)
     single = arr.ndim == 1
@@ -707,8 +671,6 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     columns = np.ascontiguousarray(batch.T)
     if method == "chunked":
         columns = _run_steps(columns, _chunked_steps(schedule.chunks, n, schedule.dt))
-    elif method == "exact" and schedule.symmetric:
-        columns = _evolve_sectors(columns, schedule)
     else:  # chunk_propagators refuses an unknown method
         for u in chunk_propagators(schedule, method):
             columns = u @ columns

@@ -48,6 +48,9 @@ _PAIR_AMPLITUDES: dict[PairStateKind, dict[int, float]] = {
     PairStateKind.P: {0b01: 1 / _SQRT3, 0b10: 1 / _SQRT3, 0b11: 1 / _SQRT3},
 }
 
+# the same amplitudes as a (kind, p) table, kinds in PairStateKind order
+_PAIR_TABLE = np.array([[_PAIR_AMPLITUDES[kind].get(p, 0.0) for p in range(4)] for kind in PairStateKind])
+
 WITNESS_TARGETS: dict[PairStateKind, float] = {
     PairStateKind.BELL: 1.0,
     PairStateKind.FLAT: 0.0,
@@ -115,14 +118,20 @@ class TrainingSet:
         state on the pair (0, 1). With every spectator in |0>, that state's
         only coordinates are on ``|p> (x) |D_0>``: the pair amplitudes.
         """
-        n, kinds = self.n_qubits, list(PairStateKind)
-        coords = np.zeros((len(kinds), 4 * (n - 1)), dtype=complex)
-        for row, kind in enumerate(kinds):
-            for bits, amplitude in _PAIR_AMPLITUDES[kind].items():
-                coords[row, bits * (n - 1)] = amplitude
-        rows = np.array([kinds.index(item.kind) for item in self.items])
+        coords = orbit_coordinates(self.n_qubits)
+        rows = np.array([list(PairStateKind).index(item.kind) for item in self.items])
         coords.flags.writeable = rows.flags.writeable = False
         return coords, rows
+
+
+def orbit_coordinates(n: int) -> np.ndarray:
+    """Each kind's reference state on the pair (0, 1) of n qubits, in
+    :class:`PairStateKind` order, as ``(4, 4(n-1))`` pair (x) Dicke
+    coordinates: with every spectator in |0>, only the ``|p> (x) |D_0>``
+    hold amplitudes."""
+    coords = np.zeros((len(PairStateKind), 4 * (n - 1)), dtype=complex)
+    coords[:, :: n - 1] = _PAIR_TABLE  # |p> (x) |D_0> is coordinate p (n - 1)
+    return coords
 
 
 def check_training_set_size(n: int) -> None:
@@ -207,7 +216,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         index = np.arange(2**n)
         parity = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
         parities = np.stack([parity[item.pair] for item in items])
-    return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
+    return witness_readout((np.abs(finals) ** 2 * parities).sum(axis=1), rows)
 
 
 def witness_readout(zz: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -216,7 +225,7 @@ def witness_readout(zz: np.ndarray, rows: np.ndarray) -> np.ndarray:
     A non-finite ``zz`` raises, as in ``expectation_zz``; round-off just
     outside [-1, 1] is clamped before squaring.
     """
-    if not np.all(np.isfinite(zz)):
+    if not np.isfinite(zz).all():
         raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
-    zz = np.clip(zz, -1.0, 1.0)
+    zz = zz.clip(-1.0, 1.0)
     return (zz * zz)[rows]

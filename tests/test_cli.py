@@ -669,6 +669,22 @@ class TestExtremeSchedules:
         assert "too large to differentiate" in err
         assert not (tmp_path / "trained_schedule.json").exists()
 
+    @pytest.mark.parametrize("argv", [["verify"], ["witness", "--state", "all", "--method", "all"]],
+                             ids=["verify", "witness_all"])
+    @pytest.mark.filterwarnings("error")  # a numpy warning, which a cold process prints, fails the test
+    def test_overflowing_sector_blocks_are_refused_in_one_line(self, tmp_path, capsys, argv):
+        # table3 with every K = 1e308: K times a sector block's ladder
+        # overflows, which is refused before numpy warns of it or eigh fails
+        # to converge
+        doc = json.loads(fixture_path("table3").read_text())
+        for chunk in doc["chunks"]:
+            chunk["K"] = [1e308] * len(chunk["K"])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: the sector blocks of 7 qubits are not finite: a chunk's K, eps or zeta overflows them\n"
+
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(_uniform_document(2, 1.7e308, 1.7e308))

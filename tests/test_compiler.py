@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qnnwitness import compiler, hamiltonian
+from qnnwitness import compiler, hamiltonian, witness
 from qnnwitness.compiler import (
     CIRCUIT_CACHE,
     compile_schedule,
@@ -37,7 +37,6 @@ from qnnwitness.hamiltonian import (
     exact_chunk_propagator,
     load_schedule,
     save_schedule,
-    spin_sectors,
 )
 
 from helpers import PAULI_X, PAULI_Z, basis_state, count_calls, expm_eigh, random_state, verify_report_dense
@@ -317,10 +316,12 @@ class TestVerifyEquivalence:
         assert report["frobenius_chunked_vs_exact"]["unitary"] < 1e-12
         assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
 
-    @pytest.mark.parametrize("name", ["table2", "table3", "non_uniform_3", "non_uniform_8"])
+    @pytest.mark.parametrize("name", ["table2", "table3", "uniform_9", "non_uniform_3", "non_uniform_8"])
     def test_report_matches_the_dense_oracle(self, name, table2, table3):
-        # 8 qubits take two blocks of basis rows; the others one
-        schedule = {"table2": table2, "table3": table3,
+        # 8 qubits take two blocks of basis rows and 9 four; the others one.
+        # Uniform chunks read chunked-vs-exact from the total-spin sectors
+        # (five at n = 9), the oracle from the dense exact propagators
+        schedule = {"table2": table2, "table3": table3, "uniform_9": _lifted(table3, 9),
                     "non_uniform_3": _non_uniform_schedule(3), "non_uniform_8": _non_uniform_schedule(8)}[name]
         report, oracle = verify_equivalence(schedule), verify_report_dense(schedule)
         assert report["n_qubits"] == oracle["n_qubits"] == schedule.n_qubits
@@ -370,17 +371,28 @@ class TestVerifyEquivalence:
 
 
     def test_exact_propagators_serve_only_non_uniform_chunks(self, monkeypatch, table3):
+        # under uniform chunks the exact picture runs in the total-spin
+        # sectors alone: no 2**n state is evolved by the exact method
         calls = count_calls(monkeypatch, [(hamiltonian, "exact_chunk_propagator")])
+        methods = []
+        evolve_states = witness.evolve_states  # the one that evolve_dense calls
+
+        def recorded(states, schedule, method):
+            methods.append(method)
+            return evolve_states(states, schedule, method)
+
+        monkeypatch.setattr(witness, "evolve_states", recorded)
         verify_equivalence(table3)
         assert calls["exact_chunk_propagator"] == 0
+        assert methods == ["chunked"]
         verify_equivalence(_non_uniform_schedule(7))
         assert calls["exact_chunk_propagator"] == 4
+        assert methods == ["chunked", "chunked", "exact"]
 
     def test_uniform_ten_qubits_peak_under_the_dense_budget(self, table3):
         # exact runs in the spin sectors, so no 16 MiB propagator is built or cached
-        schedule = Schedule(10, table3.total_time, tuple(
-            ChunkParams.uniform(10, ck.tunneling[0], ck.bias[0], ck.coupling[0]) for ck in table3.chunks))
-        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal, spin_sectors):
+        schedule = _lifted(table3, 10)
+        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal):
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -392,6 +404,11 @@ class TestVerifyEquivalence:
         assert exact_chunk_propagator.cache_info().currsize == 0
         assert report["frobenius_gate_vs_chunked"]["unitary"] < 1e-12
         assert report["frobenius_chunked_vs_exact"]["unitary"] > 1e-3
+
+
+def _lifted(schedule: Schedule, n: int) -> Schedule:
+    """The uniform schedule's shared parameters on n qubits."""
+    return Schedule(n, schedule.total_time, tuple(ChunkParams.uniform(n, *ck.shared) for ck in schedule.chunks))
 
 
 def _non_uniform_schedule(n: int) -> Schedule:

@@ -20,6 +20,7 @@ from qnnwitness.hamiltonian import (
     chunked_chunk_propagator,
     _single_qubit_factor,
     _single_qubit_factor_partials,
+    evolve_pair_dicke,
     evolve_states,
     exact_chunk_propagator,
     load_schedule,
@@ -27,10 +28,10 @@ from qnnwitness.hamiltonian import (
     refine_schedule,
     schedule_from_json,
     schedule_to_json,
+    sector_trotter_error,
     spin_sector_hamiltonian,
-    spin_sectors,
 )
-from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, make_pair_state, witness_values
+from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, make_pair_state, orbit_coordinates, witness_values
 
 from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, expm_eigh, expm_taylor, is_unitary, random_state
 
@@ -436,66 +437,59 @@ def _varied_uniform_schedule(n: int) -> Schedule:
     return Schedule(n, 1.58, tuple(ChunkParams.uniform(n, *shared) for shared in VARIED_UNIFORM))
 
 
-def _dense_exact(states: np.ndarray, schedule: Schedule) -> np.ndarray:
-    """The dense reference: rows evolved by the product of the exact chunk propagators."""
-    columns = states.T
-    for u in chunk_propagators(schedule, "exact"):
-        columns = u @ columns
-    return columns.T
+def _dense_unitary(schedule: Schedule, method: str) -> np.ndarray:
+    """The dense reference: the product of the chunk propagators."""
+    product = np.eye(2**schedule.n_qubits, dtype=complex)
+    for u in chunk_propagators(schedule, method):
+        product = u @ product
+    return product
 
 
 class TestSpinSectors:
-    """Exact evolution of uniform chunks in total-spin sectors, held to the dense propagators."""
+    """Uniform chunks in the total-spin sectors, held to the dense propagators."""
 
-    @pytest.mark.parametrize("n", range(1, 11))
-    def test_exact_evolution_matches_the_dense_propagators(self, n):
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_sector_unitary_distance_matches_the_dense_propagators(self, n):
+        # every sector J = n/2 - k, weighted by its C(n, k) - C(n, k-1) copies
         schedule = _varied_uniform_schedule(n)
-        rng = np.random.default_rng(n)
-        stack = np.stack([random_state(n, rng) for _ in range(3)])
         try:
-            want = _dense_exact(stack, schedule)
+            want = np.linalg.norm(_dense_unitary(schedule, "chunked") - _dense_unitary(schedule, "exact"))
         finally:
             exact_chunk_propagator.cache_clear()  # up to 64 MiB at n = 10
-        assert np.max(np.abs(evolve_states(stack, schedule, "exact") - want)) <= SECTOR_TOL
-        assert np.max(np.abs(evolve_states(stack[1], schedule, "exact") - want[1])) <= SECTOR_TOL
+        assert want > 1e-3
+        got, _, _ = sector_trotter_error(orbit_coordinates(n), schedule)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 9])
+    def test_sector_finals_are_an_isometric_image_of_the_sweeps(self, n):
+        # the rows come back in coupled coordinates: every inner product
+        # among both methods' finals is the pair (x) Dicke sweeps' one
+        schedule = _varied_uniform_schedule(n)
+        rng = np.random.default_rng(n)
+        coords = rng.normal(size=(3, 4 * (n - 1))) + 1j * rng.normal(size=(3, 4 * (n - 1)))
+        coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        _, chunked, exact = sector_trotter_error(coords, schedule)
+        image = np.concatenate([chunked, exact])
+        swept = np.concatenate([evolve_pair_dicke(coords, schedule, method) for method in ("chunked", "exact")])
+        assert np.max(np.abs(image.conj() @ image.T - swept.conj() @ swept.T)) <= SECTOR_TOL
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
+    def test_the_sector_blocks_hold_the_dense_spectrum(self, n):
+        # each block's eigenvalues, once per copy of its sector, are the dense Hamiltonian's
+        shared = (1.3, -0.7, 0.45)
+        blocks = spin_sector_hamiltonian(shared, n, [n / 2 - k for k in range(n // 2 + 1)])
+        eigvals = []
+        for k, block in enumerate(blocks):
+            copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
+            eigvals += [*np.linalg.eigvalsh(block[k : n - k + 1, k : n - k + 1])] * copies
+        dense = np.linalg.eigvalsh(build_hamiltonian(ChunkParams.uniform(n, *shared), n))
+        assert np.max(np.abs(np.sort(eigvals) - dense)) <= 1e-12 * max(1.0, np.max(np.abs(dense)))
 
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_chunks_of_zeros_leave_states_unchanged(self, n):
         schedule = Schedule(n, 1.58, (ChunkParams.uniform(n, 0.0, 0.0, 0.0),) * 3)
         state = random_state(n, np.random.default_rng(9))
         assert np.max(np.abs(evolve_states(state, schedule, "exact") - state)) <= SECTOR_TOL
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 6, 9])
-    def test_the_basis_is_orthogonal_and_spans_each_weight(self, n):
-        basis = spin_sectors(n)
-        assert sum(block.size for block in basis.blocks) == math.comb(2 * n, n)
-        assert sorted(np.concatenate(basis.indices)) == list(range(2**n))
-        assert sorted(np.concatenate(basis.positions)) == list(range(2**n))
-        for w, (rows, block) in enumerate(zip(basis.indices, basis.blocks)):
-            assert all(bin(index).count("1") == w for index in rows)
-            assert np.max(np.abs(block.T @ block - np.eye(len(rows)))) <= 1e-13
-        assert all(not array.flags.writeable for part in basis for array in part)
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_the_basis_turns_the_dense_hamiltonian_into_the_spin_blocks(self, n):
-        # sector k = n/2 - J holds C(n, k) - C(n, k-1) copies of one block,
-        # interleaved by copy within its (2J+1, copies) slab
-        shared = (1.3, -0.7, 0.45)
-        basis, dense = spin_sectors(n), build_hamiltonian(ChunkParams.uniform(n, *shared), n)
-        change = np.zeros((2**n, 2**n))
-        for rows, at, block in zip(*basis):
-            change[np.ix_(rows, at)] = block
-        sectors = []
-        for k in range(n // 2 + 1):
-            copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
-            block = spin_sector_hamiltonian(shared, n, [n / 2 - k])[0]  # on all n + 1 weights, zero past the sector's
-            sectors.append(np.kron(block[k : n - k + 1, k : n - k + 1], np.eye(copies)))
-        want = np.zeros((2**n, 2**n))
-        start = 0
-        for sector in sectors:
-            want[start : start + len(sector), start : start + len(sector)] = sector
-            start += len(sector)
-        assert np.max(np.abs(change.T @ dense @ change - want)) <= 1e-12
 
     @pytest.mark.parametrize("spins", [[1.0], [2.0], [-0.5], [0.25]])
     def test_spins_that_are_not_sectors_are_refused(self, spins):

@@ -206,7 +206,6 @@ class TestWitnessValues:
         single = [witness_value(make_pair_state(kind, (2, 5), 7), (2, 5), table3, method) for kind in kinds]
         assert np.max(np.abs(witness_values(ts, table3, method) - single)) <= 1e-12
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
     def test_non_finite_correlation_refused(self):
         # the sector blocks overflow at |K| = 1e308; a clamped NaN would
         # read as a plausible witness
