@@ -190,10 +190,23 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
         raise ValueError("dt must be positive")
     h = build_hamiltonian(params, n)
     eigvals, eigvecs = np.linalg.eigh(h)
+    angles = _phase_angles(dt, eigvals)
     # V exp(-i lambda dt) V^T as two real products
-    u = (eigvecs * np.cos(eigvals * dt)) @ eigvecs.T - 1j * ((eigvecs * np.sin(eigvals * dt)) @ eigvecs.T)
+    u = (eigvecs * np.cos(angles)) @ eigvecs.T - 1j * ((eigvecs * np.sin(angles)) @ eigvecs.T)
     u.flags.writeable = False
     return u
+
+
+def _phase_angles(dt: float, *energy: np.ndarray) -> np.ndarray:
+    """``dt`` times a chunk's energies, the product of the ``energy``
+    factors, refused if it is not finite: a chunk's ``|eps|`` and ``|zeta|``
+    sum to a finite float, but its eigenvalues with K added, or dt times
+    them, need not."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed dt * zeta times a zero term is NaN
+        angles = math.prod(energy, start=dt)  # left to right, as the phases were always rounded
+    if not np.isfinite(angles).all():
+        raise ValueError(f"a phase of exp(-i H dt) is not finite: a chunk's energies times dt = {dt!r} overflow")
+    return angles
 
 
 def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
@@ -236,7 +249,8 @@ def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
     :func:`qnnwitness.core._blocks`."""
     blocks = _blocks(n)
     for ck in chunks:
-        yield np.exp(-1j * dt * ising_diagonal(np.zeros(n), _coupling_matrix(ck)))  # every exp(-i dt zeta_ij Z_i Z_j)
+        # every exp(-i dt zeta_ij Z_i Z_j)
+        yield np.exp(-1j * _phase_angles(dt, ising_diagonal(np.zeros(n), _coupling_matrix(ck))))
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
         layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
@@ -520,7 +534,8 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     diagonals = []
     for method, generator in zip(methods, generators):
         if method == "chunked":
-            diagonals.append(np.exp(-1j * dt * generator[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
+            angles = _phase_angles(dt, generator[:, 2, np.newaxis, np.newaxis], terms[2])
+            diagonals.append(np.exp(-1j * angles)[..., np.newaxis])
             generator[:, 2] = 0.0
         else:
             diagonals.append([None] * count)
@@ -534,7 +549,7 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
         if not np.isfinite(hamiltonians).all():
             raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta overflows them")
     eigvals, eigvecs = np.linalg.eigh(hamiltonians)
-    phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
+    phases = np.exp(-1j * _phase_angles(dt, eigvals))[..., np.newaxis]
     return terms, eigvecs, eigvals, phases, diagonals, shared
 
 

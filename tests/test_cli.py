@@ -685,6 +685,24 @@ class TestExtremeSchedules:
         assert (code, out) == (2, "")
         assert err == "error: the sector blocks of 7 qubits are not finite: a chunk's K, eps or zeta overflows them\n"
 
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("method", ["exact", "chunked"])
+    @pytest.mark.filterwarnings("error")
+    def test_phases_past_the_float_range_are_refused_in_one_line(self, tmp_path, capsys, method, uniform):
+        # every parameter sum is finite, but dt = 1e300 times the chunk's
+        # energies is not: refused before numpy warns of the overflow, on the
+        # total-spin sectors of a uniform schedule and on 2**n states alike
+        doc = json.loads(_uniform_document(3, 0.5, 0.2, 1e10))
+        doc["total_time"] = 4e300
+        if not uniform:
+            del doc["symmetric"]
+            doc["chunks"][0]["zeta"]["1,2"] = 2e10
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--method", method)
+        assert (code, out) == (2, "")
+        assert err == "error: a phase of exp(-i H dt) is not finite: a chunk's energies times dt = 1e+300 overflow\n"
+
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         path.write_text(_uniform_document(2, 1.7e308, 1.7e308))
@@ -825,14 +843,20 @@ def _run_argvs(draw):
 
 _OVERFLOWING = json.dumps({"n_qubits": 2, "total_time": 1.0, "symmetric": True,
                           "chunks": [{"K": [1, 1], "eps": [1e308, 1e308], "zeta": {"0,1": 1e308}}]})
+# its couplings sum to a finite float, but dt = 2 times them does not
+_PHASE_OVERFLOWING = json.dumps({"n_qubits": 3, "total_time": 2.0, "chunks": [
+    {"K": [0.0] * 3, "eps": [0.0] * 3, "zeta": {"0,1": 0.0, "0,2": 0.0, "1,2": 8.98846567431158e307}}]})
 
 
 class TestFuzz:
     # each example ended in a traceback before it was fixed: an exact
     # Hamiltonian whose diagonal overflows (AssertionError), a directory as
     # the schedule or the output (IsADirectoryError), and a config value of
-    # the wrong JSON type (AttributeError)
+    # the wrong JSON type (AttributeError); and a phase dt * H past the float
+    # range, by either dense method (RuntimeWarning)
     @example(text=_OVERFLOWING, argv_config=(["witness", "--method", "exact", "--schedule", "FILE"], None))
+    @example(text=_PHASE_OVERFLOWING, argv_config=(["witness", "--method", "exact", "--schedule", "FILE"], None))
+    @example(text=_PHASE_OVERFLOWING, argv_config=(["witness", "--method", "chunked", "--schedule", "FILE"], None))
     @example(text="", argv_config=(["verify", "--schedule", "DIR"], None))
     @example(text="", argv_config=(["compile", "--schedule", "table2", "--out", "DIR"], None))
     @example(text="", argv_config=(["witness", "--schedule", "table2", "--config", "CONFIG"], {"pair": 5}))
