@@ -51,7 +51,7 @@ from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_p
 from .core import _CNOT, _ROT_Y, _ROT_Z
 from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
 from .hamiltonian import Schedule, sector_trotter_error
-from .witness import PairStateKind, evolve_dense, orbit_coordinates
+from .witness import PairStateKind, evolve_dense, make_pair_state, orbit_coordinates
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
@@ -170,9 +170,8 @@ def verify_equivalence(schedule: Schedule) -> dict:
     require_square(n)
     if n < 2:
         raise DimensionError(f"verification needs the reference pair (0, 1), which {n} qubit cannot hold")
-    orbit = orbit_coordinates(n)  # the pair states, in PairStateKind order
-    if schedule.symmetric:  # refused, if at all, before any dense work
-        sectors = _distances(*sector_trotter_error(orbit, schedule))
+    if schedule.symmetric:  # refused, if at all, before any dense work; the pair states in PairStateKind order
+        sectors = _distances(*sector_trotter_error(orbit_coordinates(n), schedule))
     dim = 2**n
     methods = ("gates", "chunked") if schedule.symmetric else ("gates", "chunked", "exact")
     names = {"chunked": "frobenius_gate_vs_chunked", "exact": "frobenius_chunked_vs_exact"}
@@ -180,10 +179,11 @@ def verify_equivalence(schedule: Schedule) -> dict:
     finals = {}
     for start in range(0, dim, VERIFY_BLOCK_ROWS):
         rows = min(VERIFY_BLOCK_ROWS, dim - start)
-        columns = np.zeros((dim, rows + 4 * (start == 0)), dtype=complex)
-        columns[start + np.arange(rows), np.arange(rows)] = 1.0  # basis states start .. start + rows - 1
-        if start == 0:  # the pair states, whose spectators are in |0>: |p> (x) |D_0> is the index p << (n - 2)
-            columns[np.arange(4) << (n - 2), rows:] = orbit[:, :: n - 1].T
+        # basis states start .. start + rows - 1, then in the first block four columns the pair states overwrite
+        columns = np.eye(dim, rows + 4 * (start == 0), -start, dtype=complex)
+        if start == 0:
+            for column, kind in enumerate(PairStateKind, rows):
+                columns[:, column] = make_pair_state(kind, (0, 1), n)
         previous = None
         for method in methods:
             evolved = evolve_dense(columns.T, schedule, method)

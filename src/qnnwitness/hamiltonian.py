@@ -6,16 +6,15 @@ total evolution time into equal chunks, each with its own parameter set.
 All quantities are dimensionless with hbar = 1.
 
 Two propagation methods are provided. ``exact`` exponentiates the full
-Hamiltonian of each chunk: on ``2**n`` states as a dense 2^n x 2^n
-propagator per chunk, and under a schedule of uniform chunks in its
-total-spin sectors, whose blocks are at most n + 1 square. ``chunked``
-splits each chunk into the product of its single-qubit and pair
-exponentials, which is a first-order approximation because the
-transverse terms do not commute with the couplings. Within a chunk the
-pair factors act first, then the single-qubit factors in ascending qubit
-order; chunks apply in chronological order. The gate compiler reproduces
-exactly this ordering, so ``chunked`` and compiled circuits agree to
-round-off.
+Hamiltonian of each chunk: on 2^n states as a dense propagator per chunk,
+and under uniform chunks in the total-spin sectors, blocks at most n + 1
+square. ``chunked`` splits each chunk into the product of its
+single-qubit and pair exponentials, which is a first-order approximation
+because the transverse terms do not commute with the couplings. Within a
+chunk the pair factors act first, then the single-qubit factors in
+ascending qubit order; chunks apply in chronological order. The gate
+compiler reproduces exactly this ordering, so ``chunked`` and compiled
+circuits agree to round-off.
 
 Every dense ZZ phase and Hamiltonian diagonal comes from one kernel,
 :func:`qnnwitness.core.ising_diagonal`, which reads the +-1 of each Z from
@@ -30,13 +29,11 @@ coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
 those coordinates directly; both methods run on them in the space's
 total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
-nothing 4(n-1)-square is built. The same kernel gives the whole
-schedule's unitary on every sector J = n/2 - k, k = 0..n/2
-(:func:`sector_trotter_error`), which is how ``verify`` measures the
-Trotter error of a uniform schedule without a 2^n basis. Adjoint gradients run
-only in the pair (x) Dicke space and return each chunk's shared
-(tunneling, bias, coupling) partials; dense states are evolved but never
-differentiated.
+nothing 4(n-1)-square is built. On all n/2 + 1 sectors the same kernel
+gives ``verify`` a uniform schedule's Trotter error (:func:`sector_trotter_error`).
+Adjoint gradients run only in the pair (x) Dicke space and return each
+chunk's shared (tunneling, bias, coupling) partials; dense states are
+evolved but never differentiated.
 """
 
 from __future__ import annotations
@@ -178,35 +175,29 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     """``exp(-i H dt)`` by eigendecomposition of the real symmetric chunk Hamiltonian.
 
     The cache keeps the 8 most recent propagators for every dense exact
-    evolution (:func:`evolve_states`, uniform schedules included) and for
-    ``chunk_propagators``, the dense reference of every exact path. Its
-    bound follows from the 10-qubit cap that ``build_hamiltonian``
-    enforces: 8 propagators of 16 MiB fill the 128 MiB dense budget, and
-    at n = 7 they take 2 MiB. The CLI reaches it only on a schedule with a
-    non-uniform chunk: a uniform one runs in its total-spin sectors
-    (:func:`evolve_pair_dicke`, :func:`sector_trotter_error`).
+    evolution, uniform schedules included, and for ``chunk_propagators``,
+    the dense reference of every exact path. Its bound follows from the
+    10-qubit cap that ``build_hamiltonian`` enforces: 8 propagators of
+    16 MiB fill the 128 MiB dense budget, and at n = 7 they take 2 MiB.
+    The CLI reaches it only on a schedule with a non-uniform chunk.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     h = build_hamiltonian(params, n)
     eigvals, eigvecs = np.linalg.eigh(h)
-    angles = _phase_angles(dt, eigvals)
+    _require_finite_phases(dt, float(np.abs(eigvals).max()))
     # V exp(-i lambda dt) V^T as two real products
-    u = (eigvecs * np.cos(angles)) @ eigvecs.T - 1j * ((eigvecs * np.sin(angles)) @ eigvecs.T)
+    u = (eigvecs * np.cos(eigvals * dt)) @ eigvecs.T - 1j * ((eigvecs * np.sin(eigvals * dt)) @ eigvecs.T)
     u.flags.writeable = False
     return u
 
 
-def _phase_angles(dt: float, *energy: np.ndarray) -> np.ndarray:
-    """``dt`` times a chunk's energies, the product of the ``energy``
-    factors, refused if it is not finite: a chunk's ``|eps|`` and ``|zeta|``
-    sum to a finite float, but its eigenvalues with K added, or dt times
-    them, need not."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed dt * zeta times a zero term is NaN
-        angles = math.prod(energy, start=dt)  # left to right, as the phases were always rounded
-    if not np.isfinite(angles).all():
+def _require_finite_phases(dt: float, *largest: float) -> None:
+    """Refuse a chunk whose phases ``dt * H`` pass the float range. ``largest`` holds the largest
+    magnitude of each factor the phases multiply after dt, in order: by monotone rounding, some phase
+    overflows exactly when their product does, here in Python floats, which raise no numpy warning."""
+    if not math.isfinite(math.prod(largest, start=dt)):
         raise ValueError(f"a phase of exp(-i H dt) is not finite: a chunk's energies times dt = {dt!r} overflow")
-    return angles
 
 
 def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
@@ -249,8 +240,9 @@ def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
     :func:`qnnwitness.core._blocks`."""
     blocks = _blocks(n)
     for ck in chunks:
-        # every exp(-i dt zeta_ij Z_i Z_j)
-        yield np.exp(-1j * _phase_angles(dt, ising_diagonal(np.zeros(n), _coupling_matrix(ck))))
+        energies = ising_diagonal(np.zeros(n), _coupling_matrix(ck))
+        _require_finite_phases(dt, float(np.abs(energies).max()))
+        yield np.exp(-1j * dt * energies)  # every exp(-i dt zeta_ij Z_i Z_j)
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
         layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
@@ -290,6 +282,12 @@ def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
     terms = np.stack([ladder, inside * twice_m, inside * (twice_m * twice_m - n) / 2])
     terms.flags.writeable = False
     return terms
+
+
+def _largest_terms(n: int) -> tuple[float, float]:
+    """The largest ladder entry and ``|(4M^2 - n)/2|`` of n qubits, as :func:`sector_terms` rounds
+    them: J = n/2's at the middle weights, and at M = n/2 the number of pairs."""
+    return math.sqrt((n - n // 2) * (n // 2 + 1)), n * (n - 1) / 2
 
 
 def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
@@ -502,18 +500,15 @@ def _backward_step(
 
 def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) -> tuple:
     """What each chunk's steps read under each of ``methods``, from one
-    batched ``eigh`` of every chunk's blocks under every method: the sector
-    terms, then eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked
-    ``(method, chunk, ...)``, the ZZ phases per method (stacked by chunk for
-    ``chunked``, a None per chunk for ``exact``) and the chunks' shared
-    parameters. ``exact`` diagonalises the chunk's Hamiltonian;
-    ``chunked`` applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a
-    diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``: the order the gate
-    compiler reproduces. The sectors are J = n/2 - k for k < ``blocks``:
-    by default the pair (x) Dicke space's three, and all n//2 + 1 for
-    :func:`sector_trotter_error`. The one size rule of the sector kernel
-    refuses them before anything is built, and blocks that overflow the
-    float range are refused before they are diagonalised."""
+    batched ``eigh`` of every chunk's blocks: the sector terms, then
+    eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked ``(method,
+    chunk, ...)``, the ZZ phases per method (a None per chunk for
+    ``exact``) and the shared parameters. ``exact`` diagonalises the
+    chunk's Hamiltonian; ``chunked`` applies its ZZ phase ``zeta (4M^2 -
+    n)/2`` first, as a diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``:
+    the order the gate compiler reproduces. The sectors are J = n/2 - k,
+    k < ``blocks`` (default: the pair (x) Dicke space's three). The one size
+    rule of the sector kernel refuses them before anything is built."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
@@ -530,26 +525,23 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
     terms = sector_terms(n, spins)
+    # a chunk's bias and couplings sum to a finite float, but K times the ladder need not: checked as
+    # in _require_finite_phases
+    ladder, quadratic = _largest_terms(n)
+    if math.isinf(max(abs(ck[0]) for ck in shared) * ladder):
+        raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta overflows them")
     generators = np.array([shared] * len(methods))
     diagonals = []
     for method, generator in zip(methods, generators):
         if method == "chunked":
-            angles = _phase_angles(dt, generator[:, 2, np.newaxis, np.newaxis], terms[2])
-            diagonals.append(np.exp(-1j * angles)[..., np.newaxis])
+            _require_finite_phases(dt, max(abs(ck[2]) for ck in shared), quadratic)
+            diagonals.append(np.exp(-1j * dt * generator[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
             generator[:, 2] = 0.0
         else:
             diagonals.append([None] * count)
-    # a chunk's bias and couplings sum to a finite float, so only K times the ladder, at most (n + 1)/2,
-    # can overflow: the blocks are built unchecked where it cannot, and checked before eigh where it might
-    if max(abs(ck[0]) for ck in shared) * (n + 1) < sys.float_info.max:
-        hamiltonians = spin_sector_hamiltonian(generators, n, spins)
-    else:
-        with np.errstate(over="ignore"):
-            hamiltonians = spin_sector_hamiltonian(generators, n, spins)
-        if not np.isfinite(hamiltonians).all():
-            raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta overflows them")
-    eigvals, eigvecs = np.linalg.eigh(hamiltonians)
-    phases = np.exp(-1j * _phase_angles(dt, eigvals))[..., np.newaxis]
+    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian(generators, n, spins))
+    _require_finite_phases(dt, float(np.abs(eigvals).max()))
+    phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
     return terms, eigvecs, eigvals, phases, diagonals, shared
 
 
@@ -584,25 +576,27 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     pair (x) Dicke coordinates, evolved by each method.
 
     One batched ``eigh`` gives every chunk's unitary on each sector
-    J = n/2 - k, k = 0..n/2, under both methods, and their product the
-    whole schedule's. Sector k occurs ``C(n, k) - C(n, k-1)`` times among
-    the ``2**n`` states, so ``||U_c - U_e||_F^2`` is the sum of the
-    sectors' squared distances times those counts; a block's rows outside
-    its sector are the identity under both methods, and add nothing. The
-    evolved states come back as rows of their coupled
-    coordinates in the first three sectors, ``(batch, 6(n+1))`` for
-    n >= 4: an isometric image of the states, so inner products, and
-    density distances, read as on ``2**n`` vectors.
+    J = n/2 - k, k = 0..n/2, under both methods. Sector k occurs
+    ``C(n, k) - C(n, k-1)`` times among the ``2**n`` states, so
+    ``||U_c - U_e||_F^2`` is the sum of the sectors' squared distances
+    times those counts; a block's rows outside its sector are the identity
+    under both methods. The evolved states come back as rows of their
+    coupled coordinates in the first three sectors: an isometric image,
+    so density distances read as on ``2**n`` vectors.
     """
     n = schedule.n_qubits
     ops = pair_dicke_operators(n)
     coupled = _to_sectors(np.asarray(coords, dtype=complex).T, ops).view(complex)  # (3 blocks, n+1, copy x batch)
     _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=n // 2 + 1)
-    unitaries = (eigvecs * phases.swapaxes(-1, -2)) @ eigvecs.swapaxes(-1, -2)  # (method, chunk, block, n+1, n+1)
-    unitaries[0] *= diagonals[0].swapaxes(-1, -2)  # the chunked ZZ phase acts first
-    products = unitaries[:, 0]
-    for chunk in range(1, schedule.n_chunks):
-        products = unitaries[:, chunk] @ products
+    # the (method, chunk, block) unitaries, complex and so outside the sweeps' budget, 1 MiB at a time
+    step = max(1, 2**20 // (2 * 16 * eigvecs[:, 0].size))
+    products = None
+    for start in range(0, schedule.n_chunks, step):
+        part = slice(start, start + step)
+        unitaries = (eigvecs[:, part] * phases[:, part].swapaxes(-1, -2)) @ eigvecs[:, part].swapaxes(-1, -2)
+        unitaries[0] *= diagonals[0][part].swapaxes(-1, -2)  # the chunked ZZ phase acts first
+        for chunk in range(unitaries.shape[1]):
+            products = unitaries[:, chunk] if products is None else unitaries[:, chunk] @ products
     evolved = products[:, : len(coupled)] @ coupled  # (method, block, n+1, copy x batch)
     batch = coupled.shape[-1] // 2
     finals = evolved.reshape(*evolved.shape[:3], 2, batch).transpose(0, 4, 1, 2, 3).reshape(2, batch, -1)

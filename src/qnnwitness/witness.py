@@ -216,7 +216,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         index = np.arange(2**n)
         parity = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
         parities = np.stack([parity[item.pair] for item in items])
-    return witness_readout((np.abs(finals) ** 2 * parities).sum(axis=1), rows)
+    return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
 
 
 def witness_readout(zz: np.ndarray, rows: np.ndarray) -> np.ndarray:

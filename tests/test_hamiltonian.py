@@ -460,6 +460,31 @@ class TestSpinSectors:
         got, _, _ = sector_trotter_error(orbit_coordinates(n), schedule)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_a_schedule_of_several_slices_matches_the_dense_propagators(self):
+        # 1000 chunks of 2 qubits pass the 910 whose unitaries are built at once;
+        # the last has a coupling, so chunked and exact differ there
+        varied = _varied_uniform_schedule(2)
+        schedule = Schedule(2, varied.total_time * 250, varied.chunks[::-1] * 250)
+        want = np.linalg.norm(_dense_unitary(schedule, "chunked") - _dense_unitary(schedule, "exact"))
+        got, _, _ = sector_trotter_error(orbit_coordinates(2), schedule)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
+
+    def test_the_largest_admitted_sector_comparison_peaks_under_the_budget(self, table3):
+        # 4115 uniform chunks of 10 qubits are the most both methods' sweeps admit;
+        # one more is refused before anything is built
+        chunk = ChunkParams.uniform(10, *table3.chunks[0].shared)
+        schedule = Schedule(10, table3.dt * 4115, (chunk,) * 4115)
+        tracemalloc.start()
+        try:
+            distance, _, _ = sector_trotter_error(orbit_coordinates(10), schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(distance) and peak < DENSE_BYTES_BUDGET
+        longer = Schedule(10, table3.dt * 4116, (chunk,) * 4116)
+        with pytest.raises(DimensionError, match="chunked and exact sweeps for 10 qubits and 4116 chunks"):
+            sector_trotter_error(orbit_coordinates(10), longer)
+
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_sector_finals_are_an_isometric_image_of_the_sweeps(self, n):
         # the rows come back in coupled coordinates: every inner product
@@ -472,6 +497,12 @@ class TestSpinSectors:
         image = np.concatenate([chunked, exact])
         swept = np.concatenate([evolve_pair_dicke(coords, schedule, method) for method in ("chunked", "exact")])
         assert np.max(np.abs(image.conj() @ image.T - swept.conj() @ swept.T)) <= SECTOR_TOL
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_the_largest_terms_are_the_arrays_maxima_bit_for_bit(self, n):
+        # the sector blocks and the chunked ZZ phases are refused from these bounds
+        terms = hamiltonian.sector_terms(n, tuple(n / 2 - k for k in range(n // 2 + 1)))
+        assert hamiltonian._largest_terms(n) == (terms[0].max(), np.abs(terms[2]).max())
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_the_sector_blocks_hold_the_dense_spectrum(self, n):
