@@ -8,8 +8,9 @@ sweep. ``--list-repro`` prints the command that regenerates each
 published table or figure.
 
 Exit codes: 0 success, 1 verification or threshold failure, 2 input
-error (also a ``--chunks`` or ``--iterations`` past its bound, or a
-schedule file's optional ``"symmetric": true`` over non-uniform chunks),
+error (also a ``--chunks`` or ``--iterations`` past its bound, a schedule
+file's optional ``"symmetric": true`` over non-uniform chunks, or a
+schedule whose dt is 0 or whose phases may overflow, by every command),
 3 dimension error (a pair outside the register; a dense square array
 above 10 qubits, built by ``verify`` and by ``exact`` on a schedule with
 a non-uniform chunk; or arrays past the 128 MiB budget: dense states,

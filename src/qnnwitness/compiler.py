@@ -106,7 +106,7 @@ def compile_zz(coupling: float, dt: float, control: int, target: int, elide: boo
 def _zz_gates(cnot: GateOp, coupling: float, dt: float, elide: bool) -> list[GateOp]:
     """``cnot``, the Rz on its target, then the same ``cnot`` object again:
     a frozen gate is safe to share, and one object per pair saves a build."""
-    angle = 2.0 * coupling * dt
+    angle = 2.0 * dt * coupling  # 2 dt first: 2 zeta alone can overflow where the rule admits 2 dt zeta
     if elide and abs(angle) < ELISION_THRESHOLD:
         return []
     return [cnot, GateOp(_ROT_Z, cnot.target, angle=angle), cnot]

@@ -59,6 +59,8 @@ class ChunkParams:
     ``tunneling`` (X coefficients) and ``bias`` (Z coefficients) are
     per-qubit; ``coupling`` (ZZ coefficients) is per unordered pair in
     lexicographic order, matching :func:`qnnwitness.core.qubit_pairs`.
+    ``norm_bound``, outside the fields as ``is_symmetric`` is, sums every |K|, |eps|
+    and |zeta| (inf past the float range); by the triangle inequality it bounds ``||H||``.
     """
 
     tunneling: tuple[float, ...]
@@ -76,9 +78,10 @@ class ChunkParams:
             raise ValueError("tunneling and bias arrays must have equal length")
         if len(self.coupling) != n * (n - 1) // 2:
             raise ValueError(f"expected {n * (n - 1) // 2} couplings for {n} qubits, got {len(self.coupling)}")
-        # a Hamiltonian diagonal entry is at most the sum of every |bias| and |coupling|
-        if not (all(map(math.isfinite, self.tunneling)) and math.isfinite(sum(map(abs, self.bias + self.coupling)))):
+        diagonal = sum(map(abs, self.bias + self.coupling))  # bounds every entry of a Hamiltonian diagonal
+        if not (all(map(math.isfinite, self.tunneling)) and math.isfinite(diagonal)):
             raise ValueError("Hamiltonian parameters must be finite, and so must the sum of their magnitudes")
+        object.__setattr__(self, "norm_bound", diagonal + sum(map(abs, self.tunneling)))
 
     @property
     def n_qubits(self) -> int:
@@ -115,6 +118,8 @@ class Schedule:
     ``symmetric`` (every chunk uniform) is derived, never stored. Reader and
     writer keep the JSON schema: its optional ``"symmetric"`` key is checked
     against the chunks on read and written as the derived value.
+    A ``dt`` that rounds to 0, or a ``total_time`` that :func:`require_phase_range`
+    refuses, is refused here, once for every method.
     """
 
     n_qubits: int
@@ -130,6 +135,9 @@ class Schedule:
         for ck in self.chunks:
             if ck.n_qubits != self.n_qubits:
                 raise ValueError(f"chunk is sized for {ck.n_qubits} qubits, schedule for {self.n_qubits}")
+        if not self.dt > 0:
+            raise ValueError(f"dt must be positive: total_time {self.total_time!r} over {self.n_chunks} chunks is 0")
+        require_phase_range(self.total_time, max(ck.norm_bound for ck in self.chunks))
 
     @cached_property
     def symmetric(self) -> bool:
@@ -142,6 +150,16 @@ class Schedule:
     @property
     def dt(self) -> float:
         return self.total_time / len(self.chunks)
+
+
+def require_phase_range(time: float, norm_bound: float) -> None:
+    """Refuse a ``time`` over which the phases of ``||H|| <= norm_bound`` may pass the float range. The
+    largest number a method forms is ``2 time norm_bound``: a gate angle (``2 dt`` formed first), a phase
+    difference, or one circuit phase for consecutive chunks' diagonal gates with nothing between them. 4
+    leaves a factor 2 for rounding. Python floats overflow to inf without a numpy warning."""
+    if not math.isfinite(4 * time * norm_bound):
+        raise ValueError(f"a phase of exp(-i H dt) is not finite: a chunk's energies over a time of {time!r} "
+                         "pass the float range")
 
 
 def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
@@ -179,25 +197,18 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     the dense reference of every exact path. Its bound follows from the
     10-qubit cap that ``build_hamiltonian`` enforces: 8 propagators of
     16 MiB fill the 128 MiB dense budget, and at n = 7 they take 2 MiB.
-    The CLI reaches it only on a schedule with a non-uniform chunk.
+    The CLI reaches it only on a schedule with a non-uniform chunk. ``dt``
+    comes from the caller, so the range rule of :class:`Schedule` runs here.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    require_phase_range(dt, params.norm_bound)
     h = build_hamiltonian(params, n)
     eigvals, eigvecs = np.linalg.eigh(h)
-    _require_finite_phases(dt, float(np.abs(eigvals).max()))
     # V exp(-i lambda dt) V^T as two real products
     u = (eigvecs * np.cos(eigvals * dt)) @ eigvecs.T - 1j * ((eigvecs * np.sin(eigvals * dt)) @ eigvecs.T)
     u.flags.writeable = False
     return u
-
-
-def _require_finite_phases(dt: float, *largest: float) -> None:
-    """Refuse a chunk whose phases ``dt * H`` pass the float range. ``largest`` holds the largest
-    magnitude of each factor the phases multiply after dt, in order: by monotone rounding, some phase
-    overflows exactly when their product does, here in Python floats, which raise no numpy warning."""
-    if not math.isfinite(math.prod(largest, start=dt)):
-        raise ValueError(f"a phase of exp(-i H dt) is not finite: a chunk's energies times dt = {dt!r} overflow")
 
 
 def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
@@ -240,9 +251,7 @@ def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
     :func:`qnnwitness.core._blocks`."""
     blocks = _blocks(n)
     for ck in chunks:
-        energies = ising_diagonal(np.zeros(n), _coupling_matrix(ck))
-        _require_finite_phases(dt, float(np.abs(energies).max()))
-        yield np.exp(-1j * dt * energies)  # every exp(-i dt zeta_ij Z_i Z_j)
+        yield np.exp(-1j * dt * ising_diagonal(np.zeros(n), _coupling_matrix(ck)))  # each exp(-i dt zeta Z_i Z_j)
         # a symmetric chunk has one distinct (K, eps), so one factor
         factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
         layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
@@ -282,12 +291,6 @@ def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
     terms = np.stack([ladder, inside * twice_m, inside * (twice_m * twice_m - n) / 2])
     terms.flags.writeable = False
     return terms
-
-
-def _largest_terms(n: int) -> tuple[float, float]:
-    """The largest ladder entry and ``|(4M^2 - n)/2|`` of n qubits, as :func:`sector_terms` rounds
-    them: J = n/2's at the middle weights, and at M = n/2 the number of pairs."""
-    return math.sqrt((n - n // 2) * (n // 2 + 1)), n * (n - 1) / 2
 
 
 def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
@@ -508,7 +511,8 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     n)/2`` first, as a diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``:
     the order the gate compiler reproduces. The sectors are J = n/2 - k,
     k < ``blocks`` (default: the pair (x) Dicke space's three). The one size
-    rule of the sector kernel refuses them before anything is built."""
+    rule of the sector kernel refuses them before anything is built; the
+    schedule has already admitted their phases (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
@@ -525,22 +529,15 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
     terms = sector_terms(n, spins)
-    # a chunk's bias and couplings sum to a finite float, but K times the ladder need not: checked as
-    # in _require_finite_phases
-    ladder, quadratic = _largest_terms(n)
-    if math.isinf(max(abs(ck[0]) for ck in shared) * ladder):
-        raise ValueError(f"the sector blocks of {n} qubits are not finite: a chunk's K, eps or zeta overflows them")
     generators = np.array([shared] * len(methods))
     diagonals = []
     for method, generator in zip(methods, generators):
         if method == "chunked":
-            _require_finite_phases(dt, max(abs(ck[2]) for ck in shared), quadratic)
             diagonals.append(np.exp(-1j * dt * generator[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
             generator[:, 2] = 0.0
         else:
             diagonals.append([None] * count)
     eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian(generators, n, spins))
-    _require_finite_phases(dt, float(np.abs(eigvals).max()))
     phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
     return terms, eigvecs, eigvals, phases, diagonals, shared
 
@@ -640,11 +637,12 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
 
 
 def chunked_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray:
-    """Split-operator propagator: pair exponentials first, then single-qubit ones."""
+    """Split-operator propagator: pair exponentials first, then single-qubit ones; range rule as ``exact``."""
     if params.n_qubits != n:
         raise ValueError(f"parameters are sized for {params.n_qubits} qubits, not {n}")
     if dt <= 0:
         raise ValueError("dt must be positive")
+    require_phase_range(dt, params.norm_bound)
     require_square(n)
     return _run_steps(np.eye(2**n, dtype=complex), _chunked_steps((params,), n, dt))
 

@@ -626,6 +626,59 @@ def _uniform_document(n: int, tunneling: float, bias: float, coupling: float = 0
     return json.dumps({"n_qubits": n, "total_time": 1.58, "symmetric": True, "chunks": [chunk] * 4})
 
 
+def _fixture_with(name: str, **changes) -> str:
+    """A bundled fixture with ``total_time`` or every chunk's ``K`` replaced."""
+    doc = json.loads(fixture_path(name).read_text())
+    if "K" in changes:
+        for chunk in doc["chunks"]:
+            chunk["K"] = [changes["K"]] * len(chunk["K"])
+    doc["total_time"] = changes.get("total_time", doc["total_time"])
+    return json.dumps(doc)
+
+
+def _phases_over_4e300(uniform: bool) -> str:
+    # every parameter sum is finite, but dt = 1e300 times the chunk's energies is not
+    doc = json.loads(_uniform_document(3, 0.5, 0.2, 1e10))
+    doc["total_time"] = 4e300
+    if not uniform:
+        del doc["symmetric"]
+        doc["chunks"][0]["zeta"]["1,2"] = 2e10
+    return json.dumps(doc)
+
+
+def _range_message(time: str) -> str:
+    return f"a phase of exp(-i H dt) is not finite: a chunk's energies over a time of {time} pass the float range"
+
+
+# name: (document, the refusal every command prints)
+_OUT_OF_RANGE = {
+    # S is inf: K times a sector block's ladder overflows, and the gate angles are past 1e307
+    "table3_K_1e308": lambda: (_fixture_with("table3", K=1e308), _range_message("1.58")),
+    "total_time_4e300_uniform": lambda: (_phases_over_4e300(True), _range_message("4e+300")),
+    "total_time_4e300_non_uniform": lambda: (_phases_over_4e300(False), _range_message("4e+300")),
+    # dt = 5e-324 / 4 rounds to 0
+    "table3_dt_0": lambda: (_fixture_with("table3", total_time=5e-324),
+                            "dt must be positive: total_time 5e-324 over 4 chunks is 0"),
+    # the sum of every |K| is finite and so is each phase, but 4 total_time times that sum is not: the
+    # rule's factor 4 at work
+    "table2_K_8e307": lambda: (_fixture_with("table2", K=8e307), _range_message("1.58")),
+    # 4 dt zeta is finite, but the circuit runs the 8 chunks' ZZ gates, nothing between, as one phase,
+    # total_time zeta: why the rule's time is the whole schedule's
+    "zz_only_8_chunks": lambda: (json.dumps({"n_qubits": 2, "total_time": 2.4, "chunks": [
+        {"K": [0.0, 0.0], "eps": [0.0, 0.0], "zeta": {"0,1": 8e307}}] * 8}), _range_message("2.4")),
+}
+
+
+# every command that reads a schedule, by id; OUT is a directory that must not be made
+_EVERY_COMMAND = {
+    "witness_exact": ["witness", "--method", "exact"], "witness_chunked": ["witness", "--method", "chunked"],
+    "witness_gates": ["witness", "--method", "gates"], "verify": ["verify"], "compile": ["compile"],
+    "compile_no_elide": ["compile", "--no-elide"],
+    "sample": ["sample", "--shots", "50", "--iterations", "1", "--out-dir", "OUT"],
+    "train": ["train", "--epochs", "1", "--out-dir", "OUT"],
+}
+
+
 class TestExtremeSchedules:
     @pytest.mark.parametrize(
         "doc",
@@ -669,39 +722,19 @@ class TestExtremeSchedules:
         assert "too large to differentiate" in err
         assert not (tmp_path / "trained_schedule.json").exists()
 
-    @pytest.mark.parametrize("argv", [["verify"], ["witness", "--state", "all", "--method", "all"]],
-                             ids=["verify", "witness_all"])
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    @pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
     @pytest.mark.filterwarnings("error")  # a numpy warning, which a cold process prints, fails the test
-    def test_overflowing_sector_blocks_are_refused_in_one_line(self, tmp_path, capsys, argv):
-        # table3 with every K = 1e308: K times a sector block's ladder
-        # overflows, which is refused before numpy warns of it or eigh fails
-        # to converge
-        doc = json.loads(fixture_path("table3").read_text())
-        for chunk in doc["chunks"]:
-            chunk["K"] = [1e308] * len(chunk["K"])
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+    def test_every_command_refuses_a_schedule_out_of_range_alike(self, tmp_path, capsys, name, command):
+        # the range rule runs as the schedule is read, so every command prints
+        # the same one line and nothing else, the gate circuit and training too
+        text, message = _OUT_OF_RANGE[name]()
+        path, out_dir = tmp_path / "s.json", tmp_path / "out"
+        path.write_text(text)
+        argv = [str(out_dir) if token == "OUT" else token for token in _EVERY_COMMAND[command]]
         code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
-        assert (code, out) == (2, "")
-        assert err == "error: the sector blocks of 7 qubits are not finite: a chunk's K, eps or zeta overflows them\n"
-
-    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "non_uniform"])
-    @pytest.mark.parametrize("method", ["exact", "chunked"])
-    @pytest.mark.filterwarnings("error")
-    def test_phases_past_the_float_range_are_refused_in_one_line(self, tmp_path, capsys, method, uniform):
-        # every parameter sum is finite, but dt = 1e300 times the chunk's
-        # energies is not: refused before numpy warns of the overflow, on the
-        # total-spin sectors of a uniform schedule and on 2**n states alike
-        doc = json.loads(_uniform_document(3, 0.5, 0.2, 1e10))
-        doc["total_time"] = 4e300
-        if not uniform:
-            del doc["symmetric"]
-            doc["chunks"][0]["zeta"]["1,2"] = 2e10
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = run_cli(capsys, "witness", "--schedule", str(path), "--method", method)
-        assert (code, out) == (2, "")
-        assert err == "error: a phase of exp(-i H dt) is not finite: a chunk's energies times dt = 1e+300 overflow\n"
+        assert (code, out, err) == (2, "", f"error: bad schedule {path}: {message}\n")
+        assert not out_dir.exists()
 
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"

@@ -4,8 +4,8 @@
 ``GOLDEN_ARGVS``, recorded with ``COLUMNS=80`` from the commit before
 ``cli.main`` started building only the invoked subcommand's parser.
 The top-level help prints the ``cli`` module docstring, so when its list
-of dimension errors changed, the three entries that print it were edited
-in that paragraph alone. The argparse text is the CLI's contract too: a
+of dimension errors changed, and again when its list of input errors did,
+the three entries that print it were edited in that paragraph alone. The argparse text is the CLI's contract too: a
 parser built differently (say, ``add_subparsers(metavar=...)``) can keep
 every parsed value and still change what a user reads, such as
 ``argument command: invalid choice``.

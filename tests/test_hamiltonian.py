@@ -6,10 +6,12 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qnnwitness import cli, hamiltonian
-from qnnwitness.compiler import verify_equivalence
-from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError
+from qnnwitness.compiler import compile_schedule, verify_equivalence
+from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError, GateKind
 from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, qubit_pairs, require_square, z_diagonal
 from qnnwitness.hamiltonian import (
     ChunkParams,
@@ -437,6 +439,24 @@ def _varied_uniform_schedule(n: int) -> Schedule:
     return Schedule(n, 1.58, tuple(ChunkParams.uniform(n, *shared) for shared in VARIED_UNIFORM))
 
 
+_PARAMETERS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3))
+
+
+@st.composite
+def _bounded_schedules(draw):
+    """Schedules of 1 to 8 qubits and 1 to 3 chunks, each uniform or not, signed zeros included."""
+    n = draw(st.integers(1, 8))
+    pairs = n * (n - 1) // 2
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            chunks.append(ChunkParams.uniform(n, *(draw(_PARAMETERS) for _ in range(3))))
+        else:
+            chunks.append(ChunkParams(*(draw(st.lists(_PARAMETERS, min_size=size, max_size=size))
+                                        for size in (n, n, pairs))))
+    return Schedule(n, draw(st.floats(1e-3, 1e3)), chunks)
+
+
 def _dense_unitary(schedule: Schedule, method: str) -> np.ndarray:
     """The dense reference: the product of the chunk propagators."""
     product = np.eye(2**schedule.n_qubits, dtype=complex)
@@ -498,11 +518,26 @@ class TestSpinSectors:
         swept = np.concatenate([evolve_pair_dicke(coords, schedule, method) for method in ("chunked", "exact")])
         assert np.max(np.abs(image.conj() @ image.T - swept.conj() @ swept.T)) <= SECTOR_TOL
 
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_the_largest_terms_are_the_arrays_maxima_bit_for_bit(self, n):
-        # the sector blocks and the chunked ZZ phases are refused from these bounds
-        terms = hamiltonian.sector_terms(n, tuple(n / 2 - k for k in range(n // 2 + 1)))
-        assert hamiltonian._largest_terms(n) == (terms[0].max(), np.abs(terms[2]).max())
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=_bounded_schedules())
+    def test_the_norm_bound_bounds_every_energy_and_angle(self, schedule):
+        # the range rule admits a schedule by each chunk's norm_bound alone;
+        # these are the numbers every method forms phases from. Round-off may
+        # pass the bound by far less than the factor 2 the rule leaves for it
+        n, dt = schedule.n_qubits, schedule.dt
+        spins = [n / 2 - k for k in range(n // 2 + 1)]
+        for ck in schedule.chunks:
+            bound = ck.norm_bound * (1 + 1e-12)
+            assert np.abs(np.linalg.eigvalsh(build_hamiltonian(ck, n))).max() <= bound
+            if ck.is_symmetric:  # exact's blocks, then chunked's, which split off their ZZ diagonal
+                k, eps, zeta = ck.shared
+                for shared in ((k, eps, zeta), (k, eps, 0.0)):
+                    assert np.abs(np.linalg.eigvalsh(spin_sector_hamiltonian(shared, n, spins))).max() <= bound
+                assert np.abs(zeta * hamiltonian.sector_terms(n, tuple(spins))[2]).max() <= bound
+        # a Rz angle is a phase; a Ry angle is the axis's atan2(K, eps), at most pi
+        largest = 2 * dt * max(ck.norm_bound for ck in schedule.chunks) * (1 + 1e-12)
+        for op in compile_schedule(schedule).ops:
+            assert op.angle is None or abs(op.angle) <= (largest if op.kind is GateKind.ROT_Z else math.pi)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8])
     def test_the_sector_blocks_hold_the_dense_spectrum(self, n):
@@ -603,6 +638,10 @@ _REFUSALS = [
      f"'K' in chunk 0 entry 1 must be a finite number, got {10**309}"),
     ("sum_overflows", _document(chunks=[_chunk(eps=[1e308, 1e308], zeta={"0,1": 1e308})]),
      "bad chunk 0: Hamiltonian parameters must be finite, and so must the sum of their magnitudes"),
+    ("dt_rounds_to_0", _document(total_time=5e-324, chunks=[_chunk(), _chunk()]),
+     "dt must be positive: total_time 5e-324 over 2 chunks is 0"),
+    ("phases_out_of_range", _document(chunks=[_chunk(K=[3e307, 3e307])]),  # 4 times 1.0 times 6e307 + 0.5 overflows
+     "a phase of exp(-i H dt) is not finite: a chunk's energies over a time of 1.0 pass the float range"),
     ("symmetric_not_a_bool", _document(symmetric=1), "'symmetric' must be true or false, got 1"),
     ("symmetric_over_non_uniform", _document(symmetric=True, chunks=[_chunk(K=[1.0, 2.0])]),
      "'symmetric' is true but the chunk parameters are not uniform"),

@@ -5,7 +5,8 @@ import pytest
 
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, z_diagonal
-from qnnwitness.hamiltonian import ChunkParams, Schedule
+from qnnwitness import witness
+from qnnwitness.hamiltonian import ChunkParams, Schedule, evolve_pair_dicke
 from qnnwitness.witness import (
     PairStateKind,
     TrainingItem,
@@ -206,12 +207,17 @@ class TestWitnessValues:
         single = [witness_value(make_pair_state(kind, (2, 5), 7), (2, 5), table3, method) for kind in kinds]
         assert np.max(np.abs(witness_values(ts, table3, method) - single)) <= 1e-12
 
-    def test_non_finite_correlation_refused(self):
-        # the sector blocks overflow at |K| = 1e308; a clamped NaN would
-        # read as a plausible witness
-        schedule = Schedule(4, 1.0, (ChunkParams.uniform(4, 1e308, 0.1, 0.05),) * 2)
+    def test_non_finite_correlation_refused(self, table3, monkeypatch):
+        # the schedule admits only finite phases, so a NaN row is planted in
+        # the sweep's output; clamped, it would read as a plausible witness
+        def sweep_with_a_nan_row(coords, schedule, method):
+            finals = evolve_pair_dicke(coords, schedule, method)
+            finals[1] = np.nan
+            return finals
+
+        monkeypatch.setattr(witness, "evolve_pair_dicke", sweep_with_a_nan_row)
         with pytest.raises(ValueError, match="not finite"):
-            witness_values(build_training_set(4), schedule, "chunked")
+            witness_values(build_training_set(7), table3, "chunked")
 
     def test_size_mismatch(self, table2):
         with pytest.raises(ValueError):
