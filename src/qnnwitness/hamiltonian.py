@@ -29,8 +29,8 @@ coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
 those coordinates directly; both methods run on them in the space's
 total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
-nothing 4(n-1)-square is built. On all n/2 + 1 sectors the same kernel
-gives ``verify`` a uniform schedule's Trotter error (:func:`sector_trotter_error`).
+nothing 4(n-1)-square is built. On all n/2 + 1 sectors the same forward
+step gives ``verify`` a uniform schedule's Trotter error (:func:`sector_trotter_error`).
 Adjoint gradients run only in the pair (x) Dicke space and return each
 chunk's shared (tunneling, bias, coupling) partials; dense states are
 evolved but never differentiated.
@@ -311,31 +311,6 @@ def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
     return h.reshape(h.shape[:-1] + (size, size))
 
 
-def _lowered_sectors(lowerings: list[np.ndarray], n: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The coupled basis of a space of n spins 1/2 with J_- from weight w to
-    w + 1 ``lowerings[w]``: per sector k = n/2 - J it holds and weight
-    w = k..n-k, ``(k, w, states)``, the copies |J, M = n/2 - w, a> as
-    columns over the weight-w basis. The highest-weight states of J are the
-    null space of J_+ from weight k to k - 1; J_- lowers them one weight at
-    a time, divided by ``sqrt((J+M)(J-M+1))``, so that J_- has the positive
-    entries :func:`spin_sector_hamiltonian` puts beside the diagonal."""
-    for k in range(n // 2 + 1):
-        if k:
-            raising = lowerings[k - 1].T
-            copies = raising.shape[1] - raising.shape[0]
-            if not copies:
-                return
-            # the rows of vt past its singular values span the null space
-            states = np.linalg.svd(raising)[2][-copies:].T
-        else:
-            states = np.ones((1, 1))
-        for w in range(k, n - k + 1):
-            yield k, w, states
-            if w < n - k:
-                twice_j, twice_m = n - 2 * k, n - 2 * w
-                states = lowerings[w] @ states / (0.5 * math.sqrt((twice_j + twice_m) * (twice_j - twice_m + 2)))
-
-
 # --- pair (x) Dicke space -----------------------------------------------
 #
 # A uniform chunk commutes with every permutation of the spectators (qubits
@@ -346,9 +321,11 @@ def _lowered_sectors(lowerings: list[np.ndarray], n: int) -> Iterator[tuple[int,
 # two leading bits of the index: the permutation-symmetric reduction of
 # PIQS (Shammah et al., arXiv:1805.05129). The pair's spin 1 (+) 0 times the
 # spectators' m/2 holds the sectors J = n/2, n/2 - 1 twice and n/2 - 2 (one
-# J = 0 at n = 2, no n/2 - 2 at n = 3). Both methods run there on coupled
-# columns ``(blocks, n+1, 2, batch)``: block k = n/2 - J, weight, copy (the
-# second one zero outside block 1), state.
+# J = 0 at n = 2, no n/2 - 2 at n = 3), and the change to them is in closed
+# form: Clebsch-Gordan coefficients, and the singlet. Both methods run there
+# on coupled columns ``(blocks, n+1, 2, batch)``: block k = n/2 - J, weight,
+# copy (the second one zero outside block 1), state. One forward step
+# applies a chunk's (V, lambda) to them, and one backward step undoes it.
 
 _PAIR_WEIGHTS = (0, 1, 1, 2)  # the ones among qubits 0 and 1 of p = 0..3
 
@@ -368,23 +345,29 @@ class PairDicke(NamedTuple):
 @PARITY_CACHE
 def pair_dicke_operators(n: int) -> PairDicke:
     """The pair (x) Dicke space's Z_0 Z_1 read-out and its change to the
-    coupled basis, built once per n: a real orthogonal block of at most
-    4 x 4 per weight. J_- takes |p> (x) |D_w> to the |p'> (x) |D_w> where
-    qubit 0 or 1 went from 0 to 1, and to ``sqrt((w+1)(m-w)) |p> (x)
-    |D_{w+1}>``."""
+    coupled basis, built once per n: per weight W, a real orthogonal block of
+    at most 4 x 4 in closed form. Its rows couple the pair's |1, m1> (|00>,
+    (|01> + |10>)/sqrt 2, |11>) with the spectators' |s, M - m1> = |D_{W-1+m1}>,
+    s = (n-2)/2, to J = s + 1, s, s - 1 by Clebsch-Gordan coefficients in
+    Condon-Shortley phases, which give J_- the positive entries of
+    :func:`spin_sector_hamiltonian`; the singlet (|01> - |10>)/sqrt 2 is block 1's first copy."""
     if n < 2:
         raise ValueError("the pair (x) Dicke space needs at least 2 qubits")
     m = n - 2
-    # J_- from weight W to W + 1 on all four p, then restricted to the |p> (x) |D_{W - bits(p)}> that exist
-    spectators = np.arange(n)[:, np.newaxis] - np.array(_PAIR_WEIGHTS)  # w at total weight W
-    lowering = np.zeros((n, 4, 4))
-    lowering[:, [2, 3, 1, 3], [0, 1, 0, 2]] = 1.0  # qubit 0 takes p to p | 2, qubit 1 takes p to p | 1
-    lowering[:, range(4), range(4)] = np.sqrt(np.maximum((spectators + 1) * (m - spectators), 0))
-    present = [[p for p in range(4) if 0 <= W - _PAIR_WEIGHTS[p] <= m] for W in range(n + 1)]
-    lowerings = [lowering[W][np.ix_(present[W + 1], present[W])] for W in range(n)]
-    change = np.zeros((n + 1, 2 * min(3, n // 2 + 1), 4))
-    for k, w, states in _lowered_sectors(lowerings, n):
-        change[w][2 * k : 2 * k + states.shape[1], present[w]] = states.T
+    s, spin_z = m / 2, n / 2 - np.arange(n + 1.0)  # M at weight W
+    u, d = np.maximum(s + spin_z, 0), np.maximum(s - spin_z, 0)  # s + M and s - M, 0 where no coefficient is read
+    held = np.abs(spin_z - np.array([[1.0], [0.0], [-1.0]])) <= s  # (m1, W): the spectators hold M - m1
+    r = math.sqrt(0.5)
+    triplet = np.array([[1.0, 0, 0, 0], [0, r, r, 0], [0, 0, 0, 1.0]])  # |1, m1> over p
+    change = np.zeros((n + 1, 2 * min(3, n // 2 + 1), 4))  # slot 2 k + a: block k = n/2 - J, copy a
+    change[1:n, 2, 1:3] = r, -r  # the singlet (x) |D_{W-1}>
+    sectors = [  # per slot: J, its coefficients' numerators over m1, and their denominator squared
+        (0, s + 1, np.sqrt([u * (u + 1) / 2, (u + 1) * (d + 1), d * (d + 1) / 2]), (2 * s + 1) * (s + 1)),
+        (3, s, [-np.sqrt(u * (d + 1) / 2), spin_z, np.sqrt(d * (u + 1) / 2)], s * (s + 1)),
+        (4, s - 1, [np.sqrt(d * (d + 1) / 2), -np.sqrt(u * d), np.sqrt(u * (u + 1) / 2)], s * (2 * s + 1)),
+    ]
+    for slot, spin, coefficients, square in sectors[: min(3, n - 1)]:  # J = s from n = 3, J = s - 1 from n = 4
+        change[:, slot] = (np.array(coefficients) / math.sqrt(square) * held * (np.abs(spin_z) <= spin)).T @ triplet
     at = 4 * np.add.outer(_PAIR_WEIGHTS, np.arange(m + 1)) + np.arange(4)[:, np.newaxis]
     ops = PairDicke(readout=np.repeat([1.0, -1.0, -1.0, 1.0], m + 1), change=change, at=at.ravel())
     for array in ops:
@@ -408,16 +391,16 @@ def _from_sectors(coupled: np.ndarray, ops: PairDicke) -> np.ndarray:
     return (ops.change.swapaxes(1, 2) @ by_slot).reshape(4 * rows, -1).view(complex)[ops.at]
 
 
-def _forward_step(columns: np.ndarray, eigvecs: np.ndarray, phases: np.ndarray, diagonal) -> np.ndarray:
-    """One chunk on the float view of coupled columns: its ZZ phase
-    ``diagonal`` where it is split off (``chunked``, else None), applied
-    in place, then ``V exp(-i lam dt) V^T`` per block. The eigenvectors are
-    real, so each product with them is a real product on the float view."""
+def _forward_step(columns: np.ndarray, eigvecs: np.ndarray, phases: np.ndarray, diagonal) -> None:
+    """One chunk on the float view of coupled columns, in place: its ZZ
+    phase ``diagonal`` where it is split off (``chunked``, else None), then
+    ``V exp(-i lam dt) V^T`` per block. The eigenvectors are real, so each
+    product with them is a real product on the float view."""
     if diagonal is not None:
         columns.view(complex)[...] *= diagonal
     rotated = eigvecs.swapaxes(1, 2) @ columns
     rotated.view(complex)[...] *= phases
-    return eigvecs @ rotated
+    np.matmul(eigvecs, rotated, out=columns)
 
 
 # --- adjoint gradients --------------------------------------------------
@@ -501,7 +484,7 @@ def _backward_step(
     return before, 2 * dt * np.array([np.vdot(ladder[:, :-1], beside), np.vdot(twice_m, on), np.vdot(quadratic, on)])
 
 
-def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) -> tuple:
+def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None) -> tuple:
     """What each chunk's steps read under each of ``methods``, from one
     batched ``eigh`` of every chunk's blocks: the sector terms, then
     eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked ``(method,
@@ -511,18 +494,22 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     n)/2`` first, as a diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``:
     the order the gate compiler reproduces. The sectors are J = n/2 - k,
     k < ``blocks`` (default: the pair (x) Dicke space's three). The one size
-    rule of the sector kernel refuses them before anything is built; the
-    schedule has already admitted their phases (:func:`require_phase_range`)."""
+    rule of the sector kernel refuses them before anything is built, with the
+    ``width`` complex columns per block row that the caller carries through
+    each method's sweep; the schedule has already admitted their phases
+    (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
     # per chunk and method: its real eigenvectors, its generator while they are built, 40 bytes a row
-    # (eigenvalues, phases, ZZ phase) and 2 KiB of Python objects; then an exact backward step's 2.5 blocks
-    # of working arrays, and 1 KiB a row for the columns of 4 states and 4 co-states
+    # (eigenvalues, phases, ZZ phase) and 2 KiB of Python objects. Then the larger of an exact backward
+    # step's 2.5 blocks of working arrays with 1 KiB a row, and three arrays of the caller's columns: a
+    # step's input and its rotation, and one more for the other method's result or the co-states' work
     per_chunk = 16 * blocks * size + 40 * blocks * (n + 1) + 2048
-    nbytes = len(methods) * count * per_chunk + 20 * blocks * size + 1024 * (n + 1)
+    work = max(20 * blocks * size + 1024 * (n + 1), 48 * blocks * (n + 1) * width)
+    nbytes = len(methods) * count * per_chunk + work
     if nbytes > DENSE_BYTES_BUDGET:
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
@@ -542,20 +529,29 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, blocks: int | None = None) 
     return terms, eigvecs, eigvals, phases, diagonals, shared
 
 
+def _coordinate_columns(coords, n: int) -> np.ndarray:
+    """A ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates as
+    ``(4(n-1), batch)`` complex columns; any other shape is refused."""
+    columns = np.asarray(coords, dtype=complex).T
+    if columns.ndim != 2 or len(columns) != 4 * (n - 1):
+        raise ValueError(f"pair (x) Dicke coordinates of {n} qubits are a (batch, 4(n-1)) = (batch, {4 * (n - 1)}) "
+                         f"stack, not shape {np.shape(coords)}")
+    return columns
+
+
 def _forward_sweep(coords: np.ndarray, schedule: Schedule, method: str):
     """A ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates through
     every chunk: the sector terms of :func:`_chunk_sweeps`, each chunk's
     steps, the space's operators, and the float view of the final coupled
     columns."""
-    columns = np.asarray(coords, dtype=complex).T
-    if columns.shape[0] != 4 * (schedule.n_qubits - 1):
-        raise ValueError(f"{columns.shape[0]} coordinates do not match {schedule.n_qubits} qubits")
-    terms, eigvecs, eigvals, phases, diagonals, shared = _chunk_sweeps(schedule, method)
+    columns = _coordinate_columns(coords, schedule.n_qubits)
+    # each copy's states, and the co-states that adjoint_partials puts beside them
+    terms, eigvecs, eigvals, phases, diagonals, shared = _chunk_sweeps(schedule, method, width=4 * columns.shape[1])
     chunks = list(zip(eigvecs[0], eigvals[0], phases[0], diagonals[0], shared))  # the one method's
     ops = pair_dicke_operators(schedule.n_qubits)
     columns = _to_sectors(columns, ops)
     for vectors, _, exponentials, diagonal, _ in chunks:
-        columns = _forward_step(columns, vectors, exponentials, diagonal)
+        _forward_step(columns, vectors, exponentials, diagonal)
     return terms, chunks, ops, columns
 
 
@@ -572,33 +568,36 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     its total-spin sectors, and ``coords``, a ``(batch, 4(n-1))`` stack of
     pair (x) Dicke coordinates, evolved by each method.
 
-    One batched ``eigh`` gives every chunk's unitary on each sector
-    J = n/2 - k, k = 0..n/2, under both methods. Sector k occurs
-    ``C(n, k) - C(n, k-1)`` times among the ``2**n`` states, so
-    ``||U_c - U_e||_F^2`` is the sum of the sectors' squared distances
-    times those counts; a block's rows outside its sector are the identity
-    under both methods. The evolved states come back as rows of their
-    coupled coordinates in the first three sectors: an isometric image,
-    so density distances read as on ``2**n`` vectors.
+    Each method carries one ``(blocks, n+1, n+1 + 2 batch)`` array through
+    :func:`_forward_step`, chunk by chunk: per sector J = n/2 - k, k = 0..n/2,
+    the block's n + 1 basis columns, which end as its unitary (the identity
+    outside the sector under both methods), then the states' two copies
+    (zero past the first three blocks). Sector k occurs ``C(n, k) - C(n, k-1)``
+    times among the ``2**n`` states, so ``||U_c - U_e||_F^2`` sums the sectors'
+    squared distances times those counts. The evolved states come back as
+    rows of their coupled coordinates in the first three sectors: an
+    isometric image, so density distances read as on ``2**n`` vectors.
     """
     n = schedule.n_qubits
-    ops = pair_dicke_operators(n)
-    coupled = _to_sectors(np.asarray(coords, dtype=complex).T, ops).view(complex)  # (3 blocks, n+1, copy x batch)
-    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=n // 2 + 1)
-    # the (method, chunk, block) unitaries, complex and so outside the sweeps' budget, 1 MiB at a time
-    step = max(1, 2**20 // (2 * 16 * eigvecs[:, 0].size))
-    products = None
-    for start in range(0, schedule.n_chunks, step):
-        part = slice(start, start + step)
-        unitaries = (eigvecs[:, part] * phases[:, part].swapaxes(-1, -2)) @ eigvecs[:, part].swapaxes(-1, -2)
-        unitaries[0] *= diagonals[0][part].swapaxes(-1, -2)  # the chunked ZZ phase acts first
-        for chunk in range(unitaries.shape[1]):
-            products = unitaries[:, chunk] if products is None else unitaries[:, chunk] @ products
-    evolved = products[:, : len(coupled)] @ coupled  # (method, block, n+1, copy x batch)
-    batch = coupled.shape[-1] // 2
-    finals = evolved.reshape(*evolved.shape[:3], 2, batch).transpose(0, 4, 1, 2, 3).reshape(2, batch, -1)
-    copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(n // 2 + 1)]
-    return math.sqrt(copies @ (np.abs(products[0] - products[1]) ** 2).sum(axis=(1, 2))), *finals
+    columns = _coordinate_columns(coords, n)
+    blocks, batch = n // 2 + 1, columns.shape[1]
+    width = n + 1 + 2 * batch  # a block's basis columns, then the states' two copies
+    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=blocks, width=width)
+    coupled = _to_sectors(columns, pair_dicke_operators(n)).view(complex)  # (3 blocks, n+1, copy x batch)
+    evolved = []
+    for steps in zip(eigvecs, phases, diagonals):  # chunked, then exact
+        swept = np.zeros((blocks, n + 1, width), dtype=complex)
+        swept[:, :, : n + 1] = np.eye(n + 1)
+        swept[: len(coupled), :, n + 1 :] = coupled
+        floats = swept.view(float)
+        for step in zip(*steps):
+            _forward_step(floats, *step)
+        evolved.append(swept)
+    copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(blocks)]
+    difference = (evolved[0][..., : n + 1] - evolved[1][..., : n + 1]).view(float)
+    squares = np.einsum("kij,kij->k", difference, difference)
+    finals = (u[: len(coupled), :, n + 1 :].reshape(len(coupled), n + 1, 2, batch).transpose(3, 0, 1, 2) for u in evolved)
+    return math.sqrt(copies @ squares), *(final.reshape(batch, -1) for final in finals)
 
 
 def require_differentiable(schedule: Schedule) -> None:
@@ -626,7 +625,7 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     """
     require_differentiable(schedule)
     terms, chunks, ops, finals = _forward_sweep(coords, schedule, method)
-    costates = _to_sectors(np.asarray(costate(_from_sectors(finals, ops).T), dtype=complex).T, ops)
+    costates = _to_sectors(_coordinate_columns(costate(_from_sectors(finals, ops).T), schedule.n_qubits), ops)
     blocks, rows = finals.shape[:2]  # per copy: states, then co-states
     both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)
     out = []

@@ -8,8 +8,10 @@ one basis state per shot rather than one binomial count, gradients
 come from finite differences of the loss, or from tangents carried
 forward through dense 2^n states, rather than an adjoint sweep, and the
 verification report comes from full unitaries and density matrices
-rather than evolved blocks of basis rows, and the dense kernels' Kronecker
-blocks are checked against one 2x2 per gate or qubit. A call counter lets
+rather than evolved blocks of basis rows, the dense kernels' Kronecker
+blocks are checked against one 2x2 per gate or qubit, and the pair (x)
+Dicke Hamiltonian is summed from its matrix elements rather than from
+the Clebsch-Gordan change of basis. A call counter lets
 tests pin how often a kernel runs. One reference is not independent but
 pins arithmetic: :func:`run_circuit_unfused` regroups a gate list, its
 blocks included, on every call, where the gate kernel keeps its fused
@@ -144,6 +146,25 @@ def _shared_generators(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         transverse[index, index ^ (1 << (n - 1 - q))] += 1
     z_sum = z.sum(axis=1).astype(float)
     return transverse, z_sum, (z_sum**2 - n) / 2
+
+
+def pair_dicke_hamiltonian(shared, n: int) -> np.ndarray:
+    """A uniform chunk's ``(K, eps, zeta)`` Hamiltonian on the |p> (x) |D_w>,
+    p-major, from its matrix elements: 4(n-1) square, with no 2^n array.
+    X_0 and X_1 flip a bit of p; the spectators' sum of X takes |D_w> to
+    ``sqrt((w+1)(m-w)) |D_{w+1}>`` and back, m = n - 2; on the diagonal, the
+    pair's Z_0, Z_1 and the spectators' sum m - 2w of Z form every Z and ZZ."""
+    tunneling, bias, coupling = shared
+    m = n - 2
+    spectators = m - 2.0 * np.arange(m + 1)
+    pair = np.array([[1, 1], [1, -1], [-1, 1], [-1, -1]])[:, :, np.newaxis]  # Z_0, Z_1 of p = 2 b_0 + b_1
+    z_sum, zz = pair.sum(axis=1), pair.prod(axis=1)
+    diagonal = bias * (z_sum + spectators) + coupling * (zz + z_sum * spectators + (spectators**2 - m) / 2)
+    ladder = np.sqrt((np.arange(m) + 1.0) * (m - np.arange(m)))
+    flips = np.zeros((4, 4))
+    flips[range(4), [2, 3, 0, 1]] = flips[range(4), [1, 0, 3, 2]] = 1.0
+    transverse = np.kron(flips, np.eye(m + 1)) + np.kron(np.eye(4), np.diag(ladder, 1) + np.diag(ladder, -1))
+    return np.diag(diagonal.ravel()) + tunneling * transverse
 
 
 def _on_qubit(u: np.ndarray, states: np.ndarray, q: int, n: int) -> np.ndarray:

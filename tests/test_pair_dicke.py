@@ -11,6 +11,7 @@ gradients to 1e-12 * max(1, |g|).
 from __future__ import annotations
 
 import json
+import re
 import time
 import tracemalloc
 from math import comb
@@ -25,11 +26,13 @@ from qnnwitness.core import DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError, z_
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
+    adjoint_partials,
     build_hamiltonian,
     evolve_pair_dicke,
     evolve_states,
     pair_dicke_operators,
     refine_schedule,
+    sector_trotter_error,
     spin_sector_hamiltonian,
 )
 from qnnwitness.witness import (
@@ -38,11 +41,12 @@ from qnnwitness.witness import (
     TrainingSet,
     build_training_set,
     make_pair_state,
+    orbit_coordinates,
     witness_value,
     witness_values,
 )
 
-from helpers import expm_eigh, tangent_loss_gradient
+from helpers import expm_eigh, pair_dicke_hamiltonian, tangent_loss_gradient
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -107,32 +111,48 @@ def sector_change(n: int) -> np.ndarray:
 
 
 class TestOperators:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 64])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 64, 725])
     def test_the_change_of_basis_is_orthogonal(self, n):
-        # rows J = n/2 (n+1), n/2 - 1 (n-1, twice but once at n = 2) and n/2 - 2 (n-3)
-        change = sector_change(n)
-        used = np.sum(change * change, axis=0).reshape(-1, n + 1, 2).sum(axis=1)
-        want = [[n + 1, 0], [n - 1, n - 1 if n > 2 else 0], [n - 3, 0]][: len(used)]
-        assert np.max(np.abs(used - want)) <= 1e-13
-        assert np.max(np.abs(change @ change.T - np.eye(4 * (n - 1)))) <= 1e-13
-        assert np.max(np.abs(change.T @ change - np.diag(np.sum(change * change, axis=0)))) <= 1e-13
+        # the change holds one block per weight W, over the p whose spectators
+        # hold W - bits(p): its columns are orthonormal there and zero elsewhere,
+        # and its rows orthogonal, each of norm 1 or 0. Rows J = n/2 (n+1),
+        # n/2 - 1 (n-1, twice but once at n = 2) and n/2 - 2 (n-3)
+        change = pair_dicke_operators(n).change
+        spectators = np.arange(n + 1)[:, np.newaxis] - np.array([0, 1, 1, 2])
+        present = (spectators >= 0) & (spectators <= n - 2)
+        assert np.max(np.abs(change.swapaxes(1, 2) @ change - present[:, np.newaxis] * np.eye(4))) <= 1e-13
+        norms = np.sum(change * change, axis=2)
+        assert np.max(np.abs(change @ change.swapaxes(1, 2) - norms[:, np.newaxis] * np.eye(len(norms[0])))) <= 1e-13
+        assert np.max(np.abs(norms - np.round(norms))) <= 1e-13
+        want = [[n + 1, 0], [n - 1, n - 1 if n > 2 else 0], [n - 3, 0]][: len(norms[0]) // 2]
+        assert np.array_equal(np.round(norms).sum(axis=0).reshape(-1, 2), want)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_the_pair_dicke_hamiltonian_is_the_dense_one_on_the_space(self, n):
+        # the oracle below, from matrix elements, against the dense Hamiltonian: the space is invariant
+        shared = (1.3, -0.7, 0.45)
+        basis = dicke_basis(n)
+        dense = build_hamiltonian(ChunkParams.uniform(n, *shared), n)
+        assert np.max(np.abs(dense @ basis - basis @ pair_dicke_hamiltonian(shared, n))) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 12, 64, 256])
     @pytest.mark.parametrize("coupling", [0.45, 0.0])
     def test_the_change_carries_the_hamiltonian_onto_the_sector_blocks(self, n, coupling):
-        # the pair (x) Dicke space is invariant and the coupled basis block
-        # diagonalises it, which pins every coefficient: collective X and Z,
-        # the pair-spectator couplings and the spectator ZZ sum
-        shared = (1.3, -0.7, coupling)
-        coupled = dicke_basis(n) @ sector_change(n)
+        # the coupled basis block diagonalises the pair (x) Dicke Hamiltonian,
+        # which pins every coefficient: collective X and Z, the pair-spectator
+        # couplings and the spectator ZZ sum. Past 7 qubits the coupling is
+        # scaled by 6/(n-1), as a 7-qubit schedule's is when lifted, which keeps
+        # the entries within a few hundred, where 1e-12 is above round-off
+        shared = (1.3, -0.7, coupling * 6 / max(n - 1, 6))
+        coupled = sector_change(n)
         blocks = len(coupled[0]) // (2 * (n + 1))
         sectors = spin_sector_hamiltonian(shared, n, [n / 2 - k for k in range(blocks)])
         used = np.sum(coupled * coupled, axis=0).reshape(blocks, n + 1, 2).any(axis=1)
         want = np.zeros((blocks, n + 1, 2, blocks, n + 1, 2))
         for k, a in zip(*np.nonzero(used)):
             want[k, :, a, k, :, a] = sectors[k]
-        dense = build_hamiltonian(ChunkParams.uniform(n, *shared), n)
-        assert np.max(np.abs(coupled.T @ dense @ coupled - want.reshape(len(coupled[0]), -1))) <= 1e-12
+        h = pair_dicke_hamiltonian(shared, n)
+        assert np.max(np.abs(coupled.T @ h @ coupled - want.reshape(len(coupled[0]), -1))) <= 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_readout(self, n):
@@ -185,6 +205,9 @@ def bell_set(n: int) -> TrainingSet:
 # (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits)
 LARGEST_ADMITTED = [("chunked", 4, 725), ("chunked", 1024, 49), ("exact", 4, 725), ("exact", 1, 1108)]
 EXACT_ADMITTED = [case for case in LARGEST_ADMITTED if case[0] == "exact"]
+# (copies of table3's first chunk, the largest n whose comparison over all n/2 + 1 sectors the rule admits);
+# 4114 chunks are the most at 10 qubits, the largest register verify builds
+COMPARISON_ADMITTED = [(1, 146), (2, 131), (4, 112), (16, 75), (4114, 10), (4115, 9)]
 
 
 def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
@@ -192,6 +215,11 @@ def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
     if chunks < schedule.n_chunks:
         return Schedule(n, schedule.total_time, schedule.chunks[:chunks])
     return refine_schedule(schedule, chunks // schedule.n_chunks)
+
+
+def repeated(table3: Schedule, n: int, chunks: int) -> Schedule:
+    """``chunks`` copies of table3's first chunk, lifted to n qubits."""
+    return Schedule(n, table3.dt * chunks, (ChunkParams.uniform(n, *table3.chunks[0].shared),) * chunks)
 
 
 class TestOperatorStore:
@@ -262,6 +290,21 @@ class TestSweepBudget:
         assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
         assert elapsed < 0.5 and peak < 2**20
 
+    @pytest.mark.parametrize("chunks, n", COMPARISON_ADMITTED)
+    def test_the_largest_admitted_sector_comparison_peaks_under_the_budget(self, table3, chunks, n):
+        # each method carries its (blocks, n+1, n+1 + 8) columns through the
+        # sweep, which the rule counts beside the sweeps' own arrays
+        schedule = repeated(table3, n, chunks)
+        (distance, _, _), peak = traced_peak(lambda: sector_trotter_error(orbit_coordinates(n), schedule))
+        assert np.isfinite(distance) and peak < DENSE_BYTES_BUDGET
+
+    @pytest.mark.parametrize("chunks, n", COMPARISON_ADMITTED)
+    def test_a_sector_comparison_past_the_budget_is_refused_before_allocating(self, table3, chunks, n):
+        schedule = repeated(table3, n + 1, chunks)
+        error, elapsed, peak = measured(lambda: sector_trotter_error(orbit_coordinates(n + 1), schedule))
+        assert f"chunked and exact sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
+        assert elapsed < 0.5 and peak < 2**20
+
     def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
         # one exact chunk is admitted up to 1108 qubits; a short file refuses the
         # next size up. The file holds save_schedule's document without its
@@ -277,6 +320,22 @@ class TestSweepBudget:
 
 
 class TestCoordinates:
+    @pytest.mark.parametrize("shape", [(24,), (1, 24, 1), (1, 5)])
+    @pytest.mark.parametrize("entry", ["evolve_pair_dicke", "adjoint_partials", "sector_trotter_error"])
+    def test_a_stack_of_another_shape_is_refused(self, table3, entry, shape):
+        # table3 has 7 qubits: coordinates come as a (batch, 24) stack
+        call = {
+            "evolve_pair_dicke": lambda coords: evolve_pair_dicke(coords, table3, "chunked"),
+            "adjoint_partials": lambda coords: adjoint_partials(coords, table3, "exact", lambda finals: finals),
+            "sector_trotter_error": lambda coords: sector_trotter_error(coords, table3),
+        }[entry]
+        with pytest.raises(ValueError, match=re.escape("are a (batch, 4(n-1)) = (batch, 24) stack, not shape " + str(shape))):
+            call(np.zeros(shape))
+
+    def test_co_states_of_another_shape_are_refused(self, table3):
+        with pytest.raises(ValueError, match=re.escape("(batch, 24) stack, not shape (24,)")):
+            adjoint_partials(orbit_coordinates(7), table3, "chunked", lambda finals: finals[0])
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_basis_vectors_map_to_unit_coordinates(self, table3, n):
         # |p> (x) |D_w> is the unit coordinate vector at p(n-1) + w: evolving
