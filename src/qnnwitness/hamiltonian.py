@@ -394,11 +394,12 @@ def _from_sectors(coupled: np.ndarray, ops: PairDicke) -> np.ndarray:
 def _forward_step(columns: np.ndarray, eigvecs: np.ndarray, phases: np.ndarray, diagonal) -> None:
     """One chunk on the float view of coupled columns, in place: its ZZ
     phase ``diagonal`` where it is split off (``chunked``, else None), then
-    ``V exp(-i lam dt) V^T`` per block. The eigenvectors are real, so each
-    product with them is a real product on the float view."""
+    ``V exp(-i lam dt) V^T`` per block, and per method where the arrays lead
+    with one. The eigenvectors are real, so each product with them is a real
+    product on the float view."""
     if diagonal is not None:
         columns.view(complex)[...] *= diagonal
-    rotated = eigvecs.swapaxes(1, 2) @ columns
+    rotated = eigvecs.swapaxes(-1, -2) @ columns
     rotated.view(complex)[...] *= phases
     np.matmul(eigvecs, rotated, out=columns)
 
@@ -496,20 +497,20 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     k < ``blocks`` (default: the pair (x) Dicke space's three). The one size
     rule of the sector kernel refuses them before anything is built, with the
     ``width`` complex columns per block row that the caller carries through
-    each method's sweep; the schedule has already admitted their phases
+    the sweeps; the schedule has already admitted their phases
     (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
-    # per chunk and method: its real eigenvectors, its generator while they are built, 40 bytes a row
-    # (eigenvalues, phases, ZZ phase) and 2 KiB of Python objects. Then the larger of an exact backward
-    # step's 2.5 blocks of working arrays with 1 KiB a row, and three arrays of the caller's columns: a
-    # step's input and its rotation, and one more for the other method's result or the co-states' work
-    per_chunk = 16 * blocks * size + 40 * blocks * (n + 1) + 2048
-    work = max(20 * blocks * size + 1024 * (n + 1), 48 * blocks * (n + 1) * width)
-    nbytes = len(methods) * count * per_chunk + work
+    # per chunk and method, held throughout: its real eigenvectors, 40 bytes a row (eigenvalues, phases,
+    # ZZ phase) and 2 KiB of Python objects. Beside them the larger of the generators, freed once eigh
+    # returns, and three arrays of the caller's columns, evolved after: a step's input, its rotation and
+    # one more. Then an exact backward step's 2.5 blocks of working arrays, and 1 KiB a row
+    held = len(methods) * count * (8 * blocks * size + 40 * blocks * (n + 1) + 2048)
+    nbytes = held + max(len(methods) * count * 8 * blocks * size, 48 * blocks * (n + 1) * width)
+    nbytes += 20 * blocks * size + 1024 * (n + 1)
     if nbytes > DENSE_BYTES_BUDGET:
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
@@ -568,8 +569,8 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     its total-spin sectors, and ``coords``, a ``(batch, 4(n-1))`` stack of
     pair (x) Dicke coordinates, evolved by each method.
 
-    Each method carries one ``(blocks, n+1, n+1 + 2 batch)`` array through
-    :func:`_forward_step`, chunk by chunk: per sector J = n/2 - k, k = 0..n/2,
+    Both methods carry one ``(2, blocks, n+1, n+1 + 2 batch)`` array through
+    :func:`_forward_step`, one step per chunk: per sector J = n/2 - k, k = 0..n/2,
     the block's n + 1 basis columns, which end as its unitary (the identity
     outside the sector under both methods), then the states' two copies
     (zero past the first three blocks). Sector k occurs ``C(n, k) - C(n, k-1)``
@@ -582,22 +583,21 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     columns = _coordinate_columns(coords, n)
     blocks, batch = n // 2 + 1, columns.shape[1]
     width = n + 1 + 2 * batch  # a block's basis columns, then the states' two copies
-    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=blocks, width=width)
+    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=blocks, width=2 * width)
+    # one step per chunk moves both methods: exact's ZZ phase is the unit diagonal
+    diagonals = np.stack([diagonals[0], np.ones_like(diagonals[0])], axis=1)
     coupled = _to_sectors(columns, pair_dicke_operators(n)).view(complex)  # (3 blocks, n+1, copy x batch)
-    evolved = []
-    for steps in zip(eigvecs, phases, diagonals):  # chunked, then exact
-        swept = np.zeros((blocks, n + 1, width), dtype=complex)
-        swept[:, :, : n + 1] = np.eye(n + 1)
-        swept[: len(coupled), :, n + 1 :] = coupled
-        floats = swept.view(float)
-        for step in zip(*steps):
-            _forward_step(floats, *step)
-        evolved.append(swept)
+    swept = np.zeros((2, blocks, n + 1, width), dtype=complex)  # chunked, then exact
+    swept[..., : n + 1] = np.eye(n + 1)
+    swept[:, : len(coupled), :, n + 1 :] = coupled
+    floats = swept.view(float)
+    for step in zip(eigvecs.swapaxes(0, 1), phases.swapaxes(0, 1), diagonals):
+        _forward_step(floats, *step)
     copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(blocks)]
-    difference = (evolved[0][..., : n + 1] - evolved[1][..., : n + 1]).view(float)
+    difference = (swept[0, ..., : n + 1] - swept[1, ..., : n + 1]).view(float)
     squares = np.einsum("kij,kij->k", difference, difference)
-    finals = (u[: len(coupled), :, n + 1 :].reshape(len(coupled), n + 1, 2, batch).transpose(3, 0, 1, 2) for u in evolved)
-    return math.sqrt(copies @ squares), *(final.reshape(batch, -1) for final in finals)
+    finals = swept[:, : len(coupled), :, n + 1 :].reshape(2, len(coupled), n + 1, 2, batch).transpose(0, 4, 1, 2, 3)
+    return math.sqrt(copies @ squares), *finals.reshape(2, batch, -1)
 
 
 def require_differentiable(schedule: Schedule) -> None:

@@ -489,6 +489,22 @@ class TestSpinSectors:
         got, _, _ = sector_trotter_error(orbit_coordinates(2), schedule)
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
+    def test_the_largest_admitted_sector_comparison_peaks_under_the_budget(self, table3):
+        # 4115 uniform chunks of 10 qubits are the most both methods' sweeps admit;
+        # one more is refused before anything is built
+        chunk = ChunkParams.uniform(10, *table3.chunks[0].shared)
+        schedule = Schedule(10, table3.dt * 4115, (chunk,) * 4115)
+        tracemalloc.start()
+        try:
+            distance, _, _ = sector_trotter_error(orbit_coordinates(10), schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(distance) and peak < DENSE_BYTES_BUDGET
+        longer = Schedule(10, table3.dt * 4116, (chunk,) * 4116)
+        with pytest.raises(DimensionError, match="chunked and exact sweeps for 10 qubits and 4116 chunks"):
+            sector_trotter_error(orbit_coordinates(10), longer)
+
     @pytest.mark.parametrize("n", [2, 3, 6, 9])
     def test_sector_finals_are_an_isometric_image_of_the_sweeps(self, n):
         # the rows come back in coupled coordinates: every inner product

@@ -206,8 +206,8 @@ def bell_set(n: int) -> TrainingSet:
 LARGEST_ADMITTED = [("chunked", 4, 725), ("chunked", 1024, 49), ("exact", 4, 725), ("exact", 1, 1108)]
 EXACT_ADMITTED = [case for case in LARGEST_ADMITTED if case[0] == "exact"]
 # (copies of table3's first chunk, the largest n whose comparison over all n/2 + 1 sectors the rule admits);
-# 4114 chunks are the most at 10 qubits, the largest register verify builds
-COMPARISON_ADMITTED = [(1, 146), (2, 131), (4, 112), (16, 75), (4114, 10), (4115, 9)]
+# 4115 chunks are the most at 10 qubits, the largest register verify builds
+COMPARISON_ADMITTED = [(1, 123), (2, 118), (4, 111), (16, 77), (4115, 10)]
 
 
 def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
@@ -292,8 +292,8 @@ class TestSweepBudget:
 
     @pytest.mark.parametrize("chunks, n", COMPARISON_ADMITTED)
     def test_the_largest_admitted_sector_comparison_peaks_under_the_budget(self, table3, chunks, n):
-        # each method carries its (blocks, n+1, n+1 + 8) columns through the
-        # sweep, which the rule counts beside the sweeps' own arrays
+        # both methods carry their (blocks, n+1, n+1 + 8) columns through the
+        # sweeps, which the rule counts in place of the freed generators
         schedule = repeated(table3, n, chunks)
         (distance, _, _), peak = traced_peak(lambda: sector_trotter_error(orbit_coordinates(n), schedule))
         assert np.isfinite(distance) and peak < DENSE_BYTES_BUDGET
