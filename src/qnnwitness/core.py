@@ -127,8 +127,11 @@ class ArrayCache:
 
 
 # Every array derived from n alone: ``z_diagonal``, ``pair_parity`` (the one
-# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``
-# and ``hamiltonian.sector_terms`` keep at most one dense budget between them.
+# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``,
+# ``hamiltonian.sector_terms`` and ``hamiltonian.wigner_basis`` (the J_y eigenbasis
+# from which ``chunked`` builds its sector blocks as Wigner d-matrices without
+# ``eigh``, Feng et al., Phys. Rev. E 92, 043307 (2015)) keep at most one dense
+# budget between them.
 # No 2^n basis of the total-spin sectors is built. The dense phases and
 # batched read-outs store nothing here: they read their signs from the index
 # bits (``z_signs``).

@@ -29,8 +29,12 @@ coordinates in the ``4(n-1)``-dimensional pair (x) Dicke space: a state
 whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
 those coordinates directly; both methods run on them in the space's
 total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
-nothing 4(n-1)-square is built. On all n/2 + 1 sectors the same forward
-step gives ``verify`` a uniform schedule's Trotter error (:func:`sector_trotter_error`).
+nothing 4(n-1)-square is built. ``exact`` diagonalises each chunk's blocks
+by one batched ``eigh``; ``chunked`` builds its blocks without ``eigh``,
+as Wigner d-matrices d^J(beta) from one cached J_y eigenbasis per n and
+sector set (Feng et al., Phys. Rev. E 92, 043307 (2015); :func:`wigner_basis`).
+On all n/2 + 1 sectors the same forward step gives ``verify`` a uniform
+schedule's Trotter error (:func:`sector_trotter_error`).
 Adjoint gradients run only in the pair (x) Dicke space and return each
 chunk's shared (tunneling, bias, coupling) partials; dense states are
 evolved but never differentiated.
@@ -153,13 +157,15 @@ class Schedule:
 
 
 def require_phase_range(time: float, norm_bound: float) -> None:
-    """Refuse a ``time`` over which the phases of ``||H|| <= norm_bound`` may pass the float range. The
-    largest number a method forms is ``2 time norm_bound``: a gate angle (``2 dt`` formed first), a phase
-    difference, or one circuit phase for consecutive chunks' diagonal gates with nothing between them. 4
-    leaves a factor 2 for rounding. Python floats overflow to inf without a numpy warning."""
-    if not math.isfinite(4 * time * norm_bound):
-        raise ValueError(f"a phase of exp(-i H dt) is not finite: a chunk's energies over a time of {time!r} "
-                         "pass the float range")
+    """Refuse a ``time`` over which the phases of ``||H|| <= norm_bound`` keep no digit. The largest number a
+    method forms is ``2 time norm_bound``: a gate angle (``2 dt`` formed first), a phase difference, or one
+    circuit phase for consecutive chunks' diagonal gates with nothing between them. From 2**52 on, floats are
+    1 or more apart, so such a phase holds nothing of its value mod 2 pi and the methods would print
+    different numbers; below it nothing overflows. Python floats overflow to inf without a numpy warning."""
+    phase = 2 * time * norm_bound
+    if not phase < 2**52:
+        raise ValueError(f"a phase of exp(-i H dt) keeps no digit: a chunk's energies over a time of {time!r} reach "
+                         f"{phase:.3g} radians, not below 2**52")
 
 
 def build_hamiltonian(params: ChunkParams, n: int) -> np.ndarray:
@@ -293,15 +299,67 @@ def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
     return terms
 
 
+class WignerBasis(NamedTuple):
+    """What :func:`_chunk_sweeps` reads to build a uniform chunk's ``chunked``
+    sector blocks in closed form: O(n^2) entries per sector."""
+
+    eigvecs: np.ndarray  # (len(spins), n+1, n+1): J_x's eigenvectors, column w for M = n/2 - w; identity outside
+    spin_z: np.ndarray  # (len(spins), n+1): each column's M, 0 outside the sector
+    signs: np.ndarray  # (n+1, n+1): the +-1 that e^{-i pi J_z/2} puts on entry (a, b), by (b - a) mod 4
+
+    @property
+    def nbytes(self) -> int:
+        return sum(array.nbytes for array in self)
+
+
+@PARITY_CACHE
+def wigner_basis(n: int, spins: tuple[float, ...]) -> WignerBasis:
+    """The eigenbasis of J_y per sector J in ``spins``, built once per n and
+    spins from the ladder of :func:`sector_terms`, for Wigner's
+    ``d^J(beta) = e^{-i beta J_y} = Q e^{-i beta mu} Q^dagger`` (Feng et al.,
+    Phys. Rev. E 92, 043307 (2015)). With ``J_y = S J_x S^dagger``, ``S =
+    e^{-i pi J_z/2}``, it is ``Q = S X``, X the real eigenvectors of J_x,
+    whose eigenvalue of column w is M = n/2 - w. J_x commutes with the
+    reflection M -> -M and anticommutes with ``Z = (-1)^w``, so ``X cos(beta
+    mu) X^T`` lives on the entries (a, b) with b - a even and ``X sin(beta mu)
+    X^T`` on the odd ones: ``d^J(beta)`` is ``X (cos + sin)(beta mu) X^T`` times
+    the fixed ``signs``, one real product. Each column solves ``2 J_x v = 2 mu
+    v`` row by row from the edge M = J, where it starts at ``d^J_{J mu}(pi/2)
+    = 2^-J sqrt(C(2J, J - mu))`` and grows, to the middle, and takes the
+    other half from its parity ``(-1)^(J - mu)`` under the reflection."""
+    ladder, twice_m, _ = sector_terms(n, spins)
+    eigvecs = np.zeros((len(spins), n + 1, n + 1))
+    for block, spin in enumerate(spins):
+        first, rows = round(n / 2 - spin), round(2 * spin) + 1
+        mu, half = spin - np.arange(rows), (rows + 1) // 2
+        links = ladder[block, first : first + rows - 1]
+        steps = np.log((2 * spin - np.arange(rows - 1)) / np.arange(1.0, rows))  # log C(2J, k+1) / C(2J, k)
+        log_binomial = np.concatenate([[0.0], np.cumsum(steps)])
+        v = np.empty((rows, rows))  # mu and -mu start from the same sum, so their columns differ by (-1)^w exactly
+        v[0] = np.exp((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2))
+        for j in range(half - 1):  # row j: links[j-1] v[j-1] + links[j] v[j+1] = 2 mu v[j]
+            v[j + 1] = (2 * mu * v[j] - (links[j - 1] * v[j - 1] if j else 0.0)) / links[j]
+        parity = (-1.0) ** np.arange(rows)
+        v[half:] = (parity * v[: rows - half])[::-1]
+        if rows % 2:
+            v[rows // 2, parity < 0] = 0.0  # an odd column vanishes on the middle row M = 0
+        eigvecs[block] = np.eye(n + 1)
+        eigvecs[block, first : first + rows, first : first + rows] = v / np.linalg.norm(v, axis=0)
+    offsets = np.arange(n + 1) - np.arange(n + 1)[:, np.newaxis]  # b - a = M_a - M_b at entry (a, b)
+    basis = WignerBasis(eigvecs, twice_m / 2, np.array([1.0, -1.0, -1.0, 1.0])[offsets % 4])
+    for array in basis:
+        array.flags.writeable = False
+    return basis
+
+
 def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
     """The Hamiltonian of a uniform n-qubit chunk on the total-spin sectors
     ``spins``: real symmetric tridiagonal blocks on the |J, M> with M = n/2 - w,
     w = 0..n, ``2 eps M + zeta (4 M^2 - n)/2`` on the diagonal and
     ``K sqrt((J+M)(J-M+1))`` beside it, zero where |M| > J. ``shared`` is the
     chunk's ``(K, eps, zeta)`` or a ``(..., 3)`` stack of them, for a
-    ``(..., len(spins), n+1, n+1)`` stack. Every uniform chunk's blocks come
-    from here: ``exact`` diagonalises them with the chunk's zeta, ``chunked``
-    with zeta = 0 and its ZZ phase applied apart."""
+    ``(..., len(spins), n+1, n+1)`` stack. ``exact`` diagonalises these;
+    ``chunked`` never builds them (:func:`wigner_basis`)."""
     ladder, twice_m, quadratic = sector_terms(n, tuple(spins))
     shared = np.asarray(shared, dtype=float)[..., np.newaxis, np.newaxis, :]
     size = n + 1
@@ -485,47 +543,74 @@ def _backward_step(
     return before, 2 * dt * np.array([np.vdot(ladder[:, :-1], beside), np.vdot(twice_m, on), np.vdot(quadratic, on)])
 
 
-def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None) -> tuple:
-    """What each chunk's steps read under each of ``methods``, from one
-    batched ``eigh`` of every chunk's blocks: the sector terms, then
-    eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked ``(method,
-    chunk, ...)``, the ZZ phases per method (a None per chunk for
-    ``exact``) and the shared parameters. ``exact`` diagonalises the
-    chunk's Hamiltonian; ``chunked`` applies its ZZ phase ``zeta (4M^2 -
-    n)/2`` first, as a diagonal, then ``exp(-i dt (K 2J_x + eps 2J_z))``:
-    the order the gate compiler reproduces. The sectors are J = n/2 - k,
-    k < ``blocks`` (default: the pair (x) Dicke space's three). The one size
-    rule of the sector kernel refuses them before anything is built, with the
-    ``width`` complex columns per block row that the caller carries through
-    the sweeps; the schedule has already admitted their phases
-    (:func:`require_phase_range`)."""
+def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None,
+                  backward: bool = True) -> tuple:
+    """What each chunk's steps read under each of ``methods``: the sector
+    terms, then eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked
+    ``(method, chunk, ...)``, the ZZ phases per method (a None per chunk for
+    ``exact``) and the shared parameters. ``exact`` diagonalises each chunk's
+    Hamiltonian, one batched ``eigh`` of every chunk's blocks. ``chunked``
+    applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a diagonal, then
+    ``exp(-i dt (K 2J_x + eps 2J_z))``, the order the gate compiler
+    reproduces; that layer is ``2r e^{-i beta J_y} J_z e^{i beta J_y}`` with
+    ``r = hypot(K, eps)`` and ``beta = atan2(K, eps)``, so its blocks are built
+    without ``eigh``: eigenvectors Wigner's ``d^J(beta)``, one batched real
+    product with the cached :func:`wigner_basis`, and eigenvalues ``2rM``;
+    the identity and 0 outside the sector. The sectors are J = n/2 - k, k <
+    ``blocks`` (default: the pair (x) Dicke space's three).
+
+    The one size rule of the sector kernel refuses them before anything is
+    built, with the ``width`` complex columns per block row that the caller
+    carries through the sweeps, and an exact backward step's working arrays
+    unless ``backward`` is False; the schedule has already admitted their
+    phases (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
     # per chunk and method, held throughout: its real eigenvectors, 40 bytes a row (eigenvalues, phases,
-    # ZZ phase) and 2 KiB of Python objects. Beside them the larger of the generators, freed once eigh
-    # returns, and three arrays of the caller's columns, evolved after: a step's input, its rotation and
-    # one more. Then an exact backward step's 2.5 blocks of working arrays, and 1 KiB a row
+    # ZZ phase) and 2 KiB of Python objects; chunked's cached basis and signs. Beside them the larger of
+    # the build, freed once it is done, and three arrays of the caller's columns, evolved after: a step's
+    # input, its rotation and one more. The build: chunked's basis scaled per chunk and two angles a row;
+    # then exact's generators, with its eigenvectors as eigh returns them, or, beside another method, the
+    # methods' eigenvectors copied into one stack. Then an exact backward step's 2.5 blocks of working
+    # arrays, and 1 KiB a row
     held = len(methods) * count * (8 * blocks * size + 40 * blocks * (n + 1) + 2048)
-    nbytes = held + max(len(methods) * count * 8 * blocks * size, 48 * blocks * (n + 1) * width)
-    nbytes += 20 * blocks * size + 1024 * (n + 1)
+    build, fixed = 0, 1024 * (n + 1)
+    if "chunked" in methods:
+        held += 8 * (blocks + 1) * size
+        build = count * (8 * blocks * size + 16 * blocks * (n + 1))
+    if "exact" in methods:
+        build = max(build, len(methods) * count * 8 * blocks * size)
+        fixed += 20 * blocks * size if backward else 0
+    nbytes = held + max(build, 48 * blocks * (n + 1) * width) + fixed
     if nbytes > DENSE_BYTES_BUDGET:
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
     spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
     terms = sector_terms(n, spins)
-    generators = np.array([shared] * len(methods))
-    diagonals = []
-    for method, generator in zip(methods, generators):
+    params = np.array(shared)
+    tunneling, bias, coupling = params.T
+    eigvecs, eigvals, diagonals = [], [], []
+    for method in methods:
         if method == "chunked":
-            diagonals.append(np.exp(-1j * dt * generator[:, 2, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
-            generator[:, 2] = 0.0
+            basis = wigner_basis(n, spins)
+            angles = np.multiply.outer(np.arctan2(tunneling, bias), basis.spin_z)  # beta M
+            weights = np.cos(angles)
+            weights += np.sin(angles, out=angles)
+            vectors = (basis.eigvecs * weights[..., np.newaxis, :]) @ basis.eigvecs.swapaxes(1, 2)
+            vectors *= basis.signs
+            eigvecs.append(vectors)
+            eigvals.append(np.multiply.outer(np.hypot(tunneling, bias), terms[1]))
+            diagonals.append(np.exp(-1j * dt * coupling[:, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
         else:
+            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(params, n, spins))
+            eigvecs.append(vectors)
+            eigvals.append(values)
             diagonals.append([None] * count)
-    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian(generators, n, spins))
+    eigvecs, eigvals = (np.stack(arrays) if len(methods) > 1 else arrays[0][np.newaxis] for arrays in (eigvecs, eigvals))
     phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
     return terms, eigvecs, eigvals, phases, diagonals, shared
 
@@ -583,7 +668,8 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     columns = _coordinate_columns(coords, n)
     blocks, batch = n // 2 + 1, columns.shape[1]
     width = n + 1 + 2 * batch  # a block's basis columns, then the states' two copies
-    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", blocks=blocks, width=2 * width)
+    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", width=2 * width, blocks=blocks,
+                                                        backward=False)
     # one step per chunk moves both methods: exact's ZZ phase is the unit diagonal
     diagonals = np.stack([diagonals[0], np.ones_like(diagonals[0])], axis=1)
     coupled = _to_sectors(columns, pair_dicke_operators(n)).view(complex)  # (3 blocks, n+1, copy x batch)

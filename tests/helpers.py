@@ -11,7 +11,10 @@ verification report comes from full unitaries and density matrices
 rather than evolved blocks of basis rows, the dense kernels' Kronecker
 blocks are checked against one 2x2 per gate or qubit, and the pair (x)
 Dicke Hamiltonian is summed from its matrix elements rather than from
-the Clebsch-Gordan change of basis. A call counter lets
+the Clebsch-Gordan change of basis, a ``chunked`` sector block's
+single-qubit layer is exponentiated by ``eigh`` rather than built from
+Wigner's d-matrix, and the N -> infinity limit of the ``chunked`` witness
+is one mean-field 2x2 propagator rather than a sweep of the sectors. A call counter lets
 tests pin how often a kernel runs. One reference is not independent but
 pins arithmetic: :func:`run_circuit_unfused` regroups a gate list, its
 blocks included, on every call, where the gate kernel keeps its fused
@@ -28,7 +31,7 @@ from qnnwitness import core
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
 from qnnwitness.core import n_qubits_of, z_diagonal
-from qnnwitness.hamiltonian import evolve_states
+from qnnwitness.hamiltonian import evolve_states, spin_sector_hamiltonian
 from qnnwitness.witness import PairStateKind, make_pair_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -165,6 +168,35 @@ def pair_dicke_hamiltonian(shared, n: int) -> np.ndarray:
     flips[range(4), [2, 3, 0, 1]] = flips[range(4), [1, 0, 3, 2]] = 1.0
     transverse = np.kron(flips, np.eye(m + 1)) + np.kron(np.eye(4), np.diag(ladder, 1) + np.diag(ladder, -1))
     return np.diag(diagonal.ravel()) + tunneling * transverse
+
+
+def sector_layer_propagators(shared, n: int, spins, dt: float) -> np.ndarray:
+    """``exp(-i dt (K 2J_x + eps 2J_z))`` on each sector block of ``spins``:
+    the eigendecomposition of the uniform chunk's sector Hamiltonian with its
+    coupling set to 0, ``V exp(-i lam dt) V^T``, stacked ``(len(spins), n+1, n+1)``."""
+    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian((*shared[:2], 0.0), n, spins))
+    return (eigvecs * np.exp(-1j * dt * eigvals)[:, np.newaxis, :]) @ eigvecs.swapaxes(1, 2)
+
+
+def mean_field_witness(schedule, kac_coupling) -> np.ndarray:
+    """The N -> infinity limit of the ``chunked`` witness of the four kinds,
+    in PairStateKind order, on the pair (0, 1) with spectators in |0>, for
+    the schedule's (K, eps) per chunk and a coupling ``kac_coupling[c] /
+    (n - 1)``, the Kac scaling that holds ``g = zeta (n - 1)`` fixed.
+
+    Every qubit then sees ``K X + (eps + g zbar) Z``, zbar the spectators'
+    <Z>, and all share one 2x2 propagator U, so zbar = <0|U^dagger Z U|0>.
+    ``chunked`` applies each chunk's ZZ phase first, during which zbar stands
+    still, so per chunk ``U <- exp(-i dt (K X + eps Z)) exp(-i dt g zbar Z) U``
+    in closed form; the pair's own coupling is O(1/n) and drops out. The
+    witness is ``<psi|(U^dagger Z U) (x) (U^dagger Z U)|psi>^2``."""
+    dt, u = schedule.dt, np.eye(2, dtype=complex)
+    for chunk, g in zip(schedule.chunks, kac_coupling):
+        zbar = (u.conj().T @ PAULI_Z @ u)[0, 0].real
+        u = expm_eigh(chunk.tunneling[0] * PAULI_X + chunk.bias[0] * PAULI_Z, dt) @ expm_eigh(g * zbar * PAULI_Z, dt) @ u
+    heisenberg = u.conj().T @ PAULI_Z @ u
+    states = np.stack([make_pair_state(kind, (0, 1), 2) for kind in PairStateKind])
+    return np.einsum("ki,ij,kj->k", states.conj(), np.kron(heisenberg, heisenberg), states).real ** 2
 
 
 def _on_qubit(u: np.ndarray, states: np.ndarray, q: int, n: int) -> np.ndarray:

@@ -14,6 +14,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from qnnwitness import hamiltonian, sampler, trainer
 from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
@@ -130,14 +132,18 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     chunks = schedule.n_chunks
     # the 12-parameter symmetric gradient runs in the total-spin sectors of the
     # pair (x) Dicke space: one build of every chunk's sector blocks, one
-    # forward and one backward step per chunk, no dense Hamiltonian
+    # forward and one backward step per chunk, no dense Hamiltonian. exact
+    # builds its blocks by one batched eigh of their Hamiltonians, chunked in
+    # closed form from one cached basis, with no eigh
     calls = count_calls(monkeypatch, [
         (hamiltonian, "_forward_step"), (hamiltonian, "_backward_step"), (hamiltonian, "spin_sector_hamiltonian"),
-        (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
+        (hamiltonian, "wigner_basis"), (np.linalg, "eigh"), (hamiltonian, "build_hamiltonian"),
+        (trainer, "witness_values"),
     ])
-    expected = {"_forward_step": chunks, "_backward_step": chunks, "spin_sector_hamiltonian": 1}
+    steps = {"_forward_step": chunks, "_backward_step": chunks}
+    builds = {"exact": {"spin_sector_hamiltonian": 1, "eigh": 1}, "chunked": {"wigner_basis": 1}}
     for method in ("chunked", "exact"):
         _, grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
-        assert calls == {**dict.fromkeys(calls, 0), **expected}, method
+        assert calls == {**dict.fromkeys(calls, 0), **steps, **builds[method]}, method
         calls.update(dict.fromkeys(calls, 0))

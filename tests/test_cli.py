@@ -620,10 +620,10 @@ class TestSizeRefusals:
         assert not out.exists()
 
 
-def _uniform_document(n: int, tunneling: float, bias: float, coupling: float = 0.1) -> str:
+def _uniform_document(n: int, tunneling: float, bias: float, coupling: float = 0.1, total_time: float = 1.58) -> str:
     pairs = {f"{i},{j}": coupling for i in range(n) for j in range(i + 1, n)}
     chunk = {"K": [tunneling] * n, "eps": [bias] * n, "zeta": pairs}
-    return json.dumps({"n_qubits": n, "total_time": 1.58, "symmetric": True, "chunks": [chunk] * 4})
+    return json.dumps({"n_qubits": n, "total_time": total_time, "symmetric": True, "chunks": [chunk] * 4})
 
 
 def _fixture_with(name: str, **changes) -> str:
@@ -646,33 +646,37 @@ def _phases_over_4e300(uniform: bool) -> str:
     return json.dumps(doc)
 
 
-def _range_message(time: str) -> str:
-    return f"a phase of exp(-i H dt) is not finite: a chunk's energies over a time of {time} pass the float range"
+def _range_message(time: str, phase: str) -> str:
+    return (f"a phase of exp(-i H dt) keeps no digit: a chunk's energies over a time of {time} reach {phase} radians, "
+            "not below 2**52")
 
 
 # name: (document, the refusal every command prints)
 _OUT_OF_RANGE = {
     # S is inf: K times a sector block's ladder overflows, and the gate angles are past 1e307
-    "table3_K_1e308": lambda: (_fixture_with("table3", K=1e308), _range_message("1.58")),
-    "total_time_4e300_uniform": lambda: (_phases_over_4e300(True), _range_message("4e+300")),
-    "total_time_4e300_non_uniform": lambda: (_phases_over_4e300(False), _range_message("4e+300")),
+    "table3_K_1e308": lambda: (_fixture_with("table3", K=1e308), _range_message("1.58", "inf")),
+    "total_time_4e300_uniform": lambda: (_phases_over_4e300(True), _range_message("4e+300", "inf")),
+    "total_time_4e300_non_uniform": lambda: (_phases_over_4e300(False), _range_message("4e+300", "inf")),
+    # finite phases that hold no digit mod 2 pi: each method printed its own witness values, and exited 0
+    "table3_total_time_1e300": lambda: (_fixture_with("table3", total_time=1e300), _range_message("1e+300", "4.06e+301")),
+    "table3_K_1e200": lambda: (_fixture_with("table3", K=1e200), _range_message("1.58", "2.21e+201")),
     # dt = 5e-324 / 4 rounds to 0
     "table3_dt_0": lambda: (_fixture_with("table3", total_time=5e-324),
                             "dt must be positive: total_time 5e-324 over 4 chunks is 0"),
-    # the sum of every |K| is finite and so is each phase, but 4 total_time times that sum is not: the
-    # rule's factor 4 at work
-    "table2_K_8e307": lambda: (_fixture_with("table2", K=8e307), _range_message("1.58")),
-    # 4 dt zeta is finite, but the circuit runs the 8 chunks' ZZ gates, nothing between, as one phase,
-    # total_time zeta: why the rule's time is the whole schedule's
+    # the sum of every |K| is finite, but 2 total_time times that sum is not
+    "table2_K_8e307": lambda: (_fixture_with("table2", K=8e307), _range_message("1.58", "inf")),
+    # each chunk's 2 dt zeta = 1.2e15 keeps its digits, but the circuit runs the 8 chunks' ZZ gates,
+    # nothing between, as one phase, 2 total_time zeta = 9.6e15: why the rule's time is the whole schedule's
     "zz_only_8_chunks": lambda: (json.dumps({"n_qubits": 2, "total_time": 2.4, "chunks": [
-        {"K": [0.0, 0.0], "eps": [0.0, 0.0], "zeta": {"0,1": 8e307}}] * 8}), _range_message("2.4")),
+        {"K": [0.0, 0.0], "eps": [0.0, 0.0], "zeta": {"0,1": 2e15}}] * 8}), _range_message("2.4", "9.6e+15")),
 }
 
 
 # every command that reads a schedule, by id; OUT is a directory that must not be made
 _EVERY_COMMAND = {
     "witness_exact": ["witness", "--method", "exact"], "witness_chunked": ["witness", "--method", "chunked"],
-    "witness_gates": ["witness", "--method", "gates"], "verify": ["verify"], "compile": ["compile"],
+    "witness_gates": ["witness", "--method", "gates"], "witness_all": ["witness", "--state", "all", "--method", "all"],
+    "verify": ["verify"], "compile": ["compile"],
     "compile_no_elide": ["compile", "--no-elide"],
     "sample": ["sample", "--shots", "50", "--iterations", "1", "--out-dir", "OUT"],
     "train": ["train", "--epochs", "1", "--out-dir", "OUT"],
@@ -702,7 +706,9 @@ class TestExtremeSchedules:
         # float, which would drop a term of the chunked gradient: refused,
         # not trained, by either method
         path = tmp_path / "s.json"
-        path.write_text(_uniform_document(3, 1e155, 0.1) if field == "K" else _uniform_document(3, 2.5, 1e200))
+        # a total time of 1e-195 keeps every phase under the range rule's 2**52
+        path.write_text(_uniform_document(3, 1e155, 0.1, total_time=1e-195) if field == "K"
+                        else _uniform_document(3, 2.5, 1e200, total_time=1e-195))
         code, _, err = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path),
                                "--method", method)
         assert code == 2
@@ -714,12 +720,12 @@ class TestExtremeSchedules:
         ids=["chunked", "exact", "chunked-one_epoch", "exact-one_epoch"],
     )
     def test_a_step_to_huge_parameters_is_refused_at_the_next_gradient(self, tmp_path, capsys, method, epochs):
-        # the first step takes K to about -5.7e306: refused as it lands, also
-        # when it is the last step and no gradient follows
+        # the first step takes K to about -5.7e306, whose phases keep no digit:
+        # refused as it lands, also when it is the last step and no gradient follows
         code, _, err = run_cli(capsys, "train", "--learning-rate", "1e308", "--out-dir", str(tmp_path),
                                "--method", method, *epochs)
         assert code == 2
-        assert "too large to differentiate" in err
+        assert "keeps no digit" in err
         assert not (tmp_path / "trained_schedule.json").exists()
 
     @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))

@@ -165,9 +165,9 @@ class TestCompileZZ:
     def test_a_coupling_past_half_the_float_range_has_a_finite_angle(self):
         # 2 zeta overflows but 2 dt zeta does not, and the range rule admits the
         # schedule: the angle forms 2 dt first, which is exact, so no bit moves
-        schedule = Schedule(2, 0.4, (ChunkParams((0.0, 0.0), (0.0, 0.0), (1e308,)),))
+        schedule = Schedule(2, 1e-300, (ChunkParams((0.0, 0.0), (0.0, 0.0), (1e308,)),))
         angles = [op.angle for op in compile_schedule(schedule).ops if op.angle is not None]
-        assert angles == [0.8 * 1e308]
+        assert angles == [2e-300 * 1e308]
         assert compile_zz(0.0382, DT, 0, 1)[1].angle == 2.0 * 0.0382 * DT
 
 

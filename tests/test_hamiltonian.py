@@ -35,7 +35,8 @@ from qnnwitness.hamiltonian import (
 )
 from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, make_pair_state, orbit_coordinates, witness_values
 
-from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, expm_eigh, expm_taylor, is_unitary, random_state
+from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, count_calls, expm_eigh, expm_taylor, is_unitary, random_state
+from helpers import sector_layer_propagators
 
 TABLE2_INTERVAL_1 = ChunkParams.uniform(2, 2.49, 0.0930, 0.0382)
 DT = 1.58 / 4
@@ -465,6 +466,39 @@ def _dense_unitary(schedule: Schedule, method: str) -> np.ndarray:
     return product
 
 
+# (K, eps) of a chunked layer with beta = atan2(K, eps) in every quadrant and on each axis, and both zero
+_QUADRANTS = [(0.0, 0.0), (0.0, 0.7), (0.0, -0.7), (2.3, 0.0), (-2.3, 0.0), (2.3, 0.7), (-2.3, 0.7), (2.3, -0.7),
+              (-2.3, -0.7)]
+
+
+class TestWignerBlocks:
+    """``chunked``'s sector blocks, built from Wigner's d-matrix without ``eigh``."""
+
+    @pytest.mark.parametrize("n", [*range(2, 11), 64, 256])
+    def test_each_block_propagates_as_its_eigh_oracle(self, n):
+        # V exp(-i lam dt) V^T per block, for the pair (x) Dicke space's three sectors and, up to 64
+        # qubits, all n/2 + 1; the coupling is split off as the ZZ phase and must not enter
+        chunks = tuple(ChunkParams.uniform(n, k, eps, 0.3) for k, eps in _QUADRANTS)
+        schedule = Schedule(n, 0.4 * len(chunks), chunks)
+        for blocks in {min(3, n // 2 + 1), n // 2 + 1 if n <= 64 else 3}:
+            _, eigvecs, _, phases, _, _ = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks)
+            spins = [n / 2 - k for k in range(blocks)]
+            got = (eigvecs[0] * phases[0].swapaxes(-1, -2)) @ eigvecs[0].swapaxes(-1, -2)
+            for chunk, blocks_of_chunk in zip(chunks, got):
+                want = sector_layer_propagators(chunk.shared, n, spins, schedule.dt)
+                assert np.max(np.abs(blocks_of_chunk - want)) <= 1e-12, chunk.shared
+
+    def test_a_chunked_sweep_diagonalises_nothing(self, monkeypatch, table3):
+        # neither the sector Hamiltonians nor eigh, cold or warm; exact still runs both once
+        calls = count_calls(monkeypatch, [(hamiltonian, "spin_sector_hamiltonian"), (np.linalg, "eigh")])
+        hamiltonian.wigner_basis.cache_clear()
+        for _ in range(2):
+            evolve_pair_dicke(orbit_coordinates(7), table3, "chunked")
+        assert calls == {"spin_sector_hamiltonian": 0, "eigh": 0}
+        evolve_pair_dicke(orbit_coordinates(7), table3, "exact")
+        assert calls == {"spin_sector_hamiltonian": 1, "eigh": 1}
+
+
 class TestSpinSectors:
     """Uniform chunks in the total-spin sectors, held to the dense propagators."""
 
@@ -529,10 +563,10 @@ class TestSpinSectors:
         for ck in schedule.chunks:
             bound = ck.norm_bound * (1 + 1e-12)
             assert np.abs(np.linalg.eigvalsh(build_hamiltonian(ck, n))).max() <= bound
-            if ck.is_symmetric:  # exact's blocks, then chunked's, which split off their ZZ diagonal
+            if ck.is_symmetric:  # exact's blocks; chunked's eigenvalues 2rM, and its split-off ZZ diagonal
                 k, eps, zeta = ck.shared
-                for shared in ((k, eps, zeta), (k, eps, 0.0)):
-                    assert np.abs(np.linalg.eigvalsh(spin_sector_hamiltonian(shared, n, spins))).max() <= bound
+                assert np.abs(np.linalg.eigvalsh(spin_sector_hamiltonian((k, eps, zeta), n, spins))).max() <= bound
+                assert n * math.hypot(k, eps) <= bound
                 assert np.abs(zeta * hamiltonian.sector_terms(n, tuple(spins))[2]).max() <= bound
         # a Rz angle is a phase; a Ry angle is the axis's atan2(K, eps), at most pi
         largest = 2 * dt * max(ck.norm_bound for ck in schedule.chunks) * (1 + 1e-12)
@@ -640,8 +674,12 @@ _REFUSALS = [
      "bad chunk 0: Hamiltonian parameters must be finite, and so must the sum of their magnitudes"),
     ("dt_rounds_to_0", _document(total_time=5e-324, chunks=[_chunk(), _chunk()]),
      "dt must be positive: total_time 5e-324 over 2 chunks is 0"),
-    ("phases_out_of_range", _document(chunks=[_chunk(K=[3e307, 3e307])]),  # 4 times 1.0 times 6e307 + 0.5 overflows
-     "a phase of exp(-i H dt) is not finite: a chunk's energies over a time of 1.0 pass the float range"),
+    ("phases_out_of_range", _document(chunks=[_chunk(K=[3e307, 3e307])]),  # 2 times 1.0 times 6e307 + 0.5
+     "a phase of exp(-i H dt) keeps no digit: a chunk's energies over a time of 1.0 reach 1.2e+308 radians, not below "
+     "2**52"),
+    ("phases_without_digits", _document(chunks=[_chunk(K=[2**50, 2**50])]),  # 2 (2**51 + 0.5) is not below 2**52
+     "a phase of exp(-i H dt) keeps no digit: a chunk's energies over a time of 1.0 reach 4.5e+15 radians, not below "
+     "2**52"),
     ("symmetric_not_a_bool", _document(symmetric=1), "'symmetric' must be true or false, got 1"),
     ("symmetric_over_non_uniform", _document(symmetric=True, chunks=[_chunk(K=[1.0, 2.0])]),
      "'symmetric' is true but the chunk parameters are not uniform"),

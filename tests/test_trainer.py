@@ -166,10 +166,10 @@ class TestGradient:
             gradient(non_uniform_schedule(), build_training_set(3), TrainerConfig())
 
     def test_huge_tunneling_partials_are_finite_or_refused(self):
-        # dt * K is about 4e199 here; the squared magnitude of the 2x2
-        # factor's generator overflows a float, which would drop the O(dt)
-        # term of chunked's closed-form partials, so both methods refuse
-        schedule = Schedule(3, 1.58, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
+        # dt * K is 1e10 here, under the range rule; the squared magnitude of
+        # the 2x2 factor's generator overflows a float, which would drop the
+        # O(dt) term of chunked's closed-form partials, so both methods refuse
+        schedule = Schedule(3, 1e-190, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
         for method in ("chunked", "exact"):
             with pytest.raises(ValueError, match="too large to differentiate"):
                 gradient(schedule, build_training_set(3), TrainerConfig(method=method))
@@ -180,7 +180,7 @@ class TestGradient:
         # sweep refuses the chunk before its partials are taken
         d_tunneling, _ = _single_qubit_factor_partials(1e150, 0.1, 0.4)
         assert d_tunneling[0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
-        schedule = Schedule(2, 1.0, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)
+        schedule = Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)  # phases under 2**52
         with pytest.raises(ValueError, match="too large to differentiate"):
             adjoint_partials(np.eye(2, 4), schedule, "chunked", lambda finals: finals)
 
@@ -264,8 +264,9 @@ class TestTrain:
         assert result.final_rms <= 5e-3
 
 
-# both methods: a chunk's forward step, its backward step, and the one build of every chunk's sector blocks
-SWEEP_STEPS = ("_forward_step", "_backward_step", "spin_sector_hamiltonian")
+# both methods: a chunk's forward step, its backward step; then the one build of every chunk's sector
+# blocks: exact's Hamiltonians for its batched eigh, chunked's cached basis for its Wigner d-matrices
+SWEEP_STEPS = ("_forward_step", "_backward_step", "spin_sector_hamiltonian", "wigner_basis")
 
 
 class TestSweepsPerEpoch:
@@ -286,18 +287,21 @@ class TestSweepsPerEpoch:
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     def test_k_epochs_cost_k_plus_one_forward_and_k_backward_sweeps(self, monkeypatch, table3, method, epochs):
-        forward, backward, build = SWEEP_STEPS
-        calls = count_calls(monkeypatch, [(hamiltonian, name) for name in SWEEP_STEPS])
+        forward, backward, hamiltonians, basis = SWEEP_STEPS
+        calls = count_calls(monkeypatch, [(hamiltonian, name) for name in SWEEP_STEPS] + [(np.linalg, "eigh")])
         result = train(table3, build_training_set(7), TrainerConfig(max_epochs=epochs, target_rms=0.0, method=method))
         assert result.epochs_used == epochs
         chunks = table3.n_chunks
-        # one batched eigendecomposition of every chunk's blocks per forward sweep, shared by its backward sweep
-        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, build: epochs + 1}
+        # one build of every chunk's blocks per forward sweep, shared by its backward sweep: exact's one
+        # batched eigendecomposition, chunked's closed form, which diagonalises nothing
+        builds = {hamiltonians: epochs + 1, "eigh": epochs + 1, basis: 0} if method == "exact" else {
+            hamiltonians: 0, "eigh": 0, basis: epochs + 1}
+        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, **builds}
 
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     def test_schedule_at_target_returns_after_at_most_one_backward_sweep(self, monkeypatch, table2, ts2, method):
         target = rms_error(table2, ts2, method)
-        forward, backward, _ = SWEEP_STEPS
+        forward, backward, *_ = SWEEP_STEPS
         calls = count_calls(monkeypatch, [(hamiltonian, forward), (hamiltonian, backward)])
         result = train(table2, ts2, TrainerConfig(target_rms=target, method=method))
         assert (result.epochs_used, result.converged) == (0, True)
