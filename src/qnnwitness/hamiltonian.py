@@ -304,7 +304,6 @@ class WignerBasis(NamedTuple):
     sector blocks in closed form: O(n^2) entries per sector."""
 
     eigvecs: np.ndarray  # (len(spins), n+1, n+1): J_x's eigenvectors, column w for M = n/2 - w; identity outside
-    spin_z: np.ndarray  # (len(spins), n+1): each column's M, 0 outside the sector
     signs: np.ndarray  # (n+1, n+1): the +-1 that e^{-i pi J_z/2} puts on entry (a, b), by (b - a) mod 4
 
     @property
@@ -327,7 +326,7 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> WignerBasis:
     v`` row by row from the edge M = J, where it starts at ``d^J_{J mu}(pi/2)
     = 2^-J sqrt(C(2J, J - mu))`` and grows, to the middle, and takes the
     other half from its parity ``(-1)^(J - mu)`` under the reflection."""
-    ladder, twice_m, _ = sector_terms(n, spins)
+    ladder = sector_terms(n, spins)[0]
     eigvecs = np.zeros((len(spins), n + 1, n + 1))
     for block, spin in enumerate(spins):
         first, rows = round(n / 2 - spin), round(2 * spin) + 1
@@ -346,7 +345,7 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> WignerBasis:
         eigvecs[block] = np.eye(n + 1)
         eigvecs[block, first : first + rows, first : first + rows] = v / np.linalg.norm(v, axis=0)
     offsets = np.arange(n + 1) - np.arange(n + 1)[:, np.newaxis]  # b - a = M_a - M_b at entry (a, b)
-    basis = WignerBasis(eigvecs, twice_m / 2, np.array([1.0, -1.0, -1.0, 1.0])[offsets % 4])
+    basis = WignerBasis(eigvecs, np.array([1.0, -1.0, -1.0, 1.0])[offsets % 4])
     for array in basis:
         array.flags.writeable = False
     return basis
@@ -597,7 +596,7 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     for method in methods:
         if method == "chunked":
             basis = wigner_basis(n, spins)
-            angles = np.multiply.outer(np.arctan2(tunneling, bias), basis.spin_z)  # beta M
+            angles = np.multiply.outer(np.arctan2(tunneling, bias) / 2, terms[1])  # beta M, 0 outside the sector
             weights = np.cos(angles)
             weights += np.sin(angles, out=angles)
             vectors = (basis.eigvecs * weights[..., np.newaxis, :]) @ basis.eigvecs.swapaxes(1, 2)
