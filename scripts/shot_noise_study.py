@@ -3,29 +3,35 @@
 
 Writes one CSV per state into --out-dir; the default grid is 50..20000
 in steps of 50 with 100 iterations per count. Prints where each state's
-CI width crosses below 0.002.
+CI width crosses below 0.002. Exits as the ``qnnwitness`` CLI does: 2 with
+one ``error: ...`` line for a setting out of range.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
+from qnnwitness.cli import report_error
 from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.sampler import ShotConfig, sweep, sweep_csv
 from qnnwitness.witness import PairStateKind
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="results/shots")
     parser.add_argument("--iterations", type=int, default=ShotConfig.iterations)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    try:
+        config = ShotConfig(iterations=args.iterations, seed=args.seed)
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
+        return report_error(exc)
     schedule = fixture_schedule("table2")
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    config = ShotConfig(iterations=args.iterations, seed=args.seed)
 
     for kind in PairStateKind:
         start = time.perf_counter()
@@ -38,7 +44,8 @@ def main() -> None:
         )
         note = f"CI width <= 0.002 from {crossing} shots" if crossing else "CI width stays above 0.002"
         print(f"{kind.value:5s} -> {path}  ({note}; {time.perf_counter() - start:.1f}s)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -98,7 +98,7 @@ def _parse_pair(text: str, n_qubits: int) -> tuple[int, int]:
         raise _CliError(EXIT_INPUT, f"bad pair {text!r}, expected 'i,j'") from exc
     if i >= j:
         raise _CliError(EXIT_INPUT, f"pair {text!r} must satisfy i < j")
-    if j >= n_qubits:
+    if i < 0 or j >= n_qubits:
         raise _CliError(EXIT_DIMENSION, f"pair {text!r} out of range for {n_qubits} qubits")
     return i, j
 
@@ -152,24 +152,27 @@ def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument("--method", default=TrainerConfig.method, choices=TRAINING_METHODS)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The top-level parser with every subcommand, or with ``command``'s alone.
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser with every subcommand.
 
-    A parser built for ``command`` prints the same text as the full tree
-    for any argv that starts with ``command``. Its usage line would list
-    only the subcommands it holds, so it spells all of them as the
-    metavar. The full tree sets none: a metavar also renames the argument
-    in the invalid-command error, which only the full tree can report.
+    ``main`` builds it only for the text it alone prints: the top-level
+    help and usage, and the errors reported under them.
     """
     parser = argparse.ArgumentParser(prog="qnnwitness", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--list-repro", action="store_true",
                         help="print the command that regenerates each table/figure and exit")
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", metavar=metavar)
+    sub = parser.add_subparsers(dest="command")
     for name, (help_text, add_arguments, _run) in _COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
+    return parser
+
+
+def command_parser(command: str) -> argparse.ArgumentParser:
+    """``command``'s parser alone, built as ``build_parser`` builds it under the tree."""
+    parser = argparse.ArgumentParser(prog=f"qnnwitness {command}")
+    _help, add_arguments, _run = _COMMANDS[command]
+    add_arguments(parser)
     return parser
 
 
@@ -257,12 +260,21 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-def _diverged(exc: TrainingDiverged, out: Path) -> int:
+def report_diverged(exc: TrainingDiverged, out: Path) -> int:
+    """Save the last good schedule in ``out`` and report the divergence on stderr."""
     path = out / "last_good_schedule.json"
     save_schedule(exc.last_good, path)
     print(f"diverged: {exc}", file=sys.stderr)
     print(f"last good schedule saved to {path}", file=sys.stderr)
     return EXIT_DIVERGED
+
+
+def report_error(exc: Exception) -> int:
+    """Print ``error: exc`` on stderr; its exit code, 3 for a dimension error and 2 for any other."""
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, _CliError):
+        return exc.code
+    return EXIT_DIMENSION if isinstance(exc, DimensionError) else EXIT_INPUT
 
 
 def _train_arguments(p: argparse.ArgumentParser) -> None:
@@ -281,7 +293,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     try:
         result = train(init, training_set, config)
     except TrainingDiverged as exc:
-        return _diverged(exc, out)
+        return report_diverged(exc, out)
     save_schedule(result.schedule, out / "trained_schedule.json")
     (out / "rms_history.csv").write_text(rms_history_csv(result))
     print(f"n={init.n_qubits} epochs={result.epochs_used} rms={result.final_rms!r} converged={result.converged}")
@@ -298,7 +310,7 @@ def _cmd_bootstrap(args: argparse.Namespace) -> int:
     try:
         results = bootstrap_chain(args.n_max, config)
     except TrainingDiverged as exc:
-        return _diverged(exc, _out_dir(args))
+        return report_diverged(exc, _out_dir(args))
     out = _out_dir(args)
     for n, result in results.items():
         save_schedule(result.schedule, out / f"schedule_n{n}.json")
@@ -349,34 +361,38 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # a call that names its subcommand first builds only that subcommand's
-    # parser; --help, or any flag before the subcommand, needs the full tree
-    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
-    args = parser.parse_args(argv)
-    if args.list_repro:
-        for line in _REPRO_LINES:
-            print(line)
-        return EXIT_OK
-    if not args.command:
-        parser.print_help()
-        return EXIT_INPUT
+    # A call that names its subcommand first parses with that subcommand's
+    # parser alone, which prints the same help and value errors as under
+    # the tree. The full tree is built only for the text it alone prints:
+    # the top-level help and usage (no subcommand, or a flag before it),
+    # and an argument the subcommand does not know, reported under them.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    head, tail = [], argv[1:]  # the parser's argv is head + tail; --config's flags go between
+    if command:
+        parser = command_parser(command)
+        args, unknown = parser.parse_known_args(tail)
+    if not command or unknown:
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.list_repro:
+            for line in _REPRO_LINES:
+                print(line)
+            return EXIT_OK
+        if not args.command:
+            parser.print_help()
+            return EXIT_INPUT
+        command = args.command  # named after "--"
+        at = argv.index(command) + 1
+        head, tail = argv[:at], argv[at:]
     try:
         flags = _config_flags(args)
         if flags:
             # parsed before the explicit flags, which therefore win
-            at = argv.index(args.command) + 1
-            args = parser.parse_args(argv[:at] + flags + argv[at:])
-        _help, _add_arguments, run = _COMMANDS[args.command]
+            args = parser.parse_args(head + flags + tail)
+        _help, _add_arguments, run = _COMMANDS[command]
         return run(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except DimensionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIMENSION
-    except (ValueError, OSError) as exc:  # ScheduleFormatError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (_CliError, ValueError, OSError) as exc:  # DimensionError and ScheduleFormatError are ValueErrors
+        return report_error(exc)
 
 
 if __name__ == "__main__":

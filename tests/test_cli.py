@@ -66,11 +66,11 @@ class TestWitnessCommand:
         assert abs(rows[("Bell", "chunked")] - 0.999) <= 5e-3
 
     @pytest.mark.parametrize("method", ["exact", "chunked", "gates", "all"])
-    def test_a_negative_pair_index_exits_2(self, capsys, method):
+    @pytest.mark.parametrize("schedule, pair, n", [("table2", "-1,1", 2), ("table3", "-1,2", 7)])
+    def test_a_negative_pair_index_is_out_of_range(self, capsys, method, schedule, pair, n):
         # exact and chunked under a symmetric schedule read no pair, yet print no row for this one
-        code, out, err = run_cli(capsys, "witness", "--schedule", "table3", "--pair=-1,2", "--method", method)
-        assert (code, out) == (2, "")
-        assert "pair (-1, 2) must satisfy 0 <= i < j < 7" in err
+        code, out, err = run_cli(capsys, "witness", "--schedule", schedule, f"--pair={pair}", "--method", method)
+        assert (code, out, err) == (3, "", f"error: pair {pair!r} out of range for {n} qubits\n")
 
     def test_an_unknown_state_exits_2_offering_all(self, capsys):
         code, out, err = run_cli(capsys, "witness", "--schedule", "table2", "--state", "bell")
@@ -442,6 +442,10 @@ class TestSampleCommand:
         assert (code, out) == (2, "")
         assert err == f"error: unknown state {state!r}, expected one of ['Bell', 'Flat', 'C', 'P']\n"
 
+    def test_a_negative_pair_index_is_out_of_range(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--schedule", "table2", "--pair=-1,1", "--iterations", "1")
+        assert (code, out, err) == (3, "", "error: pair '-1,1' out of range for 2 qubits\n")
+
     def test_shot_count_beyond_int64_is_refused(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--schedule", "table2", "--shots", str(10**20), "--iterations", "1")
         assert (code, out) == (2, "")
@@ -473,6 +477,13 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, "witness", "--config", str(config))
         assert code == 2
         assert "shotz" in err
+
+    @pytest.mark.parametrize("key, value", [("command", "verify"), ("list_repro", True)])
+    def test_a_top_level_name_is_an_unknown_key(self, tmp_path, capsys, key, value):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(capsys, "witness", "--config", str(config))
+        assert (code, out, err) == (2, "", f"error: unknown key {key!r} in config file\n")
 
 
 class TestFilesRemovedWhileRead:

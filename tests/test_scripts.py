@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from qnnwitness.hamiltonian import load_schedule
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -33,3 +36,24 @@ def test_shot_noise_study(tmp_path):
     assert proc.returncode == 0, proc.stderr
     for state in ("Bell", "Flat", "C", "P"):
         assert (tmp_path / f"sweep_{state}.csv").is_file()
+
+
+@pytest.mark.parametrize("name, args, message", [
+    ("shot_noise_study.py", ("--iterations", "0"), "iterations must lie in 1..100000, got 0"),
+    ("bootstrap_scan.py", ("--n-max", "1"), "a pairwise training set needs at least 2 qubits"),
+    ("bootstrap_scan.py", ("--target-rms", "nan"), "target_rms must be non-negative and finite, got nan"),
+], ids=lambda value: " ".join(value) if isinstance(value, tuple) else value)
+def test_a_setting_out_of_range_exits_2_with_one_error_line(tmp_path, name, args, message):
+    proc = run_script(name, *args, "--out-dir", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+def test_a_diverging_chain_exits_4_saving_its_last_good_schedule(tmp_path):
+    proc = run_script("bootstrap_scan.py", "--seed", "4", "--n-max", "5", "--out-dir", str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (4, "")
+    saved = tmp_path / "last_good_schedule.json"
+    assert proc.stderr.splitlines() == [
+        "diverged: rms 2.551e-01 exceeded 10x the initial 8.040e-03 for 50 consecutive epochs (epoch 52)",
+        f"last good schedule saved to {saved}",
+    ]
+    assert load_schedule(saved).n_qubits == 5
