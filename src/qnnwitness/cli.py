@@ -367,28 +367,25 @@ def main(argv: list[str] | None = None) -> int:
     # the top-level help and usage (no subcommand, or a flag before it),
     # and an argument the subcommand does not know, reported under them.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    head, tail = [], argv[1:]  # the parser's argv is head + tail; --config's flags go between
     if command:
         parser = command_parser(command)
-        args, unknown = parser.parse_known_args(tail)
+        args, unknown = parser.parse_known_args(argv[1:])
     if not command or unknown:
+        # parse_args exits for -h and for every error; what is left asks for
+        # --list-repro or names no subcommand (argparse, 3.10 to 3.13 at
+        # least, refuses "--" before one as an invalid choice)
         parser = build_parser()
-        args = parser.parse_args(argv)
-        if args.list_repro:
+        if parser.parse_args(argv).list_repro:
             for line in _REPRO_LINES:
                 print(line)
             return EXIT_OK
-        if not args.command:
-            parser.print_help()
-            return EXIT_INPUT
-        command = args.command  # named after "--"
-        at = argv.index(command) + 1
-        head, tail = argv[:at], argv[at:]
+        parser.print_help()
+        return EXIT_INPUT
     try:
         flags = _config_flags(args)
         if flags:
             # parsed before the explicit flags, which therefore win
-            args = parser.parse_args(head + flags + tail)
+            args = parser.parse_args(flags + argv[1:])
         _help, _add_arguments, run = _COMMANDS[command]
         return run(args)
     except (_CliError, ValueError, OSError) as exc:  # DimensionError and ScheduleFormatError are ValueErrors
