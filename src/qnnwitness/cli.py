@@ -12,13 +12,14 @@ error (also a ``--chunks`` or ``--iterations`` past its bound, a schedule
 file's optional ``"symmetric": true`` over non-uniform chunks, or a
 schedule whose dt is 0 or whose phases keep no digit, by every command:
 2 total_time times a chunk's sum of every |K|, |eps| and |zeta| at 2**52
-or more, where floats are 1 or more apart), 3 dimension error (a pair
+or more, where floats are 1 or more apart, or a qubit's K^2 + eps^2 past
+the float range), 3 dimension error (a pair
 outside the register; a dense square array above 10 qubits, built by
 ``verify`` and by ``exact`` on a schedule with a non-uniform chunk; or
 arrays past the 128 MiB budget: dense states, refused at one size for
 ``gates`` and for ``chunked`` on a non-uniform schedule, training sets,
 and the pair (x) Dicke sweeps of ``witness`` under uniform chunks, with 4
-chunks past 769 qubits for ``chunked`` and 725 for ``exact``; each refused
+chunks past 1807 qubits for ``chunked`` and 725 for ``exact``; each refused
 before allocation), 4 training divergence.
 """
 

@@ -87,10 +87,7 @@ class ArrayCache:
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
         self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
-
-    @property
-    def nbytes(self) -> int:
-        return sum(value.nbytes for value in self._entries.values())
+        self.nbytes = 0  # what the entries report, kept as they come and go
 
     def __call__(self, fn, key=_positional):
         entries = self._entries
@@ -107,9 +104,9 @@ class ArrayCache:
             value = fn(*args, **kwargs)
             if value.nbytes <= self.max_bytes:
                 entries[entry] = value
-                total = self.nbytes
-                while total > self.max_bytes:
-                    total -= entries.popitem(last=False)[1].nbytes
+                self.nbytes += value.nbytes
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= entries.popitem(last=False)[1].nbytes
             return value
 
         def cache_info() -> CacheInfo:
@@ -118,7 +115,7 @@ class ArrayCache:
 
         def cache_clear() -> None:
             for entry in [entry for entry in entries if entry[0] is fn]:
-                del entries[entry]
+                self.nbytes -= entries.pop(entry).nbytes
             counts.update(hits=0, misses=0)
 
         cached.cache_info = cache_info
@@ -128,10 +125,10 @@ class ArrayCache:
 
 # Every array derived from n alone: ``z_diagonal``, ``pair_parity`` (the one
 # entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``,
-# ``hamiltonian.sector_terms`` and ``hamiltonian.wigner_basis`` (the J_y eigenbasis
-# from which ``chunked`` builds its sector blocks as Wigner d-matrices without
-# ``eigh``, Feng et al., Phys. Rev. E 92, 043307 (2015)) keep at most one dense
-# budget between them.
+# ``hamiltonian.sector_terms`` and ``hamiltonian.wigner_basis`` (the J_x eigenbasis
+# that every ``chunked`` sector step shares between its per-chunk diagonals,
+# without ``eigh``, Feng et al., Phys. Rev. E 92, 043307 (2015)) keep at most
+# one dense budget between them.
 # No 2^n basis of the total-spin sectors is built. The dense phases and
 # batched read-outs store nothing here: they read their signs from the index
 # bits (``z_signs``).

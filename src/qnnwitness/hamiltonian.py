@@ -30,9 +30,10 @@ whose qubits 2..n-1 are permutation symmetric stays there. Callers supply
 those coordinates directly; both methods run on them in the space's
 total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
 nothing 4(n-1)-square is built. ``exact`` diagonalises each chunk's blocks
-by one batched ``eigh``; ``chunked`` builds its blocks without ``eigh``,
-as Wigner d-matrices d^J(beta) from one cached J_y eigenbasis per n and
-sector set (Feng et al., Phys. Rev. E 92, 043307 (2015); :func:`wigner_basis`).
+by one batched ``eigh``; ``chunked`` builds no per-chunk block: its
+single-qubit layer is the spin-J image of one 2x2 rotation, three
+diagonals per chunk around one cached J_x eigenbasis per n and sector set
+(Feng et al., Phys. Rev. E 92, 043307 (2015); :func:`wigner_basis`).
 On all n/2 + 1 sectors the same forward step gives ``verify`` a uniform
 schedule's Trotter error (:func:`sector_trotter_error`).
 Adjoint gradients run only in the pair (x) Dicke space and return each
@@ -123,7 +124,10 @@ class Schedule:
     writer keep the JSON schema: its optional ``"symmetric"`` key is checked
     against the chunks on read and written as the derived value.
     A ``dt`` that rounds to 0, or a ``total_time`` that :func:`require_phase_range`
-    refuses, is refused here, once for every method.
+    refuses, is refused here, once for every method; so is a qubit whose
+    ``hypot(K, eps)**2`` overflows, past about 1.3e154, whose ``chunked``
+    partials would lose a term (:func:`_single_qubit_factor_partials`): a
+    schedule that one method cannot differentiate is run by none.
     """
 
     n_qubits: int
@@ -141,7 +145,13 @@ class Schedule:
                 raise ValueError(f"chunk is sized for {ck.n_qubits} qubits, schedule for {self.n_qubits}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive: total_time {self.total_time!r} over {self.n_chunks} chunks is 0")
-        require_phase_range(self.total_time, max(ck.norm_bound for ck in self.chunks))
+        bound = max(ck.norm_bound for ck in self.chunks)
+        require_phase_range(self.total_time, bound)
+        if math.isinf(bound * bound):  # every hypot(K, eps) is at most the bound: walk the qubits only then
+            for ck in self.chunks:
+                magnitude = max(map(math.hypot, ck.tunneling, ck.bias))
+                if math.isinf(magnitude * magnitude):
+                    raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
 
     @cached_property
     def symmetric(self) -> bool:
@@ -234,8 +244,8 @@ def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> n
     ``ds/dK = K f`` with ``f = (dt c - s)/m^2``, the K derivative is
     ``-dt K s I - i (K f (K X + eps Z) + s X)``, and likewise for eps with Z.
     ``f`` is summed from its series where ``dt c - s`` cancels. ``m^2`` must
-    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :func:`require_differentiable`
-    refuses such a chunk before any sweep.
+    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :class:`Schedule`
+    refuses such a chunk.
     """
     magnitude = math.hypot(tunneling, bias)
     x = dt * magnitude
@@ -299,33 +309,20 @@ def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
     return terms
 
 
-class WignerBasis(NamedTuple):
-    """What :func:`_chunk_sweeps` reads to build a uniform chunk's ``chunked``
-    sector blocks in closed form: O(n^2) entries per sector."""
-
-    eigvecs: np.ndarray  # (len(spins), n+1, n+1): J_x's eigenvectors, column w for M = n/2 - w; identity outside
-    signs: np.ndarray  # (n+1, n+1): the +-1 that e^{-i pi J_z/2} puts on entry (a, b), by (b - a) mod 4
-
-    @property
-    def nbytes(self) -> int:
-        return sum(array.nbytes for array in self)
-
-
 @PARITY_CACHE
-def wigner_basis(n: int, spins: tuple[float, ...]) -> WignerBasis:
-    """The eigenbasis of J_y per sector J in ``spins``, built once per n and
-    spins from the ladder of :func:`sector_terms`, for Wigner's
-    ``d^J(beta) = e^{-i beta J_y} = Q e^{-i beta mu} Q^dagger`` (Feng et al.,
-    Phys. Rev. E 92, 043307 (2015)). With ``J_y = S J_x S^dagger``, ``S =
-    e^{-i pi J_z/2}``, it is ``Q = S X``, X the real eigenvectors of J_x,
-    whose eigenvalue of column w is M = n/2 - w. J_x commutes with the
-    reflection M -> -M and anticommutes with ``Z = (-1)^w``, so ``X cos(beta
-    mu) X^T`` lives on the entries (a, b) with b - a even and ``X sin(beta mu)
-    X^T`` on the odd ones: ``d^J(beta)`` is ``X (cos + sin)(beta mu) X^T`` times
-    the fixed ``signs``, one real product. Each column solves ``2 J_x v = 2 mu
-    v`` row by row from the edge M = J, where it starts at ``d^J_{J mu}(pi/2)
-    = 2^-J sqrt(C(2J, J - mu))`` and grows, to the middle, and takes the
-    other half from its parity ``(-1)^(J - mu)`` under the reflection."""
+def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
+    """X, the real eigenvectors of J_x per sector J in ``spins``, stacked
+    ``(len(spins), n+1, n+1)``, column w for the eigenvalue M = n/2 - w and
+    the identity outside the sector; built once per n and spins from the
+    ladder of :func:`sector_terms`. Every ``chunked`` sector step shares it:
+    ``e^{-i theta J_x} = X e^{-i theta M} X^T`` is the middle of a rotation's
+    Euler form, the diagonals around it per chunk (Feng et al., Phys. Rev. E
+    92, 043307 (2015), with ``J_y = S J_x S^dagger``, ``S = e^{-i pi J_z/2}``,
+    folded into the diagonals; :func:`_chunk_sweeps`). Each column solves
+    ``2 J_x v = 2 M v`` row by row from the edge M = J, where it starts at
+    ``d^J_{J M}(pi/2) = 2^-J sqrt(C(2J, J - M))`` and grows, to the middle,
+    and takes the other half from its parity ``(-1)^(J - M)`` under the
+    reflection M -> -M, with which J_x commutes."""
     ladder = sector_terms(n, spins)[0]
     eigvecs = np.zeros((len(spins), n + 1, n + 1))
     for block, spin in enumerate(spins):
@@ -344,11 +341,8 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> WignerBasis:
             v[rows // 2, parity < 0] = 0.0  # an odd column vanishes on the middle row M = 0
         eigvecs[block] = np.eye(n + 1)
         eigvecs[block, first : first + rows, first : first + rows] = v / np.linalg.norm(v, axis=0)
-    offsets = np.arange(n + 1) - np.arange(n + 1)[:, np.newaxis]  # b - a = M_a - M_b at entry (a, b)
-    basis = WignerBasis(eigvecs, np.array([1.0, -1.0, -1.0, 1.0])[offsets % 4])
-    for array in basis:
-        array.flags.writeable = False
-    return basis
+    eigvecs.flags.writeable = False
+    return eigvecs
 
 
 def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
@@ -382,7 +376,7 @@ def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
 # form: Clebsch-Gordan coefficients, and the singlet. Both methods run there
 # on coupled columns ``(blocks, n+1, 2, batch)``: block k = n/2 - J, weight,
 # copy (the second one zero outside block 1), state. One forward step
-# applies a chunk's (V, lambda) to them, and one backward step undoes it.
+# applies a chunk to them, and one backward step undoes it.
 
 _PAIR_WEIGHTS = (0, 1, 1, 2)  # the ones among qubits 0 and 1 of p = 0..3
 
@@ -448,17 +442,18 @@ def _from_sectors(coupled: np.ndarray, ops: PairDicke) -> np.ndarray:
     return (ops.change.swapaxes(1, 2) @ by_slot).reshape(4 * rows, -1).view(complex)[ops.at]
 
 
-def _forward_step(columns: np.ndarray, eigvecs: np.ndarray, phases: np.ndarray, diagonal) -> None:
-    """One chunk on the float view of coupled columns, in place: its ZZ
-    phase ``diagonal`` where it is split off (``chunked``, else None), then
-    ``V exp(-i lam dt) V^T`` per block, and per method where the arrays lead
-    with one. The eigenvectors are real, so each product with them is a real
-    product on the float view."""
-    if diagonal is not None:
-        columns.view(complex)[...] *= diagonal
-    rotated = eigvecs.swapaxes(-1, -2) @ columns
-    rotated.view(complex)[...] *= phases
-    np.matmul(eigvecs, rotated, out=columns)
+def _forward_step(columns: np.ndarray, lead, vectors: np.ndarray, mid: np.ndarray, trail) -> None:
+    """One chunk on the float view of coupled columns, in place: ``trail V
+    mid V^T lead`` per block, with ``mid`` a diagonal and ``lead`` and
+    ``trail`` diagonals (``chunked``) or None (``exact``). V is real, so each
+    product with it is a real product on the float view."""
+    if lead is not None:
+        columns.view(complex)[...] *= lead
+    rotated = vectors.swapaxes(-1, -2) @ columns
+    rotated.view(complex)[...] *= mid
+    np.matmul(vectors, rotated, out=columns)
+    if trail is not None:
+        columns.view(complex)[...] *= trail
 
 
 # --- adjoint gradients --------------------------------------------------
@@ -477,10 +472,11 @@ def _states_and_costates(both: np.ndarray, batch: int) -> np.ndarray:
 
 
 def _backward_step(
-    both: np.ndarray, eigvecs: np.ndarray, eigvals: np.ndarray, phases: np.ndarray, diagonal, shared,
-    terms: np.ndarray, dt: float,
+    both: np.ndarray, lead, vectors: np.ndarray, mid: np.ndarray, trail, eigvals, shared, terms: np.ndarray,
+    dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one chunk of :func:`_forward_step` and read its three partials.
+    """Undo one chunk of :func:`_forward_step` and read its three partials;
+    ``both`` may be overwritten.
 
     ``exact`` reads them by the Daleckii-Krein formula on each block:
     ``dU = V (Phi o V^T dH V) V^T`` with ``Phi_jk = -i dt exp(-i dt (l_j +
@@ -488,38 +484,40 @@ def _backward_step(
     eigenvalues, so a partial is ``2 sum_xy dH_xy Re M_xy`` with ``M = V
     (Phi o S) V^T``, ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``
     and dH the ladder, 2M or (4M^2 - n)/2. ``chunked`` reads its coupling
-    partial from the diagonal between the blocks and its ZZ phase. Its
+    partial from the diagonal ``lead``, which holds its ZZ phase. Its
     single-qubit layer acts last and its factors commute, so the K (or
     eps) partial is ``2 Re <lam| sum_q (dF F^dagger)_q |psi>`` at the
     chunk's end: ``sum(G * R)`` with ``R`` the collective 2x2 overlaps,
     ``n/2 + J_z`` and ``n/2 - J_z`` on the diagonal and J_+, J_- off it.
     """
     ladder, twice_m, quadratic = terms
-    blocks, rows = eigvals.shape
+    blocks, rows = both.shape[:2]
     batch = both.shape[-1] // 8  # floats: copy, [states | co-states], real and imaginary part
-    if diagonal is not None:  # the blocks' rows end to end: a block's last row links to nothing
+    if lead is not None:  # the blocks' rows end to end: a block's last row links to nothing
         psi, lam = _states_and_costates(both, batch)
         links, total = ladder.reshape(-1, 1)[:-1], np.vdot(lam, psi)
         spin_z = np.vdot(lam, twice_m.reshape(-1, 1) * psi) / 2
         reduced = np.array([[(rows - 1) / 2 * total + spin_z, np.vdot(lam[:-1], links * psi[1:])],
                             [np.vdot(lam[1:], links * psi[:-1]), (rows - 1) / 2 * total - spin_z]])
-    coords = eigvecs.swapaxes(1, 2) @ both
+        both.view(complex)[...] /= trail
+    coords = vectors.swapaxes(1, 2) @ both
     split = coords.view(complex)
-    if diagonal is None:
+    if lead is None:
         half = np.exp(0.5j * dt * eigvals)[:, :, np.newaxis]
         split *= half
         psi, lam = _states_and_costates(coords, batch).reshape(2, blocks, rows, -1)
         split *= half
     else:
-        split /= phases
-    before = eigvecs @ coords
-    if diagonal is not None:
+        split /= mid
+    before = vectors @ coords
+    if lead is not None:
+        # lead is diagonal and unimodular, so the coupling partial reads the same on either side of it
         psi, lam = _states_and_costates(before, batch)
         # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)), F symmetric; F(dt)^dagger = F(-dt)
         overlaps = (reduced @ _single_qubit_factor(*shared[:2], -dt)).ravel()
         tunneling, bias = (_single_qubit_factor_partials(*shared[:2], dt).reshape(2, 4) @ overlaps).real.tolist()
         coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
-        before.view(complex)[...] /= diagonal
+        before.view(complex)[...] /= lead
         return before, np.array([2 * tunneling, 2 * bias, 2 * dt * coupling])
     # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2);
     # Im(conj(a) b) is the real product of the float views of a and -i b
@@ -534,29 +532,36 @@ def _backward_step(
     weights *= lam.view(float) @ (-1j * psi).view(float).swapaxes(1, 2)
     # V is real, so Re M = V Re(Phi o S) V^T: its diagonal and both off-diagonals are
     # row products of V Re(Phi o S) with V; dt and 2 multiply the three partials
-    product = eigvecs @ weights
+    product = vectors @ weights
     del weights
-    on = np.einsum("kij,kij->ki", product, eigvecs)
-    beside = np.einsum("kij,kij->ki", product[:, :-1], eigvecs[:, 1:]) + np.einsum(
-        "kij,kij->ki", product[:, 1:], eigvecs[:, :-1])
+    on = np.einsum("kij,kij->ki", product, vectors)
+    beside = np.einsum("kij,kij->ki", product[:, :-1], vectors[:, 1:]) + np.einsum(
+        "kij,kij->ki", product[:, 1:], vectors[:, :-1])
     return before, 2 * dt * np.array([np.vdot(ladder[:, :-1], beside), np.vdot(twice_m, on), np.vdot(quadratic, on)])
 
 
 def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None,
                   backward: bool = True) -> tuple:
-    """What each chunk's steps read under each of ``methods``: the sector
-    terms, then eigenvectors, eigenvalues and ``exp(-i lam dt)``, stacked
-    ``(method, chunk, ...)``, the ZZ phases per method (a None per chunk for
-    ``exact``) and the shared parameters. ``exact`` diagonalises each chunk's
-    Hamiltonian, one batched ``eigh`` of every chunk's blocks. ``chunked``
-    applies its ZZ phase ``zeta (4M^2 - n)/2`` first, as a diagonal, then
-    ``exp(-i dt (K 2J_x + eps 2J_z))``, the order the gate compiler
-    reproduces; that layer is ``2r e^{-i beta J_y} J_z e^{i beta J_y}`` with
-    ``r = hypot(K, eps)`` and ``beta = atan2(K, eps)``, so its blocks are built
-    without ``eigh``: eigenvectors Wigner's ``d^J(beta)``, one batched real
-    product with the cached :func:`wigner_basis`, and eigenvalues ``2rM``;
-    the identity and 0 outside the sector. The sectors are J = n/2 - k, k <
-    ``blocks`` (default: the pair (x) Dicke space's three).
+    """The sector terms, and per method of ``methods`` each chunk's step
+    ``(lead, V, mid, trail, eigenvalues, shared)``: :func:`_forward_step`
+    reads it up to ``trail``, :func:`_backward_step` whole. ``exact``
+    diagonalises each chunk's Hamiltonian, one batched ``eigh`` of every
+    chunk's blocks: V its eigenvectors and ``mid = exp(-i lam dt)``, no
+    ``lead`` or ``trail``. ``chunked`` applies its ZZ phase ``zeta (4M^2 -
+    n)/2`` first, as a diagonal, then its single-qubit layer, the order the
+    gate compiler reproduces. That layer is the spin-J image of one 2x2
+    rotation ``F = exp(-i dt (K X + eps Z)) = [[a, -i s K], [-i s K,
+    conj(a)]]``, ``a = cos(dt r) - i s eps``, ``s = sin(dt r)/r``, ``r =
+    hypot(K, eps)``. Its ZYZ Euler angles ``(-arg a - pi/2, theta, pi/2 -
+    arg a)`` with ``theta/2 = atan2(s K, |a|)`` give F itself, not -F (which
+    differs by -1 on a half-integer J), so ``D^J(F) = e^{-i phi1 J_z} S X
+    e^{-i theta M} X^T S^dagger e^{-i phi2 J_z}`` with ``S = e^{-i pi
+    J_z/2}`` and X the cached :func:`wigner_basis`, and S folds into the
+    outer diagonals: ``P X e^{-i theta M} X^T P``, ``P = e^{i arg(a) J_z}``.
+    So every chunk's V is the one X; ``lead`` is its ZZ phase times P,
+    ``mid`` is ``e^{-i theta M}`` and ``trail`` is P: O(n) numbers a chunk,
+    each 1 outside the sector. The sectors are J = n/2 - k, k < ``blocks``
+    (default: the pair (x) Dicke space's three).
 
     The one size rule of the sector kernel refuses them before anything is
     built, with the ``width`` complex columns per block row that the caller
@@ -568,20 +573,21 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
             raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
-    # per chunk and method, held throughout: its real eigenvectors, 40 bytes a row (eigenvalues, phases,
-    # ZZ phase) and 2 KiB of Python objects; chunked's cached basis and signs. Beside them the larger of
-    # the build, freed once it is done, and three arrays of the caller's columns, evolved after: a step's
-    # input, its rotation and one more. The build: chunked's basis scaled per chunk and two angles a row;
-    # then exact's generators, with its eigenvectors as eigh returns them, or, beside another method, the
-    # methods' eigenvectors copied into one stack. Then an exact backward step's 2.5 blocks of working
-    # arrays, and 1 KiB a row
-    held = len(methods) * count * (8 * blocks * size + 40 * blocks * (n + 1) + 2048)
-    build, fixed = 0, 1024 * (n + 1)
+    # held throughout, per chunk and method: 2 KiB of Python objects, and chunked's three diagonals, 48
+    # bytes a row, or exact's real eigenvectors and 40 bytes a row (eigenvalues, phases); chunked's cached
+    # basis. Beside them the larger of the build, freed once it is done, and three arrays of the caller's
+    # columns, evolved after: a step's input, its rotation and one more. The build: chunked's basis' two
+    # squares of recursion, then its phases as reals, 24 bytes a row, before their exponentials in place;
+    # exact's generators, with its eigenvectors as eigh returns them. Then an exact backward step's 2.5
+    # blocks of working arrays, and 1 KiB a row
+    rows = count * blocks * (n + 1)
+    held, build, fixed = len(methods) * count * 2048, 0, 1024 * (n + 1)
     if "chunked" in methods:
-        held += 8 * (blocks + 1) * size
-        build = count * (8 * blocks * size + 16 * blocks * (n + 1))
+        held += 8 * blocks * size + 48 * rows
+        build = 16 * size + 24 * rows
     if "exact" in methods:
-        build = max(build, len(methods) * count * 8 * blocks * size)
+        held += count * 8 * blocks * size + 40 * rows
+        build = max(build, count * 8 * blocks * size)
         fixed += 20 * blocks * size if backward else 0
     nbytes = held + max(build, 48 * blocks * (n + 1) * width) + fixed
     if nbytes > DENSE_BYTES_BUDGET:
@@ -590,28 +596,27 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
     terms = sector_terms(n, spins)
-    params = np.array(shared)
-    tunneling, bias, coupling = params.T
-    eigvecs, eigvals, diagonals = [], [], []
+    sweeps = []
     for method in methods:
         if method == "chunked":
             basis = wigner_basis(n, spins)
-            angles = np.multiply.outer(np.arctan2(tunneling, bias) / 2, terms[1])  # beta M, 0 outside the sector
-            weights = np.cos(angles)
-            weights += np.sin(angles, out=angles)
-            vectors = (basis.eigvecs * weights[..., np.newaxis, :]) @ basis.eigvecs.swapaxes(1, 2)
-            vectors *= basis.signs
-            eigvecs.append(vectors)
-            eigvals.append(np.multiply.outer(np.hypot(tunneling, bias), terms[1]))
-            diagonals.append(np.exp(-1j * dt * coupling[:, np.newaxis, np.newaxis] * terms[2])[..., np.newaxis])
+            # per chunk, the phases of lead, mid and trail over (M, (4M^2 - n)/2), both 0 outside the sector:
+            # arg(a) M less the ZZ phase, -theta M, and arg(a) M
+            coefficients = []
+            for tunneling, bias, coupling in shared:
+                r = math.hypot(tunneling, bias)
+                c, s = math.cos(dt * r), (math.sin(dt * r) / r if r else dt)
+                turn, theta = math.atan2(-s * bias, c), 2 * math.atan2(s * tunneling, math.hypot(c, s * bias))
+                coefficients.append(((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0)))
+            diagonals = 1j * (np.array(coefficients) @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
+            np.exp(diagonals, out=diagonals)
+            diagonals = diagonals.reshape(count, 3, blocks, n + 1, 1)
+            sweeps.append([(lead, basis, mid, trail, None, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared)])
         else:
-            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(params, n, spins))
-            eigvecs.append(vectors)
-            eigvals.append(values)
-            diagonals.append([None] * count)
-    eigvecs, eigvals = (np.stack(arrays) if len(methods) > 1 else arrays[0][np.newaxis] for arrays in (eigvecs, eigvals))
-    phases = np.exp(-1j * dt * eigvals)[..., np.newaxis]
-    return terms, eigvecs, eigvals, phases, diagonals, shared
+            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, spins))
+            phases = np.exp(-1j * dt * values)[..., np.newaxis]
+            sweeps.append([(None, v, p, None, e, chunk) for v, p, e, chunk in zip(vectors, phases, values, shared)])
+    return terms, sweeps
 
 
 def _coordinate_columns(coords, n: int) -> np.ndarray:
@@ -626,18 +631,17 @@ def _coordinate_columns(coords, n: int) -> np.ndarray:
 
 def _forward_sweep(coords: np.ndarray, schedule: Schedule, method: str):
     """A ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates through
-    every chunk: the sector terms of :func:`_chunk_sweeps`, each chunk's
-    steps, the space's operators, and the float view of the final coupled
-    columns."""
+    every chunk: the sector terms and each chunk's step of
+    :func:`_chunk_sweeps`, the space's operators, and the float view of the
+    final coupled columns."""
     columns = _coordinate_columns(coords, schedule.n_qubits)
     # each copy's states, and the co-states that adjoint_partials puts beside them
-    terms, eigvecs, eigvals, phases, diagonals, shared = _chunk_sweeps(schedule, method, width=4 * columns.shape[1])
-    chunks = list(zip(eigvecs[0], eigvals[0], phases[0], diagonals[0], shared))  # the one method's
+    terms, (steps,) = _chunk_sweeps(schedule, method, width=4 * columns.shape[1])
     ops = pair_dicke_operators(schedule.n_qubits)
     columns = _to_sectors(columns, ops)
-    for vectors, _, exponentials, diagonal, _ in chunks:
-        _forward_step(columns, vectors, exponentials, diagonal)
-    return terms, chunks, ops, columns
+    for step in steps:
+        _forward_step(columns, *step[:4])
+    return terms, steps, ops, columns
 
 
 def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
@@ -653,8 +657,8 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     its total-spin sectors, and ``coords``, a ``(batch, 4(n-1))`` stack of
     pair (x) Dicke coordinates, evolved by each method.
 
-    Both methods carry one ``(2, blocks, n+1, n+1 + 2 batch)`` array through
-    :func:`_forward_step`, one step per chunk: per sector J = n/2 - k, k = 0..n/2,
+    Each method carries its half of one ``(2, blocks, n+1, n+1 + 2 batch)`` array
+    through :func:`_forward_step`, one step per chunk: per sector J = n/2 - k, k = 0..n/2,
     the block's n + 1 basis columns, which end as its unitary (the identity
     outside the sector under both methods), then the states' two copies
     (zero past the first three blocks). Sector k occurs ``C(n, k) - C(n, k-1)``
@@ -667,32 +671,19 @@ def sector_trotter_error(coords: np.ndarray, schedule: Schedule) -> tuple[float,
     columns = _coordinate_columns(coords, n)
     blocks, batch = n // 2 + 1, columns.shape[1]
     width = n + 1 + 2 * batch  # a block's basis columns, then the states' two copies
-    _, eigvecs, _, phases, diagonals, _ = _chunk_sweeps(schedule, "chunked", "exact", width=2 * width, blocks=blocks,
-                                                        backward=False)
-    # one step per chunk moves both methods: exact's ZZ phase is the unit diagonal
-    diagonals = np.stack([diagonals[0], np.ones_like(diagonals[0])], axis=1)
+    _, sweeps = _chunk_sweeps(schedule, "chunked", "exact", width=2 * width, blocks=blocks, backward=False)
     coupled = _to_sectors(columns, pair_dicke_operators(n)).view(complex)  # (3 blocks, n+1, copy x batch)
     swept = np.zeros((2, blocks, n + 1, width), dtype=complex)  # chunked, then exact
     swept[..., : n + 1] = np.eye(n + 1)
     swept[:, : len(coupled), :, n + 1 :] = coupled
-    floats = swept.view(float)
-    for step in zip(eigvecs.swapaxes(0, 1), phases.swapaxes(0, 1), diagonals):
-        _forward_step(floats, *step)
+    for floats, steps in zip(swept.view(float), sweeps):
+        for step in steps:
+            _forward_step(floats, *step[:4])
     copies = [math.comb(n, k) - (math.comb(n, k - 1) if k else 0) for k in range(blocks)]
     difference = (swept[0, ..., : n + 1] - swept[1, ..., : n + 1]).view(float)
     squares = np.einsum("kij,kij->k", difference, difference)
     finals = swept[:, : len(coupled), :, n + 1 :].reshape(2, len(coupled), n + 1, 2, batch).transpose(0, 4, 1, 2, 3)
     return math.sqrt(copies @ squares), *finals.reshape(2, batch, -1)
-
-
-def require_differentiable(schedule: Schedule) -> None:
-    """Refuse a chunk whose ``hypot(K, eps)**2`` overflows, past about
-    1.3e154: there the chunked partials would lose a term, and a schedule
-    that one method cannot differentiate is not trained by the other."""
-    for ck in schedule.chunks:
-        magnitude = math.hypot(*ck.shared[:2])
-        if math.isinf(magnitude * magnitude):
-            raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
 
 
 def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costate) -> np.ndarray:
@@ -708,14 +699,13 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     the co-states enter once. Returns ``(n_chunks, 3)`` partials: per
     chunk, the shared tunneling, bias and coupling.
     """
-    require_differentiable(schedule)
-    terms, chunks, ops, finals = _forward_sweep(coords, schedule, method)
+    terms, steps, ops, finals = _forward_sweep(coords, schedule, method)
     costates = _to_sectors(_coordinate_columns(costate(_from_sectors(finals, ops).T), schedule.n_qubits), ops)
     blocks, rows = finals.shape[:2]  # per copy: states, then co-states
     both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)
     out = []
-    for chunk in reversed(chunks):
-        both, partials = _backward_step(both, *chunk, terms, schedule.dt)
+    for step in reversed(steps):
+        both, partials = _backward_step(both, *step, terms, schedule.dt)
         out.append(partials)
     return np.array(out[::-1])
 

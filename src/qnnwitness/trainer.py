@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators, require_differentiable
+from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators
 from .sampler import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
 from .witness import TrainingSet, build_training_set, check_training_set, check_training_set_size
 from .witness import witness_readout, witness_values
@@ -172,8 +172,7 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     budget (the initial one at ``max_epochs = 0``) is evaluated forward-only
     by :func:`rms_error`. So ``max_epochs = K`` costs K+1 forward and K
     backward sweeps, and a train that meets its target early runs one
-    backward sweep more than the steps it took. The last step is refused as
-    the next gradient would refuse it (:func:`require_differentiable`).
+    backward sweep more than the steps it took.
 
     Deterministic for fixed inputs. Raises :class:`TrainingDiverged` when
     the rms exceeds 10x its initial value for 50 consecutive epochs.
@@ -199,8 +198,6 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
         velocity = config.momentum * velocity - config.learning_rate * grad
         params = params + velocity
         schedule = schedule_with_parameters(init, params)
-        if epochs == config.max_epochs:  # the gradient refuses every earlier one
-            require_differentiable(schedule)
         rms, grad = evaluate(schedule, config.max_epochs - epochs)
         history.append(rms)
         if rms < best_rms:

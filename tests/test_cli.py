@@ -680,6 +680,12 @@ _OUT_OF_RANGE = {
     # nothing between, as one phase, 2 total_time zeta = 9.6e15: why the rule's time is the whole schedule's
     "zz_only_8_chunks": lambda: (json.dumps({"n_qubits": 2, "total_time": 2.4, "chunks": [
         {"K": [0.0, 0.0], "eps": [0.0, 0.0], "zeta": {"0,1": 2e15}}] * 8}), _range_message("2.4", "9.6e+15")),
+    # phases under 2**52 at a total time of 1e-195, but |(K, eps)|^2 overflows a float, which would drop
+    # a term of the chunked gradient: refused where the schedule is built, not only by train
+    "huge_K_1e155": lambda: (_uniform_document(3, 1e155, 0.1, total_time=1e-195),
+                             "chunk parameters too large to differentiate: |(K, eps)| = 1e+155"),
+    "huge_eps_1e200": lambda: (_uniform_document(3, 2.5, 1e200, total_time=1e-195),
+                               "chunk parameters too large to differentiate: |(K, eps)| = 1e+200"),
 }
 
 
@@ -709,21 +715,6 @@ class TestExtremeSchedules:
         assert (code, out) == (2, "")
         assert "chunk" in err
         assert elapsed < 0.5 and peak < 2**20
-
-    @pytest.mark.parametrize("method", ["chunked", "exact"])
-    @pytest.mark.parametrize("field", ["K", "eps"])
-    def test_huge_finite_parameters_train_without_a_traceback(self, tmp_path, capsys, field, method):
-        # the squared magnitude of the 2x2 factor's generator overflows a
-        # float, which would drop a term of the chunked gradient: refused,
-        # not trained, by either method
-        path = tmp_path / "s.json"
-        # a total time of 1e-195 keeps every phase under the range rule's 2**52
-        path.write_text(_uniform_document(3, 1e155, 0.1, total_time=1e-195) if field == "K"
-                        else _uniform_document(3, 2.5, 1e200, total_time=1e-195))
-        code, _, err = run_cli(capsys, "train", "--epochs", "1", "--schedule", str(path), "--out-dir", str(tmp_path),
-                               "--method", method)
-        assert code == 2
-        assert "too large to differentiate" in err
 
     @pytest.mark.parametrize(
         "method, epochs",

@@ -13,6 +13,7 @@ from qnnwitness import core
 from qnnwitness.core import (
     DENSE_BYTES_BUDGET,
     PARITY_CACHE,
+    ArrayCache,
     Circuit,
     DimensionError,
     GateKind,
@@ -601,6 +602,28 @@ class TestRequireDense:
             assert z_diagonal.cache_info().misses == misses + 1
         finally:
             z_diagonal.cache_clear()
+
+    def test_running_total_is_the_sum_over_entries(self):
+        # the store keeps its byte total as entries come and go, rather than
+        # summing them on each miss: inserts, evictions of either function's
+        # entries, an oversized value returned but not kept, and cache_clear
+        cache = ArrayCache(100)
+        small = cache(lambda size: np.zeros(size, dtype=np.uint8))
+        other = cache(lambda size: np.ones(size, dtype=np.uint8))
+
+        def held() -> int:
+            return sum(value.nbytes for value in cache._entries.values())
+
+        for call, size in [(small, 30), (other, 40), (small, 20), (small, 30), (other, 50), (small, 101), (other, 10),
+                           (small, 100), (other, 5), (small, 1)]:
+            call(size)
+            assert cache.nbytes == held() <= cache.max_bytes, (size, cache.nbytes)
+        assert len(cache._entries) == 2 and small.cache_info().nbytes == 1
+        small.cache_clear()
+        assert cache.nbytes == held() == 5
+        other(60)
+        other.cache_clear()
+        assert cache.nbytes == held() == 0 and not cache._entries
 
 
 class TestIsingDiagonal:

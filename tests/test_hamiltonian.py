@@ -472,21 +472,24 @@ _QUADRANTS = [(0.0, 0.0), (0.0, 0.7), (0.0, -0.7), (2.3, 0.0), (-2.3, 0.0), (2.3
 
 
 class TestWignerBlocks:
-    """``chunked``'s sector blocks, built from Wigner's d-matrix without ``eigh``."""
+    """``chunked``'s sector steps: three diagonals per chunk around one shared J_x eigenbasis, no ``eigh``."""
 
     @pytest.mark.parametrize("n", [*range(2, 11), 64, 256])
     def test_each_block_propagates_as_its_eigh_oracle(self, n):
-        # V exp(-i lam dt) V^T per block, for the pair (x) Dicke space's three sectors and, up to 64
-        # qubits, all n/2 + 1; the coupling is split off as the ZZ phase and must not enter
+        # trail X mid X^T lead per block, for the pair (x) Dicke space's three sectors and, up to 64 qubits,
+        # all n/2 + 1: the eigh oracle's V exp(-i lam dt) V^T after the ZZ phase, which enters lead alone
         chunks = tuple(ChunkParams.uniform(n, k, eps, 0.3) for k, eps in _QUADRANTS)
         schedule = Schedule(n, 0.4 * len(chunks), chunks)
         for blocks in {min(3, n // 2 + 1), n // 2 + 1 if n <= 64 else 3}:
-            _, eigvecs, _, phases, _, _ = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks)
+            terms, (steps,) = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks)
             spins = [n / 2 - k for k in range(blocks)]
-            got = (eigvecs[0] * phases[0].swapaxes(-1, -2)) @ eigvecs[0].swapaxes(-1, -2)
-            for chunk, blocks_of_chunk in zip(chunks, got):
-                want = sector_layer_propagators(chunk.shared, n, spins, schedule.dt)
-                assert np.max(np.abs(blocks_of_chunk - want)) <= 1e-12, chunk.shared
+            zz_phase = np.exp(-1j * schedule.dt * 0.3 * terms[2])[:, np.newaxis, :]
+            for chunk, (lead, vectors, mid, trail, _, _) in zip(chunks, steps):
+                assert vectors is steps[0][1]  # one basis for every chunk, and O(n) numbers per chunk
+                assert lead.shape == mid.shape == trail.shape == (blocks, n + 1, 1)
+                got = (trail * vectors * mid.swapaxes(-1, -2)) @ (vectors.swapaxes(-1, -2) * lead.swapaxes(-1, -2))
+                want = sector_layer_propagators(chunk.shared, n, spins, schedule.dt) * zz_phase
+                assert np.max(np.abs(got - want)) <= 1e-12, chunk.shared
 
     def test_a_chunked_sweep_diagonalises_nothing(self, monkeypatch, table3):
         # neither the sector Hamiltonians nor eigh, cold or warm; exact still runs both once
@@ -524,10 +527,10 @@ class TestSpinSectors:
         assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
     def test_the_largest_admitted_sector_comparison_peaks_under_the_budget(self, table3):
-        # 4115 uniform chunks of 10 qubits are the most both methods' sweeps admit;
-        # one more is refused before anything is built
+        # 6236 uniform chunks of 10 qubits, the largest register verify builds, are the
+        # most both methods' sweeps admit; one more is refused before anything is built
         chunk = ChunkParams.uniform(10, *table3.chunks[0].shared)
-        schedule = Schedule(10, table3.dt * 4115, (chunk,) * 4115)
+        schedule = Schedule(10, table3.dt * 6236, (chunk,) * 6236)
         tracemalloc.start()
         try:
             distance, _, _ = sector_trotter_error(orbit_coordinates(10), schedule)
@@ -535,8 +538,8 @@ class TestSpinSectors:
         finally:
             tracemalloc.stop()
         assert math.isfinite(distance) and peak < DENSE_BYTES_BUDGET
-        longer = Schedule(10, table3.dt * 4116, (chunk,) * 4116)
-        with pytest.raises(DimensionError, match="chunked and exact sweeps for 10 qubits and 4116 chunks"):
+        longer = Schedule(10, table3.dt * 6237, (chunk,) * 6237)
+        with pytest.raises(DimensionError, match="chunked and exact sweeps for 10 qubits and 6237 chunks"):
             sector_trotter_error(orbit_coordinates(10), longer)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 9])

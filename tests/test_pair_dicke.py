@@ -15,6 +15,7 @@ import re
 import time
 import tracemalloc
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,11 +206,10 @@ def bell_set(n: int) -> TrainingSet:
 
 
 # (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits)
-LARGEST_ADMITTED = [("chunked", 4, 769), ("chunked", 1024, 49), ("exact", 4, 725), ("exact", 1, 1108)]
+LARGEST_ADMITTED = [("chunked", 4, 1807), ("chunked", 1024, 540), ("exact", 4, 725), ("exact", 1, 1108)]
 EXACT_ADMITTED = [case for case in LARGEST_ADMITTED if case[0] == "exact"]
-# (copies of table3's first chunk, the largest n whose comparison over all n/2 + 1 sectors the rule admits);
-# 4115 chunks are the most at 10 qubits, the largest register verify builds
-COMPARISON_ADMITTED = [(1, 127), (2, 121), (4, 113), (16, 78), (4115, 10)]
+# (copies of table3's first chunk, the largest n whose comparison over all n/2 + 1 sectors the rule admits)
+COMPARISON_ADMITTED = [(1, 129), (2, 127), (4, 121), (16, 97), (4115, 12)]
 
 
 def lifted_chunks(table3: Schedule, n: int, chunks: int) -> Schedule:
@@ -438,3 +438,40 @@ class TestMeanFieldLimit:
             scaled[n] = n * (values - limit)
             assert np.max(np.abs(scaled[n])) <= MEAN_FIELD_C, n
         assert np.max(np.abs(scaled[256] - scaled[128])) <= MEAN_FIELD_SETTLING
+
+
+RECORDED = Path(__file__).with_name("chunked_recorded.json")
+# (K, eps) in every quadrant of the 2x2 rotation and on each axis, and both zero; with dt = 1.5 the
+# rotation angle dt hypot(K, eps) passes pi/2 and pi, where cos and sin change sign
+_QUADRANTS = [(0.0, 0.0), (0.0, 0.7), (0.0, -0.7), (2.3, 0.0), (-2.3, 0.0), (2.3, 0.7), (-2.3, 0.7), (2.3, -0.7),
+              (-2.3, -0.7)]
+
+
+def recorded_schedule(name: str, table3: Schedule, n: int) -> Schedule:
+    """The schedules ``chunked_recorded.json`` was computed on: table3 Kac-lifted (coupling times 6/(n-1)),
+    and the nine quadrants with coupling 0.3/(n-1) and dt = 1.5."""
+    if name == "table3_kac":
+        chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] * 6 / (n - 1))
+                       for ck in table3.chunks)
+        return Schedule(n, table3.total_time, chunks)
+    chunks = tuple(ChunkParams.uniform(n, k, eps, 0.3 / (n - 1)) for k, eps in _QUADRANTS)
+    return Schedule(n, 1.5 * len(chunks), chunks)
+
+
+class TestRecordedChunked:
+    """``chunked`` values and adjoint gradients as the kernel that built each
+    chunk's Wigner d-matrix computed them, before its steps became three
+    diagonals around one shared J_x eigenbasis: pinned to 1e-12 of each
+    array's largest entry (measured at most 1e-13)."""
+
+    @pytest.mark.parametrize("name", ["table3_kac", "quadrants"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_values_and_gradients_match_the_recorded_ones(self, table3, name, n):
+        want = json.loads(RECORDED.read_text())[name][str(n)]
+        schedule = recorded_schedule(name, table3, n)
+        items = tuple(TrainingItem(kind, (0, 1), 0.0) for kind in PairStateKind)
+        values = witness_values(TrainingSet(n, items), schedule, "chunked")
+        loss, grad = trainer.gradient(schedule, training_set(n), trainer.TrainerConfig(method="chunked"))
+        for got, recorded in ((values, want["values"]), ([loss], [want["loss"]]), (grad, want["gradient"])):
+            recorded = np.array(recorded)
+            assert np.max(np.abs(got - recorded)) <= 1e-12 * np.max(np.abs(recorded)), (name, n)

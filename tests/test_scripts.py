@@ -52,8 +52,10 @@ def test_a_diverging_chain_exits_4_saving_its_last_good_schedule(tmp_path):
     proc = run_script("bootstrap_scan.py", "--seed", "4", "--n-max", "5", "--out-dir", str(tmp_path))
     assert (proc.returncode, proc.stdout) == (4, "")
     saved = tmp_path / "last_good_schedule.json"
+    # a diverging descent grows round-off about tenfold an epoch, so the last rms is the kernel's round-off
+    # amplified: the per-chunk d-matrix kernel, whose values differ by 1e-13, printed 2.551e-01 here
     assert proc.stderr.splitlines() == [
-        "diverged: rms 2.551e-01 exceeded 10x the initial 8.040e-03 for 50 consecutive epochs (epoch 52)",
+        "diverged: rms 5.111e-01 exceeded 10x the initial 8.040e-03 for 50 consecutive epochs (epoch 52)",
         f"last good schedule saved to {saved}",
     ]
     assert load_schedule(saved).n_qubits == 5

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import hamiltonian, trainer
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, adjoint_partials, refine_schedule
+from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, refine_schedule
 from qnnwitness.trainer import (
     MAX_CHUNKS,
     TrainerConfig,
@@ -168,21 +168,22 @@ class TestGradient:
     def test_huge_tunneling_partials_are_finite_or_refused(self):
         # dt * K is 1e10 here, under the range rule; the squared magnitude of
         # the 2x2 factor's generator overflows a float, which would drop the
-        # O(dt) term of chunked's closed-form partials, so both methods refuse
-        schedule = Schedule(3, 1e-190, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
-        for method in ("chunked", "exact"):
-            with pytest.raises(ValueError, match="too large to differentiate"):
-                gradient(schedule, build_training_set(3), TrainerConfig(method=method))
+        # O(dt) term of chunked's closed-form partials, so the schedule is
+        # refused as it is built, for both methods and every other reader
+        with pytest.raises(ValueError, match="too large to differentiate"):
+            Schedule(3, 1e-190, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
 
     def test_factor_partials_keep_their_first_order_term_or_refuse(self):
         # at K = 1e150 the K partial's off-diagonal is -i (K^2 f + s), about
-        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0, so the
-        # sweep refuses the chunk before its partials are taken
+        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0, so no
+        # schedule holds such a chunk, uniform or not, and none reaches a sweep
         d_tunneling, _ = _single_qubit_factor_partials(1e150, 0.1, 0.4)
         assert d_tunneling[0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
-        schedule = Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)  # phases under 2**52
+        with pytest.raises(ValueError, match=r"too large to differentiate: \|\(K, eps\)\| = 1e\+155"):
+            Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)  # phases under 2**52
         with pytest.raises(ValueError, match="too large to differentiate"):
-            adjoint_partials(np.eye(2, 4), schedule, "chunked", lambda finals: finals)
+            Schedule(2, 1e-150, (ChunkParams((0.0, 1e155), (0.1, 0.1), (0.0,)),))
+        Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e150, 0.1, 0.0),) * 2)  # |(K, eps)|^2 = 1e300 is admitted
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
@@ -265,7 +266,7 @@ class TestTrain:
 
 
 # both methods: a chunk's forward step, its backward step; then the one build of every chunk's sector
-# blocks: exact's Hamiltonians for its batched eigh, chunked's cached basis for its Wigner d-matrices
+# steps: exact's Hamiltonians for its batched eigh, chunked's cached basis that its diagonals share
 SWEEP_STEPS = ("_forward_step", "_backward_step", "spin_sector_hamiltonian", "wigner_basis")
 
 
