@@ -322,7 +322,9 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
     ``2 J_x v = 2 M v`` row by row from the edge M = J, where it starts at
     ``d^J_{J M}(pi/2) = 2^-J sqrt(C(2J, J - M))`` and grows, to the middle,
     and takes the other half from its parity ``(-1)^(J - M)`` under the
-    reflection M -> -M, with which J_x commutes."""
+    reflection M -> -M, with which J_x commutes. Each block is built and
+    normalised in place in the basis, so the build holds nothing of a
+    block's size beside it."""
     ladder = sector_terms(n, spins)[0]
     eigvecs = np.zeros((len(spins), n + 1, n + 1))
     for block, spin in enumerate(spins):
@@ -331,16 +333,20 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
         links = ladder[block, first : first + rows - 1]
         steps = np.log((2 * spin - np.arange(rows - 1)) / np.arange(1.0, rows))  # log C(2J, k+1) / C(2J, k)
         log_binomial = np.concatenate([[0.0], np.cumsum(steps)])
-        v = np.empty((rows, rows))  # mu and -mu start from the same sum, so their columns differ by (-1)^w exactly
+        np.fill_diagonal(eigvecs[block], 1.0)  # the identity outside the sector
+        v = eigvecs[block, first : first + rows, first : first + rows]  # built in place: every row is written
+        # mu and -mu start from the same sum, so their columns differ by (-1)^w exactly
         v[0] = np.exp((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2))
         for j in range(half - 1):  # row j: links[j-1] v[j-1] + links[j] v[j+1] = 2 mu v[j]
             v[j + 1] = (2 * mu * v[j] - (links[j - 1] * v[j - 1] if j else 0.0)) / links[j]
         parity = (-1.0) ** np.arange(rows)
-        v[half:] = (parity * v[: rows - half])[::-1]
+        np.multiply(parity, v[: rows - half][::-1], out=v[half:])
         if rows % 2:
             v[rows // 2, parity < 0] = 0.0  # an odd column vanishes on the middle row M = 0
-        eigvecs[block] = np.eye(n + 1)
-        eigvecs[block, first : first + rows, first : first + rows] = v / np.linalg.norm(v, axis=0)
+        norm_squares = np.zeros(rows)
+        for row in v:  # the columns' squared norms summed row by row, as np.linalg.norm(v, axis=0) sums them
+            norm_squares += row * row
+        v /= np.sqrt(norm_squares)
     eigvecs.flags.writeable = False
     return eigvecs
 
@@ -576,10 +582,10 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     # held throughout, per chunk and method: 2 KiB of Python objects, and chunked's three diagonals, 48
     # bytes a row, or exact's real eigenvectors and 40 bytes a row (eigenvalues, phases); chunked's cached
     # basis. Beside them the larger of the build, freed once it is done, and three arrays of the caller's
-    # columns, evolved after: a step's input, its rotation and one more. The build: chunked's basis' two
-    # squares of recursion, then its phases as reals, 24 bytes a row, before their exponentials in place;
-    # exact's generators, with its eigenvectors as eigh returns them. Then an exact backward step's 2.5
-    # blocks of working arrays, and 1 KiB a row
+    # columns, evolved after: a step's input, its rotation and one more. The build: two squares for chunked's
+    # basis (built in place, it needs less), then its phases as reals, 24 bytes a row, before their
+    # exponentials in place; exact's generators, with its eigenvectors as eigh returns them. Then an exact
+    # backward step's 2.5 blocks of working arrays, and 1 KiB a row
     rows = count * blocks * (n + 1)
     held, build, fixed = len(methods) * count * 2048, 0, 1024 * (n + 1)
     if "chunked" in methods:

@@ -13,7 +13,10 @@ Each run of a sweep is one ``sample_zz_mean`` call on its own Philox
 reads the final state once, for its norm and its <ZZ> together. A count's
 row therefore depends on neither the other counts in the grid nor their
 order: any subset of the grid can be evaluated in any order, or in
-parallel, with identical results.
+parallel, with identical results. The stream keys are derived once per
+block of ``KEY_BLOCK`` iterations, as numpy array operations over the
+block (:func:`_stream_keys`), and are the keys one ``SeedSequence`` per
+run gives, so the streams are those.
 
 Confidence intervals are at the fixed 95% level (``CONFIDENCE_LEVEL``)
 and cover the spread of single-experiment outcomes (``mean +- z * sample
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import bounded_zz, check_norm, zz_terms
+from .core import ArrayCache, bounded_zz, check_norm, zz_terms
 from .hamiltonian import Schedule
 from .witness import PairStateKind, evolve_dense, make_pair_state
 
@@ -40,7 +43,10 @@ _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
 _ZERO_COUNTER = np.zeros(4, dtype=np.uint64)  # Philox's 256-bit counter at 0; each stream copies it
 _ZERO_COUNTER.flags.writeable = False
-MAX_ITERATIONS = 100_000  # per shot count; each iteration sets up its own Philox stream
+# per shot count; each iteration has the Philox stream of its own SeedSequence, whose key is derived once
+# per block of KEY_BLOCK iterations
+MAX_ITERATIONS = 100_000
+KEY_BLOCK = 128  # iterations whose stream keys are derived together; a power of two, so a block never crosses 2**32
 CONFIDENCE_LEVEL = 0.95
 Z_SCORE = statistics.NormalDist().inv_cdf(0.5 + CONFIDENCE_LEVEL / 2.0)  # two-sided: 1.959964
 
@@ -118,23 +124,111 @@ def _uint32_words(value: int) -> list[int]:
     return words
 
 
+# numpy's SeedSequence (after O'Neill's randutils seed_seq_fe): a pool of
+# four uint32 words mixed from the entropy by hashes whose multipliers run
+# through fixed sequences, then read out through a second such sequence.
+_POOL_SIZE = 4
+_XSHIFT = 16
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """The ``count`` multipliers a hash chain steps through from ``init``, as a uint32 column."""
+    constants = [init]
+    for _ in range(count - 1):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)[:, np.newaxis]
+
+
+# enough for the pool's mixing and up to six entropy words: two per value below 2**64
+_MIX_CONSTANTS = _hash_constants(0x43B0D7E5, 0x931E8875, _POOL_SIZE * _POOL_SIZE + 2 * _POOL_SIZE + 1)
+_STATE_CONSTANTS = _hash_constants(0x8B51F9DD, 0x58F38DED, _POOL_SIZE + 1)
+
+
+def _hashmix(values: np.ndarray, first: int, rows: int) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``values`` (one row, or ``rows`` rows)
+    as ``rows`` rows, row r with the chain's constants ``first + r`` and the
+    next; a new array."""
+    mixed = (values ^ _MIX_CONSTANTS[first : first + rows]) * _MIX_CONSTANTS[first + 1 : first + rows + 1]
+    mixed ^= mixed >> _XSHIFT
+    return mixed
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of pool words ``x`` with hashed words ``y``; a new array."""
+    mixed = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    mixed ^= mixed >> _XSHIFT
+    return mixed
+
+
+_KEY_STORE = ArrayCache(2**16)  # 32 blocks of keys, 2 KiB each
+
+
+@_KEY_STORE
+def _stream_keys(seed: int, shot_count: int, block: int) -> np.ndarray:
+    """The Philox keys of the ``KEY_BLOCK`` iterations from ``block *
+    KEY_BLOCK`` on, for one (seed, shot_count), as a read-only ``(KEY_BLOCK,
+    2)`` uint64 array: row i is ``SeedSequence([seed, shot_count,
+    iteration]).generate_state(2, np.uint64)`` for the block's i-th
+    iteration, each value in 0..2**64 - 1.
+
+    SeedSequence's algorithm as elementwise uint32 operations over the
+    block: its hash constants do not depend on the data, so each step of
+    its pool mixing is one operation on every iteration's pool at once.
+    The iterations of a block differ in their least significant word only
+    (``KEY_BLOCK`` divides 2**32), so they have as many words as each other.
+    """
+    head = _uint32_words(seed) + _uint32_words(shot_count)
+    words = head + _uint32_words(block * KEY_BLOCK)
+    entropy = np.zeros((max(len(words), _POOL_SIZE), KEY_BLOCK), dtype=np.uint32)  # zeros pad the pool
+    entropy[: len(words)] = np.array(words, dtype=np.uint32)[:, np.newaxis]
+    entropy[len(head)] += np.arange(KEY_BLOCK, dtype=np.uint32)  # the iteration's least significant word
+    pool = _hashmix(entropy[:_POOL_SIZE], 0, _POOL_SIZE)
+    step = _POOL_SIZE
+    for source in range(_POOL_SIZE):
+        others = [row for row in range(_POOL_SIZE) if row != source]
+        pool[others] = _mix(pool[others], _hashmix(pool[source], step, _POOL_SIZE - 1))
+        step += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:
+        pool = _mix(pool, _hashmix(word, step, _POOL_SIZE))
+        step += _POOL_SIZE
+    # generate_state(2, np.uint64): the pool's words hashed in turn, paired low word first
+    state = (pool ^ _STATE_CONSTANTS[:-1]) * _STATE_CONSTANTS[1:]
+    state ^= state >> _XSHIFT
+    state = state.astype(np.uint64)
+    keys = (state[0::2] | state[1::2] << np.uint64(32)).T.copy()
+    keys.flags.writeable = False
+    return keys
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A precomputed Philox key in the place of a seed sequence: Philox asks
+    it once for ``generate_state(2, np.uint64)`` and gets the key. It cannot
+    spawn, so neither can a generator built on it."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key: np.ndarray) -> None:
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.key
+
+
 def rng_stream(seed: int, shot_count: int, iteration: int) -> np.random.Generator:
     """Independent Philox stream for one (seed, shot_count, iteration) cell.
 
-    Its key is ``SeedSequence([seed, shot_count, iteration])``, each taken
-    mod 2**64, and its counter starts at 0, Philox's default. Both are
-    handed to numpy as the uint32 and uint64 words it would convert them
-    into, which skips its per-item conversion. When each value fits in
-    one word, as every sweep's do, the three values are those words (the
-    or of three ints is negative if any is, and fits in a word when each
-    does).
+    Its key is ``SeedSequence([seed, shot_count, iteration])``'s, each taken
+    mod 2**64, and its counter starts at 0, Philox's default: the stream is
+    the one numpy makes from that seed sequence. The keys are derived once
+    per block of ``KEY_BLOCK`` iterations (:func:`_stream_keys`, kept in a
+    small store), so a run pays for the Philox and the generator alone.
+    The generator's ``bit_generator.seed_seq`` is that key, not a
+    ``SeedSequence``, so it cannot ``spawn``.
     """
-    if 0 <= seed | shot_count | iteration <= _MASK32:
-        words = (seed, shot_count, iteration)
-    else:
-        words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
-    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    iteration &= _MASK64
+    keys = _stream_keys(seed & _MASK64, shot_count & _MASK64, iteration // KEY_BLOCK)
+    return np.random.Generator(np.random.Philox(_PhiloxKey(keys[iteration % KEY_BLOCK]), counter=_ZERO_COUNTER))
 
 
 def sample_zz_mean(

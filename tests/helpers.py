@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
 2^n x 2^n Kronecker products rather than block updates, a run of shots draws
-one basis state per shot rather than one binomial count, gradients
+one basis state per shot rather than one binomial count, a run's stream
+is keyed by its own numpy ``SeedSequence`` rather than from a block of
+keys derived together, gradients
 come from finite differences of the loss, or from tangents carried
 forward through dense 2^n states, rather than an adjoint sweep, and the
 verification report comes from full unitaries and density matrices
@@ -15,14 +17,16 @@ the Clebsch-Gordan change of basis, a ``chunked`` sector block's
 single-qubit layer is exponentiated by ``eigh`` rather than built from
 Wigner's d-matrix, and the N -> infinity limit of the ``chunked`` witness
 is one mean-field 2x2 propagator rather than a sweep of the sectors. A call counter lets
-tests pin how often a kernel runs. One reference is not independent but
-pins arithmetic: :func:`run_circuit_unfused` regroups a gate list, its
+tests pin how often a kernel runs. Two references are not independent but
+pin arithmetic: :func:`run_circuit_unfused` regroups a gate list, its
 blocks included, on every call, where the gate kernel keeps its fused
-steps on the circuit.
+steps on the circuit, and :func:`wigner_basis_apart` builds each J_x
+eigenbasis block in an array of its own and normalises it into another.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -31,7 +35,8 @@ from qnnwitness import core
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
 from qnnwitness.core import n_qubits_of, z_diagonal
-from qnnwitness.hamiltonian import evolve_states, spin_sector_hamiltonian
+from qnnwitness.hamiltonian import evolve_states, sector_terms, spin_sector_hamiltonian
+from qnnwitness.sampler import _MASK32, _MASK64, _ZERO_COUNTER, _uint32_words
 from qnnwitness.witness import PairStateKind, make_pair_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -120,6 +125,17 @@ def sample_zz_mean_per_shot(
     cdf[-1] = 1.0  # guard the top edge against rounding
     draws = np.searchsorted(cdf, rng.random(n_shots), side="right")
     return float(np.mean(parity[draws]))
+
+
+def rng_stream_reference(seed: int, shot_count: int, iteration: int) -> np.random.Generator:
+    """The Philox stream of one (seed, shot_count, iteration) cell from one
+    numpy ``SeedSequence`` of the three values, each mod 2**64."""
+    if 0 <= seed | shot_count | iteration <= _MASK32:
+        words = (seed, shot_count, iteration)
+    else:
+        words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
+    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
+    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
 
 
 def central_difference_gradient(loss, params: np.ndarray, indices=None, h: float = 1e-4) -> np.ndarray:
@@ -331,6 +347,31 @@ def rotation_run_end(ops, start: int, q: int, kinds) -> int:
     while end < len(ops) and ops[end].kind in kinds and ops[end].target == q:
         end += 1
     return end
+
+
+def wigner_basis_apart(n: int, spins: tuple[float, ...]) -> np.ndarray:
+    """``hamiltonian.wigner_basis`` as it was built with each block in its
+    own array, normalised by ``np.linalg.norm`` into a second one, then
+    copied into the basis beside an identity."""
+    ladder = sector_terms(n, spins)[0]
+    eigvecs = np.zeros((len(spins), n + 1, n + 1))
+    for block, spin in enumerate(spins):
+        first, rows = round(n / 2 - spin), round(2 * spin) + 1
+        mu, half = spin - np.arange(rows), (rows + 1) // 2
+        links = ladder[block, first : first + rows - 1]
+        steps = np.log((2 * spin - np.arange(rows - 1)) / np.arange(1.0, rows))
+        log_binomial = np.concatenate([[0.0], np.cumsum(steps)])
+        v = np.empty((rows, rows))
+        v[0] = np.exp((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2))
+        for j in range(half - 1):
+            v[j + 1] = (2 * mu * v[j] - (links[j - 1] * v[j - 1] if j else 0.0)) / links[j]
+        parity = (-1.0) ** np.arange(rows)
+        v[half:] = (parity * v[: rows - half])[::-1]
+        if rows % 2:
+            v[rows // 2, parity < 0] = 0.0
+        eigvecs[block] = np.eye(n + 1)
+        eigvecs[block, first : first + rows, first : first + rows] = v / np.linalg.norm(v, axis=0)
+    return eigvecs
 
 
 def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:

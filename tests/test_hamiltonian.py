@@ -36,7 +36,7 @@ from qnnwitness.hamiltonian import (
 from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, make_pair_state, orbit_coordinates, witness_values
 
 from helpers import IDENTITY_2, PAULI_X, PAULI_Z, basis_state, count_calls, expm_eigh, expm_taylor, is_unitary, random_state
-from helpers import sector_layer_propagators
+from helpers import sector_layer_propagators, wigner_basis_apart
 
 TABLE2_INTERVAL_1 = ChunkParams.uniform(2, 2.49, 0.0930, 0.0382)
 DT = 1.58 / 4
@@ -436,8 +436,9 @@ VARIED_UNIFORM = ((2.49, 0.093, 0.0382), (0.0, -0.7, 0.45), (1.3, 0.0, -0.3), (-
 SECTOR_TOL = 1e-12  # per amplitude, absolute; measured at most 4e-15 on normalized states
 
 
-def _varied_uniform_schedule(n: int) -> Schedule:
-    return Schedule(n, 1.58, tuple(ChunkParams.uniform(n, *shared) for shared in VARIED_UNIFORM))
+def _varied_uniform_schedule(n: int, chunks: int = 4) -> Schedule:
+    """The first ``chunks`` of ``VARIED_UNIFORM`` on n qubits, each 0.395 long."""
+    return Schedule(n, 1.58 * chunks / 4, tuple(ChunkParams.uniform(n, *shared) for shared in VARIED_UNIFORM[:chunks]))
 
 
 _PARAMETERS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e3, 1e3), st.floats(-1e-3, 1e-3))
@@ -491,6 +492,26 @@ class TestWignerBlocks:
                 want = sector_layer_propagators(chunk.shared, n, spins, schedule.dt) * zz_phase
                 assert np.max(np.abs(got - want)) <= 1e-12, chunk.shared
 
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_the_basis_is_the_one_built_block_by_block_bit_for_bit(self, n):
+        for blocks in {min(3, n // 2 + 1), n // 2 + 1}:
+            spins = tuple(n / 2 - k for k in range(blocks))
+            assert hamiltonian.wigner_basis(n, spins).tobytes() == wigner_basis_apart(n, spins).tobytes()
+
+    def test_a_cold_build_peaks_at_the_basis_and_one_block(self):
+        # the basis is built in place: no second block beside it, nor the norm's temporaries
+        n, spins = 400, (200.0, 199.0, 198.0)
+        hamiltonian.wigner_basis.cache_clear()
+        hamiltonian.sector_terms.cache_clear()
+        tracemalloc.start()
+        try:
+            basis = hamiltonian.wigner_basis(n, spins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            hamiltonian.wigner_basis.cache_clear()
+        assert peak < basis.nbytes + 8 * (n + 1) ** 2 + 2**20
+
     def test_a_chunked_sweep_diagonalises_nothing(self, monkeypatch, table3):
         # neither the sector Hamiltonians nor eigh, cold or warm; exact still runs both once
         calls = count_calls(monkeypatch, [(hamiltonian, "spin_sector_hamiltonian"), (np.linalg, "eigh")])
@@ -505,10 +526,10 @@ class TestWignerBlocks:
 class TestSpinSectors:
     """Uniform chunks in the total-spin sectors, held to the dense propagators."""
 
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_sector_unitary_distance_matches_the_dense_propagators(self, n):
+    @staticmethod
+    def _assert_sector_distance_is_the_dense_one(schedule):
         # every sector J = n/2 - k, weighted by its C(n, k) - C(n, k-1) copies
-        schedule = _varied_uniform_schedule(n)
+        n = schedule.n_qubits
         try:
             want = np.linalg.norm(_dense_unitary(schedule, "chunked") - _dense_unitary(schedule, "exact"))
         finally:
@@ -516,6 +537,17 @@ class TestSpinSectors:
         assert want > 1e-3
         got, _, _ = sector_trotter_error(orbit_coordinates(n), schedule)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_sector_unitary_distance_matches_the_dense_propagators(self, n):
+        self._assert_sector_distance_is_the_dense_one(_varied_uniform_schedule(n))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_an_odd_chunk_count_matches_the_dense_propagators(self, n):
+        # a chunked step applying -F for F is -1 on every half-integer J, so
+        # on odd n it flips the sectors once a chunk: four chunks cancel the
+        # signs, three keep one
+        self._assert_sector_distance_is_the_dense_one(_varied_uniform_schedule(n, chunks=3))
 
     def test_a_sweep_of_a_thousand_chunks_matches_the_dense_propagators(self):
         # 1000 forward steps of 2 qubits' basis columns keep their round-off

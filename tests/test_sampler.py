@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from qnnwitness import witness
+from qnnwitness import sampler, witness
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, check_norm, expectation_zz, z_diagonal
 from qnnwitness.sampler import (
+    KEY_BLOCK,
     MAX_ITERATIONS,
     Z_SCORE,
     ShotConfig,
@@ -15,7 +16,7 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import basis_state, random_state, sample_zz_mean_per_shot
+from helpers import basis_state, random_state, rng_stream_reference, sample_zz_mean_per_shot
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -218,6 +219,52 @@ class TestRngStreams:
             key = np.random.SeedSequence([seed & mask, count & mask, it & mask])
             expected = np.random.Generator(np.random.Philox(key)).random(4)
             assert np.array_equal(rng_stream(seed, count, it).random(4), expected)
+
+    def test_streams_are_the_reference_at_block_edges_and_on_random_cells(self):
+        # keys derived a block at a time give the streams of one SeedSequence per
+        # run, on both sides of each block edge, at the last iteration a sweep
+        # takes, and on 64-bit seeds and counts with 64-bit and negative iterations
+        edges = (0, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK - 1, MAX_ITERATIONS - 1)
+        rng = np.random.default_rng(37)
+        cells = [(seed, count, it) for seed, count in ((0, 50), (7, 20000), (2**40, 2**63)) for it in edges]
+        for seed, count, it in rng.integers(0, 2**64, size=(200, 3), dtype=np.uint64).tolist():
+            cells.append((seed, count, (it % MAX_ITERATIONS, it, -it)[seed % 3]))
+        for seed, count, it in cells:
+            assert np.array_equal(rng_stream(seed, count, it).random(4),
+                                  rng_stream_reference(seed, count, it).random(4)), (seed, count, it)
+
+    def test_sweep_csv_is_the_reference_streams_byte_for_byte(self, monkeypatch, table2):
+        # 300 iterations reach into a third block of keys
+        config = ShotConfig(shot_counts=(50, 1000, 20000), iterations=300, seed=3)
+        text = sweep_csv(sweep(table2, PairStateKind.FLAT, (0, 1), config))
+        monkeypatch.setattr(sampler, "rng_stream", rng_stream_reference)
+        assert sweep_csv(sweep(table2, PairStateKind.FLAT, (0, 1), config)) == text
+
+    def test_a_stream_cannot_spawn(self):
+        # its seed sequence is the precomputed key, which has no spawn key to extend
+        with pytest.raises(TypeError):
+            rng_stream(7, 500, 3).spawn(1)
+
+    def test_the_key_store_is_bounded_by_its_bytes(self, zero_schedule):
+        sampler._stream_keys.cache_clear()
+        for seed in range(5):
+            sweep(zero_schedule, PairStateKind.BELL, (0, 1), ShotConfig(shot_counts=range(1, 101), seed=seed))
+        info = sampler._stream_keys.cache_info()
+        assert info.misses == 500
+        assert 0 < info.nbytes <= sampler._KEY_STORE.max_bytes
+        assert sampler._KEY_STORE.nbytes == info.nbytes
+        sampler._stream_keys.cache_clear()
+
+    def test_the_benchmark_resets_the_key_store(self):
+        # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
+        # module attribute that has cache_clear and names that module as its own
+        rng_stream(7, 500, 3)
+        found = [value for value in vars(sampler).values()
+                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == sampler.__name__]
+        assert sampler._stream_keys in found
+        for value in found:
+            value.cache_clear()
+        assert sampler._stream_keys.cache_info() == (0, 0, 0, 0)
 
 
 class TestConfidenceInterval:
