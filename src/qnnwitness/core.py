@@ -68,10 +68,6 @@ class CacheInfo(NamedTuple):
     nbytes: int
 
 
-def _positional(*args):
-    return args
-
-
 class ArrayCache:
     """LRU store of read-only values from several functions, bounded by their total bytes.
 
@@ -79,8 +75,10 @@ class ArrayCache:
     it keeps alive as ``nbytes``, as an array does. A new value evicts the
     least recently used ones, whichever function made them, and a value
     larger than ``max_bytes`` is returned but not kept. ``key`` maps a
-    call's arguments to its entry (default: the positional arguments
-    themselves). Each decorated function gets ``cache_info()`` and
+    call's arguments to its entry; without it the entry is the tuple of
+    positional arguments itself, and a keyword argument raises
+    ``TypeError``. A hit is one dictionary lookup and a move to the most
+    recent end. Each decorated function gets ``cache_info()`` and
     ``cache_clear()`` over its own entries.
     """
 
@@ -89,18 +87,14 @@ class ArrayCache:
         self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
         self.nbytes = 0  # what the entries report, kept as they come and go
 
-    def __call__(self, fn, key=_positional):
+    def __call__(self, fn, key=None):
         entries = self._entries
-        counts = {"hits": 0, "misses": 0}
+        get, move_to_end = entries.get, entries.move_to_end
+        hits = misses = 0
 
-        @wraps(fn)
-        def cached(*args, **kwargs):
-            entry = (fn, key(*args, **kwargs))
-            if entry in entries:
-                counts["hits"] += 1
-                entries.move_to_end(entry)
-                return entries[entry]
-            counts["misses"] += 1
+        def miss(entry, *args, **kwargs):
+            nonlocal misses
+            misses += 1
             value = fn(*args, **kwargs)
             if value.nbytes <= self.max_bytes:
                 entries[entry] = value
@@ -109,22 +103,47 @@ class ArrayCache:
                     self.nbytes -= entries.popitem(last=False)[1].nbytes
             return value
 
+        # values report nbytes, so none is None; the two wrappers differ only in their key
+        if key is None:
+            def cached(*args):
+                nonlocal hits
+                entry = (fn, args)
+                value = get(entry)
+                if value is None:
+                    return miss(entry, *args)
+                hits += 1
+                move_to_end(entry)
+                return value
+        else:
+            def cached(*args, **kwargs):
+                nonlocal hits
+                entry = (fn, key(*args, **kwargs))
+                value = get(entry)
+                if value is None:
+                    return miss(entry, *args, **kwargs)
+                hits += 1
+                move_to_end(entry)
+                return value
+
         def cache_info() -> CacheInfo:
             own = [value for (owner, _), value in entries.items() if owner is fn]
-            return CacheInfo(counts["hits"], counts["misses"], len(own), sum(value.nbytes for value in own))
+            return CacheInfo(hits, misses, len(own), sum(value.nbytes for value in own))
 
         def cache_clear() -> None:
+            nonlocal hits, misses
             for entry in [entry for entry in entries if entry[0] is fn]:
                 self.nbytes -= entries.pop(entry).nbytes
-            counts.update(hits=0, misses=0)
+            hits = misses = 0
 
+        cached = wraps(fn)(cached)
         cached.cache_info = cache_info
         cached.cache_clear = cache_clear
         return cached
 
 
-# Every array derived from n alone: ``z_diagonal``, ``pair_parity`` (the one
-# entry ``expectation_zz`` and the sampler read per pair), ``hamiltonian.pair_dicke_operators``,
+# Every array derived from n alone: ``pair_readout`` (the one entry
+# ``expectation_zz`` and the sampler read per pair, 16 B x 2^n),
+# ``hamiltonian.pair_dicke_operators``,
 # ``hamiltonian.sector_terms`` and ``hamiltonian.wigner_basis`` (the J_x eigenbasis
 # that every ``chunked`` sector step shares between its per-chunk diagonals,
 # without ``eigh``, Feng et al., Phys. Rev. E 92, 043307 (2015)) keep at most
@@ -255,24 +274,17 @@ def qubit_pairs(n: int) -> list[tuple[int, int]]:
 
 
 @PARITY_CACHE
-def z_diagonal(n: int, q: int) -> np.ndarray:
-    """Diagonal of Z on qubit q as a length-2^n array of +-1."""
-    if not 0 <= q < n:
-        raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    diag = z_signs(n, (q,), np.arange(2**n))[0]
-    diag.flags.writeable = False
-    return diag
-
-
-@PARITY_CACHE
-def pair_parity(n: int, i: int, j: int) -> np.ndarray:
-    """The +-1 of Z_i Z_j at each basis index, each written twice: the weights
-    of a state's squared real and imaginary parts side by side (``zz_terms``)."""
+def pair_readout(n: int, i: int, j: int) -> np.ndarray:
+    """A read-only ``(2, 2**n)`` array: a row of ones, then the +-1 of
+    Z_i Z_j at each basis index. Times a state's squared real and imaginary
+    parts, viewed as ``(2**n, 2)``, it gives the norm and <Z_i Z_j> in one
+    product (``zz_moments``)."""
     if not 0 <= i < j < n:
         raise ValueError(f"pair ({i}, {j}) is not two ordered qubits of {n}")
-    parity = np.repeat(z_signs(n, (i, j), np.arange(2**n)).prod(axis=0), 2)
-    parity.flags.writeable = False
-    return parity
+    readout = np.ones((2, 2**n))
+    readout[1] = z_signs(n, (i, j), np.arange(2**n)).prod(axis=0)
+    readout.flags.writeable = False
+    return readout
 
 
 _Z_EIGENVALUES = np.array([1.0, -1.0])  # of a qubit's bit 0 and bit 1
@@ -310,9 +322,10 @@ def ising_diagonal(fields: np.ndarray, couplings: np.ndarray) -> np.ndarray:
 
 def n_qubits_of(state: np.ndarray) -> int:
     """Register size implied by a state's dimension; rejects non-powers of two."""
-    n = int(round(math.log2(state.shape[0])))
-    if 2**n != state.shape[0]:
-        raise ValueError(f"state dimension {state.shape[0]} is not a power of two")
+    dim = state.shape[0]
+    n = dim.bit_length() - 1
+    if dim < 1 or 1 << n != dim:
+        raise ValueError(f"state dimension {dim} is not a power of two")
     return n
 
 
@@ -552,29 +565,35 @@ def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
 
     Round-off just outside the range is clamped; a non-finite value raises.
     """
-    squares, parity = zz_terms(state, i, j)
-    return bounded_zz(float(np.dot(squares, parity)))
+    return bounded_zz(zz_moments(state, i, j)[1])
 
 
-def zz_terms(state: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """A state vector's squared real and imaginary parts, side by side, and
-    the +-1 of Z_i Z_j that weights each (``pair_parity``).
+_COMPLEX = np.dtype(np.complex128)
+_PARTS = np.dtype((np.float64, 2))  # a complex128 vector viewed as one (real, imaginary) row per amplitude
 
-    The squares are one pass over the state: their sum is its norm and
-    their dot product with the weights is <Z_i Z_j>. Refuses what
-    ``expectation_zz`` refuses.
+
+def zz_moments(state: np.ndarray, i: int, j: int) -> tuple[float, float]:
+    """A state vector's sum of squared moduli and its unclamped <Z_i Z_j>.
+
+    Both come from one product: the squared real and imaginary parts,
+    viewed as ``(2**n, 2)``, times ``pair_readout``. A C-contiguous
+    complex128 vector is read as it is; anything else is converted first.
+    Refuses what ``expectation_zz`` refuses.
     """
     if i == j:
         raise ValueError("expectation_zz needs two distinct qubits")
-    arr = np.asarray(state)
+    ready = type(state) is np.ndarray and state.dtype is _COMPLEX and state.flags.c_contiguous
+    arr = state if ready else np.asarray(state)
     if arr.ndim != 1:
         raise ValueError("expected a state vector")
     n = n_qubits_of(arr)
     for q in (i, j):
         if not 0 <= q < n:
             raise ValueError(f"qubit index {q} out of range for {n} qubits")
-    parts = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
-    return parts * parts, pair_parity(n, min(i, j), max(i, j))
+    squares = np.square((arr if ready else np.ascontiguousarray(arr, dtype=_COMPLEX)).view(_PARTS))
+    readout = pair_readout(n, i, j) if i < j else pair_readout(n, j, i)
+    (re_norm, im_norm), (re_zz, im_zz) = readout.dot(squares).tolist()
+    return re_norm + im_norm, re_zz + im_zz
 
 
 def bounded_zz(value: float) -> float:

@@ -10,7 +10,8 @@ witness estimates.
 
 Each run of a sweep is one ``sample_zz_mean`` call on its own Philox
 (counter-based) stream keyed on (seed, shot_count, iteration); the call
-reads the final state once, for its norm and its <ZZ> together. A count's
+reads the final state's norm and <ZZ> together, in one product of its
+squared parts with the pair's cached read-out (``core.zz_moments``). A count's
 row therefore depends on neither the other counts in the grid nor their
 order: any subset of the grid can be evaluated in any order, or in
 parallel, with identical results. The stream keys are derived once per
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArrayCache, bounded_zz, check_norm, zz_terms
+from .core import ArrayCache, bounded_zz, check_norm, zz_moments
 from .hamiltonian import Schedule
 from .witness import PairStateKind, evolve_dense, make_pair_state
 
@@ -236,14 +237,19 @@ def sample_zz_mean(
 ) -> float:
     """Unsquared estimator: mean parity of n_shots, from one binomial count.
 
-    The state is read once: its norm and <Z_i Z_j> both come from the one
-    pass of squared moduli that ``zz_terms`` makes.
+    ``n_shots`` is a count as ``ShotConfig`` takes one: an integer (numpy's
+    included, no bool or float) in 1.._MAX_SHOTS. The state's norm, checked
+    to 1e-10, and its <Z_i Z_j> come from one product (``zz_moments``).
     """
+    if type(n_shots) is not int:
+        n_shots = _integer(n_shots, "n_shots")
     if n_shots < 1:
         raise ValueError("n_shots must be positive")
-    squares, parity = zz_terms(final_state, *pair)
-    check_norm(float(squares.sum()))
-    k = rng.binomial(n_shots, (1.0 + bounded_zz(float(np.dot(squares, parity)))) / 2.0)
+    if n_shots > _MAX_SHOTS:
+        raise ValueError(f"n_shots must not exceed {_MAX_SHOTS}, the largest binomial draw")
+    norm_sq, zz = zz_moments(final_state, *pair)
+    check_norm(norm_sq)
+    k = rng.binomial(n_shots, (1.0 + bounded_zz(zz)) / 2.0)
     return (2 * int(k) - n_shots) / n_shots
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the code paths they check: matrix exponentials
 come from an eigendecomposition or a scaled Taylor series rather than
 the package's closed forms, gate embeddings are built as dense
 2^n x 2^n Kronecker products rather than block updates, a run of shots draws
-one basis state per shot rather than one binomial count, a run's stream
+one basis state per shot rather than one binomial count, a state's norm and
+<Z_i Z_j> are two passes over its squared parts rather than one product with
+a cached read-out, a run's stream
 is keyed by its own numpy ``SeedSequence`` rather than from a block of
 keys derived together, gradients
 come from finite differences of the loss, or from tangents carried
@@ -34,7 +36,7 @@ import numpy as np
 from qnnwitness import core
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
-from qnnwitness.core import n_qubits_of, z_diagonal
+from qnnwitness.core import bounded_zz, n_qubits_of
 from qnnwitness.hamiltonian import evolve_states, sector_terms, spin_sector_hamiltonian
 from qnnwitness.sampler import _MASK32, _MASK64, _ZERO_COUNTER, _uint32_words
 from qnnwitness.witness import PairStateKind, make_pair_state
@@ -109,6 +111,45 @@ def circuit_unitary_dense(ops, n: int) -> np.ndarray:
     for op in ops:
         u = embed_gate_dense(op, n) @ u
     return u
+
+
+def z_diagonal(n: int, q: int) -> np.ndarray:
+    """Diagonal of Z on qubit q as a length-2^n array of +-1, from the index bits."""
+    if not 0 <= q < n:
+        raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    return 1.0 - 2.0 * ((np.arange(2**n) >> (n - 1 - q)) & 1)
+
+
+def zz_moments_reference(state: np.ndarray, i: int, j: int) -> tuple[float, float]:
+    """A state's sum of squared moduli and unclamped <Z_i Z_j> in two passes over
+    its squared real and imaginary parts, side by side: their sum, then their
+    dot product with the +-1 of Z_i Z_j written twice. Refuses what
+    ``expectation_zz`` refuses, with the same messages."""
+    if i == j:
+        raise ValueError("expectation_zz needs two distinct qubits")
+    arr = np.asarray(state)
+    if arr.ndim != 1:
+        raise ValueError("expected a state vector")
+    n = n_qubits_of(arr)
+    for q in (i, j):
+        if not 0 <= q < n:
+            raise ValueError(f"qubit index {q} out of range for {n} qubits")
+    parts = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    squares, parity = parts * parts, np.repeat(z_diagonal(n, i) * z_diagonal(n, j), 2)
+    return float(squares.sum()), float(np.dot(squares, parity))
+
+
+def sample_zz_mean_reference(
+    final_state: np.ndarray, pair: tuple[int, int], n_shots: int, rng: np.random.Generator
+) -> float:
+    """Unsquared estimator: mean parity of n_shots from one binomial count, the
+    state read in two passes (:func:`zz_moments_reference`)."""
+    if n_shots < 1:
+        raise ValueError("n_shots must be positive")
+    norm_sq, zz = zz_moments_reference(final_state, *pair)
+    check_norm(norm_sq)
+    k = rng.binomial(n_shots, (1.0 + bounded_zz(zz)) / 2.0)
+    return (2 * int(k) - n_shots) / n_shots
 
 
 def sample_zz_mean_per_shot(

@@ -27,8 +27,8 @@ from qnnwitness.core import (
     circuit_unitary,
     density_matrix,
     frobenius_distance,
+    pair_readout,
     qubit_pairs,
-    z_diagonal,
 )
 from qnnwitness.hamiltonian import (
     ChunkParams,
@@ -363,7 +363,7 @@ class TestVerifyEquivalence:
         # four 16 MiB exact propagators the cache keeps; holding the whole
         # evolved basis of each picture, or the three unitaries, does not fit
         schedule = _non_uniform_schedule(10)
-        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal):
+        for cache in (exact_chunk_propagator, compile_schedule, pair_readout):
             cache.cache_clear()
         tracemalloc.start()
         try:
@@ -400,7 +400,7 @@ class TestVerifyEquivalence:
     def test_uniform_ten_qubits_peak_under_the_dense_budget(self, table3):
         # exact runs in the spin sectors, so no 16 MiB propagator is built or cached
         schedule = _lifted(table3, 10)
-        for cache in (exact_chunk_propagator, compile_schedule, z_diagonal):
+        for cache in (exact_chunk_propagator, compile_schedule, pair_readout):
             cache.cache_clear()
         tracemalloc.start()
         try:

@@ -1,7 +1,8 @@
 import dataclasses
 import math
+import re
 import tracemalloc
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,14 +20,17 @@ from qnnwitness.core import (
     GateKind,
     GateOp,
     apply_circuit,
+    bounded_zz,
     circuit_unitary,
     density_matrix,
     expectation_zz,
     frobenius_distance,
     ising_diagonal,
-    pair_parity,
+    n_qubits_of,
+    pair_readout,
+    qubit_pairs,
     require_dense,
-    z_diagonal,
+    zz_moments,
 )
 from qnnwitness.compiler import compile_schedule, export_qasm, parse_qasm
 from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor, evolve_states, pair_dicke_operators
@@ -46,13 +50,15 @@ from helpers import (
     random_circuit,
     random_state,
     run_circuit_unfused,
+    z_diagonal,
+    zz_moments_reference,
 )
 
 
 def test_package_exports_functions_not_modules():
     assert not [name for name in qnnwitness.__all__ if isinstance(getattr(qnnwitness, name), ModuleType)]
     retired = {"rotation_matrix", "pauli_exponential", "apply_gate", "purity", "sample_zz_witness",
-               "confidence_interval", "z_score"}
+               "confidence_interval", "z_score", "zz_terms", "pair_parity", "z_diagonal"}
     assert not retired & set(qnnwitness.__all__)
     assert not [name for name in retired if hasattr(qnnwitness.core, name) or hasattr(qnnwitness.sampler, name)]
 
@@ -438,8 +444,6 @@ class TestFusedSteps:
         schedule = request.getfixturevalue(name)
         schedule = Schedule(n, schedule.total_time, tuple(ChunkParams.uniform(n, *ck.shared) for ck in schedule.chunks))
         state = basis_state(n)
-        for q in range(n):
-            z_diagonal(n, q)
         # one compile and run first, so that what is traced is this circuit's
         # bytes and not the process's first compile filling its free lists
         apply_circuit(state, compile_schedule.__wrapped__(schedule, elide=elide))
@@ -534,13 +538,70 @@ class TestExpectationZZ:
                         assert abs(expectation_zz(state, i, j) - want) <= 1e-15
                         assert expectation_zz(strided, i, j) == expectation_zz(state, i, j)
 
-    def test_pair_parity_weights_both_parts_of_each_amplitude(self):
-        row = pair_parity(3, 0, 2)
-        assert np.array_equal(row, np.repeat(z_diagonal(3, 0) * z_diagonal(3, 2), 2))
-        assert not row.flags.writeable
+    def test_pair_readout_is_ones_then_the_pair_parity(self):
+        readout = pair_readout(3, 0, 2)
+        assert readout.shape == (2, 8) and np.array_equal(readout[0], np.ones(8))
+        assert np.array_equal(readout[1], z_diagonal(3, 0) * z_diagonal(3, 2))
+        assert not readout.flags.writeable
         for i, j in ((2, 0), (1, 1), (0, 3)):
             with pytest.raises(ValueError, match="is not two ordered qubits of 3"):
-                pair_parity(3, i, j)
+                pair_readout(3, i, j)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_moments_match_the_two_pass_oracle(self, n):
+        # one product against a sum and a dot product over the squared parts,
+        # for every pair in both orders, on the state as it is, a strided view,
+        # its real part as float64 and as a Python list
+        rng = np.random.default_rng(1000 + n)
+        state = random_state(n, rng)
+        real = np.ascontiguousarray(state.real)
+        inputs = (state, np.stack([state, state], axis=1)[:, 0], real, real.tolist(), state.tolist())
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for arr in inputs:
+            for i, j in pairs:
+                got, want = zz_moments(arr, i, j), zz_moments_reference(arr, i, j)
+                assert all(type(value) is float for value in got)
+                assert abs(got[0] - want[0]) <= 1e-15 and abs(got[1] - want[1]) <= 1e-15, (i, j)
+        if n == 1:  # no pair: both refuse qubit 1 alike
+            for reader in (zz_moments, zz_moments_reference):
+                with pytest.raises(ValueError, match="^qubit index 1 out of range for 1 qubits$"):
+                    reader(state, 0, 1)
+
+    def test_refusals_match_the_two_pass_oracle(self):
+        # every input expectation_zz refuses, refused by the one-product
+        # read-out with the two-pass read-out's message
+        cases = [
+            (basis_state(2), 1, 1), (basis_state(2), 0, 2), (basis_state(2), -1, 0), (basis_state(3), 5, 1),
+            (density_matrix(basis_state(2)), 0, 1), (np.zeros(0), 0, 1), (np.zeros(3, dtype=complex), 0, 1),
+            (np.zeros(6), 0, 1), (np.array(1.0 + 0j), 0, 1), (np.full(4, np.nan, dtype=complex), 0, 1),
+            (np.array([np.inf, 0, 0, 0]), 0, 1),
+        ]
+        for state, i, j in cases:
+            with pytest.raises(ValueError) as want:
+                bounded_zz(zz_moments_reference(state, i, j)[1])
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                expectation_zz(state, i, j)
+
+    def test_a_zero_length_state_is_not_a_power_of_two(self):
+        message = "^state dimension 0 is not a power of two$"
+        with pytest.raises(ValueError, match=message):
+            expectation_zz(np.zeros(0, dtype=complex), 0, 1)
+        with pytest.raises(ValueError, match=message):
+            apply_circuit(np.zeros(0, dtype=complex), Circuit(1))
+        with pytest.raises(ValueError, match=message):
+            apply_circuit(np.zeros((0, 3), dtype=complex), Circuit(2))
+
+    def test_read_out_is_one_product_with_the_cached_pair_readout(self, monkeypatch):
+        # a C-contiguous complex128 vector is read as it is: no conversion
+        state = random_state(5, np.random.default_rng(5))
+        pair_readout(5, 1, 3)
+        calls = count_calls(monkeypatch, [(np, "asarray"), (np, "ascontiguousarray")])
+        misses = pair_readout.cache_info().misses
+        zz_moments(state, 3, 1)
+        assert calls == {"asarray": 0, "ascontiguousarray": 0}
+        assert pair_readout.cache_info().misses == misses
+        zz_moments(state[::-1], 3, 1)
+        assert calls == {"asarray": 1, "ascontiguousarray": 1}
 
     def test_real_input_reads_as_complex(self):
         state = np.array([0.6, 0.0, 0.0, 0.8])
@@ -567,41 +628,41 @@ class TestRequireDense:
             with pytest.raises(DimensionError):
                 require_dense(n, count, itemsize)
 
-    def test_z_diagonal_cache_is_bounded(self):
-        # the n = 2 and n = 7 diagonals take a few KiB of the byte bound, so
-        # a gate list cycling through their qubits never misses twice
+    def test_pair_readout_cache_is_bounded(self):
+        # the n = 2 and n = 7 read-outs take a few KiB of the byte bound, so
+        # sweeps cycling through their pairs never miss twice
         assert PARITY_CACHE.max_bytes <= DENSE_BYTES_BUDGET
-        z_diagonal.cache_clear()
+        pair_readout.cache_clear()
         for n in (2, 7):
-            for q in range(n):
-                z_diagonal(n, q)
+            for i, j in qubit_pairs(n):
+                pair_readout(n, i, j)
         for n in (2, 7):
-            for q in range(n):
-                z_diagonal(n, q)
-        assert z_diagonal.cache_info().misses == 9
+            for i, j in qubit_pairs(n):
+                pair_readout(n, i, j)
+        assert pair_readout.cache_info().misses == 22
 
     def test_parity_caches_keep_at_most_the_byte_bound(self):
-        # every qubit of n = 20 is 20 diagonals of 8 MiB; the 16 most recent
-        # fill the 128 MiB bound, which the pair (x) Dicke operators share
-        n, size = 20, 8 * 2**20
-        z_diagonal.cache_clear()
+        # qubit 0's pairs of n = 19 are 18 read-outs of 8 MiB; the 16 most
+        # recent fill the 128 MiB bound, which the pair (x) Dicke operators share
+        n, size = 19, 8 * 2**20
+        pair_readout.cache_clear()
         pair_dicke_operators.cache_clear()
         pair_dicke_operators(7)
         assert pair_dicke_operators.cache_info().currsize == 1
         try:
-            for q in range(n):
-                z_diagonal(n, q)
-            info = z_diagonal.cache_info()
+            for j in range(1, n):
+                pair_readout(n, 0, j)
+            info = pair_readout.cache_info()
             assert PARITY_CACHE.nbytes <= PARITY_CACHE.max_bytes
             assert (info.currsize, info.nbytes) == (16, 16 * size)
             assert pair_dicke_operators.cache_info().currsize == 0  # evicted first, as least recently used
             misses = info.misses
-            z_diagonal(n, n - 1)
-            assert z_diagonal.cache_info().misses == misses
-            z_diagonal(n, 0)
-            assert z_diagonal.cache_info().misses == misses + 1
+            pair_readout(n, 0, n - 1)
+            assert pair_readout.cache_info().misses == misses
+            pair_readout(n, 0, 1)
+            assert pair_readout.cache_info().misses == misses + 1
         finally:
-            z_diagonal.cache_clear()
+            pair_readout.cache_clear()
 
     def test_running_total_is_the_sum_over_entries(self):
         # the store keeps its byte total as entries come and go, rather than
@@ -624,6 +685,95 @@ class TestRequireDense:
         other(60)
         other.cache_clear()
         assert cache.nbytes == held() == 0 and not cache._entries
+
+
+class TestArrayCache:
+    @staticmethod
+    def _lru_model(max_bytes, calls):
+        """The entries, hits and misses a byte-bounded LRU store should hold
+        after each call, written as plainly as possible."""
+        entries, counts, states = [], {}, []
+        for name, size in calls:
+            entry = (name, size)
+            hits, misses = counts.get(name, (0, 0))
+            if entry in entries:
+                entries.remove(entry)
+                entries.append(entry)
+                hits += 1
+            else:
+                misses += 1
+                if size <= max_bytes:
+                    entries.append(entry)
+                    while sum(s for _, s in entries) > max_bytes:
+                        entries.pop(0)
+            counts[name] = (hits, misses)
+            states.append((list(entries), dict(counts)))
+        return states
+
+    def test_hits_misses_and_lru_order_follow_the_model(self):
+        cache = ArrayCache(100)
+        functions = {"zeros": cache(lambda size: np.zeros(size, dtype=np.uint8)),
+                     "ones": cache(lambda size: np.ones(size, dtype=np.uint8))}
+        rng = np.random.default_rng(3)
+        calls = [(("zeros", "ones")[int(rng.integers(2))], int(rng.choice([5, 10, 20, 30, 40, 101])))
+                 for _ in range(300)]
+        for (name, size), (entries, counts) in zip(calls, self._lru_model(100, calls)):
+            value = functions[name](size)
+            assert value.nbytes == size and value[0] == (name == "ones")
+            owner = {fn.__wrapped__: key for key, fn in functions.items()}
+            assert [(owner[fn], args[0]) for fn, args in cache._entries] == entries
+            for key, fn in functions.items():
+                assert fn.cache_info()[:2] == counts.get(key, (0, 0))
+
+    def test_a_hit_returns_the_stored_value(self):
+        cache = ArrayCache(100)
+        make = cache(lambda size: np.zeros(size))
+        first = make(3)
+        assert make(3) is first and make.cache_info() == (1, 1, 1, 24)
+
+    def test_a_keyword_argument_under_the_positional_key_is_refused(self):
+        make = ArrayCache(100)(lambda size: np.zeros(size, dtype=np.uint8))
+        make(4)
+        with pytest.raises(TypeError):
+            make(size=4)
+        with pytest.raises(TypeError):
+            make(size=5)
+        assert make.cache_info() == (0, 1, 1, 4)
+
+    def test_a_custom_key_runs_once_per_call(self):
+        keys = []
+
+        def key(size, *, fill=0):
+            keys.append((size, fill))
+            return size, fill
+
+        make = ArrayCache(100)(lambda size, *, fill=0: np.full(size, fill, dtype=np.uint8), key=key)
+        assert make(3).tolist() == [0, 0, 0]
+        assert make(3, fill=1).tolist() == [1, 1, 1]
+        assert make(3).tolist() == [0, 0, 0]
+        assert make(3, fill=1).tolist() == [1, 1, 1]
+        assert keys == [(3, 0), (3, 1), (3, 0), (3, 1)]
+        assert make.cache_info() == (2, 2, 2, 6)
+
+    def test_a_failed_call_counts_as_a_miss_and_keeps_nothing(self):
+        make = ArrayCache(100)(lambda n, i, j: pair_readout(n, i, j))
+        with pytest.raises(ValueError):
+            make(3, 1, 0)
+        assert make.cache_info() == (0, 1, 0, 0)
+
+
+class TestQubitCount:
+    @pytest.mark.parametrize("k", [0, 1, 2, 7, 30, 52, 53, 54, 64, 70])
+    def test_powers_of_two_and_their_neighbours(self, k):
+        # integer arithmetic: exact where log2 of a float is not
+        assert n_qubits_of(SimpleNamespace(shape=(2**k,))) == k
+        for dim in {2**k - 1, 2**k + 1, 3 * 2**k} - {1, 2}:
+            with pytest.raises(ValueError, match=f"^state dimension {dim} is not a power of two$"):
+                n_qubits_of(SimpleNamespace(shape=(dim,)))
+
+    def test_zero_is_not_a_power_of_two(self):
+        with pytest.raises(ValueError, match="^state dimension 0 is not a power of two$"):
+            n_qubits_of(np.zeros(0))
 
 
 class TestIsingDiagonal:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from qnnwitness import cli, hamiltonian
 from qnnwitness.compiler import compile_schedule, verify_equivalence
 from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError, GateKind
-from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, qubit_pairs, require_square, z_diagonal
+from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, pair_readout, qubit_pairs, require_square
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -118,14 +118,14 @@ class TestSchedule:
 class TestBuildHamiltonian:
     def test_no_dense_path_stores_a_parity_diagonal(self):
         # the Hamiltonian's diagonal, the chunked phases and the gates' phase
-        # runs read their signs from the index bits, not from z_diagonal
-        z_diagonal.cache_clear()
+        # runs read their signs from the index bits, not from a stored per-pair array
+        pair_readout.cache_clear()
         schedule = Schedule(3, 1.0, (DISTINCT_3, ChunkParams.uniform(3, 0.4, 0.2, 0.3)))
         items = TrainingSet(3, (TrainingItem(PairStateKind.BELL, (0, 2), 1.0),))
         build_hamiltonian(DISTINCT_3, 3)
         for method in ("exact", "chunked", "gates"):
             witness_values(items, schedule, method)
-        assert z_diagonal.cache_info().currsize == 0
+        assert pair_readout.cache_info().currsize == 0
 
     def test_pure_zz(self):
         h = build_hamiltonian(ChunkParams.uniform(2, 0.0, 0.0, 1.0), 2)
@@ -334,7 +334,7 @@ class TestChunkedPropagator:
         chunks[0] = ChunkParams((first.tunneling[0] + 0.01,) + first.tunneling[1:], first.bias, first.coupling)
         schedule = Schedule(17, table3.total_time, tuple(chunks))
         bell = TrainingSet(17, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
-        z_diagonal.cache_clear()
+        pair_readout.cache_clear()
         tracemalloc.start()
         try:
             value = witness_values(bell, schedule, "chunked")[0]

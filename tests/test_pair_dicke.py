@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import cli, hamiltonian, trainer
-from qnnwitness.core import DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError, z_diagonal
+from qnnwitness.core import DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError, pair_readout
 from qnnwitness.hamiltonian import (
     ChunkParams,
     Schedule,
@@ -47,7 +47,7 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import expm_eigh, mean_field_witness, pair_dicke_hamiltonian, tangent_loss_gradient
+from helpers import expm_eigh, mean_field_witness, pair_dicke_hamiltonian, tangent_loss_gradient, z_diagonal
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -234,18 +234,18 @@ class TestOperatorStore:
         assert pair_dicke_operators(n).nbytes == 8 * (8 * (n - 1) + 8 * (n + 1) * min(3, n // 2 + 1))
 
     def test_store_keeps_at_most_the_budget(self):
-        # the qubit diagonals of n = 21 take 336 MiB between them: the 8 most
-        # recent fill the budget, and the operator sets built before them go first
+        # the read-outs of qubit 0's pairs at n = 20 take 304 MiB between them:
+        # the 8 most recent fill the budget, and the operator sets built before them go first
         try:
             for n in range(2, 201):
                 pair_dicke_operators(n)
-            for q in range(21):
-                z_diagonal(21, q)
+            for j in range(1, 20):
+                pair_readout(20, 0, j)
                 assert PARITY_CACHE.nbytes <= DENSE_BYTES_BUDGET
-            assert z_diagonal.cache_info()[2:] == (8, DENSE_BYTES_BUDGET)
+            assert pair_readout.cache_info()[2:] == (8, DENSE_BYTES_BUDGET)
             assert pair_dicke_operators.cache_info()[2:] == (0, 0)
         finally:
-            z_diagonal.cache_clear()
+            pair_readout.cache_clear()
             pair_dicke_operators.cache_clear()
 
     def test_the_benchmark_resets_the_store(self):

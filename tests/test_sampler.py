@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qnnwitness import sampler, witness
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit, check_norm, expectation_zz, z_diagonal
+from qnnwitness.core import apply_circuit, check_norm, expectation_zz
 from qnnwitness.sampler import (
     KEY_BLOCK,
     MAX_ITERATIONS,
@@ -16,7 +18,8 @@ from qnnwitness.sampler import (
 )
 from qnnwitness.witness import PairStateKind, make_pair_state
 
-from helpers import basis_state, random_state, rng_stream_reference, sample_zz_mean_per_shot
+from helpers import basis_state, random_state, rng_stream_reference, sample_zz_mean_per_shot, sample_zz_mean_reference
+from helpers import z_diagonal
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -111,6 +114,47 @@ class TestSampleZZWitness:
         sample_zz_mean(flat * np.sqrt(1 + 0.5e-10), (0, 1), 10, rng_stream(0, 10, 0))
         with pytest.raises(ValueError, match=r"^state is not normalized: sum \|amp\|\^2 = 1\.0000000002"):
             sample_zz_mean(flat * np.sqrt(1 + 2e-10), (0, 1), 10, rng_stream(0, 10, 0))
+
+    @pytest.mark.parametrize("value, message", [
+        (10.5, "^n_shots must be an integer, got 10.5$"), (10.0, "^n_shots must be an integer, got 10.0$"),
+        (True, "^n_shots must be an integer, got True$"), (np.bool_(True), "^n_shots must be an integer, got "),
+        ("10", "^n_shots must be an integer, got '10'$"), (0, "^n_shots must be positive$"),
+        (-3, "^n_shots must be positive$"),
+        (sampler._MAX_SHOTS + 1, f"^n_shots must not exceed {sampler._MAX_SHOTS}, the largest binomial draw$"),
+    ])
+    def test_shot_counts_are_refused_as_shot_config_refuses_them(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            sample_zz_mean(basis_state(2), (0, 1), value, rng_stream(0, 10, 0))
+        with pytest.raises(ValueError):
+            ShotConfig(shot_counts=(value,))
+
+    def test_numpy_shot_counts_draw_as_ints(self):
+        flat = np.full(4, 0.5, dtype=complex)
+        want = sample_zz_mean(flat, (0, 1), 1000, rng_stream(0, 1000, 0))
+        for count in (np.int64(1000), np.uint16(1000)):
+            got = sample_zz_mean(flat, (0, 1), count, rng_stream(0, 1000, 0))
+            assert type(got) is float and got == want
+
+    def test_refusals_keep_the_two_pass_messages(self):
+        cases = [
+            (basis_state(2), (1, 1)), (basis_state(2), (0, 2)), (basis_state(2), (-1, 0)),
+            (np.stack([basis_state(2)] * 2), (0, 1)), (np.zeros(0), (0, 1)), (np.zeros(3, dtype=complex), (0, 1)),
+            (np.full(4, np.nan, dtype=complex), (0, 1)), (np.array([1.0, 1.0, 0.0, 0.0]), (0, 1)),
+            (np.array([np.inf, 0, 0, 0]), (0, 1)),
+        ]
+        for state, pair in cases:
+            with pytest.raises(ValueError) as want:
+                sample_zz_mean_reference(state, pair, 10, rng_stream(0, 10, 0))
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                sample_zz_mean(state, pair, 10, rng_stream(0, 10, 0))
+        with pytest.raises(ValueError, match="^state dimension 0 is not a power of two$"):
+            sample_zz_mean(np.zeros(0, dtype=complex), (0, 1), 10, rng_stream(0, 10, 0))
+
+    def test_sweep_csv_is_the_two_pass_read_out_byte_for_byte(self, monkeypatch, table3):
+        config = ShotConfig(shot_counts=(50, 1000, 20000), iterations=300, seed=7)
+        text = sweep_csv(sweep(table3, PairStateKind.P, (0, 1), config))
+        monkeypatch.setattr(sampler, "sample_zz_mean", sample_zz_mean_reference)
+        assert sweep_csv(sweep(table3, PairStateKind.P, (0, 1), config)) == text
 
     @pytest.mark.parametrize("n", [2, 7])
     def test_one_binomial_draw_on_the_cell_stream(self, n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit, z_diagonal
+from qnnwitness.core import apply_circuit
 from qnnwitness import witness
 from qnnwitness.hamiltonian import ChunkParams, Schedule, evolve_pair_dicke
 from qnnwitness.witness import (
@@ -18,7 +18,7 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import random_state
+from helpers import random_state, z_diagonal
 
 
 class TestMakePairState:
