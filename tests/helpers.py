@@ -6,9 +6,9 @@ the package's closed forms, gate embeddings are built as dense
 2^n x 2^n Kronecker products rather than block updates, a run of shots draws
 one basis state per shot rather than one binomial count, a state's norm and
 <Z_i Z_j> are two passes over its squared parts rather than one product with
-a cached read-out, a run's stream
-is keyed by its own numpy ``SeedSequence`` rather than from a block of
-keys derived together, gradients
+a cached read-out, a run's stream is keyed from the stdlib's ``hashlib`` and
+``struct`` through Philox's own ``key`` argument rather than the sampler's
+packing, masking and key adapter, gradients
 come from finite differences of the loss, or from tangents carried
 forward through dense 2^n states, rather than an adjoint sweep, and the
 verification report comes from full unitaries and density matrices
@@ -29,7 +29,9 @@ eigenbasis block in an array of its own and normalises it into another.
 from __future__ import annotations
 
 import math
+import struct
 from functools import reduce
+from hashlib import blake2b
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
 from qnnwitness.core import bounded_zz, n_qubits_of
 from qnnwitness.hamiltonian import evolve_states, sector_terms, spin_sector_hamiltonian
-from qnnwitness.sampler import _MASK32, _MASK64, _ZERO_COUNTER, _uint32_words
 from qnnwitness.witness import PairStateKind, make_pair_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -169,14 +170,12 @@ def sample_zz_mean_per_shot(
 
 
 def rng_stream_reference(seed: int, shot_count: int, iteration: int) -> np.random.Generator:
-    """The Philox stream of one (seed, shot_count, iteration) cell from one
-    numpy ``SeedSequence`` of the three values, each mod 2**64."""
-    if 0 <= seed | shot_count | iteration <= _MASK32:
-        words = (seed, shot_count, iteration)
-    else:
-        words = [w for value in (seed, shot_count, iteration) for w in _uint32_words(value & _MASK64)]
-    key = np.random.SeedSequence(np.array(words, dtype=np.uint32))
-    return np.random.Generator(np.random.Philox(key, counter=_ZERO_COUNTER))
+    """The Philox stream of one (seed, shot_count, iteration) cell: its key the
+    16-byte BLAKE2b digest of the three values, each mod 2**64 and packed as
+    little-endian uint64 words, read as one little-endian 128-bit integer."""
+    cell = struct.pack("<3Q", seed % 2**64, shot_count % 2**64, iteration % 2**64)
+    key = int.from_bytes(blake2b(cell, digest_size=16).digest(), "little")
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def central_difference_gradient(loss, params: np.ndarray, indices=None, h: float = 1e-4) -> np.ndarray:

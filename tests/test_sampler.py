@@ -7,7 +7,6 @@ from qnnwitness import sampler, witness
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import apply_circuit, check_norm, expectation_zz
 from qnnwitness.sampler import (
-    KEY_BLOCK,
     MAX_ITERATIONS,
     Z_SCORE,
     ShotConfig,
@@ -254,23 +253,19 @@ class TestRngStreams:
         assert not np.array_equal(a, b)
 
     @pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5, -1])
-    def test_key_is_the_seed_sequence_of_the_cell(self, value):
-        # the uint32 words handed to SeedSequence are the ones numpy makes of
-        # the list [seed, shot_count, iteration], each mod 2**64, at every
-        # word-count boundary and in every position
-        mask = (1 << 64) - 1
+    def test_key_is_the_digest_of_the_cell(self, value):
+        # the key is the BLAKE2b digest of [seed, shot_count, iteration], each
+        # mod 2**64, at every word boundary and in every position
         for seed, count, it in ((value, 500, 3), (7, value, 3), (7, 500, value)):
-            key = np.random.SeedSequence([seed & mask, count & mask, it & mask])
-            expected = np.random.Generator(np.random.Philox(key)).random(4)
-            assert np.array_equal(rng_stream(seed, count, it).random(4), expected)
+            assert np.array_equal(rng_stream(seed, count, it).random(4),
+                                  rng_stream_reference(seed, count, it).random(4)), (seed, count, it)
 
-    def test_streams_are_the_reference_at_block_edges_and_on_random_cells(self):
-        # keys derived a block at a time give the streams of one SeedSequence per
-        # run, on both sides of each block edge, at the last iteration a sweep
-        # takes, and on 64-bit seeds and counts with 64-bit and negative iterations
-        edges = (0, KEY_BLOCK - 1, KEY_BLOCK, 2 * KEY_BLOCK - 1, MAX_ITERATIONS - 1)
+    def test_streams_are_the_reference_on_random_cells(self):
+        # the first and last iterations a sweep takes, and 64-bit seeds and
+        # counts with 64-bit and negative iterations
         rng = np.random.default_rng(37)
-        cells = [(seed, count, it) for seed, count in ((0, 50), (7, 20000), (2**40, 2**63)) for it in edges]
+        ends = (0, MAX_ITERATIONS - 1)
+        cells = [(seed, count, it) for seed, count in ((0, 50), (7, 20000), (2**40, 2**63)) for it in ends]
         for seed, count, it in rng.integers(0, 2**64, size=(200, 3), dtype=np.uint64).tolist():
             cells.append((seed, count, (it % MAX_ITERATIONS, it, -it)[seed % 3]))
         for seed, count, it in cells:
@@ -278,7 +273,6 @@ class TestRngStreams:
                                   rng_stream_reference(seed, count, it).random(4)), (seed, count, it)
 
     def test_sweep_csv_is_the_reference_streams_byte_for_byte(self, monkeypatch, table2):
-        # 300 iterations reach into a third block of keys
         config = ShotConfig(shot_counts=(50, 1000, 20000), iterations=300, seed=3)
         text = sweep_csv(sweep(table2, PairStateKind.FLAT, (0, 1), config))
         monkeypatch.setattr(sampler, "rng_stream", rng_stream_reference)
@@ -289,26 +283,12 @@ class TestRngStreams:
         with pytest.raises(TypeError):
             rng_stream(7, 500, 3).spawn(1)
 
-    def test_the_key_store_is_bounded_by_its_bytes(self, zero_schedule):
-        sampler._stream_keys.cache_clear()
-        for seed in range(5):
-            sweep(zero_schedule, PairStateKind.BELL, (0, 1), ShotConfig(shot_counts=range(1, 101), seed=seed))
-        info = sampler._stream_keys.cache_info()
-        assert info.misses == 500
-        assert 0 < info.nbytes <= sampler._KEY_STORE.max_bytes
-        assert sampler._KEY_STORE.nbytes == info.nbytes
-        sampler._stream_keys.cache_clear()
-
-    def test_the_benchmark_resets_the_key_store(self):
-        # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
-        # module attribute that has cache_clear and names that module as its own
-        rng_stream(7, 500, 3)
-        found = [value for value in vars(sampler).values()
-                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == sampler.__name__]
-        assert sampler._stream_keys in found
-        for value in found:
-            value.cache_clear()
-        assert sampler._stream_keys.cache_info() == (0, 0, 0, 0)
+    @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.SFC64])
+    def test_a_stream_key_seeds_no_other_bit_generator(self, bit_generator):
+        # the key is Philox's two words whatever size is asked for; an array of them
+        # would let PCG64 read four words from two, past the key's end
+        with pytest.raises(TypeError):
+            bit_generator(rng_stream(7, 500, 3).bit_generator.seed_seq)
 
 
 class TestConfidenceInterval:

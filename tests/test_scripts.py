@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,9 +54,12 @@ def test_a_diverging_chain_exits_4_saving_its_last_good_schedule(tmp_path):
     assert (proc.returncode, proc.stdout) == (4, "")
     saved = tmp_path / "last_good_schedule.json"
     # a diverging descent grows round-off about tenfold an epoch, so the last rms is the kernel's round-off
-    # amplified: the per-chunk d-matrix kernel, whose values differ by 1e-13, printed 2.551e-01 here
-    assert proc.stderr.splitlines() == [
-        "diverged: rms 5.111e-01 exceeded 10x the initial 8.040e-03 for 50 consecutive epochs (epoch 52)",
-        f"last good schedule saved to {saved}",
-    ]
+    # amplified (builds of the chunked kernel whose values agree to 1e-13 printed 2.551e-01, 3.940e-01 and
+    # 5.111e-01 here): it is matched by its printed format alone
+    diverged, saved_line = proc.stderr.splitlines()
+    assert re.fullmatch(
+        r"diverged: rms \d\.\d{3}e[+-]\d{2} exceeded 10x the initial 8\.040e-03 for 50 consecutive epochs \(epoch 52\)",
+        diverged,
+    ), diverged
+    assert saved_line == f"last good schedule saved to {saved}"
     assert load_schedule(saved).n_qubits == 5
