@@ -124,10 +124,8 @@ class Schedule:
     writer keep the JSON schema: its optional ``"symmetric"`` key is checked
     against the chunks on read and written as the derived value.
     A ``dt`` that rounds to 0, or a ``total_time`` that :func:`require_phase_range`
-    refuses, is refused here, once for every method; so is a qubit whose
-    ``hypot(K, eps)**2`` overflows, past about 1.3e154, whose ``chunked``
-    partials would lose a term (:func:`_single_qubit_factor_partials`): a
-    schedule that one method cannot differentiate is run by none.
+    refuses, is refused here, once for every method; no method squares a
+    parameter (:func:`_single_qubit_factor_partials`), so nothing else is.
     """
 
     n_qubits: int
@@ -145,13 +143,7 @@ class Schedule:
                 raise ValueError(f"chunk is sized for {ck.n_qubits} qubits, schedule for {self.n_qubits}")
         if not self.dt > 0:
             raise ValueError(f"dt must be positive: total_time {self.total_time!r} over {self.n_chunks} chunks is 0")
-        bound = max(ck.norm_bound for ck in self.chunks)
-        require_phase_range(self.total_time, bound)
-        if math.isinf(bound * bound):  # every hypot(K, eps) is at most the bound: walk the qubits only then
-            for ck in self.chunks:
-                magnitude = max(map(math.hypot, ck.tunneling, ck.bias))
-                if math.isinf(magnitude * magnitude):
-                    raise ValueError(f"chunk parameters too large to differentiate: |(K, eps)| = {magnitude!r}")
+        require_phase_range(self.total_time, max(ck.norm_bound for ck in self.chunks))
 
     @cached_property
     def symmetric(self) -> bool:
@@ -227,38 +219,41 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     return u
 
 
-def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
-    """``exp(-i dt (K X + eps Z))`` in closed form."""
+def _rotation(tunneling: float, bias: float, dt: float) -> tuple[complex, complex, float, float]:
+    """A chunk's single-qubit factor ``F = exp(-i dt (K X + eps Z)) = [[a, b], [b, conj(a)]]`` as ``(a, b, s, m)``,
+    ``a = cos x - i s eps`` and ``b = -i s K`` with ``m = hypot(K, eps)``, ``x = dt m`` and ``s = sin(x)/m`` (dt
+    where x is 0): the one closed form that the dense layer, the sector steps and their partials all read."""
     magnitude = math.hypot(tunneling, bias)
-    c = math.cos(dt * magnitude)
-    s = math.sin(dt * magnitude) / magnitude if magnitude else dt
-    off = complex(0.0, -s * tunneling)
-    return np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])
+    x = dt * magnitude
+    s = math.sin(x) / magnitude if x else dt
+    return complex(math.cos(x), -s * bias), complex(0.0, -s * tunneling), s, magnitude
+
+
+def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
+    """``exp(-i dt (K X + eps Z))`` as the matrix ``[[a, b], [b, conj(a)]]`` of :func:`_rotation`."""
+    a, b = _rotation(tunneling, bias, dt)[:2]
+    return np.array([[a, b], [b, a.conjugate()]])
 
 
 def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> np.ndarray:
     """Derivatives of :func:`_single_qubit_factor` by ``tunneling`` and by ``bias``, stacked.
 
-    The factor is ``c I - i s (K X + eps Z)`` with ``m = hypot(K, eps)``,
-    ``c = cos(dt m)`` and ``s = sin(dt m)/m``. Since ``dc/dK = -dt K s`` and
-    ``ds/dK = K f`` with ``f = (dt c - s)/m^2``, the K derivative is
-    ``-dt K s I - i (K f (K X + eps Z) + s X)``, and likewise for eps with Z.
-    ``f`` is summed from its series where ``dt c - s`` cancels. ``m^2`` must
-    not overflow, or ``f = 0`` would drop ``K f (K X + eps Z)``: :class:`Schedule`
-    refuses such a chunk.
+    The factor is ``c I - i s (K X + eps Z)`` with ``c = cos x`` and the rest
+    as in :func:`_rotation`. Since ``dc/dK = -dt K s`` and ``ds/dK = (K/m)
+    h/m`` with ``h = dt c - s``, the K derivative is ``-dt K s I - i (h (K/m)
+    (K X + eps Z)/m + s X)``, and likewise for eps with Z. ``h`` is summed
+    from its series in x below x = 0.05, where ``dt c - s`` cancels; only x
+    is squared, so no finite chunk loses a term.
     """
-    magnitude = math.hypot(tunneling, bias)
+    a, _, s, magnitude = _rotation(tunneling, bias, dt)
     x = dt * magnitude
-    s = dt * (math.sin(x) / x if x else 1.0)
-    if x < 0.05:
-        x2 = x * x
-        f = dt**3 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360)))
-    else:
-        f = (dt * math.cos(x) - s) / (magnitude * magnitude)
-    # entry by entry, for v = K then eps: -dt v s I - i (v f (K X + eps Z) + s X, or s Z)
-    return np.array([[[complex(-dt * v * s, -(v * f * bias + z)), complex(0.0, -(v * f * tunneling + x))],
-                      [complex(0.0, -(v * f * tunneling + x)), complex(-dt * v * s, v * f * bias + z)]]
-                     for v, x, z in ((tunneling, s, 0.0), (bias, 0.0, s))])
+    x2 = x * x
+    h = dt * x2 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360))) if x < 0.05 else dt * a.real - s
+    k, e = (tunneling / magnitude, bias / magnitude) if magnitude else (0.0, 0.0)
+    # entry by entry, for v = K then eps and g = h v/m: -dt v s I - i (g (k X + e Z) + s X, or s Z)
+    return np.array([[[complex(-dt * v * s, -(g * e + z)), complex(0.0, -(g * k + w))],
+                      [complex(0.0, -(g * k + w)), complex(-dt * v * s, g * e + z)]]
+                     for v, g, w, z in ((tunneling, h * k, s, 0.0), (bias, h * e, 0.0, s))])
 
 
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
@@ -519,8 +514,9 @@ def _backward_step(
     if lead is not None:
         # lead is diagonal and unimodular, so the coupling partial reads the same on either side of it
         psi, lam = _states_and_costates(before, batch)
-        # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)), F symmetric; F(dt)^dagger = F(-dt)
-        overlaps = (reduced @ _single_qubit_factor(*shared[:2], -dt)).ravel()
+        # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)); F is symmetric, so F^dagger is its conjugate
+        a, b = _rotation(*shared[:2], dt)[:2]
+        overlaps = (reduced @ np.array([[a.conjugate(), b.conjugate()], [b.conjugate(), a]])).ravel()
         tunneling, bias = (_single_qubit_factor_partials(*shared[:2], dt).reshape(2, 4) @ overlaps).real.tolist()
         coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
         before.view(complex)[...] /= lead
@@ -556,10 +552,9 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     ``lead`` or ``trail``. ``chunked`` applies its ZZ phase ``zeta (4M^2 -
     n)/2`` first, as a diagonal, then its single-qubit layer, the order the
     gate compiler reproduces. That layer is the spin-J image of one 2x2
-    rotation ``F = exp(-i dt (K X + eps Z)) = [[a, -i s K], [-i s K,
-    conj(a)]]``, ``a = cos(dt r) - i s eps``, ``s = sin(dt r)/r``, ``r =
-    hypot(K, eps)``. Its ZYZ Euler angles ``(-arg a - pi/2, theta, pi/2 -
-    arg a)`` with ``theta/2 = atan2(s K, |a|)`` give F itself, not -F (which
+    rotation ``F = exp(-i dt (K X + eps Z)) = [[a, b], [b, conj(a)]]``
+    (:func:`_rotation`). Its ZYZ Euler angles ``(-arg a - pi/2, theta, pi/2 -
+    arg a)`` with ``theta/2 = atan2(-Im b, |a|)`` give F itself, not -F (which
     differs by -1 on a half-integer J), so ``D^J(F) = e^{-i phi1 J_z} S X
     e^{-i theta M} X^T S^dagger e^{-i phi2 J_z}`` with ``S = e^{-i pi
     J_z/2}`` and X the cached :func:`wigner_basis`, and S folds into the
@@ -610,9 +605,8 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
             # arg(a) M less the ZZ phase, -theta M, and arg(a) M
             coefficients = []
             for tunneling, bias, coupling in shared:
-                r = math.hypot(tunneling, bias)
-                c, s = math.cos(dt * r), (math.sin(dt * r) / r if r else dt)
-                turn, theta = math.atan2(-s * bias, c), 2 * math.atan2(s * tunneling, math.hypot(c, s * bias))
+                a, b = _rotation(tunneling, bias, dt)[:2]
+                turn, theta = math.atan2(a.imag, a.real), 2 * math.atan2(-b.imag, math.hypot(a.real, a.imag))
                 coefficients.append(((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0)))
             diagonals = 1j * (np.array(coefficients) @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
             np.exp(diagonals, out=diagonals)

@@ -175,7 +175,8 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     backward sweep more than the steps it took.
 
     Deterministic for fixed inputs. Raises :class:`TrainingDiverged` when
-    the rms exceeds 10x its initial value for 50 consecutive epochs.
+    the rms exceeds 10x its initial value for 50 consecutive epochs, and
+    ValueError when a step overflows a parameter.
     """
 
     def evaluate(schedule: Schedule, steps_left: int) -> tuple[float, np.ndarray | None]:
@@ -195,8 +196,11 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     initial_rms = rms
     bad_streak = 0
     for epochs in range(1, config.max_epochs + 1):
-        velocity = config.momentum * velocity - config.learning_rate * grad
-        params = params + velocity
+        with np.errstate(over="ignore"):  # an overflowing step is refused below, naming rate and epoch
+            velocity = config.momentum * velocity - config.learning_rate * grad
+            params = params + velocity
+        if not np.all(np.isfinite(params)):
+            raise ValueError(f"learning rate {config.learning_rate!r} overflows a parameter at epoch {epochs}")
         schedule = schedule_with_parameters(init, params)
         rms, grad = evaluate(schedule, config.max_epochs - epochs)
         history.append(rms)

@@ -348,6 +348,19 @@ def tangent_loss_gradient(states, parity, rows, targets, schedule, method):
     return (zz**2)[rows], grad.ravel()
 
 
+def orbit_tangent_gradient(schedule, training_set, method):
+    """:func:`tangent_loss_gradient` of ``training_set`` on the schedule's
+    size: the four orbit states evolved as ``2**n`` vectors, each item read
+    on its own row against its target."""
+    n = schedule.n_qubits
+    kinds = list(PairStateKind)
+    states = np.stack([make_pair_state(kind, (0, 1), n) for kind in kinds])
+    rows = np.array([kinds.index(item.kind) for item in training_set.items])
+    targets = np.array([item.target for item in training_set.items])
+    parity = z_diagonal(n, 0) * z_diagonal(n, 1)
+    return tangent_loss_gradient(states, parity, rows, targets, schedule, method)
+
+
 def count_calls(monkeypatch, targets) -> dict[str, int]:
     """Count the calls made through each ``(module, name)`` global."""
     calls = {}

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -680,12 +681,12 @@ _OUT_OF_RANGE = {
     # nothing between, as one phase, 2 total_time zeta = 9.6e15: why the rule's time is the whole schedule's
     "zz_only_8_chunks": lambda: (json.dumps({"n_qubits": 2, "total_time": 2.4, "chunks": [
         {"K": [0.0, 0.0], "eps": [0.0, 0.0], "zeta": {"0,1": 2e15}}] * 8}), _range_message("2.4", "9.6e+15")),
-    # phases under 2**52 at a total time of 1e-195, but |(K, eps)|^2 overflows a float, which would drop
-    # a term of the chunked gradient: refused where the schedule is built, not only by train
-    "huge_K_1e155": lambda: (_uniform_document(3, 1e155, 0.1, total_time=1e-195),
-                             "chunk parameters too large to differentiate: |(K, eps)| = 1e+155"),
-    "huge_eps_1e200": lambda: (_uniform_document(3, 2.5, 1e200, total_time=1e-195),
-                               "chunk parameters too large to differentiate: |(K, eps)| = 1e+200"),
+}
+
+# |(K, eps)| past 1e154, whose square overflows a float, with phases under 2**52 at a total time of 1e-195
+_HUGE_BUT_IN_RANGE = {
+    "huge_K_1e155": lambda: _uniform_document(3, 1e155, 0.1, total_time=1e-195),
+    "huge_eps_1e200": lambda: _uniform_document(3, 2.5, 1e200, total_time=1e-195),
 }
 
 
@@ -730,6 +731,14 @@ class TestExtremeSchedules:
         assert "keeps no digit" in err
         assert not (tmp_path / "trained_schedule.json").exists()
 
+    def test_a_step_past_the_float_range_is_refused_in_one_line(self, tmp_path, capsys):
+        # learning rate times the first gradient overflows: one line naming both, no numpy warning
+        code, out, err = run_cli(capsys, "train", "--n-qubits", "4", "--epochs", "1", "--learning-rate",
+                                 "1.992853074454984e+307", "--out-dir", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err == "error: learning rate 1.992853074454984e+307 overflows a parameter at epoch 1\n"
+        assert not (tmp_path / "trained_schedule.json").exists()
+
     @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
     @pytest.mark.parametrize("name", sorted(_OUT_OF_RANGE))
     @pytest.mark.filterwarnings("error")  # a numpy warning, which a cold process prints, fails the test
@@ -743,6 +752,23 @@ class TestExtremeSchedules:
         code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
         assert (code, out, err) == (2, "", f"error: bad schedule {path}: {message}\n")
         assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_every_command_runs_a_schedule_whose_magnitude_squared_overflows(self, tmp_path, capsys):
+        # the range rule bounds every phase, and no method squares |(K, eps)|, the chunked gradient
+        # included, so these run under every command as any schedule in range does
+        for name, document in _HUGE_BUT_IN_RANGE.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(document())
+            for command, argv in _EVERY_COMMAND.items():
+                argv = [str(tmp_path / f"{name}_{command}") if token == "OUT" else token for token in argv]
+                code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
+                assert code == 0, (name, command, err)
+                # compile writes its QASM to stdout and the gate counts to stderr
+                assert re.fullmatch(r"1q=\d+ 2q=\d+\n" if command.startswith("compile") else "", err), (name, command)
+                if command.startswith("witness"):
+                    values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+                    assert values and all(0.0 <= value <= 1.0 for value in values), (name, command, out)
 
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -933,6 +959,8 @@ class TestFuzz:
     @example(argv=["train", "--n-qubits", "10000000", "--epochs", "3"])
     @example(argv=["bootstrap", "--n-max", "10000000", "--epochs", "3"])
     @example(argv=["sample", "--schedule", "table2", "--iterations", "3", "--shots", str(10**20)])
+    # the first step overflowed numpy's multiply, and its RuntimeWarning escaped main
+    @example(argv=["train", "--n-qubits", "4", "--epochs", "1", "--learning-rate", "1.992853074454984e+307"])
     @settings(max_examples=80, deadline=None)
     @given(argv=_run_argvs())
     def test_training_and_sampling_argv_end_in_a_documented_exit_code(self, tmp_path_factory, argv):

@@ -8,8 +8,9 @@ parse with that subcommand's parser alone. Those five pin the value
 errors that parser now prints and the ``unrecognized arguments`` text it
 leaves to the full tree.
 The top-level help prints the ``cli`` module docstring, so when its list
-of dimension errors changed, again when its list of input errors did, and
-again when both did, the three entries that print it were edited in that
+of dimension errors changed, again when its list of input errors did,
+again when both did, and again when the input errors lost a qubit's
+K^2 + eps^2, the three entries that print it were edited in that
 paragraph alone. The
 argparse text is the CLI's contract too: a parser built differently (say,
 ``add_subparsers(metavar=...)``) can keep every parsed value and still

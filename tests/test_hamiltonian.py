@@ -299,6 +299,14 @@ class TestChunkedPropagator:
             ) / (12 * h)
             assert np.max(np.abs(got - expected)) <= 1e-10
 
+    @pytest.mark.parametrize("tunneling", [1e150, 1e155, 1e200, -1e300])
+    def test_single_qubit_factor_partials_keep_their_first_order_term_at_any_size(self, tunneling):
+        # eps/m rounds to 0, so the K partial's off-diagonal -i (h (K/m)^2 + s) is -i dt cos x; formed
+        # through |(K, eps)|^2, which overflows past 1.3e154, its h part would read 0 and leave -i s
+        d_tunneling, d_bias = _single_qubit_factor_partials(tunneling, 0.1, DT)
+        assert d_tunneling[0, 1].imag == pytest.approx(-DT * math.cos(DT * abs(tunneling)), rel=1e-12)
+        assert np.all(np.isfinite(d_bias))
+
     def test_no_coupling_matches_exact(self):
         for n in (2, 3, 7):
             ks = tuple(1.3 - 0.2 * q for q in range(n))

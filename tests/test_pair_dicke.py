@@ -10,7 +10,9 @@ gradients to 1e-12 * max(1, |g|).
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import re
 import time
 import tracemalloc
@@ -47,7 +49,7 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import expm_eigh, mean_field_witness, pair_dicke_hamiltonian, tangent_loss_gradient, z_diagonal
+from helpers import expm_eigh, mean_field_witness, orbit_tangent_gradient, pair_dicke_hamiltonian, z_diagonal
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -82,13 +84,7 @@ def lifted(schedule: Schedule, n: int) -> Schedule:
 def dense_reference(schedule: Schedule, method: str) -> tuple[np.ndarray, np.ndarray]:
     """Witness values and shared-parameter gradient from the orbit states
     evolved as 2^n vectors, with a forward-mode tangent per parameter."""
-    n = schedule.n_qubits
-    kinds = list(PairStateKind)
-    states = np.stack([make_pair_state(kind, (0, 1), n) for kind in kinds])
-    rows = np.array([kinds.index(item.kind) for item in training_set(n).items])
-    targets = np.array([item.target for item in training_set(n).items])
-    parity = z_diagonal(n, 0) * z_diagonal(n, 1)
-    return tangent_loss_gradient(states, parity, rows, targets, schedule, method)
+    return orbit_tangent_gradient(schedule, training_set(schedule.n_qubits), method)
 
 
 def assert_backends_agree(schedule: Schedule, method: str) -> None:
@@ -475,3 +471,48 @@ class TestRecordedChunked:
         for got, recorded in ((values, want["values"]), ([loss], [want["loss"]]), (grad, want["gradient"])):
             recorded = np.array(recorded)
             assert np.max(np.abs(got - recorded)) <= 1e-12 * np.max(np.abs(recorded)), (name, n)
+
+
+# (K, eps) at signed zeros, past the subnormals' edge and at 1e150, with every dt the range rule admits
+_ROTATION_GRID = (0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150)
+_ROTATION_DTS = (0.7, 1e-140, 1e-200)
+
+
+def _inline_rotation(tunneling: float, bias: float, dt: float) -> tuple[float, float]:
+    """``(cos(dt r), sin(dt r)/r)``, r = hypot(K, eps) (dt at r = 0), formed inline: the reference that
+    the one closed form must reproduce bit for bit, at dt and at -dt."""
+    r = math.hypot(tunneling, bias)
+    return math.cos(dt * r), (math.sin(dt * r) / r if r else dt)
+
+
+class TestOneRotation:
+    """The one closed form of a chunk's rotation, as each reader takes it, is
+    the inline reference bit for bit: the dense factor, its conjugate as
+    ``F(-dt)`` (the backward step's ``F^dagger``), and the sector steps'
+    three diagonals from the Euler angles."""
+
+    def test_the_factor_and_its_conjugate_are_f_at_dt_and_at_minus_dt(self):
+        for tunneling, bias, dt in itertools.product(_ROTATION_GRID, _ROTATION_GRID, _ROTATION_DTS):
+            factor = hamiltonian._single_qubit_factor(tunneling, bias, dt)
+            for got, step in ((factor, dt), (factor.conj(), -dt)):
+                c, s = _inline_rotation(tunneling, bias, step)
+                off = complex(0.0, -s * tunneling)
+                want = np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])
+                assert got.tobytes() == want.tobytes(), (tunneling, bias, step)
+
+    def test_sector_diagonals_are_the_inline_euler_angles(self):
+        n, coupling = 2, 0.3
+        terms = hamiltonian.sector_terms(n, (1.0, 0.0))
+        for tunneling, bias, dt in itertools.product(_ROTATION_GRID, _ROTATION_GRID, _ROTATION_DTS):
+            try:
+                schedule = Schedule(n, dt, (ChunkParams.uniform(n, tunneling, bias, coupling),))
+            except ValueError:  # phases past the range rule
+                continue
+            _, ((step,),) = hamiltonian._chunk_sweeps(schedule, "chunked", width=4)
+            c, s = _inline_rotation(tunneling, bias, dt)
+            turn, theta = math.atan2(-s * bias, c), 2 * math.atan2(s * tunneling, math.hypot(c, s * bias))
+            phases = 1j * (np.array([((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0))])
+                           @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
+            want = np.exp(phases).reshape(3, 2, n + 1, 1)
+            for got, diagonal in zip((step[0], step[2], step[3]), want):
+                assert got.tobytes() == diagonal.tobytes(), (tunneling, bias, dt)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import hamiltonian, trainer
-from qnnwitness.hamiltonian import ChunkParams, Schedule, _single_qubit_factor_partials, refine_schedule
+from qnnwitness.hamiltonian import ChunkParams, Schedule, refine_schedule
 from qnnwitness.trainer import (
     MAX_CHUNKS,
     TrainerConfig,
@@ -25,7 +25,7 @@ from qnnwitness.trainer import (
 )
 from qnnwitness.witness import PairStateKind, TrainingItem, TrainingSet, build_training_set, witness_values
 
-from helpers import central_difference_gradient, count_calls
+from helpers import central_difference_gradient, count_calls, orbit_tangent_gradient
 
 
 @pytest.fixture(scope="module")
@@ -165,25 +165,21 @@ class TestGradient:
         with pytest.raises(ValueError, match="non-symmetric chunk"):
             gradient(non_uniform_schedule(), build_training_set(3), TrainerConfig())
 
-    def test_huge_tunneling_partials_are_finite_or_refused(self):
-        # dt * K is 1e10 here, under the range rule; the squared magnitude of
-        # the 2x2 factor's generator overflows a float, which would drop the
-        # O(dt) term of chunked's closed-form partials, so the schedule is
-        # refused as it is built, for both methods and every other reader
-        with pytest.raises(ValueError, match="too large to differentiate"):
-            Schedule(3, 1e-190, (ChunkParams.uniform(3, 1e200, 0.3, 0.2),))
-
-    def test_factor_partials_keep_their_first_order_term_or_refuse(self):
-        # at K = 1e150 the K partial's off-diagonal is -i (K^2 f + s), about
-        # 0.217i; past |(K, eps)|^2 = inf the K^2 f part would read 0, so no
-        # schedule holds such a chunk, uniform or not, and none reaches a sweep
-        d_tunneling, _ = _single_qubit_factor_partials(1e150, 0.1, 0.4)
-        assert d_tunneling[0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
-        with pytest.raises(ValueError, match=r"too large to differentiate: \|\(K, eps\)\| = 1e\+155"):
-            Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e155, 0.1, 0.0),) * 2)  # phases under 2**52
-        with pytest.raises(ValueError, match="too large to differentiate"):
-            Schedule(2, 1e-150, (ChunkParams((0.0, 1e155), (0.1, 0.1), (0.0,)),))
-        Schedule(2, 1e-150, (ChunkParams.uniform(2, 1e150, 0.1, 0.0),) * 2)  # |(K, eps)|^2 = 1e300 is admitted
+    # |(K, eps)|^2 overflows a float in both, and the closed-form partials never form it; 2 total_time
+    # times a chunk's norm bound reaches 6e-40 and 6e10 radians, where floats are that times 2**-52 apart
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("tunneling, total_time, chunks", [(1e155, 1e-195, 4), (1e200, 1e-190, 1)],
+                             ids=["K_1e155", "K_1e200"])
+    def test_huge_tunneling_gradient_matches_the_tangent_reference(self, method, tunneling, total_time, chunks):
+        schedule = Schedule(3, total_time, (ChunkParams.uniform(3, tunneling, 0.3, 0.2),) * chunks)
+        _, want = orbit_tangent_gradient(schedule, build_training_set(3), method)
+        _, got = gradient(schedule, build_training_set(3), TrainerConfig(method=method))
+        # chunked's three diagonals hold its phases to round-off (measured 1.3e-13 and 1.8e-15); exact's
+        # eigh carries a few units of the largest phase's last place into every entry (measured 1.7e-14,
+        # and 4e-6 against a bound of 5.3e-5 at 6e10 radians)
+        phase = 2 * total_time * max(ck.norm_bound for ck in schedule.chunks)
+        bound = 1e-12 if method == "chunked" else max(1e-12, 2**-50 * phase)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
@@ -244,6 +240,13 @@ class TestTrain:
         exc = excinfo.value
         assert rms_error(exc.last_good, ts2) <= rms_error(table2, ts2) + 1e-12
         assert len(exc.rms_history) >= 50
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning, which a cold process prints, fails the test
+    def test_a_step_past_the_float_range_is_refused_naming_the_rate_and_the_epoch(self):
+        # the learning rate times the first gradient overflows a float: refused by name, with no numpy warning
+        config = TrainerConfig(learning_rate=1.992853074454984e307, max_epochs=1)
+        with pytest.raises(ValueError, match=r"^learning rate 1\.992853074454984e\+307 overflows a parameter at epoch 1$"):
+            train(random_schedule(4, 4, 0), build_training_set(4), config)
 
     def test_the_initial_schedule_is_evaluated_as_given(self, monkeypatch, table2, ts2):
         calls = count_calls(monkeypatch, [(trainer, "schedule_with_parameters")])
