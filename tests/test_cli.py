@@ -753,22 +753,22 @@ class TestExtremeSchedules:
         assert (code, out, err) == (2, "", f"error: bad schedule {path}: {message}\n")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("command", sorted(_EVERY_COMMAND))
+    @pytest.mark.parametrize("name", sorted(_HUGE_BUT_IN_RANGE))
     @pytest.mark.filterwarnings("error")
-    def test_every_command_runs_a_schedule_whose_magnitude_squared_overflows(self, tmp_path, capsys):
+    def test_every_command_runs_a_schedule_whose_magnitude_squared_overflows(self, tmp_path, capsys, name, command):
         # the range rule bounds every phase, and no method squares |(K, eps)|, the chunked gradient
         # included, so these run under every command as any schedule in range does
-        for name, document in _HUGE_BUT_IN_RANGE.items():
-            path = tmp_path / f"{name}.json"
-            path.write_text(document())
-            for command, argv in _EVERY_COMMAND.items():
-                argv = [str(tmp_path / f"{name}_{command}") if token == "OUT" else token for token in argv]
-                code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
-                assert code == 0, (name, command, err)
-                # compile writes its QASM to stdout and the gate counts to stderr
-                assert re.fullmatch(r"1q=\d+ 2q=\d+\n" if command.startswith("compile") else "", err), (name, command)
-                if command.startswith("witness"):
-                    values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
-                    assert values and all(0.0 <= value <= 1.0 for value in values), (name, command, out)
+        path = tmp_path / "s.json"
+        path.write_text(_HUGE_BUT_IN_RANGE[name]())
+        argv = [str(tmp_path / "out") if token == "OUT" else token for token in _EVERY_COMMAND[command]]
+        code, out, err = run_cli(capsys, *argv, "--schedule", str(path))
+        assert code == 0, err
+        # compile writes its QASM to stdout and the gate counts to stderr
+        assert re.fullmatch(r"1q=\d+ 2q=\d+\n" if command.startswith("compile") else "", err)
+        if command.startswith("witness"):
+            values = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+            assert values and all(0.0 <= value <= 1.0 for value in values), out
 
     def test_overflowing_parameters_are_refused_alike_by_every_method(self, tmp_path, capsys):
         path = tmp_path / "s.json"
