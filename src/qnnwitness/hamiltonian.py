@@ -125,7 +125,7 @@ class Schedule:
     against the chunks on read and written as the derived value.
     A ``dt`` that rounds to 0, or a ``total_time`` that :func:`require_phase_range`
     refuses, is refused here, once for every method; no method squares a
-    parameter (:func:`_single_qubit_factor_partials`), so nothing else is.
+    parameter (:func:`_single_qubit_factor_and_partials`), so nothing else is.
     """
 
     n_qubits: int
@@ -219,14 +219,15 @@ def exact_chunk_propagator(params: ChunkParams, n: int, dt: float) -> np.ndarray
     return u
 
 
-def _rotation(tunneling: float, bias: float, dt: float) -> tuple[complex, complex, float, float]:
-    """A chunk's single-qubit factor ``F = exp(-i dt (K X + eps Z)) = [[a, b], [b, conj(a)]]`` as ``(a, b, s, m)``,
-    ``a = cos x - i s eps`` and ``b = -i s K`` with ``m = hypot(K, eps)``, ``x = dt m`` and ``s = sin(x)/m`` (dt
+def _rotation(tunneling: float, bias: float, dt: float) -> tuple[complex, complex, float, float, float]:
+    """A chunk's single-qubit factor ``F = exp(-i dt (K X + eps Z)) = [[a, b], [b, conj(a)]]`` as ``(a, b, x, sin x,
+    m)``, ``a = cos x - i s eps`` and ``b = -i s K`` with ``m = hypot(K, eps)``, ``x = dt m`` and ``s = sin(x)/m`` (dt
     where x is 0): the one closed form that the dense layer, the sector steps and their partials all read."""
     magnitude = math.hypot(tunneling, bias)
     x = dt * magnitude
-    s = math.sin(x) / magnitude if x else dt
-    return complex(math.cos(x), -s * bias), complex(0.0, -s * tunneling), s, magnitude
+    sine = math.sin(x)
+    s = sine / magnitude if x else dt
+    return complex(math.cos(x), -s * bias), complex(0.0, -s * tunneling), x, sine, magnitude
 
 
 def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray:
@@ -235,25 +236,24 @@ def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray
     return np.array([[a, b], [b, a.conjugate()]])
 
 
-def _single_qubit_factor_partials(tunneling: float, bias: float, dt: float) -> np.ndarray:
-    """Derivatives of :func:`_single_qubit_factor` by ``tunneling`` and by ``bias``, stacked.
+def _single_qubit_factor_and_partials(tunneling: float, bias: float, dt: float) -> np.ndarray:
+    """:func:`_single_qubit_factor` and its derivatives by ``tunneling`` and by ``bias``, stacked.
 
-    The factor is ``c I - i s (K X + eps Z)`` with ``c = cos x`` and the rest
-    as in :func:`_rotation`. Since ``dc/dK = -dt K s`` and ``ds/dK = (K/m)
-    h/m`` with ``h = dt c - s``, the K derivative is ``-dt K s I - i (h (K/m)
-    (K X + eps Z)/m + s X)``, and likewise for eps with Z. ``h`` is summed
-    from its series in x below x = 0.05, where ``dt c - s`` cancels; only x
-    is squared, so no finite chunk loses a term.
+    The factor is ``c I - i s (K X + eps Z)`` with ``c = cos x`` and the rest as in :func:`_rotation`, but for
+    ``s`` read as ``dt sin(x)/x``: a subnormal x holds too few bits for ``sin(x)/m``. Since ``dc/dK = -dt K s``
+    and ``ds/dK = (K/m) h/m`` with ``h = dt c - s``, the K derivative is ``-dt K s I - i (h (K/m) (K X + eps Z)/m
+    + s X)``, and likewise for eps with Z. ``h`` is summed from its series in x below x = 0.05, where ``dt c - s``
+    cancels; only x is squared, so no finite chunk loses a term.
     """
-    a, _, s, magnitude = _rotation(tunneling, bias, dt)
-    x = dt * magnitude
+    a, b, x, sine, magnitude = _rotation(tunneling, bias, dt)
+    s = dt * (sine / x) if x else dt
     x2 = x * x
     h = dt * x2 * (-1 / 3 + x2 * (1 / 30 - x2 * (1 / 840 - x2 / 45360))) if x < 0.05 else dt * a.real - s
     k, e = (tunneling / magnitude, bias / magnitude) if magnitude else (0.0, 0.0)
-    # entry by entry, for v = K then eps and g = h v/m: -dt v s I - i (g (k X + e Z) + s X, or s Z)
-    return np.array([[[complex(-dt * v * s, -(g * e + z)), complex(0.0, -(g * k + w))],
-                      [complex(0.0, -(g * k + w)), complex(-dt * v * s, g * e + z)]]
-                     for v, g, w, z in ((tunneling, h * k, s, 0.0), (bias, h * e, 0.0, s))])
+    # [[p, q], [q, conj(p)]]: F, then per v = K, eps with g = h v/m, p = -dt v s - i (g e + 0|s), q = -i (g k + s|0)
+    return np.array([[[p, q], [q, p.conjugate()]] for p, q in (
+        (a, b), *((complex(-dt * v * s, -(g * e + z)), complex(0.0, -(g * k + w)))
+                  for v, g, w, z in ((tunneling, h * k, s, 0.0), (bias, h * e, 0.0, s))))])
 
 
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
@@ -515,9 +515,9 @@ def _backward_step(
         # lead is diagonal and unimodular, so the coupling partial reads the same on either side of it
         psi, lam = _states_and_costates(before, batch)
         # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)); F is symmetric, so F^dagger is its conjugate
-        a, b = _rotation(*shared[:2], dt)[:2]
-        overlaps = (reduced @ np.array([[a.conjugate(), b.conjugate()], [b.conjugate(), a]])).ravel()
-        tunneling, bias = (_single_qubit_factor_partials(*shared[:2], dt).reshape(2, 4) @ overlaps).real.tolist()
+        stacked = _single_qubit_factor_and_partials(*shared[:2], dt)
+        overlaps = (reduced @ stacked[0].conj()).ravel()
+        tunneling, bias = (stacked[1:].reshape(2, 4) @ overlaps).real.tolist()
         coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
         before.view(complex)[...] /= lead
         return before, np.array([2 * tunneling, 2 * bias, 2 * dt * coupling])

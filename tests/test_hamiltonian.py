@@ -21,7 +21,7 @@ from qnnwitness.hamiltonian import (
     chunk_propagators,
     chunked_chunk_propagator,
     _single_qubit_factor,
-    _single_qubit_factor_partials,
+    _single_qubit_factor_and_partials,
     evolve_pair_dicke,
     evolve_states,
     exact_chunk_propagator,
@@ -292,20 +292,26 @@ class TestChunkedPropagator:
             return expm_eigh(k * PAULI_X + e * PAULI_Z, DT)
 
         h = 1e-4
-        for got, (dk, de) in zip(_single_qubit_factor_partials(tunneling, bias, DT), ((h, 0.0), (0.0, h))):
+        for got, (dk, de) in zip(_single_qubit_factor_and_partials(tunneling, bias, DT)[1:], ((h, 0.0), (0.0, h))):
             expected = (
                 factor(tunneling - 2 * dk, bias - 2 * de) - 8 * factor(tunneling - dk, bias - de)
                 + 8 * factor(tunneling + dk, bias + de) - factor(tunneling + 2 * dk, bias + 2 * de)
             ) / (12 * h)
             assert np.max(np.abs(got - expected)) <= 1e-10
 
-    @pytest.mark.parametrize("tunneling", [1e150, 1e155, 1e200, -1e300])
-    def test_single_qubit_factor_partials_keep_their_first_order_term_at_any_size(self, tunneling):
-        # eps/m rounds to 0, so the K partial's off-diagonal -i (h (K/m)^2 + s) is -i dt cos x; formed
-        # through |(K, eps)|^2, which overflows past 1.3e154, its h part would read 0 and leave -i s
-        d_tunneling, d_bias = _single_qubit_factor_partials(tunneling, 0.1, DT)
-        assert d_tunneling[0, 1].imag == pytest.approx(-DT * math.cos(DT * abs(tunneling)), rel=1e-12)
+    @pytest.mark.parametrize("tunneling, bias, dt", [(1e150, 0.1, DT), (1e155, 0.1, DT), (1e200, 0.1, DT),
+                                                    (-1e300, 0.1, DT), (5e-324, 0.0, 0.7), (1e-320, 0.0, 0.7)])
+    def test_single_qubit_factor_partials_keep_their_first_order_term_at_any_size(self, tunneling, bias, dt):
+        # eps/m rounds to 0 (or is 0), so the K partial's off-diagonal -i (h (K/m)^2 + s) is -i dt cos x;
+        # formed through |(K, eps)|^2, which overflows past 1.3e154, its h part would read 0 and leave
+        # -i s, and s read as sin(x)/m, where x = dt m is subnormal and holds few bits, is far from dt
+        d_tunneling, d_bias = _single_qubit_factor_and_partials(tunneling, bias, dt)[1:]
+        assert d_tunneling[0, 1].imag == pytest.approx(-dt * math.cos(dt * abs(tunneling)), rel=1e-12)
         assert np.all(np.isfinite(d_bias))
+
+    def test_single_qubit_factor_partials_keep_a_recorded_value(self):
+        # the K partial's off-diagonal at (1e150, 0.1, 0.4), as first recorded when it was formed through m^2
+        assert _single_qubit_factor_and_partials(1e150, 0.1, 0.4)[1, 0, 1].imag == pytest.approx(0.216937114, rel=1e-8)
 
     def test_no_coupling_matches_exact(self):
         for n in (2, 3, 7):

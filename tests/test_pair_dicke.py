@@ -473,8 +473,9 @@ class TestRecordedChunked:
             assert np.max(np.abs(got - recorded)) <= 1e-12 * np.max(np.abs(recorded)), (name, n)
 
 
-# (K, eps) at signed zeros, past the subnormals' edge and at 1e150, with every dt the range rule admits
-_ROTATION_GRID = (0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150)
+# (K, eps) at signed zeros, the least subnormal, past the subnormals' edge and at 1e150, with every dt
+# the range rule admits
+_ROTATION_GRID = (0.0, -0.0, 5e-324, 1e-300, -1e-300, 1e150, -1e150)
 _ROTATION_DTS = (0.7, 1e-140, 1e-200)
 
 
@@ -487,14 +488,15 @@ def _inline_rotation(tunneling: float, bias: float, dt: float) -> tuple[float, f
 
 class TestOneRotation:
     """The one closed form of a chunk's rotation, as each reader takes it, is
-    the inline reference bit for bit: the dense factor, its conjugate as
-    ``F(-dt)`` (the backward step's ``F^dagger``), and the sector steps'
-    three diagonals from the Euler angles."""
+    the inline reference bit for bit: the dense factor, the one stacked with
+    its partials and that one's conjugate as ``F(-dt)`` (the backward step's
+    ``F^dagger``), and the sector steps' three diagonals from the Euler angles."""
 
     def test_the_factor_and_its_conjugate_are_f_at_dt_and_at_minus_dt(self):
         for tunneling, bias, dt in itertools.product(_ROTATION_GRID, _ROTATION_GRID, _ROTATION_DTS):
             factor = hamiltonian._single_qubit_factor(tunneling, bias, dt)
-            for got, step in ((factor, dt), (factor.conj(), -dt)):
+            stacked = hamiltonian._single_qubit_factor_and_partials(tunneling, bias, dt)[0]
+            for got, step in ((factor, dt), (stacked, dt), (stacked.conj(), -dt)):
                 c, s = _inline_rotation(tunneling, bias, step)
                 off = complex(0.0, -s * tunneling)
                 want = np.array([[complex(c, -s * bias), off], [off, complex(c, s * bias)]])

@@ -181,6 +181,16 @@ class TestGradient:
         bound = 1e-12 if method == "chunked" else max(1e-12, 2**-50 * phase)
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
+    # x = dt |(K, eps)| is subnormal and holds few bits, so sin(x)/|(K, eps)| is far from dt: a factor
+    # partial that read its s as that quotient put these K entries 0.43 and 5e-4 of themselves off
+    @pytest.mark.parametrize("method", ["chunked", "exact"])
+    @pytest.mark.parametrize("tunneling", [5e-324, 1e-320])
+    def test_subnormal_rotation_gradient_matches_the_tangent_reference(self, method, tunneling):
+        schedule = Schedule(3, 0.7, (ChunkParams.uniform(3, tunneling, 0.0, 0.2),))
+        _, want = orbit_tangent_gradient(schedule, build_training_set(3), method)
+        _, got = gradient(schedule, build_training_set(3), TrainerConfig(method=method))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_small_near_minimum(self, table2, ts2):
         settled = train(table2, ts2, TrainerConfig(target_rms=0.0, max_epochs=300))
         _, grad = gradient(settled.schedule, ts2, TrainerConfig())
