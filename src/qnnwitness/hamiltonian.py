@@ -239,11 +239,13 @@ def _single_qubit_factor(tunneling: float, bias: float, dt: float) -> np.ndarray
 def _single_qubit_factor_and_partials(tunneling: float, bias: float, dt: float) -> np.ndarray:
     """:func:`_single_qubit_factor` and its derivatives by ``tunneling`` and by ``bias``, stacked.
 
-    The factor is ``c I - i s (K X + eps Z)`` with ``c = cos x`` and the rest as in :func:`_rotation`, but for
-    ``s`` read as ``dt sin(x)/x``: a subnormal x holds too few bits for ``sin(x)/m``. Since ``dc/dK = -dt K s``
-    and ``ds/dK = (K/m) h/m`` with ``h = dt c - s``, the K derivative is ``-dt K s I - i (h (K/m) (K X + eps Z)/m
-    + s X)``, and likewise for eps with Z. ``h`` is summed from its series in x below x = 0.05, where ``dt c - s``
-    cancels; only x is squared, so no finite chunk loses a term.
+    The factor is ``c I - i s (K X + eps Z)`` with ``c = cos x`` and the rest
+    as in :func:`_rotation`, but for ``s`` read as ``dt sin(x)/x``: a
+    subnormal x holds too few bits for ``sin(x)/m``. Since ``dc/dK = -dt K
+    s`` and ``ds/dK = (K/m) h/m`` with ``h = dt c - s``, the K derivative is
+    ``-dt K s I - i (h (K/m) (K X + eps Z)/m + s X)``, and likewise for eps
+    with Z. ``h`` is summed from its series in x below x = 0.05, where ``dt
+    c - s`` cancels; only x is squared, so no finite chunk loses a term.
     """
     a, b, x, sine, magnitude = _rotation(tunneling, bias, dt)
     s = dt * (sine / x) if x else dt
