@@ -46,9 +46,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 # The largest register any dense 2**n x 2**n array is built for (a unitary,
 # a Hamiltonian, a chunk propagator), through require_square: one complex
 # such array is 16 MiB at the cap.

@@ -317,11 +317,12 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
     92, 043307 (2015), with ``J_y = S J_x S^dagger``, ``S = e^{-i pi J_z/2}``,
     folded into the diagonals; :func:`_chunk_sweeps`). Each column solves
     ``2 J_x v = 2 M v`` row by row from the edge M = J, where it starts at
-    ``d^J_{J M}(pi/2) = 2^-J sqrt(C(2J, J - M))`` and grows, to the middle,
+    ``d^J_{J M}(pi/2) = 2^-J sqrt(C(2J, J - M))``, or at e^-700 where that
+    is smaller (edge columns past J = 1009.5; the normalisation undoes the
+    scale, where an underflow to 0 would not), and grows, to the middle,
     and takes the other half from its parity ``(-1)^(J - M)`` under the
-    reflection M -> -M, with which J_x commutes. Each block is built and
-    normalised in place in the basis, so the build holds nothing of a
-    block's size beside it."""
+    reflection M -> -M, with which J_x commutes. Built and normalised in
+    place, a block needs nothing of its size beside it."""
     ladder = sector_terms(n, spins)[0]
     eigvecs = np.zeros((len(spins), n + 1, n + 1))
     for block, spin in enumerate(spins):
@@ -333,7 +334,7 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
         np.fill_diagonal(eigvecs[block], 1.0)  # the identity outside the sector
         v = eigvecs[block, first : first + rows, first : first + rows]  # built in place: every row is written
         # mu and -mu start from the same sum, so their columns differ by (-1)^w exactly
-        v[0] = np.exp((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2))
+        v[0] = np.exp(np.maximum((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2), -700.0))
         for j in range(half - 1):  # row j: links[j-1] v[j-1] + links[j] v[j+1] = 2 mu v[j]
             v[j + 1] = (2 * mu * v[j] - (links[j - 1] * v[j - 1] if j else 0.0)) / links[j]
         parity = (-1.0) ** np.arange(rows)
@@ -568,8 +569,8 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
 
     The one size rule of the sector kernel refuses them before anything is
     built, with the ``width`` complex columns per block row that the caller
-    carries through the sweeps, and an exact backward step's working arrays
-    unless ``backward`` is False; the schedule has already admitted their
+    carries through the sweeps, and a backward step's working arrays unless
+    ``backward`` is False; the schedule has already admitted their
     phases (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
@@ -577,22 +578,22 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
     # held throughout, per chunk and method: 2 KiB of Python objects, and chunked's three diagonals, 48
-    # bytes a row, or exact's real eigenvectors and 40 bytes a row (eigenvalues, phases); chunked's cached
-    # basis. Beside them the larger of the build, freed once it is done, and three arrays of the caller's
-    # columns, evolved after: a step's input, its rotation and one more. The build: two squares for chunked's
-    # basis (built in place, it needs less), then its phases as reals, 24 bytes a row, before their
-    # exponentials in place; exact's generators, with its eigenvectors as eigh returns them. Then an exact
-    # backward step's 2.5 blocks of working arrays, and 1 KiB a row
+    # bytes a row, or exact's real eigenvectors and 40 bytes a row (eigenvalues, phases); chunked's basis,
+    # built in place. Beside them the larger of the build, freed once it is done, and the caller's columns,
+    # evolved after: three arrays of them in a forward step (input, rotation, one more), six in a backward
+    # one (finals and co-states, [states | co-states], input copy, rotation, output, output copy). The build:
+    # chunked's phases as reals, 24 bytes a row, exponentiated in place; exact's generators, with its
+    # eigenvectors as eigh returns them. Then an exact backward step's 2.5 blocks of working arrays, 1 KiB a row
     rows = count * blocks * (n + 1)
     held, build, fixed = len(methods) * count * 2048, 0, 1024 * (n + 1)
     if "chunked" in methods:
         held += 8 * blocks * size + 48 * rows
-        build = 16 * size + 24 * rows
+        build = 24 * rows
     if "exact" in methods:
         held += count * 8 * blocks * size + 40 * rows
         build = max(build, count * 8 * blocks * size)
         fixed += 20 * blocks * size if backward else 0
-    nbytes = held + max(build, 48 * blocks * (n + 1) * width) + fixed
+    nbytes = held + max(build, (96 if backward else 48) * blocks * (n + 1) * width) + fixed
     if nbytes > DENSE_BYTES_BUDGET:
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")

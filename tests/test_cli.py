@@ -479,6 +479,17 @@ class TestConfigFile:
         assert code == 2
         assert "shotz" in err
 
+    def test_a_switch_in_a_config_file_is_its_flag(self, tmp_path, capsys):
+        # compile elides a zero coupling's ZZ gates unless --no-elide keeps them
+        schedule, config = tmp_path / "zero_zz.json", tmp_path / "run.json"
+        save_schedule(Schedule(2, 1.0, (ChunkParams.uniform(2, 0.5, 0.1, 0.0),)), schedule)
+        runs = []
+        for value, flags in [(True, ["--no-elide"]), (False, [])]:
+            config.write_text(json.dumps({"no_elide": value}))
+            runs.append(run_cli(capsys, "compile", "--schedule", str(schedule), *flags))
+            assert run_cli(capsys, "compile", "--schedule", str(schedule), "--config", str(config)) == runs[-1]
+        assert runs[0][0] == 0 and runs[0] != runs[1]
+
     @pytest.mark.parametrize("key, value", [("command", "verify"), ("list_repro", True)])
     def test_a_top_level_name_is_an_unknown_key(self, tmp_path, capsys, key, value):
         config = tmp_path / "run.json"

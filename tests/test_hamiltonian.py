@@ -512,6 +512,21 @@ class TestWignerBlocks:
             spins = tuple(n / 2 - k for k in range(blocks))
             assert hamiltonian.wigner_basis(n, spins).tobytes() == wigner_basis_apart(n, spins).tobytes()
 
+    @pytest.mark.parametrize("n, spin", [(2150, 1075.0), (2301, 1150.5)])
+    def test_a_basis_past_j_1074_is_finite_orthonormal_and_diagonalises_j_x(self, n, spin):
+        # an edge column's start 2^-J sqrt(C(2J, J - M)) underflows to 0 past J = 1074, so it starts at e^-700
+        try:
+            basis = hamiltonian.wigner_basis(n, (spin,))[0]
+        finally:
+            hamiltonian.wigner_basis.cache_clear()
+        links = hamiltonian.sector_terms(n, (spin,))[0, 0, :-1]  # the sector fills the block: J = n/2
+        assert np.all(np.isfinite(basis))
+        assert np.max(np.abs(basis.T @ basis - np.eye(n + 1))) < 1e-13
+        residual = -basis * (n - 2 * np.arange(n + 1.0))  # 2 J_x X - X 2M, J_x tridiagonal on the ladder
+        residual[:-1] += links[:, np.newaxis] * basis[1:]
+        residual[1:] += links[:, np.newaxis] * basis[:-1]
+        assert np.max(np.abs(residual)) < 1e-11
+
     def test_a_cold_build_peaks_at_the_basis_and_one_block(self):
         # the basis is built in place: no second block beside it, nor the norm's temporaries
         n, spins = 400, (200.0, 199.0, 198.0)
