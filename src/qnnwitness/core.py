@@ -72,11 +72,11 @@ class ArrayCache:
     it keeps alive as ``nbytes``, as an array does. A new value evicts the
     least recently used ones, whichever function made them, and a value
     larger than ``max_bytes`` is returned but not kept. ``key`` maps a
-    call's arguments to its entry; without it the entry is the tuple of
+    call's arguments to its entry; by default the entry is the tuple of
     positional arguments itself, and a keyword argument raises
-    ``TypeError``. A hit is one dictionary lookup and a move to the most
-    recent end. Each decorated function gets ``cache_info()`` and
-    ``cache_clear()`` over its own entries.
+    ``TypeError``. A hit is one key call, one dictionary lookup and a move
+    to the most recent end. Each decorated function gets ``cache_info()``
+    and ``cache_clear()`` over its own entries.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -84,7 +84,7 @@ class ArrayCache:
         self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
         self.nbytes = 0  # what the entries report, kept as they come and go
 
-    def __call__(self, fn, key=None):
+    def __call__(self, fn, key=lambda *args: args):
         entries = self._entries
         get, move_to_end = entries.get, entries.move_to_end
         hits = misses = 0
@@ -100,27 +100,15 @@ class ArrayCache:
                     self.nbytes -= entries.popitem(last=False)[1].nbytes
             return value
 
-        # values report nbytes, so none is None; the two wrappers differ only in their key
-        if key is None:
-            def cached(*args):
-                nonlocal hits
-                entry = (fn, args)
-                value = get(entry)
-                if value is None:
-                    return miss(entry, *args)
-                hits += 1
-                move_to_end(entry)
-                return value
-        else:
-            def cached(*args, **kwargs):
-                nonlocal hits
-                entry = (fn, key(*args, **kwargs))
-                value = get(entry)
-                if value is None:
-                    return miss(entry, *args, **kwargs)
-                hits += 1
-                move_to_end(entry)
-                return value
+        def cached(*args, **kwargs):  # values report nbytes, so none is None
+            nonlocal hits
+            entry = (fn, key(*args, **kwargs))
+            value = get(entry)
+            if value is None:
+                return miss(entry, *args, **kwargs)
+            hits += 1
+            move_to_end(entry)
+            return value
 
         def cache_info() -> CacheInfo:
             own = [value for (owner, _), value in entries.items() if owner is fn]
@@ -155,13 +143,13 @@ class DimensionError(ValueError):
     """The register is too large for the dense arrays a computation needs."""
 
 
-def require_dense(n: int, count: int = 1, itemsize: int = 16) -> None:
-    """Refuse ``count`` arrays of ``2**n`` items before any is allocated.
+def require_dense(n: int, count: int = 1) -> None:
+    """Refuse ``count`` complex arrays of ``2**n`` items before any is allocated.
 
-    ``count * itemsize * 2**n > budget`` is tested as ``count * itemsize >
-    budget >> n``, which is exact for integers and never builds ``2**n``.
+    ``count * 16 * 2**n > budget`` is tested as ``count * 16 > budget >> n``,
+    which is exact for integers and never builds ``2**n``.
     """
-    if count * itemsize > DENSE_BYTES_BUDGET >> n:
+    if count * 16 > DENSE_BYTES_BUDGET >> n:
         raise DimensionError(f"refusing {count} dense arrays of 2**{n} items for {n} qubits "
                              f"(budget {DENSE_BYTES_BUDGET} bytes)")
 
@@ -567,6 +555,7 @@ def expectation_zz(state: np.ndarray, i: int, j: int) -> float:
 
 _COMPLEX = np.dtype(np.complex128)
 _PARTS = np.dtype((np.float64, 2))  # a complex128 vector viewed as one (real, imaginary) row per amplitude
+NON_FINITE_ZZ = "<Z_i Z_j> is not finite; the state holds non-finite amplitudes"  # every read-out's refusal
 
 
 def zz_moments(state: np.ndarray, i: int, j: int) -> tuple[float, float]:
@@ -597,7 +586,7 @@ def bounded_zz(value: float) -> float:
     """A read-out of <Z_i Z_j>, with round-off just outside [-1, 1] clamped;
     a non-finite one raises."""
     if not math.isfinite(value):
-        raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
+        raise ValueError(NON_FINITE_ZZ)
     return min(1.0, max(-1.0, value))
 
 
@@ -609,9 +598,9 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b))
 
 
-def check_norm(norm_sq: float, tol: float = 1e-10) -> None:
-    """Refuse a state whose sum of squared moduli ``norm_sq`` is not 1 to ``tol``."""
-    if not abs(norm_sq - 1.0) <= tol:  # also refuses NaN
+def check_norm(norm_sq: float) -> None:
+    """Refuse a state whose sum of squared moduli ``norm_sq`` is not 1 to 1e-10."""
+    if not abs(norm_sq - 1.0) <= 1e-10:  # also refuses NaN
         raise ValueError(f"state is not normalized: sum |amp|^2 = {norm_sq}")
 
 

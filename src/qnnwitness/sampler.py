@@ -92,18 +92,27 @@ class ShotConfig:
 
 @dataclass(frozen=True)
 class ShotStatistics:
-    """Per-shot-count ensemble statistics over the sweep iterations."""
+    """Per-shot-count ensemble statistics over the sweep iterations; std, stderr and the CI follow from ``variance``."""
 
     shot_counts: tuple[int, ...]
     mean: tuple[float, ...]            # mean witness estimate
     variance: tuple[float, ...]        # sample variance of witness estimates
-    ci_half_width: tuple[float, ...]   # Z_SCORE * sample std of witness estimates
-    std: tuple[float, ...]
-    stderr: tuple[float, ...]          # std / sqrt(iterations)
     zz_mean: tuple[float, ...]         # mean of the unsquared estimator
     zz_variance: tuple[float, ...]
     iterations: int
     seed: int
+
+    @property
+    def std(self) -> tuple[float, ...]:  # sample std of witness estimates
+        return tuple(var**0.5 for var in self.variance)
+
+    @property
+    def stderr(self) -> tuple[float, ...]:  # std / sqrt(iterations)
+        return tuple(std / self.iterations**0.5 for std in self.std)
+
+    @property
+    def ci_half_width(self) -> tuple[float, ...]:  # Z_SCORE * std
+        return tuple(Z_SCORE * std for std in self.std)
 
     @property
     def ci_low(self) -> tuple[float, ...]:
@@ -188,16 +197,7 @@ def sweep(
             zz_var = float(np.var(zbars, ddof=1))
         else:
             var = zz_var = 0.0
-        std = var**0.5
-        return (  # ShotStatistics's fields from mean to zz_variance, in order
-            float(np.mean(estimates)),
-            var,
-            Z_SCORE * std,
-            std,
-            std / config.iterations**0.5,
-            float(np.mean(zbars)),
-            zz_var,
-        )
+        return float(np.mean(estimates)), var, float(np.mean(zbars)), zz_var  # ShotStatistics's fields, in order
 
     rows = map_ordered(stats_for, config.shot_counts)
     return ShotStatistics(config.shot_counts, *zip(*rows), iterations=config.iterations, seed=config.seed)

@@ -34,7 +34,7 @@ import numpy as np
 from .hamiltonian import ChunkParams, Schedule, adjoint_partials, pair_dicke_operators
 from .sampler import map_ordered  # unused here; the benchmark tracer patches trainer.map_ordered
 from .witness import TrainingSet, build_training_set, check_training_set, check_training_set_size
-from .witness import witness_readout, witness_values
+from .witness import orbit_zz, witness_readout, witness_values
 
 DEFAULT_TOTAL_TIME = 1.58
 MAX_CHUNKS = 1024  # per schedule; every sweep and every saved schedule grows with it
@@ -79,10 +79,15 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """A trained schedule, its rms history and whether it met the target; it took one epoch per step of the history."""
+
     schedule: Schedule
     rms_history: tuple[float, ...]  # rms before any step, then after each epoch
-    epochs_used: int
     converged: bool
+
+    @property
+    def epochs_used(self) -> int:
+        return len(self.rms_history) - 1
 
     @property
     def final_rms(self) -> float:
@@ -132,7 +137,7 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
 
     Both sweeps run on the four orbit states in the pair (x) Dicke space.
     The loss is read from the states the forward sweep has evolved, through
-    the read-out :func:`witness_values` uses, so it equals
+    the read-out :func:`witness_values` uses (``orbit_zz``), so it equals
     :func:`training_loss` bit for bit. With ``zz`` the unclamped
     ``<Z_0 Z_1>`` of an evolved orbit state and ``t`` an item's target, each
     item adds ``4 zz (zz^2 - t)`` to its row's weight ``c``, and the
@@ -147,12 +152,11 @@ def gradient(schedule: Schedule, training_set: TrainingSet, config: TrainerConfi
 
     def costate(finals: np.ndarray) -> np.ndarray:
         nonlocal loss
-        readout = pair_dicke_operators(n).readout  # read after the sweep rule has admitted n
-        zz = np.sum(np.abs(finals) ** 2 * readout, axis=1)
+        zz = orbit_zz(finals, n)  # the read-out is built after the sweep rule has admitted n
         loss = float(np.sum((witness_readout(zz, rows) - targets) ** 2))
         item_zz = zz[rows]
         weights = np.bincount(rows, 4 * item_zz * (item_zz**2 - targets), minlength=len(zz))
-        return weights[:, np.newaxis] * readout * finals
+        return weights[:, np.newaxis] * pair_dicke_operators(n).readout * finals
 
     grad = adjoint_partials(coords, schedule, config.method, costate).ravel()
     if not np.all(np.isfinite(grad)):
@@ -192,7 +196,7 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
     history = [rms]
     best_schedule, best_rms = schedule, rms
     if rms <= config.target_rms:
-        return TrainResult(schedule, tuple(history), 0, True)
+        return TrainResult(schedule, tuple(history), True)
     initial_rms = rms
     bad_streak = 0
     for epochs in range(1, config.max_epochs + 1):
@@ -218,8 +222,8 @@ def train(init: Schedule, training_set: TrainingSet, config: TrainerConfig) -> T
         else:
             bad_streak = 0
         if rms <= config.target_rms:
-            return TrainResult(schedule, tuple(history), epochs, True)
-    return TrainResult(schedule, tuple(history), config.max_epochs, False)
+            return TrainResult(schedule, tuple(history), True)
+    return TrainResult(schedule, tuple(history), False)
 
 
 def random_schedule(n: int, chunk_count: int, seed: int) -> Schedule:

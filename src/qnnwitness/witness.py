@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import apply_circuit, expectation_zz, qubit_pairs, require_dense, z_signs
+from .core import NON_FINITE_ZZ, apply_circuit, expectation_zz, qubit_pairs, require_dense, z_signs
 from .core import circuit_unitary  # unused here; the benchmark tracer patches witness.circuit_unitary
 from .hamiltonian import Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
 
@@ -165,8 +165,8 @@ def evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndar
     package's one dense dispatcher. ``gates`` runs the full compiled circuit,
     ``chunked`` the split-operator propagator and ``exact`` the full
     exponential, chunk by chunk, each on one C-ordered ``(2**n, batch)``
-    array; the witness, ``verify`` and ``sample`` all evolve their ``2**n``
-    vectors here."""
+    array, ``states.T``, copied only if it is not one; the witness,
+    ``verify`` and ``sample`` all evolve their ``2**n`` vectors here."""
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
@@ -196,36 +196,41 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     """Witness of every training item, evaluated as one batch.
 
     ``exact`` and ``chunked`` under a symmetric schedule evolve the four
-    orbit states in the pair (x) Dicke space and read each on ``Z_0 Z_1``;
-    every other evaluation evolves each item as a ``2**n`` vector and reads
-    the item's own pair. Values are in [0, 1]: round-off just outside is
-    clamped and a non-finite ``<Z_i Z_j>`` raises, as in ``expectation_zz``.
+    orbit states in the pair (x) Dicke space and read each on ``Z_0 Z_1``
+    (:func:`orbit_zz`); every other evaluation evolves the items as the
+    columns of one ``(2**n, batch)`` array and sums each item's own row of
+    squared moduli times its pair's Z_i Z_j signs. Values are in [0, 1]:
+    round-off just outside is clamped and a non-finite ``<Z_i Z_j>`` raises.
     """
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     if schedule.symmetric and method in ("exact", "chunked"):
-        coords, rows = training_set.pair_dicke_orbits
-        finals = evolve_pair_dicke(coords, schedule, method)  # past the budget the sweeps refuse first
-        parities = pair_dicke_operators(n).readout[np.newaxis, :]
-    else:
-        items = training_set.items
-        rows = np.arange(len(items))
-        require_dense(n, len(items))
-        finals = evolve_dense(np.stack([make_pair_state(item.kind, item.pair, n) for item in items]), schedule, method)
-        # each pair's Z_i Z_j from its two index bits, not from cached diagonals
-        index = np.arange(2**n)
-        parity = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
-        parities = np.stack([parity[item.pair] for item in items])
-    return witness_readout(np.sum(np.abs(finals) ** 2 * parities, axis=1), rows)
+        coords, rows = training_set.pair_dicke_orbits  # past the budget the sweeps refuse first
+        return witness_readout(orbit_zz(evolve_pair_dicke(coords, schedule, method), n), rows)
+    items = training_set.items
+    require_dense(n, len(items))
+    columns = np.stack([make_pair_state(item.kind, item.pair, n) for item in items], axis=1)
+    terms = np.abs(evolve_dense(columns.T, schedule, method), order="C")  # a row per item
+    terms *= terms
+    index = np.arange(2**n)
+    signs = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
+    for row, item in zip(terms, items):
+        row *= signs[item.pair]
+    return witness_readout(terms.sum(axis=1), np.arange(len(items)))
+
+
+def orbit_zz(finals: np.ndarray, n: int) -> np.ndarray:
+    """The unclamped ``<Z_0 Z_1>`` of each row of pair (x) Dicke coordinates: the one orbit read-out."""
+    return np.sum(np.abs(finals) ** 2 * pair_dicke_operators(n).readout, axis=1)
 
 
 def witness_readout(zz: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Each item's witness from the ``<Z_i Z_j>`` of its evolved row.
 
-    A non-finite ``zz`` raises, as in ``expectation_zz``; round-off just
+    A non-finite ``zz`` raises, as in ``bounded_zz``; round-off just
     outside [-1, 1] is clamped before squaring.
     """
     if not np.isfinite(zz).all():
-        raise ValueError("<Z_i Z_j> is not finite; the state holds non-finite amplitudes")
+        raise ValueError(NON_FINITE_ZZ)
     zz = zz.clip(-1.0, 1.0)
     return (zz * zz)[rows]

@@ -621,12 +621,12 @@ class TestExpectationZZ:
 class TestRequireDense:
     def test_budget_boundary_is_exact(self):
         assert DENSE_BYTES_BUDGET == 2**27
-        require_dense(27, 1, itemsize=1)  # exactly the budget
-        require_dense(20, 2**7, itemsize=1)
+        require_dense(23, 1)  # exactly the budget in 16-byte items
+        require_dense(16, 2**7)
         require_dense(1, 0)
-        for n, count, itemsize in ((27, 1, 2), (26, 3, 1), (20, 2**7 + 1, 1), (24, 1, 16)):
+        for n, count in ((24, 1), (23, 2), (16, 2**7 + 1)):
             with pytest.raises(DimensionError):
-                require_dense(n, count, itemsize)
+                require_dense(n, count)
 
     def test_pair_readout_cache_is_bounded(self):
         # the n = 2 and n = 7 read-outs take a few KiB of the byte bound, so

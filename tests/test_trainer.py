@@ -337,7 +337,7 @@ class TestBootstrap:
         from qnnwitness.trainer import TrainResult
 
         with pytest.raises(ValueError, match="cannot extract shared parameters"):
-            bootstrap(TrainResult(asym, (1.0,), 0, False), 3, TrainerConfig())
+            bootstrap(TrainResult(asym, (1.0,), False), 3, TrainerConfig())
 
     def test_chain_from_a_given_start(self, ts2):
         # the default start is the config's random schedule; a given one is

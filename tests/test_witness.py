@@ -149,6 +149,17 @@ class TestWitnessValues:
         zz = np.clip(np.sum(np.abs(finals) ** 2 * parities, axis=1), -1.0, 1.0)
         assert np.array_equal(witness_values(training_set, schedule, "gates"), zz * zz)
 
+    def test_gates_values_sum_each_item_to_round_off_at_18_qubits(self, table3):
+        # 2**18 terms per item: a sum along a strided axis drifts by 3.4e-12
+        n = 18
+        schedule = Schedule(n, table3.total_time, tuple(
+            ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] * 6 / (n - 1)) for ck in table3.chunks))
+        ts = TrainingSet(n, tuple(TrainingItem(kind, (0, 1), WITNESS_TARGETS[kind]) for kind in PairStateKind))
+        gates = witness_values(ts, schedule, "gates")
+        single = [witness_value(make_pair_state(kind, (0, 1), n), (0, 1), schedule, "gates") for kind in PairStateKind]
+        assert np.max(np.abs(gates - single)) <= 1e-13
+        assert np.max(np.abs(gates - witness_values(ts, schedule, "chunked"))) <= 1e-13
+
     def test_gates_method(self, table2):
         ts = build_training_set(2)
         batch_gates = witness_values(ts, table2, "gates")
