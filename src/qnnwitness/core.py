@@ -72,11 +72,11 @@ class ArrayCache:
     it keeps alive as ``nbytes``, as an array does. A new value evicts the
     least recently used ones, whichever function made them, and a value
     larger than ``max_bytes`` is returned but not kept. ``key`` maps a
-    call's arguments to its entry; by default the entry is the tuple of
+    call's arguments to its entry; without it the entry is the tuple of
     positional arguments itself, and a keyword argument raises
-    ``TypeError``. A hit is one key call, one dictionary lookup and a move
-    to the most recent end. Each decorated function gets ``cache_info()``
-    and ``cache_clear()`` over its own entries.
+    ``TypeError``. A hit is one dictionary lookup and a move to the most
+    recent end. Each decorated function gets ``cache_info()`` and
+    ``cache_clear()`` over its own entries.
     """
 
     def __init__(self, max_bytes: int) -> None:
@@ -84,7 +84,7 @@ class ArrayCache:
         self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
         self.nbytes = 0  # what the entries report, kept as they come and go
 
-    def __call__(self, fn, key=lambda *args: args):
+    def __call__(self, fn, key=None):
         entries = self._entries
         get, move_to_end = entries.get, entries.move_to_end
         hits = misses = 0
@@ -102,7 +102,9 @@ class ArrayCache:
 
         def cached(*args, **kwargs):  # values report nbytes, so none is None
             nonlocal hits
-            entry = (fn, key(*args, **kwargs))
+            if kwargs and key is None:
+                raise TypeError(f"{fn.__name__}() is stored by its positional arguments alone, got {sorted(kwargs)}")
+            entry = (fn, args if key is None else key(*args, **kwargs))
             value = get(entry)
             if value is None:
                 return miss(entry, *args, **kwargs)
