@@ -79,7 +79,7 @@ class TrainerConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
-    """A trained schedule, its rms history and whether it met the target; it took one epoch per step of the history."""
+    """A trained schedule, its rms history and whether its last rms met the target."""
 
     schedule: Schedule
     rms_history: tuple[float, ...]  # rms before any step, then after each epoch

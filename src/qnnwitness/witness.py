@@ -205,7 +205,7 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     if schedule.symmetric and method in ("exact", "chunked"):
-        coords, rows = training_set.pair_dicke_orbits  # past the budget the sweeps refuse first
+        coords, rows = training_set.pair_dicke_orbits  # the sweeps refuse n past the budget first
         return witness_readout(orbit_zz(evolve_pair_dicke(coords, schedule, method), n), rows)
     items = training_set.items
     require_dense(n, len(items))

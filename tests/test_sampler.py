@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -307,7 +308,10 @@ class TestConfidenceInterval:
         final = apply_circuit(make_pair_state(PairStateKind.C, (0, 1), 2), compile_schedule(table2))
         estimates = [sample_zz_mean(final, (0, 1), count, rng_stream(5, count, it)) ** 2 for it in range(iterations)]
         stats = sweep(table2, PairStateKind.C, (0, 1), ShotConfig(shot_counts=(count,), iterations=iterations, seed=5))
-        half = 1.959964 * float(np.std(estimates, ddof=1))
+        std = float(np.std(estimates, ddof=1))
+        half = 1.959964 * std
+        assert stats.std[0] == pytest.approx(std, rel=1e-12)
+        assert stats.stderr[0] == pytest.approx(std / math.sqrt(iterations), rel=1e-12)
         assert stats.ci_low[0] == pytest.approx(float(np.mean(estimates)) - half, rel=1e-6)
         assert stats.ci_high[0] == pytest.approx(float(np.mean(estimates)) + half, rel=1e-6)
 
