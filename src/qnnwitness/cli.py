@@ -18,7 +18,7 @@ outside the register; a dense square array above 10 qubits, built by
 arrays past the 128 MiB budget: dense states, refused at one size for
 ``gates`` and for ``chunked`` on a non-uniform schedule, training sets,
 and the pair (x) Dicke sweeps of ``witness`` under uniform chunks, with 4
-chunks past 2237 qubits for ``chunked`` and 725 for ``exact``; each refused
+chunks past 2307 qubits for ``chunked`` and 831 for ``exact``; each refused
 before allocation), 4 training divergence.
 """
 

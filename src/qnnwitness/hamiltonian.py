@@ -32,7 +32,7 @@ total-spin sectors, three real blocks of at most n + 1 rows per chunk, and
 nothing 4(n-1)-square is built. ``exact`` diagonalises each chunk's blocks
 by one batched ``eigh``; ``chunked`` builds no per-chunk block: its
 single-qubit layer is the spin-J image of one 2x2 rotation, three
-diagonals per chunk around one cached J_x eigenbasis per n and sector set
+diagonals per chunk around one cached J_x eigenbasis per n and sector count
 (Feng et al., Phys. Rev. E 92, 043307 (2015); :func:`wigner_basis`).
 On all n/2 + 1 sectors the same forward step gives ``verify`` a uniform
 schedule's Trotter error (:func:`sector_trotter_error`).
@@ -287,17 +287,12 @@ def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
 
 
 @PARITY_CACHE
-def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
-    """Per sector J in ``spins`` and weight w = 0..n (M = n/2 - w), built
-    once per n and spins: the ladder ``<J, M|J_+|J, M-1> = sqrt((J+M)(J-M+1))``
-    to the next weight, ``2M`` and ``(4M^2 - n)/2``, stacked ``(3,
-    len(spins), n+1)`` and zero where the sector has no row. Each J must
-    leave n/2 - J a whole number from 0 to n/2."""
-    twice = [2 * j for j in spins]
-    if any(t != round(t) or not 0 <= t <= n or (n - t) % 2 for t in twice):
-        raise ValueError(f"total spins {tuple(spins)} are not sectors of {n} qubits")
-    twice = np.array(twice, dtype=float)[:, np.newaxis]
-    twice_m = n - 2 * np.arange(n + 1.0)
+def sector_terms(n: int, blocks: int) -> np.ndarray:
+    """Per sector J = n/2 - k, k < ``blocks``, and weight w = 0..n (M = n/2 -
+    w), built once per n and count: the ladder ``<J, M|J_+|J, M-1> =
+    sqrt((J+M)(J-M+1))`` to the next weight, ``2M`` and ``(4M^2 - n)/2``,
+    stacked ``(3, blocks, n+1)`` and zero where the sector has no row."""
+    twice, twice_m = (n - 2 * np.arange(blocks, dtype=float))[:, np.newaxis], n - 2 * np.arange(n + 1.0)  # 2J, 2M
     inside = np.abs(twice_m) <= twice
     # the product vanishes at M = -J and at M = J + 1, and is negative past them
     ladder = np.sqrt(np.maximum((twice + twice_m) * (twice - twice_m + 2), 0.0)) / 2
@@ -307,10 +302,10 @@ def sector_terms(n: int, spins: tuple[float, ...]) -> np.ndarray:
 
 
 @PARITY_CACHE
-def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
-    """X, the real eigenvectors of J_x per sector J in ``spins``, stacked
-    ``(len(spins), n+1, n+1)``, column w for the eigenvalue M = n/2 - w and
-    the identity outside the sector; built once per n and spins from the
+def wigner_basis(n: int, blocks: int) -> np.ndarray:
+    """X, the real eigenvectors of J_x per sector J = n/2 - k, k < ``blocks``,
+    stacked ``(blocks, n+1, n+1)``, column w for the eigenvalue M = n/2 - w
+    and the identity outside the sector; built once per n and count from the
     ladder of :func:`sector_terms`. Every ``chunked`` sector step shares it:
     ``e^{-i theta J_x} = X e^{-i theta M} X^T`` is the middle of a rotation's
     Euler form, the diagonals around it per chunk (Feng et al., Phys. Rev. E
@@ -323,16 +318,16 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
     and takes the other half from its parity ``(-1)^(J - M)`` under the
     reflection M -> -M, with which J_x commutes. Built and normalised in
     place, a block needs nothing of its size beside it."""
-    ladder = sector_terms(n, spins)[0]
-    eigvecs = np.zeros((len(spins), n + 1, n + 1))
-    for block, spin in enumerate(spins):
-        first, rows = round(n / 2 - spin), round(2 * spin) + 1
+    ladder = sector_terms(n, blocks)[0]
+    eigvecs = np.zeros((blocks, n + 1, n + 1))
+    for k in range(blocks):  # sector k's rows start at weight k
+        rows, spin = n - 2 * k + 1, n / 2 - k
         mu, half = spin - np.arange(rows), (rows + 1) // 2
-        links = ladder[block, first : first + rows - 1]
-        steps = np.log((2 * spin - np.arange(rows - 1)) / np.arange(1.0, rows))  # log C(2J, k+1) / C(2J, k)
+        links = ladder[k, k : k + rows - 1]
+        steps = np.log((2 * spin - np.arange(rows - 1)) / np.arange(1.0, rows))  # log C(2J, i+1) / C(2J, i)
         log_binomial = np.concatenate([[0.0], np.cumsum(steps)])
-        np.fill_diagonal(eigvecs[block], 1.0)  # the identity outside the sector
-        v = eigvecs[block, first : first + rows, first : first + rows]  # built in place: every row is written
+        np.fill_diagonal(eigvecs[k], 1.0)  # the identity outside the sector
+        v = eigvecs[k, k : k + rows, k : k + rows]  # built in place: every row is written
         # mu and -mu start from the same sum, so their columns differ by (-1)^w exactly
         v[0] = np.exp(np.maximum((log_binomial + log_binomial[::-1]) / 4 - spin * math.log(2), -700.0))
         for j in range(half - 1):  # row j: links[j-1] v[j-1] + links[j] v[j+1] = 2 mu v[j]
@@ -349,18 +344,18 @@ def wigner_basis(n: int, spins: tuple[float, ...]) -> np.ndarray:
     return eigvecs
 
 
-def spin_sector_hamiltonian(shared, n: int, spins) -> np.ndarray:
+def spin_sector_hamiltonian(shared, n: int, blocks: int) -> np.ndarray:
     """The Hamiltonian of a uniform n-qubit chunk on the total-spin sectors
-    ``spins``: real symmetric tridiagonal blocks on the |J, M> with M = n/2 - w,
-    w = 0..n, ``2 eps M + zeta (4 M^2 - n)/2`` on the diagonal and
-    ``K sqrt((J+M)(J-M+1))`` beside it, zero where |M| > J. ``shared`` is the
-    chunk's ``(K, eps, zeta)`` or a ``(..., 3)`` stack of them, for a
-    ``(..., len(spins), n+1, n+1)`` stack. ``exact`` diagonalises these;
-    ``chunked`` never builds them (:func:`wigner_basis`)."""
-    ladder, twice_m, quadratic = sector_terms(n, tuple(spins))
+    J = n/2 - k, k < ``blocks``: real symmetric tridiagonal blocks on the
+    |J, M> with M = n/2 - w, w = 0..n, ``2 eps M + zeta (4 M^2 - n)/2`` on the
+    diagonal and ``K sqrt((J+M)(J-M+1))`` beside it, zero where |M| > J.
+    ``shared`` is the chunk's ``(K, eps, zeta)`` or a ``(..., 3)`` stack of
+    them, for a ``(..., blocks, n+1, n+1)`` stack. ``exact`` diagonalises
+    these; ``chunked`` never builds them (:func:`wigner_basis`)."""
+    ladder, twice_m, quadratic = sector_terms(n, blocks)
     shared = np.asarray(shared, dtype=float)[..., np.newaxis, np.newaxis, :]
     size = n + 1
-    h = np.zeros(shared.shape[:-3] + (len(spins), size * size))  # row-major: (r, r) is entry r (size + 1)
+    h = np.zeros(shared.shape[:-3] + (blocks, size * size))  # row-major: (r, r) is entry r (size + 1)
     h[..., :: size + 1] = shared[..., 1] * twice_m + shared[..., 2] * quadratic
     h[..., 1 :: size + 1] = h[..., size :: size + 1] = shared[..., 0] * ladder[:, :-1]  # (r, r + 1) and (r + 1, r)
     return h.reshape(h.shape[:-1] + (size, size))
@@ -546,7 +541,7 @@ def _backward_step(
 
 
 def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None,
-                  backward: bool = True) -> tuple:
+                  backward: bool) -> tuple:
     """The sector terms, and per method of ``methods`` each chunk's step
     ``(lead, V, mid, trail, eigenvalues, shared)``: :func:`_forward_step`
     reads it up to ``trail``, :func:`_backward_step` whole. ``exact``
@@ -569,9 +564,9 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
 
     The one size rule of the sector kernel refuses them before anything is
     built, with the ``width`` complex columns per block row that the caller
-    carries through the sweeps, and a backward step's working arrays unless
-    ``backward`` is False; the schedule has already admitted their
-    phases (:func:`require_phase_range`)."""
+    carries through the sweeps: through forward steps only, or also through
+    backward ones if ``backward`` is True. The schedule has already admitted
+    their phases (:func:`require_phase_range`)."""
     for method in methods:
         if method not in ("exact", "chunked"):
             raise ValueError(f"unknown propagation method {method!r}")
@@ -579,31 +574,30 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
     # held throughout, per chunk and method: 2 KiB of Python objects, and chunked's three diagonals, 48
     # bytes a row, or exact's real eigenvectors and 40 bytes a row (eigenvalues, phases); chunked's basis,
-    # built in place. Beside them the larger of the build, freed once it is done, and the caller's columns,
-    # evolved after: three arrays of them in a forward step (input, rotation, one more), six in a backward
-    # one (finals and co-states, [states | co-states], input copy, rotation, output, output copy). The build:
-    # chunked's phases as reals, 24 bytes a row, exponentiated in place; exact's generators, with its
-    # eigenvectors as eigh returns them. Then an exact backward step's 2.5 blocks of working arrays, 1 KiB a row
-    rows = count * blocks * (n + 1)
-    held, build, fixed = len(methods) * count * 2048, 0, 1024 * (n + 1)
+    # built in place; 1 KiB a row. Beside them the larger of the build, freed once it is done, and the steps
+    # after it: three arrays of the caller's columns in a forward step (input, rotation, one more), six in a
+    # backward one (finals and co-states, [states | co-states], input copy, rotation, output, output copy)
+    # with exact's 2.5 blocks of working arrays. The build: chunked's phases as reals, 24 bytes a row,
+    # exponentiated in place; exact's generators, with its eigenvectors as eigh returns them
+    rows, steps = count * blocks * (n + 1), (96 if backward else 48) * blocks * (n + 1) * width
+    held, build = len(methods) * count * 2048 + 1024 * (n + 1), 0
     if "chunked" in methods:
         held += 8 * blocks * size + 48 * rows
         build = 24 * rows
     if "exact" in methods:
         held += count * 8 * blocks * size + 40 * rows
         build = max(build, count * 8 * blocks * size)
-        fixed += 20 * blocks * size if backward else 0
-    nbytes = held + max(build, (96 if backward else 48) * blocks * (n + 1) * width) + fixed
+        steps += 20 * blocks * size if backward else 0
+    nbytes = held + max(build, steps)
     if nbytes > DENSE_BYTES_BUDGET:
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
-    spins = tuple(n / 2 - k for k in range(blocks))
     shared = [ck.shared for ck in schedule.chunks]
-    terms = sector_terms(n, spins)
+    terms = sector_terms(n, blocks)
     sweeps = []
     for method in methods:
         if method == "chunked":
-            basis = wigner_basis(n, spins)
+            basis = wigner_basis(n, blocks)
             # per chunk, the phases of lead, mid and trail over (M, (4M^2 - n)/2), both 0 outside the sector:
             # arg(a) M less the ZZ phase, -theta M, and arg(a) M
             coefficients = []
@@ -616,7 +610,7 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
             diagonals = diagonals.reshape(count, 3, blocks, n + 1, 1)
             sweeps.append([(lead, basis, mid, trail, None, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared)])
         else:
-            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, spins))
+            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, blocks))
             phases = np.exp(-1j * dt * values)[..., np.newaxis]
             sweeps.append([(None, v, p, None, e, chunk) for v, p, e, chunk in zip(vectors, phases, values, shared)])
     return terms, sweeps
@@ -632,14 +626,14 @@ def _coordinate_columns(coords, n: int) -> np.ndarray:
     return columns
 
 
-def _forward_sweep(coords: np.ndarray, schedule: Schedule, method: str):
+def _forward_sweep(coords: np.ndarray, schedule: Schedule, method: str, backward: bool):
     """A ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates through
-    every chunk: the sector terms and each chunk's step of
-    :func:`_chunk_sweeps`, the space's operators, and the float view of the
-    final coupled columns."""
+    every chunk: the sector terms and each chunk's step of :func:`_chunk_sweeps`
+    (charged for a backward sweep after it if ``backward``), the space's
+    operators, and the float view of the final coupled columns."""
     columns = _coordinate_columns(coords, schedule.n_qubits)
-    # each copy's states, and the co-states that adjoint_partials puts beside them
-    terms, (steps,) = _chunk_sweeps(schedule, method, width=4 * columns.shape[1])
+    width = (4 if backward else 2) * columns.shape[1]  # each copy's states, and a backward sweep's co-states
+    terms, (steps,) = _chunk_sweeps(schedule, method, width=width, backward=backward)
     ops = pair_dicke_operators(schedule.n_qubits)
     columns = _to_sectors(columns, ops)
     for step in steps:
@@ -651,7 +645,7 @@ def evolve_pair_dicke(coords: np.ndarray, schedule: Schedule, method: str = "exa
     """Evolve a ``(batch, 4(n-1))`` stack of pair (x) Dicke coordinates
     through a schedule of uniform chunks; the result matches the dense
     :func:`evolve_states` of the embedded states to round-off."""
-    _, _, ops, finals = _forward_sweep(coords, schedule, method)
+    _, _, ops, finals = _forward_sweep(coords, schedule, method, backward=False)
     return _from_sectors(finals, ops).T
 
 
@@ -702,7 +696,7 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     the co-states enter once. Returns ``(n_chunks, 3)`` partials: per
     chunk, the shared tunneling, bias and coupling.
     """
-    terms, steps, ops, finals = _forward_sweep(coords, schedule, method)
+    terms, steps, ops, finals = _forward_sweep(coords, schedule, method, backward=True)
     costates = _to_sectors(_coordinate_columns(costate(_from_sectors(finals, ops).T), schedule.n_qubits), ops)
     blocks, rows = finals.shape[:2]  # per copy: states, then co-states
     both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import NON_FINITE_ZZ, apply_circuit, expectation_zz, qubit_pairs, require_dense, z_signs
+from .core import NON_FINITE_ZZ, apply_circuit, qubit_pairs, require_dense, z_signs
 from .core import circuit_unitary  # unused here; the benchmark tracer patches witness.circuit_unitary
 from .hamiltonian import Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
 
@@ -180,16 +180,16 @@ def witness_value(
     """``<Z_i Z_j>^2`` of one evolved state vector; always in [0, 1].
 
     The dense single-state reference that tests hold :func:`witness_values`
-    to: ``initial`` is evolved as a ``2**n`` vector whatever the schedule,
-    ``gates`` through the full compiled circuit, ``chunked`` through the
-    split-operator propagator, ``exact`` through the full exponential.
+    to: ``initial`` is evolved as a ``2**n`` vector whatever the schedule
+    (``gates``: the full compiled circuit, ``chunked``: the split-operator
+    propagator, ``exact``: the full exponential) and read as the batch reads.
     """
     initial = np.asarray(initial, dtype=complex)
     dim = 2**schedule.n_qubits
     if initial.shape != (dim,):
         raise ValueError(f"expected a state vector of dimension {dim}, got shape {initial.shape}")
-    final = evolve_dense(initial[np.newaxis, :], schedule, method)[0]
-    return expectation_zz(final, pair[0], pair[1]) ** 2
+    pair = _checked_pair(tuple(sorted(pair)), schedule.n_qubits)  # in either order
+    return float(_dense_witness(evolve_dense(initial[np.newaxis, :], schedule, method), [pair], schedule.n_qubits)[0])
 
 
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
@@ -198,10 +198,12 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     ``exact`` and ``chunked`` under a symmetric schedule evolve the four
     orbit states in the pair (x) Dicke space and read each on ``Z_0 Z_1``
     (:func:`orbit_zz`); every other evaluation evolves the items as the
-    columns of one ``(2**n, batch)`` array and sums each item's own row of
-    squared moduli times its pair's Z_i Z_j signs. Values are in [0, 1]:
-    round-off just outside is clamped and a non-finite ``<Z_i Z_j>`` raises.
+    columns of one ``(2**n, batch)`` array and reads each on its pair
+    (:func:`_dense_witness`). An unknown method is refused first; values are
+    in [0, 1], round-off just outside clamped, a non-finite ``<Z_i Z_j>`` refused.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown propagation method {method!r}")
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
     if schedule.symmetric and method in ("exact", "chunked"):
@@ -210,13 +212,17 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
     items = training_set.items
     require_dense(n, len(items))
     columns = np.stack([make_pair_state(item.kind, item.pair, n) for item in items], axis=1)
-    terms = np.abs(evolve_dense(columns.T, schedule, method), order="C")  # a row per item
+    return _dense_witness(evolve_dense(columns.T, schedule, method), [item.pair for item in items], n)
+
+
+def _dense_witness(finals: np.ndarray, pairs: list[tuple[int, int]], n: int) -> np.ndarray:
+    """The one dense read-out: each row's squared moduli times its pair's Z_i Z_j signs, summed pairwise along it."""
+    terms = np.abs(finals, order="C")  # a row per item
     terms *= terms
-    index = np.arange(2**n)
-    signs = {pair: z_signs(n, pair, index).prod(axis=0) for pair in dict.fromkeys(item.pair for item in items)}
-    for row, item in zip(terms, items):
-        row *= signs[item.pair]
-    return witness_readout(terms.sum(axis=1), np.arange(len(items)))
+    signs = {pair: z_signs(n, pair, np.arange(2**n)).prod(axis=0) for pair in dict.fromkeys(pairs)}
+    for row, pair in zip(terms, pairs):
+        row *= signs[pair]
+    return witness_readout(terms.sum(axis=1), np.arange(len(pairs)))
 
 
 def orbit_zz(finals: np.ndarray, n: int) -> np.ndarray:

@@ -39,7 +39,7 @@ from qnnwitness import core
 from qnnwitness.compiler import compile_schedule
 from qnnwitness.core import GateKind, GateOp, check_norm, circuit_unitary, density_matrix, frobenius_distance
 from qnnwitness.core import bounded_zz, n_qubits_of
-from qnnwitness.hamiltonian import evolve_states, sector_terms, spin_sector_hamiltonian
+from qnnwitness.hamiltonian import ChunkParams, Schedule, evolve_states, sector_terms, spin_sector_hamiltonian
 from qnnwitness.witness import PairStateKind, make_pair_state
 
 IDENTITY_2 = np.eye(2, dtype=complex)
@@ -226,12 +226,22 @@ def pair_dicke_hamiltonian(shared, n: int) -> np.ndarray:
     return np.diag(diagonal.ravel()) + tunneling * transverse
 
 
-def sector_layer_propagators(shared, n: int, spins, dt: float) -> np.ndarray:
-    """``exp(-i dt (K 2J_x + eps 2J_z))`` on each sector block of ``spins``:
+def sector_layer_propagators(shared, n: int, blocks: int, dt: float) -> np.ndarray:
+    """``exp(-i dt (K 2J_x + eps 2J_z))`` on each sector block J = n/2 - k, k < ``blocks``:
     the eigendecomposition of the uniform chunk's sector Hamiltonian with its
-    coupling set to 0, ``V exp(-i lam dt) V^T``, stacked ``(len(spins), n+1, n+1)``."""
-    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian((*shared[:2], 0.0), n, spins))
+    coupling set to 0, ``V exp(-i lam dt) V^T``, stacked ``(blocks, n+1, n+1)``."""
+    eigvals, eigvecs = np.linalg.eigh(spin_sector_hamiltonian((*shared[:2], 0.0), n, blocks))
     return (eigvecs * np.exp(-1j * dt * eigvals)[:, np.newaxis, :]) @ eigvecs.swapaxes(1, 2)
+
+
+def kac_lifted(schedule: Schedule, n: int) -> Schedule:
+    """A uniform schedule's shared values on n qubits, its coupling times
+    (m - 1)/(n - 1) for its m qubits: the Kac scaling, which holds each
+    qubit's summed coupling zeta (n - 1) fixed."""
+    scale = schedule.n_qubits - 1
+    chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] * scale / (n - 1))
+                   for ck in schedule.chunks)
+    return Schedule(n, schedule.total_time, chunks)
 
 
 def mean_field_witness(schedule, kac_coupling) -> np.ndarray:
@@ -402,13 +412,13 @@ def rotation_run_end(ops, start: int, q: int, kinds) -> int:
     return end
 
 
-def wigner_basis_apart(n: int, spins: tuple[float, ...]) -> np.ndarray:
+def wigner_basis_apart(n: int, blocks: int) -> np.ndarray:
     """``hamiltonian.wigner_basis`` as it was built with each block in its
     own array, normalised by ``np.linalg.norm`` into a second one, then
     copied into the basis beside an identity."""
-    ladder = sector_terms(n, spins)[0]
-    eigvecs = np.zeros((len(spins), n + 1, n + 1))
-    for block, spin in enumerate(spins):
+    ladder = sector_terms(n, blocks)[0]
+    eigvecs = np.zeros((blocks, n + 1, n + 1))
+    for block, spin in enumerate(n / 2 - k for k in range(blocks)):
         first, rows = round(n / 2 - spin), round(2 * spin) + 1
         mu, half = spin - np.arange(rows), (rows + 1) // 2
         links = ladder[block, first : first + rows - 1]

@@ -10,8 +10,9 @@ leaves to the full tree.
 The top-level help prints the ``cli`` module docstring, so when its list
 of dimension errors changed, again when its list of input errors did,
 again when both did, again when the input errors lost a qubit's
-K^2 + eps^2, and again when ``chunked``'s largest size at 4 chunks moved,
-the three entries that print it were edited in that paragraph alone. The
+K^2 + eps^2, again when ``chunked``'s largest size at 4 chunks moved, and
+again when both methods' did, the three entries that print it were edited in
+that paragraph alone. The
 argparse text is the CLI's contract too: a parser built differently (say,
 ``add_subparsers(metavar=...)``) can keep every parsed value and still
 change what a user reads, such as ``argument command: invalid choice``.

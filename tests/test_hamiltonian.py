@@ -496,30 +496,28 @@ class TestWignerBlocks:
         chunks = tuple(ChunkParams.uniform(n, k, eps, 0.3) for k, eps in _QUADRANTS)
         schedule = Schedule(n, 0.4 * len(chunks), chunks)
         for blocks in {min(3, n // 2 + 1), n // 2 + 1 if n <= 64 else 3}:
-            terms, (steps,) = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks)
-            spins = [n / 2 - k for k in range(blocks)]
+            terms, (steps,) = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks, backward=False)
             zz_phase = np.exp(-1j * schedule.dt * 0.3 * terms[2])[:, np.newaxis, :]
             for chunk, (lead, vectors, mid, trail, _, _) in zip(chunks, steps):
                 assert vectors is steps[0][1]  # one basis for every chunk, and O(n) numbers per chunk
                 assert lead.shape == mid.shape == trail.shape == (blocks, n + 1, 1)
                 got = (trail * vectors * mid.swapaxes(-1, -2)) @ (vectors.swapaxes(-1, -2) * lead.swapaxes(-1, -2))
-                want = sector_layer_propagators(chunk.shared, n, spins, schedule.dt) * zz_phase
+                want = sector_layer_propagators(chunk.shared, n, blocks, schedule.dt) * zz_phase
                 assert np.max(np.abs(got - want)) <= 1e-12, chunk.shared
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_the_basis_is_the_one_built_block_by_block_bit_for_bit(self, n):
         for blocks in {min(3, n // 2 + 1), n // 2 + 1}:
-            spins = tuple(n / 2 - k for k in range(blocks))
-            assert hamiltonian.wigner_basis(n, spins).tobytes() == wigner_basis_apart(n, spins).tobytes()
+            assert hamiltonian.wigner_basis(n, blocks).tobytes() == wigner_basis_apart(n, blocks).tobytes()
 
-    @pytest.mark.parametrize("n, spin", [(2150, 1075.0), (2301, 1150.5)])
-    def test_a_basis_past_j_1074_is_finite_orthonormal_and_diagonalises_j_x(self, n, spin):
+    @pytest.mark.parametrize("n", [2150, 2301])
+    def test_a_basis_past_j_1074_is_finite_orthonormal_and_diagonalises_j_x(self, n):
         # an edge column's start 2^-J sqrt(C(2J, J - M)) underflows to 0 past J = 1074, so it starts at e^-700
         try:
-            basis = hamiltonian.wigner_basis(n, (spin,))[0]
+            basis = hamiltonian.wigner_basis(n, 1)[0]
         finally:
             hamiltonian.wigner_basis.cache_clear()
-        links = hamiltonian.sector_terms(n, (spin,))[0, 0, :-1]  # the sector fills the block: J = n/2
+        links = hamiltonian.sector_terms(n, 1)[0, 0, :-1]  # the sector fills the block: J = n/2
         assert np.all(np.isfinite(basis))
         assert np.max(np.abs(basis.T @ basis - np.eye(n + 1))) < 1e-13
         residual = -basis * (n - 2 * np.arange(n + 1.0))  # 2 J_x X - X 2M, J_x tridiagonal on the ladder
@@ -529,12 +527,12 @@ class TestWignerBlocks:
 
     def test_a_cold_build_peaks_at_the_basis_and_one_block(self):
         # the basis is built in place: no second block beside it, nor the norm's temporaries
-        n, spins = 400, (200.0, 199.0, 198.0)
+        n, blocks = 400, 3
         hamiltonian.wigner_basis.cache_clear()
         hamiltonian.sector_terms.cache_clear()
         tracemalloc.start()
         try:
-            basis = hamiltonian.wigner_basis(n, spins)
+            basis = hamiltonian.wigner_basis(n, blocks)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -623,15 +621,15 @@ class TestSpinSectors:
         # these are the numbers every method forms phases from. Round-off may
         # pass the bound by far less than the factor 2 the rule leaves for it
         n, dt = schedule.n_qubits, schedule.dt
-        spins = [n / 2 - k for k in range(n // 2 + 1)]
+        blocks = n // 2 + 1
         for ck in schedule.chunks:
             bound = ck.norm_bound * (1 + 1e-12)
             assert np.abs(np.linalg.eigvalsh(build_hamiltonian(ck, n))).max() <= bound
             if ck.is_symmetric:  # exact's blocks; chunked's eigenvalues 2rM, and its split-off ZZ diagonal
                 k, eps, zeta = ck.shared
-                assert np.abs(np.linalg.eigvalsh(spin_sector_hamiltonian((k, eps, zeta), n, spins))).max() <= bound
+                assert np.abs(np.linalg.eigvalsh(spin_sector_hamiltonian((k, eps, zeta), n, blocks))).max() <= bound
                 assert n * math.hypot(k, eps) <= bound
-                assert np.abs(zeta * hamiltonian.sector_terms(n, tuple(spins))[2]).max() <= bound
+                assert np.abs(zeta * hamiltonian.sector_terms(n, blocks)[2]).max() <= bound
         # a Rz angle is a phase; a Ry angle is the axis's atan2(K, eps), at most pi
         largest = 2 * dt * max(ck.norm_bound for ck in schedule.chunks) * (1 + 1e-12)
         for op in compile_schedule(schedule).ops:
@@ -641,7 +639,7 @@ class TestSpinSectors:
     def test_the_sector_blocks_hold_the_dense_spectrum(self, n):
         # each block's eigenvalues, once per copy of its sector, are the dense Hamiltonian's
         shared = (1.3, -0.7, 0.45)
-        blocks = spin_sector_hamiltonian(shared, n, [n / 2 - k for k in range(n // 2 + 1)])
+        blocks = spin_sector_hamiltonian(shared, n, n // 2 + 1)
         eigvals = []
         for k, block in enumerate(blocks):
             copies = math.comb(n, k) - (math.comb(n, k - 1) if k else 0)
@@ -654,11 +652,6 @@ class TestSpinSectors:
         schedule = Schedule(n, 1.58, (ChunkParams.uniform(n, 0.0, 0.0, 0.0),) * 3)
         state = random_state(n, np.random.default_rng(9))
         assert np.max(np.abs(evolve_states(state, schedule, "exact") - state)) <= SECTOR_TOL
-
-    @pytest.mark.parametrize("spins", [[1.0], [2.0], [-0.5], [0.25]])
-    def test_spins_that_are_not_sectors_are_refused(self, spins):
-        with pytest.raises(ValueError, match="are not sectors of 3 qubits"):
-            spin_sector_hamiltonian((1.0, 0.0, 0.0), 3, spins)
 
     def test_eleven_qubits_are_refused_as_by_the_dense_path(self):
         schedule = Schedule(11, 1.58, (ChunkParams.uniform(11, 1.0, 0.5, 0.2),) * 4)

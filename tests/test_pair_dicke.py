@@ -49,7 +49,8 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import expm_eigh, mean_field_witness, orbit_tangent_gradient, pair_dicke_hamiltonian, z_diagonal
+from helpers import expm_eigh, kac_lifted, mean_field_witness, orbit_tangent_gradient, pair_dicke_hamiltonian
+from helpers import z_diagonal
 
 VALUE_TOL = 1e-12
 GRADIENT_TOL = 1e-12
@@ -143,7 +144,7 @@ class TestOperators:
         shared = (1.3, -0.7, coupling * 6 / max(n - 1, 6))
         coupled = sector_change(n)
         blocks = len(coupled[0]) // (2 * (n + 1))
-        sectors = spin_sector_hamiltonian(shared, n, [n / 2 - k for k in range(blocks)])
+        sectors = spin_sector_hamiltonian(shared, n, blocks)
         used = np.sum(coupled * coupled, axis=0).reshape(blocks, n + 1, 2).any(axis=1)
         want = np.zeros((blocks, n + 1, 2, blocks, n + 1, 2))
         for k, a in zip(*np.nonzero(used)):
@@ -201,10 +202,12 @@ def bell_set(n: int) -> TrainingSet:
     return TrainingSet(n, (TrainingItem(PairStateKind.BELL, (0, 1), 1.0),))
 
 
-# (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits)
-CHUNKED_ADMITTED = [("chunked", 4, 2237), ("chunked", 1024, 559), ("chunked", 1, 2246)]
-EXACT_ADMITTED = [("exact", 4, 725), ("exact", 1, 1108)]
-LARGEST_ADMITTED = CHUNKED_ADMITTED + EXACT_ADMITTED
+# (method, chunks of table3 lifted and cut or refined, the largest n the sweep rule admits): a witness is
+# charged a forward sweep of its states, a gradient a backward sweep of its states and co-states
+WITNESS_ADMITTED = [("chunked", 4, 2307), ("chunked", 1024, 559), ("chunked", 1, 2315), ("exact", 4, 831),
+                    ("exact", 1, 1659)]
+GRADIENT_ADMITTED = [("chunked", 4, 2237), ("chunked", 1024, 559), ("chunked", 1, 2246), ("exact", 4, 831),
+                     ("exact", 1, 1229)]
 # (copies of table3's first chunk, the largest n whose comparison over all n/2 + 1 sectors the rule admits)
 COMPARISON_ADMITTED = [(1, 129), (2, 127), (4, 121), (16, 97), (4115, 12)]
 
@@ -259,30 +262,31 @@ class TestOperatorStore:
 class TestSweepBudget:
     """``_chunk_sweeps`` holds the one size rule of the pair (x) Dicke path."""
 
-    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    @pytest.mark.parametrize("method, chunks, n", WITNESS_ADMITTED)
     def test_the_largest_admitted_sweep_peaks_under_the_budget(self, table3, method, chunks, n):
         schedule = lifted_chunks(table3, n, chunks)
         values, peak = traced_peak(lambda: witness_values(bell_set(n), schedule, method))
         assert 0 <= values[0] <= 1
         assert peak < DENSE_BYTES_BUDGET
 
-    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    @pytest.mark.parametrize("method, chunks, n", WITNESS_ADMITTED)
     def test_witness_values_past_the_budget_are_refused_before_allocating(self, table3, method, chunks, n):
         schedule = lifted_chunks(table3, n + 1, chunks)
         error, elapsed, peak = measured(lambda: witness_values(bell_set(n + 1), schedule, method))
         assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
         assert elapsed < 0.5 and peak < 2**20
 
-    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    @pytest.mark.parametrize("method, chunks, n", GRADIENT_ADMITTED)
     def test_the_largest_admitted_gradient_peaks_under_the_budget(self, table3, method, chunks, n):
-        # a backward step holds six arrays of the columns, where a forward one holds three
+        # a backward step holds six arrays of the states' and co-states' columns, where a
+        # forward step of the witness holds three of the states' alone
         schedule = lifted_chunks(table3, n, chunks)
         config = trainer.TrainerConfig(method=method)
         (_, grad), peak = traced_peak(lambda: trainer.gradient(schedule, bell_set(n), config))
         assert grad.shape == (3 * chunks,) and np.all(np.isfinite(grad))
         assert peak < DENSE_BYTES_BUDGET
 
-    @pytest.mark.parametrize("method, chunks, n", LARGEST_ADMITTED)
+    @pytest.mark.parametrize("method, chunks, n", GRADIENT_ADMITTED)
     def test_gradients_past_the_budget_are_refused_before_allocating(self, table3, method, chunks, n):
         schedule = lifted_chunks(table3, n + 1, chunks)
         config = trainer.TrainerConfig(method=method)
@@ -306,17 +310,17 @@ class TestSweepBudget:
         assert elapsed < 0.5 and peak < 2**20
 
     def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys):
-        # one exact chunk is admitted up to 1108 qubits; a short file refuses the
+        # one exact chunk is admitted up to 1659 qubits; a short file refuses the
         # next size up. The file holds save_schedule's document without its
         # indentation: json's indenting encoder is pure Python, seconds at
-        # C(1109, 2) zeta keys, where the compact one is C code
-        path = tmp_path / "s1109.json"
-        schedule = Schedule(1109, 1.58, (ChunkParams.uniform(1109, 2.5, 0.1, 0.05),))
+        # C(1660, 2) zeta keys, where the compact one is C code
+        path = tmp_path / "s1660.json"
+        schedule = Schedule(1660, 1.58, (ChunkParams.uniform(1660, 2.5, 0.1, 0.05),))
         path.write_text(json.dumps(hamiltonian._schedule_document(schedule)))
         code = cli.main(["witness", "--schedule", str(path), "--state", "Bell", "--method", "exact"])
         captured = capsys.readouterr()
         assert (code, captured.out) == (3, "")
-        assert "exact sweeps for 1109 qubits and 1 chunks" in captured.err
+        assert "exact sweeps for 1660 qubits and 1 chunks" in captured.err
 
 
 class TestCoordinates:
@@ -449,9 +453,7 @@ def recorded_schedule(name: str, table3: Schedule, n: int) -> Schedule:
     """The schedules ``chunked_recorded.json`` was computed on: table3 Kac-lifted (coupling times 6/(n-1)),
     and the nine quadrants with coupling 0.3/(n-1) and dt = 1.5."""
     if name == "table3_kac":
-        chunks = tuple(ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] * 6 / (n - 1))
-                       for ck in table3.chunks)
-        return Schedule(n, table3.total_time, chunks)
+        return kac_lifted(table3, n)
     chunks = tuple(ChunkParams.uniform(n, k, eps, 0.3 / (n - 1)) for k, eps in _QUADRANTS)
     return Schedule(n, 1.5 * len(chunks), chunks)
 
@@ -506,13 +508,13 @@ class TestOneRotation:
 
     def test_sector_diagonals_are_the_inline_euler_angles(self):
         n, coupling = 2, 0.3
-        terms = hamiltonian.sector_terms(n, (1.0, 0.0))
+        terms = hamiltonian.sector_terms(n, 2)
         for tunneling, bias, dt in itertools.product(_ROTATION_GRID, _ROTATION_GRID, _ROTATION_DTS):
             try:
                 schedule = Schedule(n, dt, (ChunkParams.uniform(n, tunneling, bias, coupling),))
             except ValueError:  # phases past the range rule
                 continue
-            _, ((step,),) = hamiltonian._chunk_sweeps(schedule, "chunked", width=4)
+            _, ((step,),) = hamiltonian._chunk_sweeps(schedule, "chunked", width=4, backward=False)
             c, s = _inline_rotation(tunneling, bias, dt)
             turn, theta = math.atan2(-s * bias, c), 2 * math.atan2(s * tunneling, math.hypot(c, s * bias))
             phases = 1j * (np.array([((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0))])

@@ -6,6 +6,8 @@ text. A callable entry must raise ValueError with exactly the message.
 """
 
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +24,10 @@ from qnnwitness.hamiltonian import (
     refine_schedule,
 )
 from qnnwitness.sampler import ShotConfig
-from qnnwitness.witness import METHODS, orbit_coordinates
+from qnnwitness.witness import METHODS, PairStateKind, TrainingItem, TrainingSet, orbit_coordinates, witness_value
+from qnnwitness.witness import witness_values
+
+from helpers import kac_lifted
 
 CONFIG = "{config}"
 
@@ -52,6 +57,10 @@ REFUSALS = {  # id: (argv and its config text, or a call; the message)
     "pair_dicke_of_one_qubit": (lambda: pair_dicke_operators(1), "the pair (x) Dicke space needs at least 2 qubits"),
     "pair_dicke_method": (lambda: evolve_pair_dicke(orbit_coordinates(3), _uniform(3), "bogus"),
                           "unknown propagation method 'bogus'"),
+    "witness_value_pair_repeated": (lambda: witness_value(np.eye(4)[0], (1, 1), _uniform(2)),
+                                    "pair (1, 1) must satisfy 0 <= i < j < 2"),
+    "witness_value_pair_outside": (lambda: witness_value(np.eye(4)[0], (2, 0), _uniform(2)),
+                                   "pair (0, 2) must satisfy 0 <= i < j < 2"),
     "chunked_propagator_size": (lambda: chunked_chunk_propagator(_uniform(2).chunks[0], 3, 0.1),
                                 "parameters are sized for 2 qubits, not 3"),
     "chunked_propagator_dt_zero": (lambda: chunked_chunk_propagator(_uniform(2).chunks[0], 2, 0.0),
@@ -78,3 +87,19 @@ def test_each_refusal_reads_its_message(tmp_path, capsys, entry, message):
     code = cli.main([str(config) if arg == CONFIG else arg for arg in argv])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_an_unknown_method_is_refused_before_any_state_is_built(table3):
+    # four 2**20-vector states of Kac-lifted table3 would take 64 MiB before any evolution
+    n = 20
+    training_set = TrainingSet(n, tuple(TrainingItem(kind, (0, 1), 0.0) for kind in PairStateKind))
+    schedule = kac_lifted(table3, n)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match="^unknown propagation method 'bogus'$"):
+            witness_values(training_set, schedule, "bogus")
+        elapsed, peak = time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 2**20

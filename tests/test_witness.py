@@ -18,7 +18,7 @@ from qnnwitness.witness import (
     witness_values,
 )
 
-from helpers import random_state, z_diagonal
+from helpers import kac_lifted, random_state, z_diagonal
 
 
 class TestMakePairState:
@@ -152,13 +152,21 @@ class TestWitnessValues:
     def test_gates_values_sum_each_item_to_round_off_at_18_qubits(self, table3):
         # 2**18 terms per item: a sum along a strided axis drifts by 3.4e-12
         n = 18
-        schedule = Schedule(n, table3.total_time, tuple(
-            ChunkParams.uniform(n, ck.tunneling[0], ck.bias[0], ck.coupling[0] * 6 / (n - 1)) for ck in table3.chunks))
+        schedule = kac_lifted(table3, n)
         ts = TrainingSet(n, tuple(TrainingItem(kind, (0, 1), WITNESS_TARGETS[kind]) for kind in PairStateKind))
         gates = witness_values(ts, schedule, "gates")
         single = [witness_value(make_pair_state(kind, (0, 1), n), (0, 1), schedule, "gates") for kind in PairStateKind]
         assert np.max(np.abs(gates - single)) <= 1e-13
         assert np.max(np.abs(gates - witness_values(ts, schedule, "chunked"))) <= 1e-13
+
+    def test_one_state_reads_as_the_batch_at_17_qubits(self, table3):
+        # witness_value sums its 2**17 terms pairwise, as the batch does: a BLAS dot
+        # product of the same terms reads 5.4e-14 off the sector kernel here
+        n = 17
+        schedule = kac_lifted(table3, n)
+        ts = TrainingSet(n, tuple(TrainingItem(kind, (0, 1), WITNESS_TARGETS[kind]) for kind in PairStateKind))
+        single = [witness_value(make_pair_state(kind, (0, 1), n), (0, 1), schedule, "gates") for kind in PairStateKind]
+        assert np.max(np.abs(witness_values(ts, schedule, "chunked") - single)) <= 1e-14
 
     def test_gates_method(self, table2):
         ts = build_training_set(2)
