@@ -11,15 +11,16 @@ Conventions used throughout the package:
   centralizes the factor of 2.
 * Everything is double-precision dense numpy; at <= 7 qubits (dim 128)
   sparsity buys nothing.
-* One runner (``_run_steps``) applies every dense evolution: gate lists
-  (``apply_circuit``, ``circuit_unitary``) and the chunked Hamiltonian
-  picture. Its steps are phase vectors, CNOT permutations and blocks: a
-  ``2**k``-square matrix on the k neighbouring qubits q..q+k-1, applied
-  in one ``matmul`` over the ``(2**q, 2**k, rest)`` view of the columns.
-  A chunk's single-qubit layer is ``ceil(n / BLOCK_QUBITS)`` such blocks
-  of near-equal size (``_blocks``), each the Kronecker product of its
-  qubits' 2x2s, so the state is read a few times per chunk, not once per
-  qubit.
+* One runner (``_run_steps``) applies every dense evolution in all three
+  pictures: gate lists (``apply_circuit``, ``circuit_unitary``), chunked
+  and exact Hamiltonian evolution. Its steps are phase vectors, CNOT
+  permutations and blocks: a ``2**k``-square matrix on the k neighbouring
+  qubits q..q+k-1, applied in one ``matmul`` over the ``(2**q, 2**k,
+  rest)`` view of the columns. An exact chunk propagator is one block on
+  all n qubits. A chunk's single-qubit layer is ``ceil(n / BLOCK_QUBITS)``
+  such blocks of near-equal size (``_blocks``), each the Kronecker product
+  of its qubits' 2x2s, so the state is read a few times per chunk, not
+  once per qubit.
 * A gate list is fused once, in one pass over it, the first time the
   circuit runs or is sized (``Circuit.nbytes``), and the result is kept
   on it (``Circuit.steps``): each rotation run on one qubit becomes one

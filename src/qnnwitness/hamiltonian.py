@@ -94,13 +94,10 @@ class ChunkParams:
 
     @cached_property
     def is_symmetric(self) -> bool:
-        # computed once per chunk and kept outside the fields, so equality,
-        # hashing and the exact-propagator cache key still read fields only
-        return (
-            len(set(self.tunneling)) == 1
-            and len(set(self.bias)) == 1
-            and (not self.coupling or len(set(self.coupling)) == 1)
-        )
+        # computed once per chunk, in one comparison pass a field (no set of the C(n, 2) couplings), and kept
+        # outside the fields, so equality, hashing and the exact-propagator cache key still read fields only
+        return all(values.count(values[0]) == len(values) for values in (self.tunneling, self.bias, self.coupling)
+                   if values)
 
     @classmethod
     def uniform(cls, n: int, tunneling: float, bias: float, coupling: float) -> "ChunkParams":
@@ -457,10 +454,9 @@ def _forward_step(columns: np.ndarray, lead, vectors: np.ndarray, mid: np.ndarra
 
 # --- adjoint gradients --------------------------------------------------
 #
-# A backward step takes the coupled columns [states | co-states] just after
-# one chunk, returns them just before it, and reads the partials
-# 2 Re <lam| dU U^dagger |psi> of the chunk's shared tunneling, bias and
-# coupling on the way.
+# A backward step, one per method, takes the coupled columns [states | co-states] just after one
+# chunk of :func:`_forward_step`, which it may overwrite, returns them just before it, and reads the
+# partials 2 Re <lam| dU U^dagger |psi> of the chunk's shared tunneling, bias and coupling on the way.
 
 
 def _states_and_costates(both: np.ndarray, batch: int) -> np.ndarray:
@@ -470,55 +466,54 @@ def _states_and_costates(both: np.ndarray, batch: int) -> np.ndarray:
     return both.view(complex).reshape(blocks * rows, 2, 2, batch).transpose(2, 0, 1, 3).reshape(2, blocks * rows, -1)
 
 
-def _backward_step(
-    both: np.ndarray, lead, vectors: np.ndarray, mid: np.ndarray, trail, eigvals, shared, terms: np.ndarray,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Undo one chunk of :func:`_forward_step` and read its three partials;
-    ``both`` may be overwritten.
+def _chunked_backward(both: np.ndarray, step: tuple, terms: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``chunked``'s backward step. The coupling partial comes from the
+    diagonal ``lead``, which holds the ZZ phase. The single-qubit layer acts
+    last and its factors commute, so the K (or eps) partial is ``2 Re <lam|
+    sum_q (dF F^dagger)_q |psi>`` at the chunk's end: ``sum(G * R)`` with
+    ``R`` the collective 2x2 overlaps, ``n/2 + J_z`` and ``n/2 - J_z`` on
+    the diagonal and J_+, J_- off it."""
+    lead, basis, mid, trail, shared = step
+    ladder, twice_m, quadratic = terms
+    rows, batch = both.shape[1], both.shape[-1] // 8  # floats: copy, [states | co-states], real and imaginary
+    psi, lam = _states_and_costates(both, batch)  # the blocks' rows end to end: a block's last row links to nothing
+    links, total = ladder.reshape(-1, 1)[:-1], np.vdot(lam, psi)
+    spin_z = np.vdot(lam, twice_m.reshape(-1, 1) * psi) / 2
+    reduced = np.array([[(rows - 1) / 2 * total + spin_z, np.vdot(lam[:-1], links * psi[1:])],
+                        [np.vdot(lam[1:], links * psi[:-1]), (rows - 1) / 2 * total - spin_z]])
+    both.view(complex)[...] /= trail
+    coords = basis.swapaxes(1, 2) @ both
+    coords.view(complex)[...] /= mid
+    before = basis @ coords
+    # lead is diagonal and unimodular, so the coupling partial reads the same on either side of it
+    psi, lam = _states_and_costates(before, batch)
+    # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)); F is symmetric, so F^dagger is its conjugate
+    stacked = _single_qubit_factor_and_partials(*shared[:2], dt)
+    overlaps = (reduced @ stacked[0].conj()).ravel()
+    tunneling, bias = (stacked[1:].reshape(2, 4) @ overlaps).real.tolist()
+    coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
+    before.view(complex)[...] /= lead
+    return before, np.array([2 * tunneling, 2 * bias, 2 * dt * coupling])
 
-    ``exact`` reads them by the Daleckii-Krein formula on each block:
-    ``dU = V (Phi o V^T dH V) V^T`` with ``Phi_jk = -i dt exp(-i dt (l_j +
-    l_k)/2) sinc(dt (l_j - l_k)/2)``, which needs no branch for degenerate
-    eigenvalues, so a partial is ``2 sum_xy dH_xy Re M_xy`` with ``M = V
-    (Phi o S) V^T``, ``S_jk = sum_b conj(V^T lam)_j (V^T psi_before)_k``
-    and dH the ladder, 2M or (4M^2 - n)/2. ``chunked`` reads its coupling
-    partial from the diagonal ``lead``, which holds its ZZ phase. Its
-    single-qubit layer acts last and its factors commute, so the K (or
-    eps) partial is ``2 Re <lam| sum_q (dF F^dagger)_q |psi>`` at the
-    chunk's end: ``sum(G * R)`` with ``R`` the collective 2x2 overlaps,
-    ``n/2 + J_z`` and ``n/2 - J_z`` on the diagonal and J_+, J_- off it.
-    """
+
+def _exact_backward(both: np.ndarray, step: tuple, terms: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """``exact``'s backward step, by the Daleckii-Krein formula on each
+    block: ``dU = V (Phi o V^T dH V) V^T`` with ``Phi_jk = -i dt exp(-i dt
+    (l_j + l_k)/2) sinc(dt (l_j - l_k)/2)``, which needs no branch for
+    degenerate eigenvalues, so a partial is ``2 sum_xy dH_xy Re M_xy`` with
+    ``M = V (Phi o S) V^T``, ``S_jk = sum_b conj(V^T lam)_j (V^T
+    psi_before)_k`` and dH the ladder, 2M or (4M^2 - n)/2."""
+    _, vectors, _, _, eigvals = step
     ladder, twice_m, quadratic = terms
     blocks, rows = both.shape[:2]
     batch = both.shape[-1] // 8  # floats: copy, [states | co-states], real and imaginary part
-    if lead is not None:  # the blocks' rows end to end: a block's last row links to nothing
-        psi, lam = _states_and_costates(both, batch)
-        links, total = ladder.reshape(-1, 1)[:-1], np.vdot(lam, psi)
-        spin_z = np.vdot(lam, twice_m.reshape(-1, 1) * psi) / 2
-        reduced = np.array([[(rows - 1) / 2 * total + spin_z, np.vdot(lam[:-1], links * psi[1:])],
-                            [np.vdot(lam[1:], links * psi[:-1]), (rows - 1) / 2 * total - spin_z]])
-        both.view(complex)[...] /= trail
     coords = vectors.swapaxes(1, 2) @ both
     split = coords.view(complex)
-    if lead is None:
-        half = np.exp(0.5j * dt * eigvals)[:, :, np.newaxis]
-        split *= half
-        psi, lam = _states_and_costates(coords, batch).reshape(2, blocks, rows, -1)
-        split *= half
-    else:
-        split /= mid
+    half = np.exp(0.5j * dt * eigvals)[:, :, np.newaxis]
+    split *= half
+    psi, lam = _states_and_costates(coords, batch).reshape(2, blocks, rows, -1)
+    split *= half
     before = vectors @ coords
-    if lead is not None:
-        # lead is diagonal and unimodular, so the coupling partial reads the same on either side of it
-        psi, lam = _states_and_costates(before, batch)
-        # sum((dF F^dagger) * R) = sum(dF * (R F^dagger)); F is symmetric, so F^dagger is its conjugate
-        stacked = _single_qubit_factor_and_partials(*shared[:2], dt)
-        overlaps = (reduced @ stacked[0].conj()).ravel()
-        tunneling, bias = (stacked[1:].reshape(2, 4) @ overlaps).real.tolist()
-        coupling = np.vdot(lam, quadratic.reshape(-1, 1) * psi).imag
-        before.view(complex)[...] /= lead
-        return before, np.array([2 * tunneling, 2 * bias, 2 * dt * coupling])
     # Re(Phi o S) = dt sinc o Im(e o S) with the rank-one e_jk = exp(-i dt (l_j + l_k)/2);
     # Im(conj(a) b) is the real product of the float views of a and -i b
     x = dt * eigvals / 2
@@ -542,14 +537,15 @@ def _backward_step(
 
 def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None,
                   backward: bool) -> tuple:
-    """The sector terms, and per method of ``methods`` each chunk's step
-    ``(lead, V, mid, trail, eigenvalues, shared)``: :func:`_forward_step`
-    reads it up to ``trail``, :func:`_backward_step` whole. ``exact``
-    diagonalises each chunk's Hamiltonian, one batched ``eigh`` of every
-    chunk's blocks: V its eigenvectors and ``mid = exp(-i lam dt)``, no
-    ``lead`` or ``trail``. ``chunked`` applies its ZZ phase ``zeta (4M^2 -
-    n)/2`` first, as a diagonal, then its single-qubit layer, the order the
-    gate compiler reproduces. That layer is the spin-J image of one 2x2
+    """The sector terms, and per method of ``methods`` each chunk's step:
+    ``(lead, X, mid, trail, shared)`` under ``chunked``, ``(None, V, mid,
+    None, lam)`` under ``exact``. :func:`_forward_step` reads it up to
+    ``trail``, :func:`_chunked_backward` or :func:`_exact_backward` what its
+    method needs. ``exact`` diagonalises each chunk's Hamiltonian, one
+    batched ``eigh`` of every chunk's blocks: V its eigenvectors, lam their
+    eigenvalues and ``mid = exp(-i lam dt)``. ``chunked`` applies its ZZ
+    phase ``zeta (4M^2 - n)/2`` first, as a diagonal, then its single-qubit
+    layer, the order the gate compiler reproduces. That layer is the spin-J image of one 2x2
     rotation ``F = exp(-i dt (K X + eps Z)) = [[a, b], [b, conj(a)]]``
     (:func:`_rotation`). Its ZYZ Euler angles ``(-arg a - pi/2, theta, pi/2 -
     arg a)`` with ``theta/2 = atan2(-Im b, |a|)`` give F itself, not -F (which
@@ -559,8 +555,9 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     outer diagonals: ``P X e^{-i theta M} X^T P``, ``P = e^{i arg(a) J_z}``.
     So every chunk's V is the one X; ``lead`` is its ZZ phase times P,
     ``mid`` is ``e^{-i theta M}`` and ``trail`` is P: O(n) numbers a chunk,
-    each 1 outside the sector. The sectors are J = n/2 - k, k < ``blocks``
-    (default: the pair (x) Dicke space's three).
+    each 1 outside the sector, beside its ``shared`` ``(K, eps, zeta)``.
+    The sectors are J = n/2 - k, k < ``blocks`` (default: the pair (x)
+    Dicke space's three).
 
     The one size rule of the sector kernel refuses them before anything is
     built, with the ``width`` complex columns per block row that the caller
@@ -608,11 +605,11 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
             diagonals = 1j * (np.array(coefficients) @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
             np.exp(diagonals, out=diagonals)
             diagonals = diagonals.reshape(count, 3, blocks, n + 1, 1)
-            sweeps.append([(lead, basis, mid, trail, None, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared)])
+            sweeps.append([(lead, basis, mid, trail, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared)])
         else:
             values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, blocks))
             phases = np.exp(-1j * dt * values)[..., np.newaxis]
-            sweeps.append([(None, v, p, None, e, chunk) for v, p, e, chunk in zip(vectors, phases, values, shared)])
+            sweeps.append([(None, v, p, None, e) for v, p, e in zip(vectors, phases, values)])
     return terms, sweeps
 
 
@@ -702,7 +699,8 @@ def adjoint_partials(coords: np.ndarray, schedule: Schedule, method: str, costat
     both = np.concatenate([c.reshape(blocks, rows, 2, -1) for c in (finals, costates)], axis=-1).reshape(blocks, rows, -1)
     out = []
     for step in reversed(steps):
-        both, partials = _backward_step(both, *step, terms, schedule.dt)
+        undo = _exact_backward if step[0] is None else _chunked_backward  # exact has no lead
+        both, partials = undo(both, step, terms, schedule.dt)
         out.append(partials)
     return np.array(out[::-1])
 
@@ -732,13 +730,14 @@ def chunk_propagators(schedule: Schedule, method: str = "exact") -> Iterator[np.
 def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact") -> np.ndarray:
     """Evolve a (dim,) state or a (batch, dim) stack of states.
 
-    The stack is evolved as one C-ordered ``(2**n, batch)`` array.
-    ``chunked`` streams each chunk's phase vector and its single-qubit
-    layer as a few Kronecker blocks through the gate kernel's runner,
-    without building any 2^N matrix. ``exact`` multiplies by the cached
-    dense chunk propagators, on every schedule, and so refuses more than
-    10 qubits; a schedule of uniform chunks evolves without them in its
-    total-spin sectors (:func:`evolve_pair_dicke`, :func:`sector_trotter_error`).
+    The stack is evolved as one C-ordered ``(2**n, batch)`` array by the
+    gate kernel's runner under both methods. ``chunked`` streams each
+    chunk's phase vector and its single-qubit layer as a few Kronecker
+    blocks, without building any 2^N matrix. ``exact``'s blocks are the
+    cached dense chunk propagators on all n qubits, on every schedule, so
+    it refuses more than 10 qubits; a schedule of uniform chunks evolves
+    without them in its total-spin sectors (:func:`evolve_pair_dicke`,
+    :func:`sector_trotter_error`).
     """
     arr = np.asarray(states, dtype=complex)
     single = arr.ndim == 1
@@ -746,12 +745,11 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     n = schedule.n_qubits
     if batch.shape[1] != 2**n:
         raise ValueError(f"state dimension {batch.shape[1]} does not match {n} qubits")
-    columns = np.ascontiguousarray(batch.T)
     if method == "chunked":
-        columns = _run_steps(columns, _chunked_steps(schedule.chunks, n, schedule.dt))
+        steps = _chunked_steps(schedule.chunks, n, schedule.dt)
     else:  # chunk_propagators refuses an unknown method
-        for u in chunk_propagators(schedule, method):
-            columns = u @ columns
+        steps = ((u, 0) for u in chunk_propagators(schedule, method))
+    columns = _run_steps(np.ascontiguousarray(batch.T), steps)
     return columns.T[0] if single else columns.T
 
 

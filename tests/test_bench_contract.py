@@ -136,14 +136,14 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     # builds its blocks by one batched eigh of their Hamiltonians, chunked in
     # closed form from one cached basis, with no eigh
     calls = count_calls(monkeypatch, [
-        (hamiltonian, "_forward_step"), (hamiltonian, "_backward_step"), (hamiltonian, "spin_sector_hamiltonian"),
-        (hamiltonian, "wigner_basis"), (np.linalg, "eigh"), (hamiltonian, "build_hamiltonian"),
-        (trainer, "witness_values"),
+        (hamiltonian, "_forward_step"), (hamiltonian, "_chunked_backward"), (hamiltonian, "_exact_backward"),
+        (hamiltonian, "spin_sector_hamiltonian"), (hamiltonian, "wigner_basis"), (np.linalg, "eigh"),
+        (hamiltonian, "build_hamiltonian"), (trainer, "witness_values"),
     ])
-    steps = {"_forward_step": chunks, "_backward_step": chunks}
     builds = {"exact": {"spin_sector_hamiltonian": 1, "eigh": 1}, "chunked": {"wigner_basis": 1}}
     for method in ("chunked", "exact"):
         _, grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
+        steps = {"_forward_step": chunks, f"_{method}_backward": chunks}
         assert calls == {**dict.fromkeys(calls, 0), **steps, **builds[method]}, method
         calls.update(dict.fromkeys(calls, 0))

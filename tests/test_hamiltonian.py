@@ -384,6 +384,18 @@ class TestPropagate:
         expected = u_b @ (u_a @ state)
         assert np.max(np.abs(propagate(state, schedule, "exact") - expected)) < 1e-12
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_exact_evolution_is_the_ordered_product_of_the_chunk_propagators_bit_for_bit(self, n):
+        # the runner applies each chunk propagator as one block on all n qubits: the same product as u @ columns
+        schedule = Schedule(n, 1.58, tuple(_non_uniform(n, 0.01 * k) for k in range(4)))
+        rng = np.random.default_rng(n)
+        for states in (random_state(n, rng), np.stack([random_state(n, rng) for _ in range(5)])):
+            columns = np.ascontiguousarray(np.atleast_2d(states).T)
+            for u in chunk_propagators(schedule, "exact"):
+                columns = u @ columns
+            want = columns.T.reshape(states.shape)
+            assert evolve_states(states, schedule, "exact").tobytes() == want.tobytes()
+
     def test_density_matrix_evolution(self, table2):
         rng = np.random.default_rng(5)
         state = random_state(2, rng)
@@ -498,8 +510,9 @@ class TestWignerBlocks:
         for blocks in {min(3, n // 2 + 1), n // 2 + 1 if n <= 64 else 3}:
             terms, (steps,) = hamiltonian._chunk_sweeps(schedule, "chunked", width=1, blocks=blocks, backward=False)
             zz_phase = np.exp(-1j * schedule.dt * 0.3 * terms[2])[:, np.newaxis, :]
-            for chunk, (lead, vectors, mid, trail, _, _) in zip(chunks, steps):
+            for chunk, (lead, vectors, mid, trail, shared) in zip(chunks, steps):
                 assert vectors is steps[0][1]  # one basis for every chunk, and O(n) numbers per chunk
+                assert shared == chunk.shared  # what the backward step reads beside the diagonals
                 assert lead.shape == mid.shape == trail.shape == (blocks, n + 1, 1)
                 got = (trail * vectors * mid.swapaxes(-1, -2)) @ (vectors.swapaxes(-1, -2) * lead.swapaxes(-1, -2))
                 want = sector_layer_propagators(chunk.shared, n, blocks, schedule.dt) * zz_phase

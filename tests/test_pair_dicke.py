@@ -276,6 +276,14 @@ class TestSweepBudget:
         assert f"{method} sweeps for {n + 1} qubits and {chunks} chunks" in str(error)
         assert elapsed < 0.5 and peak < 2**20
 
+    def test_a_fresh_schedule_reads_its_uniformity_in_one_pass(self, table3):
+        # the first refusal past the largest size reads Schedule.symmetric of chunks that have not read it yet;
+        # one comparison pass over each chunk's C(2308, 2) couplings, where a set of them took 0.2 s
+        schedule = lifted_chunks(table3, 2308, 4)
+        start = time.perf_counter()
+        assert schedule.symmetric
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("method, chunks, n", GRADIENT_ADMITTED)
     def test_the_largest_admitted_gradient_peaks_under_the_budget(self, table3, method, chunks, n):
         # a backward step holds six arrays of the states' and co-states' columns, where a

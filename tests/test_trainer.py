@@ -278,9 +278,10 @@ class TestTrain:
         assert result.final_rms <= 5e-3
 
 
-# both methods: a chunk's forward step, its backward step; then the one build of every chunk's sector
-# steps: exact's Hamiltonians for its batched eigh, chunked's cached basis that its diagonals share
-SWEEP_STEPS = ("_forward_step", "_backward_step", "spin_sector_hamiltonian", "wigner_basis")
+# both methods: a chunk's forward step, its backward step under chunked and under exact; then the one build
+# of every chunk's sector steps: exact's Hamiltonians for its batched eigh, chunked's cached basis that its
+# diagonals share
+SWEEP_STEPS = ("_forward_step", "_chunked_backward", "_exact_backward", "spin_sector_hamiltonian", "wigner_basis")
 
 
 class TestSweepsPerEpoch:
@@ -301,7 +302,7 @@ class TestSweepsPerEpoch:
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     def test_k_epochs_cost_k_plus_one_forward_and_k_backward_sweeps(self, monkeypatch, table3, method, epochs):
-        forward, backward, hamiltonians, basis = SWEEP_STEPS
+        forward, chunked_backward, exact_backward, hamiltonians, basis = SWEEP_STEPS
         calls = count_calls(monkeypatch, [(hamiltonian, name) for name in SWEEP_STEPS] + [(np.linalg, "eigh")])
         result = train(table3, build_training_set(7), TrainerConfig(max_epochs=epochs, target_rms=0.0, method=method))
         assert result.epochs_used == epochs
@@ -310,12 +311,13 @@ class TestSweepsPerEpoch:
         # batched eigendecomposition, chunked's closed form, which diagonalises nothing
         builds = {hamiltonians: epochs + 1, "eigh": epochs + 1, basis: 0} if method == "exact" else {
             hamiltonians: 0, "eigh": 0, basis: epochs + 1}
-        assert calls == {forward: (epochs + 1) * chunks, backward: epochs * chunks, **builds}
+        steps = {forward: (epochs + 1) * chunks, chunked_backward: 0, exact_backward: 0}
+        assert calls == {**steps, f"_{method}_backward": epochs * chunks, **builds}
 
     @pytest.mark.parametrize("method", ["chunked", "exact"])
     def test_schedule_at_target_returns_after_at_most_one_backward_sweep(self, monkeypatch, table2, ts2, method):
         target = rms_error(table2, ts2, method)
-        forward, backward, *_ = SWEEP_STEPS
+        forward, backward = SWEEP_STEPS[0], f"_{method}_backward"
         calls = count_calls(monkeypatch, [(hamiltonian, forward), (hamiltonian, backward)])
         result = train(table2, ts2, TrainerConfig(target_rms=target, method=method))
         assert (result.epochs_used, result.converged) == (0, True)
