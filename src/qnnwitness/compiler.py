@@ -51,7 +51,7 @@ from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_p
 from .core import _CNOT, _ROT_Y, _ROT_Z
 from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
 from .hamiltonian import Schedule, sector_trotter_error
-from .witness import PairStateKind, evolve_dense, make_pair_state, orbit_coordinates
+from .witness import PairStateKind, evolve_dense, orbit_coordinates, pair_columns
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
 
@@ -157,9 +157,10 @@ def verify_equivalence(schedule: Schedule) -> dict:
     qubits (0, 1), the final density matrices. Gate-vs-chunked distances
     sit at round-off; chunked-vs-exact carries the whole Trotter error.
     Each dense picture evolves the basis states ``VERIFY_BLOCK_ROWS`` at a
-    time, the pair states with the first block, as C-ordered ``(2**n,
-    batch)`` columns; a unitary distance sums the blocks' squares. Each
-    picture is compared with the one before it, so two are held at a time.
+    time, the pair states (:func:`~qnnwitness.witness.pair_columns`) with the
+    first block, as C-ordered ``(2**n, batch)`` columns; a unitary distance
+    sums the blocks' squares. Each picture is compared with the one before
+    it, so two are held at a time.
     Under a schedule of uniform chunks, chunked-vs-exact comes from the
     total-spin sectors instead (:func:`~qnnwitness.hamiltonian.sector_trotter_error`):
     the pair states evolve there as pair (x) Dicke coordinates, an
@@ -182,15 +183,14 @@ def verify_equivalence(schedule: Schedule) -> dict:
         # basis states start .. start + rows - 1, then in the first block four columns the pair states overwrite
         columns = np.eye(dim, rows + 4 * (start == 0), -start, dtype=complex)
         if start == 0:
-            for column, kind in enumerate(PairStateKind, rows):
-                columns[:, column] = make_pair_state(kind, (0, 1), n)
+            columns[:, rows:] = pair_columns([(kind, (0, 1)) for kind in PairStateKind], n)
         previous = None
         for method in methods:
-            evolved = evolve_dense(columns.T, schedule, method)
+            evolved = evolve_dense(columns, schedule, method)
             if start == 0:
-                finals[method] = evolved[rows:].copy()  # not a view, which would keep the whole block
+                finals[method] = evolved[:, rows:].T.copy()  # a row per state to read, not a view of the whole block
             if previous is not None:
-                block_distances[names[method]].append(np.linalg.norm(previous[:rows] - evolved[:rows]))
+                block_distances[names[method]].append(np.linalg.norm(previous[:, :rows] - evolved[:, :rows]))
             previous = evolved
     report: dict = {"n_qubits": n}
     for before, method in zip(methods, methods[1:]):

@@ -11,13 +11,14 @@ Conventions used throughout the package:
   centralizes the factor of 2.
 * Everything is double-precision dense numpy; at <= 7 qubits (dim 128)
   sparsity buys nothing.
-* One runner (``_run_steps``) applies every dense evolution in all three
-  pictures: gate lists (``apply_circuit``, ``circuit_unitary``), chunked
-  and exact Hamiltonian evolution. Its steps are phase vectors, CNOT
-  permutations and blocks: a ``2**k``-square matrix on the k neighbouring
-  qubits q..q+k-1, applied in one ``matmul`` over the ``(2**q, 2**k,
-  rest)`` view of the columns. An exact chunk propagator is one block on
-  all n qubits. A chunk's single-qubit layer is ``ceil(n / BLOCK_QUBITS)``
+* Every dense picture holds ``(2**n, batch)`` columns, a state per column,
+  addressed by basis index. One runner (``_run_steps``) applies every
+  dense evolution in all three pictures: gate lists (``apply_circuit``,
+  ``circuit_unitary``), chunked and exact Hamiltonian evolution. Its steps
+  are phase vectors, which scale the rows, lone CNOTs, which permute them,
+  and blocks: a ``2**k``-square matrix on the k neighbouring qubits
+  q..q+k-1, applied in one ``matmul`` over the ``(2**q, 2**k, rest)`` view
+  of the columns. An exact chunk propagator is one block on all n qubits. A chunk's single-qubit layer is ``ceil(n / BLOCK_QUBITS)``
   such blocks of near-equal size (``_blocks``), each the Kronecker product
   of its qubits' 2x2s, so the state is read a few times per chunk, not
   once per qubit.
@@ -344,24 +345,13 @@ def _kron(factors) -> np.ndarray:
     return out
 
 
-def _apply_block(tensor: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    """Apply the ``2**k``-square ``u`` to qubits q..q+k-1: the one matrix update
-    of the dense kernels. ``tensor`` holds the amplitudes first, as ``[2]*n``
-    axes or one ``2**n`` axis, then any batch axes."""
+def _apply_block(columns: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
+    """Apply the ``2**k``-square ``u`` to qubits q..q+k-1 of the ``(2**n,
+    batch)`` ``columns``: the one matrix update of the dense kernels, which
+    hold no other layout (a CNOT permutes the rows, a phase scales them)."""
     # qubit 0 is the most significant bit: qubits 0..q-1 fold into the
     # leading axis, the later qubits and the batch into the trailing one
-    return np.matmul(u, tensor.reshape(2**q, len(u), -1)).reshape(tensor.shape)
-
-
-def _apply_cnot(tensor: np.ndarray, control: int, target: int) -> np.ndarray:
-    out = tensor.copy()
-    sel0 = [slice(None)] * tensor.ndim
-    sel1 = [slice(None)] * tensor.ndim
-    sel0[control] = sel1[control] = 1
-    sel0[target], sel1[target] = 0, 1
-    out[tuple(sel0)] = tensor[tuple(sel1)]
-    out[tuple(sel1)] = tensor[tuple(sel0)]
-    return out
+    return np.matmul(u, columns.reshape(2**q, len(u), -1)).reshape(columns.shape)
 
 
 def _run_matrix(run: tuple[GateOp, ...]) -> np.ndarray:
@@ -509,14 +499,15 @@ def _fuse(n: int, ops: tuple[GateOp, ...]) -> tuple:
 def _run_steps(columns: np.ndarray, steps) -> np.ndarray:
     """Apply ``steps`` in order to the ``(2**n, batch)`` ``columns``: the one
     runner of the dense kernels. A step is a ``(matrix, first qubit)`` block,
-    a CNOT ``GateOp``, a phase vector, or a :class:`_PhaseRun` that builds
-    its vector on first use."""
+    a CNOT ``GateOp``, which moves each row to its index with the target bit
+    flipped where the control bit is set, a phase vector, or a
+    :class:`_PhaseRun` that builds its vector on first use."""
     for step in steps:
         if isinstance(step, tuple):
             columns = _apply_block(columns, *step)
         elif isinstance(step, GateOp):
-            tensor = columns.reshape([2] * n_qubits_of(columns) + [-1])
-            columns = _apply_cnot(tensor, step.control, step.target).reshape(columns.shape)
+            n, index = n_qubits_of(columns), np.arange(len(columns))
+            columns = columns[index ^ (((index >> (n - 1 - step.control)) & 1) << (n - 1 - step.target))]
         else:
             vector = step.vector if isinstance(step, _PhaseRun) else step
             columns = vector[:, np.newaxis] * columns

@@ -56,6 +56,8 @@ import numpy as np
 from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError
 from .core import _blocks, _kron, _run_steps, ising_diagonal, require_square
 
+PROPAGATION_METHODS = ("exact", "chunked")  # the Hamiltonian's; the witness adds the compiled circuit's "gates"
+
 
 @dataclass(frozen=True)
 class ChunkParams:
@@ -565,7 +567,7 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     backward ones if ``backward`` is True. The schedule has already admitted
     their phases (:func:`require_phase_range`)."""
     for method in methods:
-        if method not in ("exact", "chunked"):
+        if method not in PROPAGATION_METHODS:
             raise ValueError(f"unknown propagation method {method!r}")
     n, dt, count = schedule.n_qubits, schedule.dt, schedule.n_chunks
     blocks, size = blocks or min(3, n // 2 + 1), (n + 1) * (n + 1)
@@ -721,7 +723,7 @@ def chunk_propagators(schedule: Schedule, method: str = "exact") -> Iterator[np.
 
     An unknown method is refused by the call, before anything is read.
     """
-    build = {"exact": exact_chunk_propagator, "chunked": chunked_chunk_propagator}.get(method)
+    build = dict(zip(PROPAGATION_METHODS, (exact_chunk_propagator, chunked_chunk_propagator))).get(method)
     if build is None:
         raise ValueError(f"unknown propagation method {method!r}")
     return (build(ck, schedule.n_qubits, schedule.dt) for ck in schedule.chunks)

@@ -36,9 +36,9 @@ from hashlib import blake2b
 
 import numpy as np
 
-from .core import bounded_zz, check_norm, zz_moments
+from .core import bounded_zz, check_norm, require_dense, zz_moments
 from .hamiltonian import Schedule
-from .witness import PairStateKind, evolve_dense, make_pair_state
+from .witness import PairStateKind, _checked_pair, evolve_dense, pair_columns
 
 _MASK64 = (1 << 64) - 1
 _MAX_SHOTS = int(np.iinfo(np.int64).max)
@@ -180,9 +180,11 @@ def sweep(
     pair: tuple[int, int],
     config: ShotConfig,
 ) -> ShotStatistics:
-    """Shot-count sweep of the witness estimator through the compiled circuit."""
-    initial = make_pair_state(state_kind, pair, schedule.n_qubits)
-    final = evolve_dense(initial[np.newaxis, :], schedule, "gates")[0]
+    """Shot-count sweep of the witness estimator through the compiled circuit. After the pair check, and before
+    any allocation, it charges the state, the runner's two working arrays and a phase vector per chunk."""
+    _checked_pair(pair, schedule.n_qubits)
+    require_dense(schedule.n_qubits, 3 + schedule.n_chunks)
+    final = evolve_dense(pair_columns([(state_kind, pair)], schedule.n_qubits), schedule, "gates")[:, 0]
 
     def stats_for(count: int) -> tuple[float, ...]:
         zbars = np.array(

@@ -12,7 +12,8 @@ A training item names its reference state (kind and pair) rather than
 storing it. Every reference state has its spectators in |0...0>, so under
 a symmetric schedule a training set is evaluated as its four orbit states
 (the pair moved to qubits 0, 1) in the 4(n-1)-dimensional pair (x) Dicke
-space; every other evaluation evolves each item as a 2^n vector.
+space; every other evaluation writes each item into a column of one ``(2**n,
+batch)`` array (:func:`pair_columns`), the layout :func:`evolve_dense` evolves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import NON_FINITE_ZZ, apply_circuit, qubit_pairs, require_dense, z_signs
 from .core import circuit_unitary  # unused here; the benchmark tracer patches witness.circuit_unitary
-from .hamiltonian import Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
+from .hamiltonian import PROPAGATION_METHODS, Schedule, evolve_pair_dicke, evolve_states, pair_dicke_operators
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT3 = math.sqrt(3.0)
@@ -40,16 +41,10 @@ class PairStateKind(Enum):
     P = "P"        # (|01> + |10> + |11>)/sqrt(3), partially entangled
 
 
-# two-qubit amplitudes keyed by the (b_i, b_j) basis index
-_PAIR_AMPLITUDES: dict[PairStateKind, dict[int, float]] = {
-    PairStateKind.BELL: {0b00: 1 / _SQRT2, 0b11: 1 / _SQRT2},
-    PairStateKind.FLAT: {0b00: 0.5, 0b01: 0.5, 0b10: 0.5, 0b11: 0.5},
-    PairStateKind.C: {0b00: 2 / _SQRT5, 0b01: 1 / _SQRT5},
-    PairStateKind.P: {0b01: 1 / _SQRT3, 0b10: 1 / _SQRT3, 0b11: 1 / _SQRT3},
-}
-
-# the same amplitudes as a (kind, p) table, kinds in PairStateKind order
-_PAIR_TABLE = np.array([[_PAIR_AMPLITUDES[kind].get(p, 0.0) for p in range(4)] for kind in PairStateKind])
+# two-qubit amplitudes over the basis index p = 2 b_i + b_j, a row per kind in PairStateKind order
+_PAIR_TABLE = np.array([[1 / _SQRT2, 0.0, 0.0, 1 / _SQRT2], [0.5, 0.5, 0.5, 0.5],
+                        [2 / _SQRT5, 1 / _SQRT5, 0.0, 0.0], [0.0, 1 / _SQRT3, 1 / _SQRT3, 1 / _SQRT3]])
+_KIND_ROWS = {kind: row for row, kind in enumerate(PairStateKind)}
 
 WITNESS_TARGETS: dict[PairStateKind, float] = {
     PairStateKind.BELL: 1.0,
@@ -58,7 +53,7 @@ WITNESS_TARGETS: dict[PairStateKind, float] = {
     PairStateKind.P: 0.443,
 }
 
-METHODS = ("exact", "chunked", "gates")
+METHODS = (*PROPAGATION_METHODS, "gates")
 
 
 def _checked_pair(pair: tuple[int, int], n: int) -> tuple[int, int]:
@@ -68,15 +63,22 @@ def _checked_pair(pair: tuple[int, int], n: int) -> tuple[int, int]:
     return i, j
 
 
+def pair_columns(cells, n: int) -> np.ndarray:
+    """Each ``(kind, (i, j))`` of ``cells`` as a column of one ``(2**n, len(cells))`` array, the one writer of dense
+    reference states: the kind's amplitudes land at the indices whose bits i, j read p and whose others read 0. The
+    pairs are checked and the columns charged to the dense budget before anything is allocated."""
+    pairs = [_checked_pair(pair, n) for _, pair in cells]
+    require_dense(n, len(cells))
+    columns = np.zeros((2**n, len(cells)), dtype=complex)
+    for column, ((kind, _), (i, j)) in enumerate(zip(cells, pairs)):
+        bit_i, bit_j = 1 << (n - 1 - i), 1 << (n - 1 - j)
+        columns[[0, bit_j, bit_i, bit_i | bit_j], column] = _PAIR_TABLE[_KIND_ROWS[kind]]
+    return columns
+
+
 def make_pair_state(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.ndarray:
-    """Reference pair state on qubits (i, j) of an n-qubit register."""
-    i, j = _checked_pair(pair, n)
-    require_dense(n)
-    state = np.zeros(2**n, dtype=complex)
-    for bits, amplitude in _PAIR_AMPLITUDES[kind].items():
-        index = ((bits >> 1) & 1) << (n - 1 - i) | (bits & 1) << (n - 1 - j)
-        state[index] = amplitude
-    return state
+    """Reference pair state on qubits (i, j) of an n-qubit register: the one column of :func:`pair_columns`."""
+    return pair_columns([(kind, pair)], n)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,7 @@ class TrainingSet:
         only coordinates are on ``|p> (x) |D_0>``: the pair amplitudes.
         """
         coords = orbit_coordinates(self.n_qubits)
-        rows = np.array([list(PairStateKind).index(item.kind) for item in self.items])
+        rows = np.array([_KIND_ROWS[item.kind] for item in self.items])
         coords.flags.writeable = rows.flags.writeable = False
         return coords, rows
 
@@ -160,18 +162,18 @@ def build_training_set(n: int) -> TrainingSet:
     return TrainingSet(n, items)
 
 
-def evolve_dense(states: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
-    """Evolve a ``(batch, 2**n)`` stack of state vectors by ``method``: the
-    package's one dense dispatcher. ``gates`` runs the full compiled circuit,
-    ``chunked`` the split-operator propagator and ``exact`` the full
-    exponential, chunk by chunk, each on one C-ordered ``(2**n, batch)``
-    array, ``states.T``, copied only if it is not one; the witness,
-    ``verify`` and ``sample`` all evolve their ``2**n`` vectors here."""
+def evolve_dense(columns: np.ndarray, schedule: Schedule, method: str) -> np.ndarray:
+    """Evolve ``(2**n, batch)`` columns, a state each, by ``method`` and return
+    columns: the package's one dense dispatcher. ``gates`` runs the full
+    compiled circuit, ``chunked`` the split-operator propagator and ``exact``
+    the full exponential, chunk by chunk, each on the columns as the runner
+    holds them, copied only if not C-ordered; the witness, ``verify`` and
+    ``sample`` all evolve their ``2**n`` vectors here."""
     if method == "gates":
         from .compiler import compile_schedule  # local import avoids a cycle
 
-        return apply_circuit(np.ascontiguousarray(states.T), compile_schedule(schedule)).T
-    return evolve_states(states, schedule, method)
+        return apply_circuit(columns, compile_schedule(schedule))
+    return evolve_states(columns.T, schedule, method).T  # its public rows are views of these columns
 
 
 def witness_value(
@@ -189,7 +191,7 @@ def witness_value(
     if initial.shape != (dim,):
         raise ValueError(f"expected a state vector of dimension {dim}, got shape {initial.shape}")
     pair = _checked_pair(tuple(sorted(pair)), schedule.n_qubits)  # in either order
-    return float(_dense_witness(evolve_dense(initial[np.newaxis, :], schedule, method), [pair], schedule.n_qubits)[0])
+    return float(_dense_witness(evolve_dense(initial[:, np.newaxis], schedule, method), [pair], schedule.n_qubits)[0])
 
 
 def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = "chunked") -> np.ndarray:
@@ -206,18 +208,16 @@ def witness_values(training_set: TrainingSet, schedule: Schedule, method: str = 
         raise ValueError(f"unknown propagation method {method!r}")
     check_training_set(training_set, schedule)
     n = training_set.n_qubits
-    if schedule.symmetric and method in ("exact", "chunked"):
+    if schedule.symmetric and method in PROPAGATION_METHODS:
         coords, rows = training_set.pair_dicke_orbits  # the sweeps refuse n past the budget first
         return witness_readout(orbit_zz(evolve_pair_dicke(coords, schedule, method), n), rows)
-    items = training_set.items
-    require_dense(n, len(items))
-    columns = np.stack([make_pair_state(item.kind, item.pair, n) for item in items], axis=1)
-    return _dense_witness(evolve_dense(columns.T, schedule, method), [item.pair for item in items], n)
+    columns = pair_columns([(item.kind, item.pair) for item in training_set.items], n)
+    return _dense_witness(evolve_dense(columns, schedule, method), [item.pair for item in training_set.items], n)
 
 
 def _dense_witness(finals: np.ndarray, pairs: list[tuple[int, int]], n: int) -> np.ndarray:
-    """The one dense read-out: each row's squared moduli times its pair's Z_i Z_j signs, summed pairwise along it."""
-    terms = np.abs(finals, order="C")  # a row per item
+    """The one dense read-out: each column's squared moduli times its pair's Z_i Z_j signs, summed pairwise along it."""
+    terms = np.abs(finals.T, order="C")  # a row per item
     terms *= terms
     signs = {pair: z_signs(n, pair, np.arange(2**n)).prod(axis=0) for pair in dict.fromkeys(pairs)}
     for row, pair in zip(terms, pairs):

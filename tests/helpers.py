@@ -487,8 +487,8 @@ def run_circuit_unfused(columns: np.ndarray, circuit) -> np.ndarray:
                 columns, half = np.exp(-1j * core.ising_diagonal(*half))[:, np.newaxis] * columns, None
             if op.kind is GateKind.CNOT:
                 columns = apply_layer(columns)
-                tensor = columns.reshape([2] * n + [-1])
-                columns = core._apply_cnot(tensor, op.control, op.target).reshape(columns.shape)
+                index = np.arange(2**n)  # the kernel's row permutation: the target bit flips where the control's is set
+                columns = columns[index ^ (((index >> (n - 1 - op.control)) & 1) << (n - 1 - op.target))]
             else:
                 q = op.target
                 if layer and (q != layer[-1][1] + 1 or block_of[q] != block_of[layer[-1][1]]):

@@ -44,6 +44,7 @@ from helpers import (
     basis_state,
     circuit_unitary_dense,
     count_calls,
+    embed_gate_dense,
     evolve_chunked_per_qubit,
     expm_eigh,
     is_unitary,
@@ -248,6 +249,23 @@ class TestCircuitUnitary:
     def test_qubit_cap(self):
         with pytest.raises(ValueError):
             circuit_unitary(Circuit(11))
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_a_lone_cnot_is_the_row_permutation_of_its_dense_embedding_bit_for_bit(n):
+    # the runner permutes the rows of its columns; the oracle multiplies by
+    # the 0/1 matrix, which moves each amplitude and adds only zeros to it
+    rng = np.random.default_rng(n)
+    columns = rng.normal(size=(2**n, 5)) + 1j * rng.normal(size=(2**n, 5))
+    for control in range(n):
+        for target in range(n):
+            if control == target:
+                continue
+            op = GateOp(GateKind.CNOT, target, control=control)
+            circuit, matrix = Circuit(n, (op,)), embed_gate_dense(op, n)
+            np.testing.assert_array_equal(apply_circuit(columns, circuit), matrix @ columns)
+            np.testing.assert_array_equal(apply_circuit(columns[:, 0].copy(), circuit), matrix @ columns[:, 0])
+            np.testing.assert_array_equal(circuit_unitary(circuit), matrix)  # the product with the identity
 
 
 def pattern_circuit(n: int, blocks: int, rng: np.random.Generator) -> list[GateOp]:

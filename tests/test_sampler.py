@@ -1,12 +1,15 @@
 import math
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qnnwitness import sampler, witness
+from qnnwitness import cli, sampler, witness
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit, check_norm, expectation_zz
+from qnnwitness.core import DENSE_BYTES_BUDGET, DimensionError, apply_circuit, check_norm, expectation_zz
+from qnnwitness.hamiltonian import save_schedule
 from qnnwitness.sampler import (
     MAX_ITERATIONS,
     Z_SCORE,
@@ -19,7 +22,7 @@ from qnnwitness.sampler import (
 from qnnwitness.witness import PairStateKind, make_pair_state
 
 from helpers import basis_state, random_state, rng_stream_reference, sample_zz_mean_per_shot, sample_zz_mean_reference
-from helpers import z_diagonal
+from helpers import kac_lifted, z_diagonal
 
 ROW_FIELDS = ("mean", "variance", "ci_half_width", "std", "stderr", "zz_mean", "zz_variance")
 
@@ -401,3 +404,50 @@ class TestSweep:
         first = lines[1].split(",")
         assert first[0] == "50"
         assert float(first[3]) <= float(first[1]) <= float(first[4])
+
+
+class TestSweepBudget:
+    """``sweep`` charges the dense arrays it holds at once before any is
+    allocated: the state, the runner's two working arrays and the circuit's
+    phase vectors, at most one per chunk; 7 arrays of 2**n items on
+    table3's four chunks, which fit the 128 MiB budget at 20 qubits and
+    not at 21."""
+
+    CONFIG = ShotConfig(shot_counts=(1000,), iterations=10)
+
+    def _traced(self, schedule):
+        compile_schedule.cache_clear()
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            try:
+                outcome = sweep(schedule, PairStateKind.BELL, (0, 1), self.CONFIG)
+            except DimensionError as exc:
+                outcome = exc
+            return outcome, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_twenty_qubits_peak_under_the_budget(self, table3):
+        stats, _, peak = self._traced(kac_lifted(table3, 20))
+        assert peak < DENSE_BYTES_BUDGET
+        assert 0.9 < stats.mean[0] <= 1.0
+
+    def test_twenty_one_qubits_are_refused_before_allocation(self, table3):
+        refusal, elapsed, peak = self._traced(kac_lifted(table3, 21))
+        assert isinstance(refusal, DimensionError)
+        assert str(refusal).startswith("refusing 7 dense arrays of 2**21 items for 21 qubits")
+        assert elapsed < 0.5 and peak < 2**20
+
+    def test_the_pair_is_checked_before_the_charge(self, table3):
+        with pytest.raises(ValueError, match=r"pair \(1, 0\) must satisfy"):
+            sweep(kac_lifted(table3, 21), PairStateKind.BELL, (1, 0), self.CONFIG)
+
+    def test_the_cli_exits_3_with_nothing_printed(self, tmp_path, capsys, table3):
+        path = tmp_path / "table3_21.json"
+        save_schedule(kac_lifted(table3, 21), path)
+        argv = ["sample", "--schedule", str(path), "--state", "Bell", "--shots", "1000", "--iterations", "10"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "refusing 7 dense arrays" in captured.err

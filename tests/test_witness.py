@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qnnwitness.compiler import compile_schedule
-from qnnwitness.core import apply_circuit
+from qnnwitness.core import DimensionError, apply_circuit, qubit_pairs
 from qnnwitness import witness
 from qnnwitness.hamiltonian import ChunkParams, Schedule, evolve_pair_dicke
 from qnnwitness.witness import (
@@ -14,11 +14,12 @@ from qnnwitness.witness import (
     WITNESS_TARGETS,
     build_training_set,
     make_pair_state,
+    pair_columns,
     witness_value,
     witness_values,
 )
 
-from helpers import kac_lifted, random_state, z_diagonal
+from helpers import count_calls, kac_lifted, random_state, z_diagonal
 
 
 class TestMakePairState:
@@ -53,6 +54,58 @@ class TestMakePairState:
             make_pair_state(PairStateKind.BELL, (1, 0), 3)
         with pytest.raises(ValueError):
             make_pair_state(PairStateKind.BELL, (0, 2), 2)
+
+
+# each kind's amplitudes over |b_i b_j> = |00>, |01>, |10>, |11>, from the kind's definition
+_AMPLITUDES = {
+    PairStateKind.BELL: np.array([1, 0, 0, 1]) / np.sqrt(2),
+    PairStateKind.FLAT: np.array([1, 1, 1, 1]) / 2,
+    PairStateKind.C: np.array([2, 1, 0, 0]) / np.sqrt(5),
+    PairStateKind.P: np.array([0, 1, 1, 1]) / np.sqrt(3),
+}
+
+
+def _embedded(kind: PairStateKind, pair: tuple[int, int], n: int) -> np.ndarray:
+    """The kind's amplitudes (x) |0...0> on qubits 0, 1, then the pair moved
+    to (i, j) by index bits: each index's bits of qubits 0 and 1 become
+    those of i and j, its spectator bits (all 0) fill the other qubits."""
+    on_first = np.kron(_AMPLITUDES[kind], np.eye(2 ** (n - 2))[0])
+    spectators = [q for q in range(n) if q not in pair]
+    moved = np.zeros(2**n, dtype=complex)
+    for index, amplitude in enumerate(on_first):
+        bits = [(index >> (n - 1 - q)) & 1 for q in range(n)]
+        target = dict(zip(pair, bits[:2])) | dict(zip(spectators, bits[2:]))
+        moved[sum(bit << (n - 1 - q) for q, bit in target.items())] = amplitude
+    return moved
+
+
+class TestPairColumns:
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_kind_on_every_pair_is_its_embedding(self, n):
+        cells = [(kind, pair) for pair in qubit_pairs(n) for kind in PairStateKind]
+        columns = pair_columns(cells, n)
+        assert columns.shape == (2**n, len(cells)) and columns.dtype == complex
+        for column, (kind, pair) in zip(columns.T, cells):
+            np.testing.assert_array_equal(column, _embedded(kind, pair, n))
+            np.testing.assert_array_equal(make_pair_state(kind, pair, n), column)
+
+    def test_the_columns_are_charged_before_any_is_written(self):
+        # one column of 2**23 complex items fills the 128 MiB budget, so two pass it
+        with pytest.raises(DimensionError, match="refusing 2 dense arrays of 2\\*\\*23 items"):
+            pair_columns([(PairStateKind.BELL, (0, 1))] * 2, 23)
+        with pytest.raises(DimensionError, match="refusing 1 dense arrays of 2\\*\\*24 items"):
+            pair_columns([(PairStateKind.BELL, (0, 1))], 24)
+        with pytest.raises(ValueError, match="must satisfy"):  # a pair is checked first
+            pair_columns([(PairStateKind.BELL, (0, 1)), (PairStateKind.P, (2, 1))], 30)
+
+    def test_the_dense_witness_reads_the_writer_alone(self, monkeypatch, table3):
+        calls = count_calls(monkeypatch, [(witness, "make_pair_state"), (witness, "pair_columns")])
+        skewed = Schedule(7, table3.total_time, (ChunkParams(
+            (table3.chunks[0].tunneling[0] + 0.01, *table3.chunks[0].tunneling[1:]),
+            table3.chunks[0].bias, table3.chunks[0].coupling), *table3.chunks[1:]))
+        for schedule, method in ((table3, "gates"), (skewed, "chunked"), (skewed, "exact")):
+            witness_values(build_training_set(7), schedule, method)
+        assert calls == {"make_pair_state": 0, "pair_columns": 3}
 
 
 class TestWitnessValue:
