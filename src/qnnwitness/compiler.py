@@ -32,34 +32,27 @@ building a unitary or a density matrix: at 10 qubits it fits 128 MiB.
 Nothing is elided unless asked: the ``gates`` witness, ``verify`` and
 ``sample`` run the circuit ``compile --no-elide`` prints, and only the
 ``compile`` command's default QASM drops identity-angle gates.
-:func:`compile_schedule` keeps its circuits in one LRU store,
-``CIRCUIT_CACHE``, keyed on the schedule's numbers bit for bit and on
-``elide``, and bounded by the bytes its circuits keep alive, their fused
-steps included (``Circuit.nbytes``).
+:func:`compile_schedule` keeps its circuits in the LRU store of values
+built from a schedule's numbers, ``core.SCHEDULE_CACHE``, keyed on those
+numbers bit for bit and on ``elide``; a circuit is charged the bytes it
+keeps alive, its fused steps included (``Circuit.nbytes``).
 """
 
 from __future__ import annotations
 
 import math
 import re
-import struct
 from functools import partial
 
 import numpy as np
 
-from .core import ArrayCache, Circuit, DimensionError, GateKind, GateOp, qubit_pairs, require_square
+from .core import SCHEDULE_CACHE, Circuit, DimensionError, GateKind, GateOp, qubit_pairs, require_square
 from .core import _CNOT, _ROT_Y, _ROT_Z
 from .core import circuit_unitary  # unused here; the benchmark tracer patches compiler.circuit_unitary
-from .hamiltonian import Schedule, sector_trotter_error
+from .hamiltonian import Schedule, float_bits, sector_trotter_error
 from .witness import PairStateKind, evolve_dense, orbit_coordinates, pair_columns
 
 ELISION_THRESHOLD = 1e-15  # gates with |angle| below this are identity to double precision
-
-# Eight 7-qubit schedules of four chunks, one full circuit of about 64 KB each
-# with its fused steps. A circuit that alone needs more, such as four chunks
-# on 13 qubits with a 128 KiB phase vector each, is compiled on every call.
-# A 2 MiB store, held full, slowed the benchmark's other n=2 CLI calls by 4.7%.
-CIRCUIT_CACHE = ArrayCache(2**19)
 
 VERIFY_BLOCK_ROWS = 128  # basis rows per evolution in verify: all of them up to 7 qubits
 
@@ -112,17 +105,15 @@ def _zz_gates(cnot: GateOp, coupling: float, dt: float, elide: bool) -> list[Gat
     return [cnot, GateOp(_ROT_Z, cnot.target, angle=angle), cnot]
 
 
-def _schedule_key(schedule: Schedule, elide: bool = False) -> tuple:
-    """The schedule's numbers bit for bit, and ``elide``. Schedules compare
-    their floats with ``==``, which equates -0.0 and +0.0; those compile to
-    different gates (``atan2(-0.0, -1) = -pi``)."""
+def _circuit_key(schedule: Schedule, elide: bool = False) -> tuple:
+    """The schedule's numbers bit for bit (:func:`~qnnwitness.hamiltonian.float_bits`), and ``elide``."""
     values = [schedule.total_time]
     for ck in schedule.chunks:
         values += (*ck.tunneling, *ck.bias, *ck.coupling)
-    return schedule.n_qubits, struct.pack(f"{len(values)}d", *values), bool(elide)
+    return schedule.n_qubits, float_bits(values), bool(elide)
 
 
-@partial(CIRCUIT_CACHE, key=_schedule_key)
+@partial(SCHEDULE_CACHE, key=_circuit_key)
 def compile_schedule(schedule: Schedule, elide: bool = False) -> Circuit:
     """Full circuit for the schedule, matching the chunked propagator's ordering.
 
@@ -130,7 +121,7 @@ def compile_schedule(schedule: Schedule, elide: bool = False) -> Circuit:
     blocks in ascending qubit order. Without elision (the default) the
     gate count is ``n_chunks * (3 * n_pairs + 3 * n_qubits)`` whenever no
     single-qubit factor is exactly the identity. Equal schedules share one
-    circuit per ``elide`` through ``CIRCUIT_CACHE``.
+    circuit per ``elide`` through ``core.SCHEDULE_CACHE``.
     """
     n = schedule.n_qubits
     dt = schedule.dt

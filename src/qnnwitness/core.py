@@ -78,13 +78,14 @@ class ArrayCache:
     positional arguments itself, and a keyword argument raises
     ``TypeError``. A hit is one dictionary lookup and a move to the most
     recent end. Each decorated function gets ``cache_info()`` and
-    ``cache_clear()`` over its own entries.
+    ``cache_clear()`` over its own entries; ``clear()`` empties them all.
     """
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
         self._entries: OrderedDict = OrderedDict()  # (function, key) -> value, least recent first
         self.nbytes = 0  # what the entries report, kept as they come and go
+        self._clears: list = []  # each decorated function's cache_clear
 
     def __call__(self, fn, key=None):
         entries = self._entries
@@ -127,7 +128,13 @@ class ArrayCache:
         cached = wraps(fn)(cached)
         cached.cache_info = cache_info
         cached.cache_clear = cache_clear
+        self._clears.append(cache_clear)
         return cached
+
+    def clear(self) -> None:
+        """Empty the store: every decorated function's ``cache_clear``."""
+        for cache_clear in self._clears:
+            cache_clear()
 
 
 # Every array derived from n alone: ``pair_readout`` (the one entry
@@ -141,6 +148,44 @@ class ArrayCache:
 # batched read-outs store nothing here: they read their signs from the index
 # bits (``z_signs``).
 PARITY_CACHE = ArrayCache(DENSE_BYTES_BUDGET)
+
+
+# Bytes of one step of Steps besides its array data, and of Steps itself: a
+# step's tuple and the headers of the arrays and views it holds, rounded up
+# from tracemalloc on CPython 3.11 (sector steps hold up to four views)
+_HELD_STEP_BYTES = 1024
+
+
+class Steps(tuple):
+    """Steps kept as one store value: the ``steps`` read from the distinct
+    ``arrays`` they hold or view. The arrays are made read-only before
+    ``steps`` is read, so views it takes of them are read-only too.
+    ``nbytes`` counts the arrays, and ``_HELD_STEP_BYTES`` per step and once
+    more for the tuples and array headers around them."""
+
+    def __new__(cls, steps, arrays):
+        for array in arrays:
+            array.flags.writeable = False
+        self = super().__new__(cls, steps)
+        self.nbytes = _HELD_STEP_BYTES * (len(self) + 1) + sum(array.nbytes for array in arrays)
+        return self
+
+
+# Every value built from a schedule's numbers, keyed on them bit for bit
+# (``hamiltonian.float_bits``): the compiled circuits with their fused steps
+# (``compiler.compile_schedule``, ``Circuit.nbytes``), each method's sector
+# steps of a uniform schedule (``hamiltonian._sector_steps``) and each
+# chunk's dense ``chunked`` steps (``hamiltonian._dense_chunk_steps``). A
+# schedule evaluated again in one process compiles, diagonalises and builds
+# nothing. A 7-qubit schedule of four chunks takes 64 KB of circuit, 11-16 KB
+# of sector steps per method and sector count, and 11 KB per dense chunk. A
+# value that alone needs more is returned but not kept: a four-chunk circuit
+# from 13 qubits, a dense chunk from 15 (its phase vector alone is 512 KiB),
+# and the three sectors' steps of four chunks from 72 qubits under ``exact``
+# and 135 under ``chunked``, whose steps hold the J_x basis they share. A
+# 2 MiB store of circuits, held full, slowed the benchmark's other n=2 CLI
+# calls by 4.7%.
+SCHEDULE_CACHE = ArrayCache(2**19)
 
 
 class DimensionError(ValueError):

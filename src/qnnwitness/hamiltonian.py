@@ -39,21 +39,30 @@ schedule's Trotter error (:func:`sector_trotter_error`).
 Adjoint gradients run only in the pair (x) Dicke space and return each
 chunk's shared (tunneling, bias, coupling) partials; dense states are
 evolved but never differentiated.
+
+Each method's sector steps of a schedule (:func:`_sector_steps`) and each
+chunk's dense ``chunked`` steps (:func:`_dense_chunk_steps`) are built once
+per process and kept read-only in ``core.SCHEDULE_CACHE``, beside the
+compiled circuits, keyed on the numbers they are built from bit for bit
+(:func:`float_bits`): a schedule evaluated again builds no eigendecomposition,
+diagonal, phase vector or Kronecker block.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import struct
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, DimensionError
+from .core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, PARITY_CACHE, SCHEDULE_CACHE, DimensionError, Steps
 from .core import _blocks, _kron, _run_steps, ising_diagonal, require_square
 
 PROPAGATION_METHODS = ("exact", "chunked")  # the Hamiltonian's; the witness adds the compiled circuit's "gates"
@@ -157,6 +166,13 @@ class Schedule:
         return self.total_time / len(self.chunks)
 
 
+def float_bits(values) -> bytes:
+    """A sequence of a schedule's floats packed bit for bit: the one key of its numbers in
+    ``core.SCHEDULE_CACHE``. Schedules and chunks compare floats with ``==``, which equates -0.0 and +0.0, and
+    those compile and evolve to different bits (``atan2(-0.0, -1) = -pi``)."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
 def require_phase_range(time: float, norm_bound: float) -> None:
     """Refuse a ``time`` over which the phases of ``||H|| <= norm_bound`` keep no digit. The largest number a
     method forms is ``2 time norm_bound``: a gate angle (``2 dt`` formed first), a phase difference, or one
@@ -258,17 +274,30 @@ def _single_qubit_factor_and_partials(tunneling: float, bias: float, dt: float) 
 
 
 def _chunked_steps(chunks: tuple[ChunkParams, ...], n: int, dt: float):
-    """Each chunk's split-operator steps, built as they are read: its ZZ
-    phase vector, then its single-qubit layer as the Kronecker blocks of
-    :func:`qnnwitness.core._blocks`."""
-    blocks = _blocks(n)
+    """Each chunk's split-operator steps, read one chunk at a time from the
+    store (:func:`_dense_chunk_steps`), so that no chunk is fetched or built
+    before the runner reaches it."""
     for ck in chunks:
-        yield np.exp(-1j * dt * ising_diagonal(np.zeros(n), _coupling_matrix(ck)))  # each exp(-i dt zeta Z_i Z_j)
-        # a symmetric chunk has one distinct (K, eps), so one factor
-        factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
-        layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
-        for q, k in blocks:
-            yield _kron(layer[q : q + k]), q
+        yield from _dense_chunk_steps(ck, n, dt)
+
+
+def _dense_chunk_key(ck: ChunkParams, n: int, dt: float) -> tuple:
+    return n, float_bits((dt, *ck.tunneling, *ck.bias, *ck.coupling))
+
+
+@partial(SCHEDULE_CACHE, key=_dense_chunk_key)
+def _dense_chunk_steps(ck: ChunkParams, n: int, dt: float) -> Steps:
+    """One chunk's read-only split-operator steps: its ZZ phase vector, then
+    its single-qubit layer as the Kronecker blocks of
+    :func:`qnnwitness.core._blocks`. Kept in ``core.SCHEDULE_CACHE`` by n, dt
+    and the chunk's numbers bit for bit; a phase vector alone passes its
+    bound from 15 qubits, so no larger chunk is kept."""
+    phase = np.exp(-1j * dt * ising_diagonal(np.zeros(n), _coupling_matrix(ck)))  # each exp(-i dt zeta Z_i Z_j)
+    # a symmetric chunk has one distinct (K, eps), so one factor
+    factors = {key: _single_qubit_factor(*key, dt) for key in set(zip(ck.tunneling, ck.bias))}
+    layer = [factors[key] for key in zip(ck.tunneling, ck.bias)]
+    blocks = [(_kron(layer[q : q + k]), q) for q, k in _blocks(n)]
+    return Steps((phase, *blocks), (phase, *(block for block, _ in blocks)))
 
 
 # --- total-spin sectors -------------------------------------------------
@@ -539,7 +568,8 @@ def _exact_backward(both: np.ndarray, step: tuple, terms: np.ndarray, dt: float)
 
 def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | None = None,
                   backward: bool) -> tuple:
-    """The sector terms, and per method of ``methods`` each chunk's step:
+    """The sector terms, and per method of ``methods`` each chunk's read-only
+    step, built once per process and kept by :func:`_sector_steps`:
     ``(lead, X, mid, trail, shared)`` under ``chunked``, ``(None, V, mid,
     None, lam)`` under ``exact``. :func:`_forward_step` reads it up to
     ``trail``, :func:`_chunked_backward` or :func:`_exact_backward` what its
@@ -562,10 +592,11 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
     Dicke space's three).
 
     The one size rule of the sector kernel refuses them before anything is
-    built, with the ``width`` complex columns per block row that the caller
-    carries through the sweeps: through forward steps only, or also through
-    backward ones if ``backward`` is True. The schedule has already admitted
-    their phases (:func:`require_phase_range`)."""
+    built or looked up, with the ``width`` complex columns per block row that
+    the caller carries through the sweeps: through forward steps only, or
+    also through backward ones if ``backward`` is True; a stored sweep is
+    charged as one built anew. The schedule has already admitted their
+    phases (:func:`require_phase_range`)."""
     for method in methods:
         if method not in PROPAGATION_METHODS:
             raise ValueError(f"unknown propagation method {method!r}")
@@ -592,27 +623,38 @@ def _chunk_sweeps(schedule: Schedule, *methods: str, width: int, blocks: int | N
         raise DimensionError(f"refusing {nbytes} bytes of {' and '.join(methods)} sweeps for {n} qubits and {count} "
                              f"chunks (budget {DENSE_BYTES_BUDGET} bytes)")
     shared = [ck.shared for ck in schedule.chunks]
-    terms = sector_terms(n, blocks)
-    sweeps = []
-    for method in methods:
-        if method == "chunked":
-            basis = wigner_basis(n, blocks)
-            # per chunk, the phases of lead, mid and trail over (M, (4M^2 - n)/2), both 0 outside the sector:
-            # arg(a) M less the ZZ phase, -theta M, and arg(a) M
-            coefficients = []
-            for tunneling, bias, coupling in shared:
-                a, b = _rotation(tunneling, bias, dt)[:2]
-                turn, theta = math.atan2(a.imag, a.real), 2 * math.atan2(-b.imag, math.hypot(a.real, a.imag))
-                coefficients.append(((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0)))
-            diagonals = 1j * (np.array(coefficients) @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
-            np.exp(diagonals, out=diagonals)
-            diagonals = diagonals.reshape(count, 3, blocks, n + 1, 1)
-            sweeps.append([(lead, basis, mid, trail, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared)])
-        else:
-            values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, blocks))
-            phases = np.exp(-1j * dt * values)[..., np.newaxis]
-            sweeps.append([(None, v, p, None, e) for v, p, e in zip(vectors, phases, values)])
-    return terms, sweeps
+    return sector_terms(n, blocks), [_sector_steps(n, dt, shared, method, blocks) for method in methods]
+
+
+def _sector_key(n: int, dt: float, shared: list, method: str, blocks: int) -> tuple:
+    # the shared values, not the per-qubit tuples: is_symmetric counts 0.0 and -0.0 as equal, and this is O(chunks)
+    return n, float_bits((dt, *chain.from_iterable(shared))), method, blocks
+
+
+@partial(SCHEDULE_CACHE, key=_sector_key)
+def _sector_steps(n: int, dt: float, shared: list, method: str, blocks: int) -> Steps:
+    """Each chunk's read-only sector step under ``method`` (see
+    :func:`_chunk_sweeps`), from every chunk's ``shared`` ``(K, eps,
+    zeta)``. Kept in ``core.SCHEDULE_CACHE`` by n, dt, the shared values
+    bit for bit, the method and the sector count."""
+    if method == "chunked":
+        terms = sector_terms(n, blocks)
+        basis = wigner_basis(n, blocks)
+        # per chunk, the phases of lead, mid and trail over (M, (4M^2 - n)/2), both 0 outside the sector:
+        # arg(a) M less the ZZ phase, -theta M, and arg(a) M
+        coefficients = []
+        for tunneling, bias, coupling in shared:
+            a, b = _rotation(tunneling, bias, dt)[:2]
+            turn, theta = math.atan2(a.imag, a.real), 2 * math.atan2(-b.imag, math.hypot(a.real, a.imag))
+            coefficients.append(((turn, -dt * coupling), (-theta, 0.0), (turn, 0.0)))
+        diagonals = 1j * (np.array(coefficients) @ np.stack([terms[1] / 2, terms[2]]).reshape(2, -1))
+        np.exp(diagonals, out=diagonals)
+        diagonals = diagonals.reshape(len(shared), 3, blocks, n + 1, 1)
+        steps = ((lead, basis, mid, trail, chunk) for (lead, mid, trail), chunk in zip(diagonals, shared))
+        return Steps(steps, (diagonals, basis))
+    values, vectors = np.linalg.eigh(spin_sector_hamiltonian(shared, n, blocks))
+    phases = np.exp(-1j * dt * values)[..., np.newaxis]
+    return Steps(((None, v, p, None, e) for v, p, e in zip(vectors, phases, values)), (values, vectors, phases))
 
 
 def _coordinate_columns(coords, n: int) -> np.ndarray:
@@ -735,7 +777,8 @@ def evolve_states(states: np.ndarray, schedule: Schedule, method: str = "exact")
     The stack is evolved as one C-ordered ``(2**n, batch)`` array by the
     gate kernel's runner under both methods. ``chunked`` streams each
     chunk's phase vector and its single-qubit layer as a few Kronecker
-    blocks, without building any 2^N matrix. ``exact``'s blocks are the
+    blocks, built once per process and chunk (:func:`_dense_chunk_steps`),
+    without building any 2^N matrix. ``exact``'s blocks are the
     cached dense chunk propagators on all n qubits, on every schedule, so
     it refuses more than 10 qubits; a schedule of uniform chunks evolves
     without them in its total-spin sectors (:func:`evolve_pair_dicke`,

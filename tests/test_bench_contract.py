@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from qnnwitness import hamiltonian, sampler, trainer
+from qnnwitness.core import SCHEDULE_CACHE
 from qnnwitness.fixtures import fixture_schedule
 from qnnwitness.hamiltonian import exact_chunk_propagator
 from qnnwitness.witness import PairStateKind, build_training_set
@@ -142,6 +143,7 @@ def test_gradient_sweeps_do_not_grow_with_parameter_count(monkeypatch):
     ])
     builds = {"exact": {"spin_sector_hamiltonian": 1, "eigh": 1}, "chunked": {"wigner_basis": 1}}
     for method in ("chunked", "exact"):
+        SCHEDULE_CACHE.clear()  # a schedule evaluated before in this process builds nothing
         _, grad = trainer.gradient(schedule, training_set, trainer.TrainerConfig(method=method))
         assert len(grad) == 12
         steps = {"_forward_step": chunks, f"_{method}_backward": chunks}

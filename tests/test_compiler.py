@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from qnnwitness import compiler, hamiltonian, witness
 from qnnwitness.compiler import (
-    CIRCUIT_CACHE,
     compile_schedule,
     compile_single_qubit,
     compile_zz,
@@ -20,6 +19,7 @@ from qnnwitness.compiler import (
 )
 from qnnwitness.core import (
     DENSE_BYTES_BUDGET,
+    SCHEDULE_CACHE,
     Circuit,
     GateKind,
     GateOp,
@@ -245,7 +245,7 @@ class TestCompileSchedule:
 
 class TestCircuitStore:
     def test_bound_is_half_a_mib(self):
-        assert CIRCUIT_CACHE.max_bytes == 2**19
+        assert SCHEDULE_CACHE.max_bytes == 2**19
 
     def test_signed_zeros_get_their_own_circuits(self):
         # equal and hashed alike as schedules, yet atan2(+-0.0, -1) = +-pi
@@ -273,11 +273,11 @@ class TestCircuitStore:
         assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
 
     def test_store_keeps_at_most_its_bound(self):
-        compile_schedule.cache_clear()
+        SCHEDULE_CACHE.clear()  # the whole store, so that its byte total is the circuits' own
         # four 128 KiB phase vectors: returned, not kept
         big = Schedule(13, 1.58, tuple(ChunkParams.uniform(13, 2.5, 0.1 * k, 0.05) for k in range(4)))
         circuit = compile_schedule(big)
-        assert len(circuit) == 4 * (3 * 78 + 3 * 13) and circuit.nbytes > CIRCUIT_CACHE.max_bytes
+        assert len(circuit) == 4 * (3 * 78 + 3 * 13) and circuit.nbytes > SCHEDULE_CACHE.max_bytes
         assert compile_schedule.cache_info().currsize == 0
         # about 64 KB each, a CNOT object per pair shared by the four chunks:
         # the first ones are evicted, least recent first
@@ -286,7 +286,7 @@ class TestCircuitStore:
         for schedule in schedules:
             apply_circuit(basis_state(7), compile_schedule(schedule))  # builds its phase vectors
             info = compile_schedule.cache_info()
-            assert info.nbytes == CIRCUIT_CACHE.nbytes <= CIRCUIT_CACHE.max_bytes
+            assert info.nbytes == SCHEDULE_CACHE.nbytes <= SCHEDULE_CACHE.max_bytes
         assert info.currsize == 8
         misses = info.misses
         compile_schedule(schedules[-1])
@@ -296,14 +296,22 @@ class TestCircuitStore:
 
     def test_the_benchmark_resets_the_store(self):
         # perfbench/workloads.reset_caches(every=True) clears every qnnwitness
-        # module attribute that has cache_clear and names that module as its own
-        compile_schedule(Schedule(2, 1.0, (ChunkParams.uniform(2, 1.0, 0.5, 0.25),)))
-        found = [value for value in vars(compiler).values()
-                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == compiler.__name__]
-        assert compile_schedule in found
+        # module attribute that has cache_clear and names that module as its own;
+        # every occupant of the store is one, compiled circuits, sector steps and dense chunks
+        schedule = Schedule(2, 1.0, (ChunkParams.uniform(2, 1.0, 0.5, 0.25),))
+        compile_schedule(schedule)
+        for method in ("chunked", "exact"):
+            witness.witness_values(witness.build_training_set(2), schedule, method)
+        hamiltonian.evolve_states(basis_state(2), schedule, "chunked")
+        occupants = (compile_schedule, hamiltonian._sector_steps, hamiltonian._dense_chunk_steps)
+        assert all(occupant.cache_info().currsize for occupant in occupants)
+        found = [value for module in (compiler, hamiltonian) for value in vars(module).values()
+                 if hasattr(value, "cache_clear") and getattr(value, "__module__", "") == module.__name__]
+        assert all(occupant in found for occupant in occupants)
         for value in found:
             value.cache_clear()
-        assert compile_schedule.cache_info() == (0, 0, 0, 0)
+        assert all(occupant.cache_info() == (0, 0, 0, 0) for occupant in occupants)
+        assert SCHEDULE_CACHE.nbytes == 0
 
 
 class TestVerifyEquivalence:

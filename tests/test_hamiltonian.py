@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qnnwitness import cli, hamiltonian
 from qnnwitness.compiler import compile_schedule, verify_equivalence
-from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, Circuit, DimensionError, GateKind
+from qnnwitness.core import DEFAULT_UNITARY_CAP, DENSE_BYTES_BUDGET, SCHEDULE_CACHE, Circuit, DimensionError, GateKind
 from qnnwitness.core import circuit_unitary, expectation_zz, frobenius_distance, pair_readout, qubit_pairs, require_square
 from qnnwitness.hamiltonian import (
     ChunkParams,
@@ -556,6 +556,7 @@ class TestWignerBlocks:
         # neither the sector Hamiltonians nor eigh, cold or warm; exact still runs both once
         calls = count_calls(monkeypatch, [(hamiltonian, "spin_sector_hamiltonian"), (np.linalg, "eigh")])
         hamiltonian.wigner_basis.cache_clear()
+        SCHEDULE_CACHE.clear()  # a schedule evaluated before in this process builds nothing
         for _ in range(2):
             evolve_pair_dicke(orbit_coordinates(7), table3, "chunked")
         assert calls == {"spin_sector_hamiltonian": 0, "eigh": 0}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qnnwitness import hamiltonian, trainer
+from qnnwitness.core import SCHEDULE_CACHE
 from qnnwitness.hamiltonian import ChunkParams, Schedule, refine_schedule
 from qnnwitness.trainer import (
     MAX_CHUNKS,
@@ -304,6 +305,7 @@ class TestSweepsPerEpoch:
     def test_k_epochs_cost_k_plus_one_forward_and_k_backward_sweeps(self, monkeypatch, table3, method, epochs):
         forward, chunked_backward, exact_backward, hamiltonians, basis = SWEEP_STEPS
         calls = count_calls(monkeypatch, [(hamiltonian, name) for name in SWEEP_STEPS] + [(np.linalg, "eigh")])
+        SCHEDULE_CACHE.clear()  # a schedule evaluated before in this process builds nothing
         result = train(table3, build_training_set(7), TrainerConfig(max_epochs=epochs, target_rms=0.0, method=method))
         assert result.epochs_used == epochs
         chunks = table3.n_chunks
